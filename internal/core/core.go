@@ -62,17 +62,19 @@ func (m Mode) String() string {
 // giving up with a non-nil error; the inputs are never panicked on, and on
 // error the returned matrices are nil.
 func KIDFactors(a, g *mat.Dense, r int, alpha float64) (as, gs, y *mat.Dense, err error) {
-	return kidFactorsInto(nil, nil, nil, a, g, r, alpha, DefaultIDTol)
+	var ws kidWS
+	return kidFactorsInto(&ws, nil, nil, nil, a, g, r, alpha, DefaultIDTol)
 }
 
 // kidFactorsInto is KIDFactors writing the results into persistent
 // pool-backed buffers (checked out when nil or wrongly sized): the returned
-// matrices replace the ones passed in, exactly like mat.EnsureDense. All
-// internal scratch cycles through the pool, so the steady state of an
-// iterative caller allocates nothing. tol is the interpolative-decomposition
+// matrices replace the ones passed in, exactly like mat.EnsureDense; ws
+// persists the decomposition's own P/S across calls. All internal scratch
+// cycles through the pool, so the steady state of an iterative caller
+// allocates nothing. tol is the interpolative-decomposition
 // numerical-rank tolerance (0 disables truncation). On error the buffers
 // passed in are handed back unchanged so the caller keeps its pooled storage.
-func kidFactorsInto(as, gs, y, a, g *mat.Dense, r int, alpha, tol float64) (asOut, gsOut, yOut *mat.Dense, err error) {
+func kidFactorsInto(ws *kidWS, as, gs, y, a, g *mat.Dense, r int, alpha, tol float64) (asOut, gsOut, yOut *mat.Dense, err error) {
 	m := a.Rows()
 	if g.Rows() != m {
 		panic("core: KIDFactors row mismatch")
@@ -85,7 +87,8 @@ func kidFactorsInto(as, gs, y, a, g *mat.Dense, r int, alpha, tol float64) (asOu
 	mat.KernelMatrixInto(q, a, g)
 	// (2) Row interpolative decomposition Q ≈ P Q[S,:], truncated to the
 	// numerical rank when duplicated/near-collinear rows collapse it.
-	p, s := mat.InterpolativeDecompTol(q, r, tol)
+	ws.p, ws.s = mat.InterpolativeDecompInto(ws.p, ws.s, q, r, tol)
+	p, s := ws.p, ws.s
 	// (3) Residue.
 	qs := mat.GetDense(len(s), m)
 	q.SelectRowsInto(qs, s)
@@ -163,15 +166,16 @@ func AdaptiveKIDRank(a, g *mat.Dense, tol float64, maxRank int) int {
 	q := mat.GetDense(a.Rows(), a.Rows())
 	defer mat.PutDense(q)
 	mat.KernelMatrixInto(q, a, g)
-	f := mat.FactorQRPivot(q.T())
-	r := f.R()
-	n := min(r.Rows(), maxRank)
-	d0 := math.Abs(r.At(0, 0))
+	n := min(q.Rows(), maxRank)
+	diag := mat.GetFloats(n)
+	defer mat.PutFloats(diag)
+	mat.RowPivotDiag(diag, q)
+	d0 := math.Abs(diag[0])
 	if d0 == 0 {
 		return 1
 	}
 	for k := 1; k < n; k++ {
-		if math.Abs(r.At(k, k)) <= tol*d0 {
+		if math.Abs(diag[k]) <= tol*d0 {
 			return k
 		}
 	}

@@ -104,7 +104,7 @@ type hyloState struct {
 	asLoc, gsLoc, yLoc *mat.Dense
 	yblk, mbuf         *mat.Dense
 	y, z, corr         []float64
-	sketch             kidSketchWS // sketched-KID P/S workspace
+	id                 kidWS // KID P/S workspace (exact and sketched)
 }
 
 // hyloPlan is one layer's slot in the scheduled pipeline: inputs prepared
@@ -370,7 +370,7 @@ func (h *HyLo) stageFactorize(i int) {
 				over = DefaultOversample
 			}
 			t1 := time.Now()
-			st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsSketchInto(&st.sketch, st.asLoc, st.gsLoc, st.yLoc, h.rng, st.an, st.gn, rho, h.Damping, over, sk)
+			st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsSketchInto(&st.id, st.asLoc, st.gsLoc, st.yLoc, h.rng, st.an, st.gn, rho, h.Damping, over, sk)
 			if telemetry.Enabled() {
 				telemetry.IncCounter(telemetry.MetricKIDSketchNS, time.Since(t1).Nanoseconds(),
 					telemetry.Label{Key: "sketch", Value: sk.String()})
@@ -387,10 +387,10 @@ func (h *HyLo) stageFactorize(i int) {
 					telemetry.IncCounter(telemetry.MetricKIDSketchFallbacks, 1,
 						telemetry.Label{Key: "sketch", Value: sk.String()})
 				}
-				st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsInto(st.asLoc, st.gsLoc, st.yLoc, st.an, st.gn, rho, h.Damping, h.idTol())
+				st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsInto(&st.id, st.asLoc, st.gsLoc, st.yLoc, st.an, st.gn, rho, h.Damping, h.idTol())
 			}
 		} else {
-			st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsInto(st.asLoc, st.gsLoc, st.yLoc, st.an, st.gn, rho, h.Damping, h.idTol())
+			st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsInto(&st.id, st.asLoc, st.gsLoc, st.yLoc, st.an, st.gn, rho, h.Damping, h.idTol())
 		}
 		pl.as, pl.gs, pl.y = st.asLoc, st.gsLoc, st.yLoc
 		if facErr != nil {

@@ -71,10 +71,11 @@ var (
 	ErrSketchResidual = errors.New("core: KID sketch reconstruction residual overshoot")
 )
 
-// kidSketchWS owns one layer's persistent randomized-ID buffers (the
-// interpolation matrix P and row selection S), following the EnsureDense
-// replace-on-return contract so steady-state reuse allocates nothing.
-type kidSketchWS struct {
+// kidWS owns one layer's persistent interpolative-decomposition buffers
+// (the interpolation matrix P and row selection S), shared by the exact and
+// the sketched path and following the EnsureDense replace-on-return
+// contract so steady-state reuse allocates nothing.
+type kidWS struct {
 	p *mat.Dense
 	s []int
 }
@@ -88,7 +89,7 @@ type kidSketchWS struct {
 // draws regardless of outcome, so the stream position stays deterministic
 // across accept and reject.
 func KIDFactorsSketch(rng *mat.RNG, a, g *mat.Dense, r int, alpha float64, oversample int, kind Sketch) (as, gs, y *mat.Dense, err error) {
-	var ws kidSketchWS
+	var ws kidWS
 	return kidFactorsSketchInto(&ws, nil, nil, nil, rng, a, g, r, alpha, oversample, kind)
 }
 
@@ -97,7 +98,7 @@ func KIDFactorsSketch(rng *mat.RNG, a, g *mat.Dense, r int, alpha float64, overs
 // ws persists the sketch's own P/S across calls. On error the buffers
 // passed in are handed back unchanged so the caller keeps its pooled
 // storage and can rerun the exact path.
-func kidFactorsSketchInto(ws *kidSketchWS, as, gs, y *mat.Dense, rng *mat.RNG, a, g *mat.Dense, r int, alpha float64, oversample int, kind Sketch) (asOut, gsOut, yOut *mat.Dense, err error) {
+func kidFactorsSketchInto(ws *kidWS, as, gs, y *mat.Dense, rng *mat.RNG, a, g *mat.Dense, r int, alpha float64, oversample int, kind Sketch) (asOut, gsOut, yOut *mat.Dense, err error) {
 	m := a.Rows()
 	if g.Rows() != m {
 		panic("core: KIDFactorsSketch row mismatch")

@@ -153,7 +153,7 @@ func TestKIDFactorsSketchSteadyStateAllocs(t *testing.T) {
 		rng := mat.NewRNG(85)
 		a := mat.RandN(rng, 32, 4, 1)
 		g := mat.RandN(rng, 32, 4, 1)
-		var ws kidSketchWS
+		var ws kidWS
 		var as, gs, y *mat.Dense
 		var err error
 		as, gs, y, err = kidFactorsSketchInto(&ws, as, gs, y, rng, a, g, 8, 0.1, 4, kind)

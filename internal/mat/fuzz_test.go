@@ -7,7 +7,8 @@ import (
 
 // FuzzInterpolativeDecomp feeds arbitrary seeds/shapes through the ID and
 // asserts the structural contract: valid unique indices and a finite
-// reconstruction whose error never exceeds the trivial rank-0 bound.
+// reconstruction whose error never exceeds the trivial rank-0 bound, and
+// bit-equality with the oracle factorization.
 func FuzzInterpolativeDecomp(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(8), uint8(3))
 	f.Add(uint64(42), uint8(20), uint8(5), uint8(5))
@@ -35,6 +36,7 @@ func FuzzInterpolativeDecomp(f *testing.F) {
 				t.Fatal("non-finite reconstruction")
 			}
 		}
+		checkRowIDOracle(t, q, []int{r})
 	})
 }
 
@@ -154,6 +156,10 @@ func FuzzQRPivot(f *testing.F) {
 			}
 			seen[p] = true
 		}
+		if o := oracleFactorQRPivot(a).NumericalRank(tol); rank != o {
+			t.Fatalf("NumericalRank(%g) = %d, oracle %d", tol, rank, o)
+		}
+		checkRowIDOracle(t, a.T(), []int{1 + int(seed%uint64(k))})
 	})
 }
 
@@ -219,7 +225,13 @@ func FuzzRandomizedID(f *testing.F) {
 		if seed%5 == 0 && m > 1 {
 			copy(q.Row(1), q.Row(0)) // duplicated row: rank-deficient
 		}
+		rngOracle := *rng
 		p, s, cond := RandomizedIDInto(nil, nil, rng, q, r, int(over), kind)
+		wantP, wantS, wantCond := oracleRandomizedIDInto(nil, nil, &rngOracle, q, r, int(over), kind)
+		if !sameInts(s, wantS) || !sameValue(cond, wantCond) {
+			t.Fatalf("S %v cond %g, oracle %v %g", s, cond, wantS, wantCond)
+		}
+		sameOracle(t, "sketched P", wantP, p)
 		want := min(r, min(m, n))
 		if want < 0 {
 			want = 0

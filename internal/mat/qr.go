@@ -2,11 +2,13 @@ package mat
 
 import "math"
 
-// QRPivot holds a column-pivoted Householder QR factorization
-// a*Π = Q*R, with qr packing the Householder vectors below the diagonal
-// and R on and above it, following the LAPACK dgeqp3 layout.
+// QRPivot holds a column-pivoted Householder QR factorization a*Π = Q*R in
+// the LAPACK dgeqp3 packing, stored transposed: row j of qt is column j of
+// the packed factor — R(i,j) at qt(j,i) for i ≤ j, the Householder vector
+// of step k in qt(k, k+1:) — so every inner loop of the factorization walks
+// contiguous memory. Only the first len(tau) steps have been run.
 type QRPivot struct {
-	qr   *Dense
+	qt   *Dense // n×m for an m×n a
 	tau  []float64
 	perm []int // perm[k] = original column index now in position k
 }
@@ -14,115 +16,112 @@ type QRPivot struct {
 // FactorQRPivot computes a column-pivoted QR factorization of a.
 // a is not modified.
 func FactorQRPivot(a *Dense) *QRPivot {
-	return factorQRPivotInPlace(a.Clone())
+	return factorRowsInPlace(a.T(), min(a.rows, a.cols))
 }
 
-// factorQRPivotInPlace factors qr destructively, taking ownership of its
-// storage; the hot path pairs it with putQRPivot to recycle everything.
-func factorQRPivotInPlace(qr *Dense) *QRPivot {
-	m, n := qr.rows, qr.cols
-	k := min(m, n)
-	tau := GetFloats(k)
+// factorRowsInPlace runs the first `steps` steps of the column-pivoted QR
+// of wᵀ on the rows of w, destructively, taking ownership of its storage;
+// the hot path pairs it with putQRPivot to recycle everything. A pivot
+// swaps two rows, a reflector is a row tail and the trailing update is one
+// sequential dot and one sequential axpy per row. Rows 0..steps-1 of R and
+// positions 0..steps-1 of the permutation are final after `steps` steps,
+// which is all a rank-`steps` row ID of w reads. The accumulations are
+// plain ordered loops on purpose: the selection must not depend on the
+// kernel family, so no Dot/axpy helper.
+func factorRowsInPlace(w *Dense, steps int) *QRPivot {
+	n := w.rows
+	tau := GetFloats(steps)
 	perm := getInts(n)
-	colNorm := GetFloats(n)
-	defer PutFloats(colNorm)
+	norm := getFloatsRaw(n)
+	defer PutFloats(norm)
 	for j := 0; j < n; j++ {
 		perm[j] = j
-		colNorm[j] = colNormSq(qr, j, 0)
+		norm[j] = normSq(w.Row(j))
 	}
-	for step := 0; step < k; step++ {
-		// Pick the column with the largest remaining norm.
-		p, best := step, colNorm[step]
+	for step := 0; step < steps; step++ {
+		// Pick the row with the largest remaining norm.
+		p, best := step, norm[step]
 		for j := step + 1; j < n; j++ {
-			if colNorm[j] > best {
-				p, best = j, colNorm[j]
+			if norm[j] > best {
+				p, best = j, norm[j]
 			}
 		}
 		if p != step {
-			swapCols(qr, step, p)
+			rs, rp := w.Row(step), w.Row(p)
+			for i := range rs {
+				rs[i], rp[i] = rp[i], rs[i]
+			}
 			perm[step], perm[p] = perm[p], perm[step]
-			colNorm[step], colNorm[p] = colNorm[p], colNorm[step]
+			norm[step], norm[p] = norm[p], norm[step]
 		}
-		// Householder vector for column `step`, rows step..m-1.
-		alpha := houseGen(qr, step, &tau[step])
-		// Apply H = I - tau v vᵀ to trailing columns.
-		if tau[step] != 0 {
-			for j := step + 1; j < n; j++ {
-				// w = vᵀ * col_j (v has implicit 1 at row `step`).
-				w := qr.At(step, j)
-				for i := step + 1; i < m; i++ {
-					w += qr.At(i, step) * qr.At(i, j)
-				}
-				w *= tau[step]
-				qr.Set(step, j, qr.At(step, j)-w)
-				for i := step + 1; i < m; i++ {
-					qr.Set(i, j, qr.At(i, j)-w*qr.At(i, step))
-				}
-			}
-		}
-		qr.Set(step, step, alpha)
-		// Downdate column norms.
+		// Householder vector from row `step`, entries step.. (implicit 1
+		// at `step`).
+		v := w.Row(step)[step:]
+		alpha := houseGen(v, &tau[step])
+		t, vt := tau[step], v[1:]
 		for j := step + 1; j < n; j++ {
-			v := qr.At(step, j)
-			colNorm[j] -= v * v
-			if colNorm[j] < 1e-12*math.Abs(colNorm[j])+1e-300 || colNorm[j] < 0 {
-				colNorm[j] = colNormSq(qr, j, step+1)
+			x := w.Row(j)[step:]
+			// Apply H = I - tau v vᵀ to the trailing row.
+			if t != 0 {
+				xt := x[1 : 1+len(vt)]
+				s := x[0]
+				for i, vi := range vt {
+					s += vi * xt[i]
+				}
+				s *= t
+				x[0] -= s
+				for i, vi := range vt {
+					xt[i] -= s * vi
+				}
+			}
+			// Downdate the row norm.
+			norm[j] -= x[0] * x[0]
+			if norm[j] < 1e-12*math.Abs(norm[j])+1e-300 || norm[j] < 0 {
+				norm[j] = normSq(x[1:])
 			}
 		}
+		v[0] = alpha
 	}
-	return &QRPivot{qr: qr, tau: tau, perm: perm}
+	return &QRPivot{qt: w, tau: tau, perm: perm}
 }
 
-// houseGen builds the Householder reflector that annihilates column `step`
-// below the diagonal; the vector is stored in rows step+1.. with an
-// implicit leading 1, and the resulting diagonal entry of R is returned.
-func houseGen(qr *Dense, step int, tau *float64) float64 {
-	m := qr.rows
-	var normSq float64
-	x0 := qr.At(step, step)
-	for i := step + 1; i < m; i++ {
-		v := qr.At(i, step)
-		normSq += v * v
-	}
-	if normSq == 0 {
+// houseGen builds the Householder reflector that annihilates v[1:]; the
+// vector is stored there with an implicit leading 1, and the resulting
+// diagonal entry of R is returned.
+func houseGen(v []float64, tau *float64) float64 {
+	x0, tail := v[0], v[1:]
+	nsq := normSq(tail)
+	if nsq == 0 {
 		*tau = 0
 		return x0
 	}
-	beta := math.Sqrt(x0*x0 + normSq)
+	beta := math.Sqrt(x0*x0 + nsq)
 	if x0 > 0 {
 		beta = -beta
 	}
 	*tau = (beta - x0) / beta
 	scale := 1 / (x0 - beta)
-	for i := step + 1; i < m; i++ {
-		qr.Set(i, step, qr.At(i, step)*scale)
+	for i := range tail {
+		tail[i] *= scale
 	}
 	return beta
 }
 
-func colNormSq(m *Dense, j, from int) float64 {
+func normSq(v []float64) float64 {
 	var s float64
-	for i := from; i < m.rows; i++ {
-		v := m.At(i, j)
-		s += v * v
+	for _, x := range v {
+		s += x * x
 	}
 	return s
 }
 
-func swapCols(m *Dense, a, b int) {
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		row[a], row[b] = row[b], row[a]
-	}
-}
-
-// putQRPivot recycles a factorization built by factorQRPivotInPlace. Only
+// putQRPivot recycles a factorization built by factorRowsInPlace. Only
 // safe when nothing returned from the factorization object escapes.
 func putQRPivot(f *QRPivot) {
-	PutDense(f.qr)
+	PutDense(f.qt)
 	PutFloats(f.tau)
 	putInts(f.perm)
-	f.qr, f.tau, f.perm = nil, nil, nil
+	f.qt, f.tau, f.perm = nil, nil, nil
 }
 
 // Perm returns the column permutation (position -> original column index).
@@ -135,11 +134,11 @@ func (f *QRPivot) Perm() []int { return f.perm }
 // A non-positive tol disables detection (full rank min(m,n) is returned);
 // an all-zero or non-finite leading diagonal reports rank 0.
 func (f *QRPivot) NumericalRank(tol float64) int {
-	k := min(f.qr.rows, f.qr.cols)
+	k := len(f.tau)
 	if k == 0 {
 		return 0
 	}
-	d0 := math.Abs(f.qr.At(0, 0))
+	d0 := math.Abs(f.qt.At(0, 0))
 	if d0 == 0 || math.IsNaN(d0) || math.IsInf(d0, 0) {
 		return 0
 	}
@@ -147,7 +146,7 @@ func (f *QRPivot) NumericalRank(tol float64) int {
 		return k
 	}
 	for i := 1; i < k; i++ {
-		d := math.Abs(f.qr.At(i, i))
+		d := math.Abs(f.qt.At(i, i))
 		if math.IsNaN(d) || d <= tol*d0 {
 			return i
 		}
@@ -157,17 +156,11 @@ func (f *QRPivot) NumericalRank(tol float64) int {
 
 // R returns the upper-triangular factor (k×n, k = min(m,n)).
 func (f *QRPivot) R() *Dense {
-	m, n := f.qr.rows, f.qr.cols
-	return f.rInto(NewDense(min(m, n), n))
-}
-
-// rInto writes the upper-triangular factor into r (pre-zeroed k×n).
-func (f *QRPivot) rInto(r *Dense) *Dense {
-	n := f.qr.cols
-	k := min(f.qr.rows, n)
-	for i := 0; i < k; i++ {
+	n := f.qt.rows
+	r := NewDense(len(f.tau), n)
+	for i := 0; i < r.rows; i++ {
 		for j := i; j < n; j++ {
-			r.Set(i, j, f.qr.At(i, j))
+			r.Set(i, j, f.qt.At(j, i))
 		}
 	}
 	return r
@@ -175,7 +168,7 @@ func (f *QRPivot) rInto(r *Dense) *Dense {
 
 // Q returns the thin orthogonal factor (m×k).
 func (f *QRPivot) Q() *Dense {
-	m := f.qr.rows
+	m := f.qt.cols
 	k := len(f.tau)
 	q := NewDense(m, k)
 	for i := 0; i < k; i++ {
@@ -187,19 +180,72 @@ func (f *QRPivot) Q() *Dense {
 		if t == 0 {
 			continue
 		}
+		v := f.qt.Row(step)
 		for j := 0; j < k; j++ {
 			w := q.At(step, j)
 			for i := step + 1; i < m; i++ {
-				w += f.qr.At(i, step) * q.At(i, j)
+				w += v[i] * q.At(i, j)
 			}
 			w *= t
 			q.Set(step, j, q.At(step, j)-w)
 			for i := step + 1; i < m; i++ {
-				q.Set(i, j, q.At(i, j)-w*f.qr.At(i, step))
+				q.Set(i, j, q.At(i, j)-w*v[i])
 			}
 		}
 	}
 	return q
+}
+
+// idInto assembles the rank-r row interpolative decomposition x ≈ p·x[s,:]
+// of the matrix x whose rows f factored (r ≤ steps run), into the
+// EnsureDense-style workspaces p and s. With R = [R11 R12], R11 r×r
+// upper-triangular, the interpolation coefficients are T = R11⁻¹ R12, so
+// xᵀΠ ≈ (xᵀ)_S [I T]  ⇒  x ≈ Πᵀ [I; Tᵀ] x_S: row perm[k] of P is e_k for
+// k < r and row perm[j], j ≥ r, is the back-substituted column j of R12,
+// which qt holds as the first r entries of its row j.
+func (f *QRPivot) idInto(p *Dense, s []int, r int) (*Dense, []int) {
+	m := f.qt.rows
+	p = EnsureDense(p, m, r)
+	for k := 0; k < r; k++ {
+		e := p.Row(f.perm[k])
+		for i := range e {
+			e[i] = 0
+		}
+		e[k] = 1
+	}
+	for j := r; j < m; j++ {
+		b, x := f.qt.Row(j), p.Row(f.perm[j])
+		for i := r - 1; i >= 0; i-- {
+			sum := b[i]
+			for k := i + 1; k < r; k++ {
+				sum -= f.qt.At(k, i) * x[k]
+			}
+			if d := f.qt.At(i, i); d != 0 {
+				x[i] = sum / d
+			} else {
+				x[i] = 0
+			}
+		}
+	}
+	if cap(s) < r {
+		s = make([]int, r)
+	}
+	s = s[:r]
+	copy(s, f.perm)
+	return p, s
+}
+
+// RowPivotDiag writes into diag the first len(diag) ≤ min(q.Dims())
+// diagonal entries of the column-pivoted QR of qᵀ — the pivot magnitudes a
+// row ID of q would meet — running only that many steps on a pooled copy.
+func RowPivotDiag(diag []float64, q *Dense) {
+	w := getDenseRaw(q.rows, q.cols)
+	w.CopyFrom(q)
+	f := factorRowsInPlace(w, len(diag))
+	for k := range diag {
+		diag[k] = w.At(k, k)
+	}
+	putQRPivot(f)
 }
 
 // InterpolativeDecomp computes a rank-r row interpolative decomposition of
@@ -221,63 +267,28 @@ func InterpolativeDecomp(q *Dense, r int) (p *Dense, s []int) {
 // back-substitution for the interpolation coefficients away from the
 // noise-level pivots that would otherwise amplify into the factors.
 func InterpolativeDecompTol(q *Dense, r int, tol float64) (p *Dense, s []int) {
-	m := q.rows
-	r = min(r, min(m, q.cols))
+	return InterpolativeDecompInto(nil, nil, q, r, tol)
+}
+
+// InterpolativeDecompInto is InterpolativeDecompTol without allocating in
+// steady state: p and s are persistent workspaces following the
+// EnsureDense contract, exactly as in RandomizedIDInto. Only r pivoted
+// Householder steps run — O(m·n·r) — since the rank decision and the
+// factors read nothing beyond them.
+func InterpolativeDecompInto(p *Dense, s []int, q *Dense, r int, tol float64) (pOut *Dense, sOut []int) {
+	r = min(r, min(q.rows, q.cols))
 	if r <= 0 {
-		return NewDense(m, 0), nil
+		return EnsureDense(p, q.rows, 0), s[:0]
 	}
-	qt := getDenseRaw(q.cols, q.rows)
-	q.TInto(qt)
-	// Column ID of qᵀ ≡ row ID of q; the factorization takes ownership of
-	// qt and putQRPivot below recycles it.
-	f := factorQRPivotInPlace(qt)
+	w := getDenseRaw(q.rows, q.cols)
+	w.CopyFrom(q)
+	f := factorRowsInPlace(w, r)
 	if tol > 0 {
 		if nr := f.NumericalRank(tol); nr < r {
 			r = max(nr, 1)
 		}
 	}
-	perm := f.perm
-	s = append([]int(nil), perm[:r]...)
-
-	// R = [R11 R12] with R11 r×r upper-triangular. The interpolation
-	// coefficients are T = R11⁻¹ R12 (r × (m-r)), giving
-	// qᵀ Π ≈ (qᵀ)_S [I T]  ⇒  q ≈ Πᵀ [I; Tᵀ] q_S.
-	rm := f.rInto(GetDense(min(qt.rows, qt.cols), qt.cols))
-	t := GetDense(r, m-r)
-	col := GetFloats(r)
-	for j := 0; j < m-r; j++ {
-		// Back-substitute R11 * x = R12[:, j].
-		for i := 0; i < r; i++ {
-			col[i] = rm.At(i, r+j)
-		}
-		for i := r - 1; i >= 0; i-- {
-			sum := col[i]
-			for k := i + 1; k < r; k++ {
-				sum -= rm.At(i, k) * t.At(k, j)
-			}
-			d := rm.At(i, i)
-			if d == 0 {
-				t.Set(i, j, 0)
-				continue
-			}
-			t.Set(i, j, sum/d)
-		}
-	}
-	PutFloats(col)
-	PutDense(rm)
-	// Assemble P: row perm[k] of P is e_k for k<r, and row perm[r+j] is
-	// the j-th column of T.
-	p = NewDense(m, r)
-	for k := 0; k < r; k++ {
-		p.Set(perm[k], k, 1)
-	}
-	for j := 0; j < m-r; j++ {
-		dst := p.Row(perm[r+j])
-		for k := 0; k < r; k++ {
-			dst[k] = t.At(k, j)
-		}
-	}
-	PutDense(t)
+	p, s = f.idInto(p, s, r)
 	putQRPivot(f)
 	return p, s
 }

@@ -92,12 +92,30 @@ func srhtSketchInto(y *Dense, rng *RNG, q *Dense, k int) {
 	PutFloats(signs)
 }
 
+// sketchColsInto fills y (m×k) with a k-column sketch of q's columns and
+// returns it: row selection on q is column selection on qᵀ, and sketching
+// q's columns keeps the row geometry needed to pick representative rows.
+func sketchColsInto(y *Dense, rng *RNG, q *Dense, kind SketchKind) *Dense {
+	if kind == SketchSRHT {
+		srhtSketchInto(y, rng, q, y.cols)
+		return y
+	}
+	omega := getDenseRaw(q.cols, y.cols)
+	od := omega.Data()
+	for i := range od {
+		od[i] = rng.Norm()
+	}
+	MulInto(y, q, omega)
+	PutDense(omega)
+	return y
+}
+
 // RandomizedIDInto computes a rank-r row interpolative decomposition of q
 // through a random sketch, without allocating in steady state: instead of
 // pivoting on the full n columns of qᵀ, q is first compressed to
 // m×(r+oversample) with the selected sketch, and the pivoted QR runs on
 // the sketch. For m×m Gram matrices this reduces the ID cost from O(m²r)
-// to O(m·k²) plus the sketch itself (one GEMM for SketchGauss, an
+// to O(m·k·r) plus the sketch itself (one GEMM for SketchGauss, an
 // O(mn log n) transform for SketchSRHT).
 //
 // p and s are persistent workspaces following the EnsureDense contract:
@@ -125,30 +143,12 @@ func RandomizedIDInto(p *Dense, s []int, rng *RNG, q *Dense, r, oversample int, 
 	if k > n {
 		k = n
 	}
-	// Sketch the column space of qᵀ: row selection on q is column selection
-	// on qᵀ, and sketching q's columns keeps the row geometry needed to
-	// pick representative rows.
-	y := getDenseRaw(m, k)
-	if kind == SketchSRHT {
-		srhtSketchInto(y, rng, q, k)
-	} else {
-		omega := getDenseRaw(n, k)
-		od := omega.Data()
-		for i := range od {
-			od[i] = rng.Norm()
-		}
-		MulInto(y, q, omega)
-		PutDense(omega)
-	}
-	// Pivoted QR on yᵀ ranks the rows of q by their sketched leverage. The
-	// factorization takes ownership of yt; putQRPivot recycles it.
-	yt := getDenseRaw(k, m)
-	y.TInto(yt)
-	PutDense(y)
-	f := factorQRPivotInPlace(yt)
-	perm := f.perm
-	d0 := math.Abs(f.qr.At(0, 0))
-	dr := math.Abs(f.qr.At(r-1, r-1))
+	y := sketchColsInto(getDenseRaw(m, k), rng, q, kind)
+	// r pivoted steps on the rows of y rank the rows of q by their sketched
+	// leverage; the factorization takes ownership of y.
+	f := factorRowsInPlace(y, r)
+	d0 := math.Abs(y.At(0, 0))
+	dr := math.Abs(y.At(r-1, r-1))
 	switch {
 	case math.IsNaN(d0) || math.IsNaN(dr):
 		cond = math.NaN()
@@ -158,46 +158,8 @@ func RandomizedIDInto(p *Dense, s []int, rng *RNG, q *Dense, r, oversample int, 
 		cond = d0 / dr
 	}
 	// Interpolation coefficients against the selected rows are computed on
-	// the sketch: back-substitute R11·T = R12 reading the packed R factor
-	// directly, giving q ≈ Tᵀ·q[S,:] in the sketched geometry.
-	t := getDenseRaw(r, m-r)
-	col := getFloatsRaw(r)
-	for j := 0; j < m-r; j++ {
-		for i := 0; i < r; i++ {
-			col[i] = f.qr.At(i, r+j)
-		}
-		for i := r - 1; i >= 0; i-- {
-			sum := col[i]
-			for kk := i + 1; kk < r; kk++ {
-				sum -= f.qr.At(i, kk) * t.At(kk, j)
-			}
-			d := f.qr.At(i, i)
-			if d == 0 {
-				t.Set(i, j, 0)
-				continue
-			}
-			t.Set(i, j, sum/d)
-		}
-	}
-	PutFloats(col)
-	p = EnsureDense(p, m, r)
-	p.Zero()
-	for kk := 0; kk < r; kk++ {
-		p.Set(perm[kk], kk, 1)
-	}
-	for j := 0; j < m-r; j++ {
-		dst := p.Row(perm[r+j])
-		for kk := 0; kk < r; kk++ {
-			dst[kk] = t.At(kk, j)
-		}
-	}
-	PutDense(t)
-	if cap(s) >= r {
-		s = s[:r]
-	} else {
-		s = make([]int, r)
-	}
-	copy(s, perm[:r])
+	// the sketch, giving q ≈ P·q[S,:] in the sketched geometry.
+	p, s = f.idInto(p, s, r)
 	putQRPivot(f)
 	return p, s, cond
 }
