@@ -80,7 +80,7 @@ fuzzsmoke:
 # fallback) across scheduler widths, and one real sketched training run per
 # mode through the hylo-train CLI.
 sketchsmoke:
-	$(GO) test ./internal/mat/ -run 'TestRandomizedID|TestSRHT|TestFWHT' -count=1
+	$(GO) test ./internal/mat/ -run 'TestRandomizedID|TestRowIDOracle|TestSRHT|TestFWHT' -count=1
 	$(GO) test ./internal/core/ -run 'Sketch' -count=1
 	$(GO) test -race ./internal/sched/ -run 'TestSchedParity$$/hylo-kid-sketch|TestSchedParitySketchFallback' -count=1
 	$(GO) run ./cmd/hylo-train -model mlp -epochs 1 -batch 16 -samples 32 -kid-sketch gauss -optimizer hylo
@@ -98,7 +98,8 @@ bench:
 # full timing run. Compare allocs/op against BENCH_baseline.json.
 benchfast:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem .
-	$(GO) test -run='^$$' -bench='BenchmarkGEMM_512|BenchmarkWorkspacePool' -benchtime=1x -benchmem ./internal/mat/
+	$(GO) test -run='^$$' -bench='BenchmarkGEMM_512|BenchmarkWorkspacePool|BenchmarkInterpolativeDecomp_256r25|BenchmarkSolveCond_256x25' -benchtime=1x -benchmem ./internal/mat/
+	$(GO) test -run='^$$' -bench='BenchmarkKIDFactors_256' -benchtime=1x -benchmem ./internal/core/
 
 # Full experiment suite as text tables (minutes).
 experiments:

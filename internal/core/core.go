@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"repro/internal/mat"
-	"repro/internal/numerics"
 )
 
 // DefaultIDTol is the default relative tolerance for numerical-rank
@@ -66,82 +65,74 @@ func KIDFactors(a, g *mat.Dense, r int, alpha float64) (as, gs, y *mat.Dense, er
 	return kidFactorsInto(&ws, nil, nil, nil, a, g, r, alpha, DefaultIDTol)
 }
 
+// kidWS owns one layer's persistent interpolative-decomposition buffers
+// (the interpolation matrix P and row selection S), shared by the exact and
+// the sketched path and following the EnsureDense replace-on-return
+// contract so steady-state reuse allocates nothing.
+type kidWS struct {
+	p *mat.Dense
+	s []int
+}
+
 // kidFactorsInto is KIDFactors writing the results into persistent
 // pool-backed buffers (checked out when nil or wrongly sized): the returned
 // matrices replace the ones passed in, exactly like mat.EnsureDense; ws
 // persists the decomposition's own P/S across calls. All internal scratch
 // cycles through the pool, so the steady state of an iterative caller
-// allocates nothing. tol is the interpolative-decomposition
-// numerical-rank tolerance (0 disables truncation). On error the buffers
-// passed in are handed back unchanged so the caller keeps its pooled storage.
+// allocates nothing. tol is the interpolative-decomposition numerical-rank
+// tolerance (0 disables truncation). On error the buffers passed in are
+// handed back unchanged so the caller keeps its pooled storage.
 func kidFactorsInto(ws *kidWS, as, gs, y, a, g *mat.Dense, r int, alpha, tol float64) (asOut, gsOut, yOut *mat.Dense, err error) {
 	m := a.Rows()
 	if g.Rows() != m {
 		panic("core: KIDFactors row mismatch")
 	}
-	if r > m {
-		r = m
-	}
 	// (1) Gram matrix of the Khatri-Rao rows.
 	q := mat.GetDense(m, m)
+	defer mat.PutDense(q)
 	mat.KernelMatrixInto(q, a, g)
 	// (2) Row interpolative decomposition Q ≈ P Q[S,:], truncated to the
 	// numerical rank when duplicated/near-collinear rows collapse it.
 	ws.p, ws.s = mat.InterpolativeDecompInto(ws.p, ws.s, q, r, tol)
-	p, s := ws.p, ws.s
-	// (3) Residue.
-	qs := mat.GetDense(len(s), m)
-	q.SelectRowsInto(qs, s)
-	res := mat.GetDense(m, m)
-	mat.MulInto(res, p, qs)
+	res := kidResidual(q, ws)
+	defer mat.PutDense(res)
+	return kidSolveInto(ws, as, gs, y, a, g, res, alpha, "core.kid.residual")
+}
+
+// kidResidual forms step (3) of Algorithm 2, the residue R = Q − P·Q[S,:],
+// in a pooled m×m matrix the caller returns.
+func kidResidual(q *mat.Dense, ws *kidWS) *mat.Dense {
+	qs := mat.GetDense(len(ws.s), q.Cols())
+	defer mat.PutDense(qs)
+	q.SelectRowsInto(qs, ws.s)
+	res := mat.GetDense(q.Rows(), q.Cols())
+	mat.MulInto(res, ws.p, qs)
 	mat.SubInto(res, q, res)
-	// (4) KID factors. (R+αI) is a general matrix; escalate damping a
-	// bounded number of times if it is numerically singular, then give up
-	// with an error instead of looping (NaN input never converges).
-	damped := res.AddDiag(alpha) // res is pooled scratch; mutate in place
-	rinv := mat.GetDense(m, m)
-	retries := 0
-	for boost := 0.0; ; {
-		cond, ierr := mat.InvCondInto(rinv, damped)
-		if ierr == nil && cond <= numerics.CondLimit() {
-			break
-		}
-		if retries >= maxDampAttempts {
-			if retries > 0 {
-				numerics.AddRetries("core.kid.residual", retries)
-			}
-			mat.PutDense(rinv)
-			mat.PutDense(res)
-			mat.PutDense(qs)
-			mat.PutDense(q)
-			err = fmt.Errorf("core: KID residual system unsolvable after %d damped retries (cond %.3g): %w",
-				retries, cond, errOrIllConditioned(ierr))
-			return as, gs, y, err
-		}
-		if boost == 0 {
-			boost = math.Max(alpha, 1e-8)
-		} else {
-			boost *= 10
-		}
-		damped.AddDiag(boost)
-		retries++
+	return res
+}
+
+// kidSolveInto is step (4), shared by the exact and the sketched path:
+// Y = Pᵀ(R+αI)⁻¹P and the selected rows of a and g. (R+αI) is a general
+// matrix, mutated in place here; the m×r system (R+αI)X = P is solved
+// directly — no m×m inverse is formed — with the bounded damping
+// escalation of dampedSolve, recorded under site.
+func kidSolveInto(ws *kidWS, as, gs, y, a, g, res *mat.Dense, alpha float64, site string) (asOut, gsOut, yOut *mat.Dense, err error) {
+	p, s := ws.p, ws.s
+	damped := res.AddDiag(alpha)
+	x := mat.GetDense(p.Rows(), p.Cols())
+	defer mat.PutDense(x)
+	err = dampedSolve(damped, math.Max(alpha, 1e-8), site, func() (float64, error) {
+		return mat.SolveCondInto(x, damped, p)
+	})
+	if err != nil {
+		return as, gs, y, fmt.Errorf("%s system %w", site, err)
 	}
-	if retries > 0 {
-		numerics.AddRetries("core.kid.residual", retries)
-	}
-	rp := mat.GetDense(m, p.Cols())
-	mat.MulInto(rp, rinv, p)
 	y = mat.EnsureDense(y, p.Cols(), p.Cols())
-	mat.MulTAInto(y, p, rp)
+	mat.MulTAInto(y, p, x)
 	as = mat.EnsureDense(as, len(s), a.Cols())
 	a.SelectRowsInto(as, s)
 	gs = mat.EnsureDense(gs, len(s), g.Cols())
 	g.SelectRowsInto(gs, s)
-	mat.PutDense(rp)
-	mat.PutDense(rinv)
-	mat.PutDense(res)
-	mat.PutDense(qs)
-	mat.PutDense(q)
 	return as, gs, y, nil
 }
 
@@ -166,7 +157,7 @@ func AdaptiveKIDRank(a, g *mat.Dense, tol float64, maxRank int) int {
 	q := mat.GetDense(a.Rows(), a.Rows())
 	defer mat.PutDense(q)
 	mat.KernelMatrixInto(q, a, g)
-	n := min(q.Rows(), maxRank)
+	n := max(1, min(q.Rows(), maxRank))
 	diag := mat.GetFloats(n)
 	defer mat.PutFloats(diag)
 	mat.RowPivotDiag(diag, q)

@@ -467,3 +467,22 @@ func TestHyLoSetDamping(t *testing.T) {
 		t.Fatal("negative damping accepted")
 	}
 }
+
+// BenchmarkKIDFactors_256 measures Algorithm 2 on one 256-row layer at
+// rank 25 with recycled buffers: kernel matrix, row ID, residual, damped
+// solve and Y.
+func BenchmarkKIDFactors_256(b *testing.B) {
+	rng := mat.NewRNG(7)
+	a := mat.RandN(rng, 256, 257, 1)
+	g := mat.RandN(rng, 256, 256, 1)
+	var ws kidWS
+	var as, gs, y *mat.Dense
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if as, gs, y, err = kidFactorsInto(&ws, as, gs, y, a, g, 25, 0.1, DefaultIDTol); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -148,17 +148,23 @@ func invGeneralDamped(a *mat.Dense, site string) (*mat.Dense, error) {
 }
 
 // invGeneralDampedInto is invGeneralDamped writing into a caller-provided
-// buffer: retry with decade-growing diagonal boosts while the factorization
-// fails or the condition estimate exceeds numerics.CondLimit(), giving up
-// after maxDampAttempts. Damping retries are recorded on the numerics
-// monitor under site. The input is mutated by the retry boosts; dst is
-// unspecified on error.
+// buffer. The input is mutated by the retry boosts; dst is unspecified on
+// error.
 func invGeneralDampedInto(dst, a *mat.Dense, site string) error {
+	return dampedSolve(a, 1e-8, site, func() (float64, error) { return mat.InvCondInto(dst, a) })
+}
+
+// dampedSolve is the bounded Levenberg-Marquardt escalation of every
+// general (LU) solve site: run solve, which factors a, and retry with
+// decade-growing diagonal boosts on a (the first one firstBoost) while the
+// factorization fails or the condition estimate exceeds
+// numerics.CondLimit(), giving up after maxDampAttempts instead of looping
+// (NaN input never converges). Damping retries are recorded on the numerics
+// monitor under site.
+func dampedSolve(a *mat.Dense, firstBoost float64, site string, solve func() (cond float64, err error)) error {
 	retries := 0
-	var cond float64
-	var err error
 	for boost := 0.0; ; {
-		cond, err = mat.InvCondInto(dst, a)
+		cond, err := solve()
 		if err == nil && cond <= numerics.CondLimit() {
 			if retries > 0 {
 				numerics.AddRetries(site, retries)
@@ -166,14 +172,12 @@ func invGeneralDampedInto(dst, a *mat.Dense, site string) error {
 			return nil
 		}
 		if retries >= maxDampAttempts {
-			if retries > 0 {
-				numerics.AddRetries(site, retries)
-			}
+			numerics.AddRetries(site, retries)
 			return fmt.Errorf("unsolvable after %d damped retries (cond %.3g): %w",
 				retries, cond, errOrIllConditioned(err))
 		}
 		if boost == 0 {
-			boost = 1e-8
+			boost = firstBoost
 		} else {
 			boost *= 10
 		}

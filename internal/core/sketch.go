@@ -71,15 +71,6 @@ var (
 	ErrSketchResidual = errors.New("core: KID sketch reconstruction residual overshoot")
 )
 
-// kidWS owns one layer's persistent interpolative-decomposition buffers
-// (the interpolation matrix P and row selection S), shared by the exact and
-// the sketched path and following the EnsureDense replace-on-return
-// contract so steady-state reuse allocates nothing.
-type kidWS struct {
-	p *mat.Dense
-	s []int
-}
-
 // KIDFactorsSketch is KIDFactors with the interpolative decomposition
 // replaced by a sketched randomized ID. The sketch is guarded before the
 // expensive m×m residual solve: a condition estimate above
@@ -110,71 +101,20 @@ func kidFactorsSketchInto(ws *kidWS, as, gs, y *mat.Dense, rng *mat.RNG, a, g *m
 		oversample = DefaultOversample
 	}
 	q := mat.GetDense(m, m)
+	defer mat.PutDense(q)
 	mat.KernelMatrixInto(q, a, g)
 	var cond float64
 	ws.p, ws.s, cond = mat.RandomizedIDInto(ws.p, ws.s, rng, q, r, oversample, kind.matKind())
 	numerics.ObserveCondition("core.kid.sketch", cond)
 	if !(cond <= numerics.CondLimit()) {
-		mat.PutDense(q)
 		return as, gs, y, fmt.Errorf("%w (cond %.3g, limit %.3g)", ErrSketchIllConditioned, cond, numerics.CondLimit())
 	}
-	p, s := ws.p, ws.s
-	qs := mat.GetDense(len(s), m)
-	q.SelectRowsInto(qs, s)
-	res := mat.GetDense(m, m)
-	mat.MulInto(res, p, qs)
-	mat.SubInto(res, q, res)
+	res := kidResidual(q, ws)
+	defer mat.PutDense(res)
 	qnorm := q.FrobNorm()
 	rnorm := res.FrobNorm()
 	if math.IsNaN(rnorm) || math.IsInf(rnorm, 0) || rnorm > sketchResidualMax*qnorm {
-		mat.PutDense(res)
-		mat.PutDense(qs)
-		mat.PutDense(q)
 		return as, gs, y, fmt.Errorf("%w (‖R‖=%.3g vs ‖Q‖=%.3g)", ErrSketchResidual, rnorm, qnorm)
 	}
-	damped := res.AddDiag(alpha)
-	rinv := mat.GetDense(m, m)
-	retries := 0
-	for boost := 0.0; ; {
-		cond, ierr := mat.InvCondInto(rinv, damped)
-		if ierr == nil && cond <= numerics.CondLimit() {
-			break
-		}
-		if retries >= maxDampAttempts {
-			if retries > 0 {
-				numerics.AddRetries("core.kidsketch.residual", retries)
-			}
-			mat.PutDense(rinv)
-			mat.PutDense(res)
-			mat.PutDense(qs)
-			mat.PutDense(q)
-			err = fmt.Errorf("core: sketched KID residual system unsolvable after %d damped retries (cond %.3g): %w",
-				retries, cond, errOrIllConditioned(ierr))
-			return as, gs, y, err
-		}
-		if boost == 0 {
-			boost = math.Max(alpha, 1e-8)
-		} else {
-			boost *= 10
-		}
-		damped.AddDiag(boost)
-		retries++
-	}
-	if retries > 0 {
-		numerics.AddRetries("core.kidsketch.residual", retries)
-	}
-	rp := mat.GetDense(m, p.Cols())
-	mat.MulInto(rp, rinv, p)
-	y = mat.EnsureDense(y, p.Cols(), p.Cols())
-	mat.MulTAInto(y, p, rp)
-	as = mat.EnsureDense(as, len(s), a.Cols())
-	a.SelectRowsInto(as, s)
-	gs = mat.EnsureDense(gs, len(s), g.Cols())
-	g.SelectRowsInto(gs, s)
-	mat.PutDense(rp)
-	mat.PutDense(rinv)
-	mat.PutDense(res)
-	mat.PutDense(qs)
-	mat.PutDense(q)
-	return as, gs, y, nil
+	return kidSolveInto(ws, as, gs, y, a, g, res, alpha, "core.kidsketch.residual")
 }

@@ -66,6 +66,35 @@ func BenchmarkGram(b *testing.B) {
 	}
 }
 
+// BenchmarkInterpolativeDecomp_256r25 measures the exact row ID at the
+// deep task's shape (batch 256, rank 10 %) with recycled P/S workspaces.
+func BenchmarkInterpolativeDecomp_256r25(b *testing.B) {
+	q := RandSPD(NewRNG(5), 256, 0)
+	var p *Dense
+	var s []int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, s = InterpolativeDecompInto(p, s, q, 25, 1e-12)
+	}
+}
+
+// BenchmarkSolveCond_256x25 measures the KID residual solve
+// (R+αI)X = P: LU, condition estimate and an m×r substitution.
+func BenchmarkSolveCond_256x25(b *testing.B) {
+	rng := NewRNG(6)
+	a := RandN(rng, 256, 256, 1).AddDiag(16)
+	rhs := RandN(rng, 256, 25, 1)
+	x := NewDense(256, 25)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SolveCondInto(x, a, rhs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkKernelMatrix measures K = AAᵀ ∘ GGᵀ (Eq. 7) end to end.
 func BenchmarkKernelMatrix(b *testing.B) {
 	rng := NewRNG(4)

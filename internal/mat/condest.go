@@ -25,7 +25,8 @@ func hagerInvNorm1(n int, solve, solveT func(x []float64)) float64 {
 	if n == 0 {
 		return 0
 	}
-	x := make([]float64, n)
+	x := getFloatsRaw(n)
+	defer PutFloats(x)
 	for i := range x {
 		x[i] = 1 / float64(n)
 	}

@@ -322,13 +322,48 @@ func InvInto(dst, a *Dense) error {
 	return nil
 }
 
-// InvCondInto is InvInto plus numerical health: it also computes the
-// Hager 1-norm condition estimate of a from the LU factorization (a few
-// O(n²) solves) before running the substitution, records it on the
-// numerics monitor, and reports it to the caller so degradation ladders
-// can treat a technically-successful but hopelessly ill-conditioned
-// factorization as a failure. On error, cond is +Inf and dst is
-// unspecified.
+// SolveCondInto solves a·X = b into dst (both a.Rows()×b.Cols()) via LU
+// with every intermediate recycled through the pool, plus numerical
+// health: it computes the Hager 1-norm condition estimate of a from the LU
+// factorization (a few O(n²) solves) before running the substitution,
+// records it on the numerics monitor, and reports it to the caller so
+// degradation ladders can treat a technically-successful but hopelessly
+// ill-conditioned factorization as a failure. dst must alias neither
+// operand. On error, cond is +Inf and dst is unspecified.
+func SolveCondInto(dst, a, b *Dense) (cond float64, err error) {
+	if a.rows != a.cols {
+		panic("mat: SolveCondInto needs a square matrix")
+	}
+	if b.rows != a.rows || dst.rows != b.rows || dst.cols != b.cols {
+		panic("mat: SolveCondInto dimension mismatch")
+	}
+	checkNoAlias("SolveCondInto", dst, a, b)
+	anorm := a.Norm1()
+	n := a.rows
+	lu := getDenseRaw(n, n)
+	defer PutDense(lu)
+	lu.CopyFrom(a)
+	piv := getInts(n)
+	defer putInts(piv)
+	f, err := factorLUInPlace(lu, piv)
+	if err != nil {
+		return math.Inf(1), err
+	}
+	cond = f.Cond1(anorm)
+	numerics.ObserveCondition("mat.inv", cond)
+	// dst starts as the row-permuted right-hand side (Solve's copy step),
+	// then the substitution runs in place.
+	for i, p := range f.piv {
+		copy(dst.Row(i), b.Row(p))
+	}
+	f.solveInPlace(dst)
+	return cond, nil
+}
+
+// InvCondInto is SolveCondInto against the identity: dst = a⁻¹ with the
+// same condition estimate and error contract. Consumers that only need
+// a⁻¹·b should solve for it directly — O(n²k) after the factorization
+// instead of O(n³), and backward stable.
 func InvCondInto(dst, a *Dense) (cond float64, err error) {
 	if a.rows != a.cols {
 		panic("mat: InvCondInto needs a square matrix")
@@ -336,28 +371,12 @@ func InvCondInto(dst, a *Dense) (cond float64, err error) {
 	if dst.rows != a.rows || dst.cols != a.cols {
 		panic("mat: InvCondInto destination dimension mismatch")
 	}
-	checkNoAlias("InvCondInto", dst, a)
-	anorm := a.Norm1()
-	n := a.rows
-	lu := getDenseRaw(n, n)
-	lu.CopyFrom(a)
-	piv := getInts(n)
-	f, err := factorLUInPlace(lu, piv)
-	if err != nil {
-		putInts(piv)
-		PutDense(lu)
-		return math.Inf(1), err
+	eye := GetDense(a.rows, a.rows)
+	defer PutDense(eye)
+	for i := 0; i < a.rows; i++ {
+		eye.data[i*a.rows+i] = 1
 	}
-	cond = f.Cond1(anorm)
-	numerics.ObserveCondition("mat.inv", cond)
-	dst.Zero()
-	for i, p := range f.piv {
-		dst.data[i*n+p] = 1
-	}
-	f.solveInPlace(dst)
-	putInts(piv)
-	PutDense(lu)
-	return cond, nil
+	return SolveCondInto(dst, a, eye)
 }
 
 // Solve solves a*x = b via LU for a general square a.

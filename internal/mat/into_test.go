@@ -200,6 +200,10 @@ func TestIntoAliasPanics(t *testing.T) {
 	mustPanic("TInto", func() { sq.TInto(sq) })
 	mustPanic("GramInto", func() { GramInto(sq, sq) })
 	mustPanic("InvInto", func() { _ = InvInto(sq, sq) })
+	mustPanic("InvCondInto", func() { _, _ = InvCondInto(sq, sq) })
+	rhs := RandN(NewRNG(6), 8, 8, 1)
+	mustPanic("SolveCondInto dst=a", func() { _, _ = SolveCondInto(sq, sq, rhs) })
+	mustPanic("SolveCondInto dst=b", func() { _, _ = SolveCondInto(rhs, sq, rhs) })
 }
 
 // TestIntoDimensionPanics pins the destination-shape contract.
@@ -222,4 +226,9 @@ func TestIntoDimensionPanics(t *testing.T) {
 	mustPanic("SelectRowsInto", func() { a.SelectRowsInto(bad, []int{0, 1}) })
 	mustPanic("BlockDiagInto", func() { BlockDiagInto(bad, a, b) })
 	mustPanic("InvInto", func() { _ = InvInto(bad, randMat(rng, 4, 4)) })
+	mustPanic("InvCondInto", func() { _, _ = InvCondInto(bad, randMat(rng, 4, 4)) })
+	sq, rhs := randMat(rng, 4, 4), randMat(rng, 4, 2)
+	mustPanic("SolveCondInto dst", func() { _, _ = SolveCondInto(bad, sq, rhs) })
+	mustPanic("SolveCondInto rhs", func() { _, _ = SolveCondInto(NewDense(6, 3), sq, b) })
+	mustPanic("SolveCondInto non-square", func() { _, _ = SolveCondInto(NewDense(4, 2), a, rhs) })
 }

@@ -16,19 +16,20 @@ type QRPivot struct {
 // FactorQRPivot computes a column-pivoted QR factorization of a.
 // a is not modified.
 func FactorQRPivot(a *Dense) *QRPivot {
-	return factorRowsInPlace(a.T(), min(a.rows, a.cols))
+	f := factorRowsInPlace(a.T(), min(a.rows, a.cols))
+	return &f
 }
 
 // factorRowsInPlace runs the first `steps` steps of the column-pivoted QR
 // of wᵀ on the rows of w, destructively, taking ownership of its storage;
-// the hot path pairs it with putQRPivot to recycle everything. A pivot
+// the hot path pairs it with put to recycle everything. A pivot
 // swaps two rows, a reflector is a row tail and the trailing update is one
 // sequential dot and one sequential axpy per row. Rows 0..steps-1 of R and
 // positions 0..steps-1 of the permutation are final after `steps` steps,
 // which is all a rank-`steps` row ID of w reads. The accumulations are
 // plain ordered loops on purpose: the selection must not depend on the
 // kernel family, so no Dot/axpy helper.
-func factorRowsInPlace(w *Dense, steps int) *QRPivot {
+func factorRowsInPlace(w *Dense, steps int) QRPivot {
 	n := w.rows
 	tau := GetFloats(steps)
 	perm := getInts(n)
@@ -82,7 +83,7 @@ func factorRowsInPlace(w *Dense, steps int) *QRPivot {
 		}
 		v[0] = alpha
 	}
-	return &QRPivot{qt: w, tau: tau, perm: perm}
+	return QRPivot{qt: w, tau: tau, perm: perm}
 }
 
 // houseGen builds the Householder reflector that annihilates v[1:]; the
@@ -115,9 +116,9 @@ func normSq(v []float64) float64 {
 	return s
 }
 
-// putQRPivot recycles a factorization built by factorRowsInPlace. Only
-// safe when nothing returned from the factorization object escapes.
-func putQRPivot(f *QRPivot) {
+// put recycles a factorization built by factorRowsInPlace. Only safe when
+// nothing returned from the factorization object escapes.
+func (f *QRPivot) put() {
 	PutDense(f.qt)
 	PutFloats(f.tau)
 	putInts(f.perm)
@@ -245,7 +246,7 @@ func RowPivotDiag(diag []float64, q *Dense) {
 	for k := range diag {
 		diag[k] = w.At(k, k)
 	}
-	putQRPivot(f)
+	f.put()
 }
 
 // InterpolativeDecomp computes a rank-r row interpolative decomposition of
@@ -289,6 +290,6 @@ func InterpolativeDecompInto(p *Dense, s []int, q *Dense, r int, tol float64) (p
 		}
 	}
 	p, s = f.idInto(p, s, r)
-	putQRPivot(f)
+	f.put()
 	return p, s
 }

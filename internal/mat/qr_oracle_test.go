@@ -443,7 +443,7 @@ func checkRowIDOracle(t *testing.T, q *Dense, ranks []int) {
 			if got, o := f.NumericalRank(tol), min(want.NumericalRank(tol), steps); got != o {
 				t.Fatalf("r=%d: truncated NumericalRank(%g) = %d, oracle %d", r, tol, got, o)
 			}
-			putQRPivot(f)
+			f.put()
 		}
 	}
 }

@@ -149,12 +149,3 @@ func TestInterpolativeDecompProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkInterpolativeDecomp256r32(b *testing.B) {
-	rng := NewRNG(1)
-	q := RandLowRank(rng, 256, 256, 32, 1e-3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		InterpolativeDecomp(q, 32)
-	}
-}

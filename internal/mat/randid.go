@@ -160,7 +160,7 @@ func RandomizedIDInto(p *Dense, s []int, rng *RNG, q *Dense, r, oversample int, 
 	// Interpolation coefficients against the selected rows are computed on
 	// the sketch, giving q ≈ P·q[S,:] in the sketched geometry.
 	p, s = f.idInto(p, s, r)
-	putQRPivot(f)
+	f.put()
 	return p, s, cond
 }
 
