@@ -94,9 +94,6 @@ func kidFactorsSketchInto(ws *kidWS, as, gs, y *mat.Dense, rng *mat.RNG, a, g *m
 	if g.Rows() != m {
 		panic("core: KIDFactorsSketch row mismatch")
 	}
-	if r > m {
-		r = m
-	}
 	if oversample <= 0 {
 		oversample = DefaultOversample
 	}

@@ -86,6 +86,13 @@ func factorRowsInPlace(w *Dense, steps int) QRPivot {
 	return QRPivot{qt: w, tau: tau, perm: perm}
 }
 
+// factorRowsOf is factorRowsInPlace on a pooled copy of q.
+func factorRowsOf(q *Dense, steps int) QRPivot {
+	w := getDenseRaw(q.rows, q.cols)
+	w.CopyFrom(q)
+	return factorRowsInPlace(w, steps)
+}
+
 // houseGen builds the Householder reflector that annihilates v[1:]; the
 // vector is stored there with an implicit leading 1, and the resulting
 // diagonal entry of R is returned.
@@ -240,11 +247,9 @@ func (f *QRPivot) idInto(p *Dense, s []int, r int) (*Dense, []int) {
 // diagonal entries of the column-pivoted QR of qᵀ — the pivot magnitudes a
 // row ID of q would meet — running only that many steps on a pooled copy.
 func RowPivotDiag(diag []float64, q *Dense) {
-	w := getDenseRaw(q.rows, q.cols)
-	w.CopyFrom(q)
-	f := factorRowsInPlace(w, len(diag))
+	f := factorRowsOf(q, len(diag))
 	for k := range diag {
-		diag[k] = w.At(k, k)
+		diag[k] = f.qt.At(k, k)
 	}
 	f.put()
 }
@@ -281,9 +286,7 @@ func InterpolativeDecompInto(p *Dense, s []int, q *Dense, r int, tol float64) (p
 	if r <= 0 {
 		return EnsureDense(p, q.rows, 0), s[:0]
 	}
-	w := getDenseRaw(q.rows, q.cols)
-	w.CopyFrom(q)
-	f := factorRowsInPlace(w, r)
+	f := factorRowsOf(q, r)
 	if tol > 0 {
 		if nr := f.NumericalRank(tol); nr < r {
 			r = max(nr, 1)

@@ -9,7 +9,6 @@ package mat
 import (
 	"fmt"
 	"math"
-	"os"
 	"testing"
 )
 
@@ -426,15 +425,13 @@ func checkRowIDOracle(t *testing.T, q *Dense, ranks []int) {
 				t.Fatalf("NumericalRank(%g) = %d, oracle %d", tol, got, o)
 			}
 			steps := min(max(r, 0), min(q.rows, q.cols))
-			w := getDenseRaw(q.rows, q.cols)
-			w.CopyFrom(q)
-			f := factorRowsInPlace(w, steps)
+			f := factorRowsOf(q, steps)
 			if !sameInts(f.perm[:steps], want.perm[:steps]) {
 				t.Fatalf("r=%d: truncated perm %v, oracle %v", r, f.perm[:steps], want.perm[:steps])
 			}
 			for i := 0; i < steps; i++ {
 				for j := i; j < q.rows; j++ {
-					g, o := w.At(j, i), want.qr.At(i, pos[f.perm[j]])
+					g, o := f.qt.At(j, i), want.qr.At(i, pos[f.perm[j]])
 					if !sameValue(g, o) {
 						t.Fatalf("r=%d: R(%d, column of row %d) = %g, oracle %g", r, i, f.perm[j], g, o)
 					}
@@ -448,18 +445,14 @@ func checkRowIDOracle(t *testing.T, q *Dense, ranks []int) {
 	}
 }
 
-// withBothKernelFamilies runs fn under HYLO_FMA=0 and HYLO_FMA=1 in turn
-// (the environment for code that reads it, SetFMAKernels for this process)
-// and restores the family the process started with.
+// withBothKernelFamilies runs fn with the mul+add and then the fused
+// kernel family selected — what HYLO_FMA=0 and HYLO_FMA=1 choose at start
+// up — and restores the family the process started with.
 func withBothKernelFamilies(t *testing.T, fn func(t *testing.T)) {
-	start := FMAKernels()
-	defer SetFMAKernels(start)
-	for _, fma := range []string{"0", "1"} {
-		t.Run("HYLO_FMA="+fma, func(t *testing.T) {
-			t.Setenv("HYLO_FMA", fma)
-			SetFMAKernels(os.Getenv("HYLO_FMA") == "1")
-			fn(t)
-		})
+	defer SetFMAKernels(FMAKernels())
+	for i, name := range []string{"HYLO_FMA=0", "HYLO_FMA=1"} {
+		SetFMAKernels(i == 1)
+		t.Run(name, fn)
 	}
 }
 
