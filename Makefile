@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race racesched serve-smoke servecrash vet cover chaos netchaos fuzzsmoke sketchsmoke bench benchfast bench-tables experiments report examples clean
+.PHONY: all build test loc race racesched serve-smoke servecrash vet cover chaos netchaos fuzzsmoke sketchsmoke bench benchfast bench-tables experiments report examples clean
 
 all: build test
 
@@ -12,8 +12,16 @@ build:
 test:
 	$(GO) test ./...
 
+# Non-test Go lines per package and in total (perf/ is the frozen benchmark
+# module). ROADMAP north-star 2: the total should end a round lower than it
+# started, so CI prints it in every log.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './perf/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
 race:
-	$(GO) test -race ./internal/mat/ ./internal/dist/ ./internal/nn/ ./internal/train/ ./internal/core/ ./internal/sngd/ ./internal/kfac/ ./internal/telemetry/ ./internal/sched/
+	$(GO) test -race ./internal/mat/ ./internal/dist/ ./internal/nn/ ./internal/train/ ./internal/core/ ./internal/sngd/ ./internal/kfac/ ./internal/kbfgs/ ./internal/precond/ ./internal/telemetry/ ./internal/sched/
 
 # Scheduler-focused race suite: the execution engine and token pool, the
 # async collectives they drive, and the cross-optimizer parity tests that

@@ -6,37 +6,18 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/dist"
 	"repro/internal/mat"
 	"repro/internal/models"
 	"repro/internal/nn"
-	"repro/internal/opt"
 	"repro/internal/train"
 )
 
-// hyloFactory builds a HyLo preconditioner with the given knobs; the
-// cfg-level KidSketch/KidOversample selection (hylo-bench's -kid-sketch
-// flags) applies to every HyLo instance built here.
+// hyloFactory builds the gradient-switching HyLo factory at the given rank
+// fraction and threshold.
 func hyloFactory(cfg RunConfig, rankFrac, eta float64) train.PrecondFactory {
-	return func(net *nn.Network, c dist.Comm, tl *dist.Timeline, rng *mat.RNG) opt.Preconditioner {
-		h := core.NewHyLo(net, 0.1, rankFrac, c, tl, rng)
-		h.Policy = core.GradientSwitch{Eta: eta}
-		cfg.applySketch(h)
-		return h
-	}
-}
-
-// applySketch configures the cfg-selected randomized-KID mode on h. The
-// CLI validates the mode string before any experiment runs, so unknown
-// values simply mean off here.
-func (cfg RunConfig) applySketch(h *core.HyLo) {
-	switch cfg.KidSketch {
-	case "gauss":
-		h.Sketch = core.SketchGauss
-	case "srht":
-		h.Sketch = core.SketchSRHT
-	}
-	h.Oversample = cfg.KidOversample
+	o := cfg.opts()
+	o.RankFrac, o.Eta = rankFrac, eta
+	return precondFactory("hylo", o)
 }
 
 // AblationEta sweeps the switching threshold η of Eq. (10): smaller η
@@ -111,16 +92,11 @@ func AblationRandomizedID(cfg RunConfig) *Table {
 		{"gaussian sketch", core.SketchGauss},
 		{"SRHT sketch", core.SketchSRHT},
 	} {
-		sketch := v.sketch
 		// Force KID-only so the ablation isolates the factorization.
-		factory := func(net *nn.Network, c dist.Comm, tl *dist.Timeline, rng *mat.RNG) opt.Preconditioner {
-			h := core.NewHyLo(net, 0.1, 0.1, c, tl, rng)
-			h.Policy = core.FixedSwitch{Mode: core.ModeKID}
-			h.Sketch = sketch
-			return h
-		}
-		res := runAblation(w, factory)
-		gerr := measureKIDError(cfg, sketch)
+		o := cfg.opts()
+		o.KidSketch = v.sketch
+		res := runAblation(w, precondFactory("hylo-kid", o))
+		gerr := measureKIDError(cfg, v.sketch)
 		t.AddRow(v.name, fmtF(res.Best),
 			fmtDur(res.Stats[len(res.Stats)-1].Elapsed), fmtF(gerr))
 	}

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/dist"
 	"repro/internal/mat"
 	"repro/internal/nn"
 	"repro/internal/opt"
@@ -43,10 +41,7 @@ func AblationCapture(cfg RunConfig) *Table {
 				c1, nn.NewReLU(), c2, nn.NewReLU(),
 				nn.NewGlobalAvgPool(), nn.NewLinear(classes))
 		}
-		factory := func(net *nn.Network, c dist.Comm, tl *dist.Timeline, rng *mat.RNG) opt.Preconditioner {
-			return core.NewHyLo(net, 0.1, 0.1, c, tl, rng)
-		}
-		res := train.Run(tcfg, build, tr, te, train.Classification(), factory, 0)
+		res := train.Run(tcfg, build, tr, te, train.Classification(), precondFactory("hylo", cfg.opts()), 0)
 		rows := "16"
 		if v.expand {
 			rows = "16·T (per conv output size)"

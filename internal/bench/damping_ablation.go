@@ -1,13 +1,6 @@
 package bench
 
-import (
-	"repro/internal/core"
-	"repro/internal/dist"
-	"repro/internal/mat"
-	"repro/internal/nn"
-	"repro/internal/opt"
-	"repro/internal/train"
-)
+import "repro/internal/train"
 
 // AblationDamping compares fixed-α HyLo (the paper's setup, with damping
 // hand-tuned per model) against the Levenberg-Marquardt adaptive schedule
@@ -22,9 +15,9 @@ func AblationDamping(cfg RunConfig) *Table {
 			c := w.cfg
 			c.Damping = alpha
 			c.AdaptDamping = adapt
-			factory := func(net *nn.Network, comm dist.Comm, tl *dist.Timeline, rng *mat.RNG) opt.Preconditioner {
-				return core.NewHyLo(net, alpha, 0.1, comm, tl, rng)
-			}
+			o := cfg.opts()
+			o.Damping = alpha
+			factory := precondFactory("hylo", o)
 			if w.workers > 1 {
 				return train.RunDistributed(w.workers, c, w.build, w.trainD, w.testD, w.task, factory, 0)
 			}

@@ -38,7 +38,7 @@ func ExtensionViT(cfg RunConfig) *Table {
 		},
 		workers: 1,
 	}
-	for _, m := range methodSet([]string{"HyLo", "KFAC", "SGD", "ADAM"}) {
+	for _, m := range cfg.methods([]string{"HyLo", "KFAC", "SGD", "ADAM"}) {
 		res := runMethod(w, m)
 		t.AddRow(m.name, fmtF(res.Best), fmtF(res.FinalLoss),
 			fmtDur(res.Stats[len(res.Stats)-1].Elapsed))

@@ -232,7 +232,7 @@ func Table4Memory(cfg RunConfig) *Table {
 
 	// Measured state bytes on the substitutes.
 	w := resnet32Workload(cfg)
-	for _, m := range methodSet([]string{"HyLo", "KFAC", "ADAM", "SGD"}) {
+	for _, m := range cfg.methods([]string{"HyLo", "KFAC", "ADAM", "SGD"}) {
 		res := runMethod(w, m)
 		t.AddNote("measured %s on %s: %.2f MB state", res.Method, w.name,
 			float64(res.StateBytes)/(1<<20))

@@ -4,16 +4,13 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/dist"
-	"repro/internal/kbfgs"
-	"repro/internal/kfac"
 	"repro/internal/mat"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/opt"
-	"repro/internal/sngd"
 	"repro/internal/train"
 )
 
@@ -153,34 +150,37 @@ type method struct {
 	pre  train.PrecondFactory
 }
 
-func methodSet(which []string) []method {
-	all := map[string]method{
-		"SGD":  {name: "SGD"},
-		"ADAM": {name: "ADAM", adam: true},
-		"KFAC": {name: "KFAC", pre: func(net *nn.Network, c dist.Comm, tl *dist.Timeline, rng *mat.RNG) opt.Preconditioner {
-			return kfac.NewKFAC(net, 0.1, c, tl)
-		}},
-		"EKFAC": {name: "EKFAC", pre: func(net *nn.Network, c dist.Comm, tl *dist.Timeline, rng *mat.RNG) opt.Preconditioner {
-			return kfac.NewEKFAC(net, 0.1, c, tl)
-		}},
-		"KBFGS-L": {name: "KBFGS-L", pre: func(net *nn.Network, c dist.Comm, tl *dist.Timeline, rng *mat.RNG) opt.Preconditioner {
-			return kbfgs.NewKBFGSL(net, 0.01, 10)
-		}},
-		"SNGD": {name: "SNGD", pre: func(net *nn.Network, c dist.Comm, tl *dist.Timeline, rng *mat.RNG) opt.Preconditioner {
-			return sngd.New(net, 0.1, c, tl)
-		}},
-		"HyLo": {name: "HyLo", pre: func(net *nn.Network, c dist.Comm, tl *dist.Timeline, rng *mat.RNG) opt.Preconditioner {
-			return core.NewHyLo(net, 0.1, 0.1, c, tl, rng)
-		}},
-		"Random": {name: "Random", pre: func(net *nn.Network, c dist.Comm, tl *dist.Timeline, rng *mat.RNG) opt.Preconditioner {
-			h := core.NewHyLo(net, 0.1, 0.1, c, tl, rng)
-			h.Policy = core.RandomSwitch{}
-			return h
-		}},
+// optimizerOf maps a figure's method label onto its cliutil optimizer name.
+var optimizerOf = map[string]string{
+	"SGD": "sgd", "ADAM": "adam", "KFAC": "kfac", "EKFAC": "ekfac",
+	"KBFGS-L": "kbfgs", "SNGD": "sngd", "HyLo": "hylo", "Random": "hylo-random",
+}
+
+// opts are the preconditioner hyperparameters every experiment trains
+// with unless it sweeps one: damping 0.1, rank 10%, η = 0.25, the default
+// ID tolerance, and the -kid-sketch selection of hylo-bench (which
+// validated the mode string, so a parse error cannot occur here).
+func (cfg RunConfig) opts() cliutil.PrecondOpts {
+	sketch, _ := cliutil.ParseKidSketch(cfg.KidSketch)
+	return cliutil.PrecondOpts{Damping: 0.1, RankFrac: 0.1, Eta: 0.25, IDTol: core.DefaultIDTol,
+		KidSketch: sketch, KidOversample: cfg.KidOversample}
+}
+
+// precondFactory builds an optimizer's factory through cliutil's name →
+// constructor table; the names are literals of this package.
+func precondFactory(optimizer string, o cliutil.PrecondOpts) train.PrecondFactory {
+	f, err := cliutil.PrecondFactory(optimizer, o)
+	if err != nil {
+		panic(err)
 	}
+	return f
+}
+
+func (cfg RunConfig) methods(which []string) []method {
+	o := cfg.opts()
 	var out []method
 	for _, w := range which {
-		out = append(out, all[w])
+		out = append(out, method{name: w, adam: w == "ADAM", pre: precondFactory(optimizerOf[w], o)})
 	}
 	return out
 }
@@ -211,7 +211,7 @@ func Fig4SingleGPU(cfg RunConfig) *Table {
 	t := &Table{ID: "fig4", Title: "Single-GPU accuracy vs time",
 		Headers: []string{"model", "method", "best acc", "final acc", "time-to-target", "total time"}}
 	for _, w := range []workload{denseNetWorkload(cfg), threeC1FWorkload(cfg)} {
-		for _, m := range methodSet([]string{"HyLo", "KFAC", "EKFAC", "KBFGS-L", "SGD", "ADAM"}) {
+		for _, m := range cfg.methods([]string{"HyLo", "KFAC", "EKFAC", "KBFGS-L", "SGD", "ADAM"}) {
 			res := runMethod(w, m)
 			last := res.Stats[len(res.Stats)-1]
 			t.AddRow(w.name, m.name, fmtF(res.Best), fmtF(last.Metric),
@@ -228,7 +228,7 @@ func Fig5TimeToAccuracy(cfg RunConfig) *Table {
 	t := &Table{ID: "fig5", Title: "Multi-GPU accuracy vs time",
 		Headers: []string{"model", "P", "method", "best acc", "time-to-target", "total time"}}
 	for _, w := range []workload{resnet50Workload(cfg), unetWorkload(cfg), resnet32Workload(cfg)} {
-		for _, m := range methodSet([]string{"HyLo", "KFAC", "SGD", "ADAM"}) {
+		for _, m := range cfg.methods([]string{"HyLo", "KFAC", "SGD", "ADAM"}) {
 			name := m.name
 			if name == "KFAC" {
 				name = "KAISA"
@@ -249,7 +249,7 @@ func Fig6AccuracyPerEpoch(cfg RunConfig) *Table {
 	t := &Table{ID: "fig6", Title: "Multi-GPU accuracy vs epoch",
 		Headers: []string{"model", "method", "epoch", "test metric"}}
 	for _, w := range []workload{resnet50Workload(cfg), unetWorkload(cfg), resnet32Workload(cfg)} {
-		for _, m := range methodSet([]string{"HyLo", "KFAC", "SGD", "ADAM"}) {
+		for _, m := range cfg.methods([]string{"HyLo", "KFAC", "SGD", "ADAM"}) {
 			name := m.name
 			if name == "KFAC" {
 				name = "KAISA"
@@ -269,8 +269,8 @@ func Table3Switching(cfg RunConfig) *Table {
 	t := &Table{ID: "table3", Title: "HyLo vs Random switching",
 		Headers: []string{"model", "HyLo acc", "Random acc", "HyLo time", "Random time", "HyLo modes"}}
 	for _, w := range []workload{resnet50Workload(cfg), resnet32Workload(cfg), unetWorkload(cfg)} {
-		hylo := runMethod(w, methodSet([]string{"HyLo"})[0])
-		random := runMethod(w, methodSet([]string{"Random"})[0])
+		hylo := runMethod(w, cfg.methods([]string{"HyLo"})[0])
+		random := runMethod(w, cfg.methods([]string{"Random"})[0])
 		modes := ""
 		for _, m := range hylo.EpochModes {
 			if m == "KID" {

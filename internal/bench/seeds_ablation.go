@@ -17,7 +17,7 @@ func AblationSeeds(cfg RunConfig) *Table {
 		seeds = []uint64{1, 2, 3}
 	}
 	for _, name := range []string{"HyLo", "SGD"} {
-		m := methodSet([]string{name})[0]
+		m := cfg.methods([]string{name})[0]
 		var accs []float64
 		for _, seed := range seeds {
 			c := cfg

@@ -9,6 +9,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/nn"
 	"repro/internal/numerics"
+	"repro/internal/precond"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
@@ -26,11 +27,6 @@ type HyLo struct {
 	// Policy selects the per-epoch mode; defaults to the paper's
 	// GradientSwitch with η = 0.25 when nil.
 	Policy SwitchPolicy
-	// RandomizedKID switches the KID path to the Gaussian-sketch
-	// randomized ID (reference [33]); Oversample controls the sketch
-	// width (default DefaultOversample when zero). Kept for
-	// compatibility — Sketch is the richer switch and wins when set.
-	RandomizedKID bool
 	// Sketch selects the randomized-ID fast path for KID epochs:
 	// SketchOff (exact pivoted-QR ID), SketchGauss, or SketchSRHT. An
 	// unhealthy sketch — condition estimate above numerics.CondLimit() or
@@ -39,7 +35,8 @@ type HyLo struct {
 	// local compute: factor shapes and the collective sequence are
 	// unchanged, so workers cannot desynchronize.
 	Sketch Sketch
-	// Oversample is the randomized-ID oversampling parameter.
+	// Oversample is the randomized-ID sketch width beyond the rank
+	// (DefaultOversample when zero).
 	Oversample int
 	// AdaptiveRank replaces the fixed per-worker rank ρ = r/P with the
 	// error-driven rule of AdaptiveKIDRank (KID epochs only): the rank is
@@ -62,11 +59,10 @@ type HyLo struct {
 	// truncation.
 	IDTol float64
 
-	layers   []nn.KernelLayer
-	comm     dist.Comm
-	async    *dist.AsyncComm
-	timeline *dist.Timeline
-	rng      *mat.RNG
+	// Base owns the layer pipeline: layers, communicator, engines, stage
+	// list and the phase recorder.
+	precond.Base
+	rng *mat.RNG
 	// policyRNG drives the switching policy. It is seeded identically on
 	// every worker: the per-epoch mode is a COLLECTIVE decision — workers
 	// choosing different modes would issue mismatched collective sequences
@@ -74,15 +70,9 @@ type HyLo struct {
 	policyRNG *mat.RNG
 	state     []*hyloState
 
-	// Layer-parallel execution (internal/sched): plans carries the
-	// per-layer pipeline state for the current Update, stages the pipeline
-	// definition (built once — its closures index plans), and the engines
-	// the reusable scheduling state for Update and Precondition.
-	plans      []hyloPlan
-	stages     []sched.Stage
-	eng        sched.Engine
-	precStages []sched.Stage
-	precEng    sched.Engine
+	// plans carries the per-layer pipeline state for the current Update;
+	// the stage functions index it.
+	plans []hyloPlan
 
 	mode       Mode
 	delta      [][]float64 // per-layer accumulated gradient Δₑ
@@ -91,19 +81,18 @@ type HyLo struct {
 }
 
 type hyloState struct {
-	as, gs *mat.Dense // gathered reduced factors (normalized)
-	m      *mat.Dense // KID: M = Y − Y(K̂⁻¹+Y)⁻¹Y; KIS: (K̂+αI)⁻¹
+	// Kernel holds the gathered reduced factors As, Gs (normalized) and
+	// M — KID: Y − Y(K̂⁻¹+Y)⁻¹Y; KIS: (K̂+αI)⁻¹.
+	precond.Kernel
 
 	// Persistent workspaces reused across iterations. an/gn hold the
 	// normalized factor copies; asLoc/gsLoc/yLoc the local reduced factors;
 	// mbuf the owner's inversion result. All of these are handed to the
 	// communicator, so they must stay owned by this state rather than cycle
-	// through the pool. yblk holds the block-diagonal Y assembly; y/z/corr
-	// are the Precondition scratch vectors.
+	// through the pool. yblk holds the block-diagonal Y assembly.
 	an, gn             *mat.Dense
 	asLoc, gsLoc, yLoc *mat.Dense
 	yblk, mbuf         *mat.Dense
-	y, z, corr         []float64
 	id                 kidWS // KID P/S workspace (exact and sketched)
 }
 
@@ -138,17 +127,22 @@ func NewHyLo(net *nn.Network, damping, rankFrac float64, comm dist.Comm, timelin
 		Damping:   damping,
 		RankFrac:  rankFrac,
 		Policy:    GradientSwitch{Eta: 0.25},
-		layers:    net.KernelLayers(),
-		comm:      comm,
-		async:     dist.Async(comm),
-		timeline:  timeline,
 		rng:       rng,
 		policyRNG: mat.NewRNG(0xC0FFEE),
 		mode:      ModeKID,
 	}
-	h.state = make([]*hyloState, len(h.layers))
-	h.delta = make([][]float64, len(h.layers))
-	for i, l := range h.layers {
+	// Fig. 1's schedule, one stage function per step; layer i's gather can
+	// be in flight while layer i+1 factorizes.
+	h.Init("hylo", net, comm, timeline, h.stagePrecondition, []sched.Stage{
+		{Name: "factorize", Fn: h.stageFactorize},
+		{Name: "gather", Comm: true, Fn: h.stageGather},
+		{Name: "invert", Wait: h.waitGather, Fn: h.stageInvert},
+		{Name: "broadcast", Comm: true, Fn: h.stageBroadcast},
+		{Name: "store", Wait: h.waitBroadcast, Fn: h.stageStore},
+	})
+	h.state = make([]*hyloState, len(h.Layers))
+	h.delta = make([][]float64, len(h.Layers))
+	for i, l := range h.Layers {
 		h.state[i] = &hyloState{}
 		dIn, dOut := l.Dims()
 		h.delta[i] = make([]float64, dIn*dOut)
@@ -158,18 +152,6 @@ func NewHyLo(net *nn.Network, damping, rankFrac float64, comm dist.Comm, timelin
 
 // Name implements opt.Preconditioner.
 func (h *HyLo) Name() string { return "HyLo" }
-
-// effectiveSketch resolves the configured sketch mode: the Sketch field
-// wins; the legacy RandomizedKID flag maps to the Gaussian sketch.
-func (h *HyLo) effectiveSketch() Sketch {
-	if h.Sketch != SketchOff {
-		return h.Sketch
-	}
-	if h.RandomizedKID {
-		return SketchGauss
-	}
-	return SketchOff
-}
 
 // idTol resolves the configured interpolative-decomposition tolerance.
 func (h *HyLo) idTol() float64 {
@@ -196,30 +178,6 @@ func (h *HyLo) ModeStrings() []string {
 		out[i] = m.String()
 	}
 	return out
-}
-
-// record closes out one schedule phase for one layer: the rank-0 Timeline
-// keeps the Fig. 7 four-bucket totals, and — when telemetry is on — every
-// rank emits a span tagged with mode and layer so Chrome-trace lanes show
-// the per-GPU schedule.
-func (h *HyLo) record(phase string, layer int, start time.Time) {
-	h.recordDur(phase, layer, time.Since(start))
-}
-
-// recordDur is record for phases whose duration was measured elsewhere —
-// the collective futures report their own execution time, which is what
-// the Fig. 7 communication buckets should contain (not the near-zero
-// submission time the dispatcher observes).
-func (h *HyLo) recordDur(phase string, layer int, dur time.Duration) {
-	if h.timeline != nil && h.comm.ID() == 0 {
-		h.timeline.Add(phase, dur.Seconds())
-	}
-	if telemetry.Enabled() {
-		telemetry.RecordSpan(phase, h.comm.ID(), dur,
-			telemetry.Label{Key: "optimizer", Value: "hylo"},
-			telemetry.Label{Key: "mode", Value: h.mode.String()},
-			telemetry.Label{Key: "layer", Value: strconv.Itoa(layer)})
-	}
 }
 
 // OnEpochStart implements the trainer's epoch hook: it folds the finished
@@ -256,11 +214,11 @@ func (h *HyLo) OnEpochStart(epoch int, lrDecayed bool) {
 	h.epochModes = append(h.epochModes, h.mode)
 	// Observability: count KID↔KIS transitions and mark them on the
 	// trace (rank 0 speaks for the collective decision).
-	if telemetry.Enabled() && h.comm.ID() == 0 {
+	if telemetry.Enabled() && h.Comm.ID() == 0 {
 		telemetry.SetGauge("hylo_mode_kis", boolGauge(h.mode == ModeKIS))
 		if epoch > 0 && h.mode != prev {
 			telemetry.IncCounter(telemetry.MetricModeSwitches, 1)
-			telemetry.Instant("hylo_mode_switch", h.comm.ID(),
+			telemetry.Instant("hylo_mode_switch", h.Comm.ID(),
 				telemetry.Label{Key: "from", Value: prev.String()},
 				telemetry.Label{Key: "to", Value: h.mode.String()},
 				telemetry.Label{Key: "epoch", Value: strconv.Itoa(epoch)})
@@ -275,21 +233,6 @@ func boolGauge(b bool) float64 {
 	return 0
 }
 
-// ensureStages builds the pipeline definition once. The closures capture
-// only h and index h.plans, so the same slice serves every Update.
-func (h *HyLo) ensureStages() {
-	if h.stages != nil {
-		return
-	}
-	h.stages = []sched.Stage{
-		{Name: "factorize", Fn: h.stageFactorize},
-		{Name: "gather", Comm: true, Fn: h.stageGather},
-		{Name: "invert", Wait: h.waitGather, Fn: h.stageInvert},
-		{Name: "broadcast", Comm: true, Fn: h.stageBroadcast},
-		{Name: "store", Wait: h.waitBroadcast, Fn: h.stageStore},
-	}
-}
-
 // Update implements opt.Preconditioner: lines 5-11 (KID) or 16-22 (KIS) of
 // Algorithm 1 for every layer, executed as a scheduled pipeline — layer
 // i's gather can be in flight while layer i+1 factorizes. Everything
@@ -297,13 +240,9 @@ func (h *HyLo) ensureStages() {
 // in layer order (KIS sampling) or in an Ordered stage (randomized KID),
 // so the result is bit-identical to the sequential schedule.
 func (h *HyLo) Update() {
-	p := h.comm.Size()
-	if h.async == nil {
-		h.async = dist.Async(h.comm)
-	}
-	h.ensureStages()
+	p := h.Comm.Size()
 	h.plans = h.plans[:0]
-	for i, l := range h.layers {
+	for i, l := range h.Layers {
 		a, g := l.Capture()
 		if a == nil {
 			continue
@@ -339,8 +278,8 @@ func (h *HyLo) Update() {
 	}
 	// The randomized-ID sketch draws from the shared RNG inside the
 	// factorize stage; Ordered serializes those draws in layer order.
-	h.stages[0].Ordered = h.mode == ModeKID && h.effectiveSketch() != SketchOff
-	sched.Run(&h.eng, len(h.plans), h.stages)
+	h.Stages[0].Ordered = h.mode == ModeKID && h.Sketch != SketchOff
+	h.RunUpdate(len(h.plans))
 }
 
 // stageFactorize runs the local reduction for one layer (Algorithm 2 for
@@ -364,7 +303,7 @@ func (h *HyLo) stageFactorize(i int) {
 			}
 		}
 		var facErr error
-		if sk := h.effectiveSketch(); sk != SketchOff {
+		if sk := h.Sketch; sk != SketchOff {
 			over := h.Oversample
 			if over <= 0 {
 				over = DefaultOversample
@@ -414,17 +353,17 @@ func (h *HyLo) stageFactorize(i int) {
 		pl.as, pl.gs = st.asLoc, st.gsLoc
 		h.quantize(pl.as, pl.gs)
 	}
-	h.record(dist.PhaseFactorize, pl.layer, t0)
+	h.Record(dist.PhaseFactorize, pl.layer, t0, h.mode.String())
 }
 
 // stageGather submits the factor all-gathers (lines 7 / 18) without
 // blocking; the dispatcher issues them in canonical layer order.
 func (h *HyLo) stageGather(i int) {
 	pl := &h.plans[i]
-	h.async.StartAllGatherMat(&pl.aF, pl.as)
-	h.async.StartAllGatherMat(&pl.gF, pl.gs)
+	h.Async.StartAllGatherMat(&pl.aF, pl.as)
+	h.Async.StartAllGatherMat(&pl.gF, pl.gs)
 	if h.mode == ModeKID {
-		h.async.StartAllGatherMat(&pl.yF, pl.y)
+		h.Async.StartAllGatherMat(&pl.yF, pl.y)
 	}
 }
 
@@ -448,11 +387,10 @@ func (h *HyLo) stageInvert(i int) {
 	if h.mode == ModeKID {
 		gdur += pl.yF.Dur()
 	}
-	h.recordDur(dist.PhaseGather, pl.layer, gdur)
-	st.as = stackInto(st.as, pl.aParts)
-	st.gs = stackInto(st.gs, pl.gParts)
+	h.RecordDur(dist.PhaseGather, pl.layer, gdur, h.mode.String())
+	st.Stack(pl.aParts, pl.gParts)
 	pl.m = nil
-	if h.comm.ID() != pl.owner {
+	if h.Comm.ID() != pl.owner {
 		return
 	}
 	t0 := time.Now()
@@ -469,9 +407,9 @@ func (h *HyLo) stageInvert(i int) {
 		st.yblk = mat.EnsureDense(st.yblk, ybr, ybc)
 		st.yblk.Zero()
 		yBlk := mat.BlockDiagInto(st.yblk, pl.yParts...)
-		rtot := st.as.Rows()
+		rtot := st.As.Rows()
 		khat := mat.GetDense(rtot, rtot)
-		mat.KernelMatrixInto(khat, st.as, st.gs)
+		mat.KernelMatrixInto(khat, st.As, st.Gs)
 		iyk := mat.GetDense(rtot, rtot)
 		mat.MulInto(iyk, yBlk, khat)
 		iyk.AddDiag(1)
@@ -495,21 +433,8 @@ func (h *HyLo) stageInvert(i int) {
 		if !solved {
 			// KIS-form rung: M = (K̂+αI)⁻¹ drops the Y correction but keeps
 			// a genuine curvature preconditioner from the gathered factors.
-			kinv, _, retries, _, err := mat.InvSPDDampedChecked(khat, h.Damping)
-			if retries > 0 {
-				numerics.AddRetries("hylo.kid.inner", retries)
-			}
-			if err == nil && kinv.IsFinite() {
-				st.mbuf.CopyFrom(kinv)
-				solved = true
-			}
-		}
-		if !solved {
-			// Identity rung: M = 0 makes the correction vanish, so the
-			// update degrades to the plain scaled-gradient step g/α.
-			numerics.RecordFallback("hylo.kid.inner", numerics.RungIdentity,
-				"KIS-form reduced kernel unsolvable")
-			st.mbuf.Zero()
+			// Below it the identity rung: M = 0, the plain g/α step.
+			st.mbuf.CopyFrom(precond.InvertSPD(khat, h.Damping, "hylo.kid.inner", numerics.RungIdentity, precond.Zero))
 		}
 		pl.m = st.mbuf
 		mat.PutDense(inv)
@@ -517,49 +442,36 @@ func (h *HyLo) stageInvert(i int) {
 		mat.PutDense(iyk)
 	} else {
 		// K̂ = AˢAˢᵀ∘GˢGˢᵀ + αI.
-		rtot := st.as.Rows()
+		rtot := st.As.Rows()
 		k := mat.GetDense(rtot, rtot)
-		mat.KernelMatrixInto(k, st.as, st.gs)
+		mat.KernelMatrixInto(k, st.As, st.Gs)
 		k.AddDiag(h.Damping)
-		// kinv escapes into long-lived state, so it is NOT pooled. On an
-		// unsolvable kernel the rung degrades to M = 0 (plain g/α step) in
-		// the same rtot×rtot shape, keeping the broadcast sequence matched
-		// across workers.
-		kinv, _, retries, _, err := mat.InvSPDDampedChecked(k, 0)
-		if retries > 0 {
-			numerics.AddRetries("hylo.kis.inner", retries)
-		}
-		if err != nil || !kinv.IsFinite() {
-			reason := "reduced kernel inverse not finite"
-			if err != nil {
-				reason = err.Error()
-			}
-			numerics.RecordFallback("hylo.kis.inner", numerics.RungIdentity, reason)
-			kinv = mat.NewDense(rtot, rtot)
-		}
-		pl.m = kinv
+		// The inverse escapes into long-lived state, so it is NOT pooled.
+		// On an unsolvable kernel the rung degrades to M = 0 (plain g/α
+		// step) in the same rtot×rtot shape.
+		pl.m = precond.InvertSPD(k, 0, "hylo.kis.inner", numerics.RungIdentity, precond.Zero)
 		mat.PutDense(k)
 	}
-	h.record(dist.PhaseInvert, pl.layer, t0)
+	h.Record(dist.PhaseInvert, pl.layer, t0, h.mode.String())
 }
 
 // stageBroadcast submits the result broadcast (lines 11 / 22).
 func (h *HyLo) stageBroadcast(i int) {
 	pl := &h.plans[i]
-	h.async.StartBroadcastMat(&pl.mF, pl.owner, pl.m)
+	h.Async.StartBroadcastMat(&pl.mF, pl.owner, pl.m)
 }
 
 // waitBroadcast drains the broadcast future and installs the result.
 func (h *HyLo) waitBroadcast(i int) {
 	pl := &h.plans[i]
-	pl.st.m = pl.mF.Wait()
+	pl.st.M = pl.mF.Wait()
 }
 
 // stageStore attributes the broadcast's execution time to the Fig. 7
 // communication bucket.
 func (h *HyLo) stageStore(i int) {
 	pl := &h.plans[i]
-	h.recordDur(dist.PhaseBroadcast, pl.layer, pl.mF.Dur())
+	h.RecordDur(dist.PhaseBroadcast, pl.layer, pl.mF.Dur(), h.mode.String())
 }
 
 // quantize reduces the factors' mantissa precision before communication
@@ -573,54 +485,17 @@ func (h *HyLo) quantize(ms ...*mat.Dense) {
 	}
 }
 
-// Precondition implements opt.Preconditioner, applying Eq. (8) (KID) or
-// Eq. (9) (KIS) — both have the form (1/α)(g − Uˢᵀ M Uˢ g) and differ only
-// in M. It also accumulates Δₑ += g for the switching heuristic. The layers
-// are independent (per-layer state, per-layer gradients, no collectives),
-// so they run through the scheduler as a single compute stage.
-func (h *HyLo) Precondition() {
-	if h.precStages == nil {
-		h.precStages = []sched.Stage{{Name: "precondition", Fn: h.stagePrecondition}}
-	}
-	sched.Run(&h.precEng, len(h.layers), h.precStages)
-}
-
+// stagePrecondition is one layer of Precondition: Eq. (8) (KID) or Eq. (9)
+// (KIS) — both have the form (1/α)(g − Uˢᵀ M Uˢ g) and differ only in M. It
+// also accumulates Δₑ += g for the switching heuristic.
 func (h *HyLo) stagePrecondition(i int) {
-	l := h.layers[i]
-	w := l.Weight()
-	gd := w.Grad.Data()
+	gd := h.Layers[i].Weight().Grad.Data()
 	// Accumulate the raw gradient before transforming (Alg. 1, l. 13).
 	acc := h.delta[i]
 	for j, v := range gd {
 		acc[j] += v
 	}
-	st := h.state[i]
-	if st.m == nil {
-		return
-	}
-	st.y = mat.EnsureFloats(st.y, st.as.Rows())
-	mat.KhatriRaoApplyInto(st.y, st.as, st.gs, gd)
-	st.z = mat.EnsureFloats(st.z, st.m.Rows())
-	mat.MulVecInto(st.z, st.m, st.y)
-	st.corr = mat.EnsureFloats(st.corr, len(gd))
-	mat.KhatriRaoApplyTInto(st.corr, st.as, st.gs, st.z)
-	corr := st.corr
-	inv := 1 / h.Damping
-	for j := range gd {
-		gd[j] = inv * (gd[j] - corr[j])
-	}
-}
-
-// stackInto vertically stacks parts into a persistent, pool-backed
-// destination (the workspace analogue of mat.VStack).
-func stackInto(dst *mat.Dense, parts []*mat.Dense) *mat.Dense {
-	rows := 0
-	for _, p := range parts {
-		rows += p.Rows()
-	}
-	dst = mat.EnsureDense(dst, rows, parts[0].Cols())
-	mat.VStackInto(dst, parts...)
-	return dst
+	h.state[i].Apply(gd, h.Damping, nil)
 }
 
 // StateBytes implements opt.Preconditioner: the gathered r×d factors plus
@@ -628,12 +503,7 @@ func stackInto(dst *mat.Dense, parts []*mat.Dense) *mat.Dense {
 func (h *HyLo) StateBytes() int {
 	var n int
 	for _, st := range h.state {
-		if st.as != nil {
-			n += st.as.Rows()*st.as.Cols() + st.gs.Rows()*st.gs.Cols()
-		}
-		if st.m != nil {
-			n += st.m.Rows() * st.m.Cols()
-		}
+		n += st.Bytes()
 	}
-	return n * 8
+	return n
 }

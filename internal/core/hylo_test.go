@@ -177,20 +177,6 @@ func TestHyLoStateBytesReported(t *testing.T) {
 	}
 }
 
-func TestHyLoTimelinePhases(t *testing.T) {
-	tl := dist.NewTimeline()
-	net := capturedNet(42, 16, 4, 3)
-	h := NewHyLo(net, 0.3, 0.25, dist.Local(), tl, mat.NewRNG(6))
-	h.Policy = FixedSwitch{Mode: ModeKID}
-	h.OnEpochStart(0, false)
-	h.Update()
-	for _, phase := range []string{dist.PhaseFactorize, dist.PhaseGather, dist.PhaseInvert, dist.PhaseBroadcast} {
-		if tl.Count(phase) == 0 {
-			t.Fatalf("phase %q not recorded", phase)
-		}
-	}
-}
-
 func TestHyLoMinimumRank(t *testing.T) {
 	// RankFrac so small that r would round to 0 — must clamp to 1.
 	net := capturedNet(43, 4, 3, 2)
@@ -200,8 +186,8 @@ func TestHyLoMinimumRank(t *testing.T) {
 	h.Update()
 	h.Precondition()
 	st := h.state[0]
-	if st.as.Rows() != 1 {
-		t.Fatalf("reduced rows = %d; want 1", st.as.Rows())
+	if st.As.Rows() != 1 {
+		t.Fatalf("reduced rows = %d; want 1", st.As.Rows())
 	}
 }
 
@@ -234,7 +220,7 @@ func TestHyLoAdaptiveRankShrinks(t *testing.T) {
 	h.OnEpochStart(0, false)
 	h.Update()
 	fixedRho := 12 // 0.5 × 24
-	if got := h.state[0].as.Rows(); got >= fixedRho {
+	if got := h.state[0].As.Rows(); got >= fixedRho {
 		t.Fatalf("adaptive rank %d did not shrink below fixed ρ=%d on a near-rank-1 kernel", got, fixedRho)
 	}
 	h.Precondition()
@@ -249,7 +235,7 @@ func TestHyLoRandomizedKIDRuns(t *testing.T) {
 	net := capturedNet(92, 24, 5, 3)
 	h := NewHyLo(net, 0.3, 0.25, dist.Local(), nil, mat.NewRNG(93))
 	h.Policy = FixedSwitch{Mode: ModeKID}
-	h.RandomizedKID = true
+	h.Sketch = SketchGauss
 	h.OnEpochStart(0, false)
 	h.Update()
 	h.Precondition()

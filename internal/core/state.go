@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/mat"
+	"repro/internal/precond"
 )
 
 // Checkpoint persistence for HyLo. Implements the ckpt.StateSaver contract
@@ -25,10 +26,6 @@ import (
 // only borrows the pointer), and the workspaces (an/gn/…), which are
 // scratch rebuilt on the next Update.
 
-type hyloLayerState struct {
-	As, Gs, M mat.DenseState
-}
-
 type hyloPersist struct {
 	Damping    float64
 	Mode       int
@@ -36,7 +33,7 @@ type hyloPersist struct {
 	PrevNorms  []float64
 	EpochModes []int
 	PolicyRNG  mat.RNGState
-	Layers     []hyloLayerState
+	Layers     []precond.KernelState
 }
 
 // StateKey identifies HyLo's checkpoint section.
@@ -51,7 +48,7 @@ func (h *HyLo) SaveState() ([]byte, error) {
 		Delta:     make([][]float64, len(h.delta)),
 		PrevNorms: append([]float64(nil), h.prevNorms...),
 		PolicyRNG: h.policyRNG.State(),
-		Layers:    make([]hyloLayerState, len(h.state)),
+		Layers:    make([]precond.KernelState, len(h.state)),
 	}
 	for i, d := range h.delta {
 		st.Delta[i] = append([]float64(nil), d...)
@@ -61,11 +58,7 @@ func (h *HyLo) SaveState() ([]byte, error) {
 		st.EpochModes[i] = int(m)
 	}
 	for i, s := range h.state {
-		st.Layers[i] = hyloLayerState{
-			As: mat.CaptureDense(s.as),
-			Gs: mat.CaptureDense(s.gs),
-			M:  mat.CaptureDense(s.m),
-		}
+		st.Layers[i] = s.Capture()
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
@@ -101,9 +94,7 @@ func (h *HyLo) LoadState(b []byte) error {
 	}
 	h.policyRNG.SetState(st.PolicyRNG)
 	for i, l := range st.Layers {
-		h.state[i].as = l.As.Restore()
-		h.state[i].gs = l.Gs.Restore()
-		h.state[i].m = l.M.Restore()
+		h.state[i].Restore(l)
 	}
 	return nil
 }

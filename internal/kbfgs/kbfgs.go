@@ -8,12 +8,13 @@ package kbfgs
 import (
 	"math"
 
+	"repro/internal/dist"
 	"repro/internal/mat"
 	"repro/internal/nn"
+	"repro/internal/numerics"
+	"repro/internal/precond"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
-
-	"repro/internal/numerics"
 )
 
 // KBFGSL preconditions each layer gradient with an L-BFGS inverse-Hessian
@@ -25,15 +26,8 @@ type KBFGSL struct {
 	// Damping regularizes the curvature pairs (λ in y ← y + λ·s).
 	Damping float64
 
-	layers []nn.KernelLayer
-	state  []*lbfgsState
-
-	// Comm-free per-layer work: one compute stage each for the pair
-	// harvest and the two-loop recursion (internal/sched).
-	updStages  []sched.Stage
-	updEng     sched.Engine
-	precStages []sched.Stage
-	precEng    sched.Engine
+	precond.Base
+	state []*lbfgsState
 }
 
 type lbfgsState struct {
@@ -44,8 +38,12 @@ type lbfgsState struct {
 
 // NewKBFGSL builds the preconditioner over the network's kernel layers.
 func NewKBFGSL(net *nn.Network, damping float64, history int) *KBFGSL {
-	k := &KBFGSL{History: history, Damping: damping, layers: net.KernelLayers()}
-	k.state = make([]*lbfgsState, len(k.layers))
+	k := &KBFGSL{History: history, Damping: damping}
+	// Comm-free and RNG-free per-layer work: one compute stage each for the
+	// pair harvest and the two-loop recursion.
+	k.Init("kbfgs", net, dist.Local(), nil, k.stageTwoLoop,
+		[]sched.Stage{{Name: "curvature_pairs", Fn: k.stageHarvest}})
+	k.state = make([]*lbfgsState, len(k.Layers))
 	for i := range k.state {
 		k.state[i] = &lbfgsState{}
 	}
@@ -59,20 +57,15 @@ func (k *KBFGSL) Name() string { return "KBFGS-L" }
 // per layer from the weight and gradient deltas since the last update.
 func (k *KBFGSL) Update() {
 	// KBFGS-L runs single-process; its trace lane is rank 0. Pair harvest
-	// is this method's analogue of the factorization phase. Layers are
-	// independent (no communication, no shared rng), so the harvest runs
-	// through the scheduler as a single compute stage.
+	// is this method's analogue of the factorization phase.
 	defer telemetry.Span("curvature_pairs", 0,
 		telemetry.Label{Key: "optimizer", Value: "kbfgs"})()
-	if k.updStages == nil {
-		k.updStages = []sched.Stage{{Name: "curvature_pairs", Fn: k.stageHarvest}}
-	}
-	sched.Run(&k.updEng, len(k.layers), k.updStages)
+	k.RunUpdate(len(k.Layers))
 }
 
 func (k *KBFGSL) stageHarvest(i int) {
 	{
-		l := k.layers[i]
+		l := k.Layers[i]
 		st := k.state[i]
 		w := flat(l.Weight().W)
 		g := flat(l.Weight().Grad)
@@ -117,15 +110,12 @@ func (k *KBFGSL) Precondition() {
 	// The two-loop recursion is the inverse-application phase.
 	defer telemetry.Span("two_loop_recursion", 0,
 		telemetry.Label{Key: "optimizer", Value: "kbfgs"})()
-	if k.precStages == nil {
-		k.precStages = []sched.Stage{{Name: "two_loop", Fn: k.stageTwoLoop}}
-	}
-	sched.Run(&k.precEng, len(k.layers), k.precStages)
+	k.Base.Precondition()
 }
 
 func (k *KBFGSL) stageTwoLoop(i int) {
 	{
-		l := k.layers[i]
+		l := k.Layers[i]
 		st := k.state[i]
 		if len(st.s) == 0 {
 			return
@@ -174,7 +164,7 @@ func (k *KBFGSL) stageTwoLoop(i int) {
 // iterate/gradient per layer.
 func (k *KBFGSL) StateBytes() int {
 	var n int
-	for i, l := range k.layers {
+	for i, l := range k.Layers {
 		dIn, dOut := l.Dims()
 		sz := dIn * dOut
 		st := k.state[i]

@@ -7,38 +7,15 @@ package kfac
 
 import (
 	"math"
-	"strconv"
 	"time"
 
 	"repro/internal/dist"
 	"repro/internal/mat"
 	"repro/internal/nn"
 	"repro/internal/numerics"
+	"repro/internal/precond"
 	"repro/internal/sched"
-	"repro/internal/telemetry"
 )
-
-// record closes out one schedule phase for one layer: the rank-0 Timeline
-// keeps the four-bucket totals, and — when telemetry is on — every rank
-// emits a span tagged optimizer/layer for the Chrome-trace lanes.
-func record(tl *dist.Timeline, comm dist.Comm, optimizer, phase string, layer int, start time.Time) {
-	recordDur(tl, comm, optimizer, phase, layer, time.Since(start))
-}
-
-// recordDur is record for phases whose duration was measured elsewhere —
-// async collective futures report their own execution time, which is what
-// the communication buckets should contain rather than the near-zero
-// submission time.
-func recordDur(tl *dist.Timeline, comm dist.Comm, optimizer, phase string, layer int, dur time.Duration) {
-	if tl != nil && comm.ID() == 0 {
-		tl.Add(phase, dur.Seconds())
-	}
-	if telemetry.Enabled() {
-		telemetry.RecordSpan(phase, comm.ID(), dur,
-			telemetry.Label{Key: "optimizer", Value: optimizer},
-			telemetry.Label{Key: "layer", Value: strconv.Itoa(layer)})
-	}
-}
 
 // KFAC approximates each layer's Fisher block inverse with the Kronecker
 // product of inverted input/gradient covariances (Eq. 6 of the paper):
@@ -59,28 +36,53 @@ type KFAC struct {
 	// Kronecker factors (Martens & Grosse §6.3).
 	PiCorrection bool
 
-	layers   []nn.KernelLayer
-	comm     dist.Comm
-	async    *dist.AsyncComm
-	timeline *dist.Timeline
-	state    []*kfacState
-
-	// Layer-parallel execution (internal/sched): see the HyLo counterpart.
-	plans      []kfacPlan
-	stages     []sched.Stage
-	eng        sched.Engine
-	precStages []sched.Stage
-	precEng    sched.Engine
+	precond.Base
+	state []*kfacState
+	plans []kfacPlan // per-layer pipeline slots of the current Update
 }
 
-type kfacState struct {
+// factors is the Kronecker-factor state KFAC and EKFAC share: the running
+// covariance estimates and the staging for each step's fresh factors.
+type factors struct {
 	aFactor, gFactor *mat.Dense // running covariance estimates
-	aInv, gInv       *mat.Dense
 	initialized      bool
 
 	// Persistent staging for the freshly computed factors (handed to the
 	// communicator, so owned here rather than pooled).
 	faBuf, fgBuf *mat.Dense
+}
+
+func newFactors(l nn.KernelLayer) factors {
+	dIn, dOut := l.Dims()
+	return factors{aFactor: mat.NewDense(dIn, dIn), gFactor: mat.NewDense(dOut, dOut)}
+}
+
+// gram stages this step's factors AᵀA/m and GᵀG/m (KAISA step 2).
+func (f *factors) gram(a, g *mat.Dense, m float64) {
+	f.faBuf = mat.EnsureDense(f.faBuf, a.Cols(), a.Cols())
+	mat.GramTInto(f.faBuf, a)
+	f.faBuf.Scale(1 / m)
+	f.fgBuf = mat.EnsureDense(f.fgBuf, g.Cols(), g.Cols())
+	mat.GramTInto(f.fgBuf, g)
+	f.fgBuf.Scale(1 / m)
+}
+
+// fold moves the running averages toward the all-reduced factors; the
+// first observation bootstraps them.
+func (f *factors) fold(fa, fg *mat.Dense, decay float64) {
+	if !f.initialized {
+		f.aFactor.CopyFrom(fa)
+		f.gFactor.CopyFrom(fg)
+		f.initialized = true
+		return
+	}
+	f.aFactor.Scale(decay).AddScaled(fa, 1-decay)
+	f.gFactor.Scale(decay).AddScaled(fg, 1-decay)
+}
+
+type kfacState struct {
+	factors
+	aInv, gInv *mat.Dense
 }
 
 // kfacPlan is one layer's slot in the scheduled pipeline; it persists
@@ -102,14 +104,19 @@ type kfacPlan struct {
 // NewKFAC builds a KFAC preconditioner over the network's kernel layers.
 // comm may be dist.Local() for single-process runs. timeline is optional.
 func NewKFAC(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.Timeline) *KFAC {
-	k := &KFAC{Damping: damping, Decay: 0.95, layers: net.KernelLayers(), comm: comm, timeline: timeline}
-	k.state = make([]*kfacState, len(k.layers))
-	for i, l := range k.layers {
-		dIn, dOut := l.Dims()
-		k.state[i] = &kfacState{
-			aFactor: mat.NewDense(dIn, dIn),
-			gFactor: mat.NewDense(dOut, dOut),
-		}
+	k := &KFAC{Damping: damping, Decay: 0.95}
+	// KAISA's schedule: one layer's factor all-reduce is in flight while
+	// the next layer still computes its Gram factors.
+	k.Init("kfac", net, comm, timeline, k.stagePrecondition, []sched.Stage{
+		{Name: "factorize", Fn: k.stageFactorize},
+		{Name: "reduce", Comm: true, Fn: k.stageReduce},
+		{Name: "invert", Wait: k.waitReduce, Fn: k.stageInvert},
+		{Name: "broadcast", Comm: true, Fn: k.stageBroadcast},
+		{Name: "store", Wait: k.waitBroadcast, Fn: k.stageStore},
+	})
+	k.state = make([]*kfacState, len(k.Layers))
+	for i, l := range k.Layers {
+		k.state[i] = &kfacState{factors: newFactors(l)}
 	}
 	return k
 }
@@ -117,62 +124,12 @@ func NewKFAC(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.Ti
 // Name implements opt.Preconditioner.
 func (k *KFAC) Name() string { return "KFAC" }
 
-// invertFactor is the degradation-aware damped inverse of one Kronecker
-// factor: bounded Levenberg-Marquardt escalation first, then the diagonal
-// (Jacobi) pseudo-inverse when no damping stabilizes the solve — the
-// Kronecker product of diagonal inverses is still a usable (Adagrad-like)
-// preconditioner. Retries and fallbacks are recorded under site.
-func invertFactor(f *mat.Dense, gamma float64, site string) *mat.Dense {
-	inv, _, retries, _, err := mat.InvSPDDampedChecked(f, gamma)
-	if retries > 0 {
-		numerics.AddRetries(site, retries)
-	}
-	if err == nil && inv.IsFinite() {
-		return inv
-	}
-	reason := "factor inverse not finite"
-	if err != nil {
-		reason = err.Error()
-	}
-	numerics.RecordFallback(site, numerics.RungDiagonal, reason)
-	return mat.DiagInvDamped(f, gamma)
-}
-
-func (k *KFAC) record(phase string, layer int, start time.Time) {
-	record(k.timeline, k.comm, "kfac", phase, layer, start)
-}
-
-func (k *KFAC) recordDur(phase string, layer int, dur time.Duration) {
-	recordDur(k.timeline, k.comm, "kfac", phase, layer, dur)
-}
-
-// ensureStages builds the pipeline definition once; its closures index
-// k.plans.
-func (k *KFAC) ensureStages() {
-	if k.stages != nil {
-		return
-	}
-	k.stages = []sched.Stage{
-		{Name: "factorize", Fn: k.stageFactorize},
-		{Name: "reduce", Comm: true, Fn: k.stageReduce},
-		{Name: "invert", Wait: k.waitReduce, Fn: k.stageInvert},
-		{Name: "broadcast", Comm: true, Fn: k.stageBroadcast},
-		{Name: "store", Wait: k.waitBroadcast, Fn: k.stageStore},
-	}
-}
-
 // Update implements opt.Preconditioner: recompute factors from the latest
-// captures, all-reduce them, invert owned layers, broadcast inverses —
-// executed as a scheduled pipeline so one layer's factor all-reduce is in
-// flight while the next layer still computes its Gram factors.
+// captures, all-reduce them, invert owned layers, broadcast inverses.
 func (k *KFAC) Update() {
-	p := k.comm.Size()
-	if k.async == nil {
-		k.async = dist.Async(k.comm)
-	}
-	k.ensureStages()
+	p := k.Comm.Size()
 	k.plans = k.plans[:0]
-	for i, l := range k.layers {
+	for i, l := range k.Layers {
 		a, g := l.Capture()
 		if a == nil {
 			continue
@@ -183,29 +140,23 @@ func (k *KFAC) Update() {
 			a: a, g: g,
 		})
 	}
-	sched.Run(&k.eng, len(k.plans), k.stages)
+	k.RunUpdate(len(k.plans))
 }
 
 // stageFactorize computes this step's factors, staged in persistent
 // workspaces (KAISA step 2).
 func (k *KFAC) stageFactorize(i int) {
 	pl := &k.plans[i]
-	st := pl.st
 	t0 := time.Now()
-	st.faBuf = mat.EnsureDense(st.faBuf, pl.a.Cols(), pl.a.Cols())
-	mat.GramTInto(st.faBuf, pl.a)
-	st.faBuf.Scale(1 / pl.m)
-	st.fgBuf = mat.EnsureDense(st.fgBuf, pl.g.Cols(), pl.g.Cols())
-	mat.GramTInto(st.fgBuf, pl.g)
-	st.fgBuf.Scale(1 / pl.m)
-	k.record(dist.PhaseFactorize, pl.layer, t0)
+	pl.st.gram(pl.a, pl.g, pl.m)
+	k.Record(dist.PhaseFactorize, pl.layer, t0)
 }
 
 // stageReduce submits the factor all-reduces (KAISA step 3).
 func (k *KFAC) stageReduce(i int) {
 	pl := &k.plans[i]
-	k.async.StartAllReduceMat(&pl.aF, pl.st.faBuf)
-	k.async.StartAllReduceMat(&pl.gF, pl.st.fgBuf)
+	k.Async.StartAllReduceMat(&pl.aF, pl.st.faBuf)
+	k.Async.StartAllReduceMat(&pl.gF, pl.st.fgBuf)
 }
 
 func (k *KFAC) waitReduce(i int) {
@@ -219,45 +170,40 @@ func (k *KFAC) waitReduce(i int) {
 func (k *KFAC) stageInvert(i int) {
 	pl := &k.plans[i]
 	st := pl.st
-	k.recordDur(dist.PhaseGather, pl.layer, pl.aF.Dur()+pl.gF.Dur())
+	k.RecordDur(dist.PhaseGather, pl.layer, pl.aF.Dur()+pl.gF.Dur())
 	// Memory-optimal layers keep the running factor state only on
 	// their owner; comm-optimal layers keep it everywhere.
-	keepFactors := pl.commOpt || k.comm.ID() == pl.owner
-	if keepFactors {
-		if !st.initialized {
-			// Bootstrap the running average from the first observation.
-			st.aFactor.CopyFrom(pl.fa)
-			st.gFactor.CopyFrom(pl.fg)
-			st.initialized = true
-		} else {
-			st.aFactor.Scale(k.Decay).AddScaled(pl.fa, 1-k.Decay)
-			st.gFactor.Scale(k.Decay).AddScaled(pl.fg, 1-k.Decay)
-		}
+	if pl.commOpt || k.Comm.ID() == pl.owner {
+		st.fold(pl.fa, pl.fg, k.Decay)
 	}
 	if pl.commOpt {
 		// (4') Communication-optimal: every worker inverts locally; no
 		// inverse broadcast (KAISA's comm-opt placement).
 		t0 := time.Now()
 		st.aInv, st.gInv = k.invertPair(pl.l, st)
-		k.record(dist.PhaseInvert, pl.layer, t0)
+		k.Record(dist.PhaseInvert, pl.layer, t0)
 		return
 	}
 	pl.aInv, pl.gInv = nil, nil
-	if k.comm.ID() == pl.owner {
+	if k.Comm.ID() == pl.owner {
 		t0 := time.Now()
 		pl.aInv, pl.gInv = k.invertPair(pl.l, st)
-		k.record(dist.PhaseInvert, pl.layer, t0)
+		k.Record(dist.PhaseInvert, pl.layer, t0)
 	}
 }
 
 // invertPair inverts both Kronecker factors with optional π damping split.
+// A factor no damping stabilizes degrades to its diagonal (Jacobi)
+// pseudo-inverse: the Kronecker product of diagonal inverses is still a
+// usable (Adagrad-like) preconditioner.
 func (k *KFAC) invertPair(l nn.KernelLayer, st *kfacState) (aInv, gInv *mat.Dense) {
 	gA, gG := math.Sqrt(k.Damping), math.Sqrt(k.Damping)
 	if k.PiCorrection {
 		dIn, dOut := l.Dims()
 		gA, gG = piCorrection(st.aFactor.Trace(), dIn, st.gFactor.Trace(), dOut, k.Damping)
 	}
-	return invertFactor(st.aFactor, gA, "kfac.A"), invertFactor(st.gFactor, gG, "kfac.G")
+	return precond.InvertSPD(st.aFactor, gA, "kfac.A", numerics.RungDiagonal, mat.DiagInvDamped),
+		precond.InvertSPD(st.gFactor, gG, "kfac.G", numerics.RungDiagonal, mat.DiagInvDamped)
 }
 
 // stageBroadcast submits the inverse broadcasts (KAISA step 5).
@@ -269,8 +215,8 @@ func (k *KFAC) stageBroadcast(i int) {
 	if pl.commOpt {
 		return
 	}
-	k.async.StartBroadcastMat(&pl.aBF, pl.owner, pl.aInv)
-	k.async.StartBroadcastMat(&pl.gBF, pl.owner, pl.gInv)
+	k.Async.StartBroadcastMat(&pl.aBF, pl.owner, pl.aInv)
+	k.Async.StartBroadcastMat(&pl.gBF, pl.owner, pl.gInv)
 }
 
 func (k *KFAC) waitBroadcast(i int) {
@@ -287,25 +233,16 @@ func (k *KFAC) stageStore(i int) {
 	if pl.commOpt {
 		return
 	}
-	k.recordDur(dist.PhaseBroadcast, pl.layer, pl.aBF.Dur()+pl.gBF.Dur())
+	k.RecordDur(dist.PhaseBroadcast, pl.layer, pl.aBF.Dur()+pl.gBF.Dur())
 }
 
-// Precondition implements opt.Preconditioner: grad ← A⁻¹ · grad · G⁻¹.
-// The layers are independent, so they run through the scheduler as a
-// single compute stage.
-func (k *KFAC) Precondition() {
-	if k.precStages == nil {
-		k.precStages = []sched.Stage{{Name: "precondition", Fn: k.stagePrecondition}}
-	}
-	sched.Run(&k.precEng, len(k.layers), k.precStages)
-}
-
+// stagePrecondition is one layer of Precondition: grad ← A⁻¹ · grad · G⁻¹.
 func (k *KFAC) stagePrecondition(i int) {
 	st := k.state[i]
 	if st.aInv == nil {
 		return
 	}
-	w := k.layers[i].Weight()
+	w := k.Layers[i].Weight()
 	rows, cols := w.Grad.Dims()
 	tmp := mat.GetDense(rows, cols)
 	mat.MulInto(tmp, w.Grad, st.gInv)
@@ -319,7 +256,7 @@ func (k *KFAC) stagePrecondition(i int) {
 // comm-opt, owned layers under mem-opt; Table IV's O(d²) storage).
 func (k *KFAC) StateBytes() int {
 	var n int
-	for i, l := range k.layers {
+	for i, l := range k.Layers {
 		dIn, dOut := l.Dims()
 		n += dIn*dIn + dOut*dOut // inverses
 		if k.state[i].initialized {
@@ -337,35 +274,27 @@ type EKFAC struct {
 	Damping float64
 	Decay   float64
 
-	layers   []nn.KernelLayer
-	comm     dist.Comm
-	timeline *dist.Timeline
-	state    []*ekfacState
+	precond.Base
+	state []*ekfacState
 }
 
 type ekfacState struct {
-	aFactor, gFactor *mat.Dense
-	qa, qg           *mat.Dense // eigenbases
-	scale            *mat.Dense // running E[(Qaᵀ g Qg)²], dIn×dOut
-	initialized      bool
-	scaleInit        bool
-
-	// Persistent staging for the freshly computed factors (handed to the
-	// communicator, so owned here rather than pooled).
-	faBuf, fgBuf *mat.Dense
+	factors
+	qa, qg    *mat.Dense // eigenbases
+	scale     *mat.Dense // running E[(Qaᵀ g Qg)²], dIn×dOut
+	scaleInit bool
 }
 
 // NewEKFAC builds an EKFAC preconditioner.
 func NewEKFAC(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.Timeline) *EKFAC {
-	e := &EKFAC{Damping: damping, Decay: 0.95, layers: net.KernelLayers(), comm: comm, timeline: timeline}
-	e.state = make([]*ekfacState, len(e.layers))
-	for i, l := range e.layers {
+	e := &EKFAC{Damping: damping, Decay: 0.95}
+	// No stage functions: Update refreshes the diagonal scale from the live
+	// gradient, so EKFAC keeps its own sequential loops.
+	e.Init("ekfac", net, comm, timeline, nil, nil)
+	e.state = make([]*ekfacState, len(e.Layers))
+	for i, l := range e.Layers {
 		dIn, dOut := l.Dims()
-		e.state[i] = &ekfacState{
-			aFactor: mat.NewDense(dIn, dIn),
-			gFactor: mat.NewDense(dOut, dOut),
-			scale:   mat.NewDense(dIn, dOut),
-		}
+		e.state[i] = &ekfacState{factors: newFactors(l), scale: mat.NewDense(dIn, dOut)}
 	}
 	return e
 }
@@ -373,14 +302,10 @@ func NewEKFAC(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.T
 // Name implements opt.Preconditioner.
 func (e *EKFAC) Name() string { return "EKFAC" }
 
-func (e *EKFAC) record(phase string, layer int, start time.Time) {
-	record(e.timeline, e.comm, "ekfac", phase, layer, start)
-}
-
 // Update implements opt.Preconditioner.
 func (e *EKFAC) Update() {
-	p := e.comm.Size()
-	for i, l := range e.layers {
+	p := e.Comm.Size()
+	for i, l := range e.Layers {
 		a, g := l.Capture()
 		if a == nil {
 			continue
@@ -389,41 +314,29 @@ func (e *EKFAC) Update() {
 		st := e.state[i]
 
 		t0 := time.Now()
-		st.faBuf = mat.EnsureDense(st.faBuf, a.Cols(), a.Cols())
-		mat.GramTInto(st.faBuf, a)
-		fa := st.faBuf.Scale(1 / m)
-		st.fgBuf = mat.EnsureDense(st.fgBuf, g.Cols(), g.Cols())
-		mat.GramTInto(st.fgBuf, g)
-		fg := st.fgBuf.Scale(1 / m)
-		e.record(dist.PhaseFactorize, i, t0)
+		st.gram(a, g, m)
+		e.Record(dist.PhaseFactorize, i, t0)
 
 		t0 = time.Now()
-		fa = e.comm.AllReduceMat(fa)
-		fg = e.comm.AllReduceMat(fg)
-		e.record(dist.PhaseGather, i, t0)
-		if !st.initialized {
-			st.aFactor.CopyFrom(fa)
-			st.gFactor.CopyFrom(fg)
-			st.initialized = true
-		} else {
-			st.aFactor.Scale(e.Decay).AddScaled(fa, 1-e.Decay)
-			st.gFactor.Scale(e.Decay).AddScaled(fg, 1-e.Decay)
-		}
+		fa := e.Comm.AllReduceMat(st.faBuf)
+		fg := e.Comm.AllReduceMat(st.fgBuf)
+		e.Record(dist.PhaseGather, i, t0)
+		st.fold(fa, fg, e.Decay)
 
 		// Eigendecompositions on the owning worker (the expensive step
 		// EKFAC adds over KFAC).
 		owner := i % p
 		var qa, qg *mat.Dense
-		if e.comm.ID() == owner {
+		if e.Comm.ID() == owner {
 			t0 = time.Now()
 			_, qa = mat.SymEig(st.aFactor)
 			_, qg = mat.SymEig(st.gFactor)
-			e.record(dist.PhaseInvert, i, t0)
+			e.Record(dist.PhaseInvert, i, t0)
 		}
 		t0 = time.Now()
-		st.qa = e.comm.BroadcastMat(owner, qa)
-		st.qg = e.comm.BroadcastMat(owner, qg)
-		e.record(dist.PhaseBroadcast, i, t0)
+		st.qa = e.Comm.BroadcastMat(owner, qa)
+		st.qg = e.Comm.BroadcastMat(owner, qg)
+		e.Record(dist.PhaseBroadcast, i, t0)
 
 		// Refresh the diagonal scale from the current gradient projected
 		// into the eigenbasis (pooled scratch; sq = proj∘proj in place).
@@ -447,7 +360,7 @@ func (e *EKFAC) Update() {
 
 // Precondition implements opt.Preconditioner.
 func (e *EKFAC) Precondition() {
-	for i, l := range e.layers {
+	for i, l := range e.Layers {
 		st := e.state[i]
 		if st.qa == nil {
 			continue
@@ -472,7 +385,7 @@ func (e *EKFAC) Precondition() {
 // StateBytes implements opt.Preconditioner.
 func (e *EKFAC) StateBytes() int {
 	var n int
-	for _, l := range e.layers {
+	for _, l := range e.Layers {
 		dIn, dOut := l.Dims()
 		n += 2*(dIn*dIn+dOut*dOut) + dIn*dOut
 	}

@@ -160,18 +160,6 @@ func TestKFACStateBytes(t *testing.T) {
 	}
 }
 
-func TestKFACTimelineRecords(t *testing.T) {
-	tl := dist.NewTimeline()
-	net := capturedLinearNet(6, 8, 4, 3)
-	k := NewKFAC(net, 0.1, dist.Local(), tl)
-	k.Update()
-	for _, phase := range []string{dist.PhaseFactorize, dist.PhaseGather, dist.PhaseInvert, dist.PhaseBroadcast} {
-		if tl.Count(phase) == 0 {
-			t.Fatalf("phase %q not recorded", phase)
-		}
-	}
-}
-
 // All three KAISA strategies must produce identical preconditioned
 // gradients — they move the same math to different workers.
 func TestStrategiesAgree(t *testing.T) {

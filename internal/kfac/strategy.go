@@ -50,7 +50,7 @@ func (k *KFAC) layerCommOpt(i int) bool {
 	// Hybrid: admit while cumulative factor bytes stay within budget.
 	var used float64
 	for j := 0; j <= i; j++ {
-		dIn, dOut := k.layers[j].Dims()
+		dIn, dOut := k.Layers[j].Dims()
 		used += 8 * float64(dIn*dIn+dOut*dOut)
 		if j == i {
 			return used <= float64(k.HybridBudgetBytes)

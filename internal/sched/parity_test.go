@@ -193,7 +193,7 @@ func parityCases() []struct {
 		{"hylo-kid-randomized", func(net *nn.Network, comm dist.Comm) precon {
 			h := core.NewHyLo(net, 0.3, 0.5, comm, nil, mat.NewRNG(78))
 			h.Policy = core.FixedSwitch{Mode: core.ModeKID}
-			h.RandomizedKID = true
+			h.Sketch = core.SketchGauss
 			h.OnEpochStart(0, false)
 			return h
 		}},

@@ -8,37 +8,15 @@ package sngd
 
 import (
 	"math"
-	"strconv"
 	"time"
 
 	"repro/internal/dist"
 	"repro/internal/mat"
 	"repro/internal/nn"
 	"repro/internal/numerics"
+	"repro/internal/precond"
 	"repro/internal/sched"
-	"repro/internal/telemetry"
 )
-
-// invertKernel is the degradation-aware damped kernel inverse shared by the
-// SNGD variants: bounded Levenberg-Marquardt escalation, then M = 0 (the
-// plain g/α step) when no damping stabilizes the solve — the zero matrix
-// keeps the broadcast shape matched across workers. Retries and fallbacks
-// are recorded under site.
-func invertKernel(k *mat.Dense, site string) *mat.Dense {
-	kinv, _, retries, _, err := mat.InvSPDDampedChecked(k, 0)
-	if retries > 0 {
-		numerics.AddRetries(site, retries)
-	}
-	if err == nil && kinv.IsFinite() {
-		return kinv
-	}
-	reason := "kernel inverse not finite"
-	if err != nil {
-		reason = err.Error()
-	}
-	numerics.RecordFallback(site, numerics.RungIdentity, reason)
-	return mat.NewDense(k.Rows(), k.Cols())
-}
 
 // SNGD preconditions gradients with
 //
@@ -58,29 +36,19 @@ type SNGD struct {
 	// CGTol is the CG relative-residual tolerance (default 1e-10).
 	CGTol float64
 
-	layers   []nn.KernelLayer
-	comm     dist.Comm
-	async    *dist.AsyncComm
-	timeline *dist.Timeline
-	state    []*sngdState
-
-	// Layer-parallel execution (internal/sched): see the HyLo counterpart.
-	plans      []sngdPlan
-	stages     []sched.Stage
-	eng        sched.Engine
-	precStages []sched.Stage
-	precEng    sched.Engine
+	precond.Base
+	state []*sngdState
+	plans []sngdPlan // per-layer pipeline slots of the current Update
 }
 
 type sngdState struct {
-	aGlob, gGlob *mat.Dense // gathered global factors (normalized)
-	kinv         *mat.Dense // explicit inverse, or the damped kernel under UseCG
+	// Kernel holds the gathered global factors (normalized) and, as M, the
+	// explicit kernel inverse — or the damped kernel itself under UseCG.
+	precond.Kernel
 
-	// Persistent workspaces reused across iterations: normalized local
-	// factor copies (handed to the communicator, so owned here rather than
-	// pooled) and the Precondition scratch vectors.
-	an, gn     *mat.Dense
-	y, z, corr []float64
+	// Normalized local factor copies, reused across iterations (handed to
+	// the communicator, so owned here rather than pooled).
+	an, gn *mat.Dense
 }
 
 // sngdPlan is one layer's slot in the scheduled pipeline; it persists
@@ -99,8 +67,17 @@ type sngdPlan struct {
 
 // New builds an SNGD preconditioner over the network's kernel layers.
 func New(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.Timeline) *SNGD {
-	s := &SNGD{Damping: damping, layers: net.KernelLayers(), comm: comm, timeline: timeline}
-	s.state = make([]*sngdState, len(s.layers))
+	s := &SNGD{Damping: damping}
+	// Fig. 1's schedule: one layer's gather is in flight while the next
+	// layer still normalizes or a previous owner still inverts.
+	s.Init("sngd", net, comm, timeline, s.stagePrecondition, []sched.Stage{
+		{Name: "normalize", Fn: s.stageNormalize},
+		{Name: "gather", Comm: true, Fn: s.stageGather},
+		{Name: "invert", Wait: s.waitGather, Fn: s.stageInvert},
+		{Name: "broadcast", Comm: true, Fn: s.stageBroadcast},
+		{Name: "store", Wait: s.waitBroadcast, Fn: s.stageStore},
+	})
+	s.state = make([]*sngdState, len(s.Layers))
 	for i := range s.state {
 		s.state[i] = &sngdState{}
 	}
@@ -110,53 +87,12 @@ func New(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.Timeli
 // Name implements opt.Preconditioner.
 func (s *SNGD) Name() string { return "SNGD" }
 
-// record closes out one schedule phase for one layer: the rank-0
-// Timeline keeps the four-bucket totals, and — when telemetry is on —
-// every rank emits a span tagged optimizer/layer.
-func (s *SNGD) record(phase string, layer int, start time.Time) {
-	s.recordDur(phase, layer, time.Since(start))
-}
-
-// recordDur is record for phases whose duration was measured elsewhere
-// (async collective futures report their own execution time).
-func (s *SNGD) recordDur(phase string, layer int, dur time.Duration) {
-	if s.timeline != nil && s.comm.ID() == 0 {
-		s.timeline.Add(phase, dur.Seconds())
-	}
-	if telemetry.Enabled() {
-		telemetry.RecordSpan(phase, s.comm.ID(), dur,
-			telemetry.Label{Key: "optimizer", Value: "sngd"},
-			telemetry.Label{Key: "layer", Value: strconv.Itoa(layer)})
-	}
-}
-
-// ensureStages builds the pipeline definition once; its closures index
-// s.plans.
-func (s *SNGD) ensureStages() {
-	if s.stages != nil {
-		return
-	}
-	s.stages = []sched.Stage{
-		{Name: "normalize", Fn: s.stageNormalize},
-		{Name: "gather", Comm: true, Fn: s.stageGather},
-		{Name: "invert", Wait: s.waitGather, Fn: s.stageInvert},
-		{Name: "broadcast", Comm: true, Fn: s.stageBroadcast},
-		{Name: "store", Wait: s.waitBroadcast, Fn: s.stageStore},
-	}
-}
-
 // Update implements opt.Preconditioner: gather per-worker factors, build
-// and invert the global kernel on the owning worker, broadcast — executed
-// as a scheduled pipeline so one layer's gather is in flight while the
-// next layer still normalizes or a previous owner still inverts.
+// and invert the global kernel on the owning worker, broadcast.
 func (s *SNGD) Update() {
-	p := s.comm.Size()
-	if s.async == nil {
-		s.async = dist.Async(s.comm)
-	}
-	s.ensureStages()
+	p := s.Comm.Size()
 	s.plans = s.plans[:0]
-	for i, l := range s.layers {
+	for i, l := range s.Layers {
 		a, g := l.Capture()
 		if a == nil {
 			continue
@@ -169,7 +105,7 @@ func (s *SNGD) Update() {
 			layer: i, owner: i % p, st: s.state[i], a: a, g: g, scale: scale,
 		})
 	}
-	sched.Run(&s.eng, len(s.plans), s.stages)
+	s.RunUpdate(len(s.plans))
 }
 
 func (s *SNGD) stageNormalize(i int) {
@@ -186,8 +122,8 @@ func (s *SNGD) stageNormalize(i int) {
 // stageGather submits the factor all-gathers (Fig. 1 step 2).
 func (s *SNGD) stageGather(i int) {
 	pl := &s.plans[i]
-	s.async.StartAllGatherMat(&pl.aF, pl.st.an)
-	s.async.StartAllGatherMat(&pl.gF, pl.st.gn)
+	s.Async.StartAllGatherMat(&pl.aF, pl.st.an)
+	s.Async.StartAllGatherMat(&pl.gF, pl.st.gn)
 }
 
 func (s *SNGD) waitGather(i int) {
@@ -201,17 +137,16 @@ func (s *SNGD) waitGather(i int) {
 func (s *SNGD) stageInvert(i int) {
 	pl := &s.plans[i]
 	st := pl.st
-	s.recordDur(dist.PhaseGather, pl.layer, pl.aF.Dur()+pl.gF.Dur())
-	st.aGlob = stackInto(st.aGlob, pl.aParts)
-	st.gGlob = stackInto(st.gGlob, pl.gParts)
+	s.RecordDur(dist.PhaseGather, pl.layer, pl.aF.Dur()+pl.gF.Dur())
+	st.Stack(pl.aParts, pl.gParts)
 	pl.m = nil
-	if s.comm.ID() != pl.owner {
+	if s.Comm.ID() != pl.owner {
 		return
 	}
 	t0 := time.Now()
-	mg := st.aGlob.Rows()
+	mg := st.As.Rows()
 	k := mat.GetDense(mg, mg)
-	mat.KernelMatrixInto(k, st.aGlob, st.gGlob)
+	mat.KernelMatrixInto(k, st.As, st.Gs)
 	k.AddDiag(s.Damping)
 	if s.UseCG {
 		// k escapes into long-lived state under CG: hand it over
@@ -219,82 +154,45 @@ func (s *SNGD) stageInvert(i int) {
 		pl.m = k.Clone()
 		mat.PutDense(k)
 	} else {
-		pl.m = invertKernel(k, "sngd.kernel")
+		pl.m = precond.InvertSPD(k, 0, "sngd.kernel", numerics.RungIdentity, precond.Zero)
 		mat.PutDense(k)
 	}
-	s.record(dist.PhaseInvert, pl.layer, t0)
+	s.Record(dist.PhaseInvert, pl.layer, t0)
 }
 
 // stageBroadcast submits the inverted-kernel broadcast (Fig. 1 step 4).
 func (s *SNGD) stageBroadcast(i int) {
 	pl := &s.plans[i]
-	s.async.StartBroadcastMat(&pl.mF, pl.owner, pl.m)
+	s.Async.StartBroadcastMat(&pl.mF, pl.owner, pl.m)
 }
 
 func (s *SNGD) waitBroadcast(i int) {
 	pl := &s.plans[i]
-	pl.st.kinv = pl.mF.Wait()
+	pl.st.M = pl.mF.Wait()
 }
 
 func (s *SNGD) stageStore(i int) {
 	pl := &s.plans[i]
-	s.recordDur(dist.PhaseBroadcast, pl.layer, pl.mF.Dur())
+	s.RecordDur(dist.PhaseBroadcast, pl.layer, pl.mF.Dur())
 }
 
-// Precondition implements opt.Preconditioner, applying Eq. (7) through the
-// Khatri-Rao structure (no dIn·dOut × dIn·dOut matrices are formed). The
-// layers are independent, so they run through the scheduler as a single
-// compute stage.
-func (s *SNGD) Precondition() {
-	if s.precStages == nil {
-		s.precStages = []sched.Stage{{Name: "precondition", Fn: s.stagePrecondition}}
-	}
-	sched.Run(&s.precEng, len(s.layers), s.precStages)
-}
-
+// stagePrecondition is one layer of Precondition: Eq. (7) applied through
+// the Khatri-Rao structure, with z = K⁻¹y by the broadcast inverse or,
+// under UseCG, by conjugate gradients on the broadcast kernel.
 func (s *SNGD) stagePrecondition(i int) {
 	st := s.state[i]
-	if st.kinv == nil {
-		return
-	}
-	w := s.layers[i].Weight()
-	g := w.Grad
-	// y = U g (m-vector), z = K⁻¹ y, corr = Uᵀ z.
-	st.y = mat.EnsureFloats(st.y, st.aGlob.Rows())
-	mat.KhatriRaoApplyInto(st.y, st.aGlob, st.gGlob, g.Data())
-	y := st.y
-	var z []float64
+	var solve func(y []float64) []float64
 	if s.UseCG {
 		tol := s.CGTol
 		if tol <= 0 {
 			tol = 1e-10
 		}
-		z, _ = mat.CG(st.kinv, y, tol, 20*len(y))
-	} else {
-		st.z = mat.EnsureFloats(st.z, st.kinv.Rows())
-		mat.MulVecInto(st.z, st.kinv, y)
-		z = st.z
+		solve = func(y []float64) []float64 {
+			z, _ := mat.CG(st.M, y, tol, 20*len(y))
+			return z
+		}
 	}
-	st.corr = mat.EnsureFloats(st.corr, st.aGlob.Cols()*st.gGlob.Cols())
-	mat.KhatriRaoApplyTInto(st.corr, st.aGlob, st.gGlob, z)
-	corr := st.corr
-	gd := g.Data()
-	inv := 1 / s.Damping
-	for j := range gd {
-		gd[j] = inv * (gd[j] - corr[j])
-	}
-}
-
-// stackInto vertically stacks parts into a persistent, pool-backed
-// destination (the workspace analogue of mat.VStack).
-func stackInto(dst *mat.Dense, parts []*mat.Dense) *mat.Dense {
-	rows := 0
-	for _, p := range parts {
-		rows += p.Rows()
-	}
-	dst = mat.EnsureDense(dst, rows, parts[0].Cols())
-	mat.VStackInto(dst, parts...)
-	return dst
+	st.Apply(s.Layers[i].Weight().Grad.Data(), s.Damping, solve)
 }
 
 // LocalSNGD is the SENG-style variant the paper's footnote 4 discusses:
@@ -306,24 +204,17 @@ type LocalSNGD struct {
 	// Damping is α.
 	Damping float64
 
-	layers []nn.KernelLayer
-	state  []*sngdState
-
-	// Comm-free per-layer work: one compute stage each for Update and
-	// Precondition.
-	updStages  []sched.Stage
-	updEng     sched.Engine
-	precStages []sched.Stage
-	precEng    sched.Engine
+	precond.Base
+	state []precond.Kernel
 }
 
 // NewLocal builds the communication-free SENG-style preconditioner.
 func NewLocal(net *nn.Network, damping float64) *LocalSNGD {
-	s := &LocalSNGD{Damping: damping, layers: net.KernelLayers()}
-	s.state = make([]*sngdState, len(s.layers))
-	for i := range s.state {
-		s.state[i] = &sngdState{}
-	}
+	s := &LocalSNGD{Damping: damping}
+	// Entirely communication-free: the whole update is one parallel stage.
+	s.Init("sngd-local", net, dist.Local(), nil, s.stagePrecondition,
+		[]sched.Stage{{Name: "local-kernel", Fn: s.stageUpdate}})
+	s.state = make([]precond.Kernel, len(s.Layers))
 	return s
 }
 
@@ -331,74 +222,41 @@ func NewLocal(net *nn.Network, damping float64) *LocalSNGD {
 func (s *LocalSNGD) Name() string { return "SENG-local" }
 
 // Update implements opt.Preconditioner: invert each layer's local kernel.
-// Entirely communication-free, so the whole update is one parallel stage.
-func (s *LocalSNGD) Update() {
-	if s.updStages == nil {
-		s.updStages = []sched.Stage{{Name: "local-kernel", Fn: s.stageUpdate}}
-	}
-	sched.Run(&s.updEng, len(s.layers), s.updStages)
-}
+func (s *LocalSNGD) Update() { s.RunUpdate(len(s.Layers)) }
 
 func (s *LocalSNGD) stageUpdate(i int) {
-	a, g := s.layers[i].Capture()
+	a, g := s.Layers[i].Capture()
 	if a == nil {
 		return
 	}
 	scale := math.Pow(float64(a.Rows()), -0.25)
-	st := s.state[i]
-	st.aGlob = mat.EnsureDense(st.aGlob, a.Rows(), a.Cols())
-	st.aGlob.CopyFrom(a)
-	st.aGlob.Scale(scale)
-	st.gGlob = mat.EnsureDense(st.gGlob, g.Rows(), g.Cols())
-	st.gGlob.CopyFrom(g)
-	st.gGlob.Scale(scale)
+	st := &s.state[i]
+	st.As = mat.EnsureDense(st.As, a.Rows(), a.Cols())
+	st.As.CopyFrom(a)
+	st.As.Scale(scale)
+	st.Gs = mat.EnsureDense(st.Gs, g.Rows(), g.Cols())
+	st.Gs.CopyFrom(g)
+	st.Gs.Scale(scale)
 	m := a.Rows()
 	k := mat.GetDense(m, m)
-	mat.KernelMatrixInto(k, st.aGlob, st.gGlob)
+	mat.KernelMatrixInto(k, st.As, st.Gs)
 	k.AddDiag(s.Damping)
-	st.kinv = invertKernel(k, "sngd.local.kernel")
+	st.M = precond.InvertSPD(k, 0, "sngd.local.kernel", numerics.RungIdentity, precond.Zero)
 	mat.PutDense(k)
 }
 
-// Precondition implements opt.Preconditioner (Eq. 7 on local factors).
-func (s *LocalSNGD) Precondition() {
-	if s.precStages == nil {
-		s.precStages = []sched.Stage{{Name: "precondition", Fn: s.stagePrecondition}}
-	}
-	sched.Run(&s.precEng, len(s.layers), s.precStages)
-}
-
+// stagePrecondition is one layer of Precondition (Eq. 7 on local factors).
 func (s *LocalSNGD) stagePrecondition(i int) {
-	st := s.state[i]
-	if st.kinv == nil {
-		return
-	}
-	g := s.layers[i].Weight().Grad
-	st.y = mat.EnsureFloats(st.y, st.aGlob.Rows())
-	mat.KhatriRaoApplyInto(st.y, st.aGlob, st.gGlob, g.Data())
-	st.z = mat.EnsureFloats(st.z, st.kinv.Rows())
-	mat.MulVecInto(st.z, st.kinv, st.y)
-	st.corr = mat.EnsureFloats(st.corr, st.aGlob.Cols()*st.gGlob.Cols())
-	mat.KhatriRaoApplyTInto(st.corr, st.aGlob, st.gGlob, st.z)
-	corr := st.corr
-	gd := g.Data()
-	inv := 1 / s.Damping
-	for j := range gd {
-		gd[j] = inv * (gd[j] - corr[j])
-	}
+	s.state[i].Apply(s.Layers[i].Weight().Grad.Data(), s.Damping, nil)
 }
 
 // StateBytes implements opt.Preconditioner.
 func (s *LocalSNGD) StateBytes() int {
 	var n int
-	for _, st := range s.state {
-		if st.aGlob == nil {
-			continue
-		}
-		n += st.aGlob.Rows()*st.aGlob.Cols() + st.gGlob.Rows()*st.gGlob.Cols() +
-			st.kinv.Rows()*st.kinv.Cols()
+	for i := range s.state {
+		n += s.state[i].Bytes()
 	}
-	return n * 8
+	return n
 }
 
 // StateBytes implements opt.Preconditioner: the gathered global factors
@@ -407,13 +265,7 @@ func (s *LocalSNGD) StateBytes() int {
 func (s *SNGD) StateBytes() int {
 	var n int
 	for _, st := range s.state {
-		if st.aGlob == nil {
-			continue
-		}
-		n += st.aGlob.Rows()*st.aGlob.Cols() + st.gGlob.Rows()*st.gGlob.Cols()
-		if st.kinv != nil {
-			n += st.kinv.Rows() * st.kinv.Cols()
-		}
+		n += st.Bytes()
 	}
-	return n * 8
+	return n
 }
