@@ -75,8 +75,8 @@ func main() {
 		join           = flag.String("join", "", "join a multi-process cluster at this coordinator address (comma-separated candidates are tried in order)")
 		netRanks       = flag.Int("net-ranks", 1, "global ranks hosted by this process in -listen/-join mode")
 		netFault       = flag.String("net-fault", "", "socket fault spec, comma-separated: drop:PROB | dup:PROB | reorder:PROB | delay:PROB@DUR | partition:AFTER@DUR (e.g. drop:0.1,reorder:0.05)")
-		netTopology    = flag.String("net-topology", distnet.TopologyHub, "reduction topology in -listen/-join mode: hub (coordinator folds every payload) or tree (binary tree, chunk-pipelined; bit-identical results)")
-		netChunk       = flag.Int("net-chunk", 0, "tree pipeline chunk size in float64 elements (0 = default; ignored under hub)")
+		netTopology    = flag.String("net-topology", distnet.TopologyHub, "shape of the collectives' reduction tree in -listen/-join mode: hub (every member a child of the coordinator's process) or tree (binary tree by rank; interior members merge and forward); results are bit-identical; every process must pass the same value")
+		netChunk       = flag.Int("net-chunk", 0, "chunk size, in float64 elements, that sum collectives are cut into on the wire in -listen/-join mode (0 = default 8192); every process must pass the same value")
 		barrierTimeout = flag.Duration("barrier-timeout", 0, "convert a collective stuck longer than this into a recoverable worker failure (0 = watchdog off)")
 
 		numReport = flag.Bool("numerics-report", false, "print the numerical-health summary (condition estimates, damping retries, fallback rungs) at exit")

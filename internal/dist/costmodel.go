@@ -10,7 +10,7 @@ import "math"
 //
 // The model is analytic only, but the TCP transport realizes the same
 // logarithmic-depth schedule shape in real sockets: with
-// -net-topology=tree (internal/dist/net, DESIGN.md §5l) an allreduce
+// -net-topology=tree (internal/dist/net, DESIGN.md §5j) an allreduce
 // ascends and descends a binary member tree in chunk-pipelined stages,
 // so per-process wire volume is O(n·fan-in) rather than the hub's
 // O(P·n) coordinator ingress this model would charge a star topology.

@@ -10,9 +10,9 @@ import (
 // BenchmarkNetAllReduce measures one 64×64 float64 allreduce across four
 // single-rank processes on loopback TCP, per topology. Besides wall time
 // it reports coord_ingress_B/op — bytes received by the coordinator
-// process — which is the tree's headline win: the hub folds every rank's
-// payload itself (O(P·n) ingress), the tree root receives one merged
-// payload per child (O(log P) links, 2 children here).
+// process — which is the tree shape's headline win: the hub's root takes
+// one payload from every other member (O(P·n) ingress), the tree's root
+// one merged payload per child (O(log P) links, 2 children here).
 func BenchmarkNetAllReduce(b *testing.B) {
 	for _, topo := range topologies {
 		b.Run(topo, func(b *testing.B) {

@@ -1,8 +1,8 @@
 package distnet
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math"
 	"net"
 	"sort"
 	"strconv"
@@ -19,7 +19,7 @@ type coordPhase int
 
 const (
 	phaseGather  coordPhase = iota // generation 1: waiting for the world to fill
-	phaseRunning                   // generation live: serving collectives
+	phaseRunning                   // generation live
 	phaseRejoin                    // a member died: waiting for survivors at gen+1
 	phaseClosed
 )
@@ -39,35 +39,39 @@ type member struct {
 	graceUntil time.Time
 	joinedGen  uint32
 	dead       bool
-	// dataPort is the member's advertised tree-data listener port (0 =
-	// none); treeParent/treeChildren/treeDepth are its place in the
-	// generation's reduction tree, recomputed by startGenLocked.
+	// dataPort is the member's advertised data listener port;
+	// parent/treeChildren/treeDepth are its place in the generation's
+	// reduction tree, recomputed by startGenLocked.
 	dataPort     int
-	treeParent   string
+	parent       *member // nil at the root
 	treeChildren []uint32
 	treeDepth    int
 	// left marks a clean departure that was not (yet) a failure: the member
-	// disconnected after contributing to every open collective. It turns
-	// into a death lazily if a later collective needs its ranks.
+	// disconnected when no open collective was waiting on its part of the
+	// tree. It turns into a death lazily if a later collective is.
 	left bool
 }
 
-// collSrvState accumulates contributions for one collective sequence
-// number until every global rank has deposited.
-type collSrvState struct {
-	op      byte
-	aux     uint32
-	parts   [][]byte // indexed by global rank
-	have    int
-	started time.Time
+// rootChild returns the member at depth ≤ 1 whose subtree holds m: the
+// contributor the root engine sees m's ranks arrive through.
+func rootChild(m *member) *member {
+	for m.parent != nil && m.parent.parent != nil {
+		m = m.parent
+	}
+	return m
 }
 
-// coordinator is the rank-0 rendezvous and collective engine. Every
-// process — the coordinator's own included — talks to it through a client
-// link over TCP, so there is exactly one code path for collectives.
+// coordinator is the rank-0 control plane: rendezvous, heartbeats,
+// generations, the snapshot blob, and death and rejoin. Every process —
+// the coordinator's own included — talks to it through a client link over
+// TCP. It carries no collective payloads; what it must know about open
+// collectives (is one stuck, is a leaver still needed) it asks root, the
+// data-plane engine of its own process, which is the tree's root whenever
+// the coordinator's own member is alive.
 type coordinator struct {
-	cfg *Config
-	ln  net.Listener
+	cfg  *Config
+	ln   net.Listener
+	root *treeEngine
 
 	mu      sync.Mutex
 	phase   coordPhase
@@ -78,13 +82,6 @@ type coordinator struct {
 	digest  uint64
 	haveDig bool
 
-	colls map[uint64]*collSrvState
-	// cache holds encoded results of completed collectives for idempotent
-	// retransmit; bounded by cacheLimit (clients never lag a completed
-	// collective by more than their in-flight window).
-	cache    map[uint64][]byte
-	cacheMin uint64
-
 	// blob is the generation state blob (snapshot sync): the self member's
 	// payload, distributed to every member that asks.
 	blob     []byte
@@ -94,28 +91,18 @@ type coordinator struct {
 	rejoinBy time.Time
 	done     chan struct{}
 
-	// treeGen is true while the current generation runs the tree
-	// topology (the configured topology may fall back to hub for a
-	// generation when a member's data address cannot be resolved).
-	treeGen bool
 	// count accounts wire traffic to the owning process (set by Start).
 	count func(dir string, payloadLen int)
 }
 
-const cacheLimit = 1024
-
-func newCoordinator(cfg *Config, ln net.Listener, count func(dir string, payloadLen int)) *coordinator {
-	if count == nil {
-		count = func(string, int) {}
-	}
+func newCoordinator(cfg *Config, ln net.Listener, count func(dir string, payloadLen int), root *treeEngine) *coordinator {
 	c := &coordinator{
 		cfg:     cfg,
 		ln:      ln,
+		root:    root,
 		phase:   phaseGather,
 		gen:     1,
 		members: map[uint32]*member{},
-		colls:   map[uint64]*collSrvState{},
-		cache:   map[uint64][]byte{},
 		done:    make(chan struct{}),
 		count:   count,
 	}
@@ -187,16 +174,6 @@ func (c *coordinator) serveConn(conn net.Conn) {
 				c.touch(m)
 				c.sendTo(m, Frame{Type: ftHeartbeatAck, Seq: f.Seq})
 			}
-		case ftCollReq:
-			if m == nil {
-				continue
-			}
-			c.touch(m)
-			req, err := decodeCollReq(f.Payload)
-			if err != nil {
-				continue // corrupted payload; client will retransmit
-			}
-			c.handleCollReq(m, f.Seq, req)
 		case ftBlob:
 			if m == nil {
 				continue
@@ -221,7 +198,7 @@ func (c *coordinator) touch(m *member) {
 }
 
 // sendTo writes a frame to a member, tolerating failure: a broken conn is
-// detected by its reader; the retransmit protocol re-delivers payloads.
+// detected by its reader; the member's retransmit re-requests the frame.
 func (c *coordinator) sendTo(m *member, f Frame) {
 	c.mu.Lock()
 	fw, ok := m.fw, m.connected
@@ -300,8 +277,8 @@ func (c *coordinator) handleJoin(bound *member, conn net.Conn, msgID uint64, jm 
 	if c.phase != phaseGather {
 		return reject(rejectFull, "membership already complete")
 	}
-	if c.cfg.Topology == TopologyTree && jm.DataPort == 0 {
-		return reject(rejectConfig, "tree topology requires a data listener (joiner sent no data port; is it running with -net-topology=tree?)")
+	if jm.DataPort == 0 {
+		return reject(rejectConfig, "joiner advertised no data listener port")
 	}
 	if !c.haveDig {
 		c.digest, c.haveDig = jm.ConfigDigest, true
@@ -379,12 +356,9 @@ func (c *coordinator) startGenLocked() {
 	}
 	c.world = base
 	c.phase = phaseRunning
-	c.colls = map[uint64]*collSrvState{}
-	c.cache = map[uint64][]byte{}
-	c.cacheMin = 0
 	c.blob, c.haveBlob = nil, false
 	c.blobWant = map[uint32]bool{}
-	c.treeGen = c.cfg.Topology == TopologyTree && c.computeTreeLocked(live)
+	c.shapeTreeLocked(live)
 	for _, m := range live {
 		f := c.startFrameLocked(m)
 		fw := m.fw
@@ -396,45 +370,47 @@ func (c *coordinator) startGenLocked() {
 }
 
 // startFrameLocked (mu held) builds one member's generation-start frame,
-// including its place in the reduction tree when this generation runs
-// the tree topology.
+// including its place in the reduction tree.
 func (c *coordinator) startFrameLocked(m *member) Frame {
-	sm := startMsg{Gen: c.gen, WorldSize: uint32(c.world), BaseRank: uint32(m.baseRank)}
+	sm := startMsg{Gen: c.gen, WorldSize: uint32(c.world), BaseRank: uint32(m.baseRank),
+		ChunkElems: uint32(c.cfg.ChunkElems), TreeChildren: m.treeChildren, TreeDepth: uint32(m.treeDepth)}
 	if mat.FMAKernels() {
 		// The coordinator's kernel family is part of the generation
 		// contract: members conform in applyStart so all ranks round
 		// identically (see mat.SetFMAKernels).
 		sm.FMA = 1
 	}
-	if c.treeGen {
-		sm.Topology = topoTree
-		sm.ChunkElems = uint32(c.cfg.ChunkElems)
-		sm.TreeParent = m.treeParent
-		sm.TreeChildren = m.treeChildren
-		sm.TreeDepth = uint32(m.treeDepth)
+	if m.parent != nil {
+		sm.TreeParent = c.dataAddrLocked(m, m.parent)
 	}
 	return Frame{Type: ftStart, Payload: sm.encode()}
 }
 
-// computeTreeLocked (mu held) arranges live members (sorted, ranks
-// assigned) into the physical reduction tree and reports whether every
-// member's data address resolved. Members split at canonical rank
-// boundaries (dist.ReduceSplit), so the set of ranks under any subtree
-// is exactly one canonical node's range: partial sums forwarded up a
-// link are always segments the parent may fold in the canonical order.
-// For P single-rank members this makes the root's per-collective ingress
-// ≤ ceil(log2 P) payloads instead of the hub's P.
-func (c *coordinator) computeTreeLocked(live []*member) bool {
+// shapeTreeLocked (mu held) arranges live members (sorted, ranks assigned)
+// into the generation's reduction tree, rooted at the first — the
+// coordinator's own process while its member lives. This is the one place
+// the configured topology is read. Hub makes every other member the
+// root's child. Tree splits members at canonical rank boundaries
+// (dist.ReduceSplit), so the set of ranks under any subtree is exactly one
+// canonical node's range and, for P single-rank members, the root's
+// per-collective ingress is ≤ ceil(log2 P) payloads instead of the hub's
+// P-1. Either shape yields the same bits: segment merging is confluent.
+func (c *coordinator) shapeTreeLocked(live []*member) {
 	for _, m := range live {
-		m.treeParent, m.treeChildren, m.treeDepth = "", nil, 0
+		m.parent, m.treeChildren, m.treeDepth = nil, nil, 0
 	}
-	if len(live) == 0 {
-		return false
+	adopt := func(p, ch *member) {
+		ch.parent, ch.treeDepth = p, p.treeDepth+1
+		p.treeChildren = append(p.treeChildren, ch.id)
 	}
-	parentOf := make(map[uint32]*member, len(live))
-	var build func(a, b, d int)
-	build = func(a, b, d int) {
-		live[a].treeDepth = d
+	if c.cfg.Topology == TopologyHub {
+		for i := 1; i < len(live); i++ {
+			adopt(live[0], live[i])
+		}
+		return
+	}
+	var build func(a, b int)
+	build = func(a, b int) {
 		if b-a <= 1 {
 			return
 		}
@@ -444,8 +420,8 @@ func (c *coordinator) computeTreeLocked(live []*member) bool {
 		// First member whose ranks start at/after the canonical boundary
 		// roots the right subtree; everything between the node root and it
 		// forms the left subtree. A straddling split (a member's ranks
-		// crossing mid) leaves one child holding the whole remainder, which
-		// is still canonical: that subtree's own fold respects the order.
+		// crossing mid) leaves one child holding the whole remainder, whose
+		// segments the parent merges as far as the canonical rule allows.
 		split := b
 		for i := a + 1; i < b; i++ {
 			if live[i].baseRank >= mid {
@@ -454,37 +430,24 @@ func (c *coordinator) computeTreeLocked(live []*member) bool {
 			}
 		}
 		if split > a+1 {
-			live[a].treeChildren = append(live[a].treeChildren, live[a+1].id)
-			parentOf[live[a+1].id] = live[a]
-			build(a+1, split, d+1)
+			adopt(live[a], live[a+1])
+			build(a+1, split)
 		}
 		if split < b {
-			live[a].treeChildren = append(live[a].treeChildren, live[split].id)
-			parentOf[live[split].id] = live[a]
-			build(split, b, d+1)
+			adopt(live[a], live[split])
+			build(split, b)
 		}
 	}
-	build(0, len(live), 0)
-	ok := true
-	for _, m := range live {
-		if pm := parentOf[m.id]; pm != nil {
-			m.treeParent = c.dataAddrLocked(m, pm)
-			if m.treeParent == "" {
-				ok = false
-			}
-		}
-	}
-	return ok
+	build(0, len(live))
 }
 
-// dataAddrLocked resolves parent pm's tree-data address as recipient m
-// should dial it: the coordinator knows pm's host from its control
-// connection (or, when pm is the coordinator's own process, the host m
-// reached the coordinator at), and pm's listener port from its join.
+// dataAddrLocked resolves parent pm's data address as recipient m should
+// dial it: the coordinator knows pm's host from its control connection
+// (or, when pm is the coordinator's own process, the host m reached the
+// coordinator at), and pm's listener port from its join. An address that
+// cannot be resolved comes back empty, which the member refuses to start
+// on (Proc.applyStart).
 func (c *coordinator) dataAddrLocked(m, pm *member) string {
-	if pm.dataPort == 0 {
-		return ""
-	}
 	var base net.Addr
 	if pm.self {
 		if m.conn != nil {
@@ -539,13 +502,17 @@ func (c *coordinator) connLost(m *member, conn net.Conn) {
 
 // handleLeave removes a departing member. While a generation is running a
 // departure is a death — survivors must learn the world shrank, or the next
-// collective would wait on the leaver's ranks forever. During shutdown the
-// survivors are leaving too, and the redundant peer-dead frames land on
-// closing links that ignore them.
+// collective would wait on the leaver's ranks forever — unless it is the
+// clean end of a run: no collective open at the root still waits for the
+// leaver's part of the tree, so nothing the survivors are waiting on
+// depends on it (the engines' down caches keep serving retransmits). Such
+// a member is retired silently; scanLoop turns the retirement into a death
+// if a later collective does need its ranks. During shutdown the survivors
+// are leaving too, and redundant peer-dead frames land on closing links
+// that ignore them.
 func (c *coordinator) handleLeave(m *member) {
 	c.mu.Lock()
-	running := c.phase == phaseRunning || c.phase == phaseRejoin
-	if !running {
+	if c.phase != phaseRunning && c.phase != phaseRejoin {
 		m.dead = true
 		m.connected = false
 		m.conn.Close()
@@ -553,40 +520,18 @@ func (c *coordinator) handleLeave(m *member) {
 		c.mu.Unlock()
 		return
 	}
-	if c.phase == phaseRunning && !c.treeGen && !c.memberNeededLocked(m) {
-		// Clean end-of-run departure: every open collective already holds
-		// this member's contributions, so nothing the survivors are waiting
-		// on depends on it (cached results keep serving retransmits). Retire
-		// it silently — if a later collective does need its ranks,
-		// handleCollReq converts the retirement into a death then.
-		//
-		// Tree generations skip this: allreduce traffic bypasses the
-		// coordinator entirely, so it cannot see whether a leaver's subtree
-		// is still feeding anyone. A running-phase leave under the tree is
-		// therefore always a death — survivors poison and rejoin rather
-		// than risk waiting on a vanished interior member forever.
-		m.left = true
-		m.connected = false
-		m.conn.Close()
-		m.graceUntil = time.Time{}
-		c.mu.Unlock()
-		return
+	if c.phase == phaseRunning {
+		if waiting, _, ok := c.root.waitingOn(c.gen, 0); ok && !waiting[rootChild(m).id] {
+			m.left = true
+			m.connected = false
+			m.conn.Close()
+			m.graceUntil = time.Time{}
+			c.mu.Unlock()
+			return
+		}
 	}
 	c.mu.Unlock()
 	c.declareDead(m, "member left")
-}
-
-// memberNeededLocked reports whether any open collective is still missing
-// one of m's rank contributions (mu held).
-func (c *coordinator) memberNeededLocked(m *member) bool {
-	for _, st := range c.colls {
-		for r := m.baseRank; r < m.baseRank+m.nLocal && r < len(st.parts); r++ {
-			if st.parts[r] == nil {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // scanLoop is the failure detector: it expires reconnect grace windows,
@@ -634,32 +579,34 @@ func (c *coordinator) scanLoop() {
 				}
 			}
 		}
-		// Stuck-collective watchdog: converts a silently hung remote rank
-		// into the same loud failure the in-process barrier watchdog
-		// produces.
-		if c.phase == phaseRunning && c.cfg.CollTimeout > 0 {
-			for _, st := range c.colls {
-				if now.Sub(st.started) <= c.cfg.CollTimeout {
-					continue
-				}
-				telemetry.IncCounter(telemetry.MetricBarrierWatchdog, 1)
+		if c.phase == phaseRunning {
+			// A cleanly retired member whose part of the tree an open
+			// collective now waits on can never deliver it: promote the
+			// retirement to a death so the survivors shrink and resume.
+			if waiting, _, ok := c.root.waitingOn(c.gen, 0); ok {
 				for _, m := range c.members {
-					if m.dead {
-						continue
-					}
-					stuck := false
-					for r := m.baseRank; r < m.baseRank+m.nLocal; r++ {
-						if r < len(st.parts) && st.parts[r] == nil {
-							stuck = true
-						}
-					}
-					if stuck {
+					if m.left && !m.dead && waiting[rootChild(m).id] {
 						toKill = append(toKill, m)
-						reasons = append(reasons, fmt.Sprintf("collective %s stuck past watchdog", opName(st.op)))
-						break
+						reasons = append(reasons, "member left before collective completed")
 					}
 				}
-				break
+			}
+			// Stuck-collective watchdog: converts a silently hung remote rank
+			// into the same loud failure the in-process barrier watchdog
+			// produces. One contributor per tick; its death ends the phase.
+			if c.cfg.CollTimeout > 0 {
+				waiting, op, _ := c.root.waitingOn(c.gen, c.cfg.CollTimeout)
+				var stuck *member
+				for id := range waiting {
+					if m := c.members[id]; m != nil && !m.dead && (stuck == nil || id < stuck.id) {
+						stuck = m
+					}
+				}
+				if stuck != nil {
+					telemetry.IncCounter(telemetry.MetricBarrierWatchdog, 1)
+					toKill = append(toKill, stuck)
+					reasons = append(reasons, fmt.Sprintf("collective %s stuck past watchdog", opName(op)))
+				}
 			}
 		}
 		c.mu.Unlock()
@@ -670,8 +617,8 @@ func (c *coordinator) scanLoop() {
 }
 
 // declareDead is the failure commit point: the member is removed from the
-// world, every survivor is told, pending collectives are failed, and the
-// FSM moves to the rejoin round for gen+1.
+// world, every survivor is told (which poisons its ranks' open
+// collectives), and the FSM moves to the rejoin round for gen+1.
 func (c *coordinator) declareDead(m *member, reason string) {
 	c.mu.Lock()
 	if m.dead || c.phase == phaseClosed {
@@ -694,7 +641,6 @@ func (c *coordinator) declareDead(m *member, reason string) {
 	if firstDeath {
 		c.phase = phaseRejoin
 		c.rejoinBy = time.Now().Add(c.rejoinWindow())
-		c.colls = map[uint64]*collSrvState{}
 	}
 	msg := peerDeadMsg{Gen: c.gen, DeadMember: m.id, Reason: reason}
 	var targets []frameWriter
@@ -730,145 +676,6 @@ func (c *coordinator) rejoinWindow() time.Duration {
 	return 5 * time.Second
 }
 
-// handleCollReq merges one process's rank contributions for a collective.
-// Contributions are idempotent — a retransmit after a lost result frame
-// re-sends the cached result instead of recomputing.
-func (c *coordinator) handleCollReq(m *member, seq uint64, req collReq) {
-	c.mu.Lock()
-	if c.phase != phaseRunning {
-		c.mu.Unlock()
-		return // results will flow after rejoin; client keeps retransmitting
-	}
-	if res, ok := c.cache[seq]; ok {
-		c.mu.Unlock()
-		c.sendTo(m, Frame{Type: ftCollRes, Seq: seq, Payload: res})
-		return
-	}
-	st := c.colls[seq]
-	if st == nil {
-		st = &collSrvState{op: req.Op, aux: req.Aux,
-			parts: make([][]byte, c.world), started: time.Now()}
-		c.colls[seq] = st
-	}
-	if st.op != req.Op {
-		// A mismatched collective sequence is a protocol bug, the moral
-		// equivalent of the simulated cluster's deadlock; fail loudly.
-		c.mu.Unlock()
-		c.declareDead(m, fmt.Sprintf("collective sequence mismatch at seq %d: %s vs %s",
-			seq, opName(st.op), opName(req.Op)))
-		return
-	}
-	for i, p := range req.Parts {
-		r := int(req.BaseRank) + i
-		if r >= len(st.parts) {
-			continue
-		}
-		if st.parts[r] == nil {
-			st.parts[r] = p
-			st.have++
-		}
-	}
-	if st.have < c.world {
-		// If the missing contributions belong to a member that already left
-		// cleanly, this collective can never complete — promote the
-		// retirement to a death so the survivors shrink and resume instead
-		// of waiting forever.
-		var gone *member
-		for _, o := range c.members {
-			if o.left && !o.dead && c.memberNeededLocked(o) {
-				gone = o
-				break
-			}
-		}
-		c.mu.Unlock()
-		if gone != nil {
-			c.declareDead(gone, "member left before collective completed")
-		}
-		return
-	}
-	// Complete: compute once, cache, fan out.
-	res := computeCollective(st)
-	delete(c.colls, seq)
-	c.cache[seq] = res
-	if len(c.cache) > cacheLimit {
-		for k := range c.cache {
-			if _, live := c.colls[k]; !live && k < seq && len(c.cache) > cacheLimit {
-				delete(c.cache, k)
-			}
-		}
-	}
-	var targets []*member
-	for _, o := range c.members {
-		if !o.dead && !o.left {
-			targets = append(targets, o)
-		}
-	}
-	c.mu.Unlock()
-	out := Frame{Type: ftCollRes, Seq: seq, Payload: res}
-	for _, o := range targets {
-		c.sendTo(o, out)
-	}
-}
-
-// computeCollective runs the deterministic reduction. Arithmetic matches
-// the in-process cluster exactly: sums fold in the canonical
-// pairwise-tree order over global ranks (dist.CanonicalReduce*), so
-// results are bitwise identical to a goroutine-cluster run — and to the
-// tree topology's distributed fold — issuing the same collective
-// sequence. Decode scratch comes from the size-bucketed pools.
-func computeCollective(st *collSrvState) []byte {
-	switch st.op {
-	case opAllReduce:
-		parts := make([]*mat.Dense, 0, len(st.parts))
-		release := func() {
-			for _, m := range parts {
-				mat.PutDense(m)
-			}
-		}
-		for _, p := range st.parts {
-			m, err := decodeMatPooled(p)
-			if err != nil {
-				release()
-				return collRes{Op: st.op}.encode()
-			}
-			parts = append(parts, m)
-		}
-		sum := dist.CanonicalReduceInPlace(parts)
-		res := collRes{Op: st.op, Result: encodeMat(sum)}.encode()
-		release()
-		return res
-	case opScalar:
-		vals := make([]float64, len(st.parts))
-		for i, p := range st.parts {
-			v, err := decodeScalar(p)
-			if err != nil {
-				return collRes{Op: st.op}.encode()
-			}
-			vals[i] = v
-		}
-		return collRes{Op: st.op, Result: encodeScalar(dist.CanonicalReduceScalar(vals))}.encode()
-	case opBroadcast:
-		root := int(st.aux)
-		if root < 0 || root >= len(st.parts) {
-			root = 0
-		}
-		return collRes{Op: st.op, Result: st.parts[root]}.encode()
-	case opAllGather, opGatherBytes:
-		n := 0
-		for _, p := range st.parts {
-			n += 4 + len(p)
-		}
-		out := make([]byte, 0, n)
-		for _, p := range st.parts {
-			out = appendBytes(out, p)
-		}
-		return collRes{Op: st.op, Result: out}.encode()
-	case opBarrier:
-		return collRes{Op: st.op}.encode()
-	}
-	return collRes{Op: st.op}.encode()
-}
-
 // handleBlob serves the generation state blob: the self member's payload is
 // authoritative and fanned out to every member that offered or asked.
 func (c *coordinator) handleBlob(m *member, payload []byte) {
@@ -895,36 +702,10 @@ func (c *coordinator) handleBlob(m *member, payload []byte) {
 		c.blobWant = map[uint32]bool{}
 	}
 	res := make([]byte, 0, 4+len(c.blob))
-	res = appendUint32(res, c.gen)
+	res = binary.LittleEndian.AppendUint32(res, c.gen)
 	res = append(res, c.blob...)
 	c.mu.Unlock()
 	for _, o := range targets {
 		c.sendTo(o, Frame{Type: ftBlob, Payload: res})
 	}
-}
-
-func appendUint32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func encodeScalar(v float64) []byte {
-	return appendUint64(make([]byte, 0, 8), math.Float64bits(v))
-}
-
-func appendUint64(dst []byte, v uint64) []byte {
-	for i := 0; i < 8; i++ {
-		dst = append(dst, byte(v>>(8*i)))
-	}
-	return dst
-}
-
-func decodeScalar(p []byte) (float64, error) {
-	if len(p) < 8 {
-		return 0, ErrTruncatedMsg
-	}
-	var u uint64
-	for i := 0; i < 8; i++ {
-		u |= uint64(p[i]) << (8 * i)
-	}
-	return math.Float64frombits(u), nil
 }

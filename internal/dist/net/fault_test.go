@@ -68,7 +68,7 @@ func TestFaultWriterDeterministic(t *testing.T) {
 		sink := &collect{}
 		fw := newFaultWriter(sink, SocketFaultPlan{Seed: 7, DropProb: 0.3, DupProb: 0.2, ReorderProb: 0.2}, 3)
 		for i := 0; i < 200; i++ {
-			fw.writeFrame(Frame{Type: ftCollReq, Seq: uint64(i)})
+			fw.writeFrame(Frame{Type: ftTreeUp, Seq: uint64(i)})
 		}
 		var seqs []uint64
 		for _, f := range sink.frames {
@@ -114,7 +114,7 @@ func TestFaultWriterReorder(t *testing.T) {
 	fw := newFaultWriter(sink, SocketFaultPlan{Seed: 5, ReorderProb: 0.5}, 1)
 	const n = 50
 	for i := 0; i < n; i++ {
-		fw.writeFrame(Frame{Seq: uint64(i), Type: ftCollRes, Payload: []byte{byte(i)}})
+		fw.writeFrame(Frame{Seq: uint64(i), Type: ftTreeDown, Payload: []byte{byte(i)}})
 	}
 	// The final frame may still be held; flush is not part of the contract,
 	// so allow n or n-1 delivered.

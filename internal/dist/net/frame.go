@@ -10,18 +10,20 @@
 //   - fault.go: deterministic socket-level fault injection (drop, delay,
 //     duplicate, reorder, partition) between framing and the wire;
 //   - msg.go: the wire messages — join/rendezvous handshake, heartbeats,
-//     collective requests/results, and the tree data-plane frames
-//     (hello/up/down carrying canonical partial-sum segments per chunk);
-//   - coord.go: the rank-0 coordinator — membership FSM, deterministic
-//     canonical-order collective engine, peer-failure detection, and the
-//     tree topology computation distributed in start frames;
-//   - link.go: the per-process client link — dial with bounded backoff,
-//     idempotent retransmit keyed by collective sequence number;
-//   - tree.go: the tree data plane — per-member listeners, chunked
-//     segment folding in the canonical bracketing (dist/reduce.go), and
-//     ack-free retransmit reliability (-net-topology=tree);
+//     and the data-plane frames (hello/up/down carrying one chunk's
+//     segments);
+//   - coord.go: the rank-0 coordinator, control plane only — membership
+//     FSM, peer-failure detection, the snapshot blob, and the shape of each
+//     generation's reduction tree (-net-topology=hub|tree), distributed in
+//     start frames;
+//   - link.go: the per-process control link to the coordinator — dial with
+//     bounded backoff, join/blob retransmit, heartbeats;
+//   - tree.go: the one data plane — per-member listeners, chunked segment
+//     merging (sums in the canonical bracketing of dist/reduce.go, gathers
+//     by concatenation) up the tree, results back down, ack-free
+//     retransmit reliability;
 //   - proc.go: Proc, hosting this process's local ranks; each rank is a
-//     dist.Comm whose collectives ride the link (hub) or the tree.
+//     dist.Comm whose collectives ride the tree engine.
 //
 // A dead peer surfaces to local ranks as the same typed failure the
 // in-process chaos layer produces (a dist.ErrClusterPoisoned panic), so
@@ -59,9 +61,9 @@ type Frame struct {
 const (
 	frameMagic = uint32(0x4F4C5948) // "HYLO" in little-endian byte order
 
-	// ProtocolVersion is negotiated in the join handshake; mismatched
-	// builds are rejected at rendezvous instead of desynchronizing later.
-	ProtocolVersion = 1
+	// ProtocolVersion is carried by every frame; a mismatched build's
+	// frames fail to decode instead of desynchronizing later.
+	ProtocolVersion = 2
 
 	headerLen  = 4 + 1 + 1 + 2 + 8 + 4
 	trailerLen = 4

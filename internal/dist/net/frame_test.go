@@ -12,8 +12,8 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []Frame{
 		{Type: ftJoin, Seq: 0, Payload: nil},
-		{Type: ftCollReq, Seq: 42, Payload: []byte{1, 2, 3}},
-		{Type: ftCollRes, Seq: 1<<40 | 7, Payload: bytes.Repeat([]byte{0xAB}, 1<<16)},
+		{Type: ftTreeUp, Seq: 42, Payload: []byte{1, 2, 3}},
+		{Type: ftTreeDown, Seq: 1<<40 | 7, Payload: bytes.Repeat([]byte{0xAB}, 1<<16)},
 		{Type: ftHeartbeat, Seq: ^uint64(0), Payload: []byte{}},
 	}
 	for _, f := range cases {
@@ -62,7 +62,7 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 // TestFrameDecodeRejects: every corruption class maps to its typed error
 // and never panics.
 func TestFrameDecodeRejects(t *testing.T) {
-	good := AppendFrame(nil, Frame{Type: ftCollReq, Seq: 5, Payload: []byte("payload")})
+	good := AppendFrame(nil, Frame{Type: ftTreeUp, Seq: 5, Payload: []byte("payload")})
 
 	corrupt := func(mut func(b []byte)) []byte {
 		b := append([]byte(nil), good...)
@@ -96,7 +96,7 @@ func TestFrameDecodeRejects(t *testing.T) {
 // TestReadFrameTruncation: a mid-frame cut surfaces as ErrShortFrame so
 // connection teardown is distinguishable from a clean close.
 func TestReadFrameTruncation(t *testing.T) {
-	full := AppendFrame(nil, Frame{Type: ftCollRes, Seq: 9, Payload: []byte("abcdef")})
+	full := AppendFrame(nil, Frame{Type: ftTreeDown, Seq: 9, Payload: []byte("abcdef")})
 	for _, cut := range []int{1, headerLen - 1, headerLen, len(full) - 1} {
 		_, err := ReadFrame(bytes.NewReader(full[:cut]))
 		if !errors.Is(err, ErrShortFrame) {
@@ -111,7 +111,7 @@ func TestReadFrameTruncation(t *testing.T) {
 func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendFrame(nil, Frame{Type: ftJoin, Seq: 1, Payload: []byte("seed")}))
-	f.Add(AppendFrame(nil, Frame{Type: ftCollReq, Seq: 1 << 41, Payload: nil}))
+	f.Add(AppendFrame(nil, Frame{Type: ftTreeUp, Seq: 1 << 41, Payload: nil}))
 	trunc := AppendFrame(nil, Frame{Type: ftBlob, Seq: 3, Payload: bytes.Repeat([]byte{7}, 64)})
 	f.Add(trunc[:len(trunc)-9])
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -130,8 +130,12 @@ func FuzzFrameDecode(f *testing.F) {
 		// either (they can error, that's fine).
 		decodeJoin(fr.Payload)
 		decodeStart(fr.Payload)
-		decodeCollReq(fr.Payload)
-		decodeCollRes(fr.Payload)
+		if _, segs, err := decodeUp(fr.Payload); err == nil {
+			for _, s := range segs {
+				s.free()
+			}
+		}
+		decodeDown(fr.Payload)
 		decodePeerDead(fr.Payload)
 		decodeReject(fr.Payload)
 		decodeMat(fr.Payload)

@@ -1,6 +1,7 @@
 package distnet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -34,16 +35,15 @@ func (e *PeerDeathError) Error() string {
 // deliberately (version/world-size/config disagreement).
 var ErrRejected = errors.New("distnet: join rejected")
 
-// link is one process's connection to the coordinator: rendezvous,
-// heartbeats, and the idempotent request/response engine the collectives
-// ride on. All delivery loss — injected socket faults or real network
-// trouble — is absorbed here by retransmit and bounded reconnect.
+// link is one process's control connection to the coordinator: rendezvous,
+// heartbeats, peer-death notices and the snapshot blob exchange. All
+// delivery loss — injected socket faults or real network trouble — is
+// absorbed here by retransmit and bounded reconnect.
 type link struct {
 	cfg  *Config
 	addr string
 	self bool
 
-	onResult  func(seq uint64, res collRes)
 	onFailure func(err error)
 	count     func(dir string, payloadLen int)
 
@@ -61,12 +61,8 @@ type link struct {
 	start    startMsg
 	hasStart bool
 
-	// pending holds unacknowledged request frames for retransmit, keyed by
-	// wire sequence number (generation-tagged, so stale results can never
-	// alias a live collective).
-	pending map[uint64]Frame
-
-	// blobReq/blobRes carry the generation state blob exchange.
+	// blobReq/blobRes carry the generation state blob exchange; blobReq is
+	// re-sent every retransmit tick until the agreed copy arrives.
 	blobReq  *Frame
 	blobGen  uint32
 	blobRes  []byte
@@ -78,14 +74,12 @@ type link struct {
 	dialRNG  *mat.RNG
 }
 
-func newLink(cfg *Config, addr string, self bool,
-	onResult func(uint64, collRes), onFailure func(error)) *link {
+func newLink(cfg *Config, addr string, self bool, onFailure func(error)) *link {
 	l := &link{
 		cfg: cfg, addr: addr, self: self,
-		onResult: onResult, onFailure: onFailure,
-		count:   func(string, int) {},
-		pending: map[uint64]Frame{},
-		dialRNG: mat.NewRNG(cfg.Seed + 0xA5A5),
+		onFailure: onFailure,
+		count:     func(string, int) {},
+		dialRNG:   mat.NewRNG(cfg.Seed + 0xA5A5),
 	}
 	l.cond = sync.NewCond(&l.mu)
 	return l
@@ -221,18 +215,6 @@ func (l *link) dispatch(f Frame) {
 			}
 		}
 		l.mu.Unlock()
-	case ftCollRes:
-		res, err := decodeCollRes(f.Payload)
-		if err != nil {
-			return
-		}
-		l.mu.Lock()
-		_, wanted := l.pending[f.Seq]
-		delete(l.pending, f.Seq)
-		l.mu.Unlock()
-		if wanted {
-			l.onResult(f.Seq, res)
-		}
 	case ftBlob:
 		r := &byteReader{b: f.Payload}
 		gen := r.u32()
@@ -262,7 +244,6 @@ func (l *link) fail(err error) {
 		return
 	}
 	l.failed = err
-	l.pending = map[uint64]Frame{}
 	l.blobReq = nil
 	l.cond.Broadcast()
 	l.mu.Unlock()
@@ -270,7 +251,7 @@ func (l *link) fail(err error) {
 }
 
 // reconnect re-establishes the connection and reattaches membership,
-// resending every pending request. Returns false when the dial budget is
+// resending a pending blob request. Returns false when the dial budget is
 // exhausted (the coordinator is declared dead).
 func (l *link) reconnect() bool {
 	l.mu.Lock()
@@ -296,11 +277,11 @@ func (l *link) reconnect() bool {
 		rdvGen = gen
 	}
 	join := l.joinFrame(rdvGen, id)
-	resend := l.pendingFrames()
+	blob := l.blobReq
 	l.mu.Unlock()
 	l.writeFrame(join)
-	for _, f := range resend {
-		l.writeFrame(f)
+	if blob != nil {
+		l.writeFrame(*blob)
 	}
 	return true
 }
@@ -330,18 +311,6 @@ func (l *link) id() uint32 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.memberID
-}
-
-// pendingFrames snapshots the retransmit set (mu held).
-func (l *link) pendingFrames() []Frame {
-	out := make([]Frame, 0, len(l.pending)+1)
-	for _, f := range l.pending {
-		out = append(out, f)
-	}
-	if l.blobReq != nil {
-		out = append(out, *l.blobReq)
-	}
-	return out
 }
 
 // rendezvous runs one join round and blocks until the coordinator starts
@@ -403,24 +372,11 @@ func (l *link) waitPulse() {
 	t.Stop()
 }
 
-// sendRequest registers a request for retransmit and writes it.
-func (l *link) sendRequest(seq uint64, req collReq) {
-	f := Frame{Type: ftCollReq, Seq: seq, Payload: req.encode()}
-	l.mu.Lock()
-	if l.closed || l.failed != nil {
-		l.mu.Unlock()
-		return
-	}
-	l.pending[seq] = f
-	l.mu.Unlock()
-	l.writeFrame(f)
-}
-
 // syncBlob exchanges the generation state blob: every member offers its
 // payload (the coordinator's own member's is authoritative) and receives
 // the agreed copy back.
 func (l *link) syncBlob(gen uint32, payload []byte) ([]byte, error) {
-	body := appendUint32(make([]byte, 0, 4+len(payload)), gen)
+	body := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+len(payload)), gen)
 	body = append(body, payload...)
 	f := Frame{Type: ftBlob, Payload: body}
 	l.mu.Lock()
@@ -471,12 +427,13 @@ func (l *link) tickLoop() {
 			l.hbSentAt = now
 			frames = append(frames, Frame{Type: ftHeartbeat, Seq: l.hbSeq})
 		}
-		retrans := 0
+		retrans := false
 		if now.Sub(lastRT) >= l.cfg.RetransmitEvery {
 			lastRT = now
-			pend := l.pendingFrames()
-			retrans = len(pend)
-			frames = append(frames, pend...)
+			if l.blobReq != nil {
+				retrans = true
+				frames = append(frames, *l.blobReq)
+			}
 			if l.rdvGen != 0 {
 				frames = append(frames, l.joinFrame(l.rdvGen, l.memberID))
 			}
@@ -489,7 +446,7 @@ func (l *link) tickLoop() {
 			l.fail(&PeerDeathError{Gen: gen, Reason: "no traffic from coordinator within peer deadline"})
 			continue
 		}
-		if retrans > 0 {
+		if retrans {
 			telemetry.IncCounter(telemetry.MetricNetRetries, 1,
 				telemetry.Label{Key: "kind", Value: "retransmit"})
 		}

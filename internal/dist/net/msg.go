@@ -9,8 +9,8 @@ import (
 	"repro/internal/mat"
 )
 
-// Frame types. Control frames use Frame.Seq as a message id; collective
-// frames use it as the collective sequence number.
+// Frame types. Control frames use Frame.Seq as a message id; data-plane
+// frames (up/down) use it as the collective sequence number.
 const (
 	ftJoin         byte = iota + 1 // member → coordinator: rendezvous request
 	ftJoinAck                      // coordinator → member: membership accepted
@@ -18,17 +18,17 @@ const (
 	ftStart                        // coordinator → member: generation begins (ranks assigned)
 	ftHeartbeat                    // member → coordinator: liveness probe
 	ftHeartbeatAck                 // coordinator → member: probe echo
-	ftCollReq                      // member → coordinator: local ranks' contributions
-	ftCollRes                      // coordinator → member: computed collective result
 	ftPeerDead                     // coordinator → member: a member was declared dead
 	ftLeave                        // member → coordinator: graceful departure
 	ftBlob                         // coordinator → member: generation state blob (snapshot sync)
 	ftTreeHello                    // member → tree parent: bind a data connection to (gen, member)
-	ftTreeUp                       // member → tree parent: merged partial-sum segments for one chunk
-	ftTreeDown                     // tree parent → member: one chunk of the finished reduction
+	ftTreeUp                       // member → tree parent: its subtree's merged segments for one chunk
+	ftTreeDown                     // tree parent → member: one chunk of the finished collective
 )
 
-// Collective ops carried by ftCollReq/ftCollRes.
+// Collective ops carried by ftTreeUp/ftTreeDown. The sum-style ops travel
+// as float partial sums; the rest travel as per-rank byte strings that
+// concatenate in rank order.
 const (
 	opAllReduce byte = iota + 1
 	opAllGather
@@ -55,6 +55,8 @@ func opName(op byte) string {
 	}
 	return fmt.Sprintf("op(%d)", op)
 }
+
+func isSum(op byte) bool { return op == opAllReduce || op == opScalar }
 
 // Join reject codes.
 const (
@@ -121,8 +123,8 @@ func (r *byteReader) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// bytes reads a u32 length prefix followed by that many bytes.
-func (r *byteReader) bytes() []byte {
+// counted reads a u32 count followed by count items of width bytes each.
+func (r *byteReader) counted(width int) []byte {
 	n := r.u32()
 	if r.err != nil {
 		return nil
@@ -131,8 +133,11 @@ func (r *byteReader) bytes() []byte {
 		r.err = ErrTruncatedMsg
 		return nil
 	}
-	return r.take(int(n))
+	return r.take(int(n) * width)
 }
+
+// bytes reads a u32 length prefix followed by that many bytes.
+func (r *byteReader) bytes() []byte { return r.counted(1) }
 
 func appendBytes(dst, b []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
@@ -216,16 +221,13 @@ func decodeReject(p []byte) (rejectMsg, error) {
 }
 
 // startMsg begins a generation: the member's assigned base rank, the
-// agreed world size, and (for the tree topology) the member's place in
-// the coordinator-computed reduction tree.
+// agreed world size, and the member's place in the coordinator-computed
+// reduction tree.
 type startMsg struct {
-	Gen       uint32
-	WorldSize uint32
-	BaseRank  uint32
-	// Topology is the coordinator's authoritative choice for this
-	// generation (topoHub or topoTree on the wire).
-	Topology   byte
-	ChunkElems uint32 // tree chunk size in float64 elements
+	Gen        uint32
+	WorldSize  uint32
+	BaseRank   uint32
+	ChunkElems uint32 // sum-collective chunk size in float64 elements
 	// FMA is the coordinator's numerics profile: nonzero when its mat
 	// kernels use fused multiply-adds. FMA rounds once where mul+add
 	// rounds twice, so ranks that disagree produce last-ulp-divergent
@@ -241,18 +243,11 @@ type startMsg struct {
 	TreeDepth    uint32
 }
 
-// Wire codes for startMsg.Topology.
-const (
-	topoHub  byte = 0
-	topoTree byte = 1
-)
-
 func (m startMsg) encode() []byte {
-	b := make([]byte, 0, 35+len(m.TreeParent)+4*len(m.TreeChildren))
+	b := make([]byte, 0, 29+len(m.TreeParent)+4*len(m.TreeChildren))
 	b = binary.LittleEndian.AppendUint32(b, m.Gen)
 	b = binary.LittleEndian.AppendUint32(b, m.WorldSize)
 	b = binary.LittleEndian.AppendUint32(b, m.BaseRank)
-	b = append(b, m.Topology)
 	b = binary.LittleEndian.AppendUint32(b, m.ChunkElems)
 	b = append(b, m.FMA)
 	b = appendBytes(b, []byte(m.TreeParent))
@@ -266,8 +261,7 @@ func (m startMsg) encode() []byte {
 func decodeStart(p []byte) (startMsg, error) {
 	r := &byteReader{b: p}
 	m := startMsg{Gen: r.u32(), WorldSize: r.u32(), BaseRank: r.u32(),
-		Topology: r.u8(), ChunkElems: r.u32(), FMA: r.u8(),
-		TreeParent: string(r.bytes())}
+		ChunkElems: r.u32(), FMA: r.u8(), TreeParent: string(r.bytes())}
 	n := r.u32()
 	if r.err != nil {
 		return m, r.err
@@ -304,71 +298,6 @@ func decodePeerDead(p []byte) (peerDeadMsg, error) {
 	return m, r.err
 }
 
-// collReq carries every local rank's contribution to one collective, in
-// rank order. Aux is op-dependent (the root rank for broadcasts).
-type collReq struct {
-	Op       byte
-	Aux      uint32
-	BaseRank uint32
-	Parts    [][]byte // one per local rank, base..base+n
-}
-
-func (m collReq) encode() []byte {
-	n := 1 + 4 + 4 + 4
-	for _, p := range m.Parts {
-		n += 4 + len(p)
-	}
-	b := make([]byte, 0, n)
-	b = append(b, m.Op)
-	b = binary.LittleEndian.AppendUint32(b, m.Aux)
-	b = binary.LittleEndian.AppendUint32(b, m.BaseRank)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Parts)))
-	for _, p := range m.Parts {
-		b = appendBytes(b, p)
-	}
-	return b
-}
-
-func decodeCollReq(p []byte) (collReq, error) {
-	r := &byteReader{b: p}
-	m := collReq{Op: r.u8(), Aux: r.u32(), BaseRank: r.u32()}
-	n := r.u32()
-	if r.err != nil {
-		return m, r.err
-	}
-	if n > maxWorldSize {
-		return m, ErrTruncatedMsg
-	}
-	m.Parts = make([][]byte, n)
-	for i := range m.Parts {
-		m.Parts[i] = r.bytes()
-	}
-	return m, r.err
-}
-
-// collRes carries the computed result back; its payload layout is
-// op-specific (see the coordinator's compute step).
-type collRes struct {
-	Op     byte
-	Result []byte
-}
-
-func (m collRes) encode() []byte {
-	b := make([]byte, 0, 1+len(m.Result))
-	b = append(b, m.Op)
-	return append(b, m.Result...)
-}
-
-func decodeCollRes(p []byte) (collRes, error) {
-	r := &byteReader{b: p}
-	m := collRes{Op: r.u8()}
-	if r.err != nil {
-		return m, r.err
-	}
-	m.Result = r.b[r.off:]
-	return m, nil
-}
-
 // maxWorldSize bounds decoded rank counts so corrupted frames cannot drive
 // huge allocations.
 const maxWorldSize = 1 << 16
@@ -378,85 +307,48 @@ const maxWorldSize = 1 << 16
 func appendMat(dst []byte, m *mat.Dense) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Rows()))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Cols()))
-	for _, v := range m.Data() {
+	return appendFloats(dst, m.Data())
+}
+
+func appendFloats(dst []byte, f []float64) []byte {
+	for _, v := range f {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
 	return dst
 }
 
-func encodeMat(m *mat.Dense) []byte {
-	return appendMat(make([]byte, 0, 8+8*m.Rows()*m.Cols()), m)
-}
-
-// encodeMatPooled is encodeMat over a buffer checked out of the
-// size-bucketed byte pools; release with mat.PutBytes once the payload
-// has left the process (see localColl's release in proc.go).
-func encodeMatPooled(m *mat.Dense) []byte {
-	need := 8 + 8*m.Rows()*m.Cols()
-	return appendMat(mat.GetBytes(need)[:0], m)
-}
-
-func (r *byteReader) mat() *mat.Dense {
-	rows := r.u32()
-	cols := r.u32()
-	if r.err != nil {
-		return nil
+// readFloats fills dst from little-endian float64 bits; raw holds at
+// least 8·len(dst) bytes.
+func readFloats(dst []float64, raw []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
-	if rows > maxWorldSize*64 || cols > maxWorldSize*64 {
-		r.err = ErrTruncatedMsg
-		return nil
-	}
-	raw := r.take(8 * int(rows) * int(cols))
-	if r.err != nil {
-		return nil
-	}
-	out := mat.NewDense(int(rows), int(cols))
-	d := out.Data()
-	for i := range d {
-		d[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return out
 }
 
 func decodeMat(p []byte) (*mat.Dense, error) {
 	r := &byteReader{b: p}
-	m := r.mat()
-	return m, r.err
-}
-
-// matPooled is byteReader.mat decoding into a pooled matrix; callers
-// own the result and release it with mat.PutDense.
-func (r *byteReader) matPooled() *mat.Dense {
 	rows := r.u32()
 	cols := r.u32()
 	if r.err != nil {
-		return nil
+		return nil, r.err
 	}
 	if rows > maxWorldSize*64 || cols > maxWorldSize*64 {
-		r.err = ErrTruncatedMsg
-		return nil
+		return nil, ErrTruncatedMsg
 	}
 	raw := r.take(8 * int(rows) * int(cols))
 	if r.err != nil {
-		return nil
+		return nil, r.err
 	}
-	out := mat.GetDense(int(rows), int(cols))
-	d := out.Data()
-	for i := range d {
-		d[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return out
+	out := mat.NewDense(int(rows), int(cols))
+	readFloats(out.Data(), raw)
+	return out, nil
 }
 
-func decodeMatPooled(p []byte) (*mat.Dense, error) {
-	r := &byteReader{b: p}
-	m := r.matPooled()
-	return m, r.err
-}
-
-// Tree-topology data-plane messages. Up/down payloads carry one chunk of
-// a collective; chunking bounds peak buffering and lets partial-sum folds
-// overlap receives without changing the canonical per-element bracketing.
+// Data-plane messages. An up or down payload carries one chunk of one
+// collective (the frame's Seq). Sum collectives are cut into chunks of
+// ChunkElems floats, which bounds peak buffering and lets partial-sum folds
+// overlap receives without changing the canonical per-element bracketing;
+// concat collectives travel as a single chunk.
 
 // treeHelloMsg binds a freshly dialed data connection to (gen, member).
 // It is idempotent and resent on every retransmit tick, so a dropped
@@ -478,143 +370,114 @@ func decodeTreeHello(p []byte) (treeHelloMsg, error) {
 	return m, r.err
 }
 
-// treeSeg is one canonical partial sum: the elementwise sum of ranks
-// [Lo, Hi) over one chunk of the payload.
-type treeSeg struct {
-	Lo, Hi uint32
-	Data   []float64
+// chunkHdr leads every up and down payload.
+type chunkHdr struct {
+	Gen   uint32
+	Op    byte
+	Chunk uint32
+	Elems uint32 // whole-payload length in float64 elements (0 for concat ops)
 }
 
-// treeUpMsg carries a member's merged partial-sum segments for one chunk
-// of collective Seq (the frame's sequence number), flowing child → parent.
-type treeUpMsg struct {
-	Gen     uint32
-	Op      byte
-	Chunk   uint32
-	NChunks uint32
-	Elems   uint32 // whole-payload length in float64 elements
-	Segs    []treeSeg
+const chunkHdrLen = 13
+
+func (h chunkHdr) appendTo(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, h.Gen)
+	b = append(b, h.Op)
+	b = binary.LittleEndian.AppendUint32(b, h.Chunk)
+	return binary.LittleEndian.AppendUint32(b, h.Elems)
 }
 
-// maxTreeChunks bounds decoded chunk counts against corrupted frames.
-const maxTreeChunks = 1 << 20
+func (r *byteReader) chunkHdr() chunkHdr {
+	return chunkHdr{Gen: r.u32(), Op: r.u8(), Chunk: r.u32(), Elems: r.u32()}
+}
 
-// encodePooled serializes the message into a pooled buffer (the engine
-// retains up frames for retransmission and releases them on delivery).
-func (m treeUpMsg) encodePooled() []byte {
-	need := 21
-	for _, s := range m.Segs {
-		need += 12 + 8*len(s.Data)
+// appendSegData writes a segment's count-prefixed payload: floats for a
+// sum op, bytes otherwise.
+func appendSegData(b []byte, sum bool, s seg) []byte {
+	if sum {
+		return appendFloats(binary.LittleEndian.AppendUint32(b, uint32(len(s.f))), s.f)
 	}
-	b := mat.GetBytes(need)[:0]
-	b = binary.LittleEndian.AppendUint32(b, m.Gen)
-	b = append(b, m.Op)
-	b = binary.LittleEndian.AppendUint32(b, m.Chunk)
-	b = binary.LittleEndian.AppendUint32(b, m.NChunks)
-	b = binary.LittleEndian.AppendUint32(b, m.Elems)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Segs)))
-	for _, s := range m.Segs {
-		b = binary.LittleEndian.AppendUint32(b, s.Lo)
-		b = binary.LittleEndian.AppendUint32(b, s.Hi)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Data)))
-		for _, v := range s.Data {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
+	return appendBytes(b, s.b)
+}
+
+func segDataLen(sum bool, s seg) int {
+	if sum {
+		return 4 + 8*len(s.f)
+	}
+	return 4 + len(s.b)
+}
+
+// encodeUp serializes a chunk's segments, flowing child → parent, into a
+// pooled buffer (the engine keeps up frames for retransmission; see
+// wireBuf for who returns it).
+func encodeUp(h chunkHdr, segs []seg) []byte {
+	sum := isSum(h.Op)
+	need := chunkHdrLen + 4
+	for _, s := range segs {
+		need += 8 + segDataLen(sum, s)
+	}
+	b := h.appendTo(mat.GetBytes(need)[:0])
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(segs)))
+	for _, s := range segs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(s.lo))
+		b = binary.LittleEndian.AppendUint32(b, uint32(s.hi))
+		b = appendSegData(b, sum, s)
 	}
 	return b
 }
 
-// floatsPooled reads a u32 count followed by that many float64s into a
-// pooled buffer (release with mat.PutFloats).
-func (r *byteReader) floatsPooled() []float64 {
+// decodeUp parses an up payload. Partial sums land in pooled float
+// buffers the caller owns (seg.free); byte segments alias p. On error
+// every already-decoded segment has been released.
+func decodeUp(p []byte) (chunkHdr, []seg, error) {
+	r := &byteReader{b: p}
+	h := r.chunkHdr()
 	n := r.u32()
-	if r.err != nil {
-		return nil
-	}
-	if n > MaxFramePayload/8 {
+	if r.err == nil && n > maxWorldSize {
 		r.err = ErrTruncatedMsg
-		return nil
 	}
-	raw := r.take(8 * int(n))
-	if r.err != nil {
-		return nil
-	}
-	out := mat.GetFloats(int(n))
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return out
-}
-
-// decodeTreeUp parses an up payload; segment data lands in pooled float
-// buffers owned by the caller. On error every already-decoded segment has
-// been released.
-func decodeTreeUp(p []byte) (treeUpMsg, error) {
-	r := &byteReader{b: p}
-	m := treeUpMsg{Gen: r.u32(), Op: r.u8(), Chunk: r.u32(),
-		NChunks: r.u32(), Elems: r.u32()}
-	n := r.u32()
-	if r.err != nil {
-		return m, r.err
-	}
-	if n > maxWorldSize || m.NChunks > maxTreeChunks {
-		return m, ErrTruncatedMsg
-	}
-	m.Segs = make([]treeSeg, 0, n)
-	for i := uint32(0); i < n; i++ {
-		s := treeSeg{Lo: r.u32(), Hi: r.u32()}
-		s.Data = r.floatsPooled()
-		if r.err != nil {
-			for _, prev := range m.Segs {
-				mat.PutFloats(prev.Data)
+	var segs []seg
+	for i := uint32(0); i < n && r.err == nil; i++ {
+		s := seg{lo: int(r.u32()), hi: int(r.u32())}
+		if isSum(h.Op) {
+			if raw := r.counted(8); r.err == nil {
+				s.f, s.own = mat.GetFloats(len(raw)/8), true
+				readFloats(s.f, raw)
 			}
-			m.Segs = nil
-			return m, r.err
+		} else {
+			s.b = r.bytes()
 		}
-		m.Segs = append(m.Segs, s)
+		segs = append(segs, s)
 	}
-	return m, r.err
-}
-
-// treeDownMsg carries one chunk of the finished reduction, flowing
-// root → leaves along the tree.
-type treeDownMsg struct {
-	Gen     uint32
-	Op      byte
-	Chunk   uint32
-	NChunks uint32
-	Elems   uint32
-	Data    []float64
-}
-
-// encode serializes the message into a plain (unpooled) buffer: down
-// payloads live in the completed-collective cache for retransmission, so
-// their lifetime is unbounded and they must not hold pool capacity.
-func (m treeDownMsg) encode() []byte {
-	b := make([]byte, 0, 21+8*len(m.Data))
-	b = binary.LittleEndian.AppendUint32(b, m.Gen)
-	b = append(b, m.Op)
-	b = binary.LittleEndian.AppendUint32(b, m.Chunk)
-	b = binary.LittleEndian.AppendUint32(b, m.NChunks)
-	b = binary.LittleEndian.AppendUint32(b, m.Elems)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Data)))
-	for _, v := range m.Data {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	return b
-}
-
-// decodeTreeDown parses a down payload; Data is pooled (mat.PutFloats).
-func decodeTreeDown(p []byte) (treeDownMsg, error) {
-	r := &byteReader{b: p}
-	m := treeDownMsg{Gen: r.u32(), Op: r.u8(), Chunk: r.u32(),
-		NChunks: r.u32(), Elems: r.u32()}
 	if r.err != nil {
-		return m, r.err
+		for _, s := range segs {
+			s.free()
+		}
+		return h, nil, r.err
 	}
-	if m.NChunks > maxTreeChunks {
-		return m, ErrTruncatedMsg
+	return h, segs, nil
+}
+
+// encodeDown serializes one chunk of a finished collective, flowing
+// root → leaves, into a plain (unpooled) buffer: down payloads live in the
+// completed-collective cache and are shared with the local ranks reading
+// the result, so their lifetime is unbounded and they must not hold pool
+// capacity.
+func encodeDown(h chunkHdr, s seg) []byte {
+	sum := isSum(h.Op)
+	return appendSegData(h.appendTo(make([]byte, 0, chunkHdrLen+segDataLen(sum, s))), sum, s)
+}
+
+// decodeDown parses a down payload into its header and data section (the
+// chunk's float64 bits for a sum op, the rank-ordered byte strings
+// otherwise); data aliases p.
+func decodeDown(p []byte) (chunkHdr, []byte, error) {
+	r := &byteReader{b: p}
+	h := r.chunkHdr()
+	width := 1
+	if isSum(h.Op) {
+		width = 8
 	}
-	m.Data = r.floatsPooled()
-	return m, r.err
+	data := r.counted(width)
+	return h, data, r.err
 }

@@ -1,6 +1,7 @@
 package distnet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"strconv"
@@ -13,22 +14,23 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Reduction topologies for the transport's sum-style collectives.
+// Reduction-tree shapes. Every collective runs on the one tree engine
+// (tree.go); the topology only decides how the coordinator wires members
+// into a tree each generation. Results are bit-identical across shapes:
+// both realize the canonical pairwise bracketing of dist/reduce.go.
 const (
-	// TopologyHub routes every collective through the coordinator, which
-	// folds all parts itself: O(P·n) ingress at one process. It is the
-	// default, the fallback, and the chaos-test oracle.
+	// TopologyHub makes every member a direct child of the coordinator's
+	// process: depth 1, O(P·n) ingress at the root. It is the default.
 	TopologyHub = "hub"
 	// TopologyTree arranges members in a deterministic binary tree keyed
-	// by global rank: interior members fold their children's partial sums
-	// with their own contribution and forward one payload upward, so
-	// per-process wire volume is O(n·log P) worst-case per link and the
-	// fold work is distributed. Results are bit-identical to hub: both
-	// realize the canonical pairwise bracketing of dist/reduce.go.
+	// by global rank: interior members merge their children's segments
+	// with their own and forward one payload upward, so per-process wire
+	// volume is O(n·log P) worst-case per link and the fold work is
+	// distributed.
 	TopologyTree = "tree"
 )
 
-// defaultChunkElems is the tree pipeline's chunk size in float64
+// defaultChunkElems is the sum collectives' chunk size in float64
 // elements (64 KiB payload chunks): large enough to amortize framing,
 // small enough that folds overlap receives and peak buffering stays
 // bounded.
@@ -80,25 +82,26 @@ type Config struct {
 	DialBackoffBase time.Duration
 	DialBackoffMax  time.Duration
 	DialTimeout     time.Duration
-	// CollTimeout arms the coordinator's stuck-collective watchdog — the
-	// transport-level equivalent of the in-process barrier watchdog. Zero
-	// disables it. (Tree-topology allreduces bypass the coordinator's
-	// data path and are covered by heartbeat liveness instead.)
+	// CollTimeout arms the stuck-collective watchdog — the transport-level
+	// equivalent of the in-process barrier watchdog: when a collective has
+	// been open at the tree's root for longer than this, the coordinator
+	// declares dead a root child (or its own process) whose contribution
+	// is still missing. Zero disables it.
 	CollTimeout time.Duration
 
-	// Topology selects the reduction topology (TopologyHub or
-	// TopologyTree; default hub). The coordinator's choice is
-	// authoritative: members learn the effective topology at rendezvous,
-	// and joiners without a data listener are rejected by a tree
-	// coordinator.
+	// Topology selects the reduction tree's shape (TopologyHub or
+	// TopologyTree; default hub). Only the coordinator's value matters:
+	// it wires the tree and members learn their place at rendezvous.
 	Topology string
-	// ChunkElems is the tree pipeline's chunk size in float64 elements
-	// (default 8192). The chunking never changes result bits — the
-	// canonical bracketing is per-element — only buffering and overlap.
+	// ChunkElems is the chunk size, in float64 elements, that sum
+	// collectives are cut into on the wire (default 8192); the
+	// coordinator's value is used cluster-wide. The chunking never changes
+	// result bits — the canonical bracketing is per-element — only
+	// buffering and overlap.
 	ChunkElems int
 
-	// dataPort is the bound tree-data listener port, filled in by Start
-	// before the join handshake.
+	// dataPort is the bound data listener port, filled in by Start before
+	// the join handshake.
 	dataPort int
 }
 
@@ -129,28 +132,25 @@ func (c Config) withDefaults() Config {
 }
 
 // localColl accumulates this process's rank contributions to one
-// collective; once every local rank has deposited, a single request frame
-// carries them all to the coordinator.
+// collective; the last local rank to deposit hands them all to the engine.
 type localColl struct {
 	op    byte
-	aux   uint32
-	parts [][]byte
+	parts []part
 	have  int
-	sent  bool
-	res   []byte
+	res   [][]byte // per-chunk result data, shared read-only by the local ranks
 	done  bool
 	taken int
 }
 
 // Proc hosts this OS process's local ranks in a multi-process cluster. It
-// owns the client link (and, on the coordinator process, the rendezvous
-// service); each local rank drives a dist.Comm whose collectives ride the
-// link.
+// owns the control link, the data-plane engine and, on the coordinator
+// process, the rendezvous service; each local rank drives a dist.Comm
+// whose collectives ride the engine.
 type Proc struct {
 	cfg   Config
 	coord *coordinator
 	link  *link
-	tree  *treeEngine // nil unless this process opened a tree-data listener
+	tree  *treeEngine
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -165,15 +165,11 @@ type Proc struct {
 	// workers above it, so sequence numbers never alias completed
 	// collectives (whose cached results would otherwise be replayed).
 	seqFloor uint64
-	// treeOn records whether the current generation routes allreduce and
-	// scalar collectives over the tree (the coordinator's startMsg is
-	// authoritative, so a hub coordinator quietly idles a member's tree).
-	rankA  atomic.Int32 // baseRank mirror for lock-free telemetry labels
-	treeOn bool
+	rankA    atomic.Int32 // baseRank mirror for lock-free telemetry labels
 
 	// Whole-process TCP traffic (payload + framing), both directions,
-	// across control and tree-data connections. BenchmarkNetAllReduce
-	// reads these to compare coordinator ingress across topologies.
+	// across control and data connections. BenchmarkNetAllReduce reads
+	// these to compare coordinator ingress across topologies.
 	rxBytes atomic.Int64
 	txBytes atomic.Int64
 }
@@ -234,36 +230,33 @@ func Start(cfg Config) (*Proc, error) {
 	p.cond = sync.NewCond(&p.mu)
 	p.rankA.Store(-1) // no per-rank byte attribution until rendezvous
 
-	// A tree-topology process opens its member↔member data listener before
-	// the join handshake so the advertised DataPort is already bound.
-	if cfg.Topology == TopologyTree {
-		tln, err := net.Listen("tcp", ":0")
-		if err != nil {
-			return nil, fmt.Errorf("distnet: tree data listen: %w", err)
-		}
-		p.tree = newTreeEngine(p, tln)
-		p.cfg.dataPort = p.tree.port
+	// The data listener opens before the join handshake so the advertised
+	// DataPort is already bound.
+	tln, err := net.Listen("tcp", ":0")
+	if err != nil {
+		return nil, fmt.Errorf("distnet: data listen: %w", err)
 	}
+	p.tree = newTreeEngine(p, tln)
+	p.cfg.dataPort = p.tree.port
 
 	addr := cfg.Join
 	if isCoord {
 		ln := cfg.Listener
 		if ln == nil {
-			var err error
 			ln, err = net.Listen("tcp", cfg.Listen)
 			if err != nil {
 				p.Close()
 				return nil, fmt.Errorf("distnet: listen %s: %w", cfg.Listen, err)
 			}
 		}
-		p.coord = newCoordinator(&p.cfg, ln, p.countBytes)
+		p.coord = newCoordinator(&p.cfg, ln, p.countBytes, p.tree)
 		addr = ln.Addr().String()
 	}
 
 	// Every process — the coordinator included, over loopback — reaches the
-	// collective engine through the same client link, so there is exactly
-	// one code path to get right.
-	p.link = newLink(&p.cfg, addr, isCoord, p.onResult, p.onFailure)
+	// rendezvous service through the same client link, so there is exactly
+	// one control path to get right.
+	p.link = newLink(&p.cfg, addr, isCoord, p.onFailure)
 	p.link.count = p.countBytes
 	if err := p.link.connect(); err != nil {
 		p.Close()
@@ -271,36 +264,39 @@ func Start(cfg Config) (*Proc, error) {
 	}
 	p.link.run()
 	sm, err := p.link.rendezvous(1)
+	if err == nil {
+		err = p.applyStart(sm)
+	}
 	if err != nil {
 		p.Close()
 		return nil, err
 	}
-	p.applyStart(sm)
 	return p, nil
 }
 
-// applyStart installs a generation's start message: rank assignment plus
-// the coordinator's authoritative topology and numerics choices.
-func (p *Proc) applyStart(sm startMsg) {
-	// Conform the kernel family before the generation runs: each process
-	// calibrates FMA-vs-mul+add by timing at init, and the two families
-	// round differently, so a member that raced its calibration the other
-	// way would diverge from the cluster by an ulp per local op. The
+// applyStart installs a generation's start message: rank assignment, this
+// process's place in the reduction tree, and the coordinator's
+// authoritative numerics choice.
+func (p *Proc) applyStart(sm startMsg) error {
+	if sm.TreeParent == "" && sm.BaseRank != 0 {
+		return fmt.Errorf("distnet: gen %d start names no tree parent for base rank %d", sm.Gen, sm.BaseRank)
+	}
+	// Conform the kernel family before the generation runs: members of one
+	// cluster may have been started with different HYLO_FMA environments,
+	// and the two families round differently, so a member on the other one
+	// would diverge from the cluster by an ulp per local op. The
 	// rendezvous is a compute quiescent point, so flipping here is safe.
 	mat.SetFMAKernels(sm.FMA != 0)
 	p.mu.Lock()
 	p.gen, p.world, p.baseRank = sm.Gen, int(sm.WorldSize), int(sm.BaseRank)
 	p.seqFloor = 0 // wire sequences are generation-tagged; restart small
 	p.rankA.Store(int32(p.baseRank))
-	p.treeOn = p.tree != nil && sm.Topology == topoTree
-	treeOn := p.treeOn
 	p.mu.Unlock()
-	if p.tree != nil {
-		p.tree.install(sm)
-	}
-	if treeOn && telemetry.Enabled() {
+	p.tree.install(sm)
+	if telemetry.Enabled() {
 		telemetry.SetGauge(telemetry.MetricNetTreeDepth, float64(sm.TreeDepth))
 	}
+	return nil
 }
 
 // ListenAddr returns the coordinator's bound address ("" on members) —
@@ -328,16 +324,21 @@ func (p *Proc) Gen() int { p.mu.Lock(); defer p.mu.Unlock(); return int(p.gen) }
 // Err returns the failure that poisoned the current generation, if any.
 func (p *Proc) Err() error { p.mu.Lock(); defer p.mu.Unlock(); return p.failed }
 
-func (p *Proc) onResult(seq uint64, res collRes) {
+func (p *Proc) onResult(seq uint64, res [][]byte) {
 	p.mu.Lock()
 	if lc := p.colls[seq]; lc != nil && !lc.done {
-		lc.res = res.Result
+		lc.res = res
 		lc.done = true
 		p.cond.Broadcast()
 	}
 	p.mu.Unlock()
 }
 
+// onFailure poisons the generation: waiting ranks wake into the poison
+// panic, and the engine goes idle — no parent, no children, generation 0 —
+// so a collective of the failed generation can no longer complete for
+// anyone (a member the coordinator declared dead must not be handed a
+// result the survivors never saw).
 func (p *Proc) onFailure(err error) {
 	p.mu.Lock()
 	if p.failed == nil {
@@ -345,6 +346,7 @@ func (p *Proc) onFailure(err error) {
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
+	p.tree.install(startMsg{})
 }
 
 // wireSeq tags a collective sequence number with its generation so a stale
@@ -353,12 +355,12 @@ func wireSeq(gen uint32, seq uint64) uint64 {
 	return uint64(gen)<<40 | (seq & (1<<40 - 1))
 }
 
-// collective deposits one local rank's contribution and blocks until the
-// coordinator's result arrives. The last local rank to deposit sends the
-// process's single request frame. Any generation failure (peer death,
-// unreachable coordinator) surfaces as the in-process transport's poison
-// panic, dist.ErrClusterPoisoned.
-func (p *Proc) collective(slot int, op byte, aux uint32, payload []byte, seq uint64) []byte {
+// collective deposits one local rank's contribution — which the engine
+// owns from here on — and blocks until the result arrives. The last local
+// rank to deposit submits the process's parts. Any generation failure
+// (peer death, unreachable coordinator) surfaces as the in-process
+// transport's poison panic, dist.ErrClusterPoisoned.
+func (p *Proc) collective(slot int, op byte, pt part, seq uint64) [][]byte {
 	p.mu.Lock()
 	if p.failed != nil || p.closed {
 		p.mu.Unlock()
@@ -371,7 +373,7 @@ func (p *Proc) collective(slot int, op byte, aux uint32, payload []byte, seq uin
 	ws := wireSeq(gen, seq)
 	lc := p.colls[ws]
 	if lc == nil {
-		lc = &localColl{op: op, aux: aux, parts: make([][]byte, p.cfg.LocalRanks)}
+		lc = &localColl{op: op, parts: make([]part, p.cfg.LocalRanks)}
 		p.colls[ws] = lc
 	}
 	if lc.op != op {
@@ -379,30 +381,11 @@ func (p *Proc) collective(slot int, op byte, aux uint32, payload []byte, seq uin
 		panic(fmt.Sprintf("distnet: local collective sequence mismatch at seq %d: %s vs %s",
 			seq, opName(lc.op), opName(op)))
 	}
-	if lc.parts[slot] == nil {
-		lc.parts[slot] = payload
-		lc.have++
-	}
-	var req *collReq
-	var toTree bool
-	if lc.have == p.cfg.LocalRanks && !lc.sent {
-		lc.sent = true
-		// The last depositor sends the whole process's contribution: over
-		// the tree for the sum-style collectives when the generation runs
-		// tree topology, through the coordinator hub otherwise.
-		if p.treeOn && (op == opAllReduce || op == opScalar) {
-			toTree = true
-		} else {
-			req = &collReq{Op: op, Aux: aux, BaseRank: uint32(p.baseRank), Parts: lc.parts}
-		}
-	}
+	lc.parts[slot] = pt
+	lc.have++
+	last := lc.have == p.cfg.LocalRanks
 	p.mu.Unlock()
-	if req != nil {
-		p.link.sendRequest(ws, *req)
-	}
-	if toTree {
-		// submit decodes the parts synchronously, so once every local rank
-		// has taken the result the payload buffers are safe to recycle.
+	if last {
 		p.tree.submit(ws, op, lc.parts)
 	}
 
@@ -414,22 +397,11 @@ func (p *Proc) collective(slot int, op byte, aux uint32, payload []byte, seq uin
 	if !lc.done {
 		panic(dist.ErrClusterPoisoned)
 	}
-	res := lc.res
 	lc.taken++
 	if lc.taken == p.cfg.LocalRanks {
 		delete(p.colls, ws)
-		// Recycle the pooled wire-encoding scratch for the ops whose
-		// payloads the transport itself encoded; barrier and byte-gather
-		// payloads are caller-owned and must not be pooled.
-		switch lc.op {
-		case opAllReduce, opAllGather, opBroadcast, opScalar:
-			for i, pb := range lc.parts {
-				mat.PutBytes(pb)
-				lc.parts[i] = nil
-			}
-		}
 	}
-	return res
+	return lc.res
 }
 
 // Run drives fn on every local rank (one goroutine each), recovering
@@ -475,12 +447,7 @@ func (p *Proc) Run(fn func(c dist.Comm)) []error {
 // siblings poison immediately; the severed connection walks the coordinator
 // through its normal peer-death path so remote survivors shrink and rejoin.
 func (p *Proc) abortLocal(err error) {
-	p.mu.Lock()
-	if p.failed == nil {
-		p.failed = err
-	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
+	p.onFailure(err)
 	p.link.close()
 }
 
@@ -505,7 +472,9 @@ func (p *Proc) Rejoin() error {
 	p.failed = nil
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	p.applyStart(sm)
+	if err := p.applyStart(sm); err != nil {
+		return err
+	}
 	telemetry.IncCounter(telemetry.MetricRecoveries, 1,
 		telemetry.Label{Key: "transport", Value: "tcp"})
 	return nil
@@ -522,8 +491,8 @@ func (p *Proc) SyncSnapshot(local []byte) ([]byte, error) {
 	return p.link.syncBlob(gen, local)
 }
 
-// Close leaves the cluster and releases the link (and, on the coordinator
-// process, the rendezvous service).
+// Close leaves the cluster and releases the link, the data-plane engine
+// and, on the coordinator process, the rendezvous service.
 func (p *Proc) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -536,9 +505,7 @@ func (p *Proc) Close() error {
 	if p.link != nil {
 		p.link.close()
 	}
-	if p.tree != nil {
-		p.tree.close()
-	}
+	p.tree.close()
 	if p.coord != nil {
 		p.coord.close()
 	}
@@ -578,112 +545,124 @@ func (w *netWorker) countComm(op string, elems int) {
 	telemetry.IncCounter(telemetry.MetricCommCalls, 1, lbl)
 }
 
-// AllReduceMat implements dist.Comm; whichever topology carries the sum
-// (hub fold at the coordinator, or distributed folds up the tree), the
+// sumPart copies a rank's values into the pooled vector the engine folds
+// in place.
+func sumPart(vals ...float64) part {
+	f := mat.GetFloats(len(vals))
+	copy(f, vals)
+	return part{f: f}
+}
+
+// sumResult fills dst from a sum collective's per-chunk result data.
+func sumResult(dst []float64, res [][]byte) {
+	for _, data := range res {
+		n := len(data) / 8
+		if n > len(dst) {
+			panic(dist.ErrClusterPoisoned)
+		}
+		readFloats(dst[:n], data)
+		dst = dst[n:]
+	}
+	if len(dst) != 0 {
+		panic(dist.ErrClusterPoisoned)
+	}
+}
+
+// concatPart builds a rank's length-prefixed contribution to a concat
+// collective in a pooled buffer: an encoded matrix, raw bytes, or nothing.
+func concatPart(m *mat.Dense, raw []byte) part {
+	n := len(raw)
+	if m != nil {
+		n = 8 + 8*m.Rows()*m.Cols()
+	}
+	b := binary.LittleEndian.AppendUint32(mat.GetBytes(4 + n)[:0], uint32(n))
+	if m != nil {
+		return part{b: appendMat(b, m)}
+	}
+	return part{b: append(b, raw...)}
+}
+
+// concatResult splits a concat collective's result into its per-rank byte
+// strings, each a copy the caller owns.
+func concatResult(res [][]byte, world int) [][]byte {
+	r := &byteReader{b: res[0]}
+	out := make([][]byte, 0, world)
+	for r.off < len(r.b) && r.err == nil {
+		out = append(out, append([]byte(nil), r.bytes()...))
+	}
+	if r.err != nil || len(out) != world {
+		panic(dist.ErrClusterPoisoned)
+	}
+	return out
+}
+
+func mustDecodeMat(b []byte) *mat.Dense {
+	m, err := decodeMat(b)
+	if err != nil {
+		panic(dist.ErrClusterPoisoned)
+	}
+	return m
+}
+
+// AllReduceMat implements dist.Comm. Whatever the tree's shape, the
 // bracketing is the canonical pairwise order of dist/reduce.go — bitwise
 // identical to the in-process cluster's accumulation.
 func (w *netWorker) AllReduceMat(m *mat.Dense) *mat.Dense {
 	w.countComm("allreduce", m.Rows()*m.Cols())
-	res := w.p.collective(w.slot, opAllReduce, 0, encodeMatPooled(m), w.next())
-	out, err := decodeMat(res)
-	if err != nil {
-		panic(dist.ErrClusterPoisoned)
-	}
+	res := w.p.collective(w.slot, opAllReduce, sumPart(m.Data()...), w.next())
+	out := mat.NewDense(m.Rows(), m.Cols())
+	sumResult(out.Data(), res)
 	return out
 }
 
 // AllGatherMat implements dist.Comm.
 func (w *netWorker) AllGatherMat(m *mat.Dense) []*mat.Dense {
 	w.countComm("allgather", m.Rows()*m.Cols())
-	res := w.p.collective(w.slot, opAllGather, 0, encodeMatPooled(m), w.next())
-	parts, err := splitParts(res, w.world)
-	if err != nil {
-		panic(dist.ErrClusterPoisoned)
-	}
-	out := make([]*mat.Dense, len(parts))
-	for i, pb := range parts {
+	res := w.p.collective(w.slot, opAllGather, concatPart(m, nil), w.next())
+	out := make([]*mat.Dense, w.world)
+	for i, pb := range concatResult(res, w.world) {
 		if i == w.ID() {
 			out[i] = m
-			continue
+		} else {
+			out[i] = mustDecodeMat(pb)
 		}
-		dm, err := decodeMat(pb)
-		if err != nil {
-			panic(dist.ErrClusterPoisoned)
-		}
-		out[i] = dm
 	}
 	return out
 }
 
-// BroadcastMat implements dist.Comm.
+// BroadcastMat implements dist.Comm: a concat collective to which only the
+// root contributes a payload.
 func (w *netWorker) BroadcastMat(root int, m *mat.Dense) *mat.Dense {
 	if root < 0 || root >= w.world {
 		panic(fmt.Sprintf("dist: broadcast root %d out of range", root))
 	}
-	var payload []byte
-	if w.ID() == root {
-		w.countComm("broadcast", m.Rows()*m.Cols())
-		payload = encodeMatPooled(m)
-	} else {
-		payload = []byte{}
+	if w.ID() != root {
+		res := w.p.collective(w.slot, opBroadcast, concatPart(nil, nil), w.next())
+		return mustDecodeMat(concatResult(res, w.world)[root])
 	}
-	res := w.p.collective(w.slot, opBroadcast, uint32(root), payload, w.next())
-	if w.ID() == root {
-		return m
-	}
-	out, err := decodeMat(res)
-	if err != nil {
-		panic(dist.ErrClusterPoisoned)
-	}
-	return out
+	w.countComm("broadcast", m.Rows()*m.Cols())
+	w.p.collective(w.slot, opBroadcast, concatPart(m, nil), w.next())
+	return m
 }
 
-// AllReduceScalar implements dist.Comm; summed in the canonical pairwise
-// order on whichever topology the generation runs, like the in-process
-// worker's gather-then-fold.
+// AllReduceScalar implements dist.Comm: a one-element sum, so it lands on
+// the canonical pairwise order like the in-process worker's
+// gather-then-fold.
 func (w *netWorker) AllReduceScalar(v float64) float64 {
-	res := w.p.collective(w.slot, opScalar, 0, encodeScalar(v), w.next())
-	s, err := decodeScalar(res)
-	if err != nil {
-		panic(dist.ErrClusterPoisoned)
-	}
-	return s
+	var out [1]float64
+	sumResult(out[:], w.p.collective(w.slot, opScalar, sumPart(v), w.next()))
+	return out[0]
 }
 
 // Barrier implements dist.Barrierer: an empty collective every rank joins.
 func (w *netWorker) Barrier() {
-	w.p.collective(w.slot, opBarrier, 0, []byte{}, w.next())
+	w.p.collective(w.slot, opBarrier, concatPart(nil, nil), w.next())
 }
 
 // AllGatherBytes implements dist.ByteGatherer (checkpoint section gather).
 func (w *netWorker) AllGatherBytes(b []byte) [][]byte {
-	if b == nil {
-		b = []byte{}
-	}
-	res := w.p.collective(w.slot, opGatherBytes, 0, b, w.next())
-	parts, err := splitParts(res, w.world)
-	if err != nil {
-		panic(dist.ErrClusterPoisoned)
-	}
-	return parts
-}
-
-// splitParts decodes the coordinator's length-prefixed per-rank
-// concatenation.
-func splitParts(b []byte, world int) ([][]byte, error) {
-	r := &byteReader{b: b}
-	out := make([][]byte, 0, world)
-	for r.off < len(r.b) {
-		pb := r.bytes()
-		if r.err != nil {
-			return nil, r.err
-		}
-		out = append(out, append([]byte(nil), pb...))
-	}
-	if len(out) != world {
-		return nil, fmt.Errorf("distnet: gather returned %d parts, world %d", len(out), world)
-	}
-	return out, nil
+	res := w.p.collective(w.slot, opGatherBytes, concatPart(nil, b), w.next())
+	return concatResult(res, w.world)
 }
 
 // ConfigDigestOf fingerprints the fields that must agree across processes

@@ -2,6 +2,7 @@ package distnet
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/mat"
+	"repro/internal/telemetry"
 )
 
 // testConfig returns timings tuned for fast tests: aggressive retransmit,
@@ -27,8 +29,8 @@ func testConfig(world int) Config {
 	}
 }
 
-// topologies is the parity matrix every transport suite runs over: the
-// hub is the oracle, the tree must reproduce its bits exactly.
+// topologies is the shape matrix every transport suite runs over: both
+// must reproduce the in-process cluster's bits exactly.
 var topologies = []string{TopologyHub, TopologyTree}
 
 // startCluster launches one Proc per locals entry over real loopback TCP
@@ -157,60 +159,159 @@ func compareTraces(t *testing.T, name string, got, want [][]uint64) {
 	}
 }
 
-// TestProcMatchesCluster: P=4 split across two processes' worth of Procs on
-// real TCP sockets produces bit-identical collective results to the
-// in-process simulated cluster — under both reduction topologies.
-func TestProcMatchesCluster(t *testing.T) {
+// parityTable runs the six-op workload over every tree shape, member
+// count, ranks per member and chunk size (the 4×3 workload matrix is 12
+// floats: one chunk by default, four at ChunkElems 3), and bit-compares
+// each rank's trace with the in-process cluster's.
+func parityTable(t *testing.T, steps int, faults *SocketFaultPlan) {
+	refs := map[int][][]uint64{}
+	for members := 2; members <= 5; members++ {
+		for local := 1; local <= 2; local++ {
+			refs[members*local] = runRef(members*local, steps)
+		}
+	}
 	for _, topo := range topologies {
 		t.Run(topo, func(t *testing.T) {
-			cfg := testConfig(4)
-			cfg.Topology = topo
-			procs := startCluster(t, cfg, 3, 1)
-			if procs[0].WorldSize() != 4 || procs[0].BaseRank() != 0 {
-				t.Fatalf("coordinator world=%d base=%d", procs[0].WorldSize(), procs[0].BaseRank())
+			for members := 2; members <= 5; members++ {
+				for local := 1; local <= 2; local++ {
+					for _, chunk := range []int{0, 3} {
+						members, local, chunk := members, local, chunk
+						t.Run(fmt.Sprintf("m%d_l%d_c%d", members, local, chunk), func(t *testing.T) {
+							t.Parallel()
+							world := members * local
+							cfg := testConfig(world)
+							cfg.Topology, cfg.ChunkElems, cfg.Faults = topo, chunk, faults
+							if faults != nil {
+								cfg.RetransmitEvery = 10 * time.Millisecond // a lost frame costs one tick
+							}
+							locals := make([]int, members)
+							for i := range locals {
+								locals[i] = local
+							}
+							procs := startCluster(t, cfg, locals...)
+							if procs[0].WorldSize() != world || procs[0].BaseRank() != 0 {
+								t.Fatalf("coordinator world=%d base=%d", procs[0].WorldSize(), procs[0].BaseRank())
+							}
+							got, errs := runNet(procs, world, steps)
+							if len(errs) != 0 {
+								t.Fatalf("worker errors: %v", errs)
+							}
+							compareTraces(t, "tcp-vs-cluster", got, refs[world])
+						})
+					}
+				}
 			}
-			if procs[1].BaseRank() != 3 {
-				t.Fatalf("joiner base rank = %d, want 3", procs[1].BaseRank())
-			}
-			got, errs := runNet(procs, 4, 6)
-			if len(errs) != 0 {
-				t.Fatalf("worker errors: %v", errs)
-			}
-			compareTraces(t, "tcp-vs-cluster", got, runRef(4, 6))
 		})
 	}
 }
 
-// TestProcTreeChunked: a payload far larger than the configured chunk size
-// exercises the tree's chunk pipelining (many up/down frames per
-// collective) and still lands on the canonical bits.
-func TestProcTreeChunked(t *testing.T) {
-	cfg := testConfig(4)
-	cfg.Topology = TopologyTree
-	cfg.ChunkElems = 7 // deliberately tiny and misaligned: 4×3 mat → 2 chunks
-	procs := startCluster(t, cfg, 1, 1, 1, 1)
-	got, errs := runNet(procs, 4, 6)
-	if len(errs) != 0 {
-		t.Fatalf("worker errors: %v", errs)
-	}
-	compareTraces(t, "tree-chunked-vs-cluster", got, runRef(4, 6))
-}
+// TestProcMatchesCluster: Procs on real TCP sockets produce bit-identical
+// results to the in-process simulated cluster for every collective, in
+// both tree shapes, however the ranks are grouped and chunked.
+func TestProcMatchesCluster(t *testing.T) { parityTable(t, 6, nil) }
 
 // TestProcParityUnderSocketFaults: with 10% drop/dup/reorder injected on
-// every link (tree data links included) the retransmit protocol still
-// yields the exact same bits under both topologies.
+// every control and data link the retransmit protocol still yields the
+// exact same bits.
 func TestProcParityUnderSocketFaults(t *testing.T) {
+	parityTable(t, 3, &SocketFaultPlan{Seed: 9, DropProb: 0.10, DupProb: 0.10, ReorderProb: 0.10})
+}
+
+// withTelemetry swaps in a fresh enabled registry for the test.
+func withTelemetry(t *testing.T) *telemetry.Registry {
+	prev := telemetry.Default()
+	telemetry.SetDefault(telemetry.New())
+	telemetry.SetEnabled(true)
+	t.Cleanup(func() {
+		telemetry.SetEnabled(false)
+		telemetry.SetDefault(prev)
+	})
+	return telemetry.Default().Metrics
+}
+
+// TestProcCollTimeout: a rank that never reaches a collective while its
+// process keeps heartbeating is invisible to the liveness detectors; the
+// watchdog must turn the stuck collective into a death the survivors see.
+// Under the tree shape the hung rank 3 sits below rank 2, so the root
+// can only name the child its contribution is missing through.
+func TestProcCollTimeout(t *testing.T) {
 	for _, topo := range topologies {
 		t.Run(topo, func(t *testing.T) {
+			reg := withTelemetry(t)
 			cfg := testConfig(4)
 			cfg.Topology = topo
-			cfg.Faults = &SocketFaultPlan{Seed: 9, DropProb: 0.10, DupProb: 0.10, ReorderProb: 0.10}
-			procs := startCluster(t, cfg, 2, 2)
-			got, errs := runNet(procs, 4, 6)
-			if len(errs) != 0 {
-				t.Fatalf("worker errors under faults: %v", errs)
+			cfg.CollTimeout = 200 * time.Millisecond
+			cfg.PeerDeadline = 600 * time.Millisecond // how the member the watchdog kills finds out
+			procs := startCluster(t, cfg, 1, 1, 1, 1)
+
+			release := make(chan struct{})
+			var wg sync.WaitGroup
+			poisoned := make([]bool, len(procs))
+			for i, p := range procs {
+				wg.Add(1)
+				go func(i int, p *Proc) {
+					defer wg.Done()
+					errs := p.Run(func(c dist.Comm) {
+						if c.ID() == 3 {
+							<-release // hung outside any collective
+						}
+						c.AllReduceScalar(1)
+					})
+					poisoned[i] = len(errs) == 1 && errs[0].(dist.WorkerError).Err == any(dist.ErrClusterPoisoned)
+					if i == 0 {
+						close(release) // rank 0 has been poisoned: let the hung rank run into it too
+					}
+				}(i, p)
 			}
-			compareTraces(t, "tcp-faults-vs-cluster", got, runRef(4, 6))
+			wg.Wait()
+			for i, ok := range poisoned {
+				if !ok {
+					t.Fatalf("proc %d (rank %d) was not poisoned by the watchdog", i, procs[i].BaseRank())
+				}
+			}
+			var pde *PeerDeathError
+			if !errors.As(procs[0].Err(), &pde) || !strings.Contains(pde.Reason, "stuck past watchdog") {
+				t.Fatalf("coordinator failure = %v; want a watchdog PeerDeathError", procs[0].Err())
+			}
+			if n := reg.Counter(telemetry.MetricBarrierWatchdog).Value(); n < 1 {
+				t.Fatalf("watchdog counter = %d; want >= 1", n)
+			}
+		})
+	}
+}
+
+// TestProcCleanDeparture: members that leave after a healthy run are not
+// failures — no death is counted and the coordinator's generation stands —
+// whichever order they go in, interior tree members included.
+func TestProcCleanDeparture(t *testing.T) {
+	for _, topo := range topologies {
+		t.Run(topo, func(t *testing.T) {
+			reg := withTelemetry(t)
+			cfg := testConfig(4)
+			cfg.Topology = topo
+			procs := startCluster(t, cfg, 1, 1, 1, 1)
+			got, errs := runNet(procs, 4, 3)
+			if len(errs) != 0 {
+				t.Fatalf("worker errors: %v", errs)
+			}
+			compareTraces(t, "before-departure", got, runRef(4, 3))
+
+			for _, p := range procs[1:] {
+				p.Close()
+			}
+			// Each leave is handled on the coordinator's connection goroutine;
+			// a few scan periods let a wrong verdict (a declared death, a
+			// rejoin round) show up.
+			time.Sleep(4 * cfg.HeartbeatEvery)
+			if n := reg.Counter(telemetry.MetricWorkerFailures).Value(); n != 0 {
+				t.Fatalf("worker failures after clean departures = %d; want 0", n)
+			}
+			if err := procs[0].Err(); err != nil {
+				t.Fatalf("coordinator poisoned by clean departures: %v", err)
+			}
+			if g, w := procs[0].Gen(), procs[0].WorldSize(); g != 1 || w != 4 {
+				t.Fatalf("after clean departures gen=%d world=%d; want 1/4", g, w)
+			}
 		})
 	}
 }
@@ -475,6 +576,25 @@ func TestProcRejectsConfigMismatch(t *testing.T) {
 	wrongWorld.Join = ln.Addr().String()
 	if _, err := Start(wrongWorld); !errors.Is(err, ErrRejected) {
 		t.Fatalf("mismatched world: got %v, want ErrRejected", err)
+	}
+
+	// A joiner that advertises no data listener could never be wired into
+	// the reduction tree; it is refused, and a start frame that names no
+	// tree parent for a non-root member is refused on the member's side.
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	noPort := joinMsg{Gen: 1, NLocal: 1, WorldSize: 2, ConfigDigest: coordCfg.ConfigDigest}
+	if err := WriteFrame(conn, Frame{Type: ftJoin, Payload: noPort.encode()}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := ReadFrame(conn); err != nil || f.Type != ftReject {
+		t.Fatalf("join without a data port: got frame type %d, err %v; want ftReject", f.Type, err)
+	}
+	if err := new(Proc).applyStart(startMsg{Gen: 1, WorldSize: 2, BaseRank: 1}); err == nil {
+		t.Fatal("start without a tree parent for base rank 1 was accepted")
 	}
 
 	goodCfg := testConfig(2)

@@ -1,117 +1,191 @@
 package distnet
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"net"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dist"
 	"repro/internal/mat"
+	"repro/internal/telemetry"
 )
 
-// This file is the tree topology's data plane. Control (rendezvous,
-// heartbeats, failure detection) stays on the hub link; only the
-// sum-style collectives (allreduce, scalar) ride member↔member TCP
-// connections arranged as the coordinator's reduction tree.
+// This file is the transport's data plane: every collective of every
+// topology runs through it. Control (rendezvous, heartbeats, failure
+// detection, the snapshot blob) stays on each process's link to the
+// coordinator; collective payloads ride member↔member TCP connections
+// arranged as the reduction tree the coordinator computed for the
+// generation — a depth-1 star for -net-topology=hub, the canonical binary
+// tree for tree. The engine does not know which.
 //
 // Protocol: each member dials its parent's data listener and binds the
 // connection with ftTreeHello (gen, memberID). Contributions flow upward
 // as ftTreeUp frames — one per chunk, carrying the sender subtree's
-// merged partial-sum segments — and the finished reduction flows back
-// down as ftTreeDown frames, one per chunk. There are no acks: a child
-// re-sends its hello plus every pending up frame each retransmit tick
-// until the result arrives; parents drop duplicates while a collective
-// is open and answer duplicates for a completed one by re-sending that
-// chunk's down frame from a bounded cache. This masks socket faults
-// (drop/dup/reorder/delay) with the same idempotent-retransmit strategy
-// as the hub path.
+// merged segments — and the finished collective flows back down as
+// ftTreeDown frames, one per chunk. There are no acks: a child re-sends
+// its hello plus every pending up frame each retransmit tick until the
+// result arrives; parents drop duplicates while a collective is open and
+// answer duplicates for a completed one by re-sending that chunk's down
+// frame from a bounded cache. That masks socket faults (drop, dup,
+// reorder, delay) and reconnects alike.
 //
-// Correctness of the distributed fold: a segment is a partial sum tagged
-// with the contiguous rank range it covers. Two adjacent segments merge
-// (left + right, elementwise) only when dist.CanMergeSegments allows it,
-// i.e. when they are exactly the two children of a canonical reduction
+// A segment is what a contiguous rank range [lo, hi) contributes to one
+// chunk. For the sum ops it is a partial sum, and two adjacent segments
+// merge (left + right, elementwise) only when dist.CanMergeSegments allows
+// it, i.e. when they are exactly the two children of a canonical reduction
 // node. Greedy merging is confluent — every canonical node has a unique
-// sibling — so the bits are independent of arrival order, of chunking,
-// and of how ranks are grouped into processes; they equal the hub's and
-// the in-process cluster's canonical fold exactly.
+// sibling — so the bits are independent of arrival order, of chunking, of
+// the tree's shape and of how ranks are grouped into processes; they equal
+// the in-process cluster's canonical fold exactly. For the concat ops
+// (all-gather, byte-gather, broadcast, barrier) a segment is the ranks'
+// length-prefixed byte strings in rank order, and adjacent segments merge
+// by concatenation. Either way the root ends up holding the single
+// [0, world) segment, which is the result.
+//
+// Pooled buffers have one owner each. A segment that owns its buffer
+// (seg.own) is freed by whoever removes it from a chunk: the merge that
+// consumes it, the encode that ships it, or the collective's release.
+// The local deposit's full-length buffers belong to treeColl.local, and
+// the per-chunk segments cut from them are views that own nothing. An
+// encoded up payload belongs to its wireBuf, which counts the retransmit
+// set and every write in flight as holders; the last one to let go
+// returns it to the pool, so a finished collective can never recycle
+// bytes a socket write is still reading. Down payloads are unpooled.
 
-// treeSegBuf is one partial-sum segment of one chunk: the elementwise
-// canonical sum of ranks [lo, hi) over that chunk's slice. data is
-// returned to the float pool on release only when pooled (segments that
-// alias a full-payload buffer are freed with their owner instead).
-type treeSegBuf struct {
+// seg is one contiguous rank range's contribution to one chunk: f for the
+// sum ops, b for the concat ops.
+type seg struct {
 	lo, hi int
-	data   []float64
-	pooled bool
+	f      []float64
+	b      []byte
+	own    bool // f/b came from the mat pools and are this segment's to return
+}
+
+func (s seg) free() {
+	if s.own {
+		mat.PutFloats(s.f)
+		mat.PutBytes(s.b)
+	}
+}
+
+// view returns the non-owning part of s that belongs to the chunk covering
+// float elements [off, off+n); concat segments are never cut.
+func (s seg) view(off, n int) seg {
+	v := seg{lo: s.lo, hi: s.hi, b: s.b}
+	if s.f != nil {
+		v.f = s.f[off : off+n : off+n]
+	}
+	return v
+}
+
+// insertSeg adds s to segs (kept sorted by lo) and merges neighbours as far
+// as the op allows: partial sums only under the canonical rule, byte
+// strings whenever adjacent. The left operand's buffer accumulates the
+// result.
+func insertSeg(world int, sum bool, segs []seg, s seg) []seg {
+	pos := sort.Search(len(segs), func(i int) bool { return segs[i].lo > s.lo })
+	segs = append(segs, seg{})
+	copy(segs[pos+1:], segs[pos:])
+	segs[pos] = s
+	for i := 0; i+1 < len(segs); {
+		a, b := segs[i], segs[i+1]
+		if a.hi != b.lo || (sum && !dist.CanMergeSegments(world, a.lo, a.hi, b.hi)) {
+			i++
+			continue
+		}
+		m := seg{lo: a.lo, hi: b.hi, f: a.f, b: a.b, own: a.own}
+		if sum {
+			for j := range a.f {
+				a.f[j] += b.f[j]
+			}
+		} else {
+			// Grow in place while the left buffer is ours and has room (pool
+			// buckets are powers of two, so a run of merges copies each byte
+			// O(log) times, not once per merge).
+			if !a.own || cap(a.b)-len(a.b) < len(b.b) {
+				m.b, m.own = append(mat.GetBytes(len(a.b) + len(b.b))[:0], a.b...), true
+				a.free()
+			}
+			m.b = append(m.b, b.b...)
+		}
+		b.free()
+		segs[i] = m
+		segs = append(segs[:i+1], segs[i+2:]...)
+		if i > 0 {
+			i-- // the merged node may now be its left neighbour's sibling
+		}
+	}
+	return segs
+}
+
+// wireBuf is a pooled frame payload with more than one reader: the
+// retransmit set holds one reference for as long as the frame may be
+// re-sent, and every write takes its own before the engine lock is
+// dropped. The last release returns the buffer to the pool.
+type wireBuf struct {
+	b    []byte
+	refs atomic.Int32
+}
+
+func (w *wireBuf) retain() *wireBuf { w.refs.Add(1); return w }
+
+func (w *wireBuf) release() {
+	if w.refs.Add(-1) == 0 {
+		mat.PutBytes(w.b)
+	}
 }
 
 // treeChunk accumulates one chunk of one collective.
 type treeChunk struct {
-	segs []treeSegBuf    // sorted by lo, merged as far as canonical
+	segs []seg           // sorted by lo, merged as far as the op allows
 	from map[uint32]bool // children whose contribution arrived
 	sent bool            // up frame built (or, at the root, down built)
 }
 
-// treeColl is one in-flight collective on the tree.
+// treeColl is one in-flight collective.
 type treeColl struct {
-	op         byte
-	elems      int
-	nChunks    int
-	rows, cols int // result shape, known once the local deposit lands
-	haveLocal  bool
+	op        byte
+	elems     int
+	started   time.Time
+	haveLocal bool
+	local     []seg // the local deposit's full-length segments; chunks hold views
+	chunks    []treeChunk
 
-	chunks []*treeChunk
+	// down holds the per-chunk ftTreeDown payloads (forwarded to children
+	// and kept for retransmit service), data their data sections — the
+	// result handed to the local ranks.
+	down  [][]byte
+	data  [][]byte
+	downN int
 
-	// fullBufs are the local fold's whole-payload accumulation buffers;
-	// chunk segments alias into them, so they are released only when the
-	// collective retires.
-	fullBufs [][]float64
-
-	// down holds per-chunk encoded ftTreeDown payloads (for forwarding
-	// and retransmit service); downData/downPooled the decoded floats the
-	// result is assembled from.
-	down       [][]byte
-	downData   [][]float64
-	downPooled []bool
-	downN      int
-
-	// upFrames are this member's pending frames to its parent, re-sent
-	// every tick until delivery. Payloads are pooled.
-	upFrames  []Frame
-	delivered bool
+	// up is this member's pending frames to its parent, re-sent every tick
+	// until the collective is delivered.
+	up []*wireBuf
 }
 
 // release returns every pooled buffer the collective still owns.
 func (tc *treeColl) release() {
-	for _, ch := range tc.chunks {
-		for _, s := range ch.segs {
-			if s.pooled {
-				mat.PutFloats(s.data)
-			}
+	for i := range tc.chunks {
+		for _, s := range tc.chunks[i].segs {
+			s.free()
 		}
-		ch.segs = nil
+		tc.chunks[i].segs = nil
 	}
-	for _, b := range tc.fullBufs {
-		mat.PutFloats(b)
+	for _, s := range tc.local {
+		s.free()
 	}
-	tc.fullBufs = nil
-	for i, d := range tc.downData {
-		if tc.downPooled[i] {
-			mat.PutFloats(d)
-		}
-		tc.downData[i] = nil
+	tc.local = nil
+	for _, w := range tc.up {
+		w.release()
 	}
-	for _, f := range tc.upFrames {
-		mat.PutBytes(f.Payload)
-	}
-	tc.upFrames = nil
+	tc.up = nil
 }
 
 // treeEndpoint derives deterministic fault-injection endpoint ids for
-// tree-data writers, disjoint from the hub link's id*2 / id*2+1 space.
+// data-plane writers, disjoint from the control link's id*2 / id*2+1 space.
 func treeEndpoint(member uint32, towardChild bool) uint64 {
 	e := uint64(0x10000) + uint64(member)*2
 	if towardChild {
@@ -121,15 +195,25 @@ func treeEndpoint(member uint32, towardChild bool) uint64 {
 }
 
 // outFrame is a write staged under the engine lock and performed outside
-// it (TCP writes may block on backpressure).
+// it (TCP writes may block on backpressure). buf, when set, is the
+// reference this write holds on a pooled payload.
 type outFrame struct {
-	fw frameWriter
-	f  Frame
+	fw  frameWriter
+	f   Frame
+	buf *wireBuf
 }
 
-// treeEngine owns one process's tree-data listener, its parent and child
-// connections, and every in-flight tree collective. It is created once
-// per Proc and re-installed with fresh topology every generation.
+// maxTreeChunks bounds a collective's chunk count so a corrupted element
+// count cannot drive a huge allocation.
+const maxTreeChunks = 1 << 20
+
+// cacheLimit bounds the completed-collective cache; a child never lags a
+// completed collective by more than its in-flight window.
+const cacheLimit = 1024
+
+// treeEngine owns one process's data listener, its parent and child
+// connections, and every in-flight collective. It is created once per
+// Proc and re-installed with fresh topology every generation.
 type treeEngine struct {
 	p    *Proc
 	ln   net.Listener
@@ -139,11 +223,10 @@ type treeEngine struct {
 	closed bool
 
 	gen        uint32
-	active     bool
 	world      int
 	base       int
 	chunkElems int
-	parentAddr string
+	parentAddr string // "" at the root
 	children   map[uint32]bool
 
 	parentConn net.Conn
@@ -152,10 +235,9 @@ type treeEngine struct {
 	childConns map[uint32]net.Conn
 	childFWs   map[uint32]frameWriter
 
-	colls    map[uint64]*treeColl
-	cache    map[uint64][][]byte // completed ws → per-chunk down payloads
-	stopOnce sync.Once
-	stop     chan struct{}
+	colls map[uint64]*treeColl
+	cache map[uint64][][]byte // completed ws → per-chunk down payloads
+	stop  chan struct{}
 }
 
 func newTreeEngine(p *Proc, ln net.Listener) *treeEngine {
@@ -173,45 +255,48 @@ func newTreeEngine(p *Proc, ln net.Listener) *treeEngine {
 	return t
 }
 
-// install points the engine at a new generation's topology, tearing down
-// the previous generation's connections and in-flight state. A non-tree
-// start message leaves the engine idle for the generation.
-func (t *treeEngine) install(sm startMsg) {
-	t.mu.Lock()
+// dropConnsLocked (mu held) forgets every connection and open collective
+// and returns the connections for the caller to close outside the lock.
+func (t *treeEngine) dropConnsLocked() []net.Conn {
 	for _, tc := range t.colls {
 		tc.release()
 	}
 	t.colls = map[uint64]*treeColl{}
+	var conns []net.Conn
+	if t.parentConn != nil {
+		conns = append(conns, t.parentConn)
+	}
+	for _, cn := range t.childConns {
+		conns = append(conns, cn)
+	}
+	t.parentConn, t.parentFW = nil, nil
+	t.childConns = map[uint32]net.Conn{}
+	t.childFWs = map[uint32]frameWriter{}
+	return conns
+}
+
+// install points the engine at a new generation's topology, tearing down
+// the previous generation's connections and in-flight state.
+func (t *treeEngine) install(sm startMsg) {
+	t.mu.Lock()
+	old := t.dropConnsLocked()
 	t.cache = map[uint64][][]byte{}
 	t.gen = sm.Gen
-	t.active = sm.Topology == topoTree
 	t.world = int(sm.WorldSize)
 	t.base = int(sm.BaseRank)
 	t.chunkElems = int(sm.ChunkElems)
-	if t.chunkElems <= 0 {
-		t.chunkElems = t.p.cfg.ChunkElems
-	}
 	t.parentAddr = sm.TreeParent
 	t.children = make(map[uint32]bool, len(sm.TreeChildren))
 	for _, id := range sm.TreeChildren {
 		t.children[id] = true
 	}
-	oldParent := t.parentConn
-	t.parentConn, t.parentFW = nil, nil
-	oldChildren := t.childConns
-	t.childConns = map[uint32]net.Conn{}
-	t.childFWs = map[uint32]frameWriter{}
-	gen, active, addr := t.gen, t.active, t.parentAddr
 	t.mu.Unlock()
 
-	if oldParent != nil {
-		oldParent.Close()
-	}
-	for _, cn := range oldChildren {
+	for _, cn := range old {
 		cn.Close()
 	}
-	if active && addr != "" {
-		go t.dialParent(gen, addr)
+	if sm.TreeParent != "" {
+		go t.dialParent(sm.Gen, sm.TreeParent)
 	}
 }
 
@@ -222,24 +307,12 @@ func (t *treeEngine) close() {
 		return
 	}
 	t.closed = true
-	t.active = false
-	for _, tc := range t.colls {
-		tc.release()
-	}
-	t.colls = map[uint64]*treeColl{}
-	parent := t.parentConn
-	children := t.childConns
-	t.parentConn, t.parentFW = nil, nil
-	t.childConns = map[uint32]net.Conn{}
-	t.childFWs = map[uint32]frameWriter{}
+	conns := t.dropConnsLocked()
 	t.mu.Unlock()
 
-	t.stopOnce.Do(func() { close(t.stop) })
+	close(t.stop)
 	t.ln.Close()
-	if parent != nil {
-		parent.Close()
-	}
-	for _, cn := range children {
+	for _, cn := range conns {
 		cn.Close()
 	}
 }
@@ -248,21 +321,18 @@ func (t *treeEngine) close() {
 func (t *treeEngine) stale(gen uint32) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.closed || !t.active || t.gen != gen
+	return t.closed || t.gen != gen
 }
 
-func (t *treeEngine) write(fw frameWriter, f Frame) {
-	if fw == nil {
-		return
-	}
-	if err := fw.writeFrame(f); err == nil {
-		t.p.countBytes("tx", len(f.Payload))
-	}
-}
-
+// writeAll performs staged writes and drops the reference each held.
 func (t *treeEngine) writeAll(frames []outFrame) {
 	for _, of := range frames {
-		t.write(of.fw, of.f)
+		if of.fw != nil && of.fw.writeFrame(of.f) == nil {
+			t.p.countBytes("tx", len(of.f.Payload))
+		}
+		if of.buf != nil {
+			of.buf.release()
+		}
 	}
 }
 
@@ -303,7 +373,7 @@ func (t *treeEngine) serveChild(conn net.Conn) {
 				continue
 			}
 			t.mu.Lock()
-			if !t.closed && t.active && hm.Gen == t.gen && t.children[hm.MemberID] {
+			if !t.closed && hm.Gen == t.gen && t.children[hm.MemberID] {
 				if old := t.childConns[hm.MemberID]; old != nil && old != conn {
 					old.Close()
 				}
@@ -316,11 +386,9 @@ func (t *treeEngine) serveChild(conn net.Conn) {
 			if bound == 0 {
 				continue
 			}
-			um, err := decodeTreeUp(f.Payload)
-			if err != nil {
-				continue
+			if h, segs, err := decodeUp(f.Payload); err == nil {
+				t.handleUp(bound, f.Seq, h, segs)
 			}
-			t.handleUp(bound, f.Seq, um)
 		}
 	}
 }
@@ -339,7 +407,7 @@ func (t *treeEngine) dialParent(gen uint32, addr string) {
 		conn, err := net.DialTimeout("tcp", addr, t.p.cfg.DialBackoffMax)
 		if err == nil {
 			t.mu.Lock()
-			if t.closed || !t.active || t.gen != gen {
+			if t.closed || t.gen != gen {
 				t.mu.Unlock()
 				conn.Close()
 				return
@@ -350,11 +418,8 @@ func (t *treeEngine) dialParent(gen uint32, addr string) {
 			t.parentConn = conn
 			t.parentFW = wrapWriter(conn, t.p.cfg.Faults, treeEndpoint(t.p.link.id(), false))
 			frames := t.pendingUpLocked()
-			fw := t.parentFW
 			t.mu.Unlock()
-			for _, f := range frames {
-				t.write(fw, f)
-			}
+			t.writeAll(frames)
 			go t.readParent(gen, addr, conn)
 			return
 		}
@@ -372,16 +437,21 @@ func (t *treeEngine) dialParent(gen uint32, addr string) {
 	}
 }
 
-// pendingUpLocked snapshots the hello plus every pending up frame
-// (mu held) — the per-tick retransmit batch. The hello leads so an
-// unbound parent binds before folding.
-func (t *treeEngine) pendingUpLocked() []Frame {
-	frames := []Frame{{Type: ftTreeHello,
-		Payload: treeHelloMsg{Gen: t.gen, MemberID: t.p.link.id()}.encode()}}
+// upFrameLocked (mu held) stages one write of a pending up payload, taking
+// the reference the write will hold.
+func (t *treeEngine) upFrameLocked(ws uint64, w *wireBuf) outFrame {
+	return outFrame{fw: t.parentFW, f: Frame{Type: ftTreeUp, Seq: ws, Payload: w.b}, buf: w.retain()}
+}
+
+// pendingUpLocked stages the hello plus every pending up frame (mu held) —
+// the per-tick retransmit batch. The hello leads so an unbound parent
+// binds before folding.
+func (t *treeEngine) pendingUpLocked() []outFrame {
+	frames := []outFrame{{fw: t.parentFW, f: Frame{Type: ftTreeHello,
+		Payload: treeHelloMsg{Gen: t.gen, MemberID: t.p.link.id()}.encode()}}}
 	for ws, tc := range t.colls {
-		for _, f := range tc.upFrames {
-			f.Seq = ws
-			frames = append(frames, f)
+		for _, w := range tc.up {
+			frames = append(frames, t.upFrameLocked(ws, w))
 		}
 	}
 	return frames
@@ -407,14 +477,9 @@ func (t *treeEngine) readParent(gen uint32, addr string, conn net.Conn) {
 			return
 		}
 		t.p.countBytes("rx", len(f.Payload))
-		if f.Type != ftTreeDown {
-			continue
+		if f.Type == ftTreeDown {
+			t.handleDown(f.Seq, f.Payload)
 		}
-		dm, err := decodeTreeDown(f.Payload)
-		if err != nil {
-			continue
-		}
-		t.handleDown(f.Seq, dm, f.Payload)
 	}
 }
 
@@ -430,16 +495,16 @@ func (t *treeEngine) tickLoop() {
 		case <-tick.C:
 		}
 		t.mu.Lock()
-		if t.closed || !t.active || t.parentFW == nil {
-			t.mu.Unlock()
-			continue
+		var frames []outFrame
+		if !t.closed && t.parentFW != nil {
+			frames = t.pendingUpLocked()
 		}
-		fw := t.parentFW
-		frames := t.pendingUpLocked()
 		t.mu.Unlock()
-		for _, f := range frames {
-			t.write(fw, f)
+		if len(frames) > 1 {
+			telemetry.IncCounter(telemetry.MetricNetRetries, 1,
+				telemetry.Label{Key: "kind", Value: "retransmit"})
 		}
+		t.writeAll(frames)
 	}
 }
 
@@ -456,9 +521,11 @@ func chunkLen(elems, chunkElems, i int) int {
 	return hi - lo
 }
 
-// ensureLocked finds or creates the collective's state (mu held).
-// Returns nil on a shape disagreement with an existing entry (corrupt or
-// confused frame; dropping it is safe — retransmit re-offers it).
+// ensureLocked finds or creates the collective's state (mu held). It
+// returns nil when op or length disagree with what is already open under
+// this sequence number: some rank issued a different collective — the
+// moral equivalent of the in-process cluster's deadlock — and the caller
+// fails loudly.
 func (t *treeEngine) ensureLocked(ws uint64, op byte, elems int) *treeColl {
 	if tc := t.colls[ws]; tc != nil {
 		if tc.op != op || tc.elems != elems {
@@ -470,292 +537,187 @@ func (t *treeEngine) ensureLocked(ws uint64, op byte, elems int) *treeColl {
 	if elems > t.chunkElems {
 		nChunks = (elems + t.chunkElems - 1) / t.chunkElems
 	}
-	tc := &treeColl{
-		op: op, elems: elems, nChunks: nChunks,
-		chunks:     make([]*treeChunk, nChunks),
-		down:       make([][]byte, nChunks),
-		downData:   make([][]float64, nChunks),
-		downPooled: make([]bool, nChunks),
+	if nChunks > maxTreeChunks {
+		return nil
 	}
-	for i := range tc.chunks {
-		tc.chunks[i] = &treeChunk{from: map[uint32]bool{}}
+	tc := &treeColl{
+		op: op, elems: elems, started: time.Now(),
+		chunks: make([]treeChunk, nChunks),
+		down:   make([][]byte, nChunks),
+		data:   make([][]byte, nChunks),
 	}
 	t.colls[ws] = tc
 	return tc
 }
 
-// insertSegLocked adds a segment to a chunk in lo-order and re-merges
-// greedily under the canonical rule.
-func (t *treeEngine) insertSegLocked(ch *treeChunk, s treeSegBuf) {
-	pos := len(ch.segs)
-	for i, e := range ch.segs {
-		if s.lo < e.lo {
-			pos = i
-			break
-		}
-	}
-	ch.segs = append(ch.segs, treeSegBuf{})
-	copy(ch.segs[pos+1:], ch.segs[pos:])
-	ch.segs[pos] = s
-	for {
-		merged := false
-		for i := 0; i+1 < len(ch.segs); i++ {
-			a, b := ch.segs[i], ch.segs[i+1]
-			if a.hi != b.lo || !dist.CanMergeSegments(t.world, a.lo, a.hi, b.hi) {
-				continue
-			}
-			for j := range a.data {
-				a.data[j] += b.data[j]
-			}
-			if b.pooled {
-				mat.PutFloats(b.data)
-			}
-			ch.segs[i] = treeSegBuf{lo: a.lo, hi: b.hi, data: a.data, pooled: a.pooled}
-			ch.segs = append(ch.segs[:i+1], ch.segs[i+2:]...)
-			merged = true
-			break
-		}
-		if !merged {
-			return
-		}
-	}
+// part is one local rank's contribution to a collective: its values for a
+// sum op, its length-prefixed bytes otherwise. Both are pooled and belong
+// to the engine once submitted.
+type part struct {
+	f []float64
+	b []byte
 }
 
-// decodeMatVec decodes a matrix payload into (rows, cols, pooled vector).
-func decodeMatVec(p []byte) (rows, cols int, vec []float64, err error) {
-	r := &byteReader{b: p}
-	rw := r.u32()
-	cl := r.u32()
-	if r.err != nil {
-		return 0, 0, nil, r.err
-	}
-	if rw > maxWorldSize*64 || cl > maxWorldSize*64 {
-		return 0, 0, nil, ErrTruncatedMsg
-	}
-	raw := r.take(8 * int(rw) * int(cl))
-	if r.err != nil {
-		return 0, 0, nil, r.err
-	}
-	vec = mat.GetFloats(int(rw) * int(cl))
-	for i := range vec {
-		vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return int(rw), int(cl), vec, nil
-}
-
-// submit deposits this process's local contributions (the encoded
-// payloads of ranks base..base+nLocal) into the tree. Must be called
-// without p.mu held; it may complete the collective synchronously (the
-// single-member tree) and deliver through p.onResult.
-func (t *treeEngine) submit(ws uint64, op byte, parts [][]byte) {
-	// Decode every local rank's payload into a pooled full-length vector.
-	vecs := make([][]float64, len(parts))
-	rows, cols := 1, 1
-	for i, pb := range parts {
-		switch op {
-		case opAllReduce:
-			r, c, v, err := decodeMatVec(pb)
-			if err != nil {
-				t.p.abortLocal(fmt.Errorf("distnet: tree submit: corrupt local payload: %v", err))
-				return
-			}
-			rows, cols, vecs[i] = r, c, v
-		case opScalar:
-			v, err := decodeScalar(pb)
-			if err != nil {
-				t.p.abortLocal(fmt.Errorf("distnet: tree submit: corrupt local scalar: %v", err))
-				return
-			}
-			vecs[i] = mat.GetFloats(1)
-			vecs[i][0] = v
-		default:
-			t.p.abortLocal(fmt.Errorf("distnet: tree submit: unsupported op %s", opName(op)))
-			return
+// submit deposits this process's local contributions (ranks
+// base..base+len(parts)) into the tree. Must be called without p.mu
+// held; it may complete the collective synchronously (the single-member
+// tree) and deliver through p.onResult.
+func (t *treeEngine) submit(ws uint64, op byte, parts []part) {
+	sum := isSum(op)
+	elems := len(parts[0].f)
+	for _, pt := range parts {
+		if len(pt.f) != elems {
+			panic(fmt.Sprintf("distnet: local ranks disagree on %s length: %d vs %d", opName(op), len(pt.f), elems))
 		}
-	}
-	elems := rows * cols
-
-	// Fold the local ranks into canonical full-length segments in place.
-	segs := make([]treeSegBuf, len(vecs))
-	for i, v := range vecs {
-		segs[i] = treeSegBuf{lo: t.base + i, hi: t.base + i + 1, data: v}
 	}
 	t.mu.Lock()
-	world := t.world
-	for {
-		merged := false
-		for i := 0; i+1 < len(segs); i++ {
-			a, b := segs[i], segs[i+1]
-			if a.hi != b.lo || !dist.CanMergeSegments(world, a.lo, a.hi, b.hi) {
-				continue
-			}
-			for j := range a.data {
-				a.data[j] += b.data[j]
-			}
-			mat.PutFloats(b.data)
-			segs[i] = treeSegBuf{lo: a.lo, hi: b.hi, data: a.data}
-			segs = append(segs[:i+1], segs[i+2:]...)
-			merged = true
-			break
-		}
-		if !merged {
-			break
-		}
+	local := make([]seg, 0, len(parts))
+	for i, pt := range parts {
+		local = insertSeg(t.world, sum, local, seg{lo: t.base + i, hi: t.base + i + 1, f: pt.f, b: pt.b, own: true})
 	}
-
-	if t.closed || !t.active {
-		for _, s := range segs {
-			mat.PutFloats(s.data)
-		}
-		t.mu.Unlock()
-		return
+	var tc *treeColl
+	if !t.closed {
+		tc = t.ensureLocked(ws, op, elems)
 	}
-	tc := t.ensureLocked(ws, op, elems)
 	if tc == nil || tc.haveLocal {
-		for _, s := range segs {
-			mat.PutFloats(s.data)
-		}
+		disagree := tc == nil && !t.closed
 		t.mu.Unlock()
-		if tc == nil {
-			t.p.abortLocal(fmt.Errorf("distnet: tree submit: collective %d shape disagreement", ws))
+		for _, s := range local {
+			s.free()
+		}
+		if disagree {
+			t.p.abortLocal(fmt.Errorf("distnet: collective sequence mismatch at %d: local ranks issued %s of %d elements",
+				ws, opName(op), elems))
 		}
 		return
 	}
-	tc.haveLocal = true
-	tc.rows, tc.cols = rows, cols
-	for _, s := range segs {
-		tc.fullBufs = append(tc.fullBufs, s.data)
-	}
-	// Slice the full segments into per-chunk alias segments and merge
-	// with anything the children delivered early.
+	tc.haveLocal, tc.local = true, local
+	// Cut the full-length segments into per-chunk views and merge them with
+	// anything the children delivered early.
 	var out []outFrame
-	for i := 0; i < tc.nChunks; i++ {
-		off := i * t.chunkElems
-		cl := chunkLen(elems, t.chunkElems, i)
-		for _, s := range segs {
-			t.insertSegLocked(tc.chunks[i], treeSegBuf{
-				lo: s.lo, hi: s.hi, data: s.data[off : off+cl : off+cl]})
+	for i := range tc.chunks {
+		ch := &tc.chunks[i]
+		for _, s := range local {
+			ch.segs = insertSeg(t.world, sum, ch.segs, s.view(i*t.chunkElems, chunkLen(elems, t.chunkElems, i)))
 		}
 		out = append(out, t.finishChunkLocked(ws, tc, i)...)
 	}
-	res, deliver := t.deliverLocked(ws, tc)
+	res := t.deliverLocked(ws, tc)
 	t.mu.Unlock()
 
 	t.writeAll(out)
-	if deliver {
-		t.p.onResult(ws, collRes{Op: op, Result: res})
+	if res != nil {
+		t.p.onResult(ws, res)
 	}
 }
 
-// handleUp folds one child's chunk contribution (pooled segment buffers
-// whose ownership transfers here).
-func (t *treeEngine) handleUp(child uint32, ws uint64, um treeUpMsg) {
-	free := func() {
-		for _, s := range um.Segs {
-			mat.PutFloats(s.Data)
+// handleUp folds one child's chunk contribution; ownership of the
+// segments' buffers transfers here.
+func (t *treeEngine) handleUp(child uint32, ws uint64, h chunkHdr, segs []seg) {
+	drop := func() {
+		t.mu.Unlock()
+		for _, s := range segs {
+			s.free()
 		}
 	}
 	t.mu.Lock()
-	if t.closed || !t.active || um.Gen != t.gen {
-		t.mu.Unlock()
-		free()
+	if t.closed || h.Gen != t.gen {
+		drop()
 		return
 	}
 	// Completed collective: the child missed (some of) the result; serve
 	// the requested chunk's down frame from the cache.
 	if down, ok := t.cache[ws]; ok {
-		fw := t.childFWs[child]
-		var f *Frame
-		if int(um.Chunk) < len(down) {
-			f = &Frame{Type: ftTreeDown, Seq: ws, Payload: down[um.Chunk]}
+		var out []outFrame
+		if int(h.Chunk) < len(down) {
+			out = []outFrame{{fw: t.childFWs[child], f: Frame{Type: ftTreeDown, Seq: ws, Payload: down[h.Chunk]}}}
 		}
-		t.mu.Unlock()
-		free()
-		if f != nil {
-			t.write(fw, *f)
-		}
+		drop()
+		t.writeAll(out)
 		return
 	}
-	tc := t.ensureLocked(ws, um.Op, int(um.Elems))
-	if tc == nil || int(um.Chunk) >= tc.nChunks {
-		t.mu.Unlock()
-		free()
+	tc := t.ensureLocked(ws, h.Op, int(h.Elems))
+	if tc == nil {
+		drop()
+		t.p.abortLocal(fmt.Errorf("distnet: collective sequence mismatch at %d: member %d sent %s of %d elements",
+			ws, child, opName(h.Op), h.Elems))
 		return
 	}
-	ch := tc.chunks[um.Chunk]
+	if int(h.Chunk) >= len(tc.chunks) {
+		drop()
+		return
+	}
+	ch := &tc.chunks[h.Chunk]
 	if ch.from[child] || ch.sent {
-		t.mu.Unlock()
-		free()
+		drop()
 		return
 	}
-	cl := chunkLen(tc.elems, t.chunkElems, int(um.Chunk))
-	for _, s := range um.Segs {
-		if len(s.Data) != cl || int(s.Lo) >= int(s.Hi) || int(s.Hi) > t.world {
-			t.mu.Unlock()
-			free()
+	sum := isSum(h.Op)
+	cl := chunkLen(tc.elems, t.chunkElems, int(h.Chunk))
+	for _, s := range segs {
+		if s.lo >= s.hi || s.hi > t.world || (sum && len(s.f) != cl) {
+			drop()
 			return
 		}
 	}
-	ch.from[child] = true
-	for _, s := range um.Segs {
-		t.insertSegLocked(ch, treeSegBuf{lo: int(s.Lo), hi: int(s.Hi), data: s.Data, pooled: true})
+	if ch.from == nil {
+		ch.from = map[uint32]bool{}
 	}
-	out := t.finishChunkLocked(ws, tc, int(um.Chunk))
-	res, deliver := t.deliverLocked(ws, tc)
+	ch.from[child] = true
+	for _, s := range segs {
+		ch.segs = insertSeg(t.world, sum, ch.segs, s)
+	}
+	out := t.finishChunkLocked(ws, tc, int(h.Chunk))
+	res := t.deliverLocked(ws, tc)
 	t.mu.Unlock()
 
 	t.writeAll(out)
-	if deliver {
-		t.p.onResult(ws, collRes{Op: tc.op, Result: res})
+	if res != nil {
+		t.p.onResult(ws, res)
 	}
 }
 
 // finishChunkLocked advances a chunk whose inputs may now be complete
-// (mu held): when the local deposit and every child have contributed, an
-// interior member emits the chunk's up frame; the root builds and fans
+// (mu held): when the local deposit and every child have contributed, a
+// non-root member emits the chunk's up frame; the root builds and fans
 // out the chunk's down frame.
 func (t *treeEngine) finishChunkLocked(ws uint64, tc *treeColl, i int) []outFrame {
-	ch := tc.chunks[i]
+	ch := &tc.chunks[i]
 	if ch.sent || !tc.haveLocal || len(ch.from) != len(t.children) {
 		return nil
 	}
-	ch.sent = true
+	h := chunkHdr{Gen: t.gen, Op: tc.op, Chunk: uint32(i), Elems: uint32(tc.elems)}
+	var out []outFrame
 	if t.parentAddr != "" {
-		// Interior/leaf member: forward the merged segments upward and
-		// keep the frame for retransmit. The segment buffers are no longer
-		// needed once encoded (aliased ones live in fullBufs).
-		um := treeUpMsg{Gen: t.gen, Op: tc.op, Chunk: uint32(i),
-			NChunks: uint32(tc.nChunks), Elems: uint32(tc.elems)}
-		for _, s := range ch.segs {
-			um.Segs = append(um.Segs, treeSeg{Lo: uint32(s.lo), Hi: uint32(s.hi), Data: s.data})
+		// Forward the merged segments upward and keep the frame for
+		// retransmit; once encoded the segments are no longer needed.
+		w := &wireBuf{b: encodeUp(h, ch.segs)}
+		w.refs.Store(1)
+		tc.up = append(tc.up, w)
+		if t.parentFW != nil {
+			out = []outFrame{t.upFrameLocked(ws, w)}
 		}
-		f := Frame{Type: ftTreeUp, Seq: ws, Payload: um.encodePooled()}
-		for _, s := range ch.segs {
-			if s.pooled {
-				mat.PutFloats(s.data)
-			}
-		}
-		ch.segs = nil
-		tc.upFrames = append(tc.upFrames, f)
-		if t.parentFW == nil {
+	} else {
+		// Root: the chunk must have merged to the single [0, world) segment;
+		// anything else is corruption, left for the watchdog.
+		if len(ch.segs) != 1 || ch.segs[0].lo != 0 || ch.segs[0].hi != t.world {
 			return nil
 		}
-		return []outFrame{{fw: t.parentFW, f: f}}
+		raw := encodeDown(h, ch.segs[0])
+		out = t.recordDownLocked(ws, tc, i, raw, raw[chunkHdrLen+4:])
 	}
-	// Root: the chunk must have merged to the single [0, world) segment.
-	if len(ch.segs) != 1 || ch.segs[0].lo != 0 || ch.segs[0].hi != t.world {
-		// Impossible under the canonical tree; treat as corruption.
-		ch.sent = false
-		return nil
+	ch.sent = true
+	for _, s := range ch.segs {
+		s.free()
 	}
-	s := ch.segs[0]
 	ch.segs = nil
-	dm := treeDownMsg{Gen: t.gen, Op: tc.op, Chunk: uint32(i),
-		NChunks: uint32(tc.nChunks), Elems: uint32(tc.elems), Data: s.data}
-	raw := dm.encode()
-	tc.down[i] = raw
-	tc.downData[i] = s.data
-	tc.downPooled[i] = s.pooled
+	return out
+}
+
+// recordDownLocked (mu held) installs chunk i's down payload and stages
+// its forwarding to every bound child.
+func (t *treeEngine) recordDownLocked(ws uint64, tc *treeColl, i int, raw, data []byte) []outFrame {
+	tc.down[i], tc.data[i] = raw, data
 	tc.downN++
 	out := make([]outFrame, 0, len(t.childFWs))
 	for _, fw := range t.childFWs {
@@ -764,67 +726,40 @@ func (t *treeEngine) finishChunkLocked(ws uint64, tc *treeColl, i int) []outFram
 	return out
 }
 
-// handleDown installs one chunk of the finished reduction arriving from
+// handleDown installs one chunk of the finished collective arriving from
 // the parent: record it, forward it to the children, and deliver once
-// every chunk (and the local deposit) is in. raw is the frame's payload,
-// reused verbatim for forwarding and retransmit service.
-func (t *treeEngine) handleDown(ws uint64, dm treeDownMsg, raw []byte) {
+// every chunk is in. raw is the frame's payload, reused verbatim for
+// forwarding and retransmit service.
+func (t *treeEngine) handleDown(ws uint64, raw []byte) {
+	h, data, err := decodeDown(raw)
+	if err != nil {
+		return
+	}
 	t.mu.Lock()
-	if t.closed || !t.active || dm.Gen != t.gen {
-		t.mu.Unlock()
-		mat.PutFloats(dm.Data)
-		return
-	}
 	tc := t.colls[ws]
-	if tc == nil || tc.delivered || int(dm.Chunk) >= tc.nChunks || tc.down[dm.Chunk] != nil {
+	if t.closed || h.Gen != t.gen || tc == nil || h.Op != tc.op ||
+		int(h.Chunk) >= len(tc.chunks) || tc.down[h.Chunk] != nil ||
+		(isSum(h.Op) && len(data) != 8*chunkLen(tc.elems, t.chunkElems, int(h.Chunk))) {
 		t.mu.Unlock()
-		mat.PutFloats(dm.Data)
 		return
 	}
-	if len(dm.Data) != chunkLen(tc.elems, t.chunkElems, int(dm.Chunk)) {
-		t.mu.Unlock()
-		mat.PutFloats(dm.Data)
-		return
-	}
-	tc.down[dm.Chunk] = raw
-	tc.downData[dm.Chunk] = dm.Data
-	tc.downPooled[dm.Chunk] = true
-	tc.downN++
-	out := make([]outFrame, 0, len(t.childFWs))
-	for _, fw := range t.childFWs {
-		out = append(out, outFrame{fw: fw, f: Frame{Type: ftTreeDown, Seq: ws, Payload: raw}})
-	}
-	res, deliver := t.deliverLocked(ws, tc)
+	out := t.recordDownLocked(ws, tc, int(h.Chunk), raw, data)
+	res := t.deliverLocked(ws, tc)
 	t.mu.Unlock()
 
 	t.writeAll(out)
-	if deliver {
-		t.p.onResult(ws, collRes{Op: tc.op, Result: res})
+	if res != nil {
+		t.p.onResult(ws, res)
 	}
 }
 
-// deliverLocked assembles and retires a completed collective (mu held).
-// The encoded result is returned for delivery outside the lock; the
-// collective's down payloads move to the bounded completed-cache so
-// lagging children can still be served.
-func (t *treeEngine) deliverLocked(ws uint64, tc *treeColl) ([]byte, bool) {
-	if tc.delivered || !tc.haveLocal || tc.downN != tc.nChunks {
-		return nil, false
-	}
-	tc.delivered = true
-	var res []byte
-	switch tc.op {
-	case opScalar:
-		res = encodeScalar(tc.downData[0][0])
-	default: // opAllReduce
-		res = make([]byte, 0, 8+8*tc.elems)
-		res = binary.LittleEndian.AppendUint32(res, uint32(tc.rows))
-		res = binary.LittleEndian.AppendUint32(res, uint32(tc.cols))
-		for _, d := range tc.downData {
-			for _, v := range d {
-				res = binary.LittleEndian.AppendUint64(res, math.Float64bits(v))
-			}
-		}
+// deliverLocked retires a completed collective (mu held) and returns its
+// result — the chunks' data sections, for delivery outside the lock — or
+// nil while chunks are outstanding. The down payloads move to the bounded
+// completed-cache so lagging children can still be served.
+func (t *treeEngine) deliverLocked(ws uint64, tc *treeColl) [][]byte {
+	if !tc.haveLocal || tc.downN != len(tc.chunks) {
+		return nil
 	}
 	if len(t.children) > 0 {
 		t.cache[ws] = tc.down
@@ -838,5 +773,39 @@ func (t *treeEngine) deliverLocked(ws uint64, tc *treeColl) ([]byte, bool) {
 	}
 	tc.release()
 	delete(t.colls, ws)
-	return res, true
+	return tc.data
+}
+
+// waitingOn answers the coordinator's two questions about the collectives
+// it no longer sees: which direct contributors — child member ids, plus
+// this member's own id for the local deposit — does some collective that
+// has been open for at least age still lack, and what is that collective.
+// ok is false when this engine is not generation gen's root and so cannot
+// know.
+func (t *treeEngine) waitingOn(gen uint32, age time.Duration) (missing map[uint32]bool, op byte, ok bool) {
+	self := t.p.link.id()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed || t.gen != gen || t.parentAddr != "" {
+		return nil, 0, false
+	}
+	missing = map[uint32]bool{}
+	now := time.Now()
+	for _, tc := range t.colls {
+		if now.Sub(tc.started) < age {
+			continue
+		}
+		op = tc.op
+		if !tc.haveLocal {
+			missing[self] = true
+		}
+		for i := range tc.chunks {
+			for id := range t.children {
+				if !tc.chunks[i].sent && !tc.chunks[i].from[id] {
+					missing[id] = true
+				}
+			}
+		}
+	}
+	return missing, op, true
 }

@@ -3,28 +3,21 @@ package distnet
 import (
 	"math"
 	"runtime/debug"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/mat"
 )
 
-// mergeHarness simulates the tree's distributed fold without sockets: a
-// bare engine whose chunk state is fed per-rank singleton segments in an
-// arbitrary order. It is how the purity and confluence properties are
-// checked against the canonical reference fold.
-func mergeHarness(world, chunkElems int) *treeEngine {
-	return &treeEngine{world: world, chunkElems: chunkElems}
-}
-
-// reassemble folds per-rank vectors through the chunked segment-merge
-// machinery, inserting chunk segments in the arrival order given by perm
-// (a permutation of rank indices), and returns the reassembled full
-// vector. It fails the test if any chunk does not converge to the single
-// [0, world) segment.
+// reassemble folds per-rank vectors through the engine's chunked
+// segment-merge step without sockets, inserting each chunk's per-rank
+// singleton segments in the arrival order given by perm (a permutation of
+// rank indices), and returns the reassembled full vector. It fails the
+// test if any chunk does not converge to the single [0, world) segment.
 func reassemble(t testing.TB, world, chunkElems int, vecs [][]float64, perm []int) []float64 {
 	t.Helper()
-	eng := mergeHarness(world, chunkElems)
 	elems := len(vecs[0])
 	nChunks := 1
 	if elems > chunkElems {
@@ -34,16 +27,15 @@ func reassemble(t testing.TB, world, chunkElems int, vecs [][]float64, perm []in
 	for ci := 0; ci < nChunks; ci++ {
 		lo := ci * chunkElems
 		hi := lo + chunkLen(elems, chunkElems, ci)
-		ch := &treeChunk{from: map[uint32]bool{}}
+		var segs []seg
 		for _, r := range perm {
-			seg := append([]float64(nil), vecs[r][lo:hi]...)
-			eng.insertSegLocked(ch, treeSegBuf{lo: r, hi: r + 1, data: seg})
+			segs = insertSeg(world, true, segs, seg{lo: r, hi: r + 1, f: append([]float64(nil), vecs[r][lo:hi]...)})
 		}
-		if len(ch.segs) != 1 || ch.segs[0].lo != 0 || ch.segs[0].hi != world {
+		if len(segs) != 1 || segs[0].lo != 0 || segs[0].hi != world {
 			t.Fatalf("world=%d chunk=%d: %d segments remain (want single [0,%d))",
-				world, ci, len(ch.segs), world)
+				world, ci, len(segs), world)
 		}
-		copy(out[lo:hi], ch.segs[0].data)
+		copy(out[lo:hi], segs[0].f)
 	}
 	return out
 }
@@ -249,4 +241,52 @@ func FuzzChunkReassembly(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestTreeRetransmitOwnsItsFrames pins the engine's ownership rule for
+// pooled up payloads: the retransmit tick stages its writes under the lock
+// and performs them after unlocking, so a collective that finishes in
+// between must not hand the payload back to the pool — the next collective
+// (same shape, so the same pool bucket) would encode into bytes a socket
+// write is still reading. A 3 ms tick, many small collectives and
+// drop/dup/delay faults (a delayed write sits on its staged payloads
+// before reading them) make that interleaving certain; the race detector
+// is the assertion, parity the sanity check.
+func TestTreeRetransmitOwnsItsFrames(t *testing.T) {
+	cfg := testConfig(3)
+	cfg.Topology = TopologyTree
+	cfg.RetransmitEvery = 3 * time.Millisecond
+	cfg.Faults = &SocketFaultPlan{Seed: 3, DropProb: 0.2, DupProb: 0.2, DelayProb: 0.3, Delay: 2 * time.Millisecond}
+	procs := startCluster(t, cfg, 1, 1, 1)
+
+	iters := 100
+	if raceEnabled {
+		iters = 800 // 400 on an engine without the rule trip the detector 9 runs in 10
+	}
+	fn := func(c dist.Comm) []uint64 {
+		var out []uint64
+		m := mat.NewDense(8, 8)
+		for it := 0; it < iters; it++ {
+			for i := range m.Data() {
+				m.Data()[i] = float64(c.ID()*1000+it) + float64(i)/7
+			}
+			out = append(out, math.Float64bits(c.AllReduceMat(m).Data()[it%64]))
+		}
+		return out
+	}
+	got := make([][]uint64, 3)
+	var wg sync.WaitGroup
+	for _, p := range procs {
+		wg.Add(1)
+		go func(p *Proc) {
+			defer wg.Done()
+			for _, err := range p.Run(func(c dist.Comm) { got[c.ID()] = fn(c) }) {
+				t.Errorf("worker error: %v", err)
+			}
+		}(p)
+	}
+	wg.Wait()
+	want := make([][]uint64, 3)
+	dist.NewCluster(3).Run(func(w *dist.Worker) { want[w.Rank] = fn(w) })
+	compareTraces(t, "retransmit-stress", got, want)
 }

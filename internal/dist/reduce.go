@@ -5,7 +5,7 @@ import "repro/internal/mat"
 // This file defines THE canonical summation order for every sum-style
 // collective in the repository. Float addition is non-associative, so
 // bit-parity between the in-process Cluster, the async scheduler comm,
-// and the multi-process TCP transport (hub and tree topologies alike)
+// and the multi-process TCP transport (whatever its tree's shape)
 // requires a single fixed bracketing that every implementation realizes
 // exactly. The canonical order is a pairwise tree over global ranks
 // [0, world): a node covering the contiguous rank range [lo, hi) splits
@@ -16,7 +16,7 @@ import "repro/internal/mat"
 // changes the bracketing: addition is elementwise, so splitting the
 // vector into chunks only reorders independent additions.
 //
-// The tree transport exploits the recursive structure: a subtree of
+// The TCP transport exploits the recursive structure: a subtree of
 // members can merge two partial sums tagged [a, b) and [b, c) exactly
 // when [a, c) is a canonical node split at b (see CanMergeSegments).
 // Greedy merging of adjacent mergeable segments is confluent — each
@@ -99,26 +99,6 @@ func canonicalSumDense(parts []*mat.Dense, lo, hi int) *mat.Dense {
 	right := canonicalSumDense(parts, mid, hi)
 	left.AddMat(right)
 	return left
-}
-
-// CanonicalReduceInPlace folds parts (owned scratch, indexed by rank) in
-// the canonical order and returns the matrix holding the total — always
-// parts[0]. The other parts' contents are scratch afterwards.
-func CanonicalReduceInPlace(parts []*mat.Dense) *mat.Dense {
-	if len(parts) == 0 {
-		panic("dist: CanonicalReduceInPlace with no parts")
-	}
-	return canonicalSumInPlace(parts, 0, len(parts))
-}
-
-func canonicalSumInPlace(parts []*mat.Dense, lo, hi int) *mat.Dense {
-	if hi-lo == 1 {
-		return parts[lo]
-	}
-	mid := ReduceSplit(lo, hi)
-	left := canonicalSumInPlace(parts, lo, mid)
-	right := canonicalSumInPlace(parts, mid, hi)
-	return left.AddMat(right)
 }
 
 // CanonicalReduceScalar returns the canonical pairwise-tree sum of the

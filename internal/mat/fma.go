@@ -4,38 +4,21 @@ import (
 	"math"
 	"os"
 	"sync/atomic"
-	"time"
 )
 
-// fmaKernels selects the math.FMA-based kernels. On hardware without fused
-// multiply-add the stdlib falls back to a very slow software path, and even
-// with the instruction present some microarchitectures (and VMs) sustain
-// fewer fused ops per cycle than separate mul+add streams. Neither the
-// build tags nor cpu-feature flags settle that, so the choice is made by
-// timing the two real micro-kernels once at package init.
-//
-// The choice changes numerics: fused multiply-add rounds once where
-// mul+add rounds twice, so the two kernel families produce results that
-// differ in the last ulp. A single process is internally consistent either
-// way, but processes that must agree bit-for-bit (the multi-process
-// transport's ranks) cannot each trust their own timing race — the
-// coordinator's choice is authoritative and is propagated to every member
-// through the generation-start handshake via SetFMAKernels. The HYLO_FMA
-// environment variable (0/1) overrides the calibration for deterministic
-// runs.
+// fmaKernels selects the math.FMA-based kernels. The family is part of a
+// run's numerical identity: fused multiply-add rounds once where mul+add
+// rounds twice, so the two families differ in the last ulp. The default is
+// mul+add on every machine and in every process — a restarted daemon or a
+// second cluster member computes the same bits as the first without being
+// told to; HYLO_FMA=1 opts a process into the fused family. Processes that
+// must agree bit-for-bit but may have been started with different
+// environments (the multi-process transport's ranks) take the
+// coordinator's family through the generation-start handshake via
+// SetFMAKernels.
 var fmaKernels atomic.Bool
 
-func init() { fmaKernels.Store(initialFMA()) }
-
-func initialFMA() bool {
-	switch os.Getenv("HYLO_FMA") {
-	case "0":
-		return false
-	case "1":
-		return true
-	}
-	return fmaIsFast()
-}
+func init() { fmaKernels.Store(os.Getenv("HYLO_FMA") == "1") }
 
 // fmaEnabled reports whether the fused-multiply-add kernel family is
 // active. An atomic load so the transport may conform the profile while
@@ -48,52 +31,12 @@ func fmaEnabled() bool { return fmaKernels.Load() }
 // profile — distributed ranks must agree on it for bit-identical results.
 func FMAKernels() bool { return fmaEnabled() }
 
-// SetFMAKernels selects the kernel family, overriding the init-time
-// calibration. The multi-process transport calls this when a generation
+// SetFMAKernels selects the kernel family, overriding the environment's
+// choice. The multi-process transport calls this when a generation
 // starts so every rank computes with the coordinator's kernels; results
 // of concurrent in-flight kernels are unspecified, so callers should
 // conform the profile at a compute quiescent point (rendezvous).
 func SetFMAKernels(on bool) { fmaKernels.Store(on) }
-
-// fmaIsFast races microKernel2x4FMA against microKernel2x4 on packed panels
-// of a realistic depth. Timing the actual kernels (independent accumulator
-// lanes + streaming loads) rather than a serial reduction matters: a
-// dependency chain hides throughput differences, and throughput is what the
-// GEMM inner loop runs at. mul+add is the safe default; FMA must win by a
-// clear margin (>10%) to be selected.
-func fmaIsFast() bool {
-	const k, reps, trials = 512, 64, 3
-	ap := make([]float64, gemmMR*k)
-	bp := make([]float64, gemmNR*k)
-	for i := range ap {
-		ap[i] = 1.0 + float64(i%7)*0.01
-	}
-	for i := range bp {
-		bp[i] = 1.0 - float64(i%5)*0.01
-	}
-	out := NewDense(gemmMR, gemmNR)
-	run := func(kern func(*Dense, []float64, []float64, int, int, int, int, int)) time.Duration {
-		best := time.Duration(math.MaxInt64)
-		for t := 0; t < trials; t++ {
-			t0 := time.Now()
-			for r := 0; r < reps; r++ {
-				kern(out, ap, bp, k, 0, 0, gemmMR, gemmNR)
-			}
-			if d := time.Since(t0); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	run(microKernel2x4FMA) // warm up (first math.FMA call may fault in the fallback path)
-	tFMA := run(microKernel2x4FMA)
-	tMul := run(microKernel2x4)
-	// Keep the result observable so the kernel calls cannot be folded away.
-	if math.IsNaN(out.data[0]) {
-		return false
-	}
-	return tFMA*10 < tMul*9
-}
 
 // dotFMA is Dot with fused multiply-adds (same 4-lane association order).
 func dotFMA(x, y []float64) float64 {

@@ -368,8 +368,8 @@ func packA(ap []float64, a *Dense, transA bool, i0, rows, pc, kc int) {
 // panels: mr·nr independent accumulators carried in registers across the
 // whole k loop, two unit-stride input streams, then a masked store of the
 // valid rows/cols (panels are zero-padded, so the accumulation itself is
-// unconditional). Dispatches to the fused-multiply-add variant when the
-// init-time calibration found hardware FMA.
+// unconditional). Dispatches to the fused-multiply-add variant when that
+// kernel family is selected (see fmaKernels).
 func microKernel(out *Dense, ap, bp []float64, k, i0, j0, rows, cols int) {
 	if fmaEnabled() {
 		microKernel2x4FMA(out, ap, bp, k, i0, j0, rows, cols)

@@ -240,7 +240,7 @@ func TestRandomizedIDIntoSteadyStateAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(10, func() {
 			p, s, _ = RandomizedIDInto(p, s, rng, q, 8, 6, kind)
 		})
-		if allocs > 4 {
+		if allocs > 4 && !raceEnabled {
 			t.Fatalf("kind %d: %v allocs/op in steady state; want <= 4", kind, allocs)
 		}
 	}

@@ -96,37 +96,41 @@ func decodeCRCLine(line []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// writeJobRecord persists the submission record atomically: staged in a
-// temp file in the same directory, synced, and renamed into place, so a
-// reader can never observe a torn record.
+// writeFileAtomic publishes data at path so that a reader can never
+// observe a torn file and the bytes survive a crash the instant it
+// returns: staged in a temp file in the same directory, synced, and
+// renamed into place.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-"+filepath.Base(path)+"-*")
+	if err != nil {
+		return fmt.Errorf("runner: stage %s: %w", path, err)
+	}
+	tmpName := tmp.Name()
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmpName, path)
+	}
+	if err != nil {
+		os.Remove(tmpName)
+		return fmt.Errorf("runner: publish %s: %w", path, err)
+	}
+	return nil
+}
+
+// writeJobRecord persists the submission record as one checksummed line,
+// atomically.
 func writeJobRecord(dir string, rec jobRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("runner: encode job record: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".tmp-job-*")
-	if err != nil {
-		return fmt.Errorf("runner: stage job record: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	if _, err := tmp.Write(encodeCRCLine(payload)); err != nil {
-		cleanup()
-		return fmt.Errorf("runner: write job record: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("runner: sync job record: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("runner: close job record: %w", err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(dir, jobRecordFile)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("runner: publish job record: %w", err)
-	}
-	return nil
+	return writeFileAtomic(filepath.Join(dir, jobRecordFile), encodeCRCLine(payload))
 }
 
 // readJobRecord loads and verifies a job.json. Any framing, checksum, or

@@ -549,12 +549,13 @@ func (r *Runner) Cancel(id string) error {
 		return httperror.Conflict(fmt.Sprintf("job %s is already %s", id, st))
 	case j.state == api.StateQueued:
 		// The dispatcher discards cancelled jobs it pops; no token was
-		// held, so the transition is immediate.
+		// held, so the cancellation is immediate — journalled and logged
+		// before the transition publishes it, as in finish.
 		j.userCancelled = true
-		j.transitionLocked(api.StateCancelled)
 		j.appendJournalLocked(journalEntry{State: api.StateCancelled, Event: "cancelled"})
 		j.logEventLocked(telemetryLine{Event: "cancelled", State: string(api.StateCancelled)})
 		j.closeLogsLocked()
+		j.transitionLocked(api.StateCancelled)
 		j.mu.Unlock()
 	default: // running
 		// Mark the cancel as user-initiated so a preemption racing with it
@@ -598,19 +599,35 @@ func (r *Runner) dispatch() {
 
 func (r *Runner) runJob(j *Job, tenant string) {
 	defer r.wg.Done()
-	defer func() { <-r.slots }()
-	defer r.q.Done(tenant)
 	r.dispatched.Add(1)
-	defer r.dispatched.Add(-1)
+	// release gives back everything this dispatch holds — the pool token,
+	// the tenant's active share, the dispatch slot. It runs before the
+	// job's next state (terminal, or queued again after a preemption) is
+	// published, so whoever observes that state also observes the capacity
+	// returned; the deferred call covers the paths that publish nothing.
+	token := false
+	var once sync.Once
+	release := func() {
+		once.Do(func() {
+			if token {
+				r.cfg.Pool.Release(1)
+			}
+			r.dispatched.Add(-1)
+			r.q.Done(tenant)
+			<-r.slots
+		})
+	}
+	defer release()
 
 	// One token per running job, shared with nested stage/GEMM
 	// parallelism: this acquire is what makes N concurrent jobs respect
 	// the process-wide core budget. Cancellation aborts the wait.
 	if !r.cfg.Pool.Acquire(j.Context().Done()) {
+		release()
 		j.finish(api.StateCancelled, nil, nil)
 		return
 	}
-	defer r.cfg.Pool.Release(1)
+	token = true
 
 	j.mu.Lock()
 	if err := j.transitionLocked(api.StateRunning); err != nil {
@@ -642,6 +659,7 @@ func (r *Runner) runJob(j *Job, tenant string) {
 	default:
 		state = api.StateFailed
 	}
+	release()
 	if state == api.StateCancelled && r.requeuePreempted(j) {
 		if telemetry.Enabled() {
 			lbl := telemetry.Label{Key: "state", Value: "preempted"}
@@ -744,39 +762,38 @@ func isCancelled(err error) bool {
 	return errors.Is(err, train.ErrCancelled) || errors.Is(err, context.Canceled)
 }
 
-// finish drives the job to its terminal state, persists the result
-// artifact, logs the final telemetry line, and closes the log. Safe to
-// call when the job is already terminal (the queued-cancel race).
+// finish drives the job to its terminal state. The order is the contract:
+// the result artifact is made durable first, "finished" is journalled only
+// after it, and the state transition — which is what makes the outcome
+// observable to Done, State and the API — comes last, so nobody who sees a
+// terminal job can find its side effects still pending. Callers release
+// the job's tokens and slot before calling (see runJob). Safe to call when
+// the job is already terminal (the queued-cancel race).
 func (j *Job) finish(state api.State, result *api.Result, err error) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		j.mu.Unlock()
 		return
 	}
-	j.transitionLocked(state)
 	if err != nil {
 		j.errMsg = err.Error()
 	}
 	if result != nil && (state == api.StateDone || state == api.StateCancelled) {
 		j.result = result
-	}
-	j.appendJournalLocked(journalEntry{State: state, Event: "finished", Error: j.errMsg})
-	line := telemetryLine{Event: "finished", State: string(state), Error: j.errMsg}
-	j.logEventLocked(line)
-	j.closeLogsLocked()
-	resPath := j.arts.Result
-	var resCopy *api.Result
-	if j.result != nil {
-		c := *j.result
-		resCopy = &c
-	}
-	j.mu.Unlock()
-
-	if resCopy != nil {
-		if b, err := json.MarshalIndent(resCopy, "", "  "); err == nil {
-			os.WriteFile(resPath, append(b, '\n'), 0o644)
+		b, werr := json.MarshalIndent(result, "", "  ")
+		if werr == nil {
+			werr = writeFileAtomic(j.arts.Result, append(b, '\n'))
+		}
+		if werr != nil {
+			// Artifact loss must never fail the job; the in-memory result
+			// still serves the API until the daemon restarts.
+			j.logEventLocked(telemetryLine{Event: "result_lost", Error: werr.Error()})
 		}
 	}
+	j.appendJournalLocked(journalEntry{State: state, Event: "finished", Error: j.errMsg})
+	j.logEventLocked(telemetryLine{Event: "finished", State: string(state), Error: j.errMsg})
+	j.closeLogsLocked()
+	j.transitionLocked(state)
 }
 
 // Shutdown stops admission, cancels every non-terminal job (running jobs

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -34,6 +35,15 @@ func newTestServer(t testing.TB, qcfg queue.Config, exec runner.ExecFunc) (*http
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Drain the runner before TempDir is removed: several tests return with
+	// a job still parked in a stub executor and release it in a defer, and a
+	// job that finishes after its test returned writes artifacts into a
+	// directory that is being deleted.
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		r.Shutdown(ctx)
+	})
 	ts := httptest.NewServer(serve.New(r))
 	t.Cleanup(ts.Close)
 	return ts, r
@@ -426,6 +436,15 @@ func newOneSlotServer(t testing.TB) (*httptest.Server, *runner.Runner) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Drain the runner before TempDir is removed: several tests return with
+	// a job still parked in a stub executor and release it in a defer, and a
+	// job that finishes after its test returned writes artifacts into a
+	// directory that is being deleted.
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		r.Shutdown(ctx)
+	})
 	ts := httptest.NewServer(serve.New(r))
 	t.Cleanup(ts.Close)
 	return ts, r
