@@ -79,6 +79,8 @@ fuzzsmoke:
 	$(GO) test ./internal/mat/ -run '^$$' -fuzz '^FuzzInterpolativeDecomp$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mat/ -run '^$$' -fuzz '^FuzzCholeskySolve$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mat/ -run '^$$' -fuzz '^FuzzRandomizedID$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mat/ -run '^$$' -fuzz '^FuzzGemmKernel$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mat/ -run '^$$' -fuzz '^FuzzAxpy$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist/net/ -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist/net/ -run '^$$' -fuzz '^FuzzChunkReassembly$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/runner/ -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME)

@@ -14,19 +14,20 @@ const parallelThreshold = 64 * 64 * 64
 
 // Register-blocking parameters of the packed kernel: the micro-kernel
 // computes an mr×nr block of the output with mr·nr independent
-// accumulators, reading A panels packed mr-interleaved and B panels packed
-// nr-interleaved so the inner loop is two unit-stride streams. 2×4 keeps
-// the 8 accumulators plus 6 operands inside the 16 amd64 vector registers;
-// larger tiles spill and run slower in pure Go.
+// accumulators, reading B panels packed nr-interleaved and A either packed
+// mr-interleaved or in place through (row stride, column stride). 4×8 is the
+// AVX2 tile — eight YMM accumulators, one B row as two vector loads, four A
+// broadcasts; the pure-Go reference walks the same tile as 2×4 sub-tiles,
+// whose 8 accumulators plus 6 operands fit the 16 scalar registers.
 const (
-	gemmMR = 2
-	gemmNR = 4
+	gemmMR = 4
+	gemmNR = 8
 	// gemmClaimPanels is the number of mr-row panels a worker claims per
 	// atomic fetch-add when stealing work.
-	gemmClaimPanels = 16
+	gemmClaimPanels = 8
 	// Cache-blocking factors: the packed B block is kc×nc ≤ 1 MiB so it
 	// stays resident in a typical ≥2 MiB L2 across the whole m sweep, and
-	// each packed A panel (mr×kc = 8 KiB) streams through L1.
+	// each A panel (mr×kc = 16 KiB) streams through L1.
 	gemmKC = 512
 	gemmNC = 256
 )
@@ -117,12 +118,11 @@ func checkNoAlias(op string, dst *Dense, srcs ...*Dense) {
 // gemm computes out = op(a) * op(b) where op optionally transposes.
 //
 // Large products take the packed path: operand panels are copied into
-// pooled, contiguous mr-/nr-interleaved buffers (for the transposed
-// variants this replaces the full transpose copy the old kernel made) and
-// a 4×4 register-blocked micro-kernel runs over row panels of the output,
-// distributed across GOMAXPROCS workers by atomic work-stealing. Small
-// products fall back to unpacked ikj-style loops that also need no
-// transpose copies.
+// pooled, contiguous mr-/nr-interleaved buffers (no transpose is ever
+// materialized) and the mr×nr register-blocked micro-kernel runs over row
+// panels of the output, distributed across GOMAXPROCS workers by atomic
+// work-stealing. Small products fall back to unpacked ikj-style loops that
+// also need no transpose copies.
 func gemm(out, a, b *Dense, transA, transB bool) {
 	ar, ac := a.rows, a.cols
 	if transA {
@@ -203,13 +203,11 @@ func gemmSmall(out, a, b *Dense, transA, transB bool, m, k, n int) {
 // gemmPacked is the blocked kernel, organized as the classic three-level
 // GotoBLAS loop nest: for each nc-wide column block and kc-deep slice of k,
 // op(b) is packed once into nr-interleaved panels (an L2-resident block),
-// then workers claim mr-row panels of the output by atomic work-stealing,
-// pack the matching mr×kc slice of op(a) into a per-worker buffer, and
-// sweep the micro-kernel across the column panels, accumulating into out.
-// The k-slices are processed in a fixed sequential order, so the result is
-// deterministic regardless of how workers interleave.
+// then workers claim mr-row panels of the output by atomic work-stealing
+// and sweep the micro-kernel across the column panels. The first k-slice
+// overwrites out and the rest accumulate into it in a fixed sequential
+// order, so the result is deterministic regardless of how workers interleave.
 func gemmPacked(out, a, b *Dense, transA, transB bool, m, k, n int) {
-	out.Zero()
 	bp := getFloatsRaw(gemmKC * ((gemmNC + gemmNR - 1) / gemmNR) * gemmNR)
 	mpanels := (m + gemmMR - 1) / gemmMR
 	nw := runtime.GOMAXPROCS(0)
@@ -275,18 +273,27 @@ func gemmPacked(out, a, b *Dense, transA, transB bool, m, k, n int) {
 	PutFloats(bp)
 }
 
-// gemmSweep runs the packed micro-kernel over output row panels [lo, hi)
-// for one (pc, jc) cache block: each mr-row slice of op(a) is packed into
-// ap, then swept across the nr-wide packed-B panels.
+// gemmSweep runs the micro-kernel over output row panels [lo, hi) for one
+// (pc, jc) cache block, sweeping each mr-row slice of op(a) across the
+// nr-wide packed-B panels. A full panel of a non-transposed a is read where
+// it lies — a conv GEMM's 8..32 output columns would use a packed copy for
+// one to four tiles; transposed a (a gather per k step) and zero-padded edge
+// panels are packed into ap.
 func gemmSweep(out, a *Dense, transA bool, ap, bp []float64, lo, hi, m, pc, kc, jc, nc int) {
+	fma, first := fmaEnabled(), pc == 0
 	npanels := (nc + gemmNR - 1) / gemmNR
 	for ip := lo; ip < hi; ip++ {
 		i0 := ip * gemmMR
 		rows := min(gemmMR, m-i0)
-		packA(ap, a, transA, i0, rows, pc, kc)
+		pa, rs, cs := ap, 1, gemmMR
+		if !transA && rows == gemmMR {
+			pa, rs, cs = a.data[i0*a.cols+pc:], a.cols, 1
+		} else {
+			packA(ap, a, transA, i0, rows, pc, kc)
+		}
 		for jp := 0; jp < npanels; jp++ {
 			j0 := jp * gemmNR
-			microKernel(out, ap, bp[jp*kc*gemmNR:(jp+1)*kc*gemmNR],
+			microTile(out, fma, first, pa, rs, cs, bp[jp*kc*gemmNR:(jp+1)*kc*gemmNR],
 				kc, i0, jc+j0, rows, min(gemmNR, nc-j0))
 		}
 	}
@@ -333,103 +340,103 @@ func packB(bp []float64, b *Dense, transB bool, pc, kc, jc, nc int) {
 // mr-interleaved: ap[p*mr + ii] = op(a)[i0+ii, pc+p], zero-padded to mr
 // rows.
 func packA(ap []float64, a *Dense, transA bool, i0, rows, pc, kc int) {
+	if rows < gemmMR {
+		clear(ap[:kc*gemmMR])
+	}
 	if !transA {
 		for ii := 0; ii < rows; ii++ {
 			src := a.data[(i0+ii)*a.cols+pc : (i0+ii)*a.cols+pc+kc]
-			for p := 0; p < kc; p++ {
-				ap[p*gemmMR+ii] = src[p]
+			for p, v := range src {
+				ap[p*gemmMR+ii] = v
 			}
 		}
-	} else {
-		// op(a)[i, p] = a[p, i]: gather mr adjacent columns per row p.
-		for p := 0; p < kc; p++ {
-			src := a.data[(pc+p)*a.cols+i0 : (pc+p)*a.cols+i0+rows]
-			dst := ap[p*gemmMR : p*gemmMR+gemmMR]
-			copy(dst, src)
-		}
-		if rows < gemmMR {
-			for p := 0; p < kc; p++ {
-				for ii := rows; ii < gemmMR; ii++ {
-					ap[p*gemmMR+ii] = 0
-				}
-			}
-		}
-	}
-	if !transA && rows < gemmMR {
-		for p := 0; p < kc; p++ {
-			for ii := rows; ii < gemmMR; ii++ {
-				ap[p*gemmMR+ii] = 0
-			}
-		}
-	}
-}
-
-// microKernel computes the mr×nr output block at (i0, j0) from packed
-// panels: mr·nr independent accumulators carried in registers across the
-// whole k loop, two unit-stride input streams, then a masked store of the
-// valid rows/cols (panels are zero-padded, so the accumulation itself is
-// unconditional). Dispatches to the fused-multiply-add variant when that
-// kernel family is selected (see fmaKernels).
-func microKernel(out *Dense, ap, bp []float64, k, i0, j0, rows, cols int) {
-	if fmaEnabled() {
-		microKernel2x4FMA(out, ap, bp, k, i0, j0, rows, cols)
 		return
 	}
-	microKernel2x4(out, ap, bp, k, i0, j0, rows, cols)
-}
-
-func microKernel2x4(out *Dense, ap, bp []float64, k, i0, j0, rows, cols int) {
-	var c00, c01, c02, c03 float64
-	var c10, c11, c12, c13 float64
-	ia, ib := 0, 0
-	for p := 0; p < k; p++ {
-		a0, a1 := ap[ia], ap[ia+1]
-		b0, b1, b2, b3 := bp[ib], bp[ib+1], bp[ib+2], bp[ib+3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		ia += gemmMR
-		ib += gemmNR
+	// op(a)[i, p] = a[p, i]: mr adjacent columns per row p.
+	for p := 0; p < kc; p++ {
+		src := a.data[(pc+p)*a.cols+i0 : (pc+p)*a.cols+i0+rows]
+		dst := ap[p*gemmMR : p*gemmMR+gemmMR]
+		if rows == gemmMR {
+			dst[0], dst[1], dst[2], dst[3] = src[0], src[1], src[2], src[3]
+			continue
+		}
+		copy(dst, src)
 	}
-	storeMicroTile(out, i0, j0, rows, cols,
-		[gemmMR][gemmNR]float64{{c00, c01, c02, c03}, {c10, c11, c12, c13}})
 }
 
-func microKernel2x4FMA(out *Dense, ap, bp []float64, k, i0, j0, rows, cols int) {
-	var c00, c01, c02, c03 float64
-	var c10, c11, c12, c13 float64
-	ia, ib := 0, 0
-	for p := 0; p < k; p++ {
-		a0, a1 := ap[ia], ap[ia+1]
-		b0, b1, b2, b3 := bp[ib], bp[ib+1], bp[ib+2], bp[ib+3]
-		c00 = math.FMA(a0, b0, c00)
-		c01 = math.FMA(a0, b1, c01)
-		c02 = math.FMA(a0, b2, c02)
-		c03 = math.FMA(a0, b3, c03)
-		c10 = math.FMA(a1, b0, c10)
-		c11 = math.FMA(a1, b1, c11)
-		c12 = math.FMA(a1, b2, c12)
-		c13 = math.FMA(a1, b3, c13)
-		ia += gemmMR
-		ib += gemmNR
+// microTile computes the mr×nr output block at (i0, j0) for one k-slice.
+// The contract is per element: an accumulator starts at +0, takes
+// op(a)[i,p]*op(b)[p,j] for p ascending with one product and one sum
+// rounding (or one fused rounding in the FMA family), and is then added as
+// out + acc, with out read as +0 on the first slice (not a plain
+// assignment: a fused sum of underflowing products can be -0). Element
+// (i, p) of the a panel is a[i*rs+p*cs]; bp is zero-padded to nr columns and
+// a packed edge panel to mr rows, so only the store is masked. The assembly
+// writes full tiles straight into out and edge tiles through a stack tile.
+func microTile(out *Dense, fma, first bool, a []float64, rs, cs int, bp []float64, kc, i0, j0, rows, cols int) {
+	if useAsm && rows == gemmMR && cols == gemmNR {
+		kernel4x8(fma, first, kc, &a[0], rs, cs, &bp[0], &out.data[i0*out.cols+j0], out.cols)
+		return
 	}
-	storeMicroTile(out, i0, j0, rows, cols,
-		[gemmMR][gemmNR]float64{{c00, c01, c02, c03}, {c10, c11, c12, c13}})
-}
-
-// storeMicroTile accumulates the register tile into out (masked to the
-// valid rows/cols). Accumulating rather than assigning lets gemmPacked
-// split k into cache-sized slices; out is zeroed once up front.
-func storeMicroTile(out *Dense, i0, j0, rows, cols int, acc [gemmMR][gemmNR]float64) {
+	var acc [gemmMR][gemmNR]float64
+	if useAsm {
+		kernel4x8(fma, true, kc, &a[0], rs, cs, &bp[0], &acc[0][0], gemmNR)
+	} else {
+		kernelRef(&acc, fma, kc, a, rs, cs, bp)
+	}
 	for ii := 0; ii < rows; ii++ {
-		orow := out.data[(i0+ii)*out.cols+j0:]
-		for jj := 0; jj < cols; jj++ {
+		orow := out.data[(i0+ii)*out.cols+j0:][:cols]
+		if first {
+			clear(orow)
+		}
+		for jj := range orow {
 			orow[jj] += acc[ii][jj]
+		}
+	}
+}
+
+// kernelRef is the pure-Go micro-kernel: the fallback where there is no
+// assembly and the oracle the assembly is tested against. It walks the
+// mr×nr tile as 2×4 sub-tiles so the accumulators stay in registers. The
+// explicit float64 conversion keeps the compiler from fusing the mul+add
+// family's product and sum (as it does on arm64 and under GOAMD64=v3).
+func kernelRef(acc *[gemmMR][gemmNR]float64, fma bool, kc int, a []float64, rs, cs int, bp []float64) {
+	for i := 0; i < gemmMR; i += 2 {
+		for j := 0; j < gemmNR; j += 4 {
+			var c00, c01, c02, c03 float64
+			var c10, c11, c12, c13 float64
+			ia, ib := i*rs, j
+			if fma {
+				for p := 0; p < kc; p++ {
+					a0, a1 := a[ia], a[ia+rs]
+					b0, b1, b2, b3 := bp[ib], bp[ib+1], bp[ib+2], bp[ib+3]
+					c00 = math.FMA(a0, b0, c00)
+					c01 = math.FMA(a0, b1, c01)
+					c02 = math.FMA(a0, b2, c02)
+					c03 = math.FMA(a0, b3, c03)
+					c10 = math.FMA(a1, b0, c10)
+					c11 = math.FMA(a1, b1, c11)
+					c12 = math.FMA(a1, b2, c12)
+					c13 = math.FMA(a1, b3, c13)
+					ia, ib = ia+cs, ib+gemmNR
+				}
+			} else {
+				for p := 0; p < kc; p++ {
+					a0, a1 := a[ia], a[ia+rs]
+					b0, b1, b2, b3 := bp[ib], bp[ib+1], bp[ib+2], bp[ib+3]
+					c00 += float64(a0 * b0)
+					c01 += float64(a0 * b1)
+					c02 += float64(a0 * b2)
+					c03 += float64(a0 * b3)
+					c10 += float64(a1 * b0)
+					c11 += float64(a1 * b1)
+					c12 += float64(a1 * b2)
+					c13 += float64(a1 * b3)
+					ia, ib = ia+cs, ib+gemmNR
+				}
+			}
+			acc[i][j], acc[i][j+1], acc[i][j+2], acc[i][j+3] = c00, c01, c02, c03
+			acc[i+1][j], acc[i+1][j+1], acc[i+1][j+2], acc[i+1][j+3] = c10, c11, c12, c13
 		}
 	}
 }
@@ -452,23 +459,30 @@ func gemmRows(out, a, b *Dense, lo, hi int) {
 	}
 }
 
-// axpy computes dst += s*src with 4-way unrolling (fused multiply-adds
-// when the hardware has them).
+// axpy computes dst += s*src with one product and one sum rounding per
+// element (one fused rounding in the FMA family); the AVX2 routine and the
+// 4-way unrolled Go loops round identically. The explicit conversion keeps
+// the compiler from fusing the mul+add family, as in kernelRef.
 func axpy(dst, src []float64, s float64) {
-	if fmaEnabled() {
+	src = src[:len(dst)]
+	switch fma := fmaEnabled(); {
+	case useAsm:
+		axpyAVX2(fma, dst, src, s)
+		return
+	case fma:
 		axpyFMA(dst, src, s)
 		return
 	}
 	n := len(dst)
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		dst[i] += s * src[i]
-		dst[i+1] += s * src[i+1]
-		dst[i+2] += s * src[i+2]
-		dst[i+3] += s * src[i+3]
+		dst[i] += float64(s * src[i])
+		dst[i+1] += float64(s * src[i+1])
+		dst[i+2] += float64(s * src[i+2])
+		dst[i+3] += float64(s * src[i+3])
 	}
 	for ; i < n; i++ {
-		dst[i] += s * src[i]
+		dst[i] += float64(s * src[i])
 	}
 }
 

@@ -1,0 +1,191 @@
+//go:build !purego
+
+#include "textflag.h"
+
+// AVX2 implementations of the two kernel families (see kernel_amd64.go).
+// Every element follows the scalar reference's rounding sequence exactly:
+// VMULPD then VADDPD rounds twice like Go's c += a*b, VFMADD231PD rounds
+// once like math.FMA; lanes run across independent elements, never across
+// the k sum.
+
+// One k step of the 4×8 tile: B row p in Y8:Y9, the four A values broadcast
+// one at a time into Y10, accumulators Y0..Y7 (row i in Y(2i):Y(2i+1)).
+// KSTEP ends on DECQ CX so the JNZ after it closes the k loop.
+#define ROW_MULADD(abcast, lo, hi) \
+	VBROADCASTSD abcast, Y10;  \
+	VMULPD       Y8, Y10, Y11; \
+	VMULPD       Y9, Y10, Y12; \
+	VADDPD       Y11, lo, lo;  \
+	VADDPD       Y12, hi, hi
+
+#define ROW_FMA(abcast, lo, hi) \
+	VBROADCASTSD abcast, Y10; \
+	VFMADD231PD  Y8, Y10, lo; \
+	VFMADD231PD  Y9, Y10, hi
+
+#define KSTEP(ROW) \
+	VMOVUPD (DI), Y8;         \
+	VMOVUPD 32(DI), Y9;       \
+	ROW((SI), Y0, Y1);        \
+	ROW((SI)(R8*1), Y2, Y3);  \
+	ROW((SI)(R8*2), Y4, Y5);  \
+	ROW((SI)(R10*1), Y6, Y7); \
+	ADDQ    R9, SI;           \
+	ADDQ    $64, DI;          \
+	DECQ    CX
+
+// func kernel4x8(fma, assign bool, kc int, a *float64, rs, cs int, b, c *float64, ldc int)
+//
+// acc[i][j] = Σ_p a[i*rs+p*cs] * b[p*8+j] for p ascending from +0, then
+// c[i*ldc+j] = 0 + acc (assign) or c[i*ldc+j] + acc. kc ≥ 1.
+TEXT ·kernel4x8(SB), NOSPLIT, $0-64
+	MOVQ   kc+8(FP), CX
+	MOVQ   a+16(FP), SI
+	MOVQ   rs+24(FP), R8
+	MOVQ   cs+32(FP), R9
+	MOVQ   b+40(FP), DI
+	SHLQ   $3, R8
+	SHLQ   $3, R9
+	LEAQ   (R8)(R8*2), R10
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	CMPB   fma+0(FP), $0
+	JNE    kfma
+
+kmuladd:
+	KSTEP(ROW_MULADD)
+	JNZ kmuladd
+	JMP store
+
+kfma:
+	KSTEP(ROW_FMA)
+	JNZ kfma
+
+store:
+	MOVQ c+48(FP), DX
+	MOVQ ldc+56(FP), BX
+	SHLQ $3, BX
+	LEAQ (DX)(BX*1), R11
+	LEAQ (DX)(BX*2), R12
+	LEAQ (R11)(BX*2), R13
+	CMPB assign+1(FP), $0
+	JNE  assign
+	VADDPD (DX), Y0, Y0
+	VADDPD 32(DX), Y1, Y1
+	VADDPD (R11), Y2, Y2
+	VADDPD 32(R11), Y3, Y3
+	VADDPD (R12), Y4, Y4
+	VADDPD 32(R12), Y5, Y5
+	VADDPD (R13), Y6, Y6
+	VADDPD 32(R13), Y7, Y7
+	JMP  write
+
+assign:
+	// 0 + acc, not acc: a fused sum of underflowing products can be -0.
+	VXORPD Y8, Y8, Y8
+	VADDPD Y8, Y0, Y0
+	VADDPD Y8, Y1, Y1
+	VADDPD Y8, Y2, Y2
+	VADDPD Y8, Y3, Y3
+	VADDPD Y8, Y4, Y4
+	VADDPD Y8, Y5, Y5
+	VADDPD Y8, Y6, Y6
+	VADDPD Y8, Y7, Y7
+
+write:
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, (R11)
+	VMOVUPD Y3, 32(R11)
+	VMOVUPD Y4, (R12)
+	VMOVUPD Y5, 32(R12)
+	VMOVUPD Y6, (R13)
+	VMOVUPD Y7, 32(R13)
+	VZEROUPPER
+	RET
+
+// func axpyAVX2(fma bool, dst, src []float64, s float64)
+//
+// dst[i] += s*src[i] for i < len(dst); the caller guarantees
+// len(src) ≥ len(dst).
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-64
+	MOVQ         dst_base+8(FP), DI
+	MOVQ         dst_len+16(FP), CX
+	MOVQ         src_base+32(FP), SI
+	VBROADCASTSD s+56(FP), Y0
+	CMPB         fma+0(FP), $0
+	JNE          afma
+
+amuladd4:
+	SUBQ    $4, CX
+	JLT     amuladd1
+	VMULPD  (SI), Y0, Y1
+	VADDPD  (DI), Y1, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	JMP     amuladd4
+
+amuladd1:
+	ADDQ $4, CX
+
+amuladdtail:
+	JZ     adone
+	VMULSD (SI), X0, X1
+	VADDSD (DI), X1, X1
+	VMOVSD X1, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    amuladdtail
+
+afma:
+	SUBQ        $4, CX
+	JLT         afma1
+	VMOVUPD     (DI), Y1
+	VFMADD231PD (SI), Y0, Y1
+	VMOVUPD     Y1, (DI)
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	JMP         afma
+
+afma1:
+	ADDQ $4, CX
+
+afmatail:
+	JZ          adone
+	VMOVSD      (DI), X1
+	VFMADD231SD (SI), X0, X1
+	VMOVSD      X1, (DI)
+	ADDQ        $8, SI
+	ADDQ        $8, DI
+	DECQ        CX
+	JMP         afmatail
+
+adone:
+	VZEROUPPER
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv0() (eax uint32)
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	RET

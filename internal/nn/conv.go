@@ -102,14 +102,13 @@ func (c *Conv2d) Forward(x *mat.Dense, train bool) *mat.Dense {
 
 	c.xbar = mat.EnsureDense(c.xbar, m*tt, c.dIn)
 	xbar := c.xbar
-	parallelSamples(m, func(i int, cols []float64) {
-		c.shape.Im2col(x.Row(i), cols)
+	parallelSamples(m, func(i int, _ []float64) {
+		rows := xbar.Data()[i*tt*c.dIn : (i+1)*tt*c.dIn]
+		c.shape.Im2colStride(x.Row(i), rows, c.dIn)
 		for p := 0; p < tt; p++ {
-			row := xbar.Row(i*tt + p)
-			copy(row, cols[p*pl:(p+1)*pl])
-			row[pl] = 1
+			rows[p*c.dIn+pl] = 1
 		}
-	}, tt*pl)
+	}, 0)
 
 	c.ys = mat.EnsureDense(c.ys, m*tt, c.OutC)
 	ys := mat.MulInto(c.ys, xbar, c.wc.W) // (m·T) × OutC, parallel GEMM

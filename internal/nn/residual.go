@@ -13,6 +13,7 @@ type Residual struct {
 
 	bodyLayers []Layer
 	in, out    Shape
+	y          *mat.Dense // identity-skip output, reused across steps
 }
 
 // NewResidual wraps layers in a residual block.
@@ -50,7 +51,9 @@ func (r *Residual) Forward(x *mat.Dense, train bool) *mat.Dense {
 	if r.Proj != nil {
 		return y.AddMat(r.Proj.Forward(x, train))
 	}
-	return y.Clone().AddMat(x)
+	r.y = mat.EnsureDense(r.y, y.Rows(), y.Cols())
+	r.y.CopyFrom(y)
+	return r.y.AddMat(x)
 }
 
 // Backward implements Layer.

@@ -83,16 +83,27 @@ func (s ConvShape) PatchLen() int { return s.InC * s.KH * s.KW }
 // field; this is the X̄ = im2col(X) operation of Sec. IV. dst must have
 // length OutH*OutW*PatchLen.
 func (s ConvShape) Im2col(x []float64, dst []float64) {
+	if len(dst) != s.OutH()*s.OutW()*s.PatchLen() {
+		panic("tensor: Im2col dst length mismatch")
+	}
+	s.Im2colStride(x, dst, s.PatchLen())
+}
+
+// Im2colStride is Im2col into rows ld ≥ PatchLen apart: row r occupies
+// dst[r*ld : r*ld+PatchLen] and the ld-PatchLen values after it are left
+// untouched, so a caller can unfold straight into a wider matrix (the conv
+// layer's [X̄, 1]).
+func (s ConvShape) Im2colStride(x []float64, dst []float64, ld int) {
 	oh, ow, pl := s.OutH(), s.OutW(), s.PatchLen()
 	if len(x) != s.InC*s.InH*s.InW {
 		panic("tensor: Im2col input length mismatch")
 	}
-	if len(dst) != oh*ow*pl {
+	if ld < pl || len(dst) < (oh*ow-1)*ld+pl {
 		panic("tensor: Im2col dst length mismatch")
 	}
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
-			row := dst[(oy*ow+ox)*pl : (oy*ow+ox+1)*pl]
+			row := dst[(oy*ow+ox)*ld : (oy*ow+ox)*ld+pl]
 			idx := 0
 			for c := 0; c < s.InC; c++ {
 				chBase := c * s.InH * s.InW

@@ -102,6 +102,36 @@ func TestIm2colPadding(t *testing.T) {
 	}
 }
 
+// TestIm2colStride checks the strided unfold against Im2col: the same rows
+// ld apart, and the gap after each row left as the caller had it.
+func TestIm2colStride(t *testing.T) {
+	s := ConvShape{InC: 2, InH: 4, InW: 3, OutC: 1, KH: 3, KW: 2, Stride: 1, Pad: 1}
+	x := make([]float64, s.InC*s.InH*s.InW)
+	for i := range x {
+		x[i] = float64(i + 1)
+	}
+	rows, pl := s.OutH()*s.OutW(), s.PatchLen()
+	want := make([]float64, rows*pl)
+	s.Im2col(x, want)
+	ld := pl + 2
+	got := make([]float64, rows*ld)
+	for i := range got {
+		got[i] = -7
+	}
+	s.Im2colStride(x, got[:(rows-1)*ld+pl], ld)
+	for r := 0; r < rows; r++ {
+		for j := 0; j < ld; j++ {
+			w := -7.0
+			if j < pl {
+				w = want[r*pl+j]
+			}
+			if got[r*ld+j] != w {
+				t.Fatalf("row %d col %d = %v; want %v", r, j, got[r*ld+j], w)
+			}
+		}
+	}
+}
+
 // TestCol2imAdjoint verifies that Col2im is the exact adjoint of Im2col:
 // <Im2col(x), c> = <x, Col2im(c)> for all x, c. This is the property that
 // makes the conv backward pass correct.
