@@ -34,10 +34,18 @@ func NewDense(rows, cols int) *Dense {
 
 // NewDenseData wraps data (row-major, length rows*cols) without copying.
 func NewDenseData(rows, cols int, data []float64) *Dense {
+	return new(Dense).Wrap(rows, cols, data)
+}
+
+// Wrap is NewDenseData into an existing header: it re-points m at data and
+// returns m, so a view that moves — one strip of a larger matrix after
+// another — costs no allocation per move. m must not be a pooled matrix.
+func (m *Dense) Wrap(rows, cols int, data []float64) *Dense {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("mat: data length %d != %d*%d", len(data), rows, cols))
 	}
-	return &Dense{rows: rows, cols: cols, data: data}
+	m.rows, m.cols, m.data = rows, cols, data
+	return m
 }
 
 // FromRows builds a matrix from a slice of equal-length rows.

@@ -69,7 +69,7 @@ func MulInto(dst, a, b *Dense) *Dense {
 		panic("mat: MulInto destination dimension mismatch")
 	}
 	checkNoAlias("MulInto", dst, a, b)
-	gemm(dst, a, b, false, false)
+	gemm(dst, a, b, false, false, a.rows, false)
 	return dst
 }
 
@@ -83,7 +83,7 @@ func MulTAInto(dst, a, b *Dense) *Dense {
 		panic("mat: MulTAInto destination dimension mismatch")
 	}
 	checkNoAlias("MulTAInto", dst, a, b)
-	gemm(dst, a, b, true, false)
+	gemm(dst, a, b, true, false, a.rows, false)
 	return dst
 }
 
@@ -97,7 +97,46 @@ func MulTBInto(dst, a, b *Dense) *Dense {
 		panic("mat: MulTBInto destination dimension mismatch")
 	}
 	checkNoAlias("MulTBInto", dst, a, b)
-	gemm(dst, a, b, false, true)
+	gemm(dst, a, b, false, true, a.rows, false)
+	return dst
+}
+
+// StripRows is the strip height MulStripInto is built around: the packed
+// kernel's k-slice depth, so aᵀb accumulated over consecutive StripRows-row
+// strips adds exactly the slices the one-shot product adds, in their order.
+const StripRows = gemmKC
+
+// MulStripInto computes what one strip of consecutive rows of a larger
+// matrix contributes to a product, bit for bit as the product over the whole
+// matrix computes it. a is the strip and rows the whole matrix's row count:
+// the packed and the small kernels round differently, and the choice
+// between them is made from rows, not from the strip's height.
+//
+//	!transA: dst = a*op(b), the strip's rows of the whole result.
+//	transA:  dst = aᵀ*b — with acc, dst += aᵀ*b — where b is the same strip
+//	         of its own whole. Fed every strip in order, StripRows rows each,
+//	         acc on all but the first, dst ends as the one-shot product.
+//
+// dst must not alias a or b.
+func MulStripInto(dst, a, b *Dense, transA, transB bool, rows int, acc bool) *Dense {
+	dr, dc := a.rows, b.cols
+	if transA {
+		dr = a.cols
+	}
+	if transB {
+		dc = b.rows
+	}
+	if dst.rows != dr || dst.cols != dc {
+		panic("mat: MulStripInto destination dimension mismatch")
+	}
+	if rows < a.rows {
+		panic("mat: MulStripInto strip is taller than its whole")
+	}
+	if acc && !transA {
+		panic("mat: MulStripInto accumulates k-strips of aᵀb only")
+	}
+	checkNoAlias("MulStripInto", dst, a, b)
+	gemm(dst, a, b, transA, transB, rows, acc)
 	return dst
 }
 
@@ -122,8 +161,10 @@ func checkNoAlias(op string, dst *Dense, srcs ...*Dense) {
 // materialized) and the mr×nr register-blocked micro-kernel runs over row
 // panels of the output, distributed across GOMAXPROCS workers by atomic
 // work-stealing. Small products fall back to unpacked ikj-style loops that
-// also need no transpose copies.
-func gemm(out, a, b *Dense, transA, transB bool) {
+// also need no transpose copies. a may be a strip of a matrix of `rows` rows
+// (MulStripInto): the path is the one the whole product takes, and with acc
+// the result is added to out.
+func gemm(out, a, b *Dense, transA, transB bool, rows int, acc bool) {
 	ar, ac := a.rows, a.cols
 	if transA {
 		ar, ac = ac, ar
@@ -140,28 +181,37 @@ func gemm(out, a, b *Dense, transA, transB bool) {
 		return
 	}
 	if k == 0 {
-		out.Zero()
+		if !acc {
+			out.Zero()
+		}
 		return
 	}
-	if m*n*k < parallelThreshold || m == 1 || n == 1 {
-		gemmSmall(out, a, b, transA, transB, m, k, n)
+	wm, wk := rows, k
+	if transA {
+		wm, wk = m, rows
+	}
+	if wm*n*wk < parallelThreshold || wm == 1 || n == 1 {
+		gemmSmall(out, a, b, transA, transB, m, k, n, acc)
 		return
 	}
-	gemmPacked(out, a, b, transA, transB, m, k, n)
+	gemmPacked(out, a, b, transA, transB, m, k, n, acc)
 }
 
 // gemmSmall handles shapes where packing overhead dominates, with loop
 // orders chosen per transpose case so every inner loop is unit-stride on
-// the untransposed operands — no transpose is ever materialized.
-func gemmSmall(out, a, b *Dense, transA, transB bool, m, k, n int) {
+// the untransposed operands — no transpose is ever materialized. With acc
+// the sums over k carry on into out instead of starting from zero (a*bᵀ,
+// whose dots are complete before they reach out, is never asked to).
+func gemmSmall(out, a, b *Dense, transA, transB bool, m, k, n int, acc bool) {
+	if !acc && (transA || !transB) {
+		out.Zero()
+	}
 	switch {
 	case !transA && !transB:
-		out.Zero()
 		gemmRows(out, a, b, 0, m)
 	case transA && !transB:
 		// out = aᵀb: rank-1 accumulation; row p of a holds column values
 		// a[p, i] = op(a)[i, p], so out.Row(i) += a[p,i] * b.Row(p).
-		out.Zero()
 		for p := 0; p < a.rows; p++ {
 			arow := a.data[p*a.cols : (p+1)*a.cols]
 			brow := b.data[p*b.cols : (p+1)*b.cols]
@@ -182,7 +232,6 @@ func gemmSmall(out, a, b *Dense, transA, transB bool, m, k, n int) {
 			}
 		}
 	default: // transA && transB
-		out.Zero()
 		// out[i,j] += a[p,i]*b[j,p]: keep b's row access unit-stride.
 		for j := 0; j < n; j++ {
 			brow := b.data[j*b.cols : (j+1)*b.cols]
@@ -207,7 +256,8 @@ func gemmSmall(out, a, b *Dense, transA, transB bool, m, k, n int) {
 // and sweep the micro-kernel across the column panels. The first k-slice
 // overwrites out and the rest accumulate into it in a fixed sequential
 // order, so the result is deterministic regardless of how workers interleave.
-func gemmPacked(out, a, b *Dense, transA, transB bool, m, k, n int) {
+// With acc the first slice accumulates too: out holds the earlier strips.
+func gemmPacked(out, a, b *Dense, transA, transB bool, m, k, n int, acc bool) {
 	bp := getFloatsRaw(gemmKC * ((gemmNC + gemmNR - 1) / gemmNR) * gemmNR)
 	mpanels := (m + gemmMR - 1) / gemmMR
 	nw := runtime.GOMAXPROCS(0)
@@ -235,7 +285,7 @@ func gemmPacked(out, a, b *Dense, transA, transB bool, m, k, n int) {
 			for pc := 0; pc < k; pc += gemmKC {
 				kc := min(gemmKC, k-pc)
 				packB(bp, b, transB, pc, kc, jc, nc)
-				gemmSweep(out, a, transA, ap, bp, 0, mpanels, m, pc, kc, jc, nc)
+				gemmSweep(out, a, transA, ap, bp, 0, mpanels, m, pc, kc, jc, nc, pc == 0 && !acc)
 			}
 		}
 		PutFloats(ap)
@@ -262,7 +312,7 @@ func gemmPacked(out, a, b *Dense, transA, transB bool, m, k, n int) {
 							break
 						}
 						hi := min(lo+gemmClaimPanels, mpanels)
-						gemmSweep(out, a, transA, ap, bp, lo, hi, m, pc, kc, jc, nc)
+						gemmSweep(out, a, transA, ap, bp, lo, hi, m, pc, kc, jc, nc, pc == 0 && !acc)
 					}
 					PutFloats(ap)
 				}()
@@ -279,8 +329,8 @@ func gemmPacked(out, a, b *Dense, transA, transB bool, m, k, n int) {
 // it lies — a conv GEMM's 8..32 output columns would use a packed copy for
 // one to four tiles; transposed a (a gather per k step) and zero-padded edge
 // panels are packed into ap.
-func gemmSweep(out, a *Dense, transA bool, ap, bp []float64, lo, hi, m, pc, kc, jc, nc int) {
-	fma, first := fmaEnabled(), pc == 0
+func gemmSweep(out, a *Dense, transA bool, ap, bp []float64, lo, hi, m, pc, kc, jc, nc int, first bool) {
+	fma := fmaEnabled()
 	npanels := (nc + gemmNR - 1) / gemmNR
 	for ip := lo; ip < hi; ip++ {
 		i0 := ip * gemmMR

@@ -119,7 +119,7 @@ func checkGemmOracle(t *testing.T, seed uint64, kind string, transA, transB bool
 	got := NewDense(m, n)
 	for _, impl := range kernelImpls {
 		got.Fill(math.NaN())
-		impl.with(func() { gemmPacked(got, a, b, transA, transB, m, k, n) })
+		impl.with(func() { gemmPacked(got, a, b, transA, transB, m, k, n, false) })
 		sameOracle(t, name+" "+impl.name, want, got)
 	}
 	if kind == "zeros" {
@@ -149,6 +149,68 @@ func TestGemmKernelOracle(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMulStripOracle feeds aᵀb to MulStripInto as StripRows-row strips of a
+// and b, acc on all but the first, and requires the one-shot MulTAInto bit
+// for bit: for every k from 1 to past three kc slices, with and without the
+// assembly, in both families, at a width on each side of the small-product
+// threshold (the choice is made from k, so every strip takes the path the
+// whole product takes — a 1-row tail strip too). On a subset of those k,
+// the row-strip cases: strips of a*b and a*bᵀ equal the matching rows of the
+// whole products.
+func TestMulStripOracle(t *testing.T) {
+	const kmax = 3*gemmKC + 7
+	rng := NewRNG(7)
+	operands := func(m, k, n int) [3]*Dense {
+		return [3]*Dense{oracleOperand(rng, "finite", k, m), oracleOperand(rng, "finite", k, n), oracleOperand(rng, "finite", n, m)}
+	}
+	small, stem, wide := operands(5, kmax, 3), operands(73, kmax, 8), operands(37, 2*gemmKC+40, gemmNC+9)
+	withBothKernelFamilies(t, func(t *testing.T) {
+		for _, impl := range kernelImpls {
+			impl.with(func() {
+				for k := 1; k <= kmax; k++ {
+					// The conv stem's 73×8 goes packed from k = 449: every k around
+					// that switch and around each slice boundary, one in 64 between.
+					r := k % gemmKC
+					some := r < 4 || r > gemmKC-4 || (k > 444 && k < 454) || k%64 == 0
+					checkMulStrip(t, impl.name, small, k, some) // the small kernels throughout
+					if some {
+						checkMulStrip(t, impl.name, stem, k, true)
+					}
+				}
+				checkMulStrip(t, impl.name, wide, wide[0].rows, true) // two nc blocks
+			})
+		}
+	})
+}
+
+// checkMulStrip runs aᵀb in k-strips over the first k rows of ops[0] (k×m)
+// and ops[1] (k×n) and, if asked, the two row-strip products, with ops[2]
+// (n×m) as their other factor.
+func checkMulStrip(t *testing.T, impl string, ops [3]*Dense, k int, rowStrips bool) {
+	t.Helper()
+	m, n, w := ops[0].cols, ops[1].cols, ops[2]
+	a, b := NewDenseData(k, m, ops[0].data[:k*m]), NewDenseData(k, n, ops[1].data[:k*n])
+	name := fmt.Sprintf("%s %dx%dx%d", impl, m, k, n)
+	gotTA, gotAB, gotTB := NewDense(m, n), NewDense(k, m), NewDense(k, n)
+	gotTA.Fill(math.NaN()) // the first strip must overwrite
+	var as, bs, ab, tb Dense
+	for r0 := 0; r0 < k; r0 += StripRows {
+		r1 := min(r0+StripRows, k)
+		as.Wrap(r1-r0, m, a.data[r0*m:r1*m])
+		bs.Wrap(r1-r0, n, b.data[r0*n:r1*n])
+		MulStripInto(gotTA, &as, &bs, true, false, k, r0 > 0)
+		if rowStrips {
+			MulStripInto(ab.Wrap(r1-r0, m, gotAB.data[r0*m:r1*m]), &bs, w, false, false, k, false)
+			MulStripInto(tb.Wrap(r1-r0, n, gotTB.data[r0*n:r1*n]), &as, w, false, true, k, false)
+		}
+	}
+	sameOracle(t, name+" aᵀb in k-strips", MulTAInto(NewDense(m, n), a, b), gotTA)
+	if rowStrips {
+		sameOracle(t, name+" row strips of a*b", MulInto(NewDense(k, m), b, w), gotAB)
+		sameOracle(t, name+" row strips of a*bᵀ", MulTBInto(NewDense(k, n), a, w), gotTB)
+	}
 }
 
 // checkAxpyOracle holds axpy, with and without the assembly, against

@@ -27,15 +27,18 @@ func (r *ReLU) Forward(x *mat.Dense, train bool) *mat.Dense {
 	out := mat.EnsureDense(r.out, x.Rows(), x.Cols())
 	r.out = out
 	r.mask = mat.EnsureDense(r.mask, x.Rows(), x.Cols())
-	xd, od, md := x.Data(), out.Data(), r.mask.Data()
+	xd, od, md := x.Data(), out.Data()[:len(x.Data())], r.mask.Data()[:len(x.Data())]
+	// The sign of an activation is a coin flip to the branch predictor, so
+	// the keep-mask is computed as an integer (all ones where v > 0) and
+	// applied to the bits of v and of 1.0: no branch on the data.
 	for i, v := range xd {
+		var k uint64
 		if v > 0 {
-			od[i] = v
-			md[i] = 1
-		} else {
-			od[i] = 0
-			md[i] = 0
+			k = 1
 		}
+		k = -k
+		od[i] = math.Float64frombits(math.Float64bits(v) & k)
+		md[i] = math.Float64frombits(0x3FF0000000000000 & k)
 	}
 	return out
 }

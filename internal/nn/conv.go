@@ -37,19 +37,23 @@ type Conv2d struct {
 	name    string
 
 	capture bool
-	lastX   *mat.Dense // batch input (m × in.Numel())
+	lastX   *mat.Dense // batch input (m × in.Numel()); Backward unfolds it again
 	capA    *mat.Dense
 	capG    *mat.Dense
 
-	// Persistent pooled workspaces, reused across iterations (resized by
-	// EnsureDense when the batch size changes). xbar is built once in
-	// Forward and reused by Backward, which both removes the per-sample
-	// im2col recomputation the seed implementation did and lets the whole
-	// backward pass run as two stacked GEMMs.
-	xbar    *mat.Dense // (m·T) × dIn unfolded batch
-	ys      *mat.Dense // (m·T) × OutC forward product
-	gy      *mat.Dense // (m·T) × OutC backward signal
-	dcols   *mat.Dense // (m·T) × patchLen input-gradient columns
+	// The stacked (m·T)-row batch — X̄, the forward product, Ḡ, the
+	// input-gradient columns — never exists as a whole: Forward and Backward
+	// walk it in strips of mat.StripRows rows, each unfolded, multiplied and
+	// scattered or folded while it is still in cache, and Backward unfolds
+	// its strips from lastX a second time instead of reading back a stored
+	// X̄. strip is the pooled storage of one strip of each matrix; [r0, r1)
+	// are the stacked rows of the strip being worked on and xs, yg, dcols
+	// the headers pointed at it (setStrip).
+	strip   []float64
+	r0, r1  int
+	xs      mat.Dense  // strip of [X̄, 1], rows × dIn
+	yg      mat.Dense  // strip of the forward product or of Ḡ, rows × OutC
+	dcols   mat.Dense  // strip of input-gradient columns, rows × patchLen
 	wTmp    *mat.Dense // dIn × OutC weight-gradient staging
 	y       *mat.Dense // m × out.Numel() forward output
 	gin     *mat.Dense // m × in.Numel() input gradient
@@ -88,158 +92,184 @@ func (c *Conv2d) Build(in Shape, rng *mat.RNG) Shape {
 	return c.out
 }
 
-// Forward implements Layer: the whole batch is unfolded into one
-// (m·T)×(patchLen+1) matrix and convolved with a single large GEMM, which
-// the mat kernel parallelizes across cores — much better arithmetic
-// intensity than one small GEMM per sample.
+// Forward implements Layer: strip by strip, rows of the stacked batch are
+// unfolded into [X̄, 1], multiplied by Wc (the mat kernel parallelizes
+// inside the strip) and scattered into the NCHW output.
 func (c *Conv2d) Forward(x *mat.Dense, train bool) *mat.Dense {
 	m := x.Rows()
 	c.lastX = x
 	tt := c.out.H * c.out.W
-	pl := c.shape.PatchLen()
 	c.y = mat.EnsureDense(c.y, m, c.out.Numel())
-	y := c.y // fully overwritten below
-
-	c.xbar = mat.EnsureDense(c.xbar, m*tt, c.dIn)
-	xbar := c.xbar
-	parallelSamples(m, func(i int, _ []float64) {
-		rows := xbar.Data()[i*tt*c.dIn : (i+1)*tt*c.dIn]
-		c.shape.Im2colStride(x.Row(i), rows, c.dIn)
-		for p := 0; p < tt; p++ {
-			rows[p*c.dIn+pl] = 1
-		}
-	}, 0)
-
-	c.ys = mat.EnsureDense(c.ys, m*tt, c.OutC)
-	ys := mat.MulInto(c.ys, xbar, c.wc.W) // (m·T) × OutC, parallel GEMM
-	parallelSamples(m, func(i int, _ []float64) {
-		yrow := y.Row(i)
-		for p := 0; p < tt; p++ {
-			yr := ys.Row(i*tt + p)
-			for ch := 0; ch < c.OutC; ch++ {
-				yrow[ch*tt+p] = yr[ch]
+	y, ys := c.y, &c.yg // y is fully overwritten below
+	unfold := c.unfold  // bound once: a method value per strip would allocate per strip
+	scatter := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p0, p1, row := c.segment(i)
+			yrow := y.Row(i)
+			for p := p0; p < p1; p++ {
+				for ch, v := range ys.Row(row + p - p0) {
+					yrow[ch*tt+p] = v
+				}
 			}
 		}
-	}, 0)
+	}
+	for r0 := 0; r0 < m*tt; r0 += mat.StripRows {
+		i0, i1 := c.setStrip(r0, m*tt)
+		parallelBlocks(i0, i1, unfold)
+		mat.MulStripInto(ys, &c.xs, c.wc.W, false, false, m*tt, false)
+		parallelBlocks(i0, i1, scatter)
+	}
 	return y
 }
 
-// parallelSamples runs fn(i, scratch) for i in [0, m) across GOMAXPROCS
-// goroutines with a STATIC block partition (worker w gets a contiguous
-// range), so the sample→worker assignment — and therefore any
-// floating-point reduction grouping derived from it — is deterministic for
-// a fixed GOMAXPROCS. Each goroutine owns a scratch buffer of scratchLen
-// floats.
-func parallelSamples(m int, fn func(i int, scratch []float64), scratchLen int) {
-	nw := runtime.GOMAXPROCS(0)
-	if nw > m {
-		nw = m
-	}
-	if nw <= 1 {
-		scratch := mat.GetFloats(scratchLen)
-		for i := 0; i < m; i++ {
-			fn(i, scratch)
+// setStrip makes the strip of the n-row stacked batch that starts at row r0
+// the current one — its bounds, and the headers pointed at that many rows of
+// the strip storage — and returns the samples [i0, i1) with positions in it.
+func (c *Conv2d) setStrip(r0, n int) (i0, i1 int) {
+	tt, pl := c.out.H*c.out.W, c.dIn-1
+	c.r0, c.r1 = r0, min(r0+mat.StripRows, n)
+	h := c.r1 - r0
+	c.strip = mat.EnsureFloats(c.strip, min(mat.StripRows, n)*(c.dIn+c.OutC+pl))
+	c.xs.Wrap(h, c.dIn, c.strip[:h*c.dIn])
+	c.yg.Wrap(h, c.OutC, c.strip[h*c.dIn:][:h*c.OutC])
+	c.dcols.Wrap(h, pl, c.strip[h*(c.dIn+c.OutC):][:h*pl])
+	return r0 / tt, (c.r1 + tt - 1) / tt
+}
+
+// segment returns the positions [p0, p1) of sample i that lie in the current
+// strip and the strip row they start at.
+func (c *Conv2d) segment(i int) (p0, p1, row int) {
+	tt := c.out.H * c.out.W
+	p0, p1 = max(c.r0-i*tt, 0), min(c.r1-i*tt, tt)
+	return p0, p1, i*tt + p0 - c.r0
+}
+
+// unfold writes the current strip's rows of [X̄, 1] for samples [lo, hi) of
+// the saved input.
+func (c *Conv2d) unfold(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		p0, p1, row := c.segment(i)
+		rows := c.xs.Data()[row*c.dIn : (row+p1-p0)*c.dIn]
+		c.shape.Im2colRange(c.lastX.Row(i), rows, c.dIn, p0, p1)
+		for k := c.dIn - 1; k < len(rows); k += c.dIn {
+			rows[k] = 1
 		}
-		mat.PutFloats(scratch)
+	}
+}
+
+// parallelBlocks splits [lo, hi) into at most GOMAXPROCS contiguous blocks
+// — a STATIC partition, so which goroutine owns an index, and any
+// floating-point grouping derived from that, is fixed for a fixed GOMAXPROCS
+// — and runs fn on each; a single block runs on the calling goroutine.
+func parallelBlocks(lo, hi int, fn func(lo, hi int)) {
+	nw := min(runtime.GOMAXPROCS(0), hi-lo)
+	if nw <= 1 {
+		fn(lo, hi)
 		return
 	}
 	var wg sync.WaitGroup
 	wg.Add(nw)
 	for w := 0; w < nw; w++ {
-		lo := w * m / nw
-		hi := (w + 1) * m / nw
 		go func(lo, hi int) {
 			defer wg.Done()
-			scratch := mat.GetFloats(scratchLen)
-			for i := lo; i < hi; i++ {
-				fn(i, scratch)
-			}
-			mat.PutFloats(scratch)
-		}(lo, hi)
+			fn(lo, hi)
+		}(lo+w*(hi-lo)/nw, lo+(w+1)*(hi-lo)/nw)
 	}
 	wg.Wait()
 }
 
-// Backward implements Layer. The unfolded batch X̄ persisted by Forward
-// turns the whole pass into two stacked GEMMs — X̄ᵀḠ for the weight
-// gradient and ḠWᵀ for the input-gradient columns — instead of the seed's
-// per-sample im2col recomputation and per-sample small products.
+// Backward implements Layer. Per strip: unfold X̄ again and gather Ḡ from
+// the NCHW gradient, add the strip's k-slice to the weight gradient X̄ᵀḠ,
+// take its rows of the capture, and fold its rows of ḠWᵀ into the input
+// gradient. Strips ascend over the global row index and every sum below
+// takes them in that order, so the result is the whole-batch products' bit
+// for bit and does not depend on GOMAXPROCS.
 func (c *Conv2d) Backward(grad *mat.Dense) *mat.Dense {
-	if c.lastX == nil || c.xbar == nil {
+	if c.lastX == nil {
 		panic("nn: Conv2d.Backward before Forward")
 	}
 	m := grad.Rows()
+	if m != c.lastX.Rows() {
+		panic(fmt.Sprintf("nn: Conv2d.Backward gradient has %d rows, Forward's input had %d", m, c.lastX.Rows()))
+	}
 	tt := c.out.H * c.out.W
 	pl := c.shape.PatchLen()
 	c.gin = mat.EnsureDense(c.gin, m, c.in.Numel())
 	gin := c.gin
-	gin.Zero() // Col2im below accumulates
-
-	// Reshape the incoming NCHW gradient to the stacked (m·T)×OutC layout.
-	c.gy = mat.EnsureDense(c.gy, m*tt, c.OutC)
-	gy := c.gy
-	parallelSamples(m, func(i int, _ []float64) {
-		grow := grad.Row(i)
-		for p := 0; p < tt; p++ {
-			gr := gy.Row(i*tt + p)
-			for ch := 0; ch < c.OutC; ch++ {
-				gr[ch] = grow[ch*tt+p]
-			}
-		}
-	}, 0)
-
-	// Weight gradient in one stacked product: X̄ᵀḠ = Σᵢ X̄ᵢᵀ Ḡᵢ.
+	gin.Zero() // Col2imRange below accumulates
 	c.wTmp = mat.EnsureDense(c.wTmp, c.dIn, c.OutC)
-	mat.MulTAInto(c.wTmp, c.xbar, gy)
-	c.wc.Grad.AddMat(c.wTmp)
-
-	// Capture per-sample factors under the sum convention (G scaled by
-	// batch size m): spatially summed (Sec. IV) or one row per position
-	// when ExpandSpatial is set.
-	if c.capture {
-		if c.ExpandSpatial {
-			c.capA = mat.EnsureDense(c.capA, m*tt, c.dIn)
-			c.capA.CopyFrom(c.xbar)
-			c.capG = mat.EnsureDense(c.capG, m*tt, c.OutC)
-			c.capG.CopyFrom(gy)
-			c.capG.Scale(float64(m))
-		} else {
-			c.capA = mat.EnsureDense(c.capA, m, c.dIn)
-			c.capG = mat.EnsureDense(c.capG, m, c.OutC)
-			capA, capG := c.capA, c.capG
-			capA.Zero()
-			capG.Zero()
-			xbar := c.xbar
-			parallelSamples(m, func(i int, _ []float64) {
-				ca, cg := capA.Row(i), capG.Row(i)
-				for p := 0; p < tt; p++ {
-					xr, gr := xbar.Row(i*tt+p), gy.Row(i*tt+p)
-					for j := range ca {
-						ca[j] += xr[j]
-					}
-					for j := range cg {
-						cg[j] += gr[j] * float64(m)
-					}
-				}
-			}, 0)
-		}
-	}
-
-	// Input gradient: one stacked ḠWᵀ (bias row dropped via a zero-copy
-	// row-prefix view of Wc), then per-sample col2im folds. Col2im
-	// accumulates, which is why gin must start zeroed.
 	if c.wNoBias == nil {
 		// Wc's backing array is stable for the life of the layer, so the
 		// bias-free view is built once.
 		c.wNoBias = mat.NewDenseData(pl, c.OutC, c.wc.W.Data()[:pl*c.OutC])
 	}
-	wNoBias := c.wNoBias
-	c.dcols = mat.EnsureDense(c.dcols, m*tt, pl)
-	mat.MulTBInto(c.dcols, gy, wNoBias)
-	dcols := c.dcols
-	parallelSamples(m, func(i int, _ []float64) {
-		c.shape.Col2im(dcols.Data()[i*tt*pl:(i+1)*tt*pl], gin.Row(i))
-	}, 0)
+	// Per-sample factors under the sum convention (G scaled by batch size
+	// m): spatially summed (Sec. IV), or one row per position when
+	// ExpandSpatial is set — the one whole-batch matrix left, because it is
+	// the output.
+	if c.capture {
+		capRows := m
+		if c.ExpandSpatial {
+			capRows = m * tt
+		}
+		c.capA = mat.EnsureDense(c.capA, capRows, c.dIn)
+		c.capG = mat.EnsureDense(c.capG, capRows, c.OutC)
+		if !c.ExpandSpatial {
+			c.capA.Zero()
+			c.capG.Zero()
+		}
+	}
+	xs, gy, dcols, capA, capG, scale := &c.xs, &c.yg, &c.dcols, c.capA, c.capG, float64(m)
+	load := func(lo, hi int) {
+		c.unfold(lo, hi)
+		for i := lo; i < hi; i++ {
+			p0, p1, row := c.segment(i)
+			grow := grad.Row(i)
+			for p := p0; p < p1; p++ {
+				gr := gy.Row(row + p - p0)
+				for ch := range gr {
+					gr[ch] = grow[ch*tt+p]
+				}
+			}
+			if !c.capture {
+				continue
+			}
+			xrows := xs.Data()[row*c.dIn : (row+p1-p0)*c.dIn]
+			grows := gy.Data()[row*c.OutC : (row+p1-p0)*c.OutC]
+			if c.ExpandSpatial {
+				copy(capA.Data()[(i*tt+p0)*c.dIn:], xrows)
+				cg := capG.Data()[(i*tt+p0)*c.OutC:]
+				for k, v := range grows {
+					cg[k] = v * scale
+				}
+				continue
+			}
+			ca, cg := capA.Row(i), capG.Row(i)
+			for ; len(xrows) > 0; xrows, grows = xrows[c.dIn:], grows[c.OutC:] {
+				for j := range ca {
+					ca[j] += xrows[j]
+				}
+				for j := range cg {
+					cg[j] += grows[j] * scale
+				}
+			}
+		}
+	}
+	fold := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p0, p1, row := c.segment(i)
+			c.shape.Col2imRange(dcols.Data()[row*pl:(row+p1-p0)*pl], gin.Row(i), p0, p1)
+		}
+	}
+	for r0 := 0; r0 < m*tt; r0 += mat.StripRows {
+		i0, i1 := c.setStrip(r0, m*tt)
+		parallelBlocks(i0, i1, load)
+		mat.MulStripInto(c.wTmp, xs, gy, true, false, m*tt, r0 > 0)
+		// The bias row is dropped via the row-prefix view of Wc.
+		mat.MulStripInto(dcols, gy, c.wNoBias, false, true, m*tt, false)
+		parallelBlocks(i0, i1, fold)
+	}
+	c.wc.Grad.AddMat(c.wTmp)
 	return gin
 }
 

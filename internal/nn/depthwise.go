@@ -64,17 +64,21 @@ func (c *DepthwiseConv2d) Forward(x *mat.Dense, train bool) *mat.Dense {
 	kk := c.K * c.K
 	inHW := c.in.H * c.in.W
 	y := mat.NewDense(m, c.out.Numel())
-	parallelSamples(m, func(i int, cols []float64) {
-		xr, yr := x.Row(i), y.Row(i)
-		for ch := 0; ch < c.in.C; ch++ {
-			c.shape.Im2col(xr[ch*inHW:(ch+1)*inHW], cols)
-			wr := c.w.W.Row(ch)
-			bias := wr[kk]
-			for p := 0; p < tt; p++ {
-				yr[ch*tt+p] = mat.Dot(cols[p*kk:(p+1)*kk], wr[:kk]) + bias
+	parallelBlocks(0, m, func(lo, hi int) {
+		cols := mat.GetFloats(tt * kk)
+		defer mat.PutFloats(cols)
+		for i := lo; i < hi; i++ {
+			xr, yr := x.Row(i), y.Row(i)
+			for ch := 0; ch < c.in.C; ch++ {
+				c.shape.Im2col(xr[ch*inHW:(ch+1)*inHW], cols)
+				wr := c.w.W.Row(ch)
+				bias := wr[kk]
+				for p := 0; p < tt; p++ {
+					yr[ch*tt+p] = mat.Dot(cols[p*kk:(p+1)*kk], wr[:kk]) + bias
+				}
 			}
 		}
-	}, tt*kk)
+	})
 	return y
 }
 

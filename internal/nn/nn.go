@@ -55,6 +55,14 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // Layer is the minimal layer contract. Build is called exactly once with
 // the input shape and returns the output shape; Forward/Backward operate on
 // batch matrices (rows = samples).
+//
+// A layer may keep the matrix Forward was given and read it again in
+// Backward (Linear and the convolutions do, instead of copying it), so
+// whoever calls Forward must leave that matrix unmodified until the layer's
+// Backward has returned, and Backward's gradient must have as many rows.
+// Writing into a matrix in place (Residual adds its shortcut into the body's
+// output) is safe only before the matrix is handed to a Forward or after
+// that layer's Backward.
 type Layer interface {
 	Name() string
 	Build(in Shape, rng *mat.RNG) Shape

@@ -86,48 +86,73 @@ func (s ConvShape) Im2col(x []float64, dst []float64) {
 	if len(dst) != s.OutH()*s.OutW()*s.PatchLen() {
 		panic("tensor: Im2col dst length mismatch")
 	}
-	s.Im2colStride(x, dst, s.PatchLen())
+	s.Im2colRange(x, dst, s.PatchLen(), 0, s.OutH()*s.OutW())
 }
 
-// Im2colStride is Im2col into rows ld ≥ PatchLen apart: row r occupies
-// dst[r*ld : r*ld+PatchLen] and the ld-PatchLen values after it are left
-// untouched, so a caller can unfold straight into a wider matrix (the conv
-// layer's [X̄, 1]).
-func (s ConvShape) Im2colStride(x []float64, dst []float64, ld int) {
-	oh, ow, pl := s.OutH(), s.OutW(), s.PatchLen()
+// window is the part of one output position's receptive field that lies
+// inside the input: kernel rows [ky0, ky1) and columns [kx0, kx1), both
+// empty when either is, with (iy0, ix0) the input coordinates of kernel
+// element (0, 0); clipped says some element fell in the padding. Clipping
+// once per position keeps the copy loops free of bounds tests.
+type window struct {
+	iy0, ix0, ky0, ky1, kx0, kx1 int
+	clipped                      bool
+}
+
+func (s ConvShape) window(oy, ox int) window {
+	iy0, ix0 := oy*s.Stride-s.Pad, ox*s.Stride-s.Pad
+	ky0, kx0 := max(-iy0, 0), max(-ix0, 0)
+	ky1, kx1 := min(s.InH-iy0, s.KH), min(s.InW-ix0, s.KW)
+	if ky1 <= ky0 || kx1 <= kx0 {
+		return window{clipped: true}
+	}
+	return window{iy0, ix0, ky0, ky1, kx0, kx1, ky0 > 0 || ky1 < s.KH || kx0 > 0 || kx1 < s.KW}
+}
+
+// checkRange panics unless [p0, p1) is a range of output positions and a
+// matrix of p1-p0 rows ld apart, PatchLen wide, fits in n values.
+func (s ConvShape) checkRange(op string, n, ld, p0, p1 int) {
+	if p0 < 0 || p0 > p1 || p1 > s.OutH()*s.OutW() {
+		panic("tensor: " + op + " position range out of bounds")
+	}
+	if pl := s.PatchLen(); ld < pl || (p1 > p0 && n < (p1-p0-1)*ld+pl) {
+		panic("tensor: " + op + " column matrix length mismatch")
+	}
+}
+
+// Im2colRange unfolds output positions [p0, p1) of sample x, numbered
+// row-major over (oy, ox), into rows ld ≥ PatchLen apart: position p fills
+// dst[(p-p0)*ld : (p-p0)*ld+PatchLen] and the ld-PatchLen values after it
+// are left untouched, so a caller can unfold a strip of the sample straight
+// into a wider matrix (the conv layer's [X̄, 1]). Im2col is the full range.
+func (s ConvShape) Im2colRange(x []float64, dst []float64, ld, p0, p1 int) {
 	if len(x) != s.InC*s.InH*s.InW {
 		panic("tensor: Im2col input length mismatch")
 	}
-	if ld < pl || len(dst) < (oh*ow-1)*ld+pl {
-		panic("tensor: Im2col dst length mismatch")
-	}
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			row := dst[(oy*ow+ox)*ld : (oy*ow+ox)*ld+pl]
-			idx := 0
-			for c := 0; c < s.InC; c++ {
-				chBase := c * s.InH * s.InW
-				for ky := 0; ky < s.KH; ky++ {
-					iy := oy*s.Stride - s.Pad + ky
-					if iy < 0 || iy >= s.InH {
-						for kx := 0; kx < s.KW; kx++ {
-							row[idx] = 0
-							idx++
-						}
-						continue
-					}
-					rowBase := chBase + iy*s.InW
-					for kx := 0; kx < s.KW; kx++ {
-						ix := ox*s.Stride - s.Pad + kx
-						if ix < 0 || ix >= s.InW {
-							row[idx] = 0
-						} else {
-							row[idx] = x[rowBase+ix]
-						}
-						idx++
-					}
+	s.checkRange("Im2col", len(dst), ld, p0, p1)
+	ow, pl, kk, plane := s.OutW(), s.PatchLen(), s.KH*s.KW, s.InH*s.InW
+	oy, ox := p0/ow, p0%ow
+	for p := p0; p < p1; p++ {
+		row := dst[(p-p0)*ld:][:pl]
+		w := s.window(oy, ox)
+		if w.clipped {
+			clear(row)
+		}
+		n := w.kx1 - w.kx0
+		so, do := (w.iy0+w.ky0)*s.InW+w.ix0+w.kx0, w.ky0*s.KW+w.kx0
+		for c := 0; c < s.InC; c++ {
+			si, di := so, do
+			for ky := w.ky0; ky < w.ky1; ky++ {
+				src, d := x[si:si+n], row[di:di+n]
+				for i, v := range src {
+					d[i] = v
 				}
+				si, di = si+s.InW, di+s.KW
 			}
+			so, do = so+plane, do+kk
+		}
+		if ox++; ox == ow {
+			oy, ox = oy+1, 0
 		}
 	}
 }
@@ -136,35 +161,41 @@ func (s ConvShape) Im2colStride(x []float64, dst []float64, ld int) {
 // form, accumulating overlapping patches. cols is (OutH*OutW) × PatchLen
 // row-major; dst is the C*H*W input gradient, accumulated in place.
 func (s ConvShape) Col2im(cols []float64, dst []float64) {
-	oh, ow, pl := s.OutH(), s.OutW(), s.PatchLen()
+	if len(cols) != s.OutH()*s.OutW()*s.PatchLen() {
+		panic("tensor: Col2im cols length mismatch")
+	}
+	s.Col2imRange(cols, dst, 0, s.OutH()*s.OutW())
+}
+
+// Col2imRange is Col2im for output positions [p0, p1) alone: cols holds
+// their p1-p0 rows, PatchLen apart. Positions are folded in ascending order,
+// so folding consecutive ranges one after another adds every element of dst
+// its contributions in the order the full range does.
+func (s ConvShape) Col2imRange(cols []float64, dst []float64, p0, p1 int) {
 	if len(dst) != s.InC*s.InH*s.InW {
 		panic("tensor: Col2im dst length mismatch")
 	}
-	if len(cols) != oh*ow*pl {
-		panic("tensor: Col2im cols length mismatch")
-	}
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			row := cols[(oy*ow+ox)*pl : (oy*ow+ox+1)*pl]
-			idx := 0
-			for c := 0; c < s.InC; c++ {
-				chBase := c * s.InH * s.InW
-				for ky := 0; ky < s.KH; ky++ {
-					iy := oy*s.Stride - s.Pad + ky
-					if iy < 0 || iy >= s.InH {
-						idx += s.KW
-						continue
-					}
-					rowBase := chBase + iy*s.InW
-					for kx := 0; kx < s.KW; kx++ {
-						ix := ox*s.Stride - s.Pad + kx
-						if ix >= 0 && ix < s.InW {
-							dst[rowBase+ix] += row[idx]
-						}
-						idx++
-					}
+	ow, pl, kk, plane := s.OutW(), s.PatchLen(), s.KH*s.KW, s.InH*s.InW
+	s.checkRange("Col2im", len(cols), pl, p0, p1)
+	oy, ox := p0/ow, p0%ow
+	for p := p0; p < p1; p++ {
+		row := cols[(p-p0)*pl:][:pl]
+		w := s.window(oy, ox)
+		n := w.kx1 - w.kx0
+		do, so := (w.iy0+w.ky0)*s.InW+w.ix0+w.kx0, w.ky0*s.KW+w.kx0
+		for c := 0; c < s.InC; c++ {
+			di, si := do, so
+			for ky := w.ky0; ky < w.ky1; ky++ {
+				d, src := dst[di:di+n], row[si:si+n]
+				for i, v := range src {
+					d[i] += v
 				}
+				di, si = di+s.InW, si+s.KW
 			}
+			do, so = do+plane, so+kk
+		}
+		if ox++; ox == ow {
+			oy, ox = oy+1, 0
 		}
 	}
 }

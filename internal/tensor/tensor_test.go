@@ -102,8 +102,9 @@ func TestIm2colPadding(t *testing.T) {
 	}
 }
 
-// TestIm2colStride checks the strided unfold against Im2col: the same rows
-// ld apart, and the gap after each row left as the caller had it.
+// TestIm2colStride checks the strided unfold (Im2colRange with ld > PatchLen)
+// against Im2col: the same rows ld apart, and the gap after each row left
+// as the caller had it.
 func TestIm2colStride(t *testing.T) {
 	s := ConvShape{InC: 2, InH: 4, InW: 3, OutC: 1, KH: 3, KW: 2, Stride: 1, Pad: 1}
 	x := make([]float64, s.InC*s.InH*s.InW)
@@ -118,7 +119,7 @@ func TestIm2colStride(t *testing.T) {
 	for i := range got {
 		got[i] = -7
 	}
-	s.Im2colStride(x, got[:(rows-1)*ld+pl], ld)
+	s.Im2colRange(x, got[:(rows-1)*ld+pl], ld, 0, rows)
 	for r := 0; r < rows; r++ {
 		for j := 0; j < ld; j++ {
 			w := -7.0
