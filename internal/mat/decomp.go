@@ -30,6 +30,8 @@ func Cholesky(a *Dense) (*Dense, error) {
 	}
 	n := a.rows
 	l := NewDense(n, n)
+	col := getFloatsRaw(n)
+	defer PutFloats(col)
 	for j := 0; j < n; j++ {
 		var d float64
 		lrowJ := l.Row(j)
@@ -40,9 +42,11 @@ func Cholesky(a *Dense) (*Dense, error) {
 		ljj := math.Sqrt(d)
 		lrowJ[j] = ljj
 		inv := 1 / ljj
+		// The column sweep is one shared vector, row j, against the rows
+		// below it: col[i-j-1] = Dot(lrowI[:j], lrowJ[:j]).
+		dotBlock(col, n, lrowJ, 0, 1, l.data[(j+1)*n:], n, n-j-1, j)
 		for i := j + 1; i < n; i++ {
-			lrowI := l.Row(i)
-			lrowI[j] = (a.At(i, j) - Dot(lrowI[:j], lrowJ[:j])) * inv
+			l.data[i*n+j] = (a.At(i, j) - col[i-j-1]) * inv
 		}
 	}
 	return l, nil

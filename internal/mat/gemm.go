@@ -224,13 +224,7 @@ func gemmSmall(out, a, b *Dense, transA, transB bool, m, k, n int, acc bool) {
 		}
 	case !transA && transB:
 		// out[i,j] = a.Row(i) · b.Row(j): both unit-stride dots.
-		for i := 0; i < m; i++ {
-			arow := a.data[i*k : (i+1)*k]
-			orow := out.data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] = Dot(arow, b.data[j*k:(j+1)*k])
-			}
-		}
+		dotBlock(out.data, n, a.data, k, m, b.data, k, n, k)
 	default: // transA && transB
 		// out[i,j] += a[p,i]*b[j,p]: keep b's row access unit-stride.
 		for j := 0; j < n; j++ {
@@ -551,9 +545,7 @@ func MulVecInto(dst []float64, a *Dense, x []float64) {
 	if len(dst) != a.rows {
 		panic("mat: MulVecInto destination length mismatch")
 	}
-	for i := 0; i < a.rows; i++ {
-		dst[i] = Dot(a.Row(i), x)
-	}
+	dotBlock(dst, len(dst), x, 0, 1, a.data, a.cols, a.rows, a.cols)
 }
 
 // MulVecT returns aᵀ*x for a vector x (len = a.rows).
@@ -576,6 +568,34 @@ func MulVecTInto(dst []float64, a *Dense, x []float64) {
 	}
 	for i := 0; i < a.rows; i++ {
 		axpy(dst, a.Row(i), x[i])
+	}
+}
+
+// dotBlock sets out[i*ldo+j] = Dot(x[i*ldx:][:k], y[j*ldy:][:k]) for i < nx
+// and j < ny, bit for bit: every element is its own Dot, so neither the
+// tiling here nor any partition of the block above it is numerics. The AVX2
+// tile takes two x rows against four y rows (one x row when nx is odd, and
+// for a shared vector); the ny mod 4 last columns, k < 4, and everything
+// without the assembly go through Dot.
+func dotBlock(out []float64, ldo int, x []float64, ldx, nx int, y []float64, ldy, ny, k int) {
+	tiled := 0
+	if useAsm && k >= 4 && nx > 0 && ny >= 4 {
+		tiled = ny &^ 3
+		// The assembly checks no bounds: the last element of each operand it
+		// will touch must exist.
+		_, _, _ = x[(nx-1)*ldx+k-1], y[(tiled-1)*ldy+k-1], out[(nx-1)*ldo+tiled-1]
+		fma := fmaEnabled()
+		for i := 0; i < nx; i += 2 {
+			for j := 0; j < tiled; j += 4 {
+				dotTileAVX2(fma, min(2, nx-i), k, &x[i*ldx], ldx, &y[j*ldy], ldy, &out[i*ldo+j], ldo)
+			}
+		}
+	}
+	for i := 0; i < nx; i++ {
+		xi := x[i*ldx:][:k]
+		for j := tiled; j < ny; j++ {
+			out[i*ldo+j] = Dot(xi, y[j*ldy:][:k])
+		}
 	}
 }
 

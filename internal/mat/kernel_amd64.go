@@ -2,10 +2,10 @@
 
 package mat
 
-// useAsm selects the AVX2 micro-kernel and axpy over the pure-Go reference
-// kernels. Both compute the same bits in either kernel family, so the choice
-// is not part of a run's numerical identity; it is a variable only so tests
-// can force the reference.
+// useAsm selects the AVX2 micro-kernel, axpy and dot tile over the pure-Go
+// reference kernels. Both compute the same bits in either kernel family, so
+// the choice is not part of a run's numerical identity; it is a variable only
+// so tests can force the reference.
 var useAsm = hasAVX2FMA()
 
 // hasAVX2FMA reports whether the CPU has AVX2 and FMA3 and the OS saves the
@@ -25,6 +25,9 @@ func kernel4x8(fma, assign bool, kc int, a *float64, rs, cs int, b, c *float64, 
 
 //go:noescape
 func axpyAVX2(fma bool, dst, src []float64, s float64)
+
+//go:noescape
+func dotTileAVX2(fma bool, rows, k int, x *float64, ldx int, y *float64, ldy int, out *float64, ldo int)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -5,8 +5,9 @@
 // AVX2 implementations of the two kernel families (see kernel_amd64.go).
 // Every element follows the scalar reference's rounding sequence exactly:
 // VMULPD then VADDPD rounds twice like Go's c += a*b, VFMADD231PD rounds
-// once like math.FMA; lanes run across independent elements, never across
-// the k sum.
+// once like math.FMA. In the GEMM tile and axpy, lanes run across
+// independent elements, never across the k sum; the dot tile's four lanes
+// are Dot's own s0..s3.
 
 // One k step of the 4×8 tile: B row p in Y8:Y9, the four A values broadcast
 // one at a time into Y10, accumulators Y0..Y7 (row i in Y(2i):Y(2i+1)).
@@ -169,6 +170,166 @@ afmatail:
 	JMP         afmatail
 
 adone:
+	VZEROUPPER
+	RET
+
+// The dot-form tile: accumulator (r, c) holds the four lanes of
+// Dot(x_r, y_c) — lane l the sum over ascending 4-groups of element 4g+l,
+// from +0 — so a tile is rows·4 independent chains where one Dot is a single
+// latency-bound one. DOTLOAD reads one 4-group of x row 0 and the four y
+// rows; DOTNEXT ends on DECQ CX so the JNZ after it closes the k loop.
+#define DOTLOAD \
+	VMOVUPD (SI), Y8;        \
+	VMOVUPD (DI), Y10;       \
+	VMOVUPD (DI)(R9*1), Y11; \
+	VMOVUPD (DI)(R9*2), Y12; \
+	VMOVUPD (DI)(R10*1), Y13
+
+#define DOTROW_MULADD(xv, a0, a1, a2, a3) \
+	VMULPD Y10, xv, Y14; \
+	VMULPD Y11, xv, Y15; \
+	VADDPD Y14, a0, a0;  \
+	VADDPD Y15, a1, a1;  \
+	VMULPD Y12, xv, Y14; \
+	VMULPD Y13, xv, Y15; \
+	VADDPD Y14, a2, a2;  \
+	VADDPD Y15, a3, a3
+
+#define DOTROW_FMA(xv, a0, a1, a2, a3) \
+	VFMADD231PD Y10, xv, a0; \
+	VFMADD231PD Y11, xv, a1; \
+	VFMADD231PD Y12, xv, a2; \
+	VFMADD231PD Y13, xv, a3
+
+#define DOTNEXT \
+	ADDQ $32, SI; \
+	ADDQ $32, DI; \
+	DECQ CX
+
+// Dot's finish for one tile row, four columns at a time: transpose the four
+// accumulators so a0..a3 hold lanes 0..3 of every column, then
+// ((l0+l1)+l2)+l3 into a0.
+#define DOTHSUM(a0, a1, a2, a3) \
+	VUNPCKLPD  a1, a0, Y8;         \
+	VUNPCKHPD  a1, a0, Y9;         \
+	VUNPCKLPD  a3, a2, Y10;        \
+	VUNPCKHPD  a3, a2, Y11;        \
+	VPERM2F128 $0x20, Y10, Y8, a0; \
+	VPERM2F128 $0x20, Y11, Y9, a1; \
+	VPERM2F128 $0x31, Y10, Y8, a2; \
+	VPERM2F128 $0x31, Y11, Y9, a3; \
+	VADDPD     a1, a0, a0;         \
+	VADDPD     a2, a0, a0;         \
+	VADDPD     a3, a0, a0
+
+// func dotTileAVX2(fma bool, rows, k int, x *float64, ldx int, y *float64, ldy int, out *float64, ldo int)
+//
+// out[r*ldo+c] = Dot(x[r*ldx:][:k], y[c*ldy:][:k]) for r < rows, c < 4, in
+// the mul+add family or as dotFMA. rows is 1 or 2, k ≥ 4.
+TEXT ·dotTileAVX2(SB), NOSPLIT, $0-72
+	MOVQ   k+16(FP), CX
+	MOVQ   x+24(FP), SI
+	MOVQ   ldx+32(FP), R8
+	MOVQ   y+40(FP), DI
+	MOVQ   ldy+48(FP), R9
+	SHRQ   $2, CX
+	SHLQ   $3, R8
+	SHLQ   $3, R9
+	LEAQ   (R9)(R9*2), R10
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	CMPQ   rows+8(FP), $1
+	JNE    two
+
+	// One row: the finish below runs on row 0 twice and stores it once.
+	XORQ R8, R8
+	CMPB fma+0(FP), $0
+	JNE  onefma
+
+onemuladd:
+	DOTLOAD
+	DOTROW_MULADD(Y8, Y0, Y1, Y2, Y3)
+	DOTNEXT
+	JNZ onemuladd
+	JMP finish
+
+onefma:
+	DOTLOAD
+	DOTROW_FMA(Y8, Y0, Y1, Y2, Y3)
+	DOTNEXT
+	JNZ onefma
+	JMP finish
+
+two:
+	CMPB fma+0(FP), $0
+	JNE  twofma
+
+twomuladd:
+	DOTLOAD
+	VMOVUPD (SI)(R8*1), Y9
+	DOTROW_MULADD(Y8, Y0, Y1, Y2, Y3)
+	DOTROW_MULADD(Y9, Y4, Y5, Y6, Y7)
+	DOTNEXT
+	JNZ twomuladd
+	JMP finish
+
+twofma:
+	DOTLOAD
+	VMOVUPD (SI)(R8*1), Y9
+	DOTROW_FMA(Y8, Y0, Y1, Y2, Y3)
+	DOTROW_FMA(Y9, Y4, Y5, Y6, Y7)
+	DOTNEXT
+	JNZ twofma
+
+finish:
+	DOTHSUM(Y0, Y1, Y2, Y3)
+	DOTHSUM(Y4, Y5, Y6, Y7)
+	MOVQ k+16(FP), CX
+	ANDQ $3, CX
+	JZ   store
+
+tail:
+	// s += x[i]*y[i] for the k mod 4 last elements, all columns at once.
+	VMOVSD       (DI), X10
+	VMOVHPD      (DI)(R9*1), X10, X10
+	VMOVSD       (DI)(R9*2), X11
+	VMOVHPD      (DI)(R10*1), X11, X11
+	VINSERTF128  $1, X11, Y10, Y10
+	VBROADCASTSD (SI), Y8
+	VBROADCASTSD (SI)(R8*1), Y9
+	CMPB         fma+0(FP), $0
+	JNE          tailfma
+	VMULPD       Y10, Y8, Y14
+	VMULPD       Y10, Y9, Y15
+	VADDPD       Y14, Y0, Y0
+	VADDPD       Y15, Y4, Y4
+	JMP          tailnext
+
+tailfma:
+	VFMADD231PD Y10, Y8, Y0
+	VFMADD231PD Y10, Y9, Y4
+
+tailnext:
+	ADDQ $8, SI
+	ADDQ $8, DI
+	DECQ CX
+	JNZ  tail
+
+store:
+	MOVQ    out+56(FP), DX
+	VMOVUPD Y0, (DX)
+	CMPQ    rows+8(FP), $1
+	JE      done
+	MOVQ    ldo+64(FP), BX
+	VMOVUPD Y4, (DX)(BX*8)
+
+done:
 	VZEROUPPER
 	RET
 

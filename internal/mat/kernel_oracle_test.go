@@ -93,7 +93,7 @@ func oracleOperand(rng *RNG, kind string, rows, cols int) *Dense {
 			}
 		}
 	case "special":
-		for n := 0; n < 1+len(m.data)/64; n++ {
+		for n := 0; n < 1+len(m.data)/64 && len(m.data) > 0; n++ {
 			m.data[rng.Intn(len(m.data))] = oracleSpecials[rng.Intn(len(oracleSpecials))]
 		}
 	}

@@ -1,6 +1,10 @@
 package mat
 
-import "runtime"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 func gomaxprocs() int { return runtime.GOMAXPROCS(0) }
 
@@ -49,23 +53,18 @@ func GramInto(dst, m *Dense) {
 		panic("mat: GramInto destination dimension mismatch")
 	}
 	checkNoAlias("GramInto", dst, m)
-	if nw := gomaxprocs(); nw <= 1 || n < 32 {
+	// A worker is worth starting for 16 row pairs or more; the extra ones
+	// come from the shared limiter, as in gemmPacked.
+	pairs := (n + 1) / 2
+	nw, releaseWorkers := acquireWorkers(min(gomaxprocs(), pairs/16))
+	defer releaseWorkers()
+	if nw <= 1 {
 		// Sequential: no closure, no goroutines, zero allocations.
-		for i := 0; i < n; i++ {
-			ri := m.Row(i)
-			orow := dst.Row(i)
-			for j := 0; j <= i; j++ {
-				orow[j] = Dot(ri, m.Row(j))
-			}
+		for p := 0; p < pairs; p++ {
+			gramPair(dst, m, p)
 		}
 	} else {
-		parallelRows(n, func(i int) {
-			ri := m.Row(i)
-			orow := dst.Row(i)
-			for j := 0; j <= i; j++ {
-				orow[j] = Dot(ri, m.Row(j))
-			}
-		})
+		gramParallel(dst, m, pairs, nw)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -80,44 +79,37 @@ func GramT(m *Dense) *Dense { return MulTA(m, m) }
 // GramTInto sets dst = mᵀ*m without allocating.
 func GramTInto(dst, m *Dense) { MulTAInto(dst, m, m) }
 
-// parallelRows runs fn(i) for i in [0, n) across GOMAXPROCS goroutines
-// with a static partition (deterministic assignment). Workers beyond the
-// calling goroutine are subject to the shared limiter, so row-parallel
-// kernels nested under scheduler stages shrink rather than oversubscribe;
-// the static partition makes the result identical for any worker count.
-func parallelRows(n int, fn func(i int)) {
-	nw := gomaxprocs()
-	if nw > n {
-		nw = n
-	}
-	if nw <= 1 || n < 32 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	nw, releaseWorkers := acquireWorkers(nw)
-	defer releaseWorkers()
-	if nw == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	done := make(chan struct{}, nw)
+// gramPair fills rows 2p and 2p+1 of the lower triangle of dst = m*mᵀ. The
+// width is rounded up to whole dot tiles where the rows exist: what that
+// adds lies above the diagonal, in these two rows, and the mirror pass
+// overwrites it.
+func gramPair(dst, m *Dense, p int) {
+	n, k := m.rows, m.cols
+	i := 2 * p
+	rows := min(2, n-i)
+	dotBlock(dst.data[i*n:], n, m.data[i*k:], k, rows, m.data, k, min(n, (i+rows+3)&^3), k)
+}
+
+// gramParallel has nw workers claim the row pairs off a shared counter,
+// heaviest (the last rows) first. Every element is one Dot whoever computes
+// it, so the result does not depend on the claims.
+func gramParallel(dst, m *Dense, pairs, nw int) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(nw)
 	for w := 0; w < nw; w++ {
-		lo := w * n / nw
-		hi := (w + 1) * n / nw
-		go func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				fn(i)
+		go func() {
+			defer wg.Done()
+			for {
+				p := pairs - int(next.Add(1))
+				if p < 0 {
+					return
+				}
+				gramPair(dst, m, p)
 			}
-			done <- struct{}{}
-		}(lo, hi)
+		}()
 	}
-	for w := 0; w < nw; w++ {
-		<-done
-	}
+	wg.Wait()
 }
 
 // KernelMatrix returns the SNGD kernel K = (A Aᵀ) ∘ (G Gᵀ) of Eq. (7).

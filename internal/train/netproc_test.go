@@ -179,11 +179,10 @@ func runNetCoordinator(t *testing.T, optName string, epochs, coordRanks, helperR
 		"HYLO_NET_TOPOLOGY="+topo,
 		fmt.Sprintf("HYLO_NET_CHUNK=%d", chunk),
 		// Adversarial numerics: start the helper on the OPPOSITE kernel
-		// family from this process. mat calibrates FMA-vs-mul+add by
-		// timing at init, so under load the helper can genuinely race the
-		// other way; the generation-start handshake must conform it to
-		// the coordinator's profile or every parity assertion below fails
-		// by an ulp. Forcing the mismatch makes that path deterministic.
+		// family from this process, as a member launched with a different
+		// HYLO_FMA would be. The generation-start handshake must conform
+		// it to the coordinator's family or every parity assertion below
+		// fails by an ulp.
 		fmt.Sprintf("HYLO_FMA=%d", b2i(!mat.FMAKernels())),
 	)
 	if schedWorkers > 0 {
@@ -249,11 +248,12 @@ func runNetCoordinator(t *testing.T, optName string, epochs, coordRanks, helperR
 		t.Fatalf("coordinator run: %v\nhelper output:\n%s", err, out.Bytes())
 	}
 	// Capture world/gen before waiting out the helper: the assertions are
-	// about the cluster DURING training. Once the helper's deferred Close
-	// sends its leave, a tree-topology coordinator reforms the remaining
-	// members into a smaller generation (tree leaves are deaths — the
-	// coordinator cannot see data-plane collectives), which would make a
-	// post-Wait reading race against that perfectly healthy shutdown.
+	// about the cluster DURING training. The helper's deferred Close sends
+	// a leave, which in either topology retires the member silently when
+	// no collective open at the root still waits on it — the clean end of
+	// a run — and is a death, with a smaller generation, otherwise; a
+	// post-Wait reading would depend on which of the two this healthy
+	// shutdown happened to be.
 	world, gen := proc.WorldSize(), proc.Gen()
 	if werr := cmd.Wait(); werr != nil {
 		t.Fatalf("helper process failed: %v\noutput:\n%s", werr, out.Bytes())
