@@ -49,12 +49,12 @@ vet:
 	$(GO) vet ./...
 
 # Fault-injection and recovery suite under the race detector: checkpoint
-# round-trips, injected worker panics recovered via RunElastic, corrupted
+# round-trips, injected worker panics recovered by train.Drive, corrupted
 # snapshots falling back, the barrier watchdog, and chaos determinism.
 chaos:
 	$(GO) test -race ./internal/ckpt/ -count=1
-	$(GO) test -race ./internal/dist/ -run 'TestFaultInjector|TestBarrierWatchdog|TestClusterReset|TestAsWorker|TestFaultPlan|TestAsync' -count=1
-	$(GO) test -race ./internal/train/ -run 'TestElastic|TestNonfinite|TestSharding' -count=1
+	$(GO) test -race ./internal/dist/ -run 'TestFaultInjector|TestBarrierWatchdog|TestClusterReset|TestFaultPlan|TestAsync' -count=1
+	$(GO) test -race ./internal/train/ -run 'TestElastic|TestDriver|TestNonfinite|TestSharding' -count=1
 	$(GO) test -race ./internal/core/ -run 'TestPreconditionRobust|TestSingularKernel|TestDegenerate' -count=1
 	$(GO) test -race ./internal/sched/ -run 'TestSchedParityChaos' -count=1
 

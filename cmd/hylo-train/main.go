@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -130,9 +131,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hylo-train: %v\n", err)
 		os.Exit(2)
 	}
-	build, trainSet, testSet, task, target := wl.Build, wl.Train, wl.Test, wl.Task, wl.Target
 	if *augment {
-		shape := trainSet.Shape
+		shape := wl.Train.Shape
 		cfg.Augment = func(rng *mat.RNG) *data.Augmenter {
 			return data.NewAugmenter(rng, shape, true, 2)
 		}
@@ -194,36 +194,26 @@ func main() {
 		}
 	}
 
+	// One driver for every launch shape; only where the ranks run differs.
+	// A checkpointed run uses the in-process cluster even at one worker.
+	job := wl.Job(cfg, pre)
 	var res train.Result
-	switch {
-	case *listen != "" || *join != "":
-		res, err = runNetCluster(netOpt, cfg, build, trainSet, testSet, task, pre, target)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hylo-train: %v\n", err)
-			os.Exit(1)
+	if *listen != "" || *join != "" {
+		res, err = runNetCluster(netOpt, job)
+	} else {
+		cluster := train.Local()
+		if *workers > 1 || *ckptDir != "" {
+			c := dist.NewCluster(*workers)
+			c.SetBarrierTimeout(*barrierTimeout)
+			cluster = train.InProcess(c)
 		}
-	case *ckptDir != "":
-		// Checkpointed path: the elastic driver handles any worker count
-		// (P=1 included) and recovers from injected or organic failures.
-		plan := plan
-		if plan == nil {
-			plan = &dist.FaultPlan{Seed: *seed, PanicStep: -1}
-		}
-		res, err = train.RunElastic(*workers, cfg, train.ElasticConfig{
-			Dir:            *ckptDir,
-			Every:          *ckptEvery,
-			Resume:         *resume,
-			BarrierTimeout: *barrierTimeout,
-			Faults:         plan,
-		}, build, trainSet, testSet, task, pre, target)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hylo-train: %v\n", err)
-			os.Exit(1)
-		}
-	case *workers > 1:
-		res = train.RunDistributed(*workers, cfg, build, trainSet, testSet, task, pre, target)
-	default:
-		res = train.Run(cfg, build, trainSet, testSet, task, pre, target)
+		res, err = train.Drive(context.Background(), cluster, job, train.ElasticConfig{
+			Dir: *ckptDir, Every: *ckptEvery, Resume: *resume, Faults: plan,
+		})
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hylo-train: %v\n", err)
+		os.Exit(1)
 	}
 
 	if (*listen != "" || *join != "") && res.Method == "" {
@@ -239,7 +229,7 @@ func main() {
 		}
 		fmt.Printf("best metric: %.4f   state: %.2f MB\n", res.Best, float64(res.StateBytes)/(1<<20))
 		if res.TimeToTarget > 0 {
-			fmt.Printf("time-to-target(%.2f): %.2fs\n", target, res.TimeToTarget.Seconds())
+			fmt.Printf("time-to-target(%.2f): %.2fs\n", wl.Target, res.TimeToTarget.Seconds())
 		}
 		if *gradNorm && len(res.EpochModes) > 0 {
 			fmt.Printf("hylo per-epoch modes: %s\n", strings.Join(res.EpochModes, " "))

@@ -1,16 +1,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
 
 	"repro/internal/cliutil"
-	"repro/internal/data"
 	"repro/internal/dist"
 	distnet "repro/internal/dist/net"
-	"repro/internal/mat"
-	"repro/internal/nn"
 	"repro/internal/train"
 )
 
@@ -70,13 +68,9 @@ func (o netOpts) validate() error {
 }
 
 // runNetCluster rendezvouses with (or coordinates) the cluster and drives
-// elastic training over it. Every process runs this same function; only
-// the process hosting global rank 0 returns a populated Result.
-func runNetCluster(o netOpts, cfg train.Config,
-	buildNet func(rng *mat.RNG) *nn.Network,
-	trainSet, testSet *data.Dataset, task train.Task,
-	makePre train.PrecondFactory, target float64) (train.Result, error) {
-
+// job over it. Every process runs this same function; only the process
+// hosting global rank 0 returns a populated Result.
+func runNetCluster(o netOpts, job train.Job) (train.Result, error) {
 	if err := o.validate(); err != nil {
 		return train.Result{}, err
 	}
@@ -126,11 +120,7 @@ func runNetCluster(o netOpts, cfg train.Config,
 	fmt.Printf("cluster up: world=%d ranks=%d..%d gen=%d\n",
 		proc.WorldSize(), proc.BaseRank(), proc.BaseRank()+proc.LocalRanks()-1, proc.Gen())
 
-	return train.RunElasticProc(proc, cfg, train.ElasticConfig{
-		Dir:            o.ckptDir,
-		Every:          o.ckptEvery,
-		Resume:         o.resume,
-		BarrierTimeout: o.barrierTimeout,
-		Faults:         o.faults,
-	}, buildNet, trainSet, testSet, task, makePre, target)
+	return train.Drive(context.Background(), train.OverTCP(proc), job, train.ElasticConfig{
+		Dir: o.ckptDir, Every: o.ckptEvery, Resume: o.resume, Faults: o.faults,
+	})
 }

@@ -27,7 +27,7 @@ func AblationEta(cfg RunConfig) *Table {
 		Headers: []string{"eta", "best acc", "total time", "KID epochs", "modes"}}
 	w := resnet32Workload(cfg)
 	for _, eta := range []float64{0.05, 0.25, 1.0, 1e9} {
-		res := runAblation(w, hyloFactory(cfg, 0.1, eta))
+		res := w.run(w.cfg, hyloFactory(cfg, 0.1, eta), w.target)
 		kid := 0
 		modes := ""
 		for _, m := range res.EpochModes {
@@ -54,7 +54,7 @@ func AblationRank(cfg RunConfig) *Table {
 		Headers: []string{"rank frac", "best acc", "final loss", "total time"}}
 	w := resnet32Workload(cfg)
 	for _, rf := range []float64{0.05, 0.1, 0.25, 0.5} {
-		res := runAblation(w, hyloFactory(cfg, rf, 0.25))
+		res := w.run(w.cfg, hyloFactory(cfg, rf, 0.25), w.target)
 		t.AddRow(fmtF(rf), fmtF(res.Best), fmtF(res.FinalLoss),
 			fmtDur(res.Stats[len(res.Stats)-1].Elapsed))
 	}
@@ -69,7 +69,7 @@ func AblationFreq(cfg RunConfig) *Table {
 	for _, freq := range []int{1, 5, 20} {
 		w2 := w
 		w2.cfg.UpdateFreq = freq
-		res := runAblation(w2, hyloFactory(cfg, 0.1, 0.25))
+		res := w2.run(w2.cfg, hyloFactory(cfg, 0.1, 0.25), w2.target)
 		t.AddRow(fmt.Sprint(freq), fmtF(res.Best),
 			fmtDur(res.Stats[len(res.Stats)-1].Elapsed))
 	}
@@ -95,7 +95,7 @@ func AblationRandomizedID(cfg RunConfig) *Table {
 		// Force KID-only so the ablation isolates the factorization.
 		o := cfg.opts()
 		o.KidSketch = v.sketch
-		res := runAblation(w, precondFactory("hylo-kid", o))
+		res := w.run(w.cfg, precondFactory("hylo-kid", o), w.target)
 		gerr := measureKIDError(cfg, v.sketch)
 		t.AddRow(v.name, fmtF(res.Best),
 			fmtDur(res.Stats[len(res.Stats)-1].Elapsed), fmtF(gerr))
@@ -213,13 +213,6 @@ func AblationKISRescale(cfg RunConfig) *Table {
 		t.AddRow(v.name, fmtF(sum/trials), fmt.Sprint(trials))
 	}
 	return t
-}
-
-func runAblation(w workload, factory train.PrecondFactory) train.Result {
-	if w.workers > 1 {
-		return train.RunDistributed(w.workers, w.cfg, w.build, w.trainD, w.testD, w.task, factory, w.target)
-	}
-	return train.Run(w.cfg, w.build, w.trainD, w.testD, w.task, factory, w.target)
 }
 
 func sqrt(x float64) float64 {

@@ -17,11 +17,7 @@ func AblationDamping(cfg RunConfig) *Table {
 			c.AdaptDamping = adapt
 			o := cfg.opts()
 			o.Damping = alpha
-			factory := precondFactory("hylo", o)
-			if w.workers > 1 {
-				return train.RunDistributed(w.workers, c, w.build, w.trainD, w.testD, w.task, factory, 0)
-			}
-			return train.Run(c, w.build, w.trainD, w.testD, w.task, factory, 0)
+			return w.run(c, precondFactory("hylo", o), 0)
 		}
 		fixed := run(false)
 		adaptive := run(true)

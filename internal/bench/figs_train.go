@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/dist"
 	"repro/internal/mat"
 	"repro/internal/models"
 	"repro/internal/nn"
@@ -185,17 +187,26 @@ func (cfg RunConfig) methods(which []string) []method {
 	return out
 }
 
+// run trains the workload under cfg and pre on the cluster its worker
+// count asks for. Experiments have no error path: a failed run panics.
+func (w workload) run(cfg train.Config, pre train.PrecondFactory, target float64) train.Result {
+	cluster := train.Local()
+	if w.workers > 1 {
+		cluster = train.InProcess(dist.NewCluster(w.workers))
+	}
+	res, err := train.Drive(context.Background(), cluster, train.Job{Config: cfg, Build: w.build,
+		Train: w.trainD, Test: w.testD, Task: w.task, Precond: pre, Target: target}, train.ElasticConfig{})
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 // runMethod executes a workload under one method.
 func runMethod(w workload, m method) train.Result {
 	cfg := w.cfg
 	cfg.Adam = m.adam
-	if w.workers > 1 {
-		per := cfg.BatchSize
-		cfgD := cfg
-		cfgD.BatchSize = per
-		return train.RunDistributed(w.workers, cfgD, w.build, w.trainD, w.testD, w.task, m.pre, w.target)
-	}
-	return train.Run(cfg, w.build, w.trainD, w.testD, w.task, m.pre, w.target)
+	return w.run(cfg, m.pre, w.target)
 }
 
 func fmtDur(d time.Duration) string {

@@ -39,6 +39,13 @@ type Workload struct {
 	Target float64
 }
 
+// Job is the training job of this workload under cfg and the given
+// preconditioner factory (nil: first-order).
+func (w Workload) Job(cfg train.Config, pre train.PrecondFactory) train.Job {
+	return train.Job{Config: cfg, Build: w.Build, Train: w.Train, Test: w.Test,
+		Task: w.Task, Precond: pre, Target: w.Target}
+}
+
 // BuildWorkload assembles the named synthetic workload. Every front end
 // (CLI flags, server job specs) goes through here so a model name means
 // the same dataset, architecture, and target everywhere.

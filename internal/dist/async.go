@@ -106,7 +106,7 @@ func Async(c Comm) *AsyncComm {
 	return &AsyncComm{inner: c, inline: c.Size() == 1}
 }
 
-// Unwrap returns the wrapped Comm (AsWorker compatibility).
+// Unwrap returns the wrapped Comm (used by AsBarrier and AsByteGatherer).
 func (a *AsyncComm) Unwrap() Comm { return a.inner }
 
 // Size implements Comm.

@@ -102,8 +102,8 @@ func TestAsyncComposesWithWrappers(t *testing.T) {
 	plan := FaultPlan{Seed: 9, PanicStep: -1, StragglerProb: 0.5, StragglerDelay: 100}
 	c.Run(func(w *Worker) {
 		a := Async(NewFaultInjector(seq.Check(w), plan))
-		if _, ok := AsWorker(a); !ok {
-			t.Error("AsWorker should unwrap AsyncComm chains")
+		if _, ok := AsBarrier(a); !ok {
+			t.Error("AsBarrier should unwrap AsyncComm chains")
 		}
 		m := mat.NewDense(1, 1)
 		m.Set(0, 0, float64(w.Rank))

@@ -100,7 +100,7 @@ func (f *FaultInjector) OnStep(step int) {
 	panic(fault)
 }
 
-// Unwrap returns the wrapped Comm (used by AsWorker).
+// Unwrap returns the wrapped Comm (used by AsBarrier and AsByteGatherer).
 func (f *FaultInjector) Unwrap() Comm { return f.inner }
 
 // maybeDelay sleeps the straggler delay per the plan's draw.
@@ -201,21 +201,6 @@ func (f *FaultInjector) BroadcastMat(root int, m *mat.Dense) *mat.Dense {
 func (f *FaultInjector) AllReduceScalar(v float64) float64 {
 	f.maybeDelay()
 	return f.inner.AllReduceScalar(v)
-}
-
-// AsWorker unwraps chaos/instrumentation layers down to the underlying
-// cluster *Worker, reporting false for single-process Comms.
-func AsWorker(c Comm) (*Worker, bool) {
-	for {
-		if w, ok := c.(*Worker); ok {
-			return w, true
-		}
-		u, ok := c.(interface{ Unwrap() Comm })
-		if !ok {
-			return nil, false
-		}
-		c = u.Unwrap()
-	}
 }
 
 // Barrierer is implemented by transports with an explicit N-party barrier

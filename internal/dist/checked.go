@@ -68,7 +68,7 @@ func (s *seqChecker) step(rank, pos int, op collectiveOp) {
 	slot[rank] = op
 }
 
-// Unwrap returns the wrapped Comm (used by AsWorker).
+// Unwrap returns the wrapped Comm (used by AsBarrier and AsByteGatherer).
 func (c *CheckedComm) Unwrap() Comm { return c.inner }
 
 func (c *CheckedComm) next() int {

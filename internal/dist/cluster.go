@@ -32,13 +32,15 @@ func countComm(op string, elems int) {
 // (mismatched sequences deadlock, as they would under MPI/NCCL).
 type Cluster struct {
 	P int
+	// ShrinkOnFailure makes Reset drop one worker — elastic recovery with
+	// re-sharding, the in-process reference for a TCP cluster losing a
+	// process. Rank sections beyond the new world size are dropped;
+	// preconditioners whose state is lost rebuild on the first resumed step.
+	ShrinkOnFailure bool
 
 	barrier *barrier
 	slots   []any
 	rootMu  sync.Mutex
-
-	ringOnce sync.Once
-	ringSt   *ringState
 }
 
 // NewCluster returns a cluster of p workers.
@@ -61,10 +63,14 @@ func (c *Cluster) SetBarrierTimeout(d time.Duration) {
 }
 
 // Reset returns a cluster whose previous run failed (poisoned barrier,
-// stale slots) to a usable state so an elastic driver can relaunch workers
-// on it. It must only be called between Run/RunWithRecovery invocations —
-// after the previous run's goroutines have all exited.
+// stale slots) to a usable state — one worker smaller under
+// ShrinkOnFailure — so an elastic driver can relaunch workers on it. It
+// must only be called between Run/RunWithRecovery invocations — after the
+// previous run's goroutines have all exited.
 func (c *Cluster) Reset() {
+	if c.ShrinkOnFailure && c.P > 1 {
+		c.P--
+	}
 	c.barrier.mu.Lock()
 	timeout := c.barrier.timeout
 	if c.barrier.watchdog != nil {
@@ -74,8 +80,6 @@ func (c *Cluster) Reset() {
 	c.barrier = newBarrier(c.P)
 	c.barrier.timeout = timeout
 	c.slots = make([]any, c.P)
-	c.ringOnce = sync.Once{}
-	c.ringSt = nil
 }
 
 // Run launches fn on every worker goroutine and waits for all to finish.

@@ -413,87 +413,3 @@ func TestStragglerModel(t *testing.T) {
 		t.Fatalf("comm-bound efficiency %g should exceed compute-bound %g", effComm, effComp)
 	}
 }
-
-func TestRingAllReduceMatchesBarrierVersion(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 7} {
-		for _, n := range []int{1, 5, 16, 33} {
-			c := NewCluster(p)
-			results := make([][]float64, p)
-			c.Run(func(w *Worker) {
-				x := make([]float64, n)
-				for j := range x {
-					x[j] = float64(w.Rank*n + j + 1)
-				}
-				results[w.Rank] = w.RingAllReduce(x)
-			})
-			// Reference: rank-order sum.
-			want := make([]float64, n)
-			for r := 0; r < p; r++ {
-				for j := 0; j < n; j++ {
-					want[j] += float64(r*n + j + 1)
-				}
-			}
-			for r := 0; r < p; r++ {
-				for j := 0; j < n; j++ {
-					if d := results[r][j] - want[j]; d > 1e-9 || d < -1e-9 {
-						t.Fatalf("P=%d n=%d rank %d elem %d: %g vs %g",
-							p, n, r, j, results[r][j], want[j])
-					}
-				}
-			}
-			// All ranks identical (ring result is rank-independent).
-			for r := 1; r < p; r++ {
-				for j := 0; j < n; j++ {
-					if results[r][j] != results[0][j] {
-						t.Fatalf("P=%d: ranks 0 and %d disagree", p, r)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestRingAllReduceRepeatedRounds(t *testing.T) {
-	c := NewCluster(4)
-	c.Run(func(w *Worker) {
-		for round := 1; round <= 10; round++ {
-			x := []float64{float64(w.Rank + round)}
-			got := w.RingAllReduce(x)
-			want := float64(0+1+2+3) + 4*float64(round)
-			if got[0] != want {
-				t.Errorf("round %d rank %d: %g; want %g", round, w.Rank, got[0], want)
-				return
-			}
-		}
-	})
-}
-
-func TestRingAllReduceMat(t *testing.T) {
-	c := NewCluster(3)
-	c.Run(func(w *Worker) {
-		m := mat.NewDense(2, 3)
-		m.Fill(float64(w.Rank + 1))
-		sum := w.RingAllReduceMat(m)
-		for _, v := range sum.Data() {
-			if v != 6 {
-				t.Errorf("rank %d: %g; want 6", w.Rank, v)
-				return
-			}
-		}
-		// Input untouched.
-		if m.At(0, 0) != float64(w.Rank+1) {
-			t.Errorf("rank %d: input mutated", w.Rank)
-		}
-	})
-}
-
-func TestRingAllReduceSmallVector(t *testing.T) {
-	// n < P: some chunks are empty; must still work.
-	c := NewCluster(6)
-	c.Run(func(w *Worker) {
-		got := w.RingAllReduce([]float64{1, 2})
-		if got[0] != 6 || got[1] != 12 {
-			t.Errorf("rank %d: %v; want [6 12]", w.Rank, got)
-		}
-	})
-}

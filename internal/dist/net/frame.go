@@ -27,7 +27,7 @@
 //
 // A dead peer surfaces to local ranks as the same typed failure the
 // in-process chaos layer produces (a dist.ErrClusterPoisoned panic), so
-// train.RunElastic-style drivers shrink and resume identically over both
+// the train.Drive recovery loop shrinks and resumes identically over both
 // transports.
 package distnet
 

@@ -406,7 +406,7 @@ func (p *Proc) collective(slot int, op byte, pt part, seq uint64) [][]byte {
 
 // Run drives fn on every local rank (one goroutine each), recovering
 // panics into dist.WorkerError exactly like the in-process cluster's
-// RunWithRecovery, so elastic drivers handle both transports with one code
+// RunWithRecovery, so train.Drive handles both transports with one code
 // path. An organic local panic withdraws the process from the cluster so
 // remote survivors fail loudly and rejoin instead of hanging.
 func (p *Proc) Run(fn func(c dist.Comm)) []error {

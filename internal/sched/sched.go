@@ -115,7 +115,7 @@ type Engine struct {
 // on the calling goroutine in the same canonical stage-major order, with
 // no goroutines, channels, or tokens — the `-sched-workers=1` legacy
 // schedule. A panic in any stage is re-raised on the caller, preserving
-// the worker-death semantics RunWithRecovery and RunElastic rely on.
+// the worker-death semantics RunWithRecovery and train.Drive rely on.
 func Run(e *Engine, n int, stages []Stage) {
 	if n <= 0 || len(stages) == 0 {
 		return

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cliutil"
+	"repro/internal/dist"
 	"repro/internal/opt"
 	"repro/internal/serve/api"
 	"repro/internal/train"
@@ -12,7 +13,7 @@ import (
 
 // Execute is the default ExecFunc: it maps a validated api.JobSpec onto the
 // same building blocks the CLIs use — cliutil for workload and
-// preconditioner construction, train.RunElasticCtx for the run itself — so
+// preconditioner construction, train.Drive for the run itself — so
 // a job submitted over HTTP behaves bit-identically to the equivalent
 // hylo-train invocation. The job's context flows into the training loop,
 // which is what makes DELETE /v1/jobs/{id} end with a resumable
@@ -54,8 +55,8 @@ func execTrain(j *Job, spec api.JobSpec) (api.Result, error) {
 		// continues from a snapshot funnels through the same elastic resume.
 		Resume: j.resumeFlag(),
 	}
-	res, runErr := train.RunElasticCtx(j.Context(), spec.Workers, cfg, ec,
-		wl.Build, wl.Train, wl.Test, wl.Task, pre, wl.Target)
+	res, runErr := train.Drive(j.Context(), train.InProcess(dist.NewCluster(spec.Workers)),
+		wl.Job(cfg, pre), ec)
 	out := api.Result{
 		Method:     res.Method,
 		Best:       res.Best,

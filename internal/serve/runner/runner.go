@@ -15,7 +15,7 @@
 // job slot is occupied; cmd/hylo-serve does this automatically.
 //
 // Cancellation is context-driven end to end: cancelling a job closes its
-// context, train.RunElasticCtx observes it at the next epoch boundary,
+// context, train.Drive observes it at the next epoch boundary,
 // force-writes a checkpoint, and the job lands in StateCancelled with a
 // resumable checkpoint directory in its artifacts.
 //
@@ -112,7 +112,7 @@ type Job struct {
 
 	// ctx is cancelled by Runner.Cancel and Runner.Shutdown; its Done
 	// channel gates the token acquisition and flows into
-	// train.RunElasticCtx as the cooperative cancellation signal.
+	// train.Drive as the cooperative cancellation signal.
 	ctx       context.Context
 	ctxCancel context.CancelFunc
 	// done closes when the job reaches a terminal state.

@@ -3,9 +3,12 @@ package train
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/dist"
+	"repro/internal/mat"
 )
 
 // Cancelling mid-run must stop the loop at the next epoch boundary, force a
@@ -30,8 +33,9 @@ func TestCancelForcesResumableCheckpoint(t *testing.T) {
 	}
 	// Every=10 never fires on cadence inside 6 epochs, so the only way a
 	// checkpoint can exist afterwards is the forced write on cancellation.
-	res, err := RunElasticCtx(ctx, 1, ccfg, ElasticConfig{Dir: dir, Every: 10},
-		mlpBuilder(12, 3), tr, te, Classification(), hylo, 0)
+	res, err := Drive(ctx, inProc(1),
+		Job{ccfg, mlpBuilder(12, 3), tr, te, Classification(), hylo, 0},
+		ElasticConfig{Dir: dir, Every: 10})
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v; want ErrCancelled", err)
 	}
@@ -51,8 +55,9 @@ func TestCancelForcesResumableCheckpoint(t *testing.T) {
 		t.Fatalf("checkpoint epoch = %d; want 2 (the cancellation epoch)", snap.Epoch)
 	}
 
-	resumed, err := RunElastic(1, cfg, ElasticConfig{Dir: dir, Every: 10, Resume: true},
-		mlpBuilder(12, 3), tr, te, Classification(), hylo, 0)
+	resumed, err := Drive(bg, inProc(1),
+		Job{cfg, mlpBuilder(12, 3), tr, te, Classification(), hylo, 0},
+		ElasticConfig{Dir: dir, Every: 10, Resume: true})
 	if err != nil {
 		t.Fatalf("resume after cancel: %v", err)
 	}
@@ -81,8 +86,9 @@ func TestCancelDistributedStaysCollective(t *testing.T) {
 			cancel()
 		}
 	}
-	res, err := RunElasticCtx(ctx, 2, ccfg, ElasticConfig{Dir: dir, Every: 1},
-		mlpBuilder(12, 3), tr, te, Classification(), hylo, 0)
+	res, err := Drive(ctx, inProc(2),
+		Job{ccfg, mlpBuilder(12, 3), tr, te, Classification(), hylo, 0},
+		ElasticConfig{Dir: dir, Every: 1})
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v; want ErrCancelled", err)
 	}
@@ -90,34 +96,92 @@ func TestCancelDistributedStaysCollective(t *testing.T) {
 		t.Fatalf("cancelled run recorded %d epochs; want 2", got)
 	}
 
-	resumed, err := RunElastic(2, cfg, ElasticConfig{Dir: dir, Every: 1, Resume: true},
-		mlpBuilder(12, 3), tr, te, Classification(), hylo, 0)
+	resumed, err := Drive(bg, inProc(2),
+		Job{cfg, mlpBuilder(12, 3), tr, te, Classification(), hylo, 0},
+		ElasticConfig{Dir: dir, Every: 1, Resume: true})
 	if err != nil {
 		t.Fatalf("resume after cancel: %v", err)
 	}
 	statsClose(t, ref.Stats, resumed.Stats, 0)
 }
 
-// An uncancellable context must leave RunElasticCtx identical to
-// RunElastic — same stats, nil error — because ctx.Done() is nil and the
-// cancellation collective is never issued.
-func TestRunElasticCtxBackgroundMatchesRunElastic(t *testing.T) {
+// countingCluster counts the Comm collectives its ranks issue. The
+// checkpoint gather is control plane (it unwraps to the transport) and is
+// not among them.
+type countingCluster struct {
+	Cluster
+	calls *atomic.Int64
+}
+
+func (c countingCluster) run(fn func(dist.Comm)) []error {
+	return c.Cluster.run(func(comm dist.Comm) { fn(countingComm{comm, c.calls}) })
+}
+
+type countingComm struct {
+	dist.Comm
+	calls *atomic.Int64
+}
+
+func (c countingComm) Unwrap() dist.Comm { return c.Comm }
+
+func (c countingComm) AllGatherMat(m *mat.Dense) []*mat.Dense {
+	c.calls.Add(1)
+	return c.Comm.AllGatherMat(m)
+}
+
+func (c countingComm) AllReduceMat(m *mat.Dense) *mat.Dense {
+	c.calls.Add(1)
+	return c.Comm.AllReduceMat(m)
+}
+
+func (c countingComm) BroadcastMat(root int, m *mat.Dense) *mat.Dense {
+	c.calls.Add(1)
+	return c.Comm.BroadcastMat(root, m)
+}
+
+func (c countingComm) AllReduceScalar(v float64) float64 {
+	c.calls.Add(1)
+	return c.Comm.AllReduceScalar(v)
+}
+
+// An uncancellable context must issue exactly the collectives of the run
+// without checkpoints — ctx.Done() is nil, so the per-epoch cancellation
+// agreement is never made — while a context that could be cancelled pays
+// one scalar all-reduce per rank for every epoch but the last.
+func TestDriverBackgroundContextAddsNoCollectives(t *testing.T) {
 	tr, te := vectorTask(23)
 	cfg := baseCfg()
 	cfg.Epochs = 4
-	hylo := precondFactories()["HyLo"]
+	cfg.BatchSize = 15
+	job := Job{cfg, mlpBuilder(12, 3), tr, te, Classification(), precondFactories()["HyLo"], 0}
+	const p = 2
 
-	a, err := RunElastic(1, cfg, ElasticConfig{Dir: t.TempDir(), Every: 1},
-		mlpBuilder(12, 3), tr, te, Classification(), hylo, 0)
-	if err != nil {
-		t.Fatal(err)
+	count := func(ctx context.Context, ec ElasticConfig) (Result, int64) {
+		t.Helper()
+		var calls atomic.Int64
+		res, err := Drive(ctx, countingCluster{inProc(p), &calls}, job, ec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, calls.Load()
 	}
-	b, err := RunElasticCtx(context.Background(), 1, cfg, ElasticConfig{Dir: t.TempDir(), Every: 1},
-		mlpBuilder(12, 3), tr, te, Classification(), hylo, 0)
-	if err != nil {
-		t.Fatal(err)
+	plain, base := count(bg, ElasticConfig{})
+	if base == 0 {
+		t.Fatal("the counting Comm saw no collectives")
 	}
-	statsClose(t, a.Stats, b.Stats, 0)
+	ckpted, n := count(bg, ElasticConfig{Dir: t.TempDir(), Every: 1})
+	if n != base {
+		t.Fatalf("uncancellable checkpointed run issued %d collectives; the plain run %d", n, base)
+	}
+	statsClose(t, plain.Stats, ckpted.Stats, 0)
+
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	live, n := count(ctx, ElasticConfig{Dir: t.TempDir(), Every: 1})
+	if want := base + p*int64(cfg.Epochs-1); n != want {
+		t.Fatalf("cancellable run issued %d collectives; want %d (one agreement per rank and non-final epoch)", n, want)
+	}
+	statsClose(t, plain.Stats, live.Stats, 0)
 }
 
 // OnEpoch must fire once per completed epoch, in order, with the same

@@ -42,14 +42,15 @@ func TestElasticSurvivesDegenerateGathers(t *testing.T) {
 			hylo := func(net *nn.Network, comm dist.Comm, tl *dist.Timeline, rng *mat.RNG) opt.Preconditioner {
 				return core.NewHyLo(net, 1e-13, 0.25, comm, tl, rng)
 			}
-			res, err := RunElastic(2, cfg, ElasticConfig{
-				Dir:   t.TempDir(),
-				Every: 1,
-				Faults: &dist.FaultPlan{
-					Seed: 4, PanicStep: -1,
-					DegenerateKind: kind, DegenerateProb: 1,
-				},
-			}, mlpBuilder(12, 3), tr, te, Classification(), hylo, 0)
+			res, err := Drive(bg, inProc(2),
+				Job{cfg, mlpBuilder(12, 3), tr, te, Classification(), hylo, 0}, ElasticConfig{
+					Dir:   t.TempDir(),
+					Every: 1,
+					Faults: &dist.FaultPlan{
+						Seed: 4, PanicStep: -1,
+						DegenerateKind: kind, DegenerateProb: 1,
+					},
+				})
 			if err != nil {
 				t.Fatalf("degenerate %s gathers killed the run: %v", kind, err)
 			}

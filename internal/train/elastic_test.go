@@ -1,6 +1,7 @@
 package train
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,6 +13,19 @@ import (
 	"repro/internal/mat"
 	"repro/internal/telemetry"
 )
+
+var bg = context.Background()
+
+// inProc is a fresh in-process cluster of p ranks.
+func inProc(p int) Cluster { return InProcess(dist.NewCluster(p)) }
+
+// shrinking is inProc dropping one rank per failure: the in-process
+// reference for a TCP cluster that loses a process.
+func shrinking(p int) Cluster {
+	c := dist.NewCluster(p)
+	c.ShrinkOnFailure = true
+	return InProcess(c)
+}
 
 // statsClose compares two epoch histories ignoring wall-clock fields.
 func statsClose(t *testing.T, want, got []EpochStat, tol float64) {
@@ -53,14 +67,15 @@ func TestElasticRecoveryMatchesUninterrupted(t *testing.T) {
 		telemetry.SetDefault(prev)
 	}()
 
-	res, err := RunElastic(2, cfg, ElasticConfig{
-		Dir:   t.TempDir(),
-		Every: 1,
-		// 9 steps/epoch: rank 1 dies entering step 19 (epoch 2);
-		// checkpoints exist for epochs 0 and 1, so recovery resumes the
-		// interrupted epoch 2 from the epoch-1 snapshot.
-		Faults: &dist.FaultPlan{Seed: 1, PanicRank: 1, PanicStep: 19},
-	}, mlpBuilder(12, 3), tr, te, Classification(), hylo, 0)
+	res, err := Drive(bg, inProc(2),
+		Job{cfg, mlpBuilder(12, 3), tr, te, Classification(), hylo, 0}, ElasticConfig{
+			Dir:   t.TempDir(),
+			Every: 1,
+			// 9 steps/epoch: rank 1 dies entering step 19 (epoch 2);
+			// checkpoints exist for epochs 0 and 1, so recovery resumes the
+			// interrupted epoch 2 from the epoch-1 snapshot.
+			Faults: &dist.FaultPlan{Seed: 1, PanicRank: 1, PanicStep: 19},
+		})
 	if err != nil {
 		t.Fatalf("RunElastic failed to recover: %v", err)
 	}
@@ -96,8 +111,9 @@ func TestElasticCorruptedCheckpointFallsBack(t *testing.T) {
 	cfgShort := baseCfg()
 	cfgShort.Epochs = 3
 	cfgShort.BatchSize = 15
-	if _, err := RunElastic(2, cfgShort, ElasticConfig{Dir: dir, Every: 1},
-		mlpBuilder(12, 3), tr, te, Classification(), hylo, 0); err != nil {
+	if _, err := Drive(bg, inProc(2),
+		Job{cfgShort, mlpBuilder(12, 3), tr, te, Classification(), hylo, 0},
+		ElasticConfig{Dir: dir, Every: 1}); err != nil {
 		t.Fatal(err)
 	}
 	ents, err := os.ReadDir(dir)
@@ -113,8 +129,9 @@ func TestElasticCorruptedCheckpointFallsBack(t *testing.T) {
 
 	cfgFull := cfgShort
 	cfgFull.Epochs = 6
-	res, err := RunElastic(2, cfgFull, ElasticConfig{Dir: dir, Every: 1, Resume: true},
-		mlpBuilder(12, 3), tr, te, Classification(), hylo, 0)
+	res, err := Drive(bg, inProc(2),
+		Job{cfgFull, mlpBuilder(12, 3), tr, te, Classification(), hylo, 0},
+		ElasticConfig{Dir: dir, Every: 1, Resume: true})
 	if err != nil {
 		t.Fatalf("resume after corruption failed: %v", err)
 	}
@@ -141,12 +158,12 @@ func TestElasticShrinkRecovers(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Epochs = 4
 	cfg.BatchSize = 15
-	res, err := RunElastic(2, cfg, ElasticConfig{
-		Dir:         t.TempDir(),
-		Every:       1,
-		AllowShrink: true,
-		Faults:      &dist.FaultPlan{Seed: 2, PanicRank: 0, PanicStep: 13}, // epoch 1
-	}, mlpBuilder(12, 3), tr, te, Classification(), precondFactories()["KFAC"], 0)
+	res, err := Drive(bg, shrinking(2),
+		Job{cfg, mlpBuilder(12, 3), tr, te, Classification(), precondFactories()["KFAC"], 0}, ElasticConfig{
+			Dir:    t.TempDir(),
+			Every:  1,
+			Faults: &dist.FaultPlan{Seed: 2, PanicRank: 0, PanicStep: 13}, // epoch 1
+		})
 	if err != nil {
 		t.Fatalf("shrink recovery failed: %v", err)
 	}
@@ -165,11 +182,12 @@ func TestElasticRestartsColdWithoutCheckpoint(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Epochs = 2
 	cfg.BatchSize = 15
-	res, err := RunElastic(2, cfg, ElasticConfig{
-		Dir:    t.TempDir(),
-		Every:  1,
-		Faults: &dist.FaultPlan{Seed: 3, PanicRank: 1, PanicStep: 0},
-	}, mlpBuilder(8, 3), tr, te, Classification(), nil, 0)
+	res, err := Drive(bg, inProc(2),
+		Job{cfg, mlpBuilder(8, 3), tr, te, Classification(), nil, 0}, ElasticConfig{
+			Dir:    t.TempDir(),
+			Every:  1,
+			Faults: &dist.FaultPlan{Seed: 3, PanicRank: 1, PanicStep: 0},
+		})
 	if err != nil {
 		t.Fatalf("cold restart failed: %v", err)
 	}

@@ -300,8 +300,9 @@ func TestNetProcTrainingParity(t *testing.T) {
 	for _, optName := range netOptimizers {
 		t.Run(optName, func(t *testing.T) {
 			tr, te := vectorTask(31)
-			ref, err := RunElastic(4, netTrainCfg(2), ElasticConfig{Dir: t.TempDir(), Every: 1},
-				mlpBuilder(12, 3), tr, te, Classification(), precondFactories()[optName], 0)
+			ref, err := Drive(bg, inProc(4),
+				Job{netTrainCfg(2), mlpBuilder(12, 3), tr, te, Classification(), precondFactories()[optName], 0},
+				ElasticConfig{Dir: t.TempDir(), Every: 1})
 			if err != nil {
 				t.Fatalf("in-process reference: %v", err)
 			}
@@ -339,8 +340,9 @@ func TestNetProcTreeTopologyParity(t *testing.T) {
 			for _, world := range []int{2, 4} {
 				t.Run(fmt.Sprintf("P%d", world), func(t *testing.T) {
 					tr, te := vectorTask(31)
-					ref, err := RunElastic(world, netTrainCfg(2), ElasticConfig{Dir: t.TempDir(), Every: 1},
-						mlpBuilder(12, 3), tr, te, Classification(), precondFactories()[optName], 0)
+					ref, err := Drive(bg, inProc(world),
+						Job{netTrainCfg(2), mlpBuilder(12, 3), tr, te, Classification(), precondFactories()[optName], 0},
+						ElasticConfig{Dir: t.TempDir(), Every: 1})
 					if err != nil {
 						t.Fatalf("in-process reference: %v", err)
 					}
@@ -402,9 +404,10 @@ func TestNetProcShrinkMatchesInProcess(t *testing.T) {
 	// epochs 0 and 1 exist and recovery resumes epoch 2 on P=3.
 	plan := &dist.FaultPlan{Seed: 5, PanicRank: 3, PanicStep: 9}
 	tr, te := vectorTask(31)
-	ref, err := RunElastic(4, netTrainCfg(4), ElasticConfig{
-		Dir: t.TempDir(), Every: 1, AllowShrink: true, Faults: plan,
-	}, mlpBuilder(12, 3), tr, te, Classification(), precondFactories()["HyLo"], 0)
+	ref, err := Drive(bg, shrinking(4),
+		Job{netTrainCfg(4), mlpBuilder(12, 3), tr, te, Classification(), precondFactories()["HyLo"], 0}, ElasticConfig{
+			Dir: t.TempDir(), Every: 1, Faults: plan,
+		})
 	if err != nil {
 		t.Fatalf("in-process shrink reference: %v", err)
 	}
@@ -439,8 +442,9 @@ func TestNetProcParityWithParallelScheduler(t *testing.T) {
 	prev := sched.Workers()
 	sched.SetWorkers(1)
 	tr, te := vectorTask(31)
-	ref, err := RunElastic(4, netTrainCfg(2), ElasticConfig{Dir: t.TempDir(), Every: 1},
-		mlpBuilder(12, 3), tr, te, Classification(), precondFactories()["HyLo"], 0)
+	ref, err := Drive(bg, inProc(4),
+		Job{netTrainCfg(2), mlpBuilder(12, 3), tr, te, Classification(), precondFactories()["HyLo"], 0},
+		ElasticConfig{Dir: t.TempDir(), Every: 1})
 	if err != nil {
 		sched.SetWorkers(prev)
 		t.Fatalf("sequential reference: %v", err)

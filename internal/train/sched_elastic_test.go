@@ -26,11 +26,12 @@ func TestElasticRecoveryWithParallelScheduler(t *testing.T) {
 
 	sched.SetWorkers(4)
 	defer sched.SetWorkers(prev)
-	res, err := RunElastic(2, cfg, ElasticConfig{
-		Dir:    t.TempDir(),
-		Every:  1,
-		Faults: &dist.FaultPlan{Seed: 1, PanicRank: 1, PanicStep: 19},
-	}, mlpBuilder(12, 3), tr, te, Classification(), hylo, 0)
+	res, err := Drive(bg, inProc(2),
+		Job{cfg, mlpBuilder(12, 3), tr, te, Classification(), hylo, 0}, ElasticConfig{
+			Dir:    t.TempDir(),
+			Every:  1,
+			Faults: &dist.FaultPlan{Seed: 1, PanicRank: 1, PanicStep: 19},
+		})
 	if err != nil {
 		t.Fatalf("RunElastic failed to recover under the parallel scheduler: %v", err)
 	}
