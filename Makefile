@@ -82,6 +82,7 @@ fuzzsmoke:
 	$(GO) test ./internal/mat/ -run '^$$' -fuzz '^FuzzGemmKernel$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mat/ -run '^$$' -fuzz '^FuzzAxpy$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mat/ -run '^$$' -fuzz '^FuzzDotTile$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mat/ -run '^$$' -fuzz '^FuzzGathered$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist/net/ -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist/net/ -run '^$$' -fuzz '^FuzzChunkReassembly$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/runner/ -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME)

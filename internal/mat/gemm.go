@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -140,6 +141,68 @@ func MulStripInto(dst, a, b *Dense, transA, transB bool, rows int, acc bool) *De
 	return dst
 }
 
+// Gathered is an m×k operand that is never stored, m = len(Row) and
+// k = len(Col): element (i, p) is Data[Row[i]+Col[p]]. Any matrix whose
+// element addresses separate into a row part and a column part is one —
+// the unfolded input of a convolution over a zero-padded sample, and its
+// transpose, which is the same Data with the two tables swapped.
+type Gathered struct {
+	Data     []float64
+	Row, Col []int
+}
+
+// MulGatheredInto sets dst = g*b — with acc, dst += g*b — bit for bit as
+// MulStripInto computes it for g written out as a matrix. g is a block of a
+// whole wm×wk operand, rows [·, wk = k] of it or columns [wm = m, ·]: as
+// there, the packed and the small kernels round differently and the choice
+// between them is made from the whole product, and column blocks fed in
+// order, StripRows columns each, acc on all but the first, end as the
+// one-shot product. Offsets are checked against Data here, once per call;
+// nothing below checks them again. dst must not alias b or g.Data.
+func MulGatheredInto(dst *Dense, g Gathered, b *Dense, wm, wk int, acc bool) *Dense {
+	m, k, n := len(g.Row), len(g.Col), b.cols
+	if k != b.rows {
+		panic("mat: MulGatheredInto dimension mismatch")
+	}
+	if dst.rows != m || dst.cols != n {
+		panic("mat: MulGatheredInto destination dimension mismatch")
+	}
+	if wm < m || wk < k {
+		panic("mat: MulGatheredInto block is larger than its whole")
+	}
+	checkNoAlias("MulGatheredInto", dst, b, &Dense{data: g.Data})
+	if m == 0 || n == 0 {
+		return dst
+	}
+	if k == 0 {
+		if !acc {
+			dst.Zero()
+		}
+		return dst
+	}
+	if slices.Min(g.Row) < 0 || slices.Min(g.Col) < 0 || slices.Max(g.Row)+slices.Max(g.Col) >= len(g.Data) {
+		panic("mat: MulGatheredInto offset tables reach outside Data")
+	}
+	if wm*n*wk >= parallelThreshold && wm != 1 && n != 1 {
+		gemmPacked(dst, nil, g, b, false, false, m, k, n, acc)
+		return dst
+	}
+	// gemmSmall's a*b (and, per element, its aᵀb): zero-skip, then one axpy
+	// per p ascending.
+	if !acc {
+		dst.Zero()
+	}
+	for i, r := range g.Row {
+		orow := dst.data[i*n : (i+1)*n]
+		for p, c := range g.Col {
+			if av := g.Data[r+c]; av != 0 {
+				axpy(orow, b.data[p*n:(p+1)*n], av)
+			}
+		}
+	}
+	return dst
+}
+
 // checkNoAlias panics when dst shares backing storage with a or b. The
 // check is exact for matrices managed by this package (whole-allocation
 // backing slices compared by their first element).
@@ -194,7 +257,7 @@ func gemm(out, a, b *Dense, transA, transB bool, rows int, acc bool) {
 		gemmSmall(out, a, b, transA, transB, m, k, n, acc)
 		return
 	}
-	gemmPacked(out, a, b, transA, transB, m, k, n, acc)
+	gemmPacked(out, a, Gathered{}, b, transA, transB, m, k, n, acc)
 }
 
 // gemmSmall handles shapes where packing overhead dominates, with loop
@@ -251,7 +314,8 @@ func gemmSmall(out, a, b *Dense, transA, transB bool, m, k, n int, acc bool) {
 // overwrites out and the rest accumulate into it in a fixed sequential
 // order, so the result is deterministic regardless of how workers interleave.
 // With acc the first slice accumulates too: out holds the earlier strips.
-func gemmPacked(out, a, b *Dense, transA, transB bool, m, k, n int, acc bool) {
+// A nil a makes the gathered operand g the left factor.
+func gemmPacked(out, a *Dense, g Gathered, b *Dense, transA, transB bool, m, k, n int, acc bool) {
 	bp := getFloatsRaw(gemmKC * ((gemmNC + gemmNR - 1) / gemmNR) * gemmNR)
 	mpanels := (m + gemmMR - 1) / gemmMR
 	nw := runtime.GOMAXPROCS(0)
@@ -279,7 +343,7 @@ func gemmPacked(out, a, b *Dense, transA, transB bool, m, k, n int, acc bool) {
 			for pc := 0; pc < k; pc += gemmKC {
 				kc := min(gemmKC, k-pc)
 				packB(bp, b, transB, pc, kc, jc, nc)
-				gemmSweep(out, a, transA, ap, bp, 0, mpanels, m, pc, kc, jc, nc, pc == 0 && !acc)
+				gemmSweep(out, a, g, transA, ap, bp, 0, mpanels, m, pc, kc, jc, nc, pc == 0 && !acc)
 			}
 		}
 		PutFloats(ap)
@@ -306,7 +370,7 @@ func gemmPacked(out, a, b *Dense, transA, transB bool, m, k, n int, acc bool) {
 							break
 						}
 						hi := min(lo+gemmClaimPanels, mpanels)
-						gemmSweep(out, a, transA, ap, bp, lo, hi, m, pc, kc, jc, nc, pc == 0 && !acc)
+						gemmSweep(out, a, g, transA, ap, bp, lo, hi, m, pc, kc, jc, nc, pc == 0 && !acc)
 					}
 					PutFloats(ap)
 				}()
@@ -317,27 +381,44 @@ func gemmPacked(out, a, b *Dense, transA, transB bool, m, k, n int, acc bool) {
 	PutFloats(bp)
 }
 
+// panel is one mr-row slice of op(a) over one k-slice as the micro-kernel
+// reads it: element (i, p) is a[i*rs+p*cs], or a[row[i]+col[p]] when col is
+// set (the assembly only; the reference kernel is handed packed panels).
+type panel struct {
+	a        []float64
+	rs, cs   int
+	row, col []int
+}
+
 // gemmSweep runs the micro-kernel over output row panels [lo, hi) for one
 // (pc, jc) cache block, sweeping each mr-row slice of op(a) across the
-// nr-wide packed-B panels. A full panel of a non-transposed a is read where
-// it lies — a conv GEMM's 8..32 output columns would use a packed copy for
-// one to four tiles; transposed a (a gather per k step) and zero-padded edge
-// panels are packed into ap.
-func gemmSweep(out, a *Dense, transA bool, ap, bp []float64, lo, hi, m, pc, kc, jc, nc int, first bool) {
+// nr-wide packed-B panels. A full panel of a non-transposed or a gathered a
+// is read where it lies — a conv GEMM's 8..32 output columns would use a
+// packed copy for one to four tiles; transposed a (a gather per k step),
+// zero-padded edge panels and every gathered panel without the assembly are
+// packed into ap.
+func gemmSweep(out, a *Dense, g Gathered, transA bool, ap, bp []float64, lo, hi, m, pc, kc, jc, nc int, first bool) {
 	fma := fmaEnabled()
 	npanels := (nc + gemmNR - 1) / gemmNR
+	var pa panel // set field by field: a composite literal per panel is a block copy
 	for ip := lo; ip < hi; ip++ {
 		i0 := ip * gemmMR
 		rows := min(gemmMR, m-i0)
-		pa, rs, cs := ap, 1, gemmMR
-		if !transA && rows == gemmMR {
-			pa, rs, cs = a.data[i0*a.cols+pc:], a.cols, 1
-		} else {
+		switch {
+		case a == nil && useAsm && rows == gemmMR:
+			pa.a, pa.row, pa.col = g.Data, g.Row[i0:i0+gemmMR], g.Col[pc:pc+kc]
+		case a == nil:
+			packGathered(ap, g, i0, rows, pc, kc)
+			pa.a, pa.rs, pa.cs, pa.col = ap, 1, gemmMR, nil
+		case !transA && rows == gemmMR:
+			pa.a, pa.rs, pa.cs = a.data[i0*a.cols+pc:], a.cols, 1
+		default:
 			packA(ap, a, transA, i0, rows, pc, kc)
+			pa.a, pa.rs, pa.cs = ap, 1, gemmMR
 		}
 		for jp := 0; jp < npanels; jp++ {
 			j0 := jp * gemmNR
-			microTile(out, fma, first, pa, rs, cs, bp[jp*kc*gemmNR:(jp+1)*kc*gemmNR],
+			microTile(out, fma, first, &pa, bp[jp*kc*gemmNR:(jp+1)*kc*gemmNR],
 				kc, i0, jc+j0, rows, min(gemmNR, nc-j0))
 		}
 	}
@@ -408,25 +489,37 @@ func packA(ap []float64, a *Dense, transA bool, i0, rows, pc, kc int) {
 	}
 }
 
+// packGathered is packA for rows [i0, i0+rows), k-slice [pc, pc+kc) of g.
+func packGathered(ap []float64, g Gathered, i0, rows, pc, kc int) {
+	if rows < gemmMR {
+		clear(ap[:kc*gemmMR])
+	}
+	for ii, r := range g.Row[i0 : i0+rows] {
+		for p, c := range g.Col[pc : pc+kc] {
+			ap[p*gemmMR+ii] = g.Data[r+c]
+		}
+	}
+}
+
 // microTile computes the mr×nr output block at (i0, j0) for one k-slice.
 // The contract is per element: an accumulator starts at +0, takes
 // op(a)[i,p]*op(b)[p,j] for p ascending with one product and one sum
 // rounding (or one fused rounding in the FMA family), and is then added as
 // out + acc, with out read as +0 on the first slice (not a plain
-// assignment: a fused sum of underflowing products can be -0). Element
-// (i, p) of the a panel is a[i*rs+p*cs]; bp is zero-padded to nr columns and
-// a packed edge panel to mr rows, so only the store is masked. The assembly
-// writes full tiles straight into out and edge tiles through a stack tile.
-func microTile(out *Dense, fma, first bool, a []float64, rs, cs int, bp []float64, kc, i0, j0, rows, cols int) {
+// assignment: a fused sum of underflowing products can be -0). bp is
+// zero-padded to nr columns and a packed edge panel of a to mr rows, so only
+// the store is masked. The assembly writes full tiles straight into out and
+// edge tiles through a stack tile.
+func microTile(out *Dense, fma, first bool, a *panel, bp []float64, kc, i0, j0, rows, cols int) {
 	if useAsm && rows == gemmMR && cols == gemmNR {
-		kernel4x8(fma, first, kc, &a[0], rs, cs, &bp[0], &out.data[i0*out.cols+j0], out.cols)
+		asmTile(fma, first, kc, a, bp, &out.data[i0*out.cols+j0], out.cols)
 		return
 	}
 	var acc [gemmMR][gemmNR]float64
 	if useAsm {
-		kernel4x8(fma, true, kc, &a[0], rs, cs, &bp[0], &acc[0][0], gemmNR)
+		asmTile(fma, true, kc, a, bp, &acc[0][0], gemmNR)
 	} else {
-		kernelRef(&acc, fma, kc, a, rs, cs, bp)
+		kernelRef(&acc, fma, kc, a.a, a.rs, a.cs, bp)
 	}
 	for ii := 0; ii < rows; ii++ {
 		orow := out.data[(i0+ii)*out.cols+j0:][:cols]
@@ -437,6 +530,15 @@ func microTile(out *Dense, fma, first bool, a []float64, rs, cs int, bp []float6
 			orow[jj] += acc[ii][jj]
 		}
 	}
+}
+
+// asmTile runs the AVX2 kernel that reads a's addressing form.
+func asmTile(fma, assign bool, kc int, a *panel, bp []float64, c *float64, ldc int) {
+	if a.col != nil {
+		kernel4x8g(fma, assign, kc, &a.a[0], &a.row[0], &a.col[0], &bp[0], c, ldc)
+		return
+	}
+	kernel4x8(fma, assign, kc, &a.a[0], a.rs, a.cs, &bp[0], c, ldc)
 }
 
 // kernelRef is the pure-Go micro-kernel: the fallback where there is no

@@ -24,6 +24,9 @@ func hasAVX2FMA() bool {
 func kernel4x8(fma, assign bool, kc int, a *float64, rs, cs int, b, c *float64, ldc int)
 
 //go:noescape
+func kernel4x8g(fma, assign bool, kc int, a *float64, row, col *int, b, c *float64, ldc int)
+
+//go:noescape
 func axpyAVX2(fma bool, dst, src []float64, s float64)
 
 //go:noescape

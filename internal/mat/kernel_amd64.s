@@ -35,29 +35,90 @@
 	ADDQ    $64, DI;          \
 	DECQ    CX
 
+// The gathered twin of KSTEP: the four row pointers SI, R8, R10, R11 stay
+// put and the column offset of step p is loaded from the table at R9.
+#define GSTEP(ROW) \
+	MOVQ    (R9), DX;         \
+	VMOVUPD (DI), Y8;         \
+	VMOVUPD 32(DI), Y9;       \
+	ROW((SI)(DX*8), Y0, Y1);  \
+	ROW((R8)(DX*8), Y2, Y3);  \
+	ROW((R10)(DX*8), Y4, Y5); \
+	ROW((R11)(DX*8), Y6, Y7); \
+	ADDQ    $8, R9;           \
+	ADDQ    $64, DI;          \
+	DECQ    CX
+
+// Y0..Y7, the eight accumulators of every tile in this file, to +0.
+#define ZERO_TILE \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3; \
+	VXORPD Y4, Y4, Y4; \
+	VXORPD Y5, Y5, Y5; \
+	VXORPD Y6, Y6, Y6; \
+	VXORPD Y7, Y7, Y7
+
+// The end of both tile kernels (their frames agree on assign, c and ldc):
+// c[i*ldc+j] = 0 + acc (assign) or c[i*ldc+j] + acc. On assign it is 0 + acc,
+// not acc: a fused sum of underflowing products can be -0.
+#define STORE_TILE \
+	MOVQ    c+48(FP), DX;      \
+	MOVQ    ldc+56(FP), BX;    \
+	SHLQ    $3, BX;            \
+	LEAQ    (DX)(BX*1), R11;   \
+	LEAQ    (DX)(BX*2), R12;   \
+	LEAQ    (R11)(BX*2), R13;  \
+	CMPB    assign+1(FP), $0;  \
+	JNE     assign;            \
+	VADDPD  (DX), Y0, Y0;      \
+	VADDPD  32(DX), Y1, Y1;    \
+	VADDPD  (R11), Y2, Y2;     \
+	VADDPD  32(R11), Y3, Y3;   \
+	VADDPD  (R12), Y4, Y4;     \
+	VADDPD  32(R12), Y5, Y5;   \
+	VADDPD  (R13), Y6, Y6;     \
+	VADDPD  32(R13), Y7, Y7;   \
+	JMP     write;             \
+assign:                        \
+	VXORPD  Y8, Y8, Y8;        \
+	VADDPD  Y8, Y0, Y0;        \
+	VADDPD  Y8, Y1, Y1;        \
+	VADDPD  Y8, Y2, Y2;        \
+	VADDPD  Y8, Y3, Y3;        \
+	VADDPD  Y8, Y4, Y4;        \
+	VADDPD  Y8, Y5, Y5;        \
+	VADDPD  Y8, Y6, Y6;        \
+	VADDPD  Y8, Y7, Y7;        \
+write:                         \
+	VMOVUPD Y0, (DX);          \
+	VMOVUPD Y1, 32(DX);        \
+	VMOVUPD Y2, (R11);         \
+	VMOVUPD Y3, 32(R11);       \
+	VMOVUPD Y4, (R12);         \
+	VMOVUPD Y5, 32(R12);       \
+	VMOVUPD Y6, (R13);         \
+	VMOVUPD Y7, 32(R13);       \
+	VZEROUPPER;                \
+	RET
+
 // func kernel4x8(fma, assign bool, kc int, a *float64, rs, cs int, b, c *float64, ldc int)
 //
 // acc[i][j] = Σ_p a[i*rs+p*cs] * b[p*8+j] for p ascending from +0, then
 // c[i*ldc+j] = 0 + acc (assign) or c[i*ldc+j] + acc. kc ≥ 1.
 TEXT ·kernel4x8(SB), NOSPLIT, $0-64
-	MOVQ   kc+8(FP), CX
-	MOVQ   a+16(FP), SI
-	MOVQ   rs+24(FP), R8
-	MOVQ   cs+32(FP), R9
-	MOVQ   b+40(FP), DI
-	SHLQ   $3, R8
-	SHLQ   $3, R9
-	LEAQ   (R8)(R8*2), R10
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	CMPB   fma+0(FP), $0
-	JNE    kfma
+	MOVQ kc+8(FP), CX
+	MOVQ a+16(FP), SI
+	MOVQ rs+24(FP), R8
+	MOVQ cs+32(FP), R9
+	MOVQ b+40(FP), DI
+	SHLQ $3, R8
+	SHLQ $3, R9
+	LEAQ (R8)(R8*2), R10
+	ZERO_TILE
+	CMPB fma+0(FP), $0
+	JNE  kfma
 
 kmuladd:
 	KSTEP(ROW_MULADD)
@@ -69,47 +130,41 @@ kfma:
 	JNZ kfma
 
 store:
-	MOVQ c+48(FP), DX
-	MOVQ ldc+56(FP), BX
-	SHLQ $3, BX
-	LEAQ (DX)(BX*1), R11
-	LEAQ (DX)(BX*2), R12
-	LEAQ (R11)(BX*2), R13
-	CMPB assign+1(FP), $0
-	JNE  assign
-	VADDPD (DX), Y0, Y0
-	VADDPD 32(DX), Y1, Y1
-	VADDPD (R11), Y2, Y2
-	VADDPD 32(R11), Y3, Y3
-	VADDPD (R12), Y4, Y4
-	VADDPD 32(R12), Y5, Y5
-	VADDPD (R13), Y6, Y6
-	VADDPD 32(R13), Y7, Y7
-	JMP  write
+	STORE_TILE
 
-assign:
-	// 0 + acc, not acc: a fused sum of underflowing products can be -0.
-	VXORPD Y8, Y8, Y8
-	VADDPD Y8, Y0, Y0
-	VADDPD Y8, Y1, Y1
-	VADDPD Y8, Y2, Y2
-	VADDPD Y8, Y3, Y3
-	VADDPD Y8, Y4, Y4
-	VADDPD Y8, Y5, Y5
-	VADDPD Y8, Y6, Y6
-	VADDPD Y8, Y7, Y7
+// func kernel4x8g(fma, assign bool, kc int, a *float64, row, col *int, b, c *float64, ldc int)
+//
+// kernel4x8 over a gathered panel: acc[i][j] = Σ_p a[row[i]+col[p]] * b[p*8+j],
+// row four entries and col kc, neither checked here. kc ≥ 1.
+TEXT ·kernel4x8g(SB), NOSPLIT, $0-64
+	MOVQ kc+8(FP), CX
+	MOVQ a+16(FP), AX
+	MOVQ row+24(FP), BX
+	MOVQ col+32(FP), R9
+	MOVQ b+40(FP), DI
+	MOVQ (BX), SI
+	MOVQ 8(BX), R8
+	MOVQ 16(BX), R10
+	MOVQ 24(BX), R11
+	LEAQ (AX)(SI*8), SI
+	LEAQ (AX)(R8*8), R8
+	LEAQ (AX)(R10*8), R10
+	LEAQ (AX)(R11*8), R11
+	ZERO_TILE
+	CMPB fma+0(FP), $0
+	JNE  gfma
 
-write:
-	VMOVUPD Y0, (DX)
-	VMOVUPD Y1, 32(DX)
-	VMOVUPD Y2, (R11)
-	VMOVUPD Y3, 32(R11)
-	VMOVUPD Y4, (R12)
-	VMOVUPD Y5, 32(R12)
-	VMOVUPD Y6, (R13)
-	VMOVUPD Y7, 32(R13)
-	VZEROUPPER
-	RET
+gmuladd:
+	GSTEP(ROW_MULADD)
+	JNZ gmuladd
+	JMP gstore
+
+gfma:
+	GSTEP(ROW_FMA)
+	JNZ gfma
+
+gstore:
+	STORE_TILE
 
 // func axpyAVX2(fma bool, dst, src []float64, s float64)
 //
@@ -236,14 +291,7 @@ TEXT ·dotTileAVX2(SB), NOSPLIT, $0-72
 	SHLQ   $3, R8
 	SHLQ   $3, R9
 	LEAQ   (R9)(R9*2), R10
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
+	ZERO_TILE
 	CMPQ   rows+8(FP), $1
 	JNE    two
 

@@ -10,6 +10,10 @@ func kernel4x8(fma, assign bool, kc int, a *float64, rs, cs int, b, c *float64, 
 	panic("mat: no assembly kernel in this build")
 }
 
+func kernel4x8g(fma, assign bool, kc int, a *float64, row, col *int, b, c *float64, ldc int) {
+	panic("mat: no assembly kernel in this build")
+}
+
 func axpyAVX2(fma bool, dst, src []float64, s float64) {
 	panic("mat: no assembly kernel in this build")
 }

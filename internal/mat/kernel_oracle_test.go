@@ -119,7 +119,7 @@ func checkGemmOracle(t *testing.T, seed uint64, kind string, transA, transB bool
 	got := NewDense(m, n)
 	for _, impl := range kernelImpls {
 		got.Fill(math.NaN())
-		impl.with(func() { gemmPacked(got, a, b, transA, transB, m, k, n, false) })
+		impl.with(func() { gemmPacked(got, a, Gathered{}, b, transA, transB, m, k, n, false) })
 		sameOracle(t, name+" "+impl.name, want, got)
 	}
 	if kind == "zeros" {

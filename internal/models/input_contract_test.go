@@ -66,7 +66,7 @@ func spyConvs(t *testing.T, layers []nn.Layer) int {
 }
 
 // TestConvInputsUnmodifiedUntilBackward walks the conv models: Conv2d's
-// Backward unfolds the saved input a second time, so nothing between a
+// Backward reads the saved input a second time, so nothing between a
 // conv's Forward and its Backward — a later layer writing in place, a
 // Residual adding into a buffer — may touch it.
 func TestConvInputsUnmodifiedUntilBackward(t *testing.T) {

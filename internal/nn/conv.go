@@ -10,12 +10,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// Conv2d is a 2D convolution implemented as im2col + GEMM with the bias
+// Conv2d is a 2D convolution implemented as an implicit GEMM with the bias
 // folded into the combined weight: for each sample,
 //
 //	Y = [X̄, 1] * Wc,   X̄ = im2col(X) ∈ R^{T×(C·KH·KW)},  T = OH·OW,
 //
-// with Wc ∈ R^{(C·KH·KW+1)×OutC}.
+// with Wc ∈ R^{(C·KH·KW+1)×OutC}. [X̄, 1] is never written out: in a
+// zero-padded copy of the sample with one more channel of ones, its element
+// (p, k) lies at pos[p]+koff[k], and the GEMM reads it there.
 //
 // Per-sample capture follows Sec. IV of the paper: the spatial dimension is
 // collapsed by summation, x̂ = Σᵢ X̄(i,:) and ĝ = Σᵢ Ḡ(i,:), so the layer
@@ -37,21 +39,29 @@ type Conv2d struct {
 	name    string
 
 	capture bool
-	lastX   *mat.Dense // batch input (m × in.Numel()); Backward unfolds it again
+	lastX   *mat.Dense // batch input (m × in.Numel()); Backward pads it again
 	capA    *mat.Dense
 	capG    *mat.Dense
 
-	// The stacked (m·T)-row batch — X̄, the forward product, Ḡ, the
+	// The stacked (m·T)-row batch — the forward product, Ḡ, the
 	// input-gradient columns — never exists as a whole: Forward and Backward
-	// walk it in strips of mat.StripRows rows, each unfolded, multiplied and
-	// scattered or folded while it is still in cache, and Backward unfolds
-	// its strips from lastX a second time instead of reading back a stored
-	// X̄. strip is the pooled storage of one strip of each matrix; [r0, r1)
-	// are the stacked rows of the strip being worked on and xs, yg, dcols
-	// the headers pointed at it (setStrip).
+	// walk it in strips of mat.StripRows rows, each multiplied and scattered
+	// or folded while it is still in cache. A strip's rows of [X̄, 1] are
+	// mat.Gathered{xpad, rows, koff}, and their transpose the same with the
+	// tables swapped: xpad holds the strip's samples, padLen values each —
+	// InC zero-padded planes and a plane of ones, so the bias column is an
+	// offset like any other; borders and ones are written when xpad is
+	// allocated and each strip copies interiors only (pad). strip is the
+	// pooled storage of one strip of the two matrices that are written out;
+	// [r0, r1) are the stacked rows of the strip being worked on and yg,
+	// dcols the headers pointed at it (setStrip).
+	koff    []int // column k of [X̄, 1]: c·PH·PW + ky·PW + kx; the bias column InC·PH·PW
+	pos     []int // output position p: oy·Stride·PW + ox·Stride
+	padLen  int   // (InC+1)·PH·PW
+	xpad    []float64
+	rows    []int // stacked row r0+r: its sample's slot in xpad + pos
 	strip   []float64
 	r0, r1  int
-	xs      mat.Dense  // strip of [X̄, 1], rows × dIn
 	yg      mat.Dense  // strip of the forward product or of Ḡ, rows × OutC
 	dcols   mat.Dense  // strip of input-gradient columns, rows × patchLen
 	wTmp    *mat.Dense // dIn × OutC weight-gradient staging
@@ -89,19 +99,32 @@ func (c *Conv2d) Build(in Shape, rng *mat.RNG) Shape {
 		w.Set(pl, j, 0) // bias row
 	}
 	c.wc = NewParam(c.name+".Wc", w)
+
+	kk, pw := c.K*c.K, in.W+2*c.Pad
+	plane := (in.H + 2*c.Pad) * pw
+	c.koff = make([]int, c.dIn)
+	for k := range c.koff { // k = pl is channel InC, kernel element (0, 0)
+		c.koff[k] = k/kk*plane + k%kk/c.K*pw + k%c.K
+	}
+	c.pos = make([]int, c.out.H*c.out.W)
+	for p := range c.pos {
+		c.pos[p] = (p/c.out.W*pw + p%c.out.W) * c.Stride
+	}
+	c.padLen = (in.C + 1) * plane
 	return c.out
 }
 
-// Forward implements Layer: strip by strip, rows of the stacked batch are
-// unfolded into [X̄, 1], multiplied by Wc (the mat kernel parallelizes
-// inside the strip) and scattered into the NCHW output.
+// Forward implements Layer: strip by strip, the strip's samples are padded,
+// its rows of [X̄, 1] multiplied by Wc where they lie (the mat kernel
+// parallelizes inside the strip) and the product scattered into the NCHW
+// output.
 func (c *Conv2d) Forward(x *mat.Dense, train bool) *mat.Dense {
 	m := x.Rows()
 	c.lastX = x
 	tt := c.out.H * c.out.W
 	c.y = mat.EnsureDense(c.y, m, c.out.Numel())
 	y, ys := c.y, &c.yg // y is fully overwritten below
-	unfold := c.unfold  // bound once: a method value per strip would allocate per strip
+	pad := c.pad        // bound once: a method value per strip would allocate per strip
 	scatter := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			p0, p1, row := c.segment(i)
@@ -115,25 +138,45 @@ func (c *Conv2d) Forward(x *mat.Dense, train bool) *mat.Dense {
 	}
 	for r0 := 0; r0 < m*tt; r0 += mat.StripRows {
 		i0, i1 := c.setStrip(r0, m*tt)
-		parallelBlocks(i0, i1, unfold)
-		mat.MulStripInto(ys, &c.xs, c.wc.W, false, false, m*tt, false)
+		parallelBlocks(i0, i1, pad)
+		mat.MulGatheredInto(ys, mat.Gathered{Data: c.xpad, Row: c.rows, Col: c.koff}, c.wc.W, m*tt, c.dIn, false)
 		parallelBlocks(i0, i1, scatter)
 	}
 	return y
 }
 
 // setStrip makes the strip of the n-row stacked batch that starts at row r0
-// the current one — its bounds, and the headers pointed at that many rows of
-// the strip storage — and returns the samples [i0, i1) with positions in it.
+// the current one — its bounds, the headers pointed at that many rows of the
+// strip storage, the row table, room in xpad — and returns the samples
+// [i0, i1) with positions in it.
 func (c *Conv2d) setStrip(r0, n int) (i0, i1 int) {
 	tt, pl := c.out.H*c.out.W, c.dIn-1
 	c.r0, c.r1 = r0, min(r0+mat.StripRows, n)
 	h := c.r1 - r0
-	c.strip = mat.EnsureFloats(c.strip, min(mat.StripRows, n)*(c.dIn+c.OutC+pl))
-	c.xs.Wrap(h, c.dIn, c.strip[:h*c.dIn])
-	c.yg.Wrap(h, c.OutC, c.strip[h*c.dIn:][:h*c.OutC])
-	c.dcols.Wrap(h, pl, c.strip[h*(c.dIn+c.OutC):][:h*pl])
-	return r0 / tt, (c.r1 + tt - 1) / tt
+	c.strip = mat.EnsureFloats(c.strip, min(mat.StripRows, n)*(c.OutC+pl))
+	c.yg.Wrap(h, c.OutC, c.strip[:h*c.OutC])
+	c.dcols.Wrap(h, pl, c.strip[h*c.OutC:][:h*pl])
+	i0, i1 = r0/tt, (c.r1+tt-1)/tt
+	// Room for the batch, or for the (StripRows-1)/T + 2 samples a strip that
+	// starts inside one can touch.
+	if need := min(n/tt, (mat.StripRows-1)/tt+2) * c.padLen; len(c.xpad) < need {
+		mat.PutFloats(c.xpad)
+		c.xpad = mat.GetFloats(need)
+		plane := c.padLen / (c.in.C + 1)
+		for s := c.padLen; s <= need; s += c.padLen {
+			for k := s - plane; k < s; k++ {
+				c.xpad[k] = 1
+			}
+		}
+	}
+	c.rows = c.rows[:0]
+	for i := i0; i < i1; i++ {
+		p0, p1, _ := c.segment(i)
+		for _, off := range c.pos[p0:p1] {
+			c.rows = append(c.rows, (i-i0)*c.padLen+off)
+		}
+	}
+	return i0, i1
 }
 
 // segment returns the positions [p0, p1) of sample i that lie in the current
@@ -144,15 +187,18 @@ func (c *Conv2d) segment(i int) (p0, p1, row int) {
 	return p0, p1, i*tt + p0 - c.r0
 }
 
-// unfold writes the current strip's rows of [X̄, 1] for samples [lo, hi) of
-// the saved input.
-func (c *Conv2d) unfold(lo, hi int) {
+// pad copies samples [lo, hi) of the saved input into their slots of xpad,
+// interiors only: the zero borders and the plane of ones are never written.
+func (c *Conv2d) pad(lo, hi int) {
+	h, w, ph, pw := c.in.H, c.in.W, c.in.H+2*c.Pad, c.in.W+2*c.Pad
+	i0 := c.r0 / (c.out.H * c.out.W)
 	for i := lo; i < hi; i++ {
-		p0, p1, row := c.segment(i)
-		rows := c.xs.Data()[row*c.dIn : (row+p1-p0)*c.dIn]
-		c.shape.Im2colRange(c.lastX.Row(i), rows, c.dIn, p0, p1)
-		for k := c.dIn - 1; k < len(rows); k += c.dIn {
-			rows[k] = 1
+		src, dst := c.lastX.Row(i), c.xpad[(i-i0)*c.padLen:]
+		for ch := 0; ch < c.in.C; ch++ {
+			for y := 0; y < h; y++ {
+				d := (ch*ph+y+c.Pad)*pw + c.Pad
+				copy(dst[d:d+w], src[(ch*h+y)*w:][:w])
+			}
 		}
 	}
 }
@@ -178,8 +224,8 @@ func parallelBlocks(lo, hi int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Backward implements Layer. Per strip: unfold X̄ again and gather Ḡ from
-// the NCHW gradient, add the strip's k-slice to the weight gradient X̄ᵀḠ,
+// Backward implements Layer. Per strip: pad the samples again and gather Ḡ
+// from the NCHW gradient, add the strip's k-slice to the weight gradient X̄ᵀḠ,
 // take its rows of the capture, and fold its rows of ḠWᵀ into the input
 // gradient. Strips ascend over the global row index and every sum below
 // takes them in that order, so the result is the whole-batch products' bit
@@ -219,9 +265,9 @@ func (c *Conv2d) Backward(grad *mat.Dense) *mat.Dense {
 			c.capG.Zero()
 		}
 	}
-	xs, gy, dcols, capA, capG, scale := &c.xs, &c.yg, &c.dcols, c.capA, c.capG, float64(m)
+	gy, dcols, capA, capG, scale := &c.yg, &c.dcols, c.capA, c.capG, float64(m)
 	load := func(lo, hi int) {
-		c.unfold(lo, hi)
+		c.pad(lo, hi)
 		for i := lo; i < hi; i++ {
 			p0, p1, row := c.segment(i)
 			grow := grad.Row(i)
@@ -234,10 +280,13 @@ func (c *Conv2d) Backward(grad *mat.Dense) *mat.Dense {
 			if !c.capture {
 				continue
 			}
-			xrows := xs.Data()[row*c.dIn : (row+p1-p0)*c.dIn]
 			grows := gy.Data()[row*c.OutC : (row+p1-p0)*c.OutC]
 			if c.ExpandSpatial {
-				copy(capA.Data()[(i*tt+p0)*c.dIn:], xrows)
+				xrows := capA.Data()[(i*tt+p0)*c.dIn : (i*tt+p1)*c.dIn]
+				c.shape.Im2colRange(c.lastX.Row(i), xrows, c.dIn, p0, p1)
+				for k := pl; k < len(xrows); k += c.dIn {
+					xrows[k] = 1
+				}
 				cg := capG.Data()[(i*tt+p0)*c.OutC:]
 				for k, v := range grows {
 					cg[k] = v * scale
@@ -245,13 +294,15 @@ func (c *Conv2d) Backward(grad *mat.Dense) *mat.Dense {
 				continue
 			}
 			ca, cg := capA.Row(i), capG.Row(i)
-			for ; len(xrows) > 0; xrows, grows = xrows[c.dIn:], grows[c.OutC:] {
-				for j := range ca {
-					ca[j] += xrows[j]
+			for _, r := range c.rows[row : row+p1-p0] {
+				xrow := c.xpad[r:]
+				for j, k := range c.koff {
+					ca[j] += xrow[k]
 				}
 				for j := range cg {
 					cg[j] += grows[j] * scale
 				}
+				grows = grows[c.OutC:]
 			}
 		}
 	}
@@ -264,7 +315,7 @@ func (c *Conv2d) Backward(grad *mat.Dense) *mat.Dense {
 	for r0 := 0; r0 < m*tt; r0 += mat.StripRows {
 		i0, i1 := c.setStrip(r0, m*tt)
 		parallelBlocks(i0, i1, load)
-		mat.MulStripInto(c.wTmp, xs, gy, true, false, m*tt, r0 > 0)
+		mat.MulGatheredInto(c.wTmp, mat.Gathered{Data: c.xpad, Row: c.koff, Col: c.rows}, gy, c.dIn, m*tt, r0 > 0)
 		// The bias row is dropped via the row-prefix view of Wc.
 		mat.MulStripInto(dcols, gy, c.wNoBias, false, true, m*tt, false)
 		parallelBlocks(i0, i1, fold)

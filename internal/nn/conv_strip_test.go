@@ -89,6 +89,24 @@ var stripShapes = []struct {
 	{"1x1 stride-2 projection, 768 rows", Shape{C: 8, H: 16, W: 16}, 16, 1, 2, 0, 12},
 	{"T=16, 32 samples a strip, 656 rows", Shape{C: 16, H: 4, W: 4}, 32, 3, 1, 1, 41},
 	{"dIn = 577 > kc, 600 rows", Shape{C: 64, H: 10, W: 10}, 8, 3, 1, 1, 6},
+	{"K=5 pad 2, 588 rows", Shape{C: 2, H: 14, W: 14}, 6, 5, 1, 2, 3},
+	{"K=3 pad 0: no border, 720 rows", Shape{C: 3, H: 14, W: 14}, 8, 3, 1, 0, 5},
+	{"stride 2 on an odd 15x15 input, 576 rows", Shape{C: 4, H: 15, W: 15}, 8, 3, 2, 1, 9},
+	{"non-square 6x20 input, 600 rows", Shape{C: 3, H: 6, W: 20}, 8, 3, 1, 1, 5},
+	{"OutC = 1: the one-column small products, 576 rows", Shape{C: 4, H: 12, W: 12}, 1, 3, 1, 1, 4},
+	{specialValues + ", 800 rows", Shape{C: 3, H: 10, W: 10}, 8, 3, 1, 1, 8},
+}
+
+// specialValues marks the shape whose x and Wc carry ±0, denormals, ±Inf and
+// NaN: a padding zero is a stored +0 on both sides, so an infinite weight
+// against it gives the NaN it always gave, and -0 sums keep their sign.
+const specialValues = "special values in x and Wc"
+
+func sprinkleSpecials(rng *mat.RNG, d []float64) {
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -1e-310, math.Inf(1), math.Inf(-1), math.NaN()}
+	for n := 0; n < 2*len(specials); n++ {
+		d[rng.Intn(len(d))] = specials[n%len(specials)]
+	}
 }
 
 // TestConvStripEqualsWholeBatch holds the strip pipeline against the
@@ -110,6 +128,10 @@ func TestConvStripEqualsWholeBatch(t *testing.T) {
 			}
 			x := mat.RandN(rng, s.m, s.in.Numel(), 1)
 			grad := mat.RandN(rng, s.m, c.out.Numel(), 1)
+			if strings.HasPrefix(s.name, specialValues) {
+				sprinkleSpecials(rng, x.Data())
+				sprinkleSpecials(rng, c.wc.W.Data())
+			}
 			for _, fma := range []bool{false, true} {
 				mat.SetFMAKernels(fma)
 				runtime.GOMAXPROCS(1)
@@ -129,7 +151,7 @@ func TestConvStripEqualsWholeBatch(t *testing.T) {
 	}
 }
 
-// TestConvBackwardRowMismatchPanics: Backward unfolds the input Forward saw,
+// TestConvBackwardRowMismatchPanics: Backward pads the input Forward saw,
 // so a gradient for a different batch is a caller bug reported as such.
 func TestConvBackwardRowMismatchPanics(t *testing.T) {
 	rng := mat.NewRNG(3)
@@ -144,7 +166,7 @@ func TestConvBackwardRowMismatchPanics(t *testing.T) {
 	c.Backward(mat.RandN(rng, 2, 32, 1))
 }
 
-// convStepAllocs is measured: Forward's unfold and scatter, Backward's load
+// convStepAllocs is measured: Forward's pad and scatter, Backward's load
 // and fold.
 const convStepAllocs = 4
 

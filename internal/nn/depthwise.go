@@ -25,6 +25,10 @@ type DepthwiseConv2d struct {
 	name    string
 
 	lastX *mat.Dense
+
+	// persistent buffers, reused across iterations
+	y, gin      *mat.Dense
+	cols, dcols []float64 // one channel's patches and their gradient (Backward)
 }
 
 // NewDepthwiseConv2d returns an unbuilt depthwise conv layer.
@@ -63,7 +67,8 @@ func (c *DepthwiseConv2d) Forward(x *mat.Dense, train bool) *mat.Dense {
 	tt := c.out.H * c.out.W
 	kk := c.K * c.K
 	inHW := c.in.H * c.in.W
-	y := mat.NewDense(m, c.out.Numel())
+	c.y = mat.EnsureDense(c.y, m, c.out.Numel())
+	y := c.y // fully overwritten below
 	parallelBlocks(0, m, func(lo, hi int) {
 		cols := mat.GetFloats(tt * kk)
 		defer mat.PutFloats(cols)
@@ -91,11 +96,13 @@ func (c *DepthwiseConv2d) Backward(grad *mat.Dense) *mat.Dense {
 	tt := c.out.H * c.out.W
 	kk := c.K * c.K
 	inHW := c.in.H * c.in.W
-	gin := mat.NewDense(m, c.in.Numel())
+	c.gin = mat.EnsureDense(c.gin, m, c.in.Numel())
+	gin := c.gin
+	gin.Zero() // Col2im below accumulates
 	// Serial over samples to keep gradient accumulation simple and
 	// deterministic; the inner per-channel loops dominate anyway.
-	cols := make([]float64, tt*kk)
-	dcols := make([]float64, tt*kk)
+	c.cols, c.dcols = mat.EnsureFloats(c.cols, tt*kk), mat.EnsureFloats(c.dcols, tt*kk)
+	cols, dcols := c.cols, c.dcols
 	for i := 0; i < m; i++ {
 		xr, gr := c.lastX.Row(i), grad.Row(i)
 		for ch := 0; ch < c.in.C; ch++ {
