@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc race racesched serve-smoke servecrash vet cover chaos netchaos fuzzsmoke sketchsmoke bench benchfast bench-tables experiments report examples clean
+.PHONY: all build test loc locgate race racesched serve-smoke servecrash vet cover chaos netchaos fuzzsmoke sketchsmoke bench benchfast bench-tables experiments report examples clean
 
 all: build test
 
@@ -19,6 +19,13 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './perf/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+# The line budget: loc, failing when the total exceeds LOC_MAX. A PR that
+# needs more lines raises the number in its own diff, where review sees it.
+LOC_MAX = 24264
+locgate:
+	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" && $$1 > max { over = $$1 } \
+		END { if (over) { printf "locgate: %d non-test lines exceed LOC_MAX = %d\n", over, max; exit 1 } }'
 
 race:
 	$(GO) test -race ./internal/mat/ ./internal/dist/ ./internal/nn/ ./internal/train/ ./internal/core/ ./internal/sngd/ ./internal/kfac/ ./internal/kbfgs/ ./internal/precond/ ./internal/telemetry/ ./internal/sched/
@@ -55,7 +62,7 @@ chaos:
 	$(GO) test -race ./internal/ckpt/ -count=1
 	$(GO) test -race ./internal/dist/ -run 'TestFaultInjector|TestBarrierWatchdog|TestClusterReset|TestFaultPlan|TestAsync' -count=1
 	$(GO) test -race ./internal/train/ -run 'TestElastic|TestDriver|TestNonfinite|TestSharding' -count=1
-	$(GO) test -race ./internal/core/ -run 'TestPreconditionRobust|TestSingularKernel|TestDegenerate' -count=1
+	$(GO) test -race ./internal/core/ -run 'TestSingularKernel|TestDegenerate' -count=1
 	$(GO) test -race ./internal/sched/ -run 'TestSchedParityChaos' -count=1
 
 # TCP-transport chaos suite under the race detector: the frame codec and

@@ -8,7 +8,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -63,7 +65,13 @@ func main() {
 	for _, m := range methods {
 		c := cfg
 		c.Adam = m.adam
-		res := train.Run(c, build, trainSet, testSet, train.Classification(), m.pre, 0.85)
+		res, err := train.Drive(context.Background(), train.Local(), train.Job{
+			Config: c, Build: build, Train: trainSet, Test: testSet,
+			Task: train.Classification(), Precond: m.pre, Target: 0.85,
+		}, train.ElasticConfig{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		last := res.Stats[len(res.Stats)-1]
 		ttt := "-"
 		if res.TimeToTarget > 0 {

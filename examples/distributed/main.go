@@ -7,7 +7,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -38,8 +40,13 @@ func main() {
 
 	run := func(name string, pre train.PrecondFactory) train.Result {
 		fmt.Printf("training %s on %d simulated workers...\n", name, workers)
-		res := train.RunDistributed(workers, cfg, build, trainSet, testSet,
-			train.Classification(), pre, 0.8)
+		res, err := train.Drive(context.Background(), train.InProcess(dist.NewCluster(workers)), train.Job{
+			Config: cfg, Build: build, Train: trainSet, Test: testSet,
+			Task: train.Classification(), Precond: pre, Target: 0.8,
+		}, train.ElasticConfig{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		last := res.Stats[len(res.Stats)-1]
 		fmt.Printf("  best acc %.4f, total %.2fs\n", res.Best, last.Elapsed.Seconds())
 		fmt.Printf("  phase breakdown (rank 0):\n")

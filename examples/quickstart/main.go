@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -45,11 +47,24 @@ func main() {
 		return core.NewHyLo(net, cfg.Damping, 0.1, comm, tl, rng)
 	}
 
+	// 5. One Job per run, driven on the calling goroutine; a failed run is
+	// reported, not panicked.
+	run := func(pre train.PrecondFactory) train.Result {
+		res, err := train.Drive(context.Background(), train.Local(), train.Job{
+			Config: cfg, Build: build, Train: trainSet, Test: testSet,
+			Task: train.Classification(), Precond: pre, Target: 0.9,
+		}, train.ElasticConfig{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
+
 	fmt.Println("training with HyLo...")
-	hyloRes := train.Run(cfg, build, trainSet, testSet, train.Classification(), hylo, 0.9)
+	hyloRes := run(hylo)
 
 	fmt.Println("training with SGD...")
-	sgdRes := train.Run(cfg, build, trainSet, testSet, train.Classification(), nil, 0.9)
+	sgdRes := run(nil)
 
 	fmt.Printf("\n%-8s %-14s %-14s\n", "epoch", "HyLo acc", "SGD acc")
 	for i := range hyloRes.Stats {

@@ -7,7 +7,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -38,14 +40,27 @@ func main() {
 		return core.NewHyLo(net, 0.1, 0.1, c, tl, rng)
 	}
 
+	// One Job per run on the calling goroutine; a failed run is reported,
+	// not panicked.
+	run := func(c train.Config, pre train.PrecondFactory) train.Result {
+		res, err := train.Drive(context.Background(), train.Local(), train.Job{
+			Config: c, Build: build, Train: trainSet, Test: testSet,
+			Task: train.Segmentation(), Precond: pre, Target: 0.85,
+		}, train.ElasticConfig{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
+
 	fmt.Println("training MiniUNet with HyLo...")
-	hyloRes := train.Run(cfg, build, trainSet, testSet, train.Segmentation(), hylo, 0.85)
+	hyloRes := run(cfg, hylo)
 
 	adamCfg := cfg
 	adamCfg.Adam = true
 	adamCfg.LR.Base = 0.01
 	fmt.Println("training MiniUNet with ADAM...")
-	adamRes := train.Run(adamCfg, build, trainSet, testSet, train.Segmentation(), nil, 0.85)
+	adamRes := run(adamCfg, nil)
 
 	fmt.Printf("\n%-8s %-12s %-12s\n", "epoch", "HyLo Dice", "ADAM Dice")
 	for i := range hyloRes.Stats {

@@ -8,7 +8,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -40,14 +42,27 @@ func main() {
 	hylo := func(net *nn.Network, c dist.Comm, tl *dist.Timeline, rng *mat.RNG) opt.Preconditioner {
 		return core.NewHyLo(net, 0.1, 0.1, c, tl, rng)
 	}
+	// One Job per run on the calling goroutine; a failed run is reported,
+	// not panicked.
+	run := func(c train.Config, pre train.PrecondFactory) train.Result {
+		res, err := train.Drive(context.Background(), train.Local(), train.Job{
+			Config: c, Build: build, Train: trainSet, Test: testSet,
+			Task: train.Classification(), Precond: pre, Target: 0.9,
+		}, train.ElasticConfig{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
+
 	fmt.Println("training ViT-lite with HyLo...")
-	hyloRes := train.Run(cfg, build, trainSet, testSet, train.Classification(), hylo, 0.9)
+	hyloRes := run(cfg, hylo)
 
 	adamCfg := cfg
 	adamCfg.Adam = true
 	adamCfg.LR.Base = 0.01
 	fmt.Println("training ViT-lite with ADAM...")
-	adamRes := train.Run(adamCfg, build, trainSet, testSet, train.Classification(), nil, 0.9)
+	adamRes := run(adamCfg, nil)
 
 	fmt.Printf("\n%-8s %-12s %-12s\n", "epoch", "HyLo acc", "ADAM acc")
 	for i := range hyloRes.Stats {

@@ -11,7 +11,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -140,16 +139,6 @@ func Lookup(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs returns all experiment ids, sorted.
-func IDs() []string {
-	var out []string
-	for _, e := range Registry() {
-		out = append(out, e.ID)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func fmtMS(seconds float64) string { return fmt.Sprintf("%.3f", seconds*1e3) }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+
 	"repro/internal/data"
 	"repro/internal/mat"
 	"repro/internal/nn"
@@ -41,10 +43,17 @@ func AblationCapture(cfg RunConfig) *Table {
 				c1, nn.NewReLU(), c2, nn.NewReLU(),
 				nn.NewGlobalAvgPool(), nn.NewLinear(classes))
 		}
-		res := train.Run(tcfg, build, tr, te, train.Classification(), precondFactory("hylo", cfg.opts()), 0)
 		rows := "16"
 		if v.expand {
 			rows = "16·T (per conv output size)"
+		}
+		res, err := train.Drive(context.Background(), train.Local(), train.Job{
+			Config: tcfg, Build: build, Train: tr, Test: te,
+			Task: train.Classification(), Precond: precondFactory("hylo", cfg.opts()),
+		}, train.ElasticConfig{})
+		if err != nil {
+			t.AddRow(v.name, "failed: "+err.Error(), "-", rows)
+			continue
 		}
 		t.AddRow(v.name, fmtF(res.Best),
 			fmtDur(res.Stats[len(res.Stats)-1].Elapsed), rows)

@@ -20,15 +20,6 @@ func (p PhaseCost) Communication() float64 { return p.Gather + p.Broadcast }
 // Total returns the full per-update cost.
 func (p PhaseCost) Total() float64 { return p.Computation() + p.Communication() }
 
-func add(a, b PhaseCost) PhaseCost {
-	return PhaseCost{
-		Factorize: a.Factorize + b.Factorize,
-		Invert:    a.Invert + b.Invert,
-		Gather:    a.Gather + b.Gather,
-		Broadcast: a.Broadcast + b.Broadcast,
-	}
-}
-
 // invParallel is the parallel speedup of the layer-assigned inversion step:
 // inversion work spreads across min(P, L) workers.
 func invParallel(cm dist.CostModel, layers int) float64 {

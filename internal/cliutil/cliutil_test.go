@@ -1,12 +1,15 @@
 package cliutil
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/mat"
 )
@@ -137,6 +140,41 @@ func TestParseDecayEpochs(t *testing.T) {
 	}
 }
 
+// firstBatchHash is batchHash(w.Train, 4) of BuildWorkload(model, 3, 8, 1),
+// recorded before BuildWorkload became a table.
+var firstBatchHash = map[string]uint64{
+	"3c1f": 0x732c67889677640b, "mlp": 0x293a87c81e104b69,
+	"resnet": 0xdb065d02e82eb303, "densenet": 0xdb065d02e82eb303,
+	"unet": 0xacfc7dfc556d15c6, "vit": 0x732c67889677640b,
+}
+
+// batchHash is FNV-1a over the bits of the first n samples and targets.
+func batchHash(d *data.Dataset, n int) uint64 {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	x, tgt := d.Batch(idx)
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, v := range x.Data() {
+		put(math.Float64bits(v))
+	}
+	for _, l := range tgt.Labels {
+		put(uint64(l))
+	}
+	if tgt.Dense != nil {
+		for _, v := range tgt.Dense.Data() {
+			put(math.Float64bits(v))
+		}
+	}
+	return h.Sum64()
+}
+
 func TestBuildWorkloadAllModels(t *testing.T) {
 	for _, model := range Models() {
 		w, err := BuildWorkload(model, 3, 8, 1)
@@ -155,6 +193,11 @@ func TestBuildWorkloadAllModels(t *testing.T) {
 		out := net.Forward(x, false)
 		if out.Rows() != 1 {
 			t.Fatalf("%s: forward produced %d rows", model, out.Rows())
+		}
+		// A model name must keep meaning the same data: the first training
+		// batch (rows 0-3 of the split) is pinned bit for bit.
+		if got := batchHash(w.Train, 4); got != firstBatchHash[model] {
+			t.Errorf("%s: first training batch hashes to %#x; want %#x", model, got, firstBatchHash[model])
 		}
 	}
 	if _, err := BuildWorkload("nope", 3, 8, 1); err == nil {

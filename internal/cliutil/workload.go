@@ -16,10 +16,53 @@ import (
 	"repro/internal/train"
 )
 
+// dataKind is which synthetic generator feeds a workload.
+type dataKind int
+
+const (
+	vectors dataKind = iota // data.SynthVectors, 4·perClass samples a class
+	images                  // data.SynthImages
+	masks                   // data.SynthSegmentation, classes·perClass samples
+)
+
+// workloads is the one table behind Models and BuildWorkload, in the order
+// the CLIs document the models.
+var workloads = []struct {
+	name   string
+	shape  nn.Shape
+	kind   dataKind
+	build  func(shape nn.Shape, classes int, rng *mat.RNG) *nn.Network
+	task   func() train.Task
+	target float64
+}{
+	{"3c1f", nn.Shape{C: 1, H: 16, W: 16}, images, func(s nn.Shape, classes int, rng *mat.RNG) *nn.Network {
+		return models.ThreeC1F(s, 8, classes, rng)
+	}, train.Classification, 0.9},
+	{"mlp", nn.Vec(32), vectors, func(s nn.Shape, classes int, rng *mat.RNG) *nn.Network {
+		return models.MLP(s, []int{64, 32}, classes, rng)
+	}, train.Classification, 0.9},
+	{"resnet", nn.Shape{C: 3, H: 16, W: 16}, images, func(s nn.Shape, classes int, rng *mat.RNG) *nn.Network {
+		return models.ResNetCIFAR(s, 2, 8, classes, rng)
+	}, train.Classification, 0.85},
+	{"densenet", nn.Shape{C: 3, H: 16, W: 16}, images, func(s nn.Shape, classes int, rng *mat.RNG) *nn.Network {
+		return models.DenseNetLite(s, 6, classes, rng)
+	}, train.Classification, 0.75},
+	{"unet", nn.Shape{C: 1, H: 16, W: 16}, masks, func(s nn.Shape, _ int, rng *mat.RNG) *nn.Network {
+		return models.MiniUNet(s, 4, rng)
+	}, train.Segmentation, 0.8},
+	{"vit", nn.Shape{C: 1, H: 16, W: 16}, images, func(s nn.Shape, classes int, rng *mat.RNG) *nn.Network {
+		return models.TransformerLite(s, 4, 12, 2, classes, rng)
+	}, train.Classification, 0.85},
+}
+
 // Models lists the workload model names accepted by BuildWorkload, in the
 // order the CLIs document them.
 func Models() []string {
-	return []string{"3c1f", "mlp", "resnet", "densenet", "unet", "vit"}
+	names := make([]string, len(workloads))
+	for i, w := range workloads {
+		names[i] = w.name
+	}
+	return names
 }
 
 // Optimizers lists the optimizer names accepted by PrecondFactory.
@@ -50,74 +93,29 @@ func (w Workload) Job(cfg train.Config, pre train.PrecondFactory) train.Job {
 // (CLI flags, server job specs) goes through here so a model name means
 // the same dataset, architecture, and target everywhere.
 func BuildWorkload(model string, classes, perClass int, seed uint64) (Workload, error) {
-	switch model {
-	case "mlp":
-		ds := data.SynthVectors(mat.NewRNG(seed+100), classes, perClass*4, 32, 0.3)
+	for _, w := range workloads {
+		if w.name != model {
+			continue
+		}
+		var ds *data.Dataset
+		rng := mat.NewRNG(seed + 100)
+		switch w.kind {
+		case vectors:
+			ds = data.SynthVectors(rng, classes, perClass*4, w.shape.Numel(), 0.3)
+		case images:
+			ds = data.SynthImages(rng, data.ClassSpec{
+				Classes: classes, PerClass: perClass, Shape: w.shape, Noise: 0.3})
+		case masks:
+			ds = data.SynthSegmentation(rng, data.SegSpec{
+				N: classes * perClass, Shape: w.shape, Noise: 0.4})
+		}
 		tr, te := data.Split(mat.NewRNG(seed+101), ds, 0.25)
 		return Workload{
-			Build: func(rng *mat.RNG) *nn.Network {
-				return models.MLP(nn.Vec(32), []int{64, 32}, classes, rng)
-			},
-			Train: tr, Test: te, Task: train.Classification(), Target: 0.9,
+			Build: func(rng *mat.RNG) *nn.Network { return w.build(w.shape, classes, rng) },
+			Train: tr, Test: te, Task: w.task(), Target: w.target,
 		}, nil
-	case "3c1f":
-		shape := nn.Shape{C: 1, H: 16, W: 16}
-		ds := data.SynthImages(mat.NewRNG(seed+100), data.ClassSpec{
-			Classes: classes, PerClass: perClass, Shape: shape, Noise: 0.3})
-		tr, te := data.Split(mat.NewRNG(seed+101), ds, 0.25)
-		return Workload{
-			Build: func(rng *mat.RNG) *nn.Network {
-				return models.ThreeC1F(shape, 8, classes, rng)
-			},
-			Train: tr, Test: te, Task: train.Classification(), Target: 0.9,
-		}, nil
-	case "resnet":
-		shape := nn.Shape{C: 3, H: 16, W: 16}
-		ds := data.SynthImages(mat.NewRNG(seed+100), data.ClassSpec{
-			Classes: classes, PerClass: perClass, Shape: shape, Noise: 0.3})
-		tr, te := data.Split(mat.NewRNG(seed+101), ds, 0.25)
-		return Workload{
-			Build: func(rng *mat.RNG) *nn.Network {
-				return models.ResNetCIFAR(shape, 2, 8, classes, rng)
-			},
-			Train: tr, Test: te, Task: train.Classification(), Target: 0.85,
-		}, nil
-	case "densenet":
-		shape := nn.Shape{C: 3, H: 16, W: 16}
-		ds := data.SynthImages(mat.NewRNG(seed+100), data.ClassSpec{
-			Classes: classes, PerClass: perClass, Shape: shape, Noise: 0.3})
-		tr, te := data.Split(mat.NewRNG(seed+101), ds, 0.25)
-		return Workload{
-			Build: func(rng *mat.RNG) *nn.Network {
-				return models.DenseNetLite(shape, 6, classes, rng)
-			},
-			Train: tr, Test: te, Task: train.Classification(), Target: 0.75,
-		}, nil
-	case "vit":
-		shape := nn.Shape{C: 1, H: 16, W: 16}
-		ds := data.SynthImages(mat.NewRNG(seed+100), data.ClassSpec{
-			Classes: classes, PerClass: perClass, Shape: shape, Noise: 0.3})
-		tr, te := data.Split(mat.NewRNG(seed+101), ds, 0.25)
-		return Workload{
-			Build: func(rng *mat.RNG) *nn.Network {
-				return models.TransformerLite(shape, 4, 12, 2, classes, rng)
-			},
-			Train: tr, Test: te, Task: train.Classification(), Target: 0.85,
-		}, nil
-	case "unet":
-		shape := nn.Shape{C: 1, H: 16, W: 16}
-		ds := data.SynthSegmentation(mat.NewRNG(seed+100), data.SegSpec{
-			N: classes * perClass, Shape: shape, Noise: 0.4})
-		tr, te := data.Split(mat.NewRNG(seed+101), ds, 0.25)
-		return Workload{
-			Build: func(rng *mat.RNG) *nn.Network {
-				return models.MiniUNet(shape, 4, rng)
-			},
-			Train: tr, Test: te, Task: train.Segmentation(), Target: 0.8,
-		}, nil
-	default:
-		return Workload{}, fmt.Errorf("unknown model %q (want one of %v)", model, Models())
 	}
+	return Workload{}, fmt.Errorf("unknown model %q (want one of %v)", model, Models())
 }
 
 // PrecondOpts bundles the hyperparameters PrecondFactory threads into the

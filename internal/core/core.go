@@ -146,45 +146,6 @@ func errOrIllConditioned(err error) error {
 	return mat.ErrIllConditioned
 }
 
-// AdaptiveKIDRank chooses the smallest rank whose interpolative
-// decomposition residual falls below tol, by inspecting the decay of the
-// column-pivoted QR diagonal of the Gram matrix: |R[k,k]| bounds the
-// spectral norm of the rank-k residual, so the first k with
-// |R[k,k]| ≤ tol·|R[0,0]| suffices. This extends the paper's fixed
-// r = 10%·batch rule with an error-driven rule (future-work direction).
-// maxRank caps the answer; the returned rank is always ≥ 1.
-func AdaptiveKIDRank(a, g *mat.Dense, tol float64, maxRank int) int {
-	q := mat.GetDense(a.Rows(), a.Rows())
-	defer mat.PutDense(q)
-	mat.KernelMatrixInto(q, a, g)
-	n := max(1, min(q.Rows(), maxRank))
-	diag := mat.GetFloats(n)
-	defer mat.PutFloats(diag)
-	mat.RowPivotDiag(diag, q)
-	d0 := math.Abs(diag[0])
-	if d0 == 0 {
-		return 1
-	}
-	for k := 1; k < n; k++ {
-		if math.Abs(diag[k]) <= tol*d0 {
-			return k
-		}
-	}
-	return n
-}
-
-// KIDFactorsRand is KIDFactors with the interpolative decomposition
-// replaced by the Gaussian-sketch randomized ID of the paper's reference
-// [33] (Biagioni & Beylkin): the pivoted QR runs on an m×(r+oversample)
-// sketch instead of the full m×m Gram matrix, trading a small accuracy
-// loss for an asymptotically cheaper factorization. It routes through
-// KIDFactorsSketch, so the condition/residual guard applies: an untrusted
-// sketch returns ErrSketchIllConditioned / ErrSketchResidual rather than
-// silently bad factors.
-func KIDFactorsRand(rng *mat.RNG, a, g *mat.Dense, r int, alpha float64, oversample int) (as, gs, y *mat.Dense, err error) {
-	return KIDFactorsSketch(rng, a, g, r, alpha, oversample, SketchGauss)
-}
-
 // KISFactors implements Algorithm 3: norm-based importance sampling of r
 // rows. The score of sample j is ‖a_j‖·‖g_j‖ — the Khatri-Rao structure
 // makes this the exact row norm of the Jacobian U = a ⊙ g. Sampling is

@@ -312,41 +312,6 @@ func TestPreconditionContractionProperty(t *testing.T) {
 	}
 }
 
-func TestAdaptiveKIDRankLowRank(t *testing.T) {
-	rng := mat.NewRNG(81)
-	// Latent rank 2 ⇒ kernel rank ≤ 4: the adaptive rule should pick ≤ ~4.
-	lat := mat.RandN(rng, 30, 2, 1)
-	a := mat.Mul(lat, mat.RandN(rng, 2, 6, 1))
-	g := mat.Mul(lat, mat.RandN(rng, 2, 5, 1))
-	r := AdaptiveKIDRank(a, g, 1e-8, 30)
-	if r < 1 || r > 6 {
-		t.Fatalf("adaptive rank = %d; want ≤ ~4 for a rank-4 kernel", r)
-	}
-	// With a loose tolerance the rank must not grow.
-	rLoose := AdaptiveKIDRank(a, g, 1e-2, 30)
-	if rLoose > r {
-		t.Fatalf("looser tolerance increased rank: %d > %d", rLoose, r)
-	}
-}
-
-func TestAdaptiveKIDRankFullRank(t *testing.T) {
-	rng := mat.NewRNG(82)
-	a := mat.RandN(rng, 12, 12, 1)
-	g := mat.RandN(rng, 12, 12, 1)
-	// Full-rank kernel at tiny tolerance: rank should hit the cap.
-	if r := AdaptiveKIDRank(a, g, 1e-14, 8); r != 8 {
-		t.Fatalf("capped adaptive rank = %d; want 8", r)
-	}
-}
-
-func TestAdaptiveKIDRankZeroMatrix(t *testing.T) {
-	a := mat.NewDense(6, 3)
-	g := mat.NewDense(6, 3)
-	if r := AdaptiveKIDRank(a, g, 1e-8, 6); r != 1 {
-		t.Fatalf("zero-kernel adaptive rank = %d; want 1", r)
-	}
-}
-
 // Full-rank Nyström reduces exactly to Eq. (7): with S covering all rows,
 // C = K and W = K, and the Woodbury form collapses to (K+αI)⁻¹.
 func TestNystromFullRankMatchesExact(t *testing.T) {

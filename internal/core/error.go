@@ -10,8 +10,8 @@ import (
 )
 
 // Typed failure modes of the preconditioning path. Callers route these
-// into the degradation ladder (PreconditionRobust) or surface them;
-// nothing on the solve path panics.
+// into the degradation ladder (HyLo.stageFactorize/stageInvert) or surface
+// them; nothing on the solve path panics.
 var (
 	// ErrBadDamping reports a damping parameter that cannot produce a
 	// meaningful update: non-positive, non-finite, or so small that 1/α
@@ -88,7 +88,7 @@ func PreconditionExact(a, g *mat.Dense, grad []float64, alpha float64) ([]float6
 // batch factors: it reduces (a, g) to rank r with the requested mode, then
 // applies Eq. (8) (KID) or Eq. (9) (KIS). Singular inner systems escalate
 // damping a bounded number of times and then return ErrSingularKernel —
-// never panic; PreconditionRobust wraps this with the full fallback ladder.
+// never panic.
 func PreconditionReduced(a, g *mat.Dense, grad []float64, alpha float64, r int, mode Mode, rng *mat.RNG) ([]float64, error) {
 	if err := checkDamping(alpha); err != nil {
 		return nil, err

@@ -38,20 +38,6 @@ type HyLo struct {
 	// Oversample is the randomized-ID sketch width beyond the rank
 	// (DefaultOversample when zero).
 	Oversample int
-	// AdaptiveRank replaces the fixed per-worker rank ρ = r/P with the
-	// error-driven rule of AdaptiveKIDRank (KID epochs only): the rank is
-	// the smallest value whose ID residual falls below AdaptiveTol,
-	// capped at ρ. Each worker adapts independently; the gathered factor
-	// sizes may differ across workers, which the gather/block-diagonal
-	// assembly handles naturally.
-	AdaptiveRank bool
-	// AdaptiveTol is the relative residual tolerance (default 1e-3).
-	AdaptiveTol float64
-	// CommMantissaBits, when in [1, 51], quantizes the factors to that
-	// many mantissa bits before the gather — simulating the
-	// reduced-precision collectives of production implementations (Ueno et
-	// al.'s 21-bit format uses 12 mantissa bits). 0 disables quantization.
-	CommMantissaBits int
 	// IDTol is the relative numerical-rank tolerance of the interpolative
 	// decomposition: pivoted-QR diagonals below IDTol·|R(0,0)| truncate the
 	// KID rank (duplicated batch rows collapse cleanly instead of feeding a
@@ -167,11 +153,9 @@ func (h *HyLo) idTol() float64 {
 // Mode returns the reduction currently in use.
 func (h *HyLo) Mode() Mode { return h.mode }
 
-// EpochModes returns the mode chosen for each epoch so far.
-func (h *HyLo) EpochModes() []Mode { return h.epochModes }
-
-// ModeStrings returns EpochModes rendered as strings; the trainer uses it
-// to report the switching pattern without importing this package.
+// ModeStrings returns the mode chosen for each epoch so far, as strings; the
+// trainer uses it to report the switching pattern without importing this
+// package.
 func (h *HyLo) ModeStrings() []string {
 	out := make([]string, len(h.epochModes))
 	for i, m := range h.epochModes {
@@ -293,15 +277,6 @@ func (h *HyLo) stageFactorize(i int) {
 	t0 := time.Now()
 	if h.mode == ModeKID {
 		rho := pl.rho
-		if h.AdaptiveRank {
-			tol := h.AdaptiveTol
-			if tol <= 0 {
-				tol = 1e-3
-			}
-			if ar := AdaptiveKIDRank(st.an, st.gn, tol, rho); ar < rho {
-				rho = ar
-			}
-		}
 		var facErr error
 		if sk := h.Sketch; sk != SketchOff {
 			over := h.Oversample
@@ -347,11 +322,9 @@ func (h *HyLo) stageFactorize(i int) {
 			st.yLoc.Zero()
 			pl.as, pl.gs, pl.y = st.asLoc, st.gsLoc, st.yLoc
 		}
-		h.quantize(pl.as, pl.gs, pl.y)
 	} else {
 		st.asLoc, st.gsLoc = kisSelectInto(st.asLoc, st.gsLoc, st.an, st.gn, pl.kisIdx, pl.kisCoeff)
 		pl.as, pl.gs = st.asLoc, st.gsLoc
-		h.quantize(pl.as, pl.gs)
 	}
 	h.Record(dist.PhaseFactorize, pl.layer, t0, h.mode.String())
 }
@@ -474,17 +447,6 @@ func (h *HyLo) stageStore(i int) {
 	h.RecordDur(dist.PhaseBroadcast, pl.layer, pl.mF.Dur(), h.mode.String())
 }
 
-// quantize reduces the factors' mantissa precision before communication
-// when CommMantissaBits is configured.
-func (h *HyLo) quantize(ms ...*mat.Dense) {
-	if h.CommMantissaBits <= 0 || h.CommMantissaBits >= 52 {
-		return
-	}
-	for _, m := range ms {
-		dist.QuantizeBits(m, h.CommMantissaBits)
-	}
-}
-
 // stagePrecondition is one layer of Precondition: Eq. (8) (KID) or Eq. (9)
 // (KIS) — both have the form (1/α)(g − Uˢᵀ M Uˢ g) and differ only in M. It
 // also accumulates Δₑ += g for the switching heuristic.
@@ -495,7 +457,7 @@ func (h *HyLo) stagePrecondition(i int) {
 	for j, v := range gd {
 		acc[j] += v
 	}
-	h.state[i].Apply(gd, h.Damping, nil)
+	h.state[i].Apply(gd, h.Damping)
 }
 
 // StateBytes implements opt.Preconditioner: the gathered r×d factors plus

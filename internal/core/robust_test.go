@@ -143,88 +143,6 @@ func TestSingularKernelInjectionRecordsRetries(t *testing.T) {
 	}
 }
 
-// The full degradation ladder: an overflow-poisoned batch (huge scales push
-// kernel entries to ±Inf) defeats KID, KIS, and Nyström in turn, and the
-// ladder must land on the identity rung with a finite scaled-gradient step,
-// recording every rung it burned through.
-func TestPreconditionRobustWalksLadderToIdentity(t *testing.T) {
-	numerics.Reset()
-	defer numerics.Reset()
-
-	rng := mat.NewRNG(31)
-	a := mat.RandN(rng, 10, 3, 1).Scale(1e200) // AAᵀ entries overflow
-	g := mat.RandN(rng, 10, 3, 1).Scale(1e200)
-	grad := randGrad(32, 9)
-
-	out, rung := PreconditionRobust(a, g, grad, 0.1, 4, ModeKID, rng)
-	if rung != numerics.RungIdentity {
-		t.Fatalf("rung = %v; want identity", rung)
-	}
-	if !mat.AllFinite(out) {
-		t.Fatal("identity rung produced non-finite output")
-	}
-	// Identity rung is (1/α)·grad for finite gradients.
-	for i := range out {
-		if math.Abs(out[i]-grad[i]/0.1) > 1e-9*(1+math.Abs(out[i])) {
-			t.Fatalf("identity rung direction wrong at %d: %g vs %g", i, out[i], grad[i]/0.1)
-		}
-	}
-	snap := numerics.Default().Snapshot()
-	for _, r := range []numerics.Rung{numerics.RungKIS, numerics.RungNystrom, numerics.RungIdentity} {
-		if snap.Fallbacks["core.ladder"][r] == 0 {
-			t.Fatalf("ladder did not record rung %v: %v", r, snap.Fallbacks)
-		}
-	}
-}
-
-// A healthy solve must stay on the primary rung and record nothing.
-func TestPreconditionRobustHealthyPrimary(t *testing.T) {
-	numerics.Reset()
-	defer numerics.Reset()
-
-	rng := mat.NewRNG(41)
-	a := mat.RandN(rng, 16, 4, 1)
-	g := mat.RandN(rng, 16, 4, 1)
-	grad := randGrad(42, 16)
-	out, rung := PreconditionRobust(a, g, grad, 0.3, 6, ModeKIS, rng)
-	if rung != numerics.RungPrimary {
-		t.Fatalf("rung = %v; want primary", rung)
-	}
-	if !mat.AllFinite(out) {
-		t.Fatal("non-finite primary output")
-	}
-	if n := numerics.Default().Snapshot().TotalFallbacks(); n != 0 {
-		t.Fatalf("healthy solve recorded %d fallbacks", n)
-	}
-}
-
-// A non-finite gradient entering the ladder must come out scrubbed: the
-// identity rung never forwards NaN into the weight update.
-func TestPreconditionRobustScrubsPoisonedGradient(t *testing.T) {
-	numerics.Reset()
-	defer numerics.Reset()
-
-	rng := mat.NewRNG(51)
-	a := mat.RandN(rng, 8, 3, 1).Scale(1e200)
-	g := mat.RandN(rng, 8, 3, 1).Scale(1e200)
-	grad := randGrad(52, 9)
-	grad[2] = math.NaN()
-	grad[5] = math.Inf(1)
-	out, rung := PreconditionRobust(a, g, grad, 0.5, 4, ModeKID, rng)
-	if rung != numerics.RungIdentity {
-		t.Fatalf("rung = %v; want identity", rung)
-	}
-	if !mat.AllFinite(out) {
-		t.Fatal("poisoned gradient leaked through the identity rung")
-	}
-	if out[2] != 0 || out[5] != 0 {
-		t.Fatalf("poisoned coordinates not scrubbed: %g %g", out[2], out[5])
-	}
-	if numerics.Default().Snapshot().Scrubs == 0 {
-		t.Fatal("scrubs not recorded")
-	}
-}
-
 // Satellite (a): a NaN/Inf loss is a maximally failed step — the damping
 // must grow, and the poisoned loss must NOT become the comparison baseline.
 func TestDampingAdapterNonFiniteLoss(t *testing.T) {
@@ -271,7 +189,7 @@ func TestKIDFactorsNaNTerminates(t *testing.T) {
 		t.Fatal("NaN batch: expected error")
 	}
 	rng := mat.NewRNG(61)
-	if _, _, _, err := KIDFactorsRand(rng, a, g, 3, 0.1, 2); err == nil {
+	if _, _, _, err := KIDFactorsSketch(rng, a, g, 3, 0.1, 2, SketchGauss); err == nil {
 		t.Fatal("NaN batch (randomized): expected error")
 	}
 }

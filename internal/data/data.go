@@ -171,49 +171,6 @@ func SynthSegmentation(rng *mat.RNG, spec SegSpec) *Dataset {
 	return &Dataset{X: x, Masks: masks, Shape: spec.Shape}
 }
 
-// Standardize shifts and scales every feature to zero mean and unit
-// variance computed over the given dataset, returning the (mean, std)
-// vectors so the same transform can be applied to other splits. Constant
-// features keep std 1.
-func Standardize(d *Dataset) (mean, std []float64) {
-	n, cols := d.X.Rows(), d.X.Cols()
-	mean = make([]float64, cols)
-	std = make([]float64, cols)
-	for i := 0; i < n; i++ {
-		for j, v := range d.X.Row(i) {
-			mean[j] += v
-		}
-	}
-	for j := range mean {
-		mean[j] /= float64(n)
-	}
-	for i := 0; i < n; i++ {
-		for j, v := range d.X.Row(i) {
-			dd := v - mean[j]
-			std[j] += dd * dd
-		}
-	}
-	for j := range std {
-		std[j] = math.Sqrt(std[j] / float64(n))
-		if std[j] == 0 {
-			std[j] = 1
-		}
-	}
-	ApplyStandardization(d, mean, std)
-	return mean, std
-}
-
-// ApplyStandardization applies a previously computed (mean, std) transform
-// in place — used on validation/test splits with training statistics.
-func ApplyStandardization(d *Dataset, mean, std []float64) {
-	for i := 0; i < d.X.Rows(); i++ {
-		row := d.X.Row(i)
-		for j := range row {
-			row[j] = (row[j] - mean[j]) / std[j]
-		}
-	}
-}
-
 // Split partitions a dataset into train/test by a deterministic shuffle.
 func Split(rng *mat.RNG, d *Dataset, testFrac float64) (train, test *Dataset) {
 	n := d.Len()
@@ -230,42 +187,6 @@ func Split(rng *mat.RNG, d *Dataset, testFrac float64) (train, test *Dataset) {
 		}
 		if d.Masks != nil {
 			out.Masks = d.Masks.SelectRows(idx)
-		}
-		return out
-	}
-	return sel(trainIdx), sel(testIdx)
-}
-
-// SplitStratified partitions a classification dataset into train/test
-// preserving per-class proportions — the split small or imbalanced
-// datasets need so the test set sees every class.
-func SplitStratified(rng *mat.RNG, d *Dataset, testFrac float64) (train, test *Dataset) {
-	if d.Labels == nil {
-		return Split(rng, d, testFrac)
-	}
-	byClass := map[int][]int{}
-	for i, l := range d.Labels {
-		byClass[l] = append(byClass[l], i)
-	}
-	var trainIdx, testIdx []int
-	// Deterministic class order.
-	for c := 0; c < d.Classes; c++ {
-		idx := byClass[c]
-		perm := rng.Perm(len(idx))
-		nTest := int(float64(len(idx)) * testFrac)
-		for k, p := range perm {
-			if k < nTest {
-				testIdx = append(testIdx, idx[p])
-			} else {
-				trainIdx = append(trainIdx, idx[p])
-			}
-		}
-	}
-	sel := func(idx []int) *Dataset {
-		out := &Dataset{Shape: d.Shape, Classes: d.Classes, X: d.X.SelectRows(idx)}
-		out.Labels = make([]int, len(idx))
-		for k, i := range idx {
-			out.Labels[k] = d.Labels[i]
 		}
 		return out
 	}

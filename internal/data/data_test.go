@@ -197,96 +197,3 @@ func TestAugmenterCropBounded(t *testing.T) {
 		t.Fatal("augmentation zeroed everything")
 	}
 }
-
-func TestStandardize(t *testing.T) {
-	rng := mat.NewRNG(140)
-	d := SynthVectors(rng, 2, 100, 8, 0.5)
-	// Shift feature 0 heavily so standardization has work to do.
-	for i := 0; i < d.Len(); i++ {
-		d.X.Row(i)[0] += 100
-	}
-	mean, std := Standardize(d)
-	if len(mean) != 8 || len(std) != 8 {
-		t.Fatalf("stat lengths %d, %d", len(mean), len(std))
-	}
-	// After transform every feature has mean ≈ 0 and std ≈ 1.
-	n := d.Len()
-	for j := 0; j < 8; j++ {
-		var m2, s2 float64
-		for i := 0; i < n; i++ {
-			m2 += d.X.At(i, j)
-		}
-		m2 /= float64(n)
-		for i := 0; i < n; i++ {
-			dd := d.X.At(i, j) - m2
-			s2 += dd * dd
-		}
-		s2 /= float64(n)
-		if m2 > 1e-9 || m2 < -1e-9 {
-			t.Fatalf("feature %d mean %g after standardize", j, m2)
-		}
-		if s2 < 0.99 || s2 > 1.01 {
-			t.Fatalf("feature %d variance %g after standardize", j, s2)
-		}
-	}
-	// Applying the same stats to a second split must not panic and keeps
-	// relative scale.
-	d2 := SynthVectors(mat.NewRNG(141), 2, 20, 8, 0.5)
-	ApplyStandardization(d2, mean, std)
-}
-
-func TestStandardizeConstantFeature(t *testing.T) {
-	d := &Dataset{X: mat.NewDense(5, 2), Shape: nn.Vec(2)}
-	for i := 0; i < 5; i++ {
-		d.X.Set(i, 0, 7) // constant
-		d.X.Set(i, 1, float64(i))
-	}
-	_, std := Standardize(d)
-	if std[0] != 1 {
-		t.Fatalf("constant feature std = %g; want fallback 1", std[0])
-	}
-	for i := 0; i < 5; i++ {
-		if d.X.At(i, 0) != 0 {
-			t.Fatal("constant feature should standardize to 0")
-		}
-	}
-}
-
-func TestSplitStratifiedPreservesRatios(t *testing.T) {
-	rng := mat.NewRNG(150)
-	// Imbalanced: class 0 has 80 samples, class 1 has 20.
-	x := mat.RandN(rng, 100, 4, 1)
-	labels := make([]int, 100)
-	for i := 80; i < 100; i++ {
-		labels[i] = 1
-	}
-	d := &Dataset{X: x, Labels: labels, Shape: nn.Vec(4), Classes: 2}
-	tr, te := SplitStratified(mat.NewRNG(151), d, 0.25)
-	count := func(ds *Dataset, c int) int {
-		n := 0
-		for _, l := range ds.Labels {
-			if l == c {
-				n++
-			}
-		}
-		return n
-	}
-	if got := count(te, 0); got != 20 {
-		t.Fatalf("test class-0 count = %d; want 20 (25%% of 80)", got)
-	}
-	if got := count(te, 1); got != 5 {
-		t.Fatalf("test class-1 count = %d; want 5 (25%% of 20)", got)
-	}
-	if tr.Len()+te.Len() != 100 {
-		t.Fatal("split lost samples")
-	}
-}
-
-func TestSplitStratifiedFallsBackForSegmentation(t *testing.T) {
-	rng := mat.NewRNG(152)
-	d := SynthSegmentation(rng, SegSpec{N: 40, Shape: nn.Shape{C: 1, H: 8, W: 8}, Noise: 0.3})
-	tr, te := SplitStratified(mat.NewRNG(153), d, 0.25)
-	if tr.Len()+te.Len() != 40 || te.Masks == nil {
-		t.Fatal("segmentation fallback split broken")
-	}
-}

@@ -227,27 +227,6 @@ func (a *AsyncComm) StartBroadcastMat(f *MatFuture, root int, m *mat.Dense) {
 	})
 }
 
-// AllGatherMatAsync is StartAllGatherMat with a freshly allocated future.
-func (a *AsyncComm) AllGatherMatAsync(m *mat.Dense) *GatherFuture {
-	f := &GatherFuture{}
-	a.StartAllGatherMat(f, m)
-	return f
-}
-
-// AllReduceMatAsync is StartAllReduceMat with a freshly allocated future.
-func (a *AsyncComm) AllReduceMatAsync(m *mat.Dense) *MatFuture {
-	f := &MatFuture{}
-	a.StartAllReduceMat(f, m)
-	return f
-}
-
-// BroadcastMatAsync is StartBroadcastMat with a freshly allocated future.
-func (a *AsyncComm) BroadcastMatAsync(root int, m *mat.Dense) *MatFuture {
-	f := &MatFuture{}
-	a.StartBroadcastMat(f, root, m)
-	return f
-}
-
 // AllGatherMat implements Comm as submit+wait, preserving FIFO order with
 // any in-flight async operations.
 func (a *AsyncComm) AllGatherMat(m *mat.Dense) []*mat.Dense {

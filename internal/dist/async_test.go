@@ -10,16 +10,19 @@ func TestAsyncLocalInline(t *testing.T) {
 	a := Async(Local())
 	m := mat.NewDense(2, 2)
 	m.Set(0, 0, 3)
-	gf := a.AllGatherMatAsync(m)
+	gf := &GatherFuture{}
+	a.StartAllGatherMat(gf, m)
 	parts := gf.Wait()
 	if len(parts) != 1 || parts[0].At(0, 0) != 3 {
 		t.Fatalf("inline gather wrong: %v", parts)
 	}
-	rf := a.AllReduceMatAsync(m)
+	rf := &MatFuture{}
+	a.StartAllReduceMat(rf, m)
 	if got := rf.Wait(); got != m {
 		t.Fatal("local async all-reduce should return the input in place")
 	}
-	bf := a.BroadcastMatAsync(0, m)
+	bf := &MatFuture{}
+	a.StartBroadcastMat(bf, 0, m)
 	if got := bf.Wait(); got != m {
 		t.Fatal("local async broadcast should return the input")
 	}
@@ -66,9 +69,12 @@ func TestAsyncMatchesBlocking(t *testing.T) {
 			m.Data()[i] = float64(w.Rank + i)
 		}
 		// Submit a pipeline of ops before waiting any of them.
-		gf := a.AllGatherMatAsync(m)
-		rf := a.AllReduceMatAsync(m)
-		bf := a.BroadcastMatAsync(1, m)
+		gf := &GatherFuture{}
+		a.StartAllGatherMat(gf, m)
+		rf := &MatFuture{}
+		a.StartAllReduceMat(rf, m)
+		bf := &MatFuture{}
+		a.StartBroadcastMat(bf, 1, m)
 
 		parts := gf.Wait()
 		for r := 0; r < p; r++ {
@@ -107,8 +113,10 @@ func TestAsyncComposesWithWrappers(t *testing.T) {
 		}
 		m := mat.NewDense(1, 1)
 		m.Set(0, 0, float64(w.Rank))
-		gf := a.AllGatherMatAsync(m)
-		bf := a.BroadcastMatAsync(0, m)
+		gf := &GatherFuture{}
+		a.StartAllGatherMat(gf, m)
+		bf := &MatFuture{}
+		a.StartBroadcastMat(bf, 0, m)
 		if parts := gf.Wait(); parts[1].At(0, 0) != 1 {
 			t.Errorf("rank %d: gather through wrappers wrong", w.Rank)
 		}
@@ -135,7 +143,8 @@ func TestAsyncPanicPropagation(t *testing.T) {
 			panic("injected death")
 		}
 		a := Async(w)
-		f := a.AllGatherMatAsync(mat.NewDense(1, 1))
+		f := &GatherFuture{}
+		a.StartAllGatherMat(f, mat.NewDense(1, 1))
 		defer func() {
 			if r := recover(); r == nil {
 				t.Error("waiter should re-panic on poisoned barrier")

@@ -195,40 +195,6 @@ func TestStragglerModelDeterministicAndExact(t *testing.T) {
 	}
 }
 
-// ReduceScatterRows with fewer rows than workers: the leading workers get
-// zero-row shards and the last worker owns the whole (summed) matrix —
-// the same trailing-remainder convention as the data-parallel sharding.
-func TestReduceScatterRowsFewerRowsThanWorkers(t *testing.T) {
-	const p = 4
-	c := NewCluster(p)
-	rows := make([]int, p)
-	var lastSum float64
-	c.Run(func(w *Worker) {
-		m := mat.NewDense(2, 3)
-		m.Fill(1)
-		shard := w.ReduceScatterRows(m)
-		rows[w.Rank] = shard.Rows()
-		if w.Rank == p-1 {
-			for i := 0; i < shard.Rows(); i++ {
-				for j := 0; j < shard.Cols(); j++ {
-					lastSum += shard.At(i, j)
-				}
-			}
-		}
-	})
-	for r := 0; r < p-1; r++ {
-		if rows[r] != 0 {
-			t.Fatalf("rank %d shard has %d rows; want 0", r, rows[r])
-		}
-	}
-	if rows[p-1] != 2 {
-		t.Fatalf("last rank shard has %d rows; want all 2", rows[p-1])
-	}
-	if lastSum != 2*3*p {
-		t.Fatalf("last-rank shard sum = %v; want %v", lastSum, 2*3*p)
-	}
-}
-
 // Degenerate-payload injection must corrupt only the exchanged payload
 // (never the caller's buffer), target the factor gathers, and apply the
 // exact configured degeneracy per kind.

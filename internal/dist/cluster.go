@@ -101,9 +101,6 @@ type Worker struct {
 	c    *Cluster
 }
 
-// P returns the cluster size.
-func (w *Worker) P() int { return w.c.P }
-
 // Barrier blocks until all workers arrive.
 func (w *Worker) Barrier() { w.c.barrier.await() }
 
@@ -137,25 +134,6 @@ func (w *Worker) AllGatherMat(m *mat.Dense) []*mat.Dense {
 		}
 	}
 	w.Barrier() // all copies taken before anyone mutates the originals
-	return out
-}
-
-// AllGatherVec gathers float slices from all workers (rank order), copying
-// peers' data before the exit barrier.
-func (w *Worker) AllGatherVec(v []float64) [][]float64 {
-	countComm("allgather", len(v))
-	w.c.slots[w.Rank] = v
-	w.Barrier()
-	out := make([][]float64, w.c.P)
-	for i, p := range w.c.slots {
-		pv := p.([]float64)
-		if i == w.Rank {
-			out[i] = pv
-		} else {
-			out[i] = append([]float64(nil), pv...)
-		}
-	}
-	w.Barrier()
 	return out
 }
 
@@ -194,38 +172,6 @@ func (w *Worker) AllReduceMat(m *mat.Dense) *mat.Dense {
 	sum := CanonicalReduceDense(parts)
 	w.Barrier()
 	return sum
-}
-
-// ReduceScatterRows sums matrices across workers and returns this
-// worker's row shard of the sum: worker i receives rows [i·m/P, (i+1)·m/P)
-// (the trailing remainder goes to the last worker). This is the first
-// phase of a ring all-reduce and the primitive KAISA's memory-optimized
-// mode distributes factors with.
-func (w *Worker) ReduceScatterRows(m *mat.Dense) *mat.Dense {
-	countComm("reducescatter", m.Rows()*m.Cols())
-	w.c.slots[w.Rank] = m
-	w.Barrier()
-	p := w.c.P
-	rows := m.Rows()
-	per := rows / p
-	lo := w.Rank * per
-	hi := lo + per
-	if w.Rank == p-1 {
-		hi = rows
-	}
-	shard := mat.NewDense(hi-lo, m.Cols())
-	for _, part := range w.c.slots {
-		pm := part.(*mat.Dense)
-		for i := lo; i < hi; i++ {
-			dst := shard.Row(i - lo)
-			src := pm.Row(i)
-			for j := range dst {
-				dst[j] += src[j]
-			}
-		}
-	}
-	w.Barrier()
-	return shard
 }
 
 // AllReduceScalar sums a scalar across workers in the canonical

@@ -67,12 +67,6 @@ func (c CostModel) GEMM(m, n, k int) float64 {
 	return c.KernelLaunch + flops/c.FlopRate
 }
 
-// Factorize returns the time for an O(n³) one-sided factorization
-// (Cholesky/LU/QR) of an n×n matrix, costed at the small-op rate.
-func (c CostModel) Factorize(n int) float64 {
-	return c.KernelLaunch + (2.0/3.0)*math.Pow(float64(n), 3)/c.SmallOpRate
-}
-
 // Inverse returns the time to invert an n×n matrix (factorize + solve).
 func (c CostModel) Inverse(n int) float64 {
 	return c.KernelLaunch + 2*math.Pow(float64(n), 3)/c.SmallOpRate

@@ -39,30 +39,6 @@ func (h HierarchicalCostModel) Nodes() int {
 	return n
 }
 
-// AllReduce models a hierarchical ring all-reduce: reduce-scatter inside
-// each node over NVLink, ring all-reduce across nodes over IB on the
-// 1/GPUsPerNode-sized shard, then all-gather inside the node.
-func (h HierarchicalCostModel) AllReduce(nElems int) float64 {
-	p := h.Compute.Workers
-	if p == 1 {
-		return 0
-	}
-	bytes := float64(nElems * bytesPerFloat)
-	g := float64(min(h.GPUsPerNode, p))
-	nodes := float64(h.Nodes())
-	var t float64
-	if g > 1 {
-		// Intra-node reduce-scatter + all-gather: 2(g−1) steps of bytes/g.
-		t += 2 * (g - 1) * (h.IntraAlpha + bytes/g*h.IntraBeta)
-	}
-	if nodes > 1 {
-		// Inter-node ring on the per-node shard.
-		shard := bytes / g
-		t += 2 * (nodes - 1) * (h.InterAlpha + shard/nodes*h.InterBeta)
-	}
-	return t
-}
-
 // AllGather models a hierarchical all-gather with per-worker contribution
 // nElems: intra-node gather then inter-node exchange of node blocks.
 func (h HierarchicalCostModel) AllGather(nElems int) float64 {
@@ -102,29 +78,4 @@ func (h HierarchicalCostModel) Broadcast(nElems int) float64 {
 		t += math.Ceil(math.Log2(g)) * (h.IntraAlpha + bytes*h.IntraBeta)
 	}
 	return t
-}
-
-// Flat returns an equivalent flat CostModel whose collective costs are
-// replaced by the hierarchical ones evaluated at a reference message size;
-// compute costs are shared. Useful for plugging into code that takes a
-// CostModel but wanting node-aware communication constants.
-func (h HierarchicalCostModel) Flat() CostModel {
-	c := h.Compute
-	// Effective α/β fitted from two message sizes of the hierarchical
-	// all-gather (small for latency, large for bandwidth).
-	small, large := 1024, 1<<22
-	ts := h.AllGather(small)
-	tl := h.AllGather(large)
-	p := float64(c.Workers)
-	if c.Workers > 1 {
-		beta := (tl - ts) / ((p - 1) * float64((large-small)*bytesPerFloat))
-		alpha := ts/(p-1) - float64(small*bytesPerFloat)*beta
-		if beta > 0 {
-			c.Beta = beta
-		}
-		if alpha > 0 {
-			c.Alpha = alpha
-		}
-	}
-	return c
 }

@@ -13,7 +13,7 @@ func TestMistNodes(t *testing.T) {
 
 func TestHierarchicalSingleWorkerFree(t *testing.T) {
 	h := MistCluster(1)
-	if h.AllReduce(1<<20) != 0 || h.AllGather(1<<20) != 0 || h.Broadcast(1<<20) != 0 {
+	if h.AllGather(1<<20) != 0 || h.Broadcast(1<<20) != 0 {
 		t.Fatal("P=1 hierarchical collectives must be free")
 	}
 }
@@ -24,10 +24,6 @@ func TestIntraNodeCheaperThanCrossNode(t *testing.T) {
 	fourNodes := MistCluster(4)
 	fourNodes.GPUsPerNode = 1
 	n := 1 << 20
-	if oneNode.AllReduce(n) >= fourNodes.AllReduce(n) {
-		t.Fatalf("NVLink-only allreduce %g should beat IB-only %g",
-			oneNode.AllReduce(n), fourNodes.AllReduce(n))
-	}
 	if oneNode.Broadcast(n) >= fourNodes.Broadcast(n) {
 		t.Fatal("NVLink broadcast should beat IB broadcast")
 	}
@@ -35,9 +31,6 @@ func TestIntraNodeCheaperThanCrossNode(t *testing.T) {
 
 func TestHierarchicalMonotonicInSize(t *testing.T) {
 	h := MistCluster(16)
-	if h.AllReduce(1<<22) <= h.AllReduce(1<<12) {
-		t.Fatal("allreduce not increasing in message size")
-	}
 	if h.AllGather(1<<22) <= h.AllGather(1<<12) {
 		t.Fatal("allgather not increasing in message size")
 	}
@@ -47,20 +40,5 @@ func TestHierarchicalGrowsWithNodes(t *testing.T) {
 	n := 1 << 20
 	if MistCluster(64).AllGather(n) <= MistCluster(8).AllGather(n) {
 		t.Fatal("allgather should grow with cluster size")
-	}
-}
-
-func TestFlatApproximation(t *testing.T) {
-	h := MistCluster(32)
-	flat := h.Flat()
-	if flat.Workers != 32 {
-		t.Fatalf("flat workers = %d", flat.Workers)
-	}
-	// The fitted flat model must be within ~3x of the hierarchical one on
-	// an intermediate message size (it is a two-point fit).
-	n := 1 << 18
-	fh, ff := h.AllGather(n), flat.AllGather(n)
-	if ff > 3*fh || fh > 3*ff {
-		t.Fatalf("flat fit %g too far from hierarchical %g", ff, fh)
 	}
 }

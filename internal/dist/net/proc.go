@@ -42,7 +42,7 @@ type Config struct {
 	// Exactly one of Listen/Listener (coordinator) or Join (member) is set.
 	Listen string
 	// Listener optionally supplies a pre-bound listener (tests bind :0 and
-	// read the port back via ListenAddr).
+	// read the port back from it).
 	Listener net.Listener
 	// Join is the coordinator's address for a non-coordinator process.
 	Join string
@@ -297,15 +297,6 @@ func (p *Proc) applyStart(sm startMsg) error {
 		telemetry.SetGauge(telemetry.MetricNetTreeDepth, float64(sm.TreeDepth))
 	}
 	return nil
-}
-
-// ListenAddr returns the coordinator's bound address ("" on members) —
-// how a :0 test listener's real port is discovered.
-func (p *Proc) ListenAddr() string {
-	if p.coord == nil {
-		return ""
-	}
-	return p.coord.ln.Addr().String()
 }
 
 // WorldSize returns the current generation's total rank count.

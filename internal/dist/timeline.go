@@ -42,10 +42,6 @@ func (t *Timeline) hist(phase string) *telemetry.Histogram {
 	return t.reg.Histogram(timelineMetric, nil, telemetry.Label{Key: "phase", Value: phase})
 }
 
-// Registry exposes the backing metric registry, e.g. for Prometheus
-// export of the phase histograms.
-func (t *Timeline) Registry() *telemetry.Registry { return t.reg }
-
 // Add accrues seconds to phase.
 func (t *Timeline) Add(phase string, seconds float64) {
 	t.hist(phase).Observe(seconds)
@@ -76,11 +72,6 @@ func (t *Timeline) Sum(phases ...string) float64 {
 // Count returns how many times phase was recorded.
 func (t *Timeline) Count(phase string) int {
 	return int(t.hist(phase).Count())
-}
-
-// Reset clears all accumulated phases.
-func (t *Timeline) Reset() {
-	t.reg.Reset()
 }
 
 // snapshot returns the timeline's phase series from the registry.

@@ -26,12 +26,6 @@ type KFAC struct {
 	Damping float64
 	// Decay is the running-average coefficient for the factors.
 	Decay float64
-	// Strategy selects the KAISA placement mode (mem-opt, comm-opt, or
-	// hybrid); the zero value is the memory-optimal schedule.
-	Strategy Strategy
-	// HybridBudgetBytes bounds the per-worker factor state kept
-	// communication-optimally under StrategyHybrid.
-	HybridBudgetBytes int
 	// PiCorrection enables the Tikhonov π damping split between the two
 	// Kronecker factors (Martens & Grosse §6.3).
 	PiCorrection bool
@@ -92,7 +86,6 @@ type kfacPlan struct {
 	l            nn.KernelLayer
 	st           *kfacState
 	m            float64
-	commOpt      bool
 
 	a, g       *mat.Dense // this step's captures
 	fa, fg     *mat.Dense // all-reduced factors
@@ -136,8 +129,7 @@ func (k *KFAC) Update() {
 		}
 		k.plans = append(k.plans, kfacPlan{
 			layer: i, owner: i % p, l: l, st: k.state[i],
-			m: float64(a.Rows() * p), commOpt: k.layerCommOpt(i),
-			a: a, g: g,
+			m: float64(a.Rows() * p), a: a, g: g,
 		})
 	}
 	k.RunUpdate(len(k.plans))
@@ -165,27 +157,16 @@ func (k *KFAC) waitReduce(i int) {
 	pl.fg = pl.gF.Wait()
 }
 
-// stageInvert folds the reduced factors into the running averages held by
-// this rank and inverts where the placement strategy says to (KAISA step 4).
+// stageInvert folds the reduced factors into the running averages on the
+// layer's owner, which alone keeps them and inverts (KAISA step 4, the
+// memory-optimal placement).
 func (k *KFAC) stageInvert(i int) {
 	pl := &k.plans[i]
 	st := pl.st
 	k.RecordDur(dist.PhaseGather, pl.layer, pl.aF.Dur()+pl.gF.Dur())
-	// Memory-optimal layers keep the running factor state only on
-	// their owner; comm-optimal layers keep it everywhere.
-	if pl.commOpt || k.Comm.ID() == pl.owner {
-		st.fold(pl.fa, pl.fg, k.Decay)
-	}
-	if pl.commOpt {
-		// (4') Communication-optimal: every worker inverts locally; no
-		// inverse broadcast (KAISA's comm-opt placement).
-		t0 := time.Now()
-		st.aInv, st.gInv = k.invertPair(pl.l, st)
-		k.Record(dist.PhaseInvert, pl.layer, t0)
-		return
-	}
 	pl.aInv, pl.gInv = nil, nil
 	if k.Comm.ID() == pl.owner {
+		st.fold(pl.fa, pl.fg, k.Decay)
 		t0 := time.Now()
 		pl.aInv, pl.gInv = k.invertPair(pl.l, st)
 		k.Record(dist.PhaseInvert, pl.layer, t0)
@@ -206,33 +187,37 @@ func (k *KFAC) invertPair(l nn.KernelLayer, st *kfacState) (aInv, gInv *mat.Dens
 		precond.InvertSPD(st.gFactor, gG, "kfac.G", numerics.RungDiagonal, mat.DiagInvDamped)
 }
 
+// piCorrection returns the Tikhonov damping split of the original KFAC
+// paper: γ_A = π·√γ and γ_G = √γ/π with π² = (tr(A)/dim_A)/(tr(G)/dim_G),
+// which balances the two Kronecker factors' scales. Degenerate traces fall
+// back to the symmetric split π = 1.
+func piCorrection(trA float64, dimA int, trG float64, dimG int, damping float64) (gA, gG float64) {
+	root := math.Sqrt(damping)
+	if trA <= 0 || trG <= 0 || dimA <= 0 || dimG <= 0 {
+		return root, root
+	}
+	pi := math.Sqrt((trA / float64(dimA)) / (trG / float64(dimG)))
+	if math.IsNaN(pi) || math.IsInf(pi, 0) || pi <= 0 {
+		return root, root
+	}
+	return pi * root, root / pi
+}
+
 // stageBroadcast submits the inverse broadcasts (KAISA step 5).
-// Comm-optimal layers submit nothing — layerCommOpt is rank-independent,
-// so every rank skips the same layers and the canonical collective
-// sequence stays matched.
 func (k *KFAC) stageBroadcast(i int) {
 	pl := &k.plans[i]
-	if pl.commOpt {
-		return
-	}
 	k.Async.StartBroadcastMat(&pl.aBF, pl.owner, pl.aInv)
 	k.Async.StartBroadcastMat(&pl.gBF, pl.owner, pl.gInv)
 }
 
 func (k *KFAC) waitBroadcast(i int) {
 	pl := &k.plans[i]
-	if pl.commOpt {
-		return
-	}
 	pl.st.aInv = pl.aBF.Wait()
 	pl.st.gInv = pl.gBF.Wait()
 }
 
 func (k *KFAC) stageStore(i int) {
 	pl := &k.plans[i]
-	if pl.commOpt {
-		return
-	}
 	k.RecordDur(dist.PhaseBroadcast, pl.layer, pl.aBF.Dur()+pl.gBF.Dur())
 }
 
@@ -251,9 +236,8 @@ func (k *KFAC) stagePrecondition(i int) {
 }
 
 // StateBytes implements opt.Preconditioner: the per-worker state actually
-// held under the active strategy — inverses for every layer, plus running
-// factors for the layers this worker stores them for (all layers under
-// comm-opt, owned layers under mem-opt; Table IV's O(d²) storage).
+// held — inverses for every layer, plus running factors for the layers
+// this worker owns (Table IV's O(d²) storage).
 func (k *KFAC) StateBytes() int {
 	var n int
 	for i, l := range k.Layers {

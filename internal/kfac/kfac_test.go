@@ -160,71 +160,20 @@ func TestKFACStateBytes(t *testing.T) {
 	}
 }
 
-// All three KAISA strategies must produce identical preconditioned
-// gradients — they move the same math to different workers.
-func TestStrategiesAgree(t *testing.T) {
-	const p, m, in, out, damping = 4, 8, 3, 2, 0.2
-	runWith := func(strategy Strategy, budget int) []*mat.Dense {
-		results := make([]*mat.Dense, p)
-		ref := capturedLinearNet(9, m, in, out)
-		gradFull := ref.KernelLayers()[0].Weight().Grad.Clone()
-		cluster := dist.NewCluster(p)
-		cluster.Run(func(w *dist.Worker) {
-			net := capturedLinearNet(9, m, in, out)
-			l := net.KernelLayers()[0]
-			l.Weight().Grad.CopyFrom(gradFull)
-			k := NewKFAC(net, damping, w, nil)
-			k.Strategy = strategy
-			k.HybridBudgetBytes = budget
-			k.Update()
-			k.Precondition()
-			results[w.Rank] = l.Weight().Grad.Clone()
-		})
-		return results
-	}
-	memOpt := runWith(StrategyMemOpt, 0)
-	commOpt := runWith(StrategyCommOpt, 0)
-	hybrid := runWith(StrategyHybrid, 1<<20)
-	for r := 0; r < p; r++ {
-		if d := mat.MaxAbsDiff(memOpt[r], commOpt[r]); d > 1e-10 {
-			t.Fatalf("rank %d: comm-opt differs from mem-opt by %g", r, d)
-		}
-		if d := mat.MaxAbsDiff(memOpt[r], hybrid[r]); d > 1e-10 {
-			t.Fatalf("rank %d: hybrid differs from mem-opt by %g", r, d)
-		}
-	}
-}
-
-// Memory-optimal non-owners must hold less state than comm-optimal
-// workers.
-func TestStrategyMemoryOrdering(t *testing.T) {
+// Only a layer's owner keeps its running factors, so a non-owner must hold
+// less state than the owner.
+func TestOwnerOnlyStoresFactors(t *testing.T) {
 	const p = 4
-	measure := func(strategy Strategy) []int {
-		bytes := make([]int, p)
-		cluster := dist.NewCluster(p)
-		cluster.Run(func(w *dist.Worker) {
-			net := capturedLinearNet(10, 8, 6, 4) // single layer, owner = rank 0
-			k := NewKFAC(net, 0.1, w, nil)
-			k.Strategy = strategy
-			k.Update()
-			bytes[w.Rank] = k.StateBytes()
-		})
-		return bytes
-	}
-	mem := measure(StrategyMemOpt)
-	comm := measure(StrategyCommOpt)
-	// Under mem-opt only rank 0 (the single layer's owner) stores factors.
-	if mem[1] >= mem[0] {
-		t.Fatalf("mem-opt non-owner %d bytes not below owner %d", mem[1], mem[0])
-	}
-	// Under comm-opt every worker stores the full state.
-	for r := 1; r < p; r++ {
-		if comm[r] != comm[0] {
-			t.Fatalf("comm-opt state should be uniform: %v", comm)
-		}
-	}
-	if comm[1] <= mem[1] {
-		t.Fatalf("comm-opt non-owner %d bytes not above mem-opt %d", comm[1], mem[1])
+	bytes := make([]int, p)
+	cluster := dist.NewCluster(p)
+	cluster.Run(func(w *dist.Worker) {
+		net := capturedLinearNet(10, 8, 6, 4) // single layer, owner = rank 0
+		k := NewKFAC(net, 0.1, w, nil)
+		k.Update()
+		bytes[w.Rank] = k.StateBytes()
+	})
+	if bytes[1] >= bytes[0] {
+		t.Fatalf("non-owner %d bytes not below owner %d", bytes[1], bytes[0])
 	}
 }
 
@@ -255,29 +204,6 @@ func TestPiCorrectedKFACTrains(t *testing.T) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatal("π-corrected KFAC produced non-finite gradient")
 		}
-	}
-}
-
-func TestStrategyString(t *testing.T) {
-	if StrategyMemOpt.String() != "mem-opt" || StrategyCommOpt.String() != "comm-opt" ||
-		StrategyHybrid.String() != "hybrid" {
-		t.Fatal("Strategy.String wrong")
-	}
-}
-
-func TestHybridBudgetSplitsLayers(t *testing.T) {
-	// Two layers; budget fits exactly one layer's factors.
-	rng := mat.NewRNG(12)
-	net := nn.NewNetwork(nn.Vec(4), rng, nn.NewLinear(4), nn.NewReLU(), nn.NewLinear(3))
-	k := NewKFAC(net, 0.1, dist.Local(), nil)
-	k.Strategy = StrategyHybrid
-	// Layer 0: dIn=5,dOut=4 → 8*(25+16)=328 bytes.
-	k.HybridBudgetBytes = 400
-	if !k.layerCommOpt(0) {
-		t.Fatal("layer 0 should fit the hybrid budget")
-	}
-	if k.layerCommOpt(1) {
-		t.Fatal("layer 1 should exceed the hybrid budget")
 	}
 }
 

@@ -274,15 +274,6 @@ func (f *LU) solveInPlace(x *Dense) {
 	}
 }
 
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // Inv inverts a general square matrix via LU.
 func Inv(a *Dense) (*Dense, error) {
 	f, err := FactorLU(a)
@@ -290,40 +281,6 @@ func Inv(a *Dense) (*Dense, error) {
 		return nil, err
 	}
 	return f.Solve(Identity(a.rows)), nil
-}
-
-// InvInto sets dst = a⁻¹ via LU with every intermediate recycled through
-// the pool — the allocation-free form of Inv. dst must be square with a's
-// dimensions and must not alias a; it is fully overwritten (and left
-// unspecified when an error is returned).
-func InvInto(dst, a *Dense) error {
-	if a.rows != a.cols {
-		panic("mat: InvInto needs a square matrix")
-	}
-	if dst.rows != a.rows || dst.cols != a.cols {
-		panic("mat: InvInto destination dimension mismatch")
-	}
-	checkNoAlias("InvInto", dst, a)
-	n := a.rows
-	lu := getDenseRaw(n, n)
-	lu.CopyFrom(a)
-	piv := getInts(n)
-	f, err := factorLUInPlace(lu, piv)
-	if err != nil {
-		putInts(piv)
-		PutDense(lu)
-		return err
-	}
-	// dst starts as the row-permuted identity (Solve's copy step with
-	// b = I), then the substitution runs in place.
-	dst.Zero()
-	for i, p := range f.piv {
-		dst.data[i*n+p] = 1
-	}
-	f.solveInPlace(dst)
-	putInts(piv)
-	PutDense(lu)
-	return nil
 }
 
 // SolveCondInto solves a·X = b into dst (both a.Rows()×b.Cols()) via LU

@@ -103,17 +103,6 @@ func TestLUSingular(t *testing.T) {
 	}
 }
 
-func TestLUDet(t *testing.T) {
-	a := FromRows([][]float64{{4, 3}, {6, 3}})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := f.Det(); d < -6.0001 || d > -5.9999 {
-		t.Fatalf("Det = %g; want -6", d)
-	}
-}
-
 // Property: the Sherman-Morrison-Woodbury identity that underpins SNGD
 // (Eq. 7): (α I + Uᵀ U)⁻¹ = (1/α)(I − Uᵀ (U Uᵀ + α I)⁻¹ U).
 func TestSMWIdentityProperty(t *testing.T) {

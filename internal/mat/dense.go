@@ -97,14 +97,6 @@ func (m *Dense) Data() []float64 { return m.data }
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Dense) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
 
-// SetRow copies v into row i.
-func (m *Dense) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic("mat: SetRow length mismatch")
-	}
-	copy(m.Row(i), v)
-}
-
 // Col returns a copy of column j.
 func (m *Dense) Col(j int) []float64 {
 	out := make([]float64, m.rows)
@@ -214,16 +206,6 @@ func (m *Dense) AddDiag(alpha float64) *Dense {
 		m.data[i*m.cols+i] += alpha
 	}
 	return m
-}
-
-// Diag returns a copy of the main diagonal.
-func (m *Dense) Diag() []float64 {
-	n := min(m.rows, m.cols)
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d[i] = m.data[i*m.cols+i]
-	}
-	return d
 }
 
 // Trace returns the sum of diagonal elements.

@@ -225,31 +225,16 @@ func TestNewDenseDataLengthPanics(t *testing.T) {
 	NewDenseData(2, 2, make([]float64, 3))
 }
 
-func TestSetRowAndCopyFromPanics(t *testing.T) {
-	m := NewDense(2, 3)
-	m.SetRow(1, []float64{1, 2, 3})
-	if m.At(1, 2) != 3 {
-		t.Fatal("SetRow failed")
-	}
-	func() {
-		defer func() { recover() }()
-		m.SetRow(0, []float64{1})
-		t.Error("SetRow length mismatch did not panic")
-	}()
-	func() {
-		defer func() { recover() }()
-		m.CopyFrom(NewDense(3, 3))
-		t.Error("CopyFrom mismatch did not panic")
-	}()
+func TestCopyFromMismatchPanics(t *testing.T) {
+	defer func() { recover() }()
+	NewDense(2, 3).CopyFrom(NewDense(3, 3))
+	t.Error("CopyFrom mismatch did not panic")
 }
 
-func TestMaxAbsAndSum(t *testing.T) {
+func TestMaxAbs(t *testing.T) {
 	m := FromRows([][]float64{{-3, 1}, {2, -0.5}})
 	if m.MaxAbs() != 3 {
 		t.Fatalf("MaxAbs = %g", m.MaxAbs())
-	}
-	if m.Sum() != -0.5 {
-		t.Fatalf("Sum = %g", m.Sum())
 	}
 }
 
@@ -259,7 +244,7 @@ func TestEqualDimensionMismatch(t *testing.T) {
 	}
 }
 
-func TestRNGPermAndUniform(t *testing.T) {
+func TestRNGPerm(t *testing.T) {
 	rng := NewRNG(201)
 	p := rng.Perm(10)
 	seen := map[int]bool{}
@@ -268,11 +253,5 @@ func TestRNGPermAndUniform(t *testing.T) {
 			t.Fatalf("bad permutation %v", p)
 		}
 		seen[v] = true
-	}
-	u := RandUniform(rng, 4, 4, -1, 1)
-	for _, v := range u.Data() {
-		if v < -1 || v >= 1 {
-			t.Fatalf("uniform value %g out of range", v)
-		}
 	}
 }

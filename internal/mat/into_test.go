@@ -128,11 +128,6 @@ func TestKernelIntoMatchesAllocating(t *testing.T) {
 		KernelMatrixInto(d, a, g)
 		return d
 	}())
-	sameBits(t, "KronInto", Kron(a, g), func() *Dense {
-		d := GetDense(am*am, ai*go_)
-		KronInto(d, a, g)
-		return d
-	}())
 
 	v := make([]float64, ai*go_)
 	for i := range v {
@@ -154,33 +149,6 @@ func TestKernelIntoMatchesAllocating(t *testing.T) {
 	}())
 }
 
-// TestInvIntoMatchesInv checks the pooled LU inversion against the
-// allocating one, including the singular-input error path.
-func TestInvIntoMatchesInv(t *testing.T) {
-	rng := NewRNG(3)
-	for _, n := range []int{1, 4, 17, 40} {
-		a := randMat(rng, n, n)
-		a.AddDiag(float64(n)) // keep it comfortably nonsingular
-		want, err := Inv(a)
-		if err != nil {
-			t.Fatalf("Inv(%d): %v", n, err)
-		}
-		got := GetDense(n, n)
-		if err := InvInto(got, a); err != nil {
-			t.Fatalf("InvInto(%d): %v", n, err)
-		}
-		sameBits(t, "InvInto", want, got)
-		PutDense(got)
-	}
-
-	sing := NewDense(3, 3) // all zeros
-	dst := GetDense(3, 3)
-	if err := InvInto(dst, sing); err == nil {
-		t.Fatal("InvInto of a singular matrix: want error, got nil")
-	}
-	PutDense(dst)
-}
-
 // TestIntoAliasPanics pins that every Into kernel with an aliasing hazard
 // rejects dst == operand instead of silently corrupting the result.
 func TestIntoAliasPanics(t *testing.T) {
@@ -199,7 +167,6 @@ func TestIntoAliasPanics(t *testing.T) {
 	mustPanic("MulTBInto", func() { MulTBInto(sq, sq, sq) })
 	mustPanic("TInto", func() { sq.TInto(sq) })
 	mustPanic("GramInto", func() { GramInto(sq, sq) })
-	mustPanic("InvInto", func() { _ = InvInto(sq, sq) })
 	mustPanic("InvCondInto", func() { _, _ = InvCondInto(sq, sq) })
 	rhs := RandN(NewRNG(6), 8, 8, 1)
 	mustPanic("SolveCondInto dst=a", func() { _, _ = SolveCondInto(sq, sq, rhs) })
@@ -225,7 +192,6 @@ func TestIntoDimensionPanics(t *testing.T) {
 	mustPanic("TInto", func() { a.TInto(bad) })
 	mustPanic("SelectRowsInto", func() { a.SelectRowsInto(bad, []int{0, 1}) })
 	mustPanic("BlockDiagInto", func() { BlockDiagInto(bad, a, b) })
-	mustPanic("InvInto", func() { _ = InvInto(bad, randMat(rng, 4, 4)) })
 	mustPanic("InvCondInto", func() { _, _ = InvCondInto(bad, randMat(rng, 4, 4)) })
 	sq, rhs := randMat(rng, 4, 4), randMat(rng, 4, 2)
 	mustPanic("SolveCondInto dst", func() { _, _ = SolveCondInto(bad, sq, rhs) })

@@ -42,55 +42,6 @@ func (m *Dense) MaxAbs() float64 {
 	return d
 }
 
-// Sum returns the sum of all elements.
-func (m *Dense) Sum() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v
-	}
-	return s
-}
-
-// PowerIterate estimates the largest eigenvalue (in magnitude) of a
-// symmetric matrix by power iteration, returning the eigenvalue estimate
-// and the number of iterations used. Useful for damping selection and
-// condition monitoring without a full eigendecomposition.
-func PowerIterate(sym *Dense, iters int, tol float64, rng *RNG) (float64, int) {
-	n := sym.Rows()
-	if n == 0 {
-		return 0, 0
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.Norm()
-	}
-	nrm := Norm2(v)
-	if nrm == 0 {
-		v[0] = 1
-		nrm = 1
-	}
-	for i := range v {
-		v[i] /= nrm
-	}
-	var lambda float64
-	for it := 1; it <= iters; it++ {
-		w := MulVec(sym, v)
-		wn := Norm2(w)
-		if wn == 0 {
-			return 0, it
-		}
-		next := Dot(v, w)
-		for i := range v {
-			v[i] = w[i] / wn
-		}
-		if it > 1 && math.Abs(next-lambda) <= tol*math.Abs(next) {
-			return next, it
-		}
-		lambda = next
-	}
-	return lambda, iters
-}
-
 // NumericalRank returns the paper's notion of numerical rank for a
 // symmetric PSD matrix: the smallest k such that the k largest eigenvalues
 // account for at least frac (e.g. 0.9) of the eigenvalue sum. Eigenvalues

@@ -166,35 +166,6 @@ func KhatriRao(a, g *Dense) *Dense {
 	return out
 }
 
-// Kron returns the Kronecker product a ⊗ b.
-func Kron(a, b *Dense) *Dense {
-	out := NewDense(a.rows*b.rows, a.cols*b.cols)
-	KronInto(out, a, b)
-	return out
-}
-
-// KronInto sets dst = a ⊗ b without allocating. dst must be
-// (a.rows·b.rows) × (a.cols·b.cols), is fully overwritten, and must not
-// alias a or b.
-func KronInto(dst, a, b *Dense) {
-	if dst.rows != a.rows*b.rows || dst.cols != a.cols*b.cols {
-		panic("mat: KronInto destination dimension mismatch")
-	}
-	checkNoAlias("KronInto", dst, a, b)
-	for i := 0; i < a.rows; i++ {
-		for j := 0; j < a.cols; j++ {
-			av := a.At(i, j)
-			for p := 0; p < b.rows; p++ {
-				out := dst.Row(i*b.rows + p)[j*b.cols : (j+1)*b.cols]
-				src := b.Row(p)
-				for q := range src {
-					out[q] = av * src[q]
-				}
-			}
-		}
-	}
-}
-
 // KhatriRaoApply computes U*v for U = A ⊙ G without materializing U.
 // v has length a.cols*g.cols; the result has length a.rows. Row i of U is
 // vec(aᵢ gᵢᵀ)ᵀ, so (U v)ᵢ = aᵢᵀ V gᵢ where V is v reshaped a.cols×g.cols.

@@ -67,19 +67,6 @@ func TestKhatriRaoShape(t *testing.T) {
 	}
 }
 
-func TestKronKnown(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}})
-	b := FromRows([][]float64{{0, 3}, {4, 0}})
-	got := Kron(a, b)
-	want := FromRows([][]float64{
-		{0, 3, 0, 6},
-		{4, 0, 8, 0},
-	})
-	if !Equal(got, want, 0) {
-		t.Fatalf("Kron = %v; want %v", got, want)
-	}
-}
-
 func TestKhatriRaoApplyMatchesDense(t *testing.T) {
 	rng := NewRNG(44)
 	a := RandN(rng, 6, 4, 1)

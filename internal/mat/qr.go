@@ -243,17 +243,6 @@ func (f *QRPivot) idInto(p *Dense, s []int, r int) (*Dense, []int) {
 	return p, s
 }
 
-// RowPivotDiag writes into diag the first len(diag) ≤ min(q.Dims())
-// diagonal entries of the column-pivoted QR of qᵀ — the pivot magnitudes a
-// row ID of q would meet — running only that many steps on a pooled copy.
-func RowPivotDiag(diag []float64, q *Dense) {
-	f := factorRowsOf(q, len(diag))
-	for k := range diag {
-		diag[k] = f.qt.At(k, k)
-	}
-	f.put()
-}
-
 // InterpolativeDecomp computes a rank-r row interpolative decomposition of
 // q: it returns a projection matrix P (m×r) and row indices S (len r) such
 // that q ≈ P * q[S, :]. This is Algorithm 2's ID(Q, r) step: a row ID of Q

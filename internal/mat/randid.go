@@ -163,15 +163,3 @@ func RandomizedIDInto(p *Dense, s []int, rng *RNG, q *Dense, r, oversample int, 
 	f.put()
 	return p, s, cond
 }
-
-// RandomizedID computes a rank-r row interpolative decomposition of q
-// using a Gaussian sketch (Biagioni & Beylkin, "Randomized interpolative
-// decomposition of separated representations" — the paper's reference
-// [33]). It returns P (m×r) and row indices S with q ≈ P·q[S,:], the same
-// contract as InterpolativeDecomp. Non-positive oversample is clamped to
-// 1; r is clamped to [0, min(m,n)]. This is the allocating convenience
-// wrapper around RandomizedIDInto.
-func RandomizedID(rng *RNG, q *Dense, r, oversample int) (p *Dense, s []int) {
-	p, s, _ = RandomizedIDInto(nil, nil, rng, q, r, oversample, SketchGauss)
-	return p, s
-}

@@ -9,7 +9,7 @@ import (
 func TestRandomizedIDExactLowRank(t *testing.T) {
 	rng := NewRNG(61)
 	q := RandLowRank(rng, 30, 30, 4, 0)
-	p, s := RandomizedID(rng, q, 4, 6)
+	p, s, _ := RandomizedIDInto(nil, nil, rng, q, 4, 6, SketchGauss)
 	if len(s) != 4 || p.Cols() != 4 {
 		t.Fatalf("dims: |S|=%d, P cols=%d; want 4", len(s), p.Cols())
 	}
@@ -23,7 +23,7 @@ func TestRandomizedIDSelectedRowsIdentity(t *testing.T) {
 	rng := NewRNG(62)
 	q := RandN(rng, 15, 15, 1)
 	r := 6
-	p, s := RandomizedID(rng, q, r, 4)
+	p, s, _ := RandomizedIDInto(nil, nil, rng, q, r, 4, SketchGauss)
 	for k, row := range s {
 		for j := 0; j < r; j++ {
 			want := 0.0
@@ -44,7 +44,7 @@ func TestRandomizedIDCloseToDeterministic(t *testing.T) {
 	q := RandLowRank(rng, 40, 40, 6, 1e-3)
 	pd, sd := InterpolativeDecomp(q, 8)
 	detErr := Sub(Mul(pd, q.SelectRows(sd)), q).FrobNorm()
-	pr, sr := RandomizedID(rng, q, 8, 8)
+	pr, sr, _ := RandomizedIDInto(nil, nil, rng, q, 8, 8, SketchGauss)
 	randErr := Sub(Mul(pr, q.SelectRows(sr)), q).FrobNorm()
 	if randErr > 10*detErr+1e-9 {
 		t.Fatalf("randomized ID error %g far above deterministic %g", randErr, detErr)
@@ -54,11 +54,11 @@ func TestRandomizedIDCloseToDeterministic(t *testing.T) {
 func TestRandomizedIDZeroAndClamp(t *testing.T) {
 	rng := NewRNG(64)
 	q := RandN(rng, 5, 3, 1)
-	p, s := RandomizedID(rng, q, 100, 2) // clamped to 3
+	p, s, _ := RandomizedIDInto(nil, nil, rng, q, 100, 2, SketchGauss) // clamped to 3
 	if len(s) != 3 || p.Cols() != 3 {
 		t.Fatalf("clamp: |S|=%d; want 3", len(s))
 	}
-	p0, s0 := RandomizedID(rng, NewDense(4, 4), 0, 2)
+	p0, s0, _ := RandomizedIDInto(nil, nil, rng, NewDense(4, 4), 0, 2, SketchGauss)
 	if len(s0) != 0 || p0.Cols() != 0 {
 		t.Fatal("zero-rank randomized ID should be empty")
 	}
@@ -71,7 +71,7 @@ func TestRandomizedIDProperty(t *testing.T) {
 		m := 5 + rng.Intn(20)
 		r := 1 + rng.Intn(m-1)
 		q := RandLowRank(rng, m, m, min(r, 5), 0.01)
-		p, s := RandomizedID(rng, q, r, 5)
+		p, s, _ := RandomizedIDInto(nil, nil, rng, q, r, 5, SketchGauss)
 		if len(s) != r || p.Cols() != r {
 			return false
 		}
@@ -103,7 +103,7 @@ func BenchmarkRandomizedID512r64(b *testing.B) {
 	q := RandLowRank(rng, 512, 512, 64, 1e-3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RandomizedID(rng, q, 64, 10)
+		RandomizedIDInto(nil, nil, rng, q, 64, 10, SketchGauss)
 	}
 }
 

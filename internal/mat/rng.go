@@ -80,15 +80,6 @@ func RandN(rng *RNG, rows, cols int, sigma float64) *Dense {
 	return m
 }
 
-// RandUniform returns a rows×cols matrix with iid U[lo, hi) entries.
-func RandUniform(rng *RNG, rows, cols int, lo, hi float64) *Dense {
-	m := NewDense(rows, cols)
-	for i := range m.data {
-		m.data[i] = lo + (hi-lo)*rng.Float64()
-	}
-	return m
-}
-
 // RandLowRank returns an m×n matrix of approximate rank r with noise:
 // B*Cᵀ + eps*N where B is m×r, C is n×r. Used by tests and rank analyses.
 func RandLowRank(rng *RNG, m, n, r int, eps float64) *Dense {

@@ -75,29 +75,6 @@ func denseStage(c, convs int) []nn.Layer {
 	return layers
 }
 
-// MobileNetLite builds a depthwise-separable CNN: stem conv, then
-// depthwise-3×3 + pointwise-1×1 blocks with 2× strided downsampling —
-// the MobileNet pattern. The pointwise (1×1) convolutions are dense
-// Conv2d layers and hence preconditionable; the depthwise layers are
-// trained first-order, as production KFAC-family implementations do.
-func MobileNetLite(in nn.Shape, w, classes int, rng *mat.RNG) *nn.Network {
-	sep := func(c, stride int) []nn.Layer {
-		return []nn.Layer{
-			nn.NewDepthwiseConv2d(3, stride, 1),
-			nn.NewReLU(),
-			nn.NewConv2d(c, 1, 1, 0),
-			nn.NewBatchNorm2d(),
-			nn.NewReLU(),
-		}
-	}
-	layers := []nn.Layer{nn.NewConv2d(w, 3, 1, 1), nn.NewBatchNorm2d(), nn.NewReLU()}
-	layers = append(layers, sep(2*w, 2)...)
-	layers = append(layers, sep(2*w, 1)...)
-	layers = append(layers, sep(4*w, 2)...)
-	layers = append(layers, nn.NewGlobalAvgPool(), nn.NewLinear(classes))
-	return nn.NewNetwork(in, rng, layers...)
-}
-
 // DenseNetLite builds the DenseNet substitute for the CIFAR-100-style task:
 // three densely-reusing stages with 2× transitions.
 func DenseNetLite(in nn.Shape, w, classes int, rng *mat.RNG) *nn.Network {

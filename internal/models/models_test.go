@@ -232,61 +232,3 @@ func TestTransformerLiteKernelLayerCount(t *testing.T) {
 		t.Fatalf("kernel layers = %d; want 14", got)
 	}
 }
-
-func TestMobileNetLiteTrainsWithHyLoPath(t *testing.T) {
-	rng := mat.NewRNG(40)
-	shape := nn.Shape{C: 3, H: 16, W: 16}
-	net := MobileNetLite(shape, 4, 5, rng)
-	x := mat.RandN(rng, 2, shape.Numel(), 0.5)
-	y := net.Forward(x, true)
-	if r, c := y.Dims(); r != 2 || c != 5 {
-		t.Fatalf("output %dx%d; want 2x5", r, c)
-	}
-	// Kernel layers: stem + 3 pointwise + head = 5 (depthwise excluded).
-	if got := len(net.KernelLayers()); got != 5 {
-		for _, k := range net.KernelLayers() {
-			t.Logf("kernel: %s", k.Name())
-		}
-		t.Fatalf("kernel layers = %d; want 5", got)
-	}
-	// Backward runs through the depthwise path.
-	_, g := nn.SoftmaxCrossEntropy{}.Forward(y, nn.Target{Labels: []int{0, 3}})
-	net.ZeroGrad()
-	net.Backward(g)
-	for _, p := range net.Params() {
-		if p.Grad.FrobNorm() == 0 && p.Numel() > 8 {
-			t.Fatalf("%s received no gradient", p.Name)
-		}
-	}
-}
-
-func TestMobileNetLiteGradCheck(t *testing.T) {
-	rng := mat.NewRNG(41)
-	shape := nn.Shape{C: 2, H: 8, W: 8}
-	net := MobileNetLite(shape, 2, 3, rng)
-	loss := nn.SoftmaxCrossEntropy{}
-	x := mat.RandN(rng, 2, shape.Numel(), 0.5)
-	tgt := nn.Target{Labels: []int{0, 2}}
-	net.ZeroGrad()
-	out := net.Forward(x, true)
-	_, g := loss.Forward(out, tgt)
-	net.Backward(g)
-	const h = 1e-5
-	check := mat.NewRNG(42)
-	params := net.Params()
-	for k := 0; k < 8; k++ {
-		p := params[check.Intn(len(params))]
-		i, j := check.Intn(p.W.Rows()), check.Intn(p.W.Cols())
-		orig := p.W.At(i, j)
-		p.W.Set(i, j, orig+h)
-		lp, _ := loss.Forward(net.Forward(x, true), tgt)
-		p.W.Set(i, j, orig-h)
-		lm, _ := loss.Forward(net.Forward(x, true), tgt)
-		p.W.Set(i, j, orig)
-		num := (lp - lm) / (2 * h)
-		ana := p.Grad.At(i, j)
-		if math.Abs(ana-num) > 1e-4*math.Max(1, math.Abs(num)) {
-			t.Fatalf("%s[%d,%d]: analytic %g vs numeric %g", p.Name, i, j, ana, num)
-		}
-	}
-}

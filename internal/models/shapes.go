@@ -194,16 +194,6 @@ func VGG16Desc() ModelDesc {
 	return ModelDesc{Name: "VGG-16", Layers: layers}
 }
 
-// ThreeC1FDesc returns the paper's Fashion-MNIST 3C1F inventory.
-func ThreeC1FDesc() ModelDesc {
-	return ModelDesc{Name: "3C1F", Layers: []LayerDesc{
-		conv("conv1", 1, 32, 3, 28*28),
-		conv("conv2", 32, 64, 3, 14*14),
-		conv("conv3", 64, 64, 3, 7*7),
-		fc("fc", 64, 10),
-	}}
-}
-
 // AllDescs returns every full-size model descriptor, for Fig. 2.
 func AllDescs() []ModelDesc {
 	return []ModelDesc{

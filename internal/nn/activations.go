@@ -93,43 +93,3 @@ func (t *Tanh) Backward(grad *mat.Dense) *mat.Dense {
 
 // Params implements Layer.
 func (t *Tanh) Params() []*Param { return nil }
-
-// Sigmoid is the logistic activation, used by segmentation heads.
-type Sigmoid struct {
-	out  *mat.Dense
-	gout *mat.Dense
-}
-
-// NewSigmoid returns a Sigmoid layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
-// Name implements Layer.
-func (s *Sigmoid) Name() string { return "sigmoid" }
-
-// Build implements Layer.
-func (s *Sigmoid) Build(in Shape, _ *mat.RNG) Shape { return in }
-
-// Forward implements Layer.
-func (s *Sigmoid) Forward(x *mat.Dense, train bool) *mat.Dense {
-	out := mat.EnsureDense(s.out, x.Rows(), x.Cols())
-	xd, od := x.Data(), out.Data()
-	for i, v := range xd {
-		od[i] = 1 / (1 + math.Exp(-v))
-	}
-	s.out = out
-	return out
-}
-
-// Backward implements Layer.
-func (s *Sigmoid) Backward(grad *mat.Dense) *mat.Dense {
-	s.gout = mat.EnsureDense(s.gout, grad.Rows(), grad.Cols())
-	out := s.gout
-	gd, od, yd := grad.Data(), out.Data(), s.out.Data()
-	for i := range gd {
-		od[i] = gd[i] * yd[i] * (1 - yd[i])
-	}
-	return out
-}
-
-// Params implements Layer.
-func (s *Sigmoid) Params() []*Param { return nil }

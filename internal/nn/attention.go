@@ -7,10 +7,9 @@ import (
 	"repro/internal/mat"
 )
 
-// SelfAttention is a multi-head self-attention block over sequences of L
-// tokens with model dimension d (Heads must divide d; the zero value means
-// one head). Activations carry the sequence flattened as
-// Shape{C: L, H: d, W: 1} (token-major), so the layer composes with the
+// SelfAttention is a single-head self-attention block over sequences of L
+// tokens with model dimension d. Activations carry the sequence flattened
+// as Shape{C: L, H: d, W: 1} (token-major), so the layer composes with the
 // rest of the sequential stack.
 //
 // The four projections are ordinary Linear layers applied per token
@@ -20,34 +19,22 @@ import (
 // SNGD for fully-connected and convolutional layers only.
 type SelfAttention struct {
 	Wq, Wk, Wv, Wo *Linear
-	// Heads is the number of attention heads (default 1); must divide the
-	// model dimension.
-	Heads int
 
-	l, d, dh int
-	name     string
+	l, d int
+	name string
 
 	// forward state for backward
 	xt         *mat.Dense   // (mL)×d input tokens
 	q, k, v    *mat.Dense   // (mL)×d projections
-	attn       []*mat.Dense // per (sample, head): L×L softmax
+	attn       []*mat.Dense // per sample: L×L softmax
 	headOut    *mat.Dense   // (mL)×d pre-Wo
 	batchSize  int
 	scaleCoeff float64
 }
 
-// NewSelfAttention returns an unbuilt single-head self-attention block;
-// dimensions come from the input shape at Build time.
-func NewSelfAttention() *SelfAttention { return &SelfAttention{Heads: 1} }
-
-// NewMultiHeadAttention returns an unbuilt block with the given number of
-// heads.
-func NewMultiHeadAttention(heads int) *SelfAttention {
-	if heads < 1 {
-		panic("nn: attention needs at least one head")
-	}
-	return &SelfAttention{Heads: heads}
-}
+// NewSelfAttention returns an unbuilt self-attention block; dimensions come
+// from the input shape at Build time.
+func NewSelfAttention() *SelfAttention { return &SelfAttention{} }
 
 // Name implements Layer.
 func (s *SelfAttention) Name() string { return s.name }
@@ -58,14 +45,8 @@ func (s *SelfAttention) Build(in Shape, rng *mat.RNG) Shape {
 		panic(fmt.Sprintf("nn: SelfAttention needs Shape{L, d, 1}, got %v", in))
 	}
 	s.l, s.d = in.C, in.H
-	if s.Heads < 1 {
-		s.Heads = 1
-	}
-	if s.d%s.Heads != 0 {
-		panic(fmt.Sprintf("nn: %d heads do not divide model dim %d", s.Heads, s.d))
-	}
-	s.dh = s.d / s.Heads
-	s.name = fmt.Sprintf("attention(L=%d,d=%d,h=%d)", s.l, s.d, s.Heads)
+	// "h=1" is part of the parameter names checkpoints are keyed by.
+	s.name = fmt.Sprintf("attention(L=%d,d=%d,h=1)", s.l, s.d)
 	tok := Vec(s.d)
 	mk := func(tag string) *Linear {
 		lin := NewLinear(s.d)
@@ -75,29 +56,8 @@ func (s *SelfAttention) Build(in Shape, rng *mat.RNG) Shape {
 		return lin
 	}
 	s.Wq, s.Wk, s.Wv, s.Wo = mk("Wq"), mk("Wk"), mk("Wv"), mk("Wo")
-	s.scaleCoeff = 1 / math.Sqrt(float64(s.dh))
+	s.scaleCoeff = 1 / math.Sqrt(float64(s.d))
 	return in
-}
-
-// headSlice extracts head h's columns of an L×d token block as an L×dh
-// copy.
-func (s *SelfAttention) headSlice(block *mat.Dense, h int) *mat.Dense {
-	out := mat.NewDense(s.l, s.dh)
-	for i := 0; i < s.l; i++ {
-		copy(out.Row(i), block.Row(i)[h*s.dh:(h+1)*s.dh])
-	}
-	return out
-}
-
-// headAccum adds an L×dh head result back into head h's columns of dst.
-func (s *SelfAttention) headAccum(dst, src *mat.Dense, h int) {
-	for i := 0; i < s.l; i++ {
-		d := dst.Row(i)[h*s.dh : (h+1)*s.dh]
-		sr := src.Row(i)
-		for j := range d {
-			d[j] += sr[j]
-		}
-	}
 }
 
 // tokens reinterprets the m×(L·d) batch as an (m·L)×d token matrix
@@ -115,24 +75,17 @@ func (s *SelfAttention) Forward(x *mat.Dense, train bool) *mat.Dense {
 	s.k = s.Wk.Forward(s.xt, train)
 	s.v = s.Wv.Forward(s.xt, train)
 
-	s.attn = make([]*mat.Dense, m*s.Heads)
+	s.attn = make([]*mat.Dense, m)
 	s.headOut = mat.NewDense(m*s.l, s.d)
 	for b := 0; b < m; b++ {
 		qb := s.q.SliceRows(b*s.l, (b+1)*s.l)
 		kb := s.k.SliceRows(b*s.l, (b+1)*s.l)
 		vb := s.v.SliceRows(b*s.l, (b+1)*s.l)
-		for h := 0; h < s.Heads; h++ {
-			qh := s.headSlice(qb, h)
-			kh := s.headSlice(kb, h)
-			vh := s.headSlice(vb, h)
-			scores := mat.MulTB(qh, kh).Scale(s.scaleCoeff) // L×L
-			softmaxRows(scores)
-			s.attn[b*s.Heads+h] = scores
-			oh := mat.Mul(scores, vh) // L×dh
-			for i := 0; i < s.l; i++ {
-				copy(s.headOut.Row(b*s.l + i)[h*s.dh:(h+1)*s.dh], oh.Row(i))
-			}
-		}
+		scores := mat.MulTB(qb, kb).Scale(s.scaleCoeff) // L×L
+		softmaxRows(scores)
+		s.attn[b] = scores
+		// Rows b·L … (b+1)·L of the (mL)×d matrices are one contiguous block.
+		copy(s.headOut.Data()[b*s.l*s.d:], mat.Mul(scores, vb).Data())
 	}
 	out := s.Wo.Forward(s.headOut, train)
 	// Reshape (mL)×d back to m×(L·d): same layout, rewrap.
@@ -153,44 +106,30 @@ func (s *SelfAttention) Backward(grad *mat.Dense) *mat.Dense {
 		qb := s.q.SliceRows(b*s.l, (b+1)*s.l)
 		kb := s.k.SliceRows(b*s.l, (b+1)*s.l)
 		dOb := dHead.SliceRows(b*s.l, (b+1)*s.l) // L×d
-		dQb := dQ.SliceRows(b*s.l, (b+1)*s.l)    // zero copies to fill
-		dKb := dK.SliceRows(b*s.l, (b+1)*s.l)
-		dVb := dV.SliceRows(b*s.l, (b+1)*s.l)
-		for h := 0; h < s.Heads; h++ {
-			attn := s.attn[b*s.Heads+h] // L×L
-			vh := s.headSlice(vb, h)
-			qh := s.headSlice(qb, h)
-			kh := s.headSlice(kb, h)
-			dOh := s.headSlice(dOb, h)
+		attn := s.attn[b]                        // L×L
 
-			// out_h = attn·V_h: dV_h = attnᵀ dO_h; dAttn = dO_h V_hᵀ.
-			dVh := mat.MulTA(attn, dOh)
-			dAttn := mat.MulTB(dOh, vh) // L×L
-			// Softmax backward per row:
-			// dS = attn ∘ (dAttn − rowsum(dAttn∘attn)).
-			dScores := mat.NewDense(s.l, s.l)
-			for i := 0; i < s.l; i++ {
-				ar, dr, sr := attn.Row(i), dAttn.Row(i), dScores.Row(i)
-				var dot float64
-				for j := range ar {
-					dot += dr[j] * ar[j]
-				}
-				for j := range ar {
-					sr[j] = ar[j] * (dr[j] - dot)
-				}
-			}
-			dScores.Scale(s.scaleCoeff)
-			// scores = Q_h K_hᵀ: dQ_h = dScores·K_h; dK_h = dScoresᵀ·Q_h.
-			s.headAccum(dQb, mat.Mul(dScores, kh), h)
-			s.headAccum(dKb, mat.MulTA(dScores, qh), h)
-			s.headAccum(dVb, dVh, h)
-		}
-		// Copy the filled per-sample blocks back (SliceRows copies).
+		// out = attn·V: dV = attnᵀ dO; dAttn = dO Vᵀ.
+		dVb := mat.MulTA(attn, dOb)
+		dAttn := mat.MulTB(dOb, vb) // L×L
+		// Softmax backward per row:
+		// dS = attn ∘ (dAttn − rowsum(dAttn∘attn)).
+		dScores := mat.NewDense(s.l, s.l)
 		for i := 0; i < s.l; i++ {
-			copy(dQ.Row(b*s.l+i), dQb.Row(i))
-			copy(dK.Row(b*s.l+i), dKb.Row(i))
-			copy(dV.Row(b*s.l+i), dVb.Row(i))
+			ar, dr, sr := attn.Row(i), dAttn.Row(i), dScores.Row(i)
+			var dot float64
+			for j := range ar {
+				dot += dr[j] * ar[j]
+			}
+			for j := range ar {
+				sr[j] = ar[j] * (dr[j] - dot)
+			}
 		}
+		dScores.Scale(s.scaleCoeff)
+		// scores = Q Kᵀ: dQ = dScores·K; dK = dScoresᵀ·Q.
+		blk := b * s.l * s.d
+		copy(dQ.Data()[blk:], mat.Mul(dScores, kb).Data())
+		copy(dK.Data()[blk:], mat.MulTA(dScores, qb).Data())
+		copy(dV.Data()[blk:], dVb.Data())
 	}
 	dx := s.Wq.Backward(dQ)
 	dx.AddMat(s.Wk.Backward(dK))

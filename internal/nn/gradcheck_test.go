@@ -106,9 +106,9 @@ func TestGradCheckBatchNorm(t *testing.T) {
 	checkParamGrads(t, net, SoftmaxCrossEntropy{}, x, tgt, 1e-4)
 }
 
-func TestGradCheckSigmoidMSE(t *testing.T) {
+func TestGradCheckMSE(t *testing.T) {
 	rng := mat.NewRNG(7)
-	net := NewNetwork(Vec(5), rng, NewLinear(6), NewSigmoid(), NewLinear(4))
+	net := NewNetwork(Vec(5), rng, NewLinear(6), NewTanh(), NewLinear(4))
 	x := mat.RandN(rng, 3, 5, 1)
 	tgt := Target{Dense: mat.RandN(rng, 3, 4, 1)}
 	checkParamGrads(t, net, MSE{}, x, tgt, 1e-5)
@@ -266,38 +266,6 @@ func TestLayerNormNormalizesTokens(t *testing.T) {
 	}
 }
 
-func TestGradCheckMultiHeadAttention(t *testing.T) {
-	rng := mat.NewRNG(17)
-	// 4 tokens, d=6, 2 heads (dh=3).
-	net := NewNetwork(Shape{C: 4, H: 6, W: 1}, rng,
-		NewMultiHeadAttention(2), NewFlatten(), NewLinear(3))
-	x := mat.RandN(rng, 2, 24, 1)
-	tgt := Target{Labels: []int{0, 2}}
-	checkParamGrads(t, net, SoftmaxCrossEntropy{}, x, tgt, 1e-4)
-}
-
-func TestMultiHeadDiffersFromSingleHead(t *testing.T) {
-	rng1 := mat.NewRNG(18)
-	rng2 := mat.NewRNG(18)
-	one := NewNetwork(Shape{C: 3, H: 6, W: 1}, rng1, NewSelfAttention())
-	two := NewNetwork(Shape{C: 3, H: 6, W: 1}, rng2, NewMultiHeadAttention(2))
-	x := mat.RandN(mat.NewRNG(19), 2, 18, 1)
-	y1 := one.Forward(x, true)
-	y2 := two.Forward(x, true)
-	if mat.Equal(y1, y2, 1e-12) {
-		t.Fatal("2-head attention identical to 1-head with same weights — heads not wired")
-	}
-}
-
-func TestAttentionHeadsMustDivide(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic when heads do not divide d")
-		}
-	}()
-	NewNetwork(Shape{C: 3, H: 5, W: 1}, mat.NewRNG(1), NewMultiHeadAttention(2))
-}
-
 func TestGradCheckPosEmbed(t *testing.T) {
 	rng := mat.NewRNG(20)
 	net := NewNetwork(Shape{C: 3, H: 4, W: 1}, rng,
@@ -323,47 +291,5 @@ func TestPosEmbedBreaksPermutationSymmetry(t *testing.T) {
 	copy(sw.Row(0)[3:], y2.Row(0)[:3])
 	if mat.Equal(y1, sw, 1e-12) {
 		t.Fatal("positional embedding did not break permutation symmetry")
-	}
-}
-
-func TestGradCheckDepthwiseConv(t *testing.T) {
-	rng := mat.NewRNG(22)
-	net := NewNetwork(Shape{C: 3, H: 6, W: 6}, rng,
-		NewDepthwiseConv2d(3, 1, 1), NewReLU(),
-		NewConv2d(4, 1, 1, 0), // pointwise half of the separable pair
-		NewGlobalAvgPool(), NewLinear(2))
-	x := mat.RandN(rng, 3, 108, 1)
-	tgt := Target{Labels: []int{0, 1, 0}}
-	checkParamGrads(t, net, SoftmaxCrossEntropy{}, x, tgt, 1e-4)
-}
-
-func TestDepthwiseStridedShapes(t *testing.T) {
-	rng := mat.NewRNG(23)
-	net := NewNetwork(Shape{C: 2, H: 8, W: 8}, rng, NewDepthwiseConv2d(3, 2, 1))
-	if got := net.OutShape(); got != (Shape{C: 2, H: 4, W: 4}) {
-		t.Fatalf("strided depthwise out %v; want 2x4x4", got)
-	}
-	x := mat.RandN(rng, 2, 128, 1)
-	y := net.Forward(x, true)
-	if y.Cols() != 32 {
-		t.Fatalf("output cols = %d; want 32", y.Cols())
-	}
-}
-
-func TestDepthwiseChannelsIndependent(t *testing.T) {
-	// Perturbing channel 0 of the input must not change channel 1's output.
-	rng := mat.NewRNG(24)
-	net := NewNetwork(Shape{C: 2, H: 4, W: 4}, rng, NewDepthwiseConv2d(3, 1, 1))
-	x := mat.RandN(rng, 1, 32, 1)
-	y1 := net.Forward(x, true)
-	x2 := x.Clone()
-	for j := 0; j < 16; j++ {
-		x2.Row(0)[j] += 1 // channel 0 only
-	}
-	y2 := net.Forward(x2, true)
-	for j := 16; j < 32; j++ { // channel 1 outputs
-		if y1.Row(0)[j] != y2.Row(0)[j] {
-			t.Fatal("depthwise channels are not independent")
-		}
 	}
 }

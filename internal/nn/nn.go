@@ -15,7 +15,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/mat"
 )
@@ -92,28 +91,22 @@ type KernelLayer interface {
 // Network is a sequential container (residual blocks nest their own
 // sub-stacks, so "sequential" composes to DAGs with skip connections).
 type Network struct {
-	Layers  []Layer
-	inShape Shape
-	out     Shape
-	built   bool
-	params  []*Param // cached Params() result (layer stack is immutable)
+	Layers []Layer
+	out    Shape
+	params []*Param // cached Params() result (layer stack is immutable)
 }
 
 // NewNetwork builds the network for the given input shape, initializing all
 // weights from rng.
 func NewNetwork(in Shape, rng *mat.RNG, layers ...Layer) *Network {
-	n := &Network{Layers: layers, inShape: in}
+	n := &Network{Layers: layers}
 	s := in
 	for _, l := range layers {
 		s = l.Build(s, rng)
 	}
 	n.out = s
-	n.built = true
 	return n
 }
-
-// InShape returns the input shape the network was built for.
-func (n *Network) InShape() Shape { return n.inShape }
 
 // OutShape returns the network's output shape.
 func (n *Network) OutShape() Shape { return n.out }
@@ -186,24 +179,4 @@ func (n *Network) SetCapture(on bool) {
 	for _, kl := range n.KernelLayers() {
 		kl.SetCapture(on)
 	}
-}
-
-// NumParams returns the total scalar parameter count.
-func (n *Network) NumParams() int {
-	var c int
-	for _, p := range n.Params() {
-		c += p.Numel()
-	}
-	return c
-}
-
-// GradNorm returns the l2 norm of the concatenated parameter gradient — the
-// quantity the switching heuristic accumulates (Eq. 10).
-func (n *Network) GradNorm() float64 {
-	var s float64
-	for _, p := range n.Params() {
-		nrm := p.Grad.FrobNorm()
-		s += nrm * nrm
-	}
-	return math.Sqrt(s)
 }

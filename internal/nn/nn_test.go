@@ -221,77 +221,6 @@ func onesSlice(n int) []float64 {
 	return s
 }
 
-func TestNumParamsCount(t *testing.T) {
-	rng := mat.NewRNG(9)
-	net := NewNetwork(Vec(10), rng, NewLinear(5), NewLinear(2))
-	// (10+1)*5 + (5+1)*2 = 55 + 12 = 67.
-	if got := net.NumParams(); got != 67 {
-		t.Fatalf("NumParams = %d; want 67", got)
-	}
-}
-
-func TestDropoutTrainEval(t *testing.T) {
-	rng := mat.NewRNG(50)
-	d := NewDropout(0.5)
-	d.Build(Vec(1000), rng)
-	x := mat.NewDense(1, 1000)
-	x.Fill(1)
-	// Eval: identity.
-	if out := d.Forward(x, false); !mat.Equal(out, x, 0) {
-		t.Fatal("eval-mode dropout must be identity")
-	}
-	// Train: ≈half zeroed, survivors scaled 2x, mean preserved ≈1.
-	out := d.Forward(x, true)
-	zeros, sum := 0, 0.0
-	for _, v := range out.Data() {
-		if v == 0 {
-			zeros++
-		} else if math.Abs(v-2) > 1e-12 {
-			t.Fatalf("survivor value %g; want 2", v)
-		}
-		sum += v
-	}
-	if zeros < 400 || zeros > 600 {
-		t.Fatalf("zeroed %d/1000; want ≈500", zeros)
-	}
-	if mean := sum / 1000; math.Abs(mean-1) > 0.15 {
-		t.Fatalf("mean after inverted dropout = %g; want ≈1", mean)
-	}
-	// Backward masks the same entries.
-	g := mat.NewDense(1, 1000)
-	g.Fill(1)
-	gin := d.Backward(g)
-	for i, v := range out.Data() {
-		want := 0.0
-		if v != 0 {
-			want = 2
-		}
-		if gin.Data()[i] != want {
-			t.Fatal("backward mask mismatch")
-		}
-	}
-}
-
-func TestDropoutGradCheck(t *testing.T) {
-	// With a FIXED mask (single forward), dropout is linear; check through
-	// a network by gradient-checking input gradients against the mask.
-	rng := mat.NewRNG(51)
-	net := NewNetwork(Vec(6), rng, NewLinear(8), NewDropout(0.3), NewTanh(), NewLinear(3))
-	x := mat.RandN(rng, 3, 6, 1)
-	out := net.Forward(x, true)
-	_, g := SoftmaxCrossEntropy{}.Forward(out, Target{Labels: []int{0, 1, 2}})
-	net.ZeroGrad()
-	gin := net.Backward(g)
-	if gin.Rows() != 3 || gin.Cols() != 6 {
-		t.Fatalf("input grad dims %dx%d", gin.Rows(), gin.Cols())
-	}
-	for _, v := range net.Params()[0].Grad.Data() {
-		if math.IsNaN(v) {
-			t.Fatal("NaN gradient through dropout")
-		}
-	}
-}
-
 func TestCheckpointRoundTrip(t *testing.T) {
 	rng := mat.NewRNG(52)
 	build := func(seed uint64) *Network {

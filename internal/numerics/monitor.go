@@ -99,10 +99,11 @@ func CondLimit() float64 { return math.Float64frombits(condLimit.Load()) }
 
 // condStat aggregates condition-number observations for one site.
 type condStat struct {
-	n    int64
-	sum  float64
-	max  float64
-	over int64 // observations above the limit at observation time
+	n      int64
+	finite int64   // observations that entered sum and max
+	sum    float64 // over the finite observations, over-limit ones included
+	max    float64
+	over   int64 // observations above the limit at observation time
 }
 
 // event is one degradation-ladder firing, kept in a bounded recent-events
@@ -155,6 +156,7 @@ func (m *Monitor) ObserveCondition(site string, cond float64) {
 		st.over++
 	}
 	if !math.IsNaN(cond) && !math.IsInf(cond, 0) {
+		st.finite++
 		st.sum += cond
 		if cond > st.max {
 			st.max = cond
@@ -299,8 +301,8 @@ func (m *Monitor) Report() string {
 		for _, site := range sortedKeys(m.conds) {
 			st := m.conds[site]
 			mean := 0.0
-			if st.n > st.over {
-				mean = st.sum / float64(st.n-st.over)
+			if st.finite > 0 {
+				mean = st.sum / float64(st.finite)
 			}
 			fmt.Fprintf(&b, "    %-24s n=%-6d mean=%-10.3g max=%-10.3g over-limit=%d\n",
 				site, st.n, mean, st.max, st.over)

@@ -119,6 +119,27 @@ func TestObserveConditionOverLimit(t *testing.T) {
 	}
 }
 
+// The reported mean is over every finite observation, whether or not it
+// was over the limit; non-finite ones enter neither the sum nor the count.
+func TestReportMeanCountsFiniteObservations(t *testing.T) {
+	defer SetCondLimit(DefaultCondLimit)
+	SetCondLimit(1e14)
+	m := NewMonitor()
+	m.ObserveCondition("mixed", 10)
+	m.ObserveCondition("mixed", 1e15) // finite, over the limit
+	m.ObserveCondition("mixed", math.Inf(1))
+	m.ObserveCondition("only-over", 1e15)
+	rep := m.Report()
+	for _, want := range []string{
+		"mixed                    n=3      mean=5e+14      max=1e+15      over-limit=2",
+		"only-over                n=1      mean=1e+15      max=1e+15      over-limit=1",
+	} {
+		if !strings.Contains(rep, want) {
+			t.Fatalf("report missing %q:\n%s", want, rep)
+		}
+	}
+}
+
 func TestMonitorConcurrentUse(t *testing.T) {
 	m := NewMonitor()
 	var wg sync.WaitGroup

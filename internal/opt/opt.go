@@ -201,30 +201,3 @@ func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
 	}
 	return total
 }
-
-// WarmupCosine is a warmup + cosine-annealing schedule, the configuration
-// large-batch ImageNet runs (including KAISA's) typically use: the rate
-// rises linearly from Base/10 to Base over Warmup epochs, then follows a
-// half-cosine down to Floor at Total epochs.
-type WarmupCosine struct {
-	Base   float64
-	Warmup int
-	Total  int
-	Floor  float64
-}
-
-// At returns the learning rate for epoch e (0-based).
-func (s WarmupCosine) At(epoch int) float64 {
-	if s.Warmup > 0 && epoch < s.Warmup {
-		frac := float64(epoch+1) / float64(s.Warmup)
-		return s.Base/10 + (s.Base-s.Base/10)*frac
-	}
-	if s.Total <= s.Warmup {
-		return s.Base
-	}
-	prog := float64(epoch-s.Warmup) / float64(s.Total-s.Warmup)
-	if prog > 1 {
-		prog = 1
-	}
-	return s.Floor + (s.Base-s.Floor)*0.5*(1+math.Cos(math.Pi*prog))
-}

@@ -130,35 +130,6 @@ func TestSetLR(t *testing.T) {
 	}
 }
 
-func TestWarmupCosine(t *testing.T) {
-	s := WarmupCosine{Base: 1, Warmup: 5, Total: 50, Floor: 0.01}
-	// Rises through warmup.
-	if !(s.At(0) < s.At(2) && s.At(2) < s.At(4)) {
-		t.Fatalf("warmup not increasing: %g %g %g", s.At(0), s.At(2), s.At(4))
-	}
-	if math.Abs(s.At(4)-1) > 1e-12 {
-		t.Fatalf("end of warmup = %g; want 1", s.At(4))
-	}
-	// Decays after warmup.
-	if !(s.At(10) > s.At(30) && s.At(30) > s.At(49)) {
-		t.Fatal("cosine not decreasing")
-	}
-	// Approaches the floor at the end and never goes below it.
-	if end := s.At(50); math.Abs(end-0.01) > 1e-9 {
-		t.Fatalf("final LR = %g; want floor 0.01", end)
-	}
-	if s.At(60) < 0.01-1e-12 {
-		t.Fatal("LR fell below floor past the horizon")
-	}
-}
-
-func TestWarmupCosineNoWarmup(t *testing.T) {
-	s := WarmupCosine{Base: 0.5, Warmup: 0, Total: 10, Floor: 0}
-	if math.Abs(s.At(0)-0.5) > 1e-12 {
-		t.Fatalf("epoch 0 = %g; want base", s.At(0))
-	}
-}
-
 func TestClipGradNorm(t *testing.T) {
 	ps := []*nn.Param{
 		nn.NewParam("a", mat.NewDense(1, 2)),

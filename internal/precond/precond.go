@@ -110,24 +110,17 @@ func vstackInto(dst *mat.Dense, parts []*mat.Dense) *mat.Dense {
 
 // Apply overwrites grad with (1/α)(g − UᵀMUg) through the Khatri-Rao
 // structure (no dIn·dOut-square matrix is formed); a Kernel with no M yet
-// leaves grad alone. solve, when non-nil, replaces the z = M·y step — SNGD's
-// conjugate-gradient path, where M holds the damped kernel itself.
-func (k *Kernel) Apply(grad []float64, alpha float64, solve func(y []float64) []float64) {
+// leaves grad alone.
+func (k *Kernel) Apply(grad []float64, alpha float64) {
 	if k.M == nil {
 		return
 	}
 	k.y = mat.EnsureFloats(k.y, k.As.Rows())
 	mat.KhatriRaoApplyInto(k.y, k.As, k.Gs, grad)
-	var z []float64
-	if solve != nil {
-		z = solve(k.y)
-	} else {
-		k.z = mat.EnsureFloats(k.z, k.M.Rows())
-		mat.MulVecInto(k.z, k.M, k.y)
-		z = k.z
-	}
+	k.z = mat.EnsureFloats(k.z, k.M.Rows())
+	mat.MulVecInto(k.z, k.M, k.y)
 	k.corr = mat.EnsureFloats(k.corr, len(grad))
-	mat.KhatriRaoApplyTInto(k.corr, k.As, k.Gs, z)
+	mat.KhatriRaoApplyTInto(k.corr, k.As, k.Gs, k.z)
 	inv := 1 / alpha
 	for j, c := range k.corr {
 		grad[j] = inv * (grad[j] - c)

@@ -225,16 +225,6 @@ func (q *Queue[T]) Len() int {
 	return q.depth
 }
 
-// Active returns the tenant's dispatched-but-unfinished count.
-func (q *Queue[T]) Active(tenantName string) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if t, ok := q.tenants[tenantName]; ok {
-		return t.active
-	}
-	return 0
-}
-
 // Queued returns the tenant's waiting count across all priority classes.
 func (q *Queue[T]) Queued(tenantName string) int {
 	q.mu.Lock()

@@ -222,14 +222,8 @@ func canTransition(from, to api.State) bool {
 	return false
 }
 
-// transition moves the FSM, returning an error (and changing nothing) on
-// an illegal edge.
-func (j *Job) transition(to api.State) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.transitionLocked(to)
-}
-
+// transitionLocked moves the FSM, returning an error (and changing nothing)
+// on an illegal edge.
 func (j *Job) transitionLocked(to api.State) error {
 	if !canTransition(j.state, to) {
 		return fmt.Errorf("runner: illegal transition %s → %s for job %s", j.state, to, j.id)
@@ -255,15 +249,9 @@ type telemetryLine struct {
 	*api.EpochRecord
 }
 
-// logEvent appends a lifecycle line to the job's telemetry JSONL. The file
-// is opened lazily and lines are written unbuffered, so the artifact is
+// logEventLocked appends a lifecycle line to the job's telemetry JSONL. The
+// file is opened lazily and lines are written unbuffered, so the artifact is
 // live-tailable while the job runs and needs no flush on crash.
-func (j *Job) logEvent(line telemetryLine) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.logEventLocked(line)
-}
-
 func (j *Job) logEventLocked(line telemetryLine) {
 	if j.telog == nil {
 		f, err := os.OpenFile(j.arts.Telemetry, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

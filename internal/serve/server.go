@@ -62,9 +62,6 @@ func New(r *runner.Runner) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Runner exposes the underlying runner (the binary needs it for shutdown).
-func (s *Server) Runner() *runner.Runner { return s.r }
-
 // SetDraining marks the server as draining for /healthz.
 func (s *Server) SetDraining() { s.draining.Store(true) }
 

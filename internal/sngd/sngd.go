@@ -29,12 +29,6 @@ import (
 type SNGD struct {
 	// Damping is α.
 	Damping float64
-	// UseCG replaces the explicit O(M³) kernel inversion with conjugate-
-	// gradient solves at preconditioning time: the (damped) kernel itself
-	// is broadcast and each apply costs O(k·M²) for k CG iterations.
-	UseCG bool
-	// CGTol is the CG relative-residual tolerance (default 1e-10).
-	CGTol float64
 
 	precond.Base
 	state []*sngdState
@@ -43,7 +37,7 @@ type SNGD struct {
 
 type sngdState struct {
 	// Kernel holds the gathered global factors (normalized) and, as M, the
-	// explicit kernel inverse — or the damped kernel itself under UseCG.
+	// explicit kernel inverse.
 	precond.Kernel
 
 	// Normalized local factor copies, reused across iterations (handed to
@@ -133,7 +127,7 @@ func (s *SNGD) waitGather(i int) {
 }
 
 // stageInvert assembles the global factors and, on the owning worker,
-// inverts the global kernel (or just assembles it under UseCG).
+// inverts the global kernel.
 func (s *SNGD) stageInvert(i int) {
 	pl := &s.plans[i]
 	st := pl.st
@@ -148,15 +142,8 @@ func (s *SNGD) stageInvert(i int) {
 	k := mat.GetDense(mg, mg)
 	mat.KernelMatrixInto(k, st.As, st.Gs)
 	k.AddDiag(s.Damping)
-	if s.UseCG {
-		// k escapes into long-lived state under CG: hand it over
-		// un-pooled so the state never holds pool-owned storage.
-		pl.m = k.Clone()
-		mat.PutDense(k)
-	} else {
-		pl.m = precond.InvertSPD(k, 0, "sngd.kernel", numerics.RungIdentity, precond.Zero)
-		mat.PutDense(k)
-	}
+	pl.m = precond.InvertSPD(k, 0, "sngd.kernel", numerics.RungIdentity, precond.Zero)
+	mat.PutDense(k)
 	s.Record(dist.PhaseInvert, pl.layer, t0)
 }
 
@@ -177,86 +164,9 @@ func (s *SNGD) stageStore(i int) {
 }
 
 // stagePrecondition is one layer of Precondition: Eq. (7) applied through
-// the Khatri-Rao structure, with z = K⁻¹y by the broadcast inverse or,
-// under UseCG, by conjugate gradients on the broadcast kernel.
+// the Khatri-Rao structure, with z = K⁻¹y by the broadcast inverse.
 func (s *SNGD) stagePrecondition(i int) {
-	st := s.state[i]
-	var solve func(y []float64) []float64
-	if s.UseCG {
-		tol := s.CGTol
-		if tol <= 0 {
-			tol = 1e-10
-		}
-		solve = func(y []float64) []float64 {
-			z, _ := mat.CG(st.M, y, tol, 20*len(y))
-			return z
-		}
-	}
-	st.Apply(s.Layers[i].Weight().Grad.Data(), s.Damping, solve)
-}
-
-// LocalSNGD is the SENG-style variant the paper's footnote 4 discusses:
-// each worker preconditions with the kernel of its LOCAL batch only and
-// never communicates second-order information (gradients are still
-// averaged by the trainer). It is cheap at scale but no longer a standard
-// NGD method — the preconditioner drifts across workers.
-type LocalSNGD struct {
-	// Damping is α.
-	Damping float64
-
-	precond.Base
-	state []precond.Kernel
-}
-
-// NewLocal builds the communication-free SENG-style preconditioner.
-func NewLocal(net *nn.Network, damping float64) *LocalSNGD {
-	s := &LocalSNGD{Damping: damping}
-	// Entirely communication-free: the whole update is one parallel stage.
-	s.Init("sngd-local", net, dist.Local(), nil, s.stagePrecondition,
-		[]sched.Stage{{Name: "local-kernel", Fn: s.stageUpdate}})
-	s.state = make([]precond.Kernel, len(s.Layers))
-	return s
-}
-
-// Name implements opt.Preconditioner.
-func (s *LocalSNGD) Name() string { return "SENG-local" }
-
-// Update implements opt.Preconditioner: invert each layer's local kernel.
-func (s *LocalSNGD) Update() { s.RunUpdate(len(s.Layers)) }
-
-func (s *LocalSNGD) stageUpdate(i int) {
-	a, g := s.Layers[i].Capture()
-	if a == nil {
-		return
-	}
-	scale := math.Pow(float64(a.Rows()), -0.25)
-	st := &s.state[i]
-	st.As = mat.EnsureDense(st.As, a.Rows(), a.Cols())
-	st.As.CopyFrom(a)
-	st.As.Scale(scale)
-	st.Gs = mat.EnsureDense(st.Gs, g.Rows(), g.Cols())
-	st.Gs.CopyFrom(g)
-	st.Gs.Scale(scale)
-	m := a.Rows()
-	k := mat.GetDense(m, m)
-	mat.KernelMatrixInto(k, st.As, st.Gs)
-	k.AddDiag(s.Damping)
-	st.M = precond.InvertSPD(k, 0, "sngd.local.kernel", numerics.RungIdentity, precond.Zero)
-	mat.PutDense(k)
-}
-
-// stagePrecondition is one layer of Precondition (Eq. 7 on local factors).
-func (s *LocalSNGD) stagePrecondition(i int) {
-	s.state[i].Apply(s.Layers[i].Weight().Grad.Data(), s.Damping, nil)
-}
-
-// StateBytes implements opt.Preconditioner.
-func (s *LocalSNGD) StateBytes() int {
-	var n int
-	for i := range s.state {
-		n += s.state[i].Bytes()
-	}
-	return n
+	s.state[i].Apply(s.Layers[i].Weight().Grad.Data(), s.Damping)
 }
 
 // StateBytes implements opt.Preconditioner: the gathered global factors

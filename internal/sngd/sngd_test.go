@@ -139,49 +139,3 @@ func TestSNGDPreconditionIsNoOpBeforeUpdate(t *testing.T) {
 		t.Fatalf("Precondition before Update changed grads by %g", d)
 	}
 }
-
-func TestLocalSNGDMatchesFullOnSingleWorker(t *testing.T) {
-	// With one worker the SENG-style local variant IS standard SNGD.
-	net1 := buildCapturedNet(21, 10, 4, 3)
-	net2 := buildCapturedNet(21, 10, 4, 3)
-	full := New(net1, 0.3, dist.Local(), nil)
-	full.Update()
-	full.Precondition()
-	local := NewLocal(net2, 0.3)
-	local.Update()
-	local.Precondition()
-	d := mat.MaxAbsDiff(net1.KernelLayers()[0].Weight().Grad,
-		net2.KernelLayers()[0].Weight().Grad)
-	if d > 1e-10 {
-		t.Fatalf("local SNGD differs from full SNGD on one worker by %g", d)
-	}
-}
-
-func TestLocalSNGDStateAndName(t *testing.T) {
-	net := buildCapturedNet(22, 8, 3, 2)
-	l := NewLocal(net, 0.3)
-	if l.Name() != "SENG-local" {
-		t.Fatalf("Name = %q", l.Name())
-	}
-	l.Update()
-	if l.StateBytes() <= 0 {
-		t.Fatal("StateBytes not positive after update")
-	}
-}
-
-func TestSNGDCGMatchesExplicitInverse(t *testing.T) {
-	net1 := buildCapturedNet(31, 12, 4, 3)
-	net2 := buildCapturedNet(31, 12, 4, 3)
-	explicit := New(net1, 0.3, dist.Local(), nil)
-	explicit.Update()
-	explicit.Precondition()
-	cg := New(net2, 0.3, dist.Local(), nil)
-	cg.UseCG = true
-	cg.Update()
-	cg.Precondition()
-	d := mat.MaxAbsDiff(net1.KernelLayers()[0].Weight().Grad,
-		net2.KernelLayers()[0].Weight().Grad)
-	if d > 1e-7 {
-		t.Fatalf("CG path differs from explicit inverse by %g", d)
-	}
-}

@@ -28,9 +28,6 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Add accrues n (n must be non-negative for Prometheus semantics;
 // negative deltas are still applied but make the series non-monotonic).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
@@ -46,17 +43,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add accrues v with a CAS loop.
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -127,42 +113,4 @@ func (h *Histogram) BucketCounts() []int64 {
 		out[i] = h.counts[i].Load()
 	}
 	return out
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) by linear interpolation
-// inside the containing bucket, the standard Prometheus histogram_quantile
-// scheme. Observations in the +Inf bucket clamp to the highest finite
-// bound. Returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i := range h.counts {
-		c := float64(h.counts[i].Load())
-		if cum+c >= rank {
-			if i == len(h.bounds) { // +Inf bucket
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			if c == 0 {
-				return hi
-			}
-			return lo + (hi-lo)*(rank-cum)/c
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
 }

@@ -15,7 +15,7 @@ func TestCounterConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				c.Inc()
+				c.Add(1)
 			}
 			c.Add(3)
 		}()
@@ -27,27 +27,11 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGaugeSetAdd(t *testing.T) {
+func TestGaugeSet(t *testing.T) {
 	var g Gauge
 	g.Set(1.5)
 	if got := g.Value(); got != 1.5 {
 		t.Fatalf("gauge = %g; want 1.5", got)
-	}
-	const goroutines, perG = 16, 1000
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for i := 0; i < goroutines; i++ {
-		go func() {
-			defer wg.Done()
-			for j := 0; j < perG; j++ {
-				g.Add(0.5) // exactly representable → order-independent sum
-			}
-		}()
-	}
-	wg.Wait()
-	want := 1.5 + float64(goroutines*perG)*0.5
-	if got := g.Value(); got != want {
-		t.Fatalf("gauge after concurrent adds = %g; want %g", got, want)
 	}
 }
 
@@ -76,6 +60,11 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// snapshotOf freezes a live histogram the way Registry.Snapshot does.
+func snapshotOf(h *Histogram) *HistogramSnapshot {
+	return &HistogramSnapshot{Bounds: h.Bounds(), Counts: h.BucketCounts(), Sum: h.Sum(), Count: h.Count()}
+}
+
 func TestHistogramQuantile(t *testing.T) {
 	h := NewHistogram([]float64{10, 20, 30, 40})
 	// 40 uniform samples, 10 per bucket.
@@ -92,18 +81,18 @@ func TestHistogramQuantile(t *testing.T) {
 		{0.125, 5}, // mid-first-bucket, linear interpolation
 	}
 	for _, c := range cases {
-		if got := h.Quantile(c.q); math.Abs(got-c.want) > 1e-9 {
+		if got := snapshotOf(h).Quantile(c.q); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("quantile(%g) = %g; want %g", c.q, got, c.want)
 		}
 	}
 	// +Inf-bucket mass clamps to the top finite bound.
 	h2 := NewHistogram([]float64{1})
 	h2.Observe(50)
-	if got := h2.Quantile(0.99); got != 1 {
+	if got := snapshotOf(h2).Quantile(0.99); got != 1 {
 		t.Fatalf("overflow quantile = %g; want 1", got)
 	}
 	// Empty histogram.
-	if got := NewHistogram(nil).Quantile(0.5); got != 0 {
+	if got := snapshotOf(NewHistogram(nil)).Quantile(0.5); got != 0 {
 		t.Fatalf("empty quantile = %g; want 0", got)
 	}
 }

@@ -136,13 +136,6 @@ func (r *Registry) create(key string, fresh *entry) *entry {
 	return fresh
 }
 
-// Reset drops every metric.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	r.entries = map[string]*entry{}
-	r.mu.Unlock()
-}
-
 // HistogramSnapshot is a point-in-time copy of a histogram's state.
 type HistogramSnapshot struct {
 	Bounds []float64 // finite upper bounds
@@ -151,9 +144,10 @@ type HistogramSnapshot struct {
 	Count  int64
 }
 
-// Quantile estimates the q-quantile of the snapshot by linear
-// interpolation inside the containing bucket — the same scheme as
-// Histogram.Quantile, applied to a frozen copy. Returns 0 when empty.
+// Quantile estimates the q-quantile (q in [0,1]) of the snapshot by linear
+// interpolation inside the containing bucket, the standard Prometheus
+// histogram_quantile scheme. Observations in the +Inf bucket clamp to the
+// highest finite bound. Returns 0 when empty.
 func (s *HistogramSnapshot) Quantile(q float64) float64 {
 	if s == nil || s.Count == 0 || len(s.Bounds) == 0 {
 		return 0

@@ -59,24 +59,36 @@ func TestWriteNetSummaryContent(t *testing.T) {
 	}
 	// All 100 samples sit in the (1e5, 2.5e5] bucket; interpolated
 	// quantiles stay inside it.
-	p50 := (&HistogramSnapshot{Bounds: h.Bounds(), Counts: h.BucketCounts(), Count: h.Count()}).Quantile(0.5)
+	p50 := snapshotOf(h).Quantile(0.5)
 	if p50 <= 1e5 || p50 > 2.5e5 {
 		t.Fatalf("p50 %.0f outside the observed bucket (1e5, 2.5e5]", p50)
 	}
 }
 
-// TestHistogramSnapshotQuantile pins the snapshot-side quantile against
-// the live histogram's: identical state must give identical estimates.
+// TestHistogramSnapshotQuantile pins the quantile estimate on a skewed
+// histogram: interpolation inside a bucket, the clamp of q to [0,1], mass in
+// the +Inf bucket, an empty leading bucket, and empty or nil snapshots.
 func TestHistogramSnapshotQuantile(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4, 8})
 	for _, v := range []float64{0.5, 1.5, 1.7, 3, 3, 5, 9, 100} {
 		h.Observe(v)
 	}
-	s := &HistogramSnapshot{Bounds: h.Bounds(), Counts: h.BucketCounts(), Sum: h.Sum(), Count: h.Count()}
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		if got, want := s.Quantile(q), h.Quantile(q); got != want {
-			t.Fatalf("q=%.2f: snapshot %.4f != live %.4f", q, got, want)
+	s := snapshotOf(h) // counts 1,2,2,1 and 2 in +Inf
+	for _, c := range []struct{ q, want float64 }{
+		{-1, 0}, {0, 0}, {0.25, 1.5}, {0.5, 3},
+		{0.9, 8}, {1, 8}, {2, 8}, // +Inf mass reads as the top finite bound
+	} {
+		if got := s.Quantile(c.q); got != c.want {
+			t.Errorf("q=%g: got %g want %g", c.q, got, c.want)
 		}
+	}
+	sparse := NewHistogram([]float64{1, 2, 4})
+	sparse.Observe(3)
+	if got := snapshotOf(sparse).Quantile(0); got != 1 {
+		t.Errorf("rank 0 in an empty first bucket: got %g want its bound 1", got)
+	}
+	if got := snapshotOf(NewHistogram([]float64{1})).Quantile(0.5); got != 0 {
+		t.Errorf("zero-count snapshot quantile = %g; want 0", got)
 	}
 	var empty *HistogramSnapshot
 	if empty.Quantile(0.5) != 0 {

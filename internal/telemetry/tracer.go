@@ -31,15 +31,14 @@ type SpanEvent struct {
 // Tracer records span and instant events into a bounded in-memory buffer.
 // All methods are safe for concurrent use.
 type Tracer struct {
-	mu      sync.Mutex
-	events  []SpanEvent
-	dropped int64
-	max     int
-	now     func() time.Duration
+	mu     sync.Mutex
+	events []SpanEvent
+	max    int
+	now    func() time.Duration
 }
 
-// DefaultMaxEvents bounds a tracer's buffer; further events are counted
-// in Dropped() instead of growing memory without limit.
+// DefaultMaxEvents bounds a tracer's buffer; further events are dropped
+// instead of growing memory without limit.
 const DefaultMaxEvents = 1 << 20
 
 // NewTracer returns a tracer whose clock is the monotonic time since
@@ -82,9 +81,7 @@ func (t *Tracer) Instant(name string, tid int, labels ...Label) {
 
 func (t *Tracer) record(e SpanEvent) {
 	t.mu.Lock()
-	if len(t.events) >= t.max {
-		t.dropped++
-	} else {
+	if len(t.events) < t.max {
 		t.events = append(t.events, e)
 	}
 	t.mu.Unlock()
@@ -102,19 +99,4 @@ func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.events)
-}
-
-// Dropped reports events discarded after the buffer filled.
-func (t *Tracer) Dropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Reset clears the buffer and the dropped count.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	t.events = nil
-	t.dropped = 0
-	t.mu.Unlock()
 }

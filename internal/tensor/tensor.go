@@ -1,64 +1,7 @@
-// Package tensor provides the minimal 4D NCHW tensor machinery needed by
-// the convolutional layers and by the CNN extension of SNGD (Sec. IV of the
-// paper): contiguous storage, im2col/col2im, and reshape helpers.
+// Package tensor provides the convolution geometry needed by the
+// convolutional layers and by the CNN extension of SNGD (Sec. IV of the
+// paper): ConvShape and its im2col/col2im over contiguous C·H·W samples.
 package tensor
-
-import "fmt"
-
-// T4 is a dense 4D tensor in NCHW layout (batch, channels, height, width).
-type T4 struct {
-	N, C, H, W int
-	Data       []float64
-}
-
-// New4 returns a zeroed NCHW tensor.
-func New4(n, c, h, w int) *T4 {
-	if n < 0 || c < 0 || h < 0 || w < 0 {
-		panic(fmt.Sprintf("tensor: negative dims %d,%d,%d,%d", n, c, h, w))
-	}
-	return &T4{N: n, C: c, H: h, W: w, Data: make([]float64, n*c*h*w)}
-}
-
-// Wrap4 wraps existing data without copying.
-func Wrap4(n, c, h, w int, data []float64) *T4 {
-	if len(data) != n*c*h*w {
-		panic(fmt.Sprintf("tensor: data length %d != %d", len(data), n*c*h*w))
-	}
-	return &T4{N: n, C: c, H: h, W: w, Data: data}
-}
-
-// At returns element (n, c, h, w).
-func (t *T4) At(n, c, h, w int) float64 {
-	return t.Data[((n*t.C+c)*t.H+h)*t.W+w]
-}
-
-// Set assigns element (n, c, h, w).
-func (t *T4) Set(n, c, h, w int, v float64) {
-	t.Data[((n*t.C+c)*t.H+h)*t.W+w] = v
-}
-
-// Sample returns the contiguous slice holding sample n (C*H*W values).
-func (t *T4) Sample(n int) []float64 {
-	sz := t.C * t.H * t.W
-	return t.Data[n*sz : (n+1)*sz]
-}
-
-// Clone returns a deep copy.
-func (t *T4) Clone() *T4 {
-	out := New4(t.N, t.C, t.H, t.W)
-	copy(out.Data, t.Data)
-	return out
-}
-
-// Zero clears the tensor in place.
-func (t *T4) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
-
-// Numel returns the total number of elements.
-func (t *T4) Numel() int { return len(t.Data) }
 
 // ConvShape describes a 2D convolution geometry.
 type ConvShape struct {

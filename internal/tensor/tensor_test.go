@@ -6,33 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestT4Indexing(t *testing.T) {
-	x := New4(2, 3, 4, 5)
-	x.Set(1, 2, 3, 4, 7.5)
-	if got := x.At(1, 2, 3, 4); got != 7.5 {
-		t.Fatalf("At = %g; want 7.5", got)
-	}
-	if got := x.Data[len(x.Data)-1]; got != 7.5 {
-		t.Fatalf("last element = %g; want 7.5 (layout error)", got)
-	}
-	if x.Numel() != 120 {
-		t.Fatalf("Numel = %d; want 120", x.Numel())
-	}
-}
-
-func TestSampleSlice(t *testing.T) {
-	x := New4(3, 2, 2, 2)
-	x.Set(1, 0, 0, 0, 9)
-	s := x.Sample(1)
-	if len(s) != 8 || s[0] != 9 {
-		t.Fatalf("Sample(1) = %v", s)
-	}
-	s[1] = 4 // aliases
-	if x.At(1, 0, 0, 1) != 4 {
-		t.Fatal("Sample does not alias storage")
-	}
-}
-
 func TestConvShapeDims(t *testing.T) {
 	s := ConvShape{InC: 3, InH: 32, InW: 32, OutC: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	if s.OutH() != 32 || s.OutW() != 32 {
@@ -197,43 +170,6 @@ func (r *testRNG) norm() float64 {
 		u1 = 1e-300
 	}
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-func TestWrap4AndClone(t *testing.T) {
-	data := []float64{1, 2, 3, 4, 5, 6}
-	x := Wrap4(1, 2, 3, 1, data)
-	if x.At(0, 1, 2, 0) != 6 {
-		t.Fatalf("Wrap4 layout wrong: %v", x.Data)
-	}
-	c := x.Clone()
-	c.Set(0, 0, 0, 0, 99)
-	if x.At(0, 0, 0, 0) != 1 {
-		t.Fatal("Clone shares storage")
-	}
-	x.Zero()
-	for _, v := range x.Data {
-		if v != 0 {
-			t.Fatal("Zero did not clear")
-		}
-	}
-}
-
-func TestWrap4LengthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on bad length")
-		}
-	}()
-	Wrap4(2, 2, 2, 2, make([]float64, 3))
-}
-
-func TestNew4NegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative dims")
-		}
-	}()
-	New4(-1, 2, 2, 2)
 }
 
 func TestIm2colLengthPanics(t *testing.T) {

@@ -36,14 +36,6 @@ type Config struct {
 	Seed uint64
 	// Adam switches the inner optimizer from momentum-SGD to ADAM.
 	Adam bool
-	// EvalEvery controls how often (in epochs) the test metric runs; 0
-	// means every epoch.
-	EvalEvery int
-	// KLClip bounds the second-order update via the KL trust region used
-	// by KAISA and the HyLo artifact: the preconditioned gradient is
-	// scaled by ν = min(1, sqrt(κ / (lr² · Σ ĝᵀg))). 0 selects the
-	// standard default of 0.001; set negative to disable.
-	KLClip float64
 	// Augment, when non-nil, builds a per-worker training-batch augmenter
 	// (random flips/crops); evaluation always uses raw data.
 	Augment func(rng *mat.RNG) *data.Augmenter
@@ -160,9 +152,9 @@ func must(res Result, err error) Result {
 	return res
 }
 
-// Run is Drive on one local rank without checkpoints. Its signature is
-// fixed only because perf/harness/train_e2e.go (a frozen module) and
-// examples/ compile against it; new code calls Drive.
+// Run is Drive on one local rank without checkpoints. It exists, with this
+// signature, only because perf/harness/train_e2e.go (a frozen module)
+// compiles against it: only perf/ calls it, everything else calls Drive.
 func Run(cfg Config, buildNet func(rng *mat.RNG) *nn.Network,
 	trainSet, testSet *data.Dataset, task Task,
 	makePre PrecondFactory, target float64) Result {
@@ -171,7 +163,7 @@ func Run(cfg Config, buildNet func(rng *mat.RNG) *nn.Network,
 }
 
 // RunDistributed is Drive on an in-process cluster of p ranks without
-// checkpoints. Its signature is fixed for the same reason as Run's.
+// checkpoints; like Run, only perf/ calls it.
 func RunDistributed(p int, cfg Config, buildNet func(rng *mat.RNG) *nn.Network,
 	trainSet, testSet *data.Dataset, task Task,
 	makePre PrecondFactory, target float64) Result {
@@ -179,9 +171,9 @@ func RunDistributed(p int, cfg Config, buildNet func(rng *mat.RNG) *nn.Network,
 		Job{cfg, buildNet, trainSet, testSet, task, makePre, target}, ElasticConfig{}))
 }
 
-// RunElasticProc is Drive on this process's share of a TCP cluster. Its
-// signature is fixed for the same reason as Run's. Only the process
-// hosting global rank 0 returns a populated Result.
+// RunElasticProc is Drive on this process's share of a TCP cluster; like
+// Run, only perf/ calls it. Only the process hosting global rank 0 returns
+// a populated Result.
 func RunElasticProc(proc *distnet.Proc, cfg Config, ec ElasticConfig,
 	buildNet func(rng *mat.RNG) *nn.Network,
 	trainSet, testSet *data.Dataset, task Task,

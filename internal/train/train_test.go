@@ -353,23 +353,3 @@ func TestAdaptiveDampingChangesAlpha(t *testing.T) {
 		}
 	}
 }
-
-// SENG-style local SNGD in a distributed run: each worker preconditions
-// with its own local kernel (no second-order communication), gradients
-// still averaged. Training must remain stable and learn.
-func TestDistributedSENGLocalTrains(t *testing.T) {
-	tr, te := vectorTask(14)
-	cfg := baseCfg()
-	cfg.Epochs = 5
-	cfg.BatchSize = 15
-	factory := func(net *nn.Network, comm dist.Comm, tl *dist.Timeline, rng *mat.RNG) opt.Preconditioner {
-		return sngd.NewLocal(net, 0.1)
-	}
-	res := RunDistributed(3, cfg, mlpBuilder(12, 3), tr, te, Classification(), factory, 0)
-	if res.Method != "SENG-local" {
-		t.Fatalf("method = %q", res.Method)
-	}
-	if res.Best < 0.7 {
-		t.Fatalf("SENG-local best acc %g; want ≥ 0.7", res.Best)
-	}
-}

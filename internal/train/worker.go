@@ -39,7 +39,7 @@ type worker struct {
 	it        *data.BatchIterator
 	adapter   *core.DampingAdapter
 	// raw holds the unpreconditioned gradients for the KL clip, one buffer
-	// per parameter for the life of the worker (nil when the clip is off).
+	// per parameter for the life of the worker (nil for first-order methods).
 	raw []*mat.Dense
 	// savers are the per-rank checkpoint sections; preSaver is the
 	// preconditioner's among them, if it has one.
@@ -154,11 +154,9 @@ func (w *worker) build(tl *dist.Timeline) {
 	}
 	if w.job.Precond != nil {
 		w.pre = w.job.Precond(w.net, w.comm, tl, sampleRNG)
-		if cfg.KLClip >= 0 {
-			w.raw = make([]*mat.Dense, len(w.params))
-			for i, prm := range w.params {
-				w.raw[i] = mat.NewDense(prm.Grad.Rows(), prm.Grad.Cols())
-			}
+		w.raw = make([]*mat.Dense, len(w.params))
+		for i, prm := range w.params {
+			w.raw[i] = mat.NewDense(prm.Grad.Rows(), prm.Grad.Cols())
 		}
 	}
 	if cfg.Augment != nil {
@@ -343,8 +341,7 @@ func (w *worker) iteration(epoch int, lr float64) float64 {
 func (w *worker) loadBatch() (x *mat.Dense, tgt nn.Target, wgt float64) {
 	globalIdx := w.it.Next()
 	// Each worker takes its contiguous slice; the trailing remainder goes
-	// to the last rank (the ReduceScatterRows convention), so no sample is
-	// silently dropped.
+	// to the last rank, so no sample is silently dropped.
 	per := len(globalIdx) / w.p
 	lo := w.rank * per
 	hi := lo + per
@@ -400,34 +397,21 @@ func (w *worker) precondition(isUpdate bool, lr float64) {
 		w.forceUpdate = false
 		w.pre.Update()
 	}
-	if w.raw != nil {
-		for i, prm := range w.params {
-			w.raw[i].CopyFrom(prm.Grad)
-		}
+	for i, prm := range w.params {
+		w.raw[i].CopyFrom(prm.Grad)
 	}
 	w.pre.Precondition()
-	if w.raw != nil {
-		klClip := w.job.Config.KLClip
-		if klClip == 0 {
-			klClip = 0.001
-		}
-		applyKLClip(w.params, w.raw, lr, klClip)
-	}
+	applyKLClip(w.params, w.raw, lr)
 }
 
-// evaluate (rank 0) closes the epoch's statistics: the test metric on the
-// evaluation cadence, the running best and time-to-target, the progress
-// hook.
+// evaluate (rank 0) closes the epoch's statistics: the test metric, the
+// running best and time-to-target, the progress hook.
 func (w *worker) evaluate(epoch int, meanLoss float64) {
 	cfg, res := &w.job.Config, w.res
 	stat := EpochStat{Epoch: epoch, TrainLoss: meanLoss, Elapsed: time.Since(w.start)}
-	if epoch%max(cfg.EvalEvery, 1) == 0 || epoch == cfg.Epochs-1 {
-		endEval := telemetry.Span("evaluate", w.rank, epochLabel(epoch))
-		stat.Metric = Evaluate(w.net, w.job.Test, w.job.Task)
-		endEval()
-	} else if len(res.Stats) > 0 {
-		stat.Metric = res.Stats[len(res.Stats)-1].Metric
-	}
+	endEval := telemetry.Span("evaluate", w.rank, epochLabel(epoch))
+	stat.Metric = Evaluate(w.net, w.job.Test, w.job.Task)
+	endEval()
 	telemetry.SetGauge(telemetry.MetricTrainLoss, stat.TrainLoss)
 	telemetry.SetGauge(telemetry.MetricTestMetric, stat.Metric)
 	res.Stats = append(res.Stats, stat)
@@ -557,11 +541,15 @@ func allFinite(loss float64, params []*nn.Param) bool {
 	return true
 }
 
-// applyKLClip rescales the preconditioned gradients so that the implied KL
-// step lr²·Σ ĝᵀg stays within kappa — the trust-region heuristic every
-// production KFAC-family implementation (including KAISA and the HyLo
-// artifact) applies to keep natural-gradient steps stable.
-func applyKLClip(params []*nn.Param, raw []*mat.Dense, lr, kappa float64) {
+// klClip is κ, the KL trust-region bound KAISA and the HyLo artifact use.
+const klClip = 0.001
+
+// applyKLClip rescales the preconditioned gradients by
+// ν = min(1, sqrt(κ / (lr² · Σ ĝᵀg))) so that the implied KL step stays
+// within κ — the trust-region heuristic every production KFAC-family
+// implementation (including KAISA and the HyLo artifact) applies to keep
+// natural-gradient steps stable.
+func applyKLClip(params []*nn.Param, raw []*mat.Dense, lr float64) {
 	var dot float64
 	for i, prm := range params {
 		pg, rg := prm.Grad.Data(), raw[i].Data()
@@ -570,10 +558,10 @@ func applyKLClip(params []*nn.Param, raw []*mat.Dense, lr, kappa float64) {
 		}
 	}
 	vFOV := lr * lr * dot
-	if vFOV <= kappa || vFOV <= 0 {
+	if vFOV <= klClip || vFOV <= 0 {
 		return
 	}
-	nu := math.Sqrt(kappa / vFOV)
+	nu := math.Sqrt(klClip / vFOV)
 	for _, prm := range params {
 		prm.Grad.Scale(nu)
 	}
