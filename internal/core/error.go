@@ -66,7 +66,7 @@ func PreconditionExact(a, g *mat.Dense, grad []float64, alpha float64) ([]float6
 	an := a.Clone().Scale(scale)
 	gn := g.Clone().Scale(scale)
 	k := mat.KernelMatrix(an, gn).AddDiag(alpha)
-	kinv, _, retries, _, err := mat.InvSPDDampedChecked(k, 0)
+	kinv, _, retries, _, err := mat.InvSPDDampedChecked(nil, k, 0)
 	if retries > 0 {
 		numerics.AddRetries("core.exact", retries)
 	}
@@ -116,7 +116,7 @@ func PreconditionReduced(a, g *mat.Dense, grad []float64, alpha float64, r int, 
 	case ModeKIS:
 		as, gs = KISFactors(rng, an, gn, r, true)
 		k := mat.KernelMatrix(as, gs).AddDiag(alpha)
-		kinv, _, retries, _, err := mat.InvSPDDampedChecked(k, 0)
+		kinv, _, retries, _, err := mat.InvSPDDampedChecked(nil, k, 0)
 		if retries > 0 {
 			numerics.AddRetries("core.reduced.kis", retries)
 		}

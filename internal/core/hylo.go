@@ -407,7 +407,7 @@ func (h *HyLo) stageInvert(i int) {
 			// KIS-form rung: M = (K̂+αI)⁻¹ drops the Y correction but keeps
 			// a genuine curvature preconditioner from the gathered factors.
 			// Below it the identity rung: M = 0, the plain g/α step.
-			st.mbuf.CopyFrom(precond.InvertSPD(khat, h.Damping, "hylo.kid.inner", numerics.RungIdentity, precond.Zero))
+			precond.InvertSPD(st.mbuf, khat, h.Damping, "hylo.kid.inner", numerics.RungIdentity, precond.Zero)
 		}
 		pl.m = st.mbuf
 		mat.PutDense(inv)
@@ -422,7 +422,7 @@ func (h *HyLo) stageInvert(i int) {
 		// The inverse escapes into long-lived state, so it is NOT pooled.
 		// On an unsolvable kernel the rung degrades to M = 0 (plain g/α
 		// step) in the same rtot×rtot shape.
-		pl.m = precond.InvertSPD(k, 0, "hylo.kis.inner", numerics.RungIdentity, precond.Zero)
+		pl.m = precond.InvertSPD(nil, k, 0, "hylo.kis.inner", numerics.RungIdentity, precond.Zero)
 		mat.PutDense(k)
 	}
 	h.Record(dist.PhaseInvert, pl.layer, t0, h.mode.String())

@@ -76,7 +76,11 @@ func (f *factors) fold(fa, fg *mat.Dense, decay float64) {
 
 type kfacState struct {
 	factors
-	aInv, gInv *mat.Dense
+	aInv, gInv *mat.Dense // what the last broadcast returned
+	// The owner inverts into these and broadcasts them. Every transport
+	// returns the root its own matrix and the other ranks a clone, and no
+	// collective outlives its Wait, so the next Update may overwrite them.
+	aBuf, gBuf *mat.Dense
 }
 
 // kfacPlan is one layer's slot in the scheduled pipeline; it persists
@@ -178,13 +182,15 @@ func (k *KFAC) stageInvert(i int) {
 // pseudo-inverse: the Kronecker product of diagonal inverses is still a
 // usable (Adagrad-like) preconditioner.
 func (k *KFAC) invertPair(l nn.KernelLayer, st *kfacState) (aInv, gInv *mat.Dense) {
+	dIn, dOut := l.Dims()
 	gA, gG := math.Sqrt(k.Damping), math.Sqrt(k.Damping)
 	if k.PiCorrection {
-		dIn, dOut := l.Dims()
 		gA, gG = piCorrection(st.aFactor.Trace(), dIn, st.gFactor.Trace(), dOut, k.Damping)
 	}
-	return precond.InvertSPD(st.aFactor, gA, "kfac.A", numerics.RungDiagonal, mat.DiagInvDamped),
-		precond.InvertSPD(st.gFactor, gG, "kfac.G", numerics.RungDiagonal, mat.DiagInvDamped)
+	st.aBuf = mat.EnsureDense(st.aBuf, dIn, dIn)
+	st.gBuf = mat.EnsureDense(st.gBuf, dOut, dOut)
+	return precond.InvertSPD(st.aBuf, st.aFactor, gA, "kfac.A", numerics.RungDiagonal, mat.DiagInvDamped),
+		precond.InvertSPD(st.gBuf, st.gFactor, gG, "kfac.G", numerics.RungDiagonal, mat.DiagInvDamped)
 }
 
 // piCorrection returns the Tikhonov damping split of the original KFAC

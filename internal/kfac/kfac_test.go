@@ -2,6 +2,7 @@ package kfac
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/dist"
@@ -142,6 +143,36 @@ func TestEKFACShrinksAlongObservedDirections(t *testing.T) {
 	// direction (strictly smaller than naive 1/damping blow-up).
 	if pg.FrobNorm() >= raw.FrobNorm()/0.01 {
 		t.Fatalf("EKFAC norm %g not below %g", pg.FrobNorm(), raw.FrobNorm()/0.01)
+	}
+}
+
+// A warmed Update+Precondition on one rank allocates no d×d matrix: the
+// owner inverts into buffers it keeps and broadcasts those, and every other
+// factor-sized intermediate is pooled.
+func TestKFACWarmStepAllocatesNoFactor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers")
+	}
+	const m, in, out = 16, 24, 20
+	net := capturedLinearNet(6, m, in, out)
+	k := NewKFAC(net, 0.1, dist.Local(), nil)
+	step := func() { k.Update(); k.Precondition() }
+	step()
+	aBuf := k.state[0].aBuf
+	step()
+	if st := k.state[0]; st.aBuf != aBuf || st.aInv != st.aBuf || st.gInv != st.gBuf {
+		t.Fatal("the owner's inverse buffers are not kept and broadcast")
+	}
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for r := 0; r < 5; r++ {
+		runtime.ReadMemStats(&before)
+		step()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= out*out*8 {
+		t.Fatalf("a warmed step allocates %d bytes, a %d×%d factor is %d", least, out, out, out*out*8)
 	}
 }
 

@@ -127,3 +127,20 @@ func ExampleWorkspace() {
 	fmt.Println(t.Rows(), t.Cols())
 	// Output: 2 2
 }
+
+// BenchmarkGramT_256x257 is a KFAC input factor at the benchmark's shape:
+// the full product against GramTInto's lower triangle and mirror.
+func BenchmarkGramT_256x257(b *testing.B) {
+	x := RandN(NewRNG(3), 256, 257, 1)
+	out := NewDense(257, 257)
+	b.Run("MulTAInto", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MulTAInto(out, x, x)
+		}
+	})
+	b.Run("GramTInto", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			GramTInto(out, x)
+		}
+	})
+}

@@ -2,14 +2,26 @@ package mat
 
 import "math"
 
-// Norm1 returns the 1-norm of the matrix (maximum absolute column sum).
-func (m *Dense) Norm1() float64 {
-	var best float64
-	for j := 0; j < m.cols; j++ {
-		var s float64
-		for i := 0; i < m.rows; i++ {
-			s += math.Abs(m.At(i, j))
+// Norm1 returns the 1-norm of the matrix (maximum absolute column sum). The
+// shift −0 leaves every entry as it is: x + (−0) is x, +0 included.
+func (m *Dense) Norm1() float64 { return m.norm1Shifted(math.Copysign(0, -1)) }
+
+// norm1Shifted is the 1-norm of m + shift·I (m square or not) without
+// forming the sum. It walks m by rows; each column sum still adds its
+// entries for i ascending from +0, so it is the column walk's value.
+func (m *Dense) norm1Shifted(shift float64) float64 {
+	sums := GetFloats(m.cols)
+	defer PutFloats(sums)
+	for i := 0; i < m.rows; i++ {
+		for j, v := range m.Row(i) {
+			if i == j {
+				v += shift
+			}
+			sums[j] += math.Abs(v)
 		}
+	}
+	var best float64
+	for _, s := range sums {
 		if s > best {
 			best = s
 		}
@@ -144,21 +156,22 @@ func (f *LU) solveVecT(x []float64) {
 	PutFloats(tmp)
 }
 
-// CondEstCholesky returns the 1-norm condition estimate of the SPD matrix
-// whose Cholesky factor is l, given the matrix's 1-norm. A = L·Lᵀ is
-// symmetric, so the transpose solve of Hager's iteration reuses the same
-// forward/backward substitution.
-func CondEstCholesky(l *Dense, anorm float64) float64 {
+// condEstCholesky returns the 1-norm condition estimate of the SPD matrix
+// whose Cholesky factor is l (and lt = lᵀ), given the matrix's 1-norm.
+// A = L·Lᵀ is symmetric, so the transpose solve of Hager's iteration reuses
+// the same forward/backward substitution.
+func condEstCholesky(l, lt *Dense, anorm float64) float64 {
 	n := l.rows
 	if n == 0 {
 		return 0
 	}
-	solve := func(x []float64) { cholSolveVec(l, x) }
+	solve := func(x []float64) { cholSolveVec(l, lt, x) }
 	return anorm * hagerInvNorm1(n, solve, solve)
 }
 
-// cholSolveVec solves (L·Lᵀ)x = b in place for a single vector.
-func cholSolveVec(l *Dense, x []float64) {
+// cholSolveVec solves (L·Lᵀ)x = b in place for a single vector, reading L
+// and then Lᵀ = lt along rows.
+func cholSolveVec(l, lt *Dense, x []float64) {
 	n := l.rows
 	for i := 0; i < n; i++ {
 		ri := l.Row(i)
@@ -169,11 +182,12 @@ func cholSolveVec(l *Dense, x []float64) {
 		x[i] = (x[i] - s) / ri[i]
 	}
 	for i := n - 1; i >= 0; i-- {
+		ri := lt.Row(i)
 		var s float64
 		for k := i + 1; k < n; k++ {
-			s += l.At(k, i) * x[k]
+			s += ri[k] * x[k]
 		}
-		x[i] = (x[i] - s) / l.At(i, i)
+		x[i] = (x[i] - s) / ri[i]
 	}
 }
 

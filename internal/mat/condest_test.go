@@ -44,7 +44,7 @@ func TestCondEstCholeskyMatchesExplicitInverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := CondEstCholesky(l, anorm)
+	est := condEstCholesky(l, l.T(), anorm)
 	inv, err := InvSPD(a)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestCondEstCholeskyMatchesExplicitInverse(t *testing.T) {
 	// Hager's estimate is a lower bound that is almost always within a
 	// small factor; 10× headroom keeps this test robust.
 	if est > truth*1.01 || est < truth/10 {
-		t.Fatalf("CondEstCholesky = %g; true κ₁ = %g", est, truth)
+		t.Fatalf("condEstCholesky = %g; true κ₁ = %g", est, truth)
 	}
 	if est < 1 {
 		t.Fatalf("condition estimate %g below 1", est)
@@ -190,7 +190,7 @@ func TestScrubNonFinite(t *testing.T) {
 func TestInvSPDDampedCheckedEscalatesSingular(t *testing.T) {
 	sing := NewDense(4, 4)
 	sing.Fill(1) // rank-1 Gram matrix: Cholesky fails at damp=0
-	inv, usedDamp, retries, cond, err := InvSPDDampedChecked(sing, 0)
+	inv, usedDamp, retries, cond, err := InvSPDDampedChecked(nil, sing, 0)
 	if err != nil {
 		t.Fatalf("damped escalation failed: %v", err)
 	}
@@ -214,7 +214,7 @@ func TestInvSPDDampedCheckedEscalatesSingular(t *testing.T) {
 func TestInvSPDDampedNonFiniteInput(t *testing.T) {
 	bad := NewDense(3, 3)
 	bad.Fill(math.NaN())
-	if _, _, _, _, err := InvSPDDampedChecked(bad, 0.1); err == nil {
+	if _, _, _, _, err := InvSPDDampedChecked(nil, bad, 0.1); err == nil {
 		t.Fatal("NaN input: expected error from checked form")
 	}
 	inv := InvSPDDamped(bad, 0.1)

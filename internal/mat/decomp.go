@@ -25,22 +25,33 @@ var ErrIllConditioned = errors.New("mat: matrix is numerically ill-conditioned b
 // Cholesky computes the lower-triangular L with a = L*Lᵀ for a symmetric
 // positive-definite matrix. The strictly upper part of the result is zero.
 func Cholesky(a *Dense) (*Dense, error) {
+	l := NewDense(a.rows, a.rows)
+	// −0 is the additive identity: x + (−0) is x for every x, +0 included.
+	if err := choleskyInto(l, a, math.Copysign(0, -1)); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// choleskyInto factors a + damp·I into l (n×n, fully overwritten) without
+// forming the sum: every pivot reads a's diagonal entry plus damp, rounded
+// once, as AddDiag would have stored it. Only a's lower triangle is read.
+func choleskyInto(l, a *Dense, damp float64) error {
 	if a.rows != a.cols {
 		panic("mat: Cholesky needs a square matrix")
 	}
 	n := a.rows
-	l := NewDense(n, n)
 	col := getFloatsRaw(n)
 	defer PutFloats(col)
 	for j := 0; j < n; j++ {
-		var d float64
 		lrowJ := l.Row(j)
-		d = a.At(j, j) - Dot(lrowJ[:j], lrowJ[:j])
+		d := (a.At(j, j) + damp) - Dot(lrowJ[:j], lrowJ[:j])
 		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("%w (pivot %d = %g)", ErrNotSPD, j, d)
+			return fmt.Errorf("%w (pivot %d = %g)", ErrNotSPD, j, d)
 		}
 		ljj := math.Sqrt(d)
 		lrowJ[j] = ljj
+		clear(lrowJ[j+1:])
 		inv := 1 / ljj
 		// The column sweep is one shared vector, row j, against the rows
 		// below it: col[i-j-1] = Dot(lrowI[:j], lrowJ[:j]).
@@ -49,45 +60,83 @@ func Cholesky(a *Dense) (*Dense, error) {
 			l.data[i*n+j] = (a.At(i, j) - col[i-j-1]) * inv
 		}
 	}
-	return l, nil
+	return nil
 }
 
-// SolveCholesky solves a*x = b given the Cholesky factor L of a, for each
-// column of b. b is not modified.
-func SolveCholesky(l, b *Dense) *Dense {
+// substW is the panel width of the SPD inverse: sixteen columns of A⁻¹, a
+// panel row four YMM vectors, a 257-row panel 33 KB of L1.
+const substW = 16
+
+// invCholInto sets dst = (L·Lᵀ)⁻¹ from a Cholesky factor l (finite below the
+// diagonal, positive on it, as Cholesky leaves it) and lt = lᵀ, bit for bit
+// as the forward then back substitution of L·Lᵀ·X = I row by row — for row i
+// and k ascending, skipping l_ik = ±0, x_i += (−l_ik)·x_k, then x_i *= 1/l_ii.
+// Columns are independent, so it runs one substW-column panel at a time,
+// panel rows in pooled scratch. Forward substitution for panel c₀ starts at
+// row c₀ with k ≥ c₀: column c of L⁻¹ is +0 above row c, and a finite l_ik
+// times +0 only ever added ±0 to a +0 or a 1, which keeps it. Back
+// substitution reads its coefficients along rows of lt. A narrow last
+// panel runs at full width; its padding columns stay ±0 and are not copied.
+func invCholInto(dst, l, lt *Dense) {
 	n := l.rows
-	if b.rows != n {
-		panic("mat: SolveCholesky dimension mismatch")
+	p := getFloatsRaw(n * substW)
+	defer PutFloats(p)
+	fma := fmaEnabled()
+	for c0 := 0; c0 < n; c0 += substW {
+		clear(p)
+		w := min(substW, n-c0)
+		for j := 0; j < w; j++ {
+			p[(c0+j)*substW+j] = 1
+		}
+		for i := c0; i < n; i++ {
+			substRow(fma, l.data[i*n+c0:i*n+i], p[c0*substW:], p[i*substW:], 1/l.data[i*n+i])
+		}
+		for i := n - 1; i >= 0; i-- {
+			substRow(fma, lt.data[i*n+i+1:(i+1)*n], p[(i+1)*substW:], p[i*substW:], 1/l.data[i*n+i])
+		}
+		for i := 0; i < n; i++ {
+			copy(dst.data[i*n+c0:i*n+c0+w], p[i*substW:])
+		}
 	}
-	x := b.Clone()
-	// Forward substitution L*y = b, column by column over x in place.
-	for i := 0; i < n; i++ {
-		li := l.Row(i)
-		xi := x.Row(i)
-		for k := 0; k < i; k++ {
-			if li[k] != 0 {
-				axpy(xi, x.Row(k), -li[k])
+}
+
+// substRow sets the panel row dst[:substW] = (dst − Σ_k coef[k]·src_k)·scale,
+// src_k = src[k*substW:][:substW], for k ascending, skipping a coefficient
+// that is ±0.
+func substRow(fma bool, coef, src, dst []float64, scale float64) {
+	if useAsm && len(coef) > 0 {
+		// The assembly checks no bounds.
+		_, _ = src[len(coef)*substW-1], dst[substW-1]
+		substTileAVX2(fma, len(coef), &coef[0], &src[0], &dst[0], scale)
+		return
+	}
+	substRef(fma, coef, src, (*[substW]float64)(dst), scale)
+}
+
+// substRef is substTileAVX2 in Go: the implementation without the assembly
+// and the oracle it is tested against. It walks the row as two groups of
+// eight so the accumulators stay in registers. x − float64(l·s) and
+// math.FMA(−l, s, x) are axpy's x + (−l)·s in each family, and the
+// conversion keeps the compiler from fusing the first, as in kernelRef.
+func substRef(fma bool, coef, src []float64, dst *[substW]float64, scale float64) {
+	for j := 0; j < substW; j += 8 {
+		x0, x1, x2, x3, x4, x5, x6, x7 := dst[j], dst[j+1], dst[j+2], dst[j+3], dst[j+4], dst[j+5], dst[j+6], dst[j+7]
+		for k, c := range coef {
+			if c == 0 {
+				continue
+			}
+			s := (*[8]float64)(src[k*substW+j:])
+			if fma {
+				x0, x1, x2, x3 = math.FMA(-c, s[0], x0), math.FMA(-c, s[1], x1), math.FMA(-c, s[2], x2), math.FMA(-c, s[3], x3)
+				x4, x5, x6, x7 = math.FMA(-c, s[4], x4), math.FMA(-c, s[5], x5), math.FMA(-c, s[6], x6), math.FMA(-c, s[7], x7)
+			} else {
+				x0, x1, x2, x3 = x0-float64(c*s[0]), x1-float64(c*s[1]), x2-float64(c*s[2]), x3-float64(c*s[3])
+				x4, x5, x6, x7 = x4-float64(c*s[4]), x5-float64(c*s[5]), x6-float64(c*s[6]), x7-float64(c*s[7])
 			}
 		}
-		inv := 1 / li[i]
-		for c := range xi {
-			xi[c] *= inv
-		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = x0*scale, x1*scale, x2*scale, x3*scale
+		dst[j+4], dst[j+5], dst[j+6], dst[j+7] = x4*scale, x5*scale, x6*scale, x7*scale
 	}
-	// Back substitution Lᵀ*x = y.
-	for i := n - 1; i >= 0; i-- {
-		xi := x.Row(i)
-		for k := i + 1; k < n; k++ {
-			if lki := l.At(k, i); lki != 0 {
-				axpy(xi, x.Row(k), -lki)
-			}
-		}
-		inv := 1 / l.At(i, i)
-		for c := range xi {
-			xi[c] *= inv
-		}
-	}
-	return x
 }
 
 // InvSPD inverts a symmetric positive-definite matrix via Cholesky.
@@ -96,7 +145,11 @@ func InvSPD(a *Dense) (*Dense, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SolveCholesky(l, Identity(a.rows)), nil
+	lt := l.TInto(getDenseRaw(a.rows, a.rows))
+	defer PutDense(lt)
+	inv := NewDense(a.rows, a.rows)
+	invCholInto(inv, l, lt)
+	return inv, nil
 }
 
 // maxDampedAttempts bounds the Levenberg-Marquardt damping escalation of
@@ -110,18 +163,34 @@ const maxDampedAttempts = 40
 // the damping grows by decades until the factorization succeeds or the
 // attempt budget is exhausted. It returns the inverse, the damping
 // actually used, the number of escalation retries, and a condition
-// estimate of the matrix that was finally inverted. The error (wrapping
-// ErrIllConditioned) is non-nil only when no damping stabilized the solve;
-// no input can make it panic.
-func InvSPDDampedChecked(a *Dense, alpha float64) (inv *Dense, usedDamp float64, retries int, cond float64, err error) {
+// estimate of the matrix that was finally inverted. The inverse is written
+// into dst (a.Rows() square, not aliasing a) or, when dst is nil, into a
+// new matrix; with a dst every intermediate is pooled and a warmed call
+// allocates nothing. The error (wrapping ErrIllConditioned) is non-nil only
+// when no damping stabilized the solve, and dst is then untouched; no input
+// can make it panic.
+func InvSPDDampedChecked(dst, a *Dense, alpha float64) (inv *Dense, usedDamp float64, retries int, cond float64, err error) {
+	n := a.rows
+	if dst != nil {
+		if dst.rows != n || dst.cols != n {
+			panic("mat: InvSPDDampedChecked destination dimension mismatch")
+		}
+		checkNoAlias("InvSPDDampedChecked", dst, a)
+	}
+	l, lt := getDenseRaw(n, n), getDenseRaw(n, n)
+	defer PutDense(l)
+	defer PutDense(lt)
 	damp := alpha
 	for k := 0; k < maxDampedAttempts; k++ {
-		c := a.Clone().AddDiag(damp)
-		l, cerr := Cholesky(c)
-		if cerr == nil {
-			cond = CondEstCholesky(l, c.Norm1())
+		if choleskyInto(l, a, damp) == nil {
+			l.TInto(lt)
+			cond = condEstCholesky(l, lt, a.norm1Shifted(damp))
 			numerics.ObserveCondition("mat.invspd", cond)
-			return SolveCholesky(l, Identity(a.rows)), damp, k, cond, nil
+			if dst == nil {
+				dst = NewDense(n, n)
+			}
+			invCholInto(dst, l, lt)
+			return dst, damp, k, cond, nil
 		}
 		if damp == 0 {
 			damp = 1e-8
@@ -142,7 +211,7 @@ func InvSPDDampedChecked(a *Dense, alpha float64) (inv *Dense, usedDamp float64,
 // usable matrix: this function never panics. Callers that need to steer
 // their own degradation ladder use InvSPDDampedChecked instead.
 func InvSPDDamped(a *Dense, alpha float64) *Dense {
-	inv, _, retries, _, err := InvSPDDampedChecked(a, alpha)
+	inv, _, retries, _, err := InvSPDDampedChecked(nil, a, alpha)
 	numerics.AddRetries("mat.invspd", retries)
 	if err == nil {
 		return inv

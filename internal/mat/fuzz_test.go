@@ -188,7 +188,7 @@ func FuzzInvSPD(f *testing.F) {
 			a = RandSPD(rng, n, 1)
 			a.Set(n-1, n-1, poison)
 		}
-		inv, _, retries, _, err := InvSPDDampedChecked(a, alpha)
+		inv, _, retries, _, err := InvSPDDampedChecked(nil, a, alpha)
 		if err == nil {
 			if !inv.IsFinite() {
 				t.Fatal("checked success returned non-finite inverse")

@@ -60,7 +60,7 @@ func checkGatheredOracle(t *testing.T, seed uint64, kind string, m, k, n int) {
 		name := fmt.Sprintf("%s %s %dx%dx%d", impl.name, kind, m, k, n)
 		impl.with(func() {
 			got.Fill(math.NaN())
-			gemmPacked(got, nil, g, b, false, false, m, k, n, false)
+			gemmPacked(got, nil, g, b, false, false, m, k, n, false, false)
 			sameOracle(t, name+" packed", want, got)
 
 			whole := MulInto(NewDense(m, n), a, b)

@@ -184,7 +184,7 @@ func MulGatheredInto(dst *Dense, g Gathered, b *Dense, wm, wk int, acc bool) *De
 		panic("mat: MulGatheredInto offset tables reach outside Data")
 	}
 	if wm*n*wk >= parallelThreshold && wm != 1 && n != 1 {
-		gemmPacked(dst, nil, g, b, false, false, m, k, n, acc)
+		gemmPacked(dst, nil, g, b, false, false, m, k, n, acc, false)
 		return dst
 	}
 	// gemmSmall's a*b (and, per element, its aᵀb): zero-skip, then one axpy
@@ -257,7 +257,7 @@ func gemm(out, a, b *Dense, transA, transB bool, rows int, acc bool) {
 		gemmSmall(out, a, b, transA, transB, m, k, n, acc)
 		return
 	}
-	gemmPacked(out, a, Gathered{}, b, transA, transB, m, k, n, acc)
+	gemmPacked(out, a, Gathered{}, b, transA, transB, m, k, n, acc, false)
 }
 
 // gemmSmall handles shapes where packing overhead dominates, with loop
@@ -314,8 +314,9 @@ func gemmSmall(out, a, b *Dense, transA, transB bool, m, k, n int, acc bool) {
 // overwrites out and the rest accumulate into it in a fixed sequential
 // order, so the result is deterministic regardless of how workers interleave.
 // With acc the first slice accumulates too: out holds the earlier strips.
-// A nil a makes the gathered operand g the left factor.
-func gemmPacked(out, a *Dense, g Gathered, b *Dense, transA, transB bool, m, k, n int, acc bool) {
+// A nil a makes the gathered operand g the left factor. With lower, tiles
+// wholly above the diagonal are left unwritten.
+func gemmPacked(out, a *Dense, g Gathered, b *Dense, transA, transB bool, m, k, n int, acc, lower bool) {
 	bp := getFloatsRaw(gemmKC * ((gemmNC + gemmNR - 1) / gemmNR) * gemmNR)
 	mpanels := (m + gemmMR - 1) / gemmMR
 	nw := runtime.GOMAXPROCS(0)
@@ -343,7 +344,7 @@ func gemmPacked(out, a *Dense, g Gathered, b *Dense, transA, transB bool, m, k, 
 			for pc := 0; pc < k; pc += gemmKC {
 				kc := min(gemmKC, k-pc)
 				packB(bp, b, transB, pc, kc, jc, nc)
-				gemmSweep(out, a, g, transA, ap, bp, 0, mpanels, m, pc, kc, jc, nc, pc == 0 && !acc)
+				gemmSweep(out, a, g, transA, ap, bp, 0, mpanels, m, pc, kc, jc, nc, pc == 0 && !acc, lower)
 			}
 		}
 		PutFloats(ap)
@@ -370,7 +371,7 @@ func gemmPacked(out, a *Dense, g Gathered, b *Dense, transA, transB bool, m, k, 
 							break
 						}
 						hi := min(lo+gemmClaimPanels, mpanels)
-						gemmSweep(out, a, g, transA, ap, bp, lo, hi, m, pc, kc, jc, nc, pc == 0 && !acc)
+						gemmSweep(out, a, g, transA, ap, bp, lo, hi, m, pc, kc, jc, nc, pc == 0 && !acc, lower)
 					}
 					PutFloats(ap)
 				}()
@@ -396,14 +397,22 @@ type panel struct {
 // is read where it lies — a conv GEMM's 8..32 output columns would use a
 // packed copy for one to four tiles; transposed a (a gather per k step),
 // zero-padded edge panels and every gathered panel without the assembly are
-// packed into ap.
-func gemmSweep(out, a *Dense, g Gathered, transA bool, ap, bp []float64, lo, hi, m, pc, kc, jc, nc int, first bool) {
+// packed into ap. With lower, a row panel stops at its diagonal tile.
+func gemmSweep(out, a *Dense, g Gathered, transA bool, ap, bp []float64, lo, hi, m, pc, kc, jc, nc int, first, lower bool) {
 	fma := fmaEnabled()
 	npanels := (nc + gemmNR - 1) / gemmNR
 	var pa panel // set field by field: a composite literal per panel is a block copy
 	for ip := lo; ip < hi; ip++ {
 		i0 := ip * gemmMR
 		rows := min(gemmMR, m-i0)
+		if lower {
+			// The tiles whose first column is at most the panel's last row.
+			last := i0 + rows - 1 - jc
+			if last < 0 {
+				continue
+			}
+			npanels = min((nc+gemmNR-1)/gemmNR, last/gemmNR+1)
+		}
 		switch {
 		case a == nil && useAsm && rows == gemmMR:
 			pa.a, pa.row, pa.col = g.Data, g.Row[i0:i0+gemmMR], g.Col[pc:pc+kc]

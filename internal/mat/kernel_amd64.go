@@ -2,10 +2,10 @@
 
 package mat
 
-// useAsm selects the AVX2 micro-kernel, axpy and dot tile over the pure-Go
-// reference kernels. Both compute the same bits in either kernel family, so
-// the choice is not part of a run's numerical identity; it is a variable only
-// so tests can force the reference.
+// useAsm selects the AVX2 micro-kernel, axpy, dot tile and substitution tile
+// over the pure-Go reference kernels. Both compute the same bits in either
+// kernel family, so the choice is not part of a run's numerical identity; it
+// is a variable only so tests can force the reference.
 var useAsm = hasAVX2FMA()
 
 // hasAVX2FMA reports whether the CPU has AVX2 and FMA3 and the OS saves the
@@ -31,6 +31,9 @@ func axpyAVX2(fma bool, dst, src []float64, s float64)
 
 //go:noescape
 func dotTileAVX2(fma bool, rows, k int, x *float64, ldx int, y *float64, ldy int, out *float64, ldo int)
+
+//go:noescape
+func substTileAVX2(fma bool, nk int, coef, src, dst *float64, scale float64)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -5,9 +5,9 @@
 // AVX2 implementations of the two kernel families (see kernel_amd64.go).
 // Every element follows the scalar reference's rounding sequence exactly:
 // VMULPD then VADDPD rounds twice like Go's c += a*b, VFMADD231PD rounds
-// once like math.FMA. In the GEMM tile and axpy, lanes run across
-// independent elements, never across the k sum; the dot tile's four lanes
-// are Dot's own s0..s3.
+// once like math.FMA. In the GEMM tile, axpy and the substitution tile,
+// lanes run across independent elements, never across the k sum; the dot
+// tile's four lanes are Dot's own s0..s3.
 
 // One k step of the 4×8 tile: B row p in Y8:Y9, the four A values broadcast
 // one at a time into Y10, accumulators Y0..Y7 (row i in Y(2i):Y(2i+1)).
@@ -378,6 +378,76 @@ store:
 	VMOVUPD Y4, (DX)(BX*8)
 
 done:
+	VZEROUPPER
+	RET
+
+// func substTileAVX2(fma bool, nk int, coef, src, dst *float64, scale float64)
+//
+// One 16-wide panel row of a triangular substitution, four accumulators
+// Y0..Y3 loaded from dst: for k < nk ascending, unless coef[k] is ±0 (a NaN
+// is not skipped), acc −= coef[k]·src[16k:16k+16] — VMULPD then VSUBPD, or
+// VFNMADD231PD — then dst = acc·scale, stored once. x − l·s is axpy's
+// x + (−l)·s bit for bit in either family. nk ≥ 1.
+TEXT ·substTileAVX2(SB), NOSPLIT, $0-48
+	MOVQ    nk+8(FP), CX
+	MOVQ    coef+16(FP), SI
+	MOVQ    src+24(FP), DI
+	MOVQ    dst+32(FP), DX
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	VMOVUPD 64(DX), Y2
+	VMOVUPD 96(DX), Y3
+	CMPB    fma+0(FP), $0
+	JNE     sfma
+
+smuladd:
+	// Shifting out the sign leaves zero bits exactly for ±0.
+	MOVQ         (SI), AX
+	SHLQ         $1, AX
+	JZ           smuladdnext
+	VBROADCASTSD (SI), Y4
+	VMULPD       (DI), Y4, Y5
+	VMULPD       32(DI), Y4, Y6
+	VMULPD       64(DI), Y4, Y7
+	VMULPD       96(DI), Y4, Y8
+	VSUBPD       Y5, Y0, Y0
+	VSUBPD       Y6, Y1, Y1
+	VSUBPD       Y7, Y2, Y2
+	VSUBPD       Y8, Y3, Y3
+
+smuladdnext:
+	ADDQ $8, SI
+	ADDQ $128, DI
+	DECQ CX
+	JNZ  smuladd
+	JMP  sstore
+
+sfma:
+	MOVQ         (SI), AX
+	SHLQ         $1, AX
+	JZ           sfmanext
+	VBROADCASTSD (SI), Y4
+	VFNMADD231PD (DI), Y4, Y0
+	VFNMADD231PD 32(DI), Y4, Y1
+	VFNMADD231PD 64(DI), Y4, Y2
+	VFNMADD231PD 96(DI), Y4, Y3
+
+sfmanext:
+	ADDQ $8, SI
+	ADDQ $128, DI
+	DECQ CX
+	JNZ  sfma
+
+sstore:
+	VBROADCASTSD scale+40(FP), Y4
+	VMULPD       Y4, Y0, Y0
+	VMULPD       Y4, Y1, Y1
+	VMULPD       Y4, Y2, Y2
+	VMULPD       Y4, Y3, Y3
+	VMOVUPD      Y0, (DX)
+	VMOVUPD      Y1, 32(DX)
+	VMOVUPD      Y2, 64(DX)
+	VMOVUPD      Y3, 96(DX)
 	VZEROUPPER
 	RET
 

@@ -21,3 +21,7 @@ func axpyAVX2(fma bool, dst, src []float64, s float64) {
 func dotTileAVX2(fma bool, rows, k int, x *float64, ldx int, y *float64, ldy int, out *float64, ldo int) {
 	panic("mat: no assembly kernel in this build")
 }
+
+func substTileAVX2(fma bool, nk int, coef, src, dst *float64, scale float64) {
+	panic("mat: no assembly kernel in this build")
+}

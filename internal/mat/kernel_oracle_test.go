@@ -119,7 +119,7 @@ func checkGemmOracle(t *testing.T, seed uint64, kind string, transA, transB bool
 	got := NewDense(m, n)
 	for _, impl := range kernelImpls {
 		got.Fill(math.NaN())
-		impl.with(func() { gemmPacked(got, a, Gathered{}, b, transA, transB, m, k, n, false) })
+		impl.with(func() { gemmPacked(got, a, Gathered{}, b, transA, transB, m, k, n, false, false) })
 		sameOracle(t, name+" "+impl.name, want, got)
 	}
 	if kind == "zeros" {
@@ -275,5 +275,27 @@ func FuzzAxpy(f *testing.F) {
 		kind := oracleKinds[mode>>1&3]
 		rng := NewRNG(seed)
 		checkAxpyOracle(t, oracleOperand(rng, kind, 1, int(n)+1).data[:n], oracleOperand(rng, kind, 1, int(n)+1).data, s)
+	})
+}
+
+// TestGramTIntoOracle holds GramTInto, which computes the packed product's
+// lower-triangle tiles and mirrors them, to the full MulTAInto(dst, m, m)
+// over shapes with edge rows and columns, one past an nc block, two kc
+// slices, and one below the small-product threshold.
+func TestGramTIntoOracle(t *testing.T) {
+	shapes := [][2]int{{64, 65}, {40, 81}, {17, 129}, {256, 257}, {5, gemmNC + 44}, {gemmKC + 1, 23}, {2*gemmKC - 24, 17}, {3, 10}, {9, 1}}
+	withBothKernelFamilies(t, func(t *testing.T) {
+		for si, s := range shapes {
+			for ci, kind := range oracleKinds {
+				m := oracleOperand(NewRNG(uint64(10*si+ci)), kind, s[0], s[1])
+				want := MulTAInto(NewDense(s[1], s[1]), m, m)
+				got := NewDense(s[1], s[1])
+				for _, impl := range kernelImpls {
+					got.Fill(math.NaN())
+					impl.with(func() { GramTInto(got, m) })
+					sameOracle(t, fmt.Sprintf("GramTInto %s %dx%d %s", kind, s[0], s[1], impl.name), want, got)
+				}
+			}
+		}
 	})
 }

@@ -66,6 +66,12 @@ func GramInto(dst, m *Dense) {
 	} else {
 		gramParallel(dst, m, pairs, nw)
 	}
+	mirrorLower(dst)
+}
+
+// mirrorLower copies the lower triangle of the square dst onto its upper.
+func mirrorLower(dst *Dense) {
+	n := dst.rows
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			dst.data[i*n+j] = dst.data[j*n+i]
@@ -76,8 +82,24 @@ func GramInto(dst, m *Dense) {
 // GramT returns mᵀ*m (the m.cols × m.cols Gram matrix of the columns of m).
 func GramT(m *Dense) *Dense { return MulTA(m, m) }
 
-// GramTInto sets dst = mᵀ*m without allocating.
-func GramTInto(dst, m *Dense) { MulTAInto(dst, m, m) }
+// GramTInto sets dst = mᵀ*m without allocating, bit for bit as
+// MulTAInto(dst, m, m). A product that gemm packs computes only the tiles
+// that reach the lower triangle and mirrors them: every element is its own
+// k-ordered sum and a·b ≡ b·a. The small path stays whole, as its zero
+// skips test one factor. dst must not alias m.
+func GramTInto(dst, m *Dense) {
+	n := m.cols
+	if dst.rows != n || dst.cols != n {
+		panic("mat: GramTInto destination dimension mismatch")
+	}
+	checkNoAlias("GramTInto", dst, m)
+	if n*n*m.rows < parallelThreshold || n == 1 { // gemm's small-product test
+		gemm(dst, m, m, true, false, m.rows, false)
+		return
+	}
+	gemmPacked(dst, m, Gathered{}, m, true, false, n, m.rows, n, false, true)
+	mirrorLower(dst)
+}
 
 // gramPair fills rows 2p and 2p+1 of the lower triangle of dst = m*mᵀ. The
 // width is rounded up to whole dot tiles where the rows exist: what that

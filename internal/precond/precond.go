@@ -158,9 +158,11 @@ func (k *Kernel) Restore(s KernelState) {
 // counted under site, and — when no damping stabilizes the solve or the
 // result is not finite — rung recorded once under site and fallback(k, γ)
 // returned in its place. The fallback has k's shape, so a broadcast of the
-// result stays matched across workers whichever way it went.
-func InvertSPD(k *mat.Dense, gamma float64, site string, rung numerics.Rung, fallback func(k *mat.Dense, gamma float64) *mat.Dense) *mat.Dense {
-	inv, _, retries, _, err := mat.InvSPDDampedChecked(k, gamma)
+// result stays matched across workers whichever way it went. With a dst
+// (k's shape, not aliasing it) the result, fallback included, is written
+// there and dst returned; with nil it is a new matrix.
+func InvertSPD(dst, k *mat.Dense, gamma float64, site string, rung numerics.Rung, fallback func(k *mat.Dense, gamma float64) *mat.Dense) *mat.Dense {
+	inv, _, retries, _, err := mat.InvSPDDampedChecked(dst, k, gamma)
 	numerics.AddRetries(site, retries)
 	if err == nil && inv.IsFinite() {
 		return inv
@@ -170,7 +172,12 @@ func InvertSPD(k *mat.Dense, gamma float64, site string, rung numerics.Rung, fal
 		reason = err.Error()
 	}
 	numerics.RecordFallback(site, rung, reason)
-	return fallback(k, gamma)
+	fb := fallback(k, gamma)
+	if dst == nil {
+		return fb
+	}
+	dst.CopyFrom(fb)
+	return dst
 }
 
 // Zero is the InvertSPD fallback of the kernel methods: M = 0 makes the

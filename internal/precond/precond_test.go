@@ -101,9 +101,13 @@ func TestInvertSPD(t *testing.T) {
 	x := mat.RandN(rng, 8, 4, 1)
 	k := mat.GramT(x) // 4×4 SPD
 	numerics.Reset()
-	inv := InvertSPD(k, 0.1, "test.ok", numerics.RungIdentity, Zero)
+	inv := InvertSPD(nil, k, 0.1, "test.ok", numerics.RungIdentity, Zero)
 	if d := mat.MaxAbsDiff(mat.Mul(k.Clone().AddDiag(0.1), inv), mat.Identity(4)); d > 1e-10 {
 		t.Fatalf("(k+γI)·inv differs from I by %g", d)
+	}
+	dst := mat.NewDense(4, 4)
+	if got := InvertSPD(dst, k, 0.1, "test.ok", numerics.RungIdentity, Zero); got != dst || mat.MaxAbsDiff(dst, inv) != 0 {
+		t.Fatal("inverse into a destination is not dst holding the same inverse")
 	}
 	if n := numerics.Default().Snapshot().TotalFallbacks(); n != 0 {
 		t.Fatalf("healthy inverse recorded %d fallbacks", n)
@@ -119,14 +123,21 @@ func TestInvertSPD(t *testing.T) {
 		{"test.zero", numerics.RungIdentity, Zero},
 		{"test.diag", numerics.RungDiagonal, mat.DiagInvDamped},
 	} {
-		numerics.Reset()
-		got := InvertSPD(bad, 0.1, c.site, c.rung, c.fallback)
-		if want := c.fallback(bad, 0.1); got.Rows() != 3 || got.Cols() != 3 || mat.MaxAbsDiff(got, want) != 0 {
-			t.Fatalf("%s: result is not the caller's 3×3 fallback", c.site)
-		}
-		snap := numerics.Default().Snapshot()
-		if snap.Fallbacks[c.site][c.rung] != 1 || snap.TotalFallbacks() != 1 {
-			t.Fatalf("%s: fallbacks = %v; want rung %v once", c.site, snap.Fallbacks, c.rung)
+		dst := mat.NewDense(3, 3)
+		dst.Fill(math.NaN())
+		for _, d := range []*mat.Dense{nil, dst} {
+			numerics.Reset()
+			got := InvertSPD(d, bad, 0.1, c.site, c.rung, c.fallback)
+			if want := c.fallback(bad, 0.1); got.Rows() != 3 || got.Cols() != 3 || mat.MaxAbsDiff(got, want) != 0 {
+				t.Fatalf("%s: result is not the caller's 3×3 fallback", c.site)
+			}
+			if d != nil && got != d {
+				t.Fatalf("%s: fallback not written into the destination", c.site)
+			}
+			snap := numerics.Default().Snapshot()
+			if snap.Fallbacks[c.site][c.rung] != 1 || snap.TotalFallbacks() != 1 {
+				t.Fatalf("%s: fallbacks = %v; want rung %v once", c.site, snap.Fallbacks, c.rung)
+			}
 		}
 	}
 	numerics.Reset()

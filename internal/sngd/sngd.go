@@ -142,7 +142,7 @@ func (s *SNGD) stageInvert(i int) {
 	k := mat.GetDense(mg, mg)
 	mat.KernelMatrixInto(k, st.As, st.Gs)
 	k.AddDiag(s.Damping)
-	pl.m = precond.InvertSPD(k, 0, "sngd.kernel", numerics.RungIdentity, precond.Zero)
+	pl.m = precond.InvertSPD(nil, k, 0, "sngd.kernel", numerics.RungIdentity, precond.Zero)
 	mat.PutDense(k)
 	s.Record(dist.PhaseInvert, pl.layer, t0)
 }
