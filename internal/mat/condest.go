@@ -101,7 +101,7 @@ func (f *LU) Cond1(anorm float64) float64 {
 // solveVec solves a*x = b in place for a single vector.
 func (f *LU) solveVec(x []float64) {
 	n := f.lu.rows
-	tmp := GetFloats(n)
+	tmp := getFloatsRaw(n)
 	for i, p := range f.piv {
 		tmp[i] = x[p]
 	}
@@ -132,15 +132,21 @@ func (f *LU) solveVec(x []float64) {
 // diagonal), then undo the permutation x = Pᵀw.
 func (f *LU) solveVecT(x []float64) {
 	n := f.lu.rows
-	tmp := GetFloats(n)
+	buf := getFloatsRaw(2 * n)
+	tmp, acc := buf[:n], buf[n:]
 	copy(tmp, x)
-	// Forward: Uᵀ y = b (Uᵀ is lower-triangular with U's diagonal).
-	for i := 0; i < n; i++ {
-		var s float64
-		for k := 0; k < i; k++ {
-			s += f.lu.At(k, i) * tmp[k]
+	clear(acc)
+	// Forward: Uᵀ y = b (Uᵀ is lower-triangular with U's diagonal), walking
+	// U by rows: acc_i sums u_ki·y_k for k ascending from +0, as the dot
+	// down column i did, each in its own accumulator.
+	for k := 0; k < n; k++ {
+		rk := f.lu.Row(k)
+		yk := (tmp[k] - acc[k]) / rk[k]
+		tmp[k] = yk
+		tail := acc[k+1:]
+		for i, u := range rk[k+1 : k+1+len(tail)] {
+			tail[i] += u * yk
 		}
-		tmp[i] = (tmp[i] - s) / f.lu.At(i, i)
 	}
 	// Backward: Lᵀ w = y (Lᵀ is unit upper-triangular).
 	for i := n - 2; i >= 0; i-- {
@@ -153,7 +159,7 @@ func (f *LU) solveVecT(x []float64) {
 	for i, p := range f.piv {
 		x[p] = tmp[i]
 	}
-	PutFloats(tmp)
+	PutFloats(buf)
 }
 
 // condEstCholesky returns the 1-norm condition estimate of the SPD matrix

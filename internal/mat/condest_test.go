@@ -90,27 +90,20 @@ func TestInvCondInto(t *testing.T) {
 
 // oracleInvCondInto is InvCondInto as it stood before it became
 // SolveCondInto against the identity: the permuted identity written
-// straight into dst, then the substitution.
+// straight into dst, then the substitution — on the LU oracles.
 func oracleInvCondInto(dst, a *Dense) (float64, error) {
 	anorm := a.Norm1()
 	n := a.rows
-	lu := getDenseRaw(n, n)
-	lu.CopyFrom(a)
-	piv := getInts(n)
-	f, err := factorLUInPlace(lu, piv)
+	f, err := oracleFactorLU(a.Clone(), make([]int, n))
 	if err != nil {
-		putInts(piv)
-		PutDense(lu)
 		return math.Inf(1), err
 	}
-	cond := f.Cond1(anorm)
+	cond := oracleCond1(&f, anorm)
 	dst.Zero()
 	for i, p := range f.piv {
 		dst.data[i*n+p] = 1
 	}
-	f.solveInPlace(dst)
-	putInts(piv)
-	PutDense(lu)
+	oracleLUSolve(&f, dst)
 	return cond, nil
 }
 

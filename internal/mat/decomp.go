@@ -259,40 +259,79 @@ func FactorLU(a *Dense) (*LU, error) {
 
 // factorLUInPlace factors lu destructively using the caller's pivot
 // storage, returning the factorization by value so the pooled inversion
-// path allocates nothing.
+// path allocates nothing. It is right-looking, blocked by substW columns,
+// and bit for bit the unblocked elimination: element (i, j) receives
+// x + (−l_ik)·u_kj for k ascending, skipping l_ik = ±0, each rounded as
+// axpy rounds it — in the panel and in U₁₂ by axpy itself, in A₂₂ by the
+// substitution tile (x·1 is exact). Row swaps move whole rows, their
+// multipliers and pending updates with them, and do no arithmetic.
 func factorLUInPlace(lu *Dense, piv []int) (LU, error) {
 	n := lu.rows
 	for i := range piv {
 		piv[i] = i
 	}
 	sign := 1
-	for k := 0; k < n; k++ {
-		// Partial pivot.
-		p, maxAbs := k, math.Abs(lu.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(lu.At(i, k)); v > maxAbs {
-				p, maxAbs = i, v
+	fma := fmaEnabled()
+	// U₁₂'s packed block, then a padded row for a narrow last block.
+	panel := GetFloats(substW*substW + substW)
+	defer PutFloats(panel)
+	pad := panel[substW*substW:]
+	for k0 := 0; k0 < n; k0 += substW {
+		k1 := min(k0+substW, n)
+		for k := k0; k < k1; k++ {
+			// Partial pivot over the whole column.
+			p, maxAbs := k, math.Abs(lu.At(k, k))
+			for i := k + 1; i < n; i++ {
+				if v := math.Abs(lu.At(i, k)); v > maxAbs {
+					p, maxAbs = i, v
+				}
+			}
+			if maxAbs == 0 {
+				return LU{}, fmt.Errorf("%w (column %d)", ErrSingular, k)
+			}
+			if p != k {
+				rk, rp := lu.Row(k), lu.Row(p)
+				for j := range rk {
+					rk[j], rp[j] = rp[j], rk[j]
+				}
+				piv[k], piv[p] = piv[p], piv[k]
+				sign = -sign
+			}
+			pivVal := lu.At(k, k)
+			rowK := lu.Row(k)
+			for i := k + 1; i < n; i++ {
+				rowI := lu.Row(i)
+				f := rowI[k] / pivVal
+				rowI[k] = f
+				if f != 0 {
+					axpy(rowI[k+1:k1], rowK[k+1:k1], -f)
+				}
 			}
 		}
-		if maxAbs == 0 {
-			return LU{}, fmt.Errorf("%w (column %d)", ErrSingular, k)
-		}
-		if p != k {
-			rk, rp := lu.Row(k), lu.Row(p)
-			for j := range rk {
-				rk[j], rp[j] = rp[j], rk[j]
+		// U₁₂: the panel rows' trailing columns, by the panel's unit lower L₁₁.
+		for k := k0 + 1; k < k1; k++ {
+			rowK := lu.Row(k)
+			for m := k0; m < k; m++ {
+				if l := rowK[m]; l != 0 {
+					axpy(rowK[k1:], lu.Row(m)[k1:], -l)
+				}
 			}
-			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
-		pivVal := lu.At(k, k)
-		rowK := lu.Row(k)
-		for i := k + 1; i < n; i++ {
-			rowI := lu.Row(i)
-			f := rowI[k] / pivVal
-			rowI[k] = f
-			if f != 0 {
-				axpy(rowI[k+1:], rowK[k+1:], -f)
+		// A₂₂ −= L₂₁·U₁₂, one packed substW-column block of U₁₂ at a time.
+		for j0 := k1; j0 < n; j0 += substW {
+			w := min(substW, n-j0)
+			for m := k0; m < k1; m++ {
+				copy(panel[(m-k0)*substW:(m-k0)*substW+w], lu.Row(m)[j0:])
+			}
+			for i := k1; i < n; i++ {
+				ri := lu.Row(i)
+				if w == substW {
+					substRow(fma, ri[k0:k1], panel, ri[j0:], 1)
+					continue
+				}
+				copy(pad, ri[j0:])
+				substRow(fma, ri[k0:k1], panel, pad, 1)
+				copy(ri[j0:], pad[:w])
 			}
 		}
 	}
@@ -314,31 +353,31 @@ func (f *LU) Solve(b *Dense) *Dense {
 }
 
 // solveInPlace runs the forward/backward substitution on x, which must
-// already hold the row-permuted right-hand side.
+// already hold the row-permuted right-hand side, bit for bit the row-wise
+// substitution: for row i and k ascending, skipping a coefficient that is
+// ±0, x_i += (−l_ik)·x_k (L unit lower, so ·1 after), then
+// x_i += (−u_ik)·x_k and x_i *= 1/u_ii. Columns are independent, so it runs
+// one substW-column panel of x at a time in pooled scratch, as invCholInto
+// does; a narrow last panel's padding columns are not copied back.
 func (f *LU) solveInPlace(x *Dense) {
-	n := f.lu.rows
-	// Forward: L*y = P*b (unit lower).
-	for i := 1; i < n; i++ {
-		ri := f.lu.Row(i)
-		xi := x.Row(i)
-		for k := 0; k < i; k++ {
-			if ri[k] != 0 {
-				axpy(xi, x.Row(k), -ri[k])
-			}
+	n, m := f.lu.rows, x.cols
+	lu := f.lu.data
+	p := GetFloats(n * substW)
+	defer PutFloats(p)
+	fma := fmaEnabled()
+	for c0 := 0; c0 < m; c0 += substW {
+		w := min(substW, m-c0)
+		for i := 0; i < n; i++ {
+			copy(p[i*substW:i*substW+w], x.data[i*m+c0:])
 		}
-	}
-	// Backward: U*x = y.
-	for i := n - 1; i >= 0; i-- {
-		ri := f.lu.Row(i)
-		xi := x.Row(i)
-		for k := i + 1; k < n; k++ {
-			if ri[k] != 0 {
-				axpy(xi, x.Row(k), -ri[k])
-			}
+		for i := 1; i < n; i++ {
+			substRow(fma, lu[i*n:i*n+i], p, p[i*substW:], 1)
 		}
-		inv := 1 / ri[i]
-		for c := range xi {
-			xi[c] *= inv
+		for i := n - 1; i >= 0; i-- {
+			substRow(fma, lu[i*n+i+1:(i+1)*n], p[(i+1)*substW:], p[i*substW:], 1/lu[i*n+i])
+		}
+		for i := 0; i < n; i++ {
+			copy(x.data[i*m+c0:i*m+c0+w], p[i*substW:])
 		}
 	}
 }

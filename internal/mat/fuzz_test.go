@@ -82,13 +82,15 @@ func FuzzKernelIdentity(f *testing.F) {
 // FuzzFactorLU asserts the panic-free contract of the LU path: either the
 // factorization reports an error, or the solve it yields is finite and the
 // condition estimate is non-negative — for arbitrary (including degenerate
-// and non-finite) inputs, it must never panic.
+// and non-finite) inputs, it must never panic. Factor, pivots, error and a
+// two-panel solve also match the unblocked oracle bit for bit.
 func FuzzFactorLU(f *testing.F) {
 	f.Add(uint64(1), uint8(4), 1.0)
 	f.Add(uint64(9), uint8(1), 0.0)
 	f.Add(uint64(17), uint8(12), math.NaN())
+	f.Add(uint64(5), uint8(36), 0.0)
 	f.Fuzz(func(t *testing.T, seed uint64, nDim uint8, poison float64) {
-		n := int(nDim%12) + 1
+		n := int(nDim%40) + 1
 		rng := NewRNG(seed)
 		a := RandN(rng, n, n, 1)
 		// Sometimes poison one entry (NaN, Inf, huge) to probe non-finite
@@ -99,6 +101,7 @@ func FuzzFactorLU(f *testing.F) {
 		if seed%3 == 0 && n > 1 {
 			copy(a.Row(1), a.Row(0)) // duplicated row: exactly singular
 		}
+		checkLUOracle(t, "fuzz", a, []*Dense{RandN(rng, n, 1+int(seed%33), 1)})
 		anorm := a.Norm1()
 		lu, err := FactorLU(a)
 		if err != nil {
@@ -118,14 +121,16 @@ func FuzzFactorLU(f *testing.F) {
 
 // FuzzQRPivot asserts that pivoted QR and its numerical-rank detection
 // never panic and obey the rank contract 0 ≤ rank ≤ min(m,n) for arbitrary
-// inputs, including exactly-singular and non-finite ones.
+// inputs, including exactly-singular and non-finite ones. The row sweep
+// also matches its single-row oracle bit for bit.
 func FuzzQRPivot(f *testing.F) {
 	f.Add(uint64(2), uint8(6), uint8(4), 1e-10)
 	f.Add(uint64(8), uint8(1), uint8(9), 0.0)
 	f.Add(uint64(5), uint8(10), uint8(10), math.Inf(1))
+	f.Add(uint64(6), uint8(37), uint8(30), 1e-12)
 	f.Fuzz(func(t *testing.T, seed uint64, mDim, nDim uint8, tol float64) {
-		m := int(mDim%12) + 1
-		n := int(nDim%12) + 1
+		m := int(mDim%40) + 1
+		n := int(nDim%40) + 1
 		rng := NewRNG(seed)
 		a := RandN(rng, m, n, 1)
 		switch seed % 4 {
@@ -159,6 +164,14 @@ func FuzzQRPivot(f *testing.F) {
 		if o := oracleFactorQRPivot(a).NumericalRank(tol); rank != o {
 			t.Fatalf("NumericalRank(%g) = %d, oracle %d", tol, rank, o)
 		}
+		want := oracleFactorRows(a.Clone(), k)
+		got := factorRowsOf(a, k)
+		sameOracle(t, "row sweep w", want.qt, got.qt)
+		sameOracle(t, "row sweep τ", NewDenseData(1, k, want.tau), NewDenseData(1, k, got.tau))
+		if !sameInts(got.perm, want.perm) {
+			t.Fatalf("row sweep perm %v, oracle %v", got.perm, want.perm)
+		}
+		got.put()
 		checkRowIDOracle(t, a.T(), []int{1 + int(seed%uint64(k))})
 	})
 }

@@ -24,11 +24,12 @@ func FactorQRPivot(a *Dense) *QRPivot {
 // of wᵀ on the rows of w, destructively, taking ownership of its storage;
 // the hot path pairs it with put to recycle everything. A pivot
 // swaps two rows, a reflector is a row tail and the trailing update is one
-// sequential dot and one sequential axpy per row. Rows 0..steps-1 of R and
-// positions 0..steps-1 of the permutation are final after `steps` steps,
-// which is all a rank-`steps` row ID of w reads. The accumulations are
-// plain ordered loops on purpose: the selection must not depend on the
-// kernel family, so no Dot/axpy helper.
+// sequential dot and one axpy per row. Rows 0..steps-1 of R and positions
+// 0..steps-1 of the permutation are final after `steps` steps, which is all
+// a rank-`steps` row ID of w reads. The selection must not depend on the
+// kernel family: the dots are plain ordered loops, not Dot, and the axpy is
+// mul+add — the Go loop below, or on the assembly path reflectRows4's
+// axpyAVX2(false, …), which rounds each element the same way.
 func factorRowsInPlace(w *Dense, steps int) QRPivot {
 	n := w.rows
 	tau := GetFloats(steps)
@@ -60,7 +61,13 @@ func factorRowsInPlace(w *Dense, steps int) QRPivot {
 		v := w.Row(step)[step:]
 		alpha := houseGen(v, &tau[step])
 		t, vt := tau[step], v[1:]
-		for j := step + 1; j < n; j++ {
+		j := step + 1
+		if t != 0 && useAsm {
+			for ; j+4 <= n; j += 4 {
+				reflectRows4(w, j, step, t, vt, norm)
+			}
+		}
+		for ; j < n; j++ {
 			x := w.Row(j)[step:]
 			// Apply H = I - tau v vᵀ to the trailing row.
 			if t != 0 {
@@ -75,15 +82,46 @@ func factorRowsInPlace(w *Dense, steps int) QRPivot {
 					xt[i] -= s * vi
 				}
 			}
-			// Downdate the row norm.
-			norm[j] -= x[0] * x[0]
-			if norm[j] < 1e-12*math.Abs(norm[j])+1e-300 || norm[j] < 0 {
-				norm[j] = normSq(x[1:])
-			}
+			downdateNorm(&norm[j], x)
 		}
 		v[0] = alpha
 	}
 	return QRPivot{qt: w, tau: tau, perm: perm}
+}
+
+// reflectRows4 is one step's trailing update of rows j..j+3 of w, from
+// column step on, with reflector tail vt and τ = t ≠ 0: four independent
+// dot chains, each row's sum in the single-row loop's order and form, then
+// each row's update through axpyAVX2 in the mul+add family whatever the
+// kernel family (x − s·v is x + (−s)·v), then its norm downdate.
+func reflectRows4(w *Dense, j, step int, t float64, vt, norm []float64) {
+	x0, x1, x2, x3 := w.Row(j)[step:], w.Row(j + 1)[step:], w.Row(j + 2)[step:], w.Row(j + 3)[step:]
+	n := len(vt)
+	y0, y1, y2, y3 := x0[1:], x1[1:], x2[1:], x3[1:]
+	y0, y1, y2, y3 = y0[:n], y1[:n], y2[:n], y3[:n]
+	s0, s1, s2, s3 := x0[0], x1[0], x2[0], x3[0]
+	for i, vi := range vt {
+		s0 += vi * y0[i]
+		s1 += vi * y1[i]
+		s2 += vi * y2[i]
+		s3 += vi * y3[i]
+	}
+	for r, s := range [4]float64{s0, s1, s2, s3} {
+		x := w.Row(j + r)[step:]
+		s *= t
+		x[0] -= s
+		axpyAVX2(false, x[1:1+n], vt, -s)
+		downdateNorm(&norm[j+r], x)
+	}
+}
+
+// downdateNorm removes x[0]² from a row's remaining squared norm, recomputing
+// it from x[1:] when cancellation has eaten it.
+func downdateNorm(norm *float64, x []float64) {
+	*norm -= x[0] * x[0]
+	if *norm < 1e-12*math.Abs(*norm)+1e-300 || *norm < 0 {
+		*norm = normSq(x[1:])
+	}
 }
 
 // factorRowsOf is factorRowsInPlace on a pooled copy of q.

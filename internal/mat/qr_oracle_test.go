@@ -445,6 +445,141 @@ func checkRowIDOracle(t *testing.T, q *Dense, ranks []int) {
 	}
 }
 
+// oracleFactorRows is factorRowsInPlace as it stood before the four-row
+// sweep: per trailing row one sequential dot and one scalar Go update.
+func oracleFactorRows(w *Dense, steps int) QRPivot {
+	n := w.rows
+	tau, perm, norm := make([]float64, steps), make([]int, n), make([]float64, n)
+	for j := 0; j < n; j++ {
+		perm[j] = j
+		norm[j] = normSq(w.Row(j))
+	}
+	for step := 0; step < steps; step++ {
+		p, best := step, norm[step]
+		for j := step + 1; j < n; j++ {
+			if norm[j] > best {
+				p, best = j, norm[j]
+			}
+		}
+		if p != step {
+			rs, rp := w.Row(step), w.Row(p)
+			for i := range rs {
+				rs[i], rp[i] = rp[i], rs[i]
+			}
+			perm[step], perm[p] = perm[p], perm[step]
+			norm[step], norm[p] = norm[p], norm[step]
+		}
+		v := w.Row(step)[step:]
+		alpha := houseGen(v, &tau[step])
+		t, vt := tau[step], v[1:]
+		for j := step + 1; j < n; j++ {
+			x := w.Row(j)[step:]
+			if t != 0 {
+				xt := x[1 : 1+len(vt)]
+				s := x[0]
+				for i, vi := range vt {
+					s += vi * xt[i]
+				}
+				s *= t
+				x[0] -= s
+				for i, vi := range vt {
+					xt[i] -= s * vi
+				}
+			}
+			norm[j] -= x[0] * x[0]
+			if norm[j] < 1e-12*math.Abs(norm[j])+1e-300 || norm[j] < 0 {
+				norm[j] = normSq(x[1:])
+			}
+		}
+		v[0] = alpha
+	}
+	return QRPivot{qt: w, tau: tau, perm: perm}
+}
+
+// TestRowSweepOracle holds factorRowsInPlace, and InterpolativeDecompInto
+// on it, to oracleFactorRows by math.Float64bits — w, τ, perm, P and S —
+// with and without the assembly, under HYLO_FMA=0 and 1 against one
+// oracle: the sweep does not depend on the kernel family. The row counts
+// cover every remainder mod 4 of the four-row groups; "diag" and "zero
+// rows" take τ = 0 steps, "dup" the norm recompute, "nan" a poisoned row.
+func TestRowSweepOracle(t *testing.T) {
+	rng := NewRNG(41)
+	inputs := map[string]*Dense{}
+	for _, n := range []int{28, 29, 30, 31, 66, 1} {
+		inputs[fmt.Sprintf("random %dx40", n)] = RandN(rng, n, 40, 1)
+	}
+	diag := NewDense(33, 33)
+	for i := 0; i < 33; i++ {
+		diag.Set(i, i, float64(1+i%7))
+	}
+	zero := RandN(rng, 38, 30, 1)
+	clear(zero.data[8*30:])
+	dup := RandN(rng, 45, 27, 1)
+	for i := 6; i < 45; i++ {
+		copy(dup.Row(i), dup.Row(i%6))
+	}
+	nan := RandN(rng, 35, 50, 1)
+	for j := range nan.Row(9) {
+		nan.Set(9, j, math.NaN())
+	}
+	inputs["diag"], inputs["zero rows"], inputs["dup"], inputs["nan"] = diag, zero, dup, nan
+	for name, q := range inputs {
+		for _, steps := range []int{1, 5, 25, min(q.rows, q.cols)} {
+			steps = min(steps, q.rows, q.cols)
+			want := oracleFactorRows(q.Clone(), steps)
+			wantP, wantS := want.idInto(nil, nil, steps)
+			withBothKernelFamilies(t, func(t *testing.T) {
+				for _, impl := range kernelImpls {
+					name := fmt.Sprintf("%s steps=%d %s", name, steps, impl.name)
+					var f QRPivot
+					impl.with(func() { f = factorRowsInPlace(q.Clone(), steps) })
+					sameOracle(t, name+" w", want.qt, f.qt)
+					sameOracle(t, name+" τ", NewDenseData(1, steps, want.tau), NewDenseData(1, steps, f.tau))
+					if !sameInts(f.perm, want.perm) {
+						t.Fatalf("%s: perm %v, oracle %v", name, f.perm, want.perm)
+					}
+					var p *Dense
+					var s []int
+					impl.with(func() { p, s = InterpolativeDecompInto(nil, nil, q, steps, 0) })
+					if !sameInts(s, wantS) {
+						t.Fatalf("%s: S %v, oracle %v", name, s, wantS)
+					}
+					sameOracle(t, name+" P", wantP, p)
+				}
+			})
+		}
+	}
+}
+
+// TestRandomizedIDFamilyFree checks that the sketched ID on an SRHT sketch,
+// which multiplies nothing in a kernel family, gives the same bits under
+// HYLO_FMA=0 and 1, with and without the assembly.
+func TestRandomizedIDFamilyFree(t *testing.T) {
+	defer SetFMAKernels(FMAKernels())
+	for _, dims := range [][3]int{{64, 64, 6}, {128, 128, 12}, {61, 90, 25}} {
+		q := RandN(NewRNG(uint64(dims[0])), dims[0], dims[1], 1)
+		var wantP *Dense
+		var wantS []int
+		for _, impl := range kernelImpls {
+			for _, fma := range []bool{false, true} {
+				SetFMAKernels(fma)
+				var p *Dense
+				var s []int
+				impl.with(func() { p, s, _ = RandomizedIDInto(nil, nil, NewRNG(5), q, dims[2], 8, SketchSRHT) })
+				if wantP == nil {
+					wantP, wantS = p, s
+					continue
+				}
+				name := fmt.Sprintf("%v %s fma=%v", dims, impl.name, fma)
+				if !sameInts(s, wantS) {
+					t.Fatalf("%s: S %v, want %v", name, s, wantS)
+				}
+				sameOracle(t, name, wantP, p)
+			}
+		}
+	}
+}
+
 // withBothKernelFamilies runs fn with the mul+add and then the fused
 // kernel family selected — what HYLO_FMA=0 and HYLO_FMA=1 choose at start
 // up — and restores the family the process started with.
