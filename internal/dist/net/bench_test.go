@@ -44,6 +44,7 @@ func BenchmarkNetAllReduce(b *testing.B) {
 
 			run(3) // warm pools and settle connections outside the timer
 			startRx, _ := procs[0].NetBytes()
+			b.ReportAllocs()
 			b.ResetTimer()
 			run(b.N)
 			b.StopTimer()

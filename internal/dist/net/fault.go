@@ -18,11 +18,11 @@ import (
 // (endpoint-offset), so a given plan produces the identical fault sequence
 // on every run.
 //
-// Because the transport's request/response protocol is idempotent (results
-// are cached by collective sequence number and retransmitted on timeout),
-// every fault here is recoverable; injection therefore proves the recovery
-// machinery rather than merely breaking runs. A partition longer than the
-// peer deadline escalates — by design — into peer-death detection.
+// Every fault here is recoverable — requests and up frames are re-sent
+// until answered, and a parent re-serves its last completed collective's
+// down frames (tree.go) — so injection proves the recovery machinery
+// rather than merely breaking runs. A partition longer than the peer
+// deadline escalates — by design — into peer-death detection.
 type SocketFaultPlan struct {
 	// Seed drives all draws (offset by an endpoint id so the two ends of a
 	// connection fault independently but reproducibly).

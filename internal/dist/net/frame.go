@@ -37,6 +37,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"repro/internal/mat"
 )
 
 // Frame is the unit of exchange on the wire: a type tag, a sequence number
@@ -133,19 +135,23 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 
 // WriteFrame encodes f and writes it to w in one call (one syscall on a
 // net.Conn, which is what keeps the fault injector's frame granularity
-// honest: a dropped "frame" is the whole frame).
+// honest: a dropped "frame" is the whole frame). The encoding is pooled
+// scratch, returned once the write is done; w must not retain it.
 func WriteFrame(w io.Writer, f Frame) error {
-	buf := AppendFrame(make([]byte, 0, headerLen+len(f.Payload)+trailerLen), f)
+	buf := AppendFrame(mat.GetBytes(headerLen + len(f.Payload) + trailerLen)[:0], f)
 	_, err := w.Write(buf)
+	mat.PutBytes(buf)
 	return err
 }
 
 // ReadFrame decodes one frame from r. Truncation surfaces as ErrShortFrame
 // (clean EOF at a frame boundary stays io.EOF so connection teardown is
-// distinguishable from mid-frame loss).
+// distinguishable from mid-frame loss). The header lands in pooled scratch,
+// then the whole frame in one allocation, which the payload aliases.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := mat.GetBytes(headerLen)
+	defer mat.PutBytes(hdr)
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return Frame{}, ErrShortFrame
 		}
@@ -155,15 +161,11 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if length > MaxFramePayload {
 		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, length)
 	}
-	rest := make([]byte, int(length)+trailerLen)
-	if _, err := io.ReadFull(r, rest); err != nil {
+	buf := make([]byte, headerLen+int(length)+trailerLen)
+	copy(buf, hdr)
+	if _, err := io.ReadFull(r, buf[headerLen:]); err != nil {
 		return Frame{}, ErrShortFrame
 	}
-	f, _, err := DecodeFrame(append(hdr[:], rest...))
-	if err != nil {
-		return Frame{}, err
-	}
-	// Re-slice so the payload owns its backing array (the append above may
-	// alias hdr for tiny payloads, which is fine: it was freshly built).
-	return f, nil
+	f, _, err := DecodeFrame(buf)
+	return f, err
 }

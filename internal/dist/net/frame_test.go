@@ -141,3 +141,32 @@ func FuzzFrameDecode(f *testing.F) {
 		decodeMat(fr.Payload)
 	})
 }
+
+// TestFrameIOAllocs pins the frame path's allocations: ReadFrame reads
+// header, payload and trailer into one buffer (the payload it returns),
+// and a warmed WriteFrame frames into pooled scratch.
+func TestFrameIOAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts by design; allocation counts are not meaningful")
+	}
+	f := Frame{Type: ftTreeDown, Seq: 7, Payload: bytes.Repeat([]byte{0x5A}, 64<<10)}
+	wire := AppendFrame(nil, f)
+	r := bytes.NewReader(wire)
+	read := testing.AllocsPerRun(50, func() {
+		r.Reset(wire)
+		if _, err := ReadFrame(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if read != 1 {
+		t.Errorf("ReadFrame of a 64 KiB payload: %v allocations, want 1", read)
+	}
+	write := testing.AllocsPerRun(50, func() {
+		if err := WriteFrame(io.Discard, f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if write != 0 {
+		t.Errorf("WriteFrame to io.Discard: %v allocations, want 0", write)
+	}
+}

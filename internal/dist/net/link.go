@@ -346,7 +346,9 @@ func (l *link) rendezvous(gen uint32) (startMsg, error) {
 			l.rdvGen = 0
 			return startMsg{}, err
 		}
-		if l.hasStart && l.start.Gen >= gen {
+		// A start can outrun a lost join ack, whose member id the data
+		// plane needs: keep re-sending the join until both are in.
+		if l.hasStart && l.start.Gen >= gen && l.memberID != 0 {
 			l.rdvGen = 0
 			return l.start, nil
 		}

@@ -459,10 +459,9 @@ func decodeUp(p []byte) (chunkHdr, []seg, error) {
 }
 
 // encodeDown serializes one chunk of a finished collective, flowing
-// root → leaves, into a plain (unpooled) buffer: down payloads live in the
-// completed-collective cache and are shared with the local ranks reading
-// the result, so their lifetime is unbounded and they must not hold pool
-// capacity.
+// root → leaves, into a plain (unpooled) buffer: down payloads are shared
+// with the local ranks reading the result, so their lifetime is not the
+// engine's to end and they must not hold pool capacity.
 func encodeDown(h chunkHdr, s seg) []byte {
 	sum := isSum(h.Op)
 	return appendSegData(h.appendTo(make([]byte, 0, chunkHdrLen+segDataLen(sum, s))), sum, s)

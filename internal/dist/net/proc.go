@@ -2,6 +2,7 @@ package distnet
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -163,7 +164,7 @@ type Proc struct {
 	// seqFloor is the highest collective sequence number any worker has
 	// used this generation. A later Run in the same generation starts its
 	// workers above it, so sequence numbers never alias completed
-	// collectives (whose cached results would otherwise be replayed).
+	// collectives (the engine would drop or answer them as late repeats).
 	seqFloor uint64
 	rankA    atomic.Int32 // baseRank mirror for lock-free telemetry labels
 
@@ -340,6 +341,11 @@ func (p *Proc) onFailure(err error) {
 	p.tree.install(startMsg{})
 }
 
+// ErrCollectiveOverlap withdraws a process when one of its ranks deposits
+// a collective while an earlier one is undelivered: the data plane keeps
+// only the last completed collective and relies on that order (tree.go).
+var ErrCollectiveOverlap = errors.New("distnet: collective deposited while an earlier one is undelivered")
+
 // wireSeq tags a collective sequence number with its generation so a stale
 // in-flight result from before a rejoin can never alias a live collective.
 func wireSeq(gen uint32, seq uint64) uint64 {
@@ -362,6 +368,15 @@ func (p *Proc) collective(slot int, op byte, pt part, seq uint64) [][]byte {
 		p.seqFloor = seq
 	}
 	ws := wireSeq(gen, seq)
+	for open, olc := range p.colls {
+		if open < ws && !olc.done {
+			err := fmt.Errorf("%w: rank %d deposited seq %d while seq %d is open",
+				ErrCollectiveOverlap, p.baseRank+slot, seq, open&(1<<40-1))
+			p.mu.Unlock()
+			p.abortLocal(err)
+			panic(dist.ErrClusterPoisoned)
+		}
+	}
 	lc := p.colls[ws]
 	if lc == nil {
 		lc = &localColl{op: op, parts: make([]part, p.cfg.LocalRanks)}

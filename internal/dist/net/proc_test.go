@@ -614,3 +614,51 @@ func TestProcRejectsConfigMismatch(t *testing.T) {
 		t.Fatalf("good joiner world=%d base=%d", good.WorldSize(), good.BaseRank())
 	}
 }
+
+// TestProcCollectiveOverlap: a rank that deposits a collective while an
+// earlier one is still undelivered breaks the one-collective-per-rank
+// order the data plane relies on. The process withdraws with
+// ErrCollectiveOverlap instead of hanging, and the rank still waiting on
+// the earlier collective is poisoned.
+func TestProcCollectiveOverlap(t *testing.T) {
+	p := startCluster(t, testConfig(2), 2)[0]
+	poisoned := func(f func()) (ok bool) {
+		defer func() { ok = recover() == any(dist.ErrClusterPoisoned) }()
+		f()
+		return false
+	}
+	deposit := func(slot int, seq uint64) chan bool {
+		c := make(chan bool, 1)
+		go func() { c <- poisoned(func() { p.collective(slot, opScalar, sumPart(1), seq) }) }()
+		return c
+	}
+	waitPoisoned := func(c chan bool, what string) {
+		t.Helper()
+		select {
+		case ok := <-c:
+			if !ok {
+				t.Fatalf("%s was not poisoned", what)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s hangs", what)
+		}
+	}
+	first := deposit(0, 1)
+	// Wait until seq 1 is open: slot 0 has deposited, slot 1 never will.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		p.mu.Lock()
+		n := len(p.colls)
+		p.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("seq 1 never opened")
+		}
+	}
+	waitPoisoned(deposit(1, 2), "the rank depositing seq 2 while seq 1 is open")
+	if err := p.Err(); !errors.Is(err, ErrCollectiveOverlap) {
+		t.Fatalf("proc failure = %v; want ErrCollectiveOverlap", err)
+	}
+	waitPoisoned(first, "the rank waiting on seq 1")
+}

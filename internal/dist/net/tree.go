@@ -28,9 +28,12 @@ import (
 // ftTreeDown frames, one per chunk. There are no acks: a child re-sends
 // its hello plus every pending up frame each retransmit tick until the
 // result arrives; parents drop duplicates while a collective is open and
-// answer duplicates for a completed one by re-sending that chunk's down
-// frame from a bounded cache. That masks socket faults (drop, dup,
-// reorder, delay) and reconnects alike.
+// answer duplicates for the last completed one by re-sending that chunk's
+// down frame. That masks socket faults (drop, dup, reorder, delay) and
+// reconnects alike. One completed collective is enough: each rank runs one
+// collective at a time (Proc.collective enforces it), so once s+1
+// completes no child can still need s, and an up frame below the last
+// completed one is a late duplicate.
 //
 // A segment is what a contiguous rank range [lo, hi) contributes to one
 // chunk. For the sum ops it is a partial sum, and two adjacent segments
@@ -53,7 +56,8 @@ import (
 // encoded up payload belongs to its wireBuf, which counts the retransmit
 // set and every write in flight as holders; the last one to let go
 // returns it to the pool, so a finished collective can never recycle
-// bytes a socket write is still reading. Down payloads are unpooled.
+// bytes a socket write is still reading. Down payloads are unpooled: the
+// local ranks keep reading the delivered result after the engine moves on.
 
 // seg is one contiguous rank range's contribution to one chunk: f for the
 // sum ops, b for the concat ops.
@@ -207,10 +211,6 @@ type outFrame struct {
 // count cannot drive a huge allocation.
 const maxTreeChunks = 1 << 20
 
-// cacheLimit bounds the completed-collective cache; a child never lags a
-// completed collective by more than its in-flight window.
-const cacheLimit = 1024
-
 // treeEngine owns one process's data listener, its parent and child
 // connections, and every in-flight collective. It is created once per
 // Proc and re-installed with fresh topology every generation.
@@ -236,8 +236,11 @@ type treeEngine struct {
 	childFWs   map[uint32]frameWriter
 
 	colls map[uint64]*treeColl
-	cache map[uint64][][]byte // completed ws → per-chunk down payloads
-	stop  chan struct{}
+	// done is the generation's last completed wire sequence, doneDown its
+	// per-chunk down payloads (kept while there are children to serve).
+	done     uint64
+	doneDown [][]byte
+	stop     chan struct{}
 }
 
 func newTreeEngine(p *Proc, ln net.Listener) *treeEngine {
@@ -247,7 +250,6 @@ func newTreeEngine(p *Proc, ln net.Listener) *treeEngine {
 		childConns: map[uint32]net.Conn{},
 		childFWs:   map[uint32]frameWriter{},
 		colls:      map[uint64]*treeColl{},
-		cache:      map[uint64][][]byte{},
 		stop:       make(chan struct{}),
 	}
 	go t.acceptLoop()
@@ -280,7 +282,7 @@ func (t *treeEngine) dropConnsLocked() []net.Conn {
 func (t *treeEngine) install(sm startMsg) {
 	t.mu.Lock()
 	old := t.dropConnsLocked()
-	t.cache = map[uint64][][]byte{}
+	t.done, t.doneDown = 0, nil
 	t.gen = sm.Gen
 	t.world = int(sm.WorldSize)
 	t.base = int(sm.BaseRank)
@@ -373,8 +375,10 @@ func (t *treeEngine) serveChild(conn net.Conn) {
 				continue
 			}
 			t.mu.Lock()
-			if !t.closed && hm.Gen == t.gen && t.children[hm.MemberID] {
-				if old := t.childConns[hm.MemberID]; old != nil && old != conn {
+			// Only a new connection rebinds: a fresh writer per hello (one a
+			// tick) would restart the fault plan's draws.
+			if !t.closed && hm.Gen == t.gen && t.children[hm.MemberID] && t.childConns[hm.MemberID] != conn {
+				if old := t.childConns[hm.MemberID]; old != nil {
 					old.Close()
 				}
 				bound = hm.MemberID
@@ -625,12 +629,13 @@ func (t *treeEngine) handleUp(child uint32, ws uint64, h chunkHdr, segs []seg) {
 		drop()
 		return
 	}
-	// Completed collective: the child missed (some of) the result; serve
-	// the requested chunk's down frame from the cache.
-	if down, ok := t.cache[ws]; ok {
+	// Completed collective: the last one's child missed (some of) the
+	// result, so re-serve the requested chunk's down frame; anything older
+	// is a late duplicate no child can still need.
+	if ws <= t.done {
 		var out []outFrame
-		if int(h.Chunk) < len(down) {
-			out = []outFrame{{fw: t.childFWs[child], f: Frame{Type: ftTreeDown, Seq: ws, Payload: down[h.Chunk]}}}
+		if ws == t.done && int(h.Chunk) < len(t.doneDown) {
+			out = []outFrame{{fw: t.childFWs[child], f: Frame{Type: ftTreeDown, Seq: ws, Payload: t.doneDown[h.Chunk]}}}
 		}
 		drop()
 		t.writeAll(out)
@@ -755,21 +760,15 @@ func (t *treeEngine) handleDown(ws uint64, raw []byte) {
 
 // deliverLocked retires a completed collective (mu held) and returns its
 // result — the chunks' data sections, for delivery outside the lock — or
-// nil while chunks are outstanding. The down payloads move to the bounded
-// completed-cache so lagging children can still be served.
+// nil while chunks are outstanding. Its down payloads replace the previous
+// completed collective's, so a lagging child can still be served.
 func (t *treeEngine) deliverLocked(ws uint64, tc *treeColl) [][]byte {
 	if !tc.haveLocal || tc.downN != len(tc.chunks) {
 		return nil
 	}
+	t.done, t.doneDown = ws, nil
 	if len(t.children) > 0 {
-		t.cache[ws] = tc.down
-		if len(t.cache) > cacheLimit {
-			for k := range t.cache {
-				if k < ws && len(t.cache) > cacheLimit {
-					delete(t.cache, k)
-				}
-			}
-		}
+		t.doneDown = tc.down
 	}
 	tc.release()
 	delete(t.colls, ws)

@@ -290,3 +290,123 @@ func TestTreeRetransmitOwnsItsFrames(t *testing.T) {
 	dist.NewCluster(3).Run(func(w *dist.Worker) { want[w.Rank] = fn(w) })
 	compareTraces(t, "retransmit-stress", got, want)
 }
+
+// TestTreeKeepsOneCompletedCollective drives 300 mixed collectives
+// through three members of two ranks each, in both shapes, with heavy
+// drop/dup/reorder/delay faults on every link and a 2 ms retransmit tick,
+// so down frames are often lost just before the next collective
+// completes: a lagging child must still be served from the one completed
+// collective its parent keeps. Results are bit-compared with the
+// in-process cluster; afterwards no engine holds an open collective, and
+// only engines with children hold the last collective's down payloads.
+func TestTreeKeepsOneCompletedCollective(t *testing.T) {
+	const members, local, ops = 3, 2, 300
+	const world = members * local
+	fn := func(c dist.Comm) []uint64 {
+		var out []uint64
+		rec := func(v float64) { out = append(out, math.Float64bits(v)) }
+		plan := mat.NewRNG(11) // the op sequence: identical on every rank
+		vals := mat.NewRNG(uint64(100 + c.ID()))
+		for i := 0; i < ops; i++ {
+			m := mat.NewDense(1+int(plan.Uint64()%6), 1+int(plan.Uint64()%4))
+			for j := range m.Data() {
+				m.Data()[j] = vals.Norm()
+			}
+			switch plan.Uint64() % 4 {
+			case 0:
+				for _, v := range c.AllReduceMat(m).Data() {
+					rec(v)
+				}
+			case 1:
+				for _, g := range c.AllGatherMat(m) {
+					rec(g.Data()[i%len(g.Data())])
+				}
+			case 2:
+				rec(c.BroadcastMat(int(plan.Uint64()%world), m).Data()[0])
+			case 3:
+				rec(c.AllReduceScalar(m.Data()[0]))
+			}
+		}
+		return out
+	}
+	want := make([][]uint64, world)
+	dist.NewCluster(world).Run(func(w *dist.Worker) { want[w.Rank] = fn(w) })
+
+	for _, topo := range topologies {
+		t.Run(topo, func(t *testing.T) {
+			cfg := testConfig(world)
+			cfg.Topology = topo
+			cfg.ChunkElems = 5 // most sums span several chunks
+			cfg.RetransmitEvery = 2 * time.Millisecond
+			cfg.Faults = &SocketFaultPlan{Seed: 29, DropProb: 0.2, DupProb: 0.2, ReorderProb: 0.2,
+				DelayProb: 0.2, Delay: time.Millisecond}
+			procs := startCluster(t, cfg, local, local, local)
+
+			got := make([][]uint64, world)
+			var wg sync.WaitGroup
+			for _, p := range procs {
+				wg.Add(1)
+				go func(p *Proc) {
+					defer wg.Done()
+					for _, err := range p.Run(func(c dist.Comm) { got[c.ID()] = fn(c) }) {
+						t.Errorf("worker error: %v", err)
+					}
+				}(p)
+			}
+			wg.Wait()
+			compareTraces(t, "one-slot-stress", got, want)
+
+			for i, p := range procs {
+				e := p.tree
+				e.mu.Lock()
+				open, done, held, children := len(e.colls), e.done, e.doneDown != nil, len(e.children)
+				e.mu.Unlock()
+				if open != 0 {
+					t.Errorf("proc %d: %d collectives still open", i, open)
+				}
+				if last := wireSeq(uint32(p.Gen()), ops); done != last {
+					t.Errorf("proc %d: last completed seq %#x, want %#x", i, done, last)
+				}
+				if held != (children > 0) {
+					t.Errorf("proc %d: holds down payloads = %v with %d children", i, held, children)
+				}
+			}
+		})
+	}
+}
+
+// TestTreeDropsUpBelowDone: an up frame for a collective older than the
+// last completed one is a late duplicate no child can still need. The
+// root drops it without opening a collective, so the stuck-collective
+// watchdog finds nothing to blame.
+func TestTreeDropsUpBelowDone(t *testing.T) {
+	procs := startCluster(t, testConfig(2), 1, 1)
+	if _, errs := runNet(procs, 2, 2); len(errs) != 0 {
+		t.Fatalf("worker errors: %v", errs)
+	}
+	root := procs[0].tree
+	root.mu.Lock()
+	gen, done := root.gen, root.done
+	var child uint32
+	for id := range root.children {
+		child = id
+	}
+	root.mu.Unlock()
+	if done == 0 || child == 0 {
+		t.Fatalf("root done=%#x child=%d after a run; want both set", done, child)
+	}
+
+	late := seg{lo: 1, hi: 2, f: mat.GetFloats(1), own: true}
+	root.handleUp(child, done-1, chunkHdr{Gen: gen, Op: opScalar, Elems: 1}, []seg{late})
+
+	root.mu.Lock()
+	open := len(root.colls)
+	root.mu.Unlock()
+	if open != 0 {
+		t.Fatalf("late up frame opened %d collectives", open)
+	}
+	missing, _, ok := root.waitingOn(gen, 0)
+	if !ok || len(missing) != 0 {
+		t.Fatalf("waitingOn = %v (ok %v); want nothing missing", missing, ok)
+	}
+}
