@@ -22,7 +22,7 @@ loc:
 
 # The line budget: loc, failing when the total exceeds LOC_MAX. A PR that
 # needs more lines raises the number in its own diff, where review sees it.
-LOC_MAX = 24446
+LOC_MAX = 24300
 locgate:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" && $$1 > max { over = $$1 } \
 		END { if (over) { printf "locgate: %d non-test lines exceed LOC_MAX = %d\n", over, max; exit 1 } }'
@@ -127,7 +127,7 @@ experiments:
 
 # Markdown reproduction report with accuracy sparklines.
 report:
-	$(GO) run ./cmd/hylo-report -o report.md
+	$(GO) run ./cmd/hylo-bench -report report.md
 
 examples:
 	$(GO) run ./examples/quickstart
@@ -139,4 +139,4 @@ examples:
 
 clean:
 	$(GO) clean ./...
-	rm -f report.md test_output.txt bench_output.txt
+	rm -f report.md

@@ -1,8 +1,8 @@
 // Command hylo-train runs end-to-end training of a substitute model with a
 // chosen optimizer, mirroring the paper artifact's training scripts. The
 // analysis flags follow the artifact: -profiling prints the phase-time
-// breakdown, -grad-norm logs accumulated gradient norms, -rank-analysis
-// reports kernel ranks.
+// breakdown, -grad-norm HyLo's per-epoch mode choices. The artifact's
+// --rank-analysis is `hylo-bench -exp fig10`.
 //
 // The telemetry flags export the run's observability data: -trace writes
 // Chrome trace-event JSON (open in chrome://tracing or Perfetto), -metrics

@@ -1,18 +1,24 @@
-// Checkpointing: train a model halfway, save it, restore it into a fresh
-// replica, and continue training — the resume reproduces the metric
-// trajectory a straight-through run reaches, demonstrating that the
-// checkpoint captures all trainable state the model needs.
+// Checkpointing: the resume guarantee. One HyLo job of 10 epochs runs
+// three ways — straight through; with a checkpoint directory and cancelled
+// after epoch 5, so train.Drive force-writes a checkpoint and returns
+// ErrCancelled; and again with Resume, continuing from that checkpoint.
+// The two phases together must reproduce every epoch's training loss and
+// test accuracy of the straight run bit for bit. This is how hylo-serve
+// preempts a job and later finishes it.
 //
 //	go run ./examples/checkpointing
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
+	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/dist"
 	"repro/internal/mat"
 	"repro/internal/models"
 	"repro/internal/nn"
@@ -25,58 +31,63 @@ func main() {
 	ds := data.SynthImages(mat.NewRNG(31), data.ClassSpec{
 		Classes: 5, PerClass: 60, Shape: shape, Noise: 0.3})
 	trainSet, testSet := data.Split(mat.NewRNG(32), ds, 0.25)
-
-	build := func(rng *mat.RNG) *nn.Network {
-		return models.ThreeC1F(shape, 6, 5, rng)
+	cfg := train.Config{Epochs: 10, BatchSize: 32, Momentum: 0.9, UpdateFreq: 5, Damping: 0.1, Seed: 42,
+		LR: opt.LRSchedule{Base: 0.03, DecayAt: []int{7}, Gamma: 0.1}}
+	job := func(cfg train.Config) train.Job {
+		return train.Job{Config: cfg, Train: trainSet, Test: testSet, Task: train.Classification(),
+			Build: func(rng *mat.RNG) *nn.Network { return models.ThreeC1F(shape, 6, 5, rng) },
+			Precond: func(net *nn.Network, comm dist.Comm, tl *dist.Timeline, rng *mat.RNG) opt.Preconditioner {
+				return core.NewHyLo(net, cfg.Damping, 0.1, comm, tl, rng)
+			}}
 	}
 
-	// Phase 1: train 5 epochs and checkpoint manually.
-	net := build(mat.NewRNG(42))
-	sgd := opt.NewSGD(net.Params(), 0.03, 0.9, 0)
-	it := data.NewBatchIterator(mat.NewRNG(43), trainSet.Len(), 32)
-	task := train.Classification()
-	runEpochs := func(n *nn.Network, o *opt.SGD, epochs int) {
-		for e := 0; e < epochs; e++ {
-			for b := 0; b < it.BatchesPerEpoch(); b++ {
-				x, tgt := trainSet.Batch(it.Next())
-				n.ZeroGrad()
-				out := n.Forward(x, true)
-				_, g := task.Loss.Forward(out, tgt)
-				n.Backward(g)
-				o.Step()
-			}
-			fmt.Printf("  epoch done, test acc %.4f\n", train.Evaluate(n, testSet, task))
-		}
+	fmt.Println("straight run: 10 epochs")
+	straight, err := train.Drive(context.Background(), train.Local(), job(cfg), train.ElasticConfig{})
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	fmt.Println("phase 1: 5 epochs")
-	runEpochs(net, sgd, 5)
-
 	dir, err := os.MkdirTemp("", "hylo-ckpt")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "model.gob")
-	if err := net.SaveCheckpointFile(path); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("checkpoint written to %s\n", path)
 
-	// Phase 2: fresh replica, restore, continue.
-	resumed := build(mat.NewRNG(999)) // different init, then overwritten
-	if err := resumed.LoadCheckpointFile(path); err != nil {
-		log.Fatal(err)
+	// Phase 1: the same job, cancelled from the epoch hook once epoch 5
+	// (index 4) has finished; Drive stops at that boundary and checkpoints.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	first := cfg
+	first.OnEpoch = func(st train.EpochStat) {
+		if st.Epoch == 4 {
+			cancel()
+		}
 	}
-	accBefore := train.Evaluate(net, testSet, task)
-	accAfter := train.Evaluate(resumed, testSet, task)
-	fmt.Printf("accuracy original %.4f vs restored %.4f (must match)\n", accBefore, accAfter)
-	if accBefore != accAfter {
-		log.Fatal("restored model does not match original")
+	phase1, err := train.Drive(ctx, train.Local(), job(first), train.ElasticConfig{Dir: dir})
+	if !errors.Is(err, train.ErrCancelled) {
+		log.Fatalf("phase 1: err = %v; want %v", err, train.ErrCancelled)
 	}
+	fmt.Printf("phase 1: cancelled after %d epochs, checkpoint written\n", len(phase1.Stats))
 
-	fmt.Println("phase 2: 5 more epochs from the checkpoint")
-	sgd2 := opt.NewSGD(resumed.Params(), 0.03, 0.9, 0)
-	runEpochs(resumed, sgd2, 5)
-	fmt.Printf("final test acc %.4f\n", train.Evaluate(resumed, testSet, task))
+	// Phase 2: a fresh Drive resumes from the checkpoint: it trains only the
+	// epochs after phase 1, and its Result carries the restored history.
+	second, resumedAt := cfg, len(straight.Stats)
+	second.OnEpoch = func(st train.EpochStat) { resumedAt = min(resumedAt, st.Epoch) }
+	phase2, err := train.Drive(context.Background(), train.Local(), job(second),
+		train.ElasticConfig{Dir: dir, Resume: true})
+	if err != nil || resumedAt != len(phase1.Stats) || len(phase2.Stats) != len(straight.Stats) {
+		log.Fatalf("phase 2: err = %v, trained from epoch %d, %d of %d epochs recorded",
+			err, resumedAt, len(phase2.Stats), len(straight.Stats))
+	}
+	fmt.Printf("phase 2: resumed at epoch %d\n", resumedAt)
+
+	phases := append(phase1.Stats, phase2.Stats[len(phase1.Stats):]...)
+	fmt.Printf("\n%-6s %-20s %s\n", "epoch", "train loss", "test acc")
+	for i, s := range straight.Stats {
+		if p := phases[i]; p.TrainLoss != s.TrainLoss || p.Metric != s.Metric {
+			log.Fatalf("epoch %d: resumed run (loss %v, acc %v) differs from the straight run (loss %v, acc %v)",
+				i, p.TrainLoss, p.Metric, s.TrainLoss, s.Metric)
+		}
+		fmt.Printf("%-6d %-20.17g %.4f\n", s.Epoch, s.TrainLoss, s.Metric)
+	}
+	fmt.Println("\ncancelled-then-resumed run equals the straight run in every epoch")
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/train"
 )
@@ -171,11 +172,33 @@ func TestFig10RanksAreLow(t *testing.T) {
 	if len(tb.Rows) == 0 {
 		t.Fatal("fig10 produced no rows")
 	}
+	seen := map[string]map[int]bool{}
+	batches := map[int]bool{}
 	for _, row := range tb.Rows {
 		batch, _ := strconv.Atoi(row[1])
+		lo, _ := strconv.Atoi(row[2])
 		med, _ := strconv.Atoi(row[3])
+		hi, _ := strconv.Atoi(row[4])
+		if lo < 1 || lo > med || med > hi || hi > batch {
+			t.Fatalf("%s batch %d: want 1 ≤ min %d ≤ median %d ≤ max %d ≤ batch", row[0], batch, lo, med, hi)
+		}
 		if med > batch/2 {
 			t.Fatalf("%s batch %d: median rank %d not low-rank", row[0], batch, med)
+		}
+		if seen[row[0]] == nil {
+			seen[row[0]] = map[int]bool{}
+		}
+		seen[row[0]][batch] = true
+		batches[batch] = true
+	}
+	if len(seen) != 2 || len(batches) < 2 {
+		t.Fatalf("fig10 covers models %v over %d batches; want both models over the sweep", seen, len(batches))
+	}
+	for model, got := range seen {
+		for b := range batches {
+			if !got[b] {
+				t.Fatalf("fig10 has no %s row at batch %d", model, b)
+			}
 		}
 	}
 }
@@ -478,17 +501,26 @@ func TestMarkdownRendering(t *testing.T) {
 }
 
 func TestReportSelectedExperiments(t *testing.T) {
-	md, err := Report(quickCfg(), []string{"fig2", "table2"})
-	if err != nil {
-		t.Fatal(err)
+	var results []Result
+	for _, id := range []string{"fig2", "table2"} {
+		e, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("experiment %q not registered", id)
+		}
+		results = append(results, Result{Table: e.Run(quickCfg()), Elapsed: 1500 * time.Millisecond})
 	}
-	for _, frag := range []string{"# HyLo reproduction report", "### fig2", "### table2"} {
+	md := Report(quickCfg(), results)
+	for _, frag := range []string{"# HyLo reproduction report", "### fig2", "### table2",
+		"_table2 completed in 1.5s._"} {
 		if !strings.Contains(md, frag) {
 			t.Fatalf("report missing %q", frag)
 		}
 	}
-	if _, err := Report(quickCfg(), []string{"nope"}); err == nil {
-		t.Fatal("unknown experiment should error")
+	if strings.Index(md, "### fig2") > strings.Index(md, "### table2") {
+		t.Fatal("report does not keep the order it was given")
+	}
+	if _, ok := Lookup("nope"); ok {
+		t.Fatal("unknown experiment should not resolve")
 	}
 }
 

@@ -1,0 +1,87 @@
+package bench
+
+import (
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// The documents name only what exists: every command they tell a reader
+// to run is a main package, every experiment id they cite is registered,
+// and every artifact EXPERIMENTS.md lists is in the tree.
+func TestDocsNameOnlyWhatExists(t *testing.T) {
+	const root = "../.."
+	goRun := regexp.MustCompile(`(?:go|\$\(GO\)) run (\./[\w./-]+)`)
+	expFlag := regexp.MustCompile(`-exp[ =]([\w,*…-]+)`)
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", "Makefile"} {
+		b, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(b)
+		for _, m := range goRun.FindAllStringSubmatch(text, -1) {
+			if !isMainPackage(t, filepath.Join(root, m[1])) {
+				t.Errorf("%s: `go run %s` is not a main package", doc, m[1])
+			}
+		}
+		for _, m := range expFlag.FindAllStringSubmatch(text, -1) {
+			for _, id := range strings.Split(m[1], ",") {
+				if id != "" && id != "all" && !registered(id) {
+					t.Errorf("%s: -exp %s is not in Registry()", doc, id)
+				}
+			}
+		}
+	}
+
+	b, err := os.ReadFile(filepath.Join(root, "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, artifacts, ok := strings.Cut(string(b), "\n## Artifacts\n")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no Artifacts section")
+	}
+	artifacts, _, _ = strings.Cut(artifacts, "\n## ")
+	listed := regexp.MustCompile("(?m)^- `([^`]+)`").FindAllStringSubmatch(artifacts, -1)
+	if len(listed) == 0 {
+		t.Fatal("EXPERIMENTS.md lists no artifacts")
+	}
+	for _, m := range listed {
+		if _, err := os.Stat(filepath.Join(root, m[1])); err != nil {
+			t.Errorf("EXPERIMENTS.md artifact %s: %v", m[1], err)
+		}
+	}
+}
+
+// registered reports whether id is an experiment id, or a prefix such as
+// "abl-…" or "ext-*" that some experiment id starts with.
+func registered(id string) bool {
+	prefix := strings.TrimRight(id, "*…")
+	wild := prefix != id
+	for _, e := range Registry() {
+		if e.ID == id || wild && strings.HasPrefix(e.ID, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// isMainPackage reports whether dir holds a non-test Go file of package main.
+func isMainPackage(t *testing.T, dir string) bool {
+	files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		af, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.PackageClauseOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return af.Name.Name == "main"
+	}
+	return false
+}

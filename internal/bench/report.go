@@ -57,26 +57,27 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// Report runs the selected experiments and renders one markdown document,
-// attaching sparkline summaries to the per-epoch curve experiment.
-func Report(cfg RunConfig, ids []string) (string, error) {
+// Result is one finished experiment: its table and how long it ran.
+type Result struct {
+	Table   *Table
+	Elapsed time.Duration
+}
+
+// Report renders finished experiments as one markdown document, attaching
+// sparkline summaries to the per-epoch curve experiment. It runs nothing;
+// cfg is only quoted in the header.
+func Report(cfg RunConfig, results []Result) string {
 	var b strings.Builder
 	b.WriteString("# HyLo reproduction report\n\n")
 	fmt.Fprintf(&b, "Generated with seed %d (quick=%v).\n\n", cfg.Seed, cfg.Quick)
-	for _, id := range ids {
-		e, ok := Lookup(id)
-		if !ok {
-			return "", fmt.Errorf("bench: unknown experiment %q", id)
+	for _, r := range results {
+		b.WriteString(r.Table.Markdown())
+		if r.Table.ID == "fig6" {
+			b.WriteString(curveSparklines(r.Table))
 		}
-		start := time.Now()
-		tbl := e.Run(cfg)
-		b.WriteString(tbl.Markdown())
-		if id == "fig6" {
-			b.WriteString(curveSparklines(tbl))
-		}
-		fmt.Fprintf(&b, "_%s completed in %.1fs._\n\n", id, time.Since(start).Seconds())
+		fmt.Fprintf(&b, "_%s completed in %.1fs._\n\n", r.Table.ID, r.Elapsed.Seconds())
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // curveSparklines condenses the fig6 per-epoch rows into one sparkline per

@@ -30,8 +30,8 @@ func CG(a *Dense, b []float64, tol float64, maxIter int) ([]float64, int) {
 		}
 		alpha := rs / den
 		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
+			x[i] += float64(alpha * p[i])
+			r[i] -= float64(alpha * ap[i])
 		}
 		rsNew := Dot(r, r)
 		if Norm2(r) <= tol*bNorm {
@@ -39,7 +39,7 @@ func CG(a *Dense, b []float64, tol float64, maxIter int) ([]float64, int) {
 		}
 		beta := rsNew / rs
 		for i := range p {
-			p[i] = r[i] + beta*p[i]
+			p[i] = r[i] + float64(beta*p[i])
 		}
 		rs = rsNew
 	}

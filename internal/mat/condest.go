@@ -110,7 +110,7 @@ func (f *LU) solveVec(x []float64) {
 		ri := f.lu.Row(i)
 		var s float64
 		for k := 0; k < i; k++ {
-			s += ri[k] * tmp[k]
+			s += float64(ri[k] * tmp[k])
 		}
 		tmp[i] -= s
 	}
@@ -119,7 +119,7 @@ func (f *LU) solveVec(x []float64) {
 		ri := f.lu.Row(i)
 		var s float64
 		for k := i + 1; k < n; k++ {
-			s += ri[k] * tmp[k]
+			s += float64(ri[k] * tmp[k])
 		}
 		tmp[i] = (tmp[i] - s) / ri[i]
 	}
@@ -145,14 +145,14 @@ func (f *LU) solveVecT(x []float64) {
 		tmp[k] = yk
 		tail := acc[k+1:]
 		for i, u := range rk[k+1 : k+1+len(tail)] {
-			tail[i] += u * yk
+			tail[i] += float64(u * yk)
 		}
 	}
 	// Backward: Lᵀ w = y (Lᵀ is unit upper-triangular).
 	for i := n - 2; i >= 0; i-- {
 		var s float64
 		for k := i + 1; k < n; k++ {
-			s += f.lu.At(k, i) * tmp[k]
+			s += float64(f.lu.At(k, i) * tmp[k])
 		}
 		tmp[i] -= s
 	}
@@ -183,7 +183,7 @@ func cholSolveVec(l, lt *Dense, x []float64) {
 		ri := l.Row(i)
 		var s float64
 		for k := 0; k < i; k++ {
-			s += ri[k] * x[k]
+			s += float64(ri[k] * x[k])
 		}
 		x[i] = (x[i] - s) / ri[i]
 	}
@@ -191,7 +191,7 @@ func cholSolveVec(l, lt *Dense, x []float64) {
 		ri := lt.Row(i)
 		var s float64
 		for k := i + 1; k < n; k++ {
-			s += ri[k] * x[k]
+			s += float64(ri[k] * x[k])
 		}
 		x[i] = (x[i] - s) / ri[i]
 	}

@@ -179,7 +179,7 @@ func (m *Dense) AddScaled(other *Dense, s float64) *Dense {
 		panic("mat: AddScaled dimension mismatch")
 	}
 	for i, v := range other.data {
-		m.data[i] += s * v
+		m.data[i] += float64(s * v)
 	}
 	return m
 }

@@ -78,7 +78,7 @@ func tred2(v *Dense, d, e []float64) {
 			} else {
 				for k := 0; k <= l; k++ {
 					v.Set(i, k, v.At(i, k)/scale)
-					h += v.At(i, k) * v.At(i, k)
+					h += float64(v.At(i, k) * v.At(i, k))
 				}
 				f := v.At(i, l)
 				g := math.Sqrt(h)
@@ -86,28 +86,28 @@ func tred2(v *Dense, d, e []float64) {
 					g = -g
 				}
 				e[i] = scale * g
-				h -= f * g
+				h -= float64(f * g)
 				v.Set(i, l, f-g)
 				f = 0
 				for j := 0; j <= l; j++ {
 					v.Set(j, i, v.At(i, j)/h)
 					g = 0
 					for k := 0; k <= j; k++ {
-						g += v.At(j, k) * v.At(i, k)
+						g += float64(v.At(j, k) * v.At(i, k))
 					}
 					for k := j + 1; k <= l; k++ {
-						g += v.At(k, j) * v.At(i, k)
+						g += float64(v.At(k, j) * v.At(i, k))
 					}
 					e[j] = g / h
-					f += e[j] * v.At(i, j)
+					f += float64(e[j] * v.At(i, j))
 				}
 				hh := f / (h + h)
 				for j := 0; j <= l; j++ {
 					f = v.At(i, j)
-					g = e[j] - hh*f
+					g = e[j] - float64(hh*f)
 					e[j] = g
 					for k := 0; k <= j; k++ {
-						v.Set(j, k, v.At(j, k)-(f*e[k]+g*v.At(i, k)))
+						v.Set(j, k, v.At(j, k)-(float64(f*e[k])+float64(g*v.At(i, k))))
 					}
 				}
 			}
@@ -124,10 +124,10 @@ func tred2(v *Dense, d, e []float64) {
 			for j := 0; j <= l; j++ {
 				var g float64
 				for k := 0; k <= l; k++ {
-					g += v.At(i, k) * v.At(k, j)
+					g += float64(v.At(i, k) * v.At(k, j))
 				}
 				for k := 0; k <= l; k++ {
-					v.Set(k, j, v.At(k, j)-g*v.At(k, i))
+					v.Set(k, j, v.At(k, j)-float64(g*v.At(k, i)))
 				}
 			}
 		}
@@ -155,7 +155,7 @@ func tred2NoVecs(v *Dense, d, e []float64) {
 			} else {
 				for k := 0; k <= l; k++ {
 					v.Set(i, k, v.At(i, k)/scale)
-					h += v.At(i, k) * v.At(i, k)
+					h += float64(v.At(i, k) * v.At(i, k))
 				}
 				f := v.At(i, l)
 				g := math.Sqrt(h)
@@ -163,27 +163,27 @@ func tred2NoVecs(v *Dense, d, e []float64) {
 					g = -g
 				}
 				e[i] = scale * g
-				h -= f * g
+				h -= float64(f * g)
 				v.Set(i, l, f-g)
 				f = 0
 				for j := 0; j <= l; j++ {
 					g = 0
 					for k := 0; k <= j; k++ {
-						g += v.At(j, k) * v.At(i, k)
+						g += float64(v.At(j, k) * v.At(i, k))
 					}
 					for k := j + 1; k <= l; k++ {
-						g += v.At(k, j) * v.At(i, k)
+						g += float64(v.At(k, j) * v.At(i, k))
 					}
 					e[j] = g / h
-					f += e[j] * v.At(i, j)
+					f += float64(e[j] * v.At(i, j))
 				}
 				hh := f / (h + h)
 				for j := 0; j <= l; j++ {
 					f = v.At(i, j)
-					g = e[j] - hh*f
+					g = e[j] - float64(hh*f)
 					e[j] = g
 					for k := 0; k <= j; k++ {
-						v.Set(j, k, v.At(j, k)-(f*e[k]+g*v.At(i, k)))
+						v.Set(j, k, v.At(j, k)-(float64(f*e[k])+float64(g*v.At(i, k))))
 					}
 				}
 			}
@@ -230,7 +230,7 @@ func tqli(d, e []float64, z *Dense) {
 			p := 0.0
 			for i := m - 1; i >= l; i-- {
 				f := s * e[i]
-				b := c * e[i]
+				b := float64(c * e[i])
 				r = math.Hypot(f, g)
 				e[i+1] = r
 				if r == 0 {
@@ -241,14 +241,14 @@ func tqli(d, e []float64, z *Dense) {
 				s = f / r
 				c = g / r
 				g = d[i+1] - p
-				r = (d[i]-g)*s + 2*c*b
-				p = s * r
+				r = float64((d[i]-g)*s) + float64(2*c*b)
+				p = float64(s * r)
 				d[i+1] = g + p
-				g = c*r - b
+				g = float64(c*r) - b
 				for k := 0; k < n; k++ {
 					f = z.At(k, i+1)
-					z.Set(k, i+1, s*z.At(k, i)+c*f)
-					z.Set(k, i, c*z.At(k, i)-s*f)
+					z.Set(k, i+1, float64(s*z.At(k, i))+float64(c*f))
+					z.Set(k, i, float64(c*z.At(k, i))-float64(s*f))
 				}
 			}
 			if r == 0 && m-1 >= l {
@@ -290,7 +290,7 @@ func tqliNoVecs(d, e []float64) {
 			p := 0.0
 			for i := m - 1; i >= l; i-- {
 				f := s * e[i]
-				b := c * e[i]
+				b := float64(c * e[i])
 				r = math.Hypot(f, g)
 				e[i+1] = r
 				if r == 0 {
@@ -301,10 +301,10 @@ func tqliNoVecs(d, e []float64) {
 				s = f / r
 				c = g / r
 				g = d[i+1] - p
-				r = (d[i]-g)*s + 2*c*b
-				p = s * r
+				r = float64((d[i]-g)*s) + float64(2*c*b)
+				p = float64(s * r)
 				d[i+1] = g + p
-				g = c*r - b
+				g = float64(c*r) - b
 			}
 			if r == 0 && m-1 >= l {
 				continue

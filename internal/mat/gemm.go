@@ -299,7 +299,7 @@ func gemmSmall(out, a, b *Dense, transA, transB bool, m, k, n int, acc bool) {
 				}
 				arow := a.data[p*a.cols : (p+1)*a.cols]
 				for i := 0; i < m; i++ {
-					out.data[i*n+j] += arow[i] * bv
+					out.data[i*n+j] += float64(arow[i] * bv)
 				}
 			}
 		}
@@ -721,14 +721,14 @@ func Dot(x, y []float64) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
-		s0 += x[i] * y[i]
-		s1 += x[i+1] * y[i+1]
-		s2 += x[i+2] * y[i+2]
-		s3 += x[i+3] * y[i+3]
+		s0 += float64(x[i] * y[i])
+		s1 += float64(x[i+1] * y[i+1])
+		s2 += float64(x[i+2] * y[i+2])
+		s3 += float64(x[i+3] * y[i+3])
 	}
 	s := s0 + s1 + s2 + s3
 	for ; i < len(x); i++ {
-		s += x[i] * y[i]
+		s += float64(x[i] * y[i])
 	}
 	return s
 }

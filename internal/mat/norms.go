@@ -23,7 +23,7 @@ func Norm2(x []float64) float64 {
 	var s float64
 	for _, v := range x {
 		r := v / maxAbs
-		s += r * r
+		s += float64(r * r)
 	}
 	return maxAbs * math.Sqrt(s)
 }

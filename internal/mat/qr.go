@@ -74,12 +74,12 @@ func factorRowsInPlace(w *Dense, steps int) QRPivot {
 				xt := x[1 : 1+len(vt)]
 				s := x[0]
 				for i, vi := range vt {
-					s += vi * xt[i]
+					s += float64(vi * xt[i])
 				}
-				s *= t
+				s = float64(s * t)
 				x[0] -= s
 				for i, vi := range vt {
-					xt[i] -= s * vi
+					xt[i] -= float64(s * vi)
 				}
 			}
 			downdateNorm(&norm[j], x)
@@ -101,14 +101,14 @@ func reflectRows4(w *Dense, j, step int, t float64, vt, norm []float64) {
 	y0, y1, y2, y3 = y0[:n], y1[:n], y2[:n], y3[:n]
 	s0, s1, s2, s3 := x0[0], x1[0], x2[0], x3[0]
 	for i, vi := range vt {
-		s0 += vi * y0[i]
-		s1 += vi * y1[i]
-		s2 += vi * y2[i]
-		s3 += vi * y3[i]
+		s0 += float64(vi * y0[i])
+		s1 += float64(vi * y1[i])
+		s2 += float64(vi * y2[i])
+		s3 += float64(vi * y3[i])
 	}
 	for r, s := range [4]float64{s0, s1, s2, s3} {
 		x := w.Row(j + r)[step:]
-		s *= t
+		s = float64(s * t)
 		x[0] -= s
 		axpyAVX2(false, x[1:1+n], vt, -s)
 		downdateNorm(&norm[j+r], x)
@@ -118,8 +118,8 @@ func reflectRows4(w *Dense, j, step int, t float64, vt, norm []float64) {
 // downdateNorm removes x[0]² from a row's remaining squared norm, recomputing
 // it from x[1:] when cancellation has eaten it.
 func downdateNorm(norm *float64, x []float64) {
-	*norm -= x[0] * x[0]
-	if *norm < 1e-12*math.Abs(*norm)+1e-300 || *norm < 0 {
+	*norm -= float64(x[0] * x[0])
+	if *norm < float64(1e-12*math.Abs(*norm))+1e-300 || *norm < 0 {
 		*norm = normSq(x[1:])
 	}
 }
@@ -141,7 +141,7 @@ func houseGen(v []float64, tau *float64) float64 {
 		*tau = 0
 		return x0
 	}
-	beta := math.Sqrt(x0*x0 + nsq)
+	beta := math.Sqrt(float64(x0*x0) + nsq)
 	if x0 > 0 {
 		beta = -beta
 	}
@@ -156,7 +156,7 @@ func houseGen(v []float64, tau *float64) float64 {
 func normSq(v []float64) float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return s
 }
@@ -230,12 +230,12 @@ func (f *QRPivot) Q() *Dense {
 		for j := 0; j < k; j++ {
 			w := q.At(step, j)
 			for i := step + 1; i < m; i++ {
-				w += v[i] * q.At(i, j)
+				w += float64(v[i] * q.At(i, j))
 			}
-			w *= t
+			w = float64(w * t)
 			q.Set(step, j, q.At(step, j)-w)
 			for i := step + 1; i < m; i++ {
-				q.Set(i, j, q.At(i, j)-w*v[i])
+				q.Set(i, j, q.At(i, j)-float64(w*v[i]))
 			}
 		}
 	}
@@ -264,7 +264,7 @@ func (f *QRPivot) idInto(p *Dense, s []int, r int) (*Dense, []int) {
 		for i := r - 1; i >= 0; i-- {
 			sum := b[i]
 			for k := i + 1; k < r; k++ {
-				sum -= f.qt.At(k, i) * x[k]
+				sum -= float64(f.qt.At(k, i) * x[k])
 			}
 			if d := f.qt.At(i, i); d != 0 {
 				x[i] = sum / d

@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 )
 
 // checkpoint is the on-disk format: named parameter tensors.
@@ -52,24 +51,4 @@ func (n *Network) LoadCheckpoint(r io.Reader) error {
 		copy(p.W.Data(), ck.Data[i])
 	}
 	return nil
-}
-
-// SaveCheckpointFile writes the checkpoint to path.
-func (n *Network) SaveCheckpointFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return n.SaveCheckpoint(f)
-}
-
-// LoadCheckpointFile restores a checkpoint from path.
-func (n *Network) LoadCheckpointFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return n.LoadCheckpoint(f)
 }

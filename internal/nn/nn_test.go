@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -234,11 +235,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if mat.Equal(dst.Forward(x, false), before, 1e-12) {
 		t.Fatal("differently seeded nets should differ")
 	}
-	path := t.TempDir() + "/ck.gob"
-	if err := src.SaveCheckpointFile(path); err != nil {
+	var buf bytes.Buffer
+	if err := src.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.LoadCheckpointFile(path); err != nil {
+	if err := dst.LoadCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !mat.Equal(dst.Forward(x, false), before, 0) {
@@ -249,11 +250,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointShapeMismatch(t *testing.T) {
 	a := NewNetwork(Vec(4), mat.NewRNG(1), NewLinear(3))
 	b := NewNetwork(Vec(4), mat.NewRNG(1), NewLinear(5))
-	path := t.TempDir() + "/ck.gob"
-	if err := a.SaveCheckpointFile(path); err != nil {
+	var buf bytes.Buffer
+	if err := a.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.LoadCheckpointFile(path); err == nil {
+	if err := b.LoadCheckpoint(&buf); err == nil {
 		t.Fatal("expected shape-mismatch error")
 	}
 }
