@@ -190,7 +190,8 @@ func (a *AsyncComm) StartAllGatherMat(f *GatherFuture, m *mat.Dense) {
 	})
 }
 
-// StartAllReduceMat begins a non-blocking all-reduce into f.
+// StartAllReduceMat begins a non-blocking all-reduce of m into m (and f):
+// peers write into m until it completes, so leave m alone until f.Wait.
 func (a *AsyncComm) StartAllReduceMat(f *MatFuture, m *mat.Dense) {
 	a.reset(&f.future)
 	if a.inline {

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/mat"
@@ -58,23 +59,28 @@ func TestAsyncLocalAllocationFree(t *testing.T) {
 }
 
 // TestAsyncMatchesBlocking checks that async collectives on a real cluster
-// produce exactly the blocking results, with FIFO submission order.
+// produce exactly the blocking results, with FIFO submission order. Each
+// op in the pipeline gets its own input: the all-reduce writes its sum
+// into its matrix, and the gather returns this rank's part by reference.
 func TestAsyncMatchesBlocking(t *testing.T) {
 	const p = 4
 	c := NewCluster(p)
 	c.Run(func(w *Worker) {
 		a := Async(w)
-		m := mat.NewDense(2, 3)
-		for i := range m.Data() {
-			m.Data()[i] = float64(w.Rank + i)
+		input := func() *mat.Dense {
+			m := mat.NewDense(2, 3)
+			for i := range m.Data() {
+				m.Data()[i] = float64(w.Rank + i)
+			}
+			return m
 		}
 		// Submit a pipeline of ops before waiting any of them.
 		gf := &GatherFuture{}
-		a.StartAllGatherMat(gf, m)
+		a.StartAllGatherMat(gf, input())
 		rf := &MatFuture{}
-		a.StartAllReduceMat(rf, m)
+		a.StartAllReduceMat(rf, input())
 		bf := &MatFuture{}
-		a.StartBroadcastMat(bf, 1, m)
+		a.StartBroadcastMat(bf, 1, input())
 
 		parts := gf.Wait()
 		for r := 0; r < p; r++ {
@@ -94,6 +100,20 @@ func TestAsyncMatchesBlocking(t *testing.T) {
 		if gf.Dur() < 0 || rf.Dur() < 0 {
 			t.Errorf("rank %d: negative durations", w.Rank)
 		}
+		// The same collectives issued blocking give the same bits.
+		same := func(op string, got, want *mat.Dense) {
+			for i, v := range want.Data() {
+				if math.Float64bits(got.Data()[i]) != math.Float64bits(v) {
+					t.Errorf("rank %d: async %s[%d] = %v, blocking %v", w.Rank, op, i, got.Data()[i], v)
+					return
+				}
+			}
+		}
+		for r, part := range w.AllGatherMat(input()) {
+			same("gather", parts[r], part)
+		}
+		same("reduce", sum, w.AllReduceMat(input()))
+		same("broadcast", b, w.Broadcast(1, input()))
 	})
 }
 

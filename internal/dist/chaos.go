@@ -182,10 +182,13 @@ func (f *FaultInjector) AllGatherMat(m *mat.Dense) []*mat.Dense {
 	return f.inner.AllGatherMat(f.maybeFlip(f.maybeDegenerate(m)))
 }
 
-// AllReduceMat implements Comm with chaos injection.
+// AllReduceMat implements Comm with chaos injection, summing into m.
 func (f *FaultInjector) AllReduceMat(m *mat.Dense) *mat.Dense {
 	f.maybeDelay()
-	return f.inner.AllReduceMat(f.maybeFlip(m))
+	if sum := f.inner.AllReduceMat(f.maybeFlip(m)); sum != m {
+		m.CopyFrom(sum)
+	}
+	return m
 }
 
 // BroadcastMat implements Comm with chaos injection (root payload only).

@@ -89,7 +89,7 @@ func (c *Cluster) Run(fn func(w *Worker)) {
 	for r := 0; r < c.P; r++ {
 		go func(rank int) {
 			defer wg.Done()
-			fn(&Worker{Rank: rank, c: c})
+			fn(&Worker{Rank: rank, c: c, parts: make([][]float64, c.P)})
 		}(r)
 	}
 	wg.Wait()
@@ -97,8 +97,9 @@ func (c *Cluster) Run(fn func(w *Worker)) {
 
 // Worker is one simulated GPU.
 type Worker struct {
-	Rank int
-	c    *Cluster
+	Rank  int
+	c     *Cluster
+	parts [][]float64 // AllReduceMat's views of every rank's matrix
 }
 
 // Barrier blocks until all workers arrive.
@@ -156,22 +157,30 @@ func (w *Worker) AllGatherBytes(b []byte) [][]byte {
 	return out
 }
 
-// AllReduceMat sums matrices across workers; every worker receives the sum
-// in a freshly allocated matrix. The reduction completes before the exit
-// barrier (so callers may immediately mutate their inputs), and every
-// worker applies the canonical pairwise-tree order (see reduce.go), so
-// results are bitwise identical across ranks — and across transports.
+// AllReduceMat writes the element-wise sum across workers into m and
+// returns m. Rank r alone sums elements [r·n/P, (r+1)·n/P) in the
+// canonical order (see reduce.go) and copies them into every rank's matrix
+// before the exit barrier, so no two ranks write one element and m is the
+// caller's again on return. A warmed call allocates nothing.
 func (w *Worker) AllReduceMat(m *mat.Dense) *mat.Dense {
 	countComm("allreduce", m.Rows()*m.Cols())
 	w.c.slots[w.Rank] = m
 	w.Barrier()
-	parts := make([]*mat.Dense, w.c.P)
-	for i, p := range w.c.slots {
-		parts[i] = p.(*mat.Dense)
+	for i, s := range w.c.slots {
+		pm := s.(*mat.Dense)
+		if pm.Rows() != m.Rows() || pm.Cols() != m.Cols() {
+			panic("dist: AllReduceMat dimension mismatch")
+		}
+		w.parts[i] = pm.Data()
 	}
-	sum := CanonicalReduceDense(parts)
+	n, p := len(m.Data()), w.c.P
+	lo, hi := w.Rank*n/p, (w.Rank+1)*n/p
+	foldInPlace(w.parts, 0, p, lo, hi)
+	for _, d := range w.parts[1:] {
+		copy(d[lo:hi], w.parts[0][lo:hi])
+	}
 	w.Barrier()
-	return sum
+	return m
 }
 
 // AllReduceScalar sums a scalar across workers in the canonical

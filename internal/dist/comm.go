@@ -12,7 +12,9 @@ type Comm interface {
 	ID() int
 	// AllGatherMat gathers one matrix per worker in rank order.
 	AllGatherMat(m *mat.Dense) []*mat.Dense
-	// AllReduceMat returns the element-wise sum across workers.
+	// AllReduceMat writes the element-wise sum across workers into m and
+	// returns m. After a collective that panics, m's contents are
+	// unspecified.
 	AllReduceMat(m *mat.Dense) *mat.Dense
 	// BroadcastMat distributes root's matrix to every worker.
 	BroadcastMat(root int, m *mat.Dense) *mat.Dense
@@ -40,10 +42,7 @@ func (localComm) Size() int                              { return 1 }
 func (localComm) ID() int                                { return 0 }
 func (localComm) AllGatherMat(m *mat.Dense) []*mat.Dense { return []*mat.Dense{m} }
 
-// AllReduceMat returns m itself: the single-worker sum is the input, and the
-// callers' contract (the result may alias the input, which must not be
-// mutated until the result is consumed) holds trivially. Cloning here cost
-// one allocation per collective on every local run's hot path.
+// AllReduceMat returns m itself: the single-worker sum is the input.
 func (localComm) AllReduceMat(m *mat.Dense) *mat.Dense        { return m }
 func (localComm) BroadcastMat(_ int, m *mat.Dense) *mat.Dense { return m }
 func (localComm) AllReduceScalar(v float64) float64           { return v }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -55,23 +56,82 @@ func TestAllGatherRepeatedRounds(t *testing.T) {
 func TestAllReduceMatSum(t *testing.T) {
 	c := NewCluster(5)
 	c.Run(func(w *Worker) {
-		m := mat.NewDense(2, 2)
-		m.Fill(float64(w.Rank + 1))
-		sum := w.AllReduceMat(m)
-		// 1+2+3+4+5 = 15 everywhere.
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 2; j++ {
-				if sum.At(i, j) != 15 {
-					t.Errorf("rank %d: sum = %g; want 15", w.Rank, sum.At(i, j))
-					return
-				}
+		// 21 elements: five ranks own slices of unequal length.
+		m := mat.NewDense(3, 7)
+		for i := range m.Data() {
+			m.Data()[i] = float64((w.Rank + 1) * (i + 1))
+		}
+		if sum := w.AllReduceMat(m); sum != m {
+			t.Errorf("rank %d: the sum must land in the caller's matrix", w.Rank)
+		}
+		// (1+2+3+4+5)·(i+1) on every rank, every element.
+		for i, v := range m.Data() {
+			if want := float64(15 * (i + 1)); v != want {
+				t.Errorf("rank %d: sum[%d] = %g; want %g", w.Rank, i, v, want)
+				return
 			}
 		}
-		// Original must be untouched.
-		if m.At(0, 0) != float64(w.Rank+1) {
-			t.Errorf("rank %d: input mutated", w.Rank)
+	})
+}
+
+// TestAllReduceMatCanonical: the in-place sum, each rank folding only its
+// own slice, equals CanonicalReduceVecs bit for bit on every rank, for
+// every world size and for lengths shorter than the world, not divisible
+// by it, empty, and long.
+func TestAllReduceMatCanonical(t *testing.T) {
+	rng := mat.NewRNG(31)
+	for p := 1; p <= 9; p++ {
+		for _, n := range []int{0, 1, p - 1, p + 1, 3*p + 2, 1061} {
+			inputs := make([][]float64, p)
+			for r := range inputs {
+				inputs[r] = make([]float64, n)
+				for i := range inputs[r] {
+					// Magnitudes spread over 2^±20, so the bracketing shows.
+					inputs[r][i] = math.Ldexp(rng.Norm(), int(rng.Uint64()%41)-20)
+				}
+			}
+			want := CanonicalReduceVecs(inputs)
+			NewCluster(p).Run(func(w *Worker) {
+				m := mat.NewDense(1, n)
+				copy(m.Data(), inputs[w.Rank])
+				w.AllReduceMat(m)
+				for i, v := range m.Data() {
+					if math.Float64bits(v) != math.Float64bits(want[i]) {
+						t.Errorf("P=%d n=%d rank %d: sum[%d] = %v; want %v", p, n, w.Rank, i, v, want[i])
+						return
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestAllReduceMatAllocationFree: once a rank has its views of the parts, an
+// in-process all-reduce allocates nothing on any rank. (AllocsPerRun
+// resets GOMAXPROCS, so concurrent ranks cannot each call it.)
+func TestAllReduceMatAllocationFree(t *testing.T) {
+	const p, runs = 4, 20
+	var before, after runtime.MemStats
+	NewCluster(p).Run(func(w *Worker) {
+		m := mat.NewDense(10, 100)
+		m.Fill(1)
+		w.AllReduceMat(m) // warm: the views are made on the first call
+		w.Barrier()
+		if w.Rank == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		w.Barrier()
+		for i := 0; i < runs; i++ {
+			w.AllReduceMat(m)
+		}
+		w.Barrier()
+		if w.Rank == 0 {
+			runtime.ReadMemStats(&after)
 		}
 	})
+	if n := (after.Mallocs - before.Mallocs) / runs; n > 0 {
+		t.Fatalf("a warmed AllReduceMat on %d ranks allocated %d times per call", p, n)
+	}
 }
 
 func TestAllReduceScalar(t *testing.T) {
@@ -254,21 +314,27 @@ func TestTimelineConcurrent(t *testing.T) {
 	}
 }
 
-// Regression: a worker that immediately overwrites its input after
-// AllReduceMat must not corrupt peers' sums (reads complete before the
-// exit barrier).
+// Regression: a worker that clobbers its result as soon as AllReduceMat
+// returns must not change any peer's result, and no peer may write into a
+// matrix whose call has returned (every write lands before the exit
+// barrier). Odd ranks clobber at once; after a barrier even ranks still
+// hold the sum and odd ranks still hold their clobber.
 func TestAllReduceThenImmediateMutate(t *testing.T) {
 	c := NewCluster(8)
 	for round := 0; round < 50; round++ {
 		c.Run(func(w *Worker) {
 			m := mat.NewDense(4, 4)
 			m.Fill(float64(w.Rank + 1))
-			sum := w.AllReduceMat(m)
-			m.Fill(-999) // immediately clobber the input
+			w.AllReduceMat(m)
 			want := 36.0 // 1+2+...+8
-			for _, v := range sum.Data() {
+			if w.Rank%2 == 1 {
+				m.Fill(-999) // immediately clobber the result
+				want = -999
+			}
+			w.Barrier()
+			for _, v := range m.Data() {
 				if v != want {
-					t.Errorf("rank %d: sum element %g; want %g", w.Rank, v, want)
+					t.Errorf("rank %d: element %g after the barrier; want %g", w.Rank, v, want)
 					return
 				}
 			}

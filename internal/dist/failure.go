@@ -51,7 +51,7 @@ func (c *Cluster) RunWithRecovery(fn func(w *Worker)) []error {
 					c.barrier.poison()
 				}
 			}()
-			fn(&Worker{Rank: rank, c: c})
+			fn(&Worker{Rank: rank, c: c, parts: make([][]float64, c.P)})
 		}(r)
 	}
 	wg.Wait()

@@ -610,15 +610,14 @@ func mustDecodeMat(b []byte) *mat.Dense {
 	return m
 }
 
-// AllReduceMat implements dist.Comm. Whatever the tree's shape, the
-// bracketing is the canonical pairwise order of dist/reduce.go — bitwise
-// identical to the in-process cluster's accumulation.
+// AllReduceMat implements dist.Comm, decoding the sum straight into m.
+// Whatever the tree's shape, the bracketing is the canonical pairwise
+// order of dist/reduce.go — bitwise identical to the in-process cluster's.
 func (w *netWorker) AllReduceMat(m *mat.Dense) *mat.Dense {
 	w.countComm("allreduce", m.Rows()*m.Cols())
 	res := w.p.collective(w.slot, opAllReduce, sumPart(m.Data()...), w.next())
-	out := mat.NewDense(m.Rows(), m.Cols())
-	sumResult(out.Data(), res)
-	return out
+	sumResult(m.Data(), res)
+	return m
 }
 
 // AllGatherMat implements dist.Comm.

@@ -1,7 +1,5 @@
 package dist
 
-import "repro/internal/mat"
-
 // This file defines THE canonical summation order for every sum-style
 // collective in the repository. Float addition is non-associative, so
 // bit-parity between the in-process Cluster, the async scheduler comm,
@@ -80,25 +78,21 @@ func CanMergeSegments(world, lo, mid, hi int) bool {
 	return IsReduceNode(world, lo, hi) && ReduceSplit(lo, hi) == mid
 }
 
-// CanonicalReduceDense returns the canonical pairwise-tree sum of parts
-// (indexed by rank) in a freshly allocated matrix. Parts are not
-// modified.
-func CanonicalReduceDense(parts []*mat.Dense) *mat.Dense {
-	if len(parts) == 0 {
-		panic("dist: CanonicalReduceDense with no parts")
+// foldInPlace leaves the canonical sum over ranks [plo, phi) of the parts'
+// elements [lo, hi) in parts[plo][lo:hi], using the other parts as partials
+// (left + right at every node, as in canonicalSumVecs: the same bits). It
+// touches only [lo, hi), so ranks folding disjoint ranges never collide.
+func foldInPlace(parts [][]float64, plo, phi, lo, hi int) {
+	if phi-plo == 1 {
+		return
 	}
-	return canonicalSumDense(parts, 0, len(parts))
-}
-
-func canonicalSumDense(parts []*mat.Dense, lo, hi int) *mat.Dense {
-	if hi-lo == 1 {
-		return parts[lo].Clone()
+	mid := ReduceSplit(plo, phi)
+	foldInPlace(parts, plo, mid, lo, hi)
+	foldInPlace(parts, mid, phi, lo, hi)
+	left := parts[plo][lo:hi]
+	for i, v := range parts[mid][lo:hi] {
+		left[i] += v
 	}
-	mid := ReduceSplit(lo, hi)
-	left := canonicalSumDense(parts, lo, mid)
-	right := canonicalSumDense(parts, mid, hi)
-	left.AddMat(right)
-	return left
 }
 
 // CanonicalReduceScalar returns the canonical pairwise-tree sum of the
@@ -119,27 +113,22 @@ func canonicalSumScalar(vals []float64, lo, hi int) float64 {
 }
 
 // CanonicalReduceVecs returns the canonical sum of equal-length vectors
-// (indexed by rank) in a fresh slice. It is the reference the chunked
-// tree transport is tested against.
+// (indexed by rank) in a fresh slice. It is the reference the in-process
+// and chunked tree transports are tested against.
 func CanonicalReduceVecs(parts [][]float64) []float64 {
 	if len(parts) == 0 {
 		panic("dist: CanonicalReduceVecs with no parts")
 	}
-	out := canonicalSumVecs(parts, 0, len(parts))
-	if len(parts) == 1 {
-		out = append([]float64(nil), out...)
-	}
-	return out
+	return canonicalSumVecs(parts, 0, len(parts))
 }
 
 func canonicalSumVecs(parts [][]float64, lo, hi int) []float64 {
 	if hi-lo == 1 {
-		return parts[lo]
+		return append([]float64(nil), parts[lo]...)
 	}
 	mid := ReduceSplit(lo, hi)
-	left := append([]float64(nil), canonicalSumVecs(parts, lo, mid)...)
-	right := canonicalSumVecs(parts, mid, hi)
-	for i, v := range right {
+	left := canonicalSumVecs(parts, lo, mid)
+	for i, v := range canonicalSumVecs(parts, mid, hi) {
 		left[i] += v
 	}
 	return left

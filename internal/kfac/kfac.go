@@ -41,8 +41,8 @@ type factors struct {
 	aFactor, gFactor *mat.Dense // running covariance estimates
 	initialized      bool
 
-	// Persistent staging for the freshly computed factors (handed to the
-	// communicator, so owned here rather than pooled).
+	// Persistent staging for the freshly computed factors: the all-reduce
+	// sums into them in place, so they are owned here, not pooled.
 	faBuf, fgBuf *mat.Dense
 }
 

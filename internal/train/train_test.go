@@ -353,3 +353,37 @@ func TestAdaptiveDampingChangesAlpha(t *testing.T) {
 		}
 	}
 }
+
+// TestReduceKeepsFlippedSumInGrad: under a fault injector that flips a bit
+// of every payload, the all-reduce sums a corrupted clone of the gradient,
+// and worker.reduce must still leave the averaged sum in prm.Grad (the
+// injector's draws are seeded, so a fresh one replays them).
+func TestReduceKeepsFlippedSumInGrad(t *testing.T) {
+	const p = 2
+	plan := dist.FaultPlan{Seed: 5, PanicStep: -1, BitFlipProb: 1}
+	grad := func(rank int) *mat.Dense {
+		m := mat.NewDense(3, 4)
+		for i := range m.Data() {
+			m.Data()[i] = float64((rank + 1) * (i + 1))
+		}
+		return m
+	}
+	dist.NewCluster(p).Run(func(cw *dist.Worker) {
+		prm := &nn.Param{Name: "w", Grad: grad(cw.Rank)}
+		w := &worker{comm: dist.NewFaultInjector(cw, plan), p: p, params: []*nn.Param{prm}}
+		w.reduce(0)
+		want := dist.NewFaultInjector(cw, plan).AllReduceMat(grad(cw.Rank))
+		want.Scale(1 / float64(p))
+		flipped := false
+		for i, v := range prm.Grad.Data() {
+			if math.Float64bits(v) != math.Float64bits(want.Data()[i]) {
+				t.Errorf("rank %d: grad[%d] = %v; want the flipped average %v", cw.Rank, i, v, want.Data()[i])
+				return
+			}
+			flipped = flipped || v != 1.5*float64(i+1)
+		}
+		if !flipped {
+			t.Errorf("rank %d: BitFlipProb = 1 left the average uncorrupted", cw.Rank)
+		}
+	})
+}

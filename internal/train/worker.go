@@ -382,9 +382,8 @@ func (w *worker) reduce(loss float64) float64 {
 		return loss
 	}
 	for _, prm := range w.params {
-		avg := w.comm.AllReduceMat(prm.Grad)
-		avg.Scale(1 / float64(w.p))
-		prm.Grad.CopyFrom(avg)
+		w.comm.AllReduceMat(prm.Grad) // the sum lands in prm.Grad
+		prm.Grad.Scale(1 / float64(w.p))
 	}
 	return w.comm.AllReduceScalar(loss) / float64(w.p)
 }
