@@ -3,6 +3,7 @@ package bench
 import (
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -12,11 +13,14 @@ import (
 
 // The documents name only what exists: every command they tell a reader
 // to run is a main package, every experiment id they cite is registered,
-// and every artifact EXPERIMENTS.md lists is in the tree.
+// every HYLO_ environment variable they name is read by the program, and
+// every artifact EXPERIMENTS.md lists is in the tree.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	const root = "../.."
 	goRun := regexp.MustCompile(`(?:go|\$\(GO\)) run (\./[\w./-]+)`)
 	expFlag := regexp.MustCompile(`-exp[ =]([\w,*…-]+)`)
+	envName := regexp.MustCompile(`HYLO_[A-Z_]+`)
+	read := envReads(t, root)
 	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", "Makefile"} {
 		b, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
@@ -34,6 +38,13 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 					t.Errorf("%s: -exp %s is not in Registry()", doc, id)
 				}
 			}
+		}
+		named := map[string]bool{}
+		for _, name := range envName.FindAllString(text, -1) {
+			if !read[name] && !named[name] {
+				t.Errorf("%s: %s is read by no os.Getenv or os.LookupEnv of the module", doc, name)
+			}
+			named[name] = true
 		}
 	}
 
@@ -68,6 +79,36 @@ func registered(id string) bool {
 		}
 	}
 	return false
+}
+
+// envReads returns the variable names that non-test Go files of the module
+// at root pass to os.Getenv or os.LookupEnv as a string literal. Nested
+// modules and hidden directories (build caches) are skipped.
+func envReads(t *testing.T, root string) map[string]bool {
+	call := regexp.MustCompile(`os\.(?:Getenv|LookupEnv)\("(\w+)"\)`)
+	read := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		for _, m := range call.FindAllSubmatch(b, -1) {
+			read[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return read
 }
 
 // isMainPackage reports whether dir holds a non-test Go file of package main.

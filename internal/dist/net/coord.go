@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/mat"
 	"repro/internal/telemetry"
 )
 
@@ -374,12 +373,6 @@ func (c *coordinator) startGenLocked() {
 func (c *coordinator) startFrameLocked(m *member) Frame {
 	sm := startMsg{Gen: c.gen, WorldSize: uint32(c.world), BaseRank: uint32(m.baseRank),
 		ChunkElems: uint32(c.cfg.ChunkElems), TreeChildren: m.treeChildren, TreeDepth: uint32(m.treeDepth)}
-	if mat.FMAKernels() {
-		// The coordinator's kernel family is part of the generation
-		// contract: members conform in applyStart so all ranks round
-		// identically (see mat.SetFMAKernels).
-		sm.FMA = 1
-	}
 	if m.parent != nil {
 		sm.TreeParent = c.dataAddrLocked(m, m.parent)
 	}
@@ -640,7 +633,7 @@ func (c *coordinator) declareDead(m *member, reason string) {
 	firstDeath := c.phase == phaseRunning
 	if firstDeath {
 		c.phase = phaseRejoin
-		c.rejoinBy = time.Now().Add(c.rejoinWindow())
+		c.rejoinBy = time.Now().Add(2 * c.cfg.PeerDeadline)
 	}
 	msg := peerDeadMsg{Gen: c.gen, DeadMember: m.id, Reason: reason}
 	var targets []frameWriter
@@ -664,16 +657,6 @@ func (c *coordinator) declareDead(m *member, reason string) {
 		c.maybeStartRejoinLocked()
 	}
 	c.mu.Unlock()
-}
-
-func (c *coordinator) rejoinWindow() time.Duration {
-	if c.cfg.RejoinWindow > 0 {
-		return c.cfg.RejoinWindow
-	}
-	if c.cfg.PeerDeadline > 0 {
-		return 2 * c.cfg.PeerDeadline
-	}
-	return 5 * time.Second
 }
 
 // handleBlob serves the generation state blob: the self member's payload is

@@ -64,8 +64,9 @@ const (
 	frameMagic = uint32(0x4F4C5948) // "HYLO" in little-endian byte order
 
 	// ProtocolVersion is carried by every frame; a mismatched build's
-	// frames fail to decode instead of desynchronizing later.
-	ProtocolVersion = 2
+	// frames fail to decode instead of desynchronizing later. Version 3
+	// dropped the start message's kernel-family byte.
+	ProtocolVersion = 3
 
 	headerLen  = 4 + 1 + 1 + 2 + 8 + 4
 	trailerLen = 4

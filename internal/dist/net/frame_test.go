@@ -2,7 +2,9 @@ package distnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 )
@@ -79,6 +81,12 @@ func TestFrameDecodeRejects(t *testing.T) {
 		{"truncated payload", good[:len(good)-6], ErrShortFrame},
 		{"bad magic", corrupt(func(b []byte) { b[0] ^= 0xFF }), ErrBadMagic},
 		{"bad version", corrupt(func(b []byte) { b[4] = 99 }), ErrBadVersion},
+		// A version-2 build's frame, CRC intact: its start frames carry a
+		// kernel-family byte this build would misread.
+		{"version 2", corrupt(func(b []byte) {
+			b[4] = 2
+			binary.LittleEndian.PutUint32(b[len(b)-trailerLen:], crc32.ChecksumIEEE(b[4:len(b)-trailerLen]))
+		}), ErrBadVersion},
 		{"reserved bits", corrupt(func(b []byte) { b[6] = 1 }), ErrBadReserved},
 		{"flipped payload bit", corrupt(func(b []byte) { b[headerLen] ^= 0x01 }), ErrBadCRC},
 		{"flipped crc", corrupt(func(b []byte) { b[len(b)-1] ^= 0x80 }), ErrBadCRC},

@@ -86,14 +86,14 @@ func newLink(cfg *Config, addr string, self bool, onFailure func(error)) *link {
 }
 
 // connect dials the coordinator with exponential backoff plus jitter,
-// bounded by DialTimeout. The coordinator may simply not be up yet (two
+// bounded by RendezvousTimeout. The coordinator may simply not be up yet (two
 // terminals started by hand), so patience here is rendezvous UX, not just
 // fault recovery.
 func (l *link) connect() error {
-	deadline := time.Now().Add(l.cfg.DialTimeout)
-	backoff := l.cfg.DialBackoffBase
+	deadline := time.Now().Add(l.cfg.RendezvousTimeout)
+	backoff := dialBackoffBase
 	for attempt := 0; ; attempt++ {
-		conn, err := net.DialTimeout("tcp", l.addr, l.cfg.DialBackoffMax)
+		conn, err := net.DialTimeout("tcp", l.addr, dialBackoffMax)
 		if err == nil {
 			l.mu.Lock()
 			l.conn = conn
@@ -114,9 +114,7 @@ func (l *link) connect() error {
 		sleep := time.Duration(l.dialRNG.Float64() * float64(backoff))
 		time.Sleep(sleep + backoff/2)
 		backoff *= 2
-		if backoff > l.cfg.DialBackoffMax {
-			backoff = l.cfg.DialBackoffMax
-		}
+		backoff = min(backoff, dialBackoffMax)
 	}
 }
 

@@ -228,12 +228,6 @@ type startMsg struct {
 	WorldSize  uint32
 	BaseRank   uint32
 	ChunkElems uint32 // sum-collective chunk size in float64 elements
-	// FMA is the coordinator's numerics profile: nonzero when its mat
-	// kernels use fused multiply-adds. FMA rounds once where mul+add
-	// rounds twice, so ranks that disagree produce last-ulp-divergent
-	// local results and the cluster loses bit-reproducibility; every
-	// member conforms to this flag before the generation runs.
-	FMA byte
 	// TreeParent is the address of this member's tree parent's data
 	// listener ("" at the root). TreeChildren are the member ids expected
 	// to connect to this member's data listener. TreeDepth is this
@@ -244,12 +238,11 @@ type startMsg struct {
 }
 
 func (m startMsg) encode() []byte {
-	b := make([]byte, 0, 29+len(m.TreeParent)+4*len(m.TreeChildren))
+	b := make([]byte, 0, 28+len(m.TreeParent)+4*len(m.TreeChildren))
 	b = binary.LittleEndian.AppendUint32(b, m.Gen)
 	b = binary.LittleEndian.AppendUint32(b, m.WorldSize)
 	b = binary.LittleEndian.AppendUint32(b, m.BaseRank)
 	b = binary.LittleEndian.AppendUint32(b, m.ChunkElems)
-	b = append(b, m.FMA)
 	b = appendBytes(b, []byte(m.TreeParent))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.TreeChildren)))
 	for _, c := range m.TreeChildren {
@@ -261,7 +254,7 @@ func (m startMsg) encode() []byte {
 func decodeStart(p []byte) (startMsg, error) {
 	r := &byteReader{b: p}
 	m := startMsg{Gen: r.u32(), WorldSize: r.u32(), BaseRank: r.u32(),
-		ChunkElems: r.u32(), FMA: r.u8(), TreeParent: string(r.bytes())}
+		ChunkElems: r.u32(), TreeParent: string(r.bytes())}
 	n := r.u32()
 	if r.err != nil {
 		return m, r.err

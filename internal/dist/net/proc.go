@@ -37,6 +37,14 @@ const (
 // bounded.
 const defaultChunkElems = 8192
 
+// dialBackoffBase and dialBackoffMax shape the reconnect backoff of the
+// coordinator link and the tree parent dial; each dial loop gives up after
+// Config.RendezvousTimeout.
+const (
+	dialBackoffBase = 50 * time.Millisecond
+	dialBackoffMax  = time.Second
+)
+
 // Config describes one process's place in a TCP training cluster.
 type Config struct {
 	// Listen makes this process the coordinator, bound to this TCP address.
@@ -67,22 +75,14 @@ type Config struct {
 	// HeartbeatEvery is the liveness probe period (default 250ms).
 	HeartbeatEvery time.Duration
 	// PeerDeadline declares a silent peer dead (default 3s); it also sizes
-	// the reconnect grace window.
+	// the reconnect grace window, and twice it bounds how long the
+	// coordinator waits for survivors after a death.
 	PeerDeadline time.Duration
 	// RetransmitEvery re-sends unacknowledged requests (default 400ms).
 	RetransmitEvery time.Duration
-	// RendezvousTimeout bounds the initial join and each rejoin round
-	// (default 30s).
+	// RendezvousTimeout bounds the initial join, each rejoin round and
+	// each dial loop (default 30s).
 	RendezvousTimeout time.Duration
-	// RejoinWindow bounds how long the coordinator waits for survivors
-	// after a death (default 2×PeerDeadline).
-	RejoinWindow time.Duration
-	// DialBackoffBase/DialBackoffMax shape reconnect backoff (defaults
-	// 50ms/1s); DialTimeout bounds the whole dial loop (default
-	// RendezvousTimeout).
-	DialBackoffBase time.Duration
-	DialBackoffMax  time.Duration
-	DialTimeout     time.Duration
 	// CollTimeout arms the stuck-collective watchdog — the transport-level
 	// equivalent of the in-process barrier watchdog: when a collective has
 	// been open at the tree's root for longer than this, the coordinator
@@ -116,10 +116,6 @@ func (c Config) withDefaults() Config {
 	def(&c.PeerDeadline, 3*time.Second)
 	def(&c.RetransmitEvery, 400*time.Millisecond)
 	def(&c.RendezvousTimeout, 30*time.Second)
-	def(&c.RejoinWindow, 2*c.PeerDeadline)
-	def(&c.DialBackoffBase, 50*time.Millisecond)
-	def(&c.DialBackoffMax, time.Second)
-	def(&c.DialTimeout, c.RendezvousTimeout)
 	if c.LocalRanks <= 0 {
 		c.LocalRanks = 1
 	}
@@ -275,19 +271,12 @@ func Start(cfg Config) (*Proc, error) {
 	return p, nil
 }
 
-// applyStart installs a generation's start message: rank assignment, this
-// process's place in the reduction tree, and the coordinator's
-// authoritative numerics choice.
+// applyStart installs a generation's start message: rank assignment and
+// this process's place in the reduction tree.
 func (p *Proc) applyStart(sm startMsg) error {
 	if sm.TreeParent == "" && sm.BaseRank != 0 {
 		return fmt.Errorf("distnet: gen %d start names no tree parent for base rank %d", sm.Gen, sm.BaseRank)
 	}
-	// Conform the kernel family before the generation runs: members of one
-	// cluster may have been started with different HYLO_FMA environments,
-	// and the two families round differently, so a member on the other one
-	// would diverge from the cluster by an ulp per local op. The
-	// rendezvous is a compute quiescent point, so flipping here is safe.
-	mat.SetFMAKernels(sm.FMA != 0)
 	p.mu.Lock()
 	p.gen, p.world, p.baseRank = sm.Gen, int(sm.WorldSize), int(sm.BaseRank)
 	p.seqFloor = 0 // wire sequences are generation-tagged; restart small

@@ -398,17 +398,17 @@ func (t *treeEngine) serveChild(conn net.Conn) {
 }
 
 // dialParent establishes (or re-establishes) the upstream data
-// connection for generation gen, with backoff bounded by DialTimeout.
+// connection for generation gen, with backoff bounded by RendezvousTimeout.
 // Exhausting the budget withdraws the process: an unreachable parent
 // means this subtree's contributions can never ascend.
 func (t *treeEngine) dialParent(gen uint32, addr string) {
-	deadline := time.Now().Add(t.p.cfg.DialTimeout)
-	backoff := t.p.cfg.DialBackoffBase
+	deadline := time.Now().Add(t.p.cfg.RendezvousTimeout)
+	backoff := dialBackoffBase
 	for {
 		if t.stale(gen) {
 			return
 		}
-		conn, err := net.DialTimeout("tcp", addr, t.p.cfg.DialBackoffMax)
+		conn, err := net.DialTimeout("tcp", addr, dialBackoffMax)
 		if err == nil {
 			t.mu.Lock()
 			if t.closed || t.gen != gen {
@@ -435,9 +435,7 @@ func (t *treeEngine) dialParent(gen uint32, addr string) {
 		}
 		time.Sleep(backoff)
 		backoff *= 2
-		if backoff > t.p.cfg.DialBackoffMax {
-			backoff = t.p.cfg.DialBackoffMax
-		}
+		backoff = min(backoff, dialBackoffMax)
 	}
 }
 

@@ -81,7 +81,6 @@ func invCholInto(dst, l, lt *Dense) {
 	n := l.rows
 	p := getFloatsRaw(n * substW)
 	defer PutFloats(p)
-	fma := fmaEnabled()
 	for c0 := 0; c0 < n; c0 += substW {
 		clear(p)
 		w := min(substW, n-c0)
@@ -89,10 +88,10 @@ func invCholInto(dst, l, lt *Dense) {
 			p[(c0+j)*substW+j] = 1
 		}
 		for i := c0; i < n; i++ {
-			substRow(fma, l.data[i*n+c0:i*n+i], p[c0*substW:], p[i*substW:], 1/l.data[i*n+i])
+			substRow(l.data[i*n+c0:i*n+i], p[c0*substW:], p[i*substW:], 1/l.data[i*n+i])
 		}
 		for i := n - 1; i >= 0; i-- {
-			substRow(fma, lt.data[i*n+i+1:(i+1)*n], p[(i+1)*substW:], p[i*substW:], 1/l.data[i*n+i])
+			substRow(lt.data[i*n+i+1:(i+1)*n], p[(i+1)*substW:], p[i*substW:], 1/l.data[i*n+i])
 		}
 		for i := 0; i < n; i++ {
 			copy(dst.data[i*n+c0:i*n+c0+w], p[i*substW:])
@@ -103,22 +102,21 @@ func invCholInto(dst, l, lt *Dense) {
 // substRow sets the panel row dst[:substW] = (dst − Σ_k coef[k]·src_k)·scale,
 // src_k = src[k*substW:][:substW], for k ascending, skipping a coefficient
 // that is ±0.
-func substRow(fma bool, coef, src, dst []float64, scale float64) {
+func substRow(coef, src, dst []float64, scale float64) {
 	if useAsm && len(coef) > 0 {
 		// The assembly checks no bounds.
 		_, _ = src[len(coef)*substW-1], dst[substW-1]
-		substTileAVX2(fma, len(coef), &coef[0], &src[0], &dst[0], scale)
+		substTileAVX2(len(coef), &coef[0], &src[0], &dst[0], scale)
 		return
 	}
-	substRef(fma, coef, src, (*[substW]float64)(dst), scale)
+	substRef(coef, src, (*[substW]float64)(dst), scale)
 }
 
 // substRef is substTileAVX2 in Go: the implementation without the assembly
 // and the oracle it is tested against. It walks the row as two groups of
-// eight so the accumulators stay in registers. x − float64(l·s) and
-// math.FMA(−l, s, x) are axpy's x + (−l)·s in each family, and the
-// conversion keeps the compiler from fusing the first, as in kernelRef.
-func substRef(fma bool, coef, src []float64, dst *[substW]float64, scale float64) {
+// eight so the accumulators stay in registers. math.FMA(−l, s, x) is axpy's
+// x + (−l)·s bit for bit.
+func substRef(coef, src []float64, dst *[substW]float64, scale float64) {
 	for j := 0; j < substW; j += 8 {
 		x0, x1, x2, x3, x4, x5, x6, x7 := dst[j], dst[j+1], dst[j+2], dst[j+3], dst[j+4], dst[j+5], dst[j+6], dst[j+7]
 		for k, c := range coef {
@@ -126,13 +124,8 @@ func substRef(fma bool, coef, src []float64, dst *[substW]float64, scale float64
 				continue
 			}
 			s := (*[8]float64)(src[k*substW+j:])
-			if fma {
-				x0, x1, x2, x3 = math.FMA(-c, s[0], x0), math.FMA(-c, s[1], x1), math.FMA(-c, s[2], x2), math.FMA(-c, s[3], x3)
-				x4, x5, x6, x7 = math.FMA(-c, s[4], x4), math.FMA(-c, s[5], x5), math.FMA(-c, s[6], x6), math.FMA(-c, s[7], x7)
-			} else {
-				x0, x1, x2, x3 = x0-float64(c*s[0]), x1-float64(c*s[1]), x2-float64(c*s[2]), x3-float64(c*s[3])
-				x4, x5, x6, x7 = x4-float64(c*s[4]), x5-float64(c*s[5]), x6-float64(c*s[6]), x7-float64(c*s[7])
-			}
+			x0, x1, x2, x3 = math.FMA(-c, s[0], x0), math.FMA(-c, s[1], x1), math.FMA(-c, s[2], x2), math.FMA(-c, s[3], x3)
+			x4, x5, x6, x7 = math.FMA(-c, s[4], x4), math.FMA(-c, s[5], x5), math.FMA(-c, s[6], x6), math.FMA(-c, s[7], x7)
 		}
 		dst[j], dst[j+1], dst[j+2], dst[j+3] = x0*scale, x1*scale, x2*scale, x3*scale
 		dst[j+4], dst[j+5], dst[j+6], dst[j+7] = x4*scale, x5*scale, x6*scale, x7*scale
@@ -271,7 +264,6 @@ func factorLUInPlace(lu *Dense, piv []int) (LU, error) {
 		piv[i] = i
 	}
 	sign := 1
-	fma := fmaEnabled()
 	// U₁₂'s packed block, then a padded row for a narrow last block.
 	panel := GetFloats(substW*substW + substW)
 	defer PutFloats(panel)
@@ -326,11 +318,11 @@ func factorLUInPlace(lu *Dense, piv []int) (LU, error) {
 			for i := k1; i < n; i++ {
 				ri := lu.Row(i)
 				if w == substW {
-					substRow(fma, ri[k0:k1], panel, ri[j0:], 1)
+					substRow(ri[k0:k1], panel, ri[j0:], 1)
 					continue
 				}
 				copy(pad, ri[j0:])
-				substRow(fma, ri[k0:k1], panel, pad, 1)
+				substRow(ri[k0:k1], panel, pad, 1)
 				copy(ri[j0:], pad[:w])
 			}
 		}
@@ -364,17 +356,16 @@ func (f *LU) solveInPlace(x *Dense) {
 	lu := f.lu.data
 	p := GetFloats(n * substW)
 	defer PutFloats(p)
-	fma := fmaEnabled()
 	for c0 := 0; c0 < m; c0 += substW {
 		w := min(substW, m-c0)
 		for i := 0; i < n; i++ {
 			copy(p[i*substW:i*substW+w], x.data[i*m+c0:])
 		}
 		for i := 1; i < n; i++ {
-			substRow(fma, lu[i*n:i*n+i], p, p[i*substW:], 1)
+			substRow(lu[i*n:i*n+i], p, p[i*substW:], 1)
 		}
 		for i := n - 1; i >= 0; i-- {
-			substRow(fma, lu[i*n+i+1:(i+1)*n], p[(i+1)*substW:], p[i*substW:], 1/lu[i*n+i])
+			substRow(lu[i*n+i+1:(i+1)*n], p[(i+1)*substW:], p[i*substW:], 1/lu[i*n+i])
 		}
 		for i := 0; i < n; i++ {
 			copy(x.data[i*m+c0:i*m+c0+w], p[i*substW:])

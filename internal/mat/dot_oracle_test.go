@@ -5,7 +5,7 @@ package mat
 // before the tile are kept here verbatim as the oracle, and GramInto, the
 // small a*bᵀ product, MulVecInto and Cholesky must equal them by
 // math.Float64bits (sameValue: any NaN equals any NaN) under both
-// implementations, in both kernel families, on any core count.
+// implementations, on any core count.
 
 import (
 	"fmt"
@@ -76,7 +76,7 @@ func oracleCholesky(a *Dense) *Dense {
 }
 
 // checkGramOracle holds GramInto to its oracle on n rows of length k of one
-// operand kind, in the selected kernel family, under both implementations.
+// operand kind, under both implementations.
 func checkGramOracle(t *testing.T, seed uint64, kind string, n, k int) {
 	t.Helper()
 	a := oracleOperand(NewRNG(seed), kind, n, k)
@@ -150,39 +150,35 @@ func withProcs(t *testing.T, procs []int, fn func(t *testing.T)) {
 func TestDotTileOracle(t *testing.T) {
 	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 255, 256, 257}
 	ks := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257, 258}
-	withBothKernelFamilies(t, func(t *testing.T) {
-		for ci, kind := range oracleKinds {
-			for i, n := range ns {
-				for _, k := range ks {
-					// The large n take one small and one large k each,
-					// rotating through the k mod 4 residues.
-					if n > 33 && k != 3+(i+ci)%4 && k != 255+(i+ci)%4 {
-						continue
-					}
-					checkDotOracle(t, uint64(1000*n+10*k+ci), kind, n, 13-n%5, k)
+	for ci, kind := range oracleKinds {
+		for i, n := range ns {
+			for _, k := range ks {
+				// The large n take one small and one large k each,
+				// rotating through the k mod 4 residues.
+				if n > 33 && k != 3+(i+ci)%4 && k != 255+(i+ci)%4 {
+					continue
 				}
+				checkDotOracle(t, uint64(1000*n+10*k+ci), kind, n, 13-n%5, k)
 			}
 		}
-		withProcs(t, []int{1, 2, 4}, func(t *testing.T) {
-			for ci, kind := range oracleKinds {
-				for i, n := range ns[10:] {
-					checkGramOracle(t, uint64(7000*n+ci), kind, n, 5+(i+ci)%4)
-				}
+	}
+	withProcs(t, []int{1, 2, 4}, func(t *testing.T) {
+		for ci, kind := range oracleKinds {
+			for i, n := range ns[10:] {
+				checkGramOracle(t, uint64(7000*n+ci), kind, n, 5+(i+ci)%4)
 			}
-		})
+		}
 	})
 }
 
 // FuzzDotTile drives the four nests against their oracles over arbitrary
-// small shapes, operand kinds and both kernel families.
+// small shapes and operand kinds.
 func FuzzDotTile(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(4), uint8(4), uint8(0))
-	f.Add(uint64(2), uint8(9), uint8(7), uint8(33), uint8(3))
-	f.Add(uint64(3), uint8(70), uint8(1), uint8(255), uint8(6))
+	f.Add(uint64(2), uint8(9), uint8(7), uint8(33), uint8(1))
+	f.Add(uint64(3), uint8(70), uint8(1), uint8(255), uint8(3))
 	f.Fuzz(func(t *testing.T, seed uint64, n, nb, k, mode uint8) {
-		defer SetFMAKernels(FMAKernels())
-		SetFMAKernels(mode&1 != 0)
-		checkDotOracle(t, seed, oracleKinds[mode>>1&3], int(n%80)+1, int(nb%20)+1, int(k))
+		checkDotOracle(t, seed, oracleKinds[mode&3], int(n%80)+1, int(nb%20)+1, int(k))
 	})
 }
 

@@ -47,14 +47,13 @@ func oracleGathered(rng *RNG, kind string, m, k int) (Gathered, *Dense) {
 	return g, a
 }
 
-// checkGatheredOracle runs one (shape, kind) in the selected family under
-// both implementations. out starts as NaN wherever a product must overwrite.
+// checkGatheredOracle runs one (shape, kind) under both implementations. out starts as NaN wherever a product must overwrite.
 func checkGatheredOracle(t *testing.T, seed uint64, kind string, m, k, n int) {
 	t.Helper()
 	rng := NewRNG(seed)
 	g, a := oracleGathered(rng, kind, m, k)
 	b := oracleOperand(rng, kind, k, n)
-	want := oracleGemm(a, b, false, false, FMAKernels())
+	want := oracleGemm(a, b, false, false)
 	got := NewDense(m, n)
 	for _, impl := range kernelImpls {
 		name := fmt.Sprintf("%s %s %dx%dx%d", impl.name, kind, m, k, n)
@@ -98,13 +97,11 @@ func TestGatheredOracle(t *testing.T) {
 		{4, gemmKC - 1, 8}, {4, gemmKC, 8}, {7, gemmKC + 1, 13}, {8, 2 * gemmKC, 9}, {6, 2*gemmKC + 6, 10},
 		{70, gemmKC + 8, 9}, {13, 40, gemmNC + 12}, {8*gemmClaimPanels*gemmMR + 3, 30, 17},
 	}
-	withBothKernelFamilies(t, func(t *testing.T) {
-		for si, s := range shapes {
-			for ci, kind := range oracleKinds {
-				checkGatheredOracle(t, uint64(10*si+ci), kind, s[0], s[1], s[2])
-			}
+	for si, s := range shapes {
+		for ci, kind := range oracleKinds {
+			checkGatheredOracle(t, uint64(10*si+ci), kind, s[0], s[1], s[2])
 		}
-	})
+	}
 }
 
 // TestGatheredRangeCheck: the assembly checks no address, so a table that
@@ -129,16 +126,14 @@ func TestGatheredRangeCheck(t *testing.T) {
 }
 
 // FuzzGathered drives the gathered product, assembly and reference, against
-// the oracle and the stored product over arbitrary small shapes, operand
-// kinds and both kernel families.
+// the oracle and the stored product over arbitrary small shapes and operand
+// kinds.
 func FuzzGathered(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(8), uint8(8), uint8(0))
-	f.Add(uint64(2), uint8(9), uint8(103), uint8(17), uint8(7))
-	f.Add(uint64(3), uint8(23), uint8(255), uint8(0), uint8(2))
+	f.Add(uint64(2), uint8(9), uint8(103), uint8(17), uint8(3))
+	f.Add(uint64(3), uint8(23), uint8(255), uint8(0), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, mDim, kDim, nDim, mode uint8) {
-		defer SetFMAKernels(FMAKernels())
-		SetFMAKernels(mode&1 != 0)
 		// k reaches past two kc slices for the largest kDim.
-		checkGatheredOracle(t, seed, oracleKinds[mode>>1&3], int(mDim%24)+1, int(kDim)*5+1, int(nDim%40)+1)
+		checkGatheredOracle(t, seed, oracleKinds[mode&3], int(mDim%24)+1, int(kDim)*5+1, int(nDim%40)+1)
 	})
 }

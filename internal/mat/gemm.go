@@ -399,7 +399,6 @@ type panel struct {
 // zero-padded edge panels and every gathered panel without the assembly are
 // packed into ap. With lower, a row panel stops at its diagonal tile.
 func gemmSweep(out, a *Dense, g Gathered, transA bool, ap, bp []float64, lo, hi, m, pc, kc, jc, nc int, first, lower bool) {
-	fma := fmaEnabled()
 	npanels := (nc + gemmNR - 1) / gemmNR
 	var pa panel // set field by field: a composite literal per panel is a block copy
 	for ip := lo; ip < hi; ip++ {
@@ -427,7 +426,7 @@ func gemmSweep(out, a *Dense, g Gathered, transA bool, ap, bp []float64, lo, hi,
 		}
 		for jp := 0; jp < npanels; jp++ {
 			j0 := jp * gemmNR
-			microTile(out, fma, first, &pa, bp[jp*kc*gemmNR:(jp+1)*kc*gemmNR],
+			microTile(out, first, &pa, bp[jp*kc*gemmNR:(jp+1)*kc*gemmNR],
 				kc, i0, jc+j0, rows, min(gemmNR, nc-j0))
 		}
 	}
@@ -512,23 +511,23 @@ func packGathered(ap []float64, g Gathered, i0, rows, pc, kc int) {
 
 // microTile computes the mr×nr output block at (i0, j0) for one k-slice.
 // The contract is per element: an accumulator starts at +0, takes
-// op(a)[i,p]*op(b)[p,j] for p ascending with one product and one sum
-// rounding (or one fused rounding in the FMA family), and is then added as
+// op(a)[i,p]*op(b)[p,j] for p ascending with one fused rounding each, and
+// is then added as
 // out + acc, with out read as +0 on the first slice (not a plain
 // assignment: a fused sum of underflowing products can be -0). bp is
 // zero-padded to nr columns and a packed edge panel of a to mr rows, so only
 // the store is masked. The assembly writes full tiles straight into out and
 // edge tiles through a stack tile.
-func microTile(out *Dense, fma, first bool, a *panel, bp []float64, kc, i0, j0, rows, cols int) {
+func microTile(out *Dense, first bool, a *panel, bp []float64, kc, i0, j0, rows, cols int) {
 	if useAsm && rows == gemmMR && cols == gemmNR {
-		asmTile(fma, first, kc, a, bp, &out.data[i0*out.cols+j0], out.cols)
+		asmTile(first, kc, a, bp, &out.data[i0*out.cols+j0], out.cols)
 		return
 	}
 	var acc [gemmMR][gemmNR]float64
 	if useAsm {
-		asmTile(fma, true, kc, a, bp, &acc[0][0], gemmNR)
+		asmTile(true, kc, a, bp, &acc[0][0], gemmNR)
 	} else {
-		kernelRef(&acc, fma, kc, a.a, a.rs, a.cs, bp)
+		kernelRef(&acc, kc, a.a, a.rs, a.cs, bp)
 	}
 	for ii := 0; ii < rows; ii++ {
 		orow := out.data[(i0+ii)*out.cols+j0:][:cols]
@@ -542,53 +541,35 @@ func microTile(out *Dense, fma, first bool, a *panel, bp []float64, kc, i0, j0, 
 }
 
 // asmTile runs the AVX2 kernel that reads a's addressing form.
-func asmTile(fma, assign bool, kc int, a *panel, bp []float64, c *float64, ldc int) {
+func asmTile(assign bool, kc int, a *panel, bp []float64, c *float64, ldc int) {
 	if a.col != nil {
-		kernel4x8g(fma, assign, kc, &a.a[0], &a.row[0], &a.col[0], &bp[0], c, ldc)
+		kernel4x8g(assign, kc, &a.a[0], &a.row[0], &a.col[0], &bp[0], c, ldc)
 		return
 	}
-	kernel4x8(fma, assign, kc, &a.a[0], a.rs, a.cs, &bp[0], c, ldc)
+	kernel4x8(assign, kc, &a.a[0], a.rs, a.cs, &bp[0], c, ldc)
 }
 
 // kernelRef is the pure-Go micro-kernel: the fallback where there is no
 // assembly and the oracle the assembly is tested against. It walks the
-// mr×nr tile as 2×4 sub-tiles so the accumulators stay in registers. The
-// explicit float64 conversion keeps the compiler from fusing the mul+add
-// family's product and sum (as it does on arm64 and under GOAMD64=v3).
-func kernelRef(acc *[gemmMR][gemmNR]float64, fma bool, kc int, a []float64, rs, cs int, bp []float64) {
+// mr×nr tile as 2×4 sub-tiles so the accumulators stay in registers.
+func kernelRef(acc *[gemmMR][gemmNR]float64, kc int, a []float64, rs, cs int, bp []float64) {
 	for i := 0; i < gemmMR; i += 2 {
 		for j := 0; j < gemmNR; j += 4 {
 			var c00, c01, c02, c03 float64
 			var c10, c11, c12, c13 float64
 			ia, ib := i*rs, j
-			if fma {
-				for p := 0; p < kc; p++ {
-					a0, a1 := a[ia], a[ia+rs]
-					b0, b1, b2, b3 := bp[ib], bp[ib+1], bp[ib+2], bp[ib+3]
-					c00 = math.FMA(a0, b0, c00)
-					c01 = math.FMA(a0, b1, c01)
-					c02 = math.FMA(a0, b2, c02)
-					c03 = math.FMA(a0, b3, c03)
-					c10 = math.FMA(a1, b0, c10)
-					c11 = math.FMA(a1, b1, c11)
-					c12 = math.FMA(a1, b2, c12)
-					c13 = math.FMA(a1, b3, c13)
-					ia, ib = ia+cs, ib+gemmNR
-				}
-			} else {
-				for p := 0; p < kc; p++ {
-					a0, a1 := a[ia], a[ia+rs]
-					b0, b1, b2, b3 := bp[ib], bp[ib+1], bp[ib+2], bp[ib+3]
-					c00 += float64(a0 * b0)
-					c01 += float64(a0 * b1)
-					c02 += float64(a0 * b2)
-					c03 += float64(a0 * b3)
-					c10 += float64(a1 * b0)
-					c11 += float64(a1 * b1)
-					c12 += float64(a1 * b2)
-					c13 += float64(a1 * b3)
-					ia, ib = ia+cs, ib+gemmNR
-				}
+			for p := 0; p < kc; p++ {
+				a0, a1 := a[ia], a[ia+rs]
+				b0, b1, b2, b3 := bp[ib], bp[ib+1], bp[ib+2], bp[ib+3]
+				c00 = math.FMA(a0, b0, c00)
+				c01 = math.FMA(a0, b1, c01)
+				c02 = math.FMA(a0, b2, c02)
+				c03 = math.FMA(a0, b3, c03)
+				c10 = math.FMA(a1, b0, c10)
+				c11 = math.FMA(a1, b1, c11)
+				c12 = math.FMA(a1, b2, c12)
+				c13 = math.FMA(a1, b3, c13)
+				ia, ib = ia+cs, ib+gemmNR
 			}
 			acc[i][j], acc[i][j+1], acc[i][j+2], acc[i][j+3] = c00, c01, c02, c03
 			acc[i+1][j], acc[i+1][j+1], acc[i+1][j+2], acc[i+1][j+3] = c10, c11, c12, c13
@@ -614,31 +595,15 @@ func gemmRows(out, a, b *Dense, lo, hi int) {
 	}
 }
 
-// axpy computes dst += s*src with one product and one sum rounding per
-// element (one fused rounding in the FMA family); the AVX2 routine and the
-// 4-way unrolled Go loops round identically. The explicit conversion keeps
-// the compiler from fusing the mul+add family, as in kernelRef.
+// axpy computes dst += s*src with one fused rounding per element; the AVX2
+// routine and axpyFMA round identically.
 func axpy(dst, src []float64, s float64) {
 	src = src[:len(dst)]
-	switch fma := fmaEnabled(); {
-	case useAsm:
-		axpyAVX2(fma, dst, src, s)
-		return
-	case fma:
-		axpyFMA(dst, src, s)
+	if useAsm {
+		axpyAVX2(dst, src, s)
 		return
 	}
-	n := len(dst)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dst[i] += float64(s * src[i])
-		dst[i+1] += float64(s * src[i+1])
-		dst[i+2] += float64(s * src[i+2])
-		dst[i+3] += float64(s * src[i+3])
-	}
-	for ; i < n; i++ {
-		dst[i] += float64(s * src[i])
-	}
+	axpyFMA(dst, src, s)
 }
 
 // MulVec returns a*x for a vector x (len = a.cols).
@@ -695,10 +660,9 @@ func dotBlock(out []float64, ldo int, x []float64, ldx, nx int, y []float64, ldy
 		// The assembly checks no bounds: the last element of each operand it
 		// will touch must exist.
 		_, _, _ = x[(nx-1)*ldx+k-1], y[(tiled-1)*ldy+k-1], out[(nx-1)*ldo+tiled-1]
-		fma := fmaEnabled()
 		for i := 0; i < nx; i += 2 {
 			for j := 0; j < tiled; j += 4 {
-				dotTileAVX2(fma, min(2, nx-i), k, &x[i*ldx], ldx, &y[j*ldy], ldy, &out[i*ldo+j], ldo)
+				dotTileAVX2(min(2, nx-i), k, &x[i*ldx], ldx, &y[j*ldy], ldy, &out[i*ldo+j], ldo)
 			}
 		}
 	}
@@ -715,20 +679,5 @@ func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic("mat: Dot length mismatch")
 	}
-	if fmaEnabled() {
-		return dotFMA(x, y)
-	}
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		s0 += float64(x[i] * y[i])
-		s1 += float64(x[i+1] * y[i+1])
-		s2 += float64(x[i+2] * y[i+2])
-		s3 += float64(x[i+3] * y[i+3])
-	}
-	s := s0 + s1 + s2 + s3
-	for ; i < len(x); i++ {
-		s += float64(x[i] * y[i])
-	}
-	return s
+	return dotFMA(x, y)
 }

@@ -3,9 +3,9 @@
 package mat
 
 // useAsm selects the AVX2 micro-kernel, axpy, dot tile and substitution tile
-// over the pure-Go reference kernels. Both compute the same bits in either
-// kernel family, so the choice is not part of a run's numerical identity; it
-// is a variable only so tests can force the reference.
+// over the pure-Go reference kernels. Both compute the same bits, so the
+// choice is not part of a run's numerical identity; it is a variable only so
+// tests can force the reference.
 var useAsm = hasAVX2FMA()
 
 // hasAVX2FMA reports whether the CPU has AVX2 and FMA3 and the OS saves the
@@ -21,19 +21,19 @@ func hasAVX2FMA() bool {
 }
 
 //go:noescape
-func kernel4x8(fma, assign bool, kc int, a *float64, rs, cs int, b, c *float64, ldc int)
+func kernel4x8(assign bool, kc int, a *float64, rs, cs int, b, c *float64, ldc int)
 
 //go:noescape
-func kernel4x8g(fma, assign bool, kc int, a *float64, row, col *int, b, c *float64, ldc int)
+func kernel4x8g(assign bool, kc int, a *float64, row, col *int, b, c *float64, ldc int)
 
 //go:noescape
-func axpyAVX2(fma bool, dst, src []float64, s float64)
+func axpyAVX2(dst, src []float64, s float64)
 
 //go:noescape
-func dotTileAVX2(fma bool, rows, k int, x *float64, ldx int, y *float64, ldy int, out *float64, ldo int)
+func dotTileAVX2(rows, k int, x *float64, ldx int, y *float64, ldy int, out *float64, ldo int)
 
 //go:noescape
-func substTileAVX2(fma bool, nk int, coef, src, dst *float64, scale float64)
+func substTileAVX2(nk int, coef, src, dst *float64, scale float64)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -2,29 +2,21 @@
 
 #include "textflag.h"
 
-// AVX2 implementations of the two kernel families (see kernel_amd64.go).
-// Every element follows the scalar reference's rounding sequence exactly:
-// VMULPD then VADDPD rounds twice like Go's c += a*b, VFMADD231PD rounds
-// once like math.FMA. In the GEMM tile, axpy and the substitution tile,
-// lanes run across independent elements, never across the k sum; the dot
-// tile's four lanes are Dot's own s0..s3.
+// AVX2 implementations of the fused multiply-add kernels (see
+// kernel_amd64.go). Every element follows the scalar reference's rounding
+// sequence exactly: VFMADD231PD rounds once like math.FMA. In the GEMM tile,
+// axpy and the substitution tile, lanes run across independent elements,
+// never across the k sum; the dot tile's four lanes are Dot's own s0..s3.
 
 // One k step of the 4×8 tile: B row p in Y8:Y9, the four A values broadcast
 // one at a time into Y10, accumulators Y0..Y7 (row i in Y(2i):Y(2i+1)).
 // KSTEP ends on DECQ CX so the JNZ after it closes the k loop.
-#define ROW_MULADD(abcast, lo, hi) \
-	VBROADCASTSD abcast, Y10;  \
-	VMULPD       Y8, Y10, Y11; \
-	VMULPD       Y9, Y10, Y12; \
-	VADDPD       Y11, lo, lo;  \
-	VADDPD       Y12, hi, hi
-
-#define ROW_FMA(abcast, lo, hi) \
+#define ROW(abcast, lo, hi) \
 	VBROADCASTSD abcast, Y10; \
 	VFMADD231PD  Y8, Y10, lo; \
 	VFMADD231PD  Y9, Y10, hi
 
-#define KSTEP(ROW) \
+#define KSTEP \
 	VMOVUPD (DI), Y8;         \
 	VMOVUPD 32(DI), Y9;       \
 	ROW((SI), Y0, Y1);        \
@@ -37,7 +29,7 @@
 
 // The gathered twin of KSTEP: the four row pointers SI, R8, R10, R11 stay
 // put and the column offset of step p is loaded from the table at R9.
-#define GSTEP(ROW) \
+#define GSTEP \
 	MOVQ    (R9), DX;         \
 	VMOVUPD (DI), Y8;         \
 	VMOVUPD 32(DI), Y9;       \
@@ -70,7 +62,7 @@
 	LEAQ    (DX)(BX*1), R11;   \
 	LEAQ    (DX)(BX*2), R12;   \
 	LEAQ    (R11)(BX*2), R13;  \
-	CMPB    assign+1(FP), $0;  \
+	CMPB    assign+0(FP), $0;  \
 	JNE     assign;            \
 	VADDPD  (DX), Y0, Y0;      \
 	VADDPD  32(DX), Y1, Y1;    \
@@ -103,7 +95,7 @@ write:                         \
 	VZEROUPPER;                \
 	RET
 
-// func kernel4x8(fma, assign bool, kc int, a *float64, rs, cs int, b, c *float64, ldc int)
+// func kernel4x8(assign bool, kc int, a *float64, rs, cs int, b, c *float64, ldc int)
 //
 // acc[i][j] = Σ_p a[i*rs+p*cs] * b[p*8+j] for p ascending from +0, then
 // c[i*ldc+j] = 0 + acc (assign) or c[i*ldc+j] + acc. kc ≥ 1.
@@ -117,22 +109,13 @@ TEXT ·kernel4x8(SB), NOSPLIT, $0-64
 	SHLQ $3, R9
 	LEAQ (R8)(R8*2), R10
 	ZERO_TILE
-	CMPB fma+0(FP), $0
-	JNE  kfma
 
-kmuladd:
-	KSTEP(ROW_MULADD)
-	JNZ kmuladd
-	JMP store
-
-kfma:
-	KSTEP(ROW_FMA)
-	JNZ kfma
-
-store:
+kloop:
+	KSTEP
+	JNZ kloop
 	STORE_TILE
 
-// func kernel4x8g(fma, assign bool, kc int, a *float64, row, col *int, b, c *float64, ldc int)
+// func kernel4x8g(assign bool, kc int, a *float64, row, col *int, b, c *float64, ldc int)
 //
 // kernel4x8 over a gathered panel: acc[i][j] = Σ_p a[row[i]+col[p]] * b[p*8+j],
 // row four entries and col kc, neither checked here. kc ≥ 1.
@@ -151,70 +134,36 @@ TEXT ·kernel4x8g(SB), NOSPLIT, $0-64
 	LEAQ (AX)(R10*8), R10
 	LEAQ (AX)(R11*8), R11
 	ZERO_TILE
-	CMPB fma+0(FP), $0
-	JNE  gfma
 
-gmuladd:
-	GSTEP(ROW_MULADD)
-	JNZ gmuladd
-	JMP gstore
-
-gfma:
-	GSTEP(ROW_FMA)
-	JNZ gfma
-
-gstore:
+gloop:
+	GSTEP
+	JNZ gloop
 	STORE_TILE
 
-// func axpyAVX2(fma bool, dst, src []float64, s float64)
+// func axpyAVX2(dst, src []float64, s float64)
 //
-// dst[i] += s*src[i] for i < len(dst); the caller guarantees
+// dst[i] = fma(s, src[i], dst[i]) for i < len(dst); the caller guarantees
 // len(src) ≥ len(dst).
-TEXT ·axpyAVX2(SB), NOSPLIT, $0-64
-	MOVQ         dst_base+8(FP), DI
-	MOVQ         dst_len+16(FP), CX
-	MOVQ         src_base+32(FP), SI
-	VBROADCASTSD s+56(FP), Y0
-	CMPB         fma+0(FP), $0
-	JNE          afma
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         src_base+24(FP), SI
+	VBROADCASTSD s+48(FP), Y0
 
-amuladd4:
-	SUBQ    $4, CX
-	JLT     amuladd1
-	VMULPD  (SI), Y0, Y1
-	VADDPD  (DI), Y1, Y1
-	VMOVUPD Y1, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	JMP     amuladd4
-
-amuladd1:
-	ADDQ $4, CX
-
-amuladdtail:
-	JZ     adone
-	VMULSD (SI), X0, X1
-	VADDSD (DI), X1, X1
-	VMOVSD X1, (DI)
-	ADDQ   $8, SI
-	ADDQ   $8, DI
-	DECQ   CX
-	JMP    amuladdtail
-
-afma:
+a4:
 	SUBQ        $4, CX
-	JLT         afma1
+	JLT         a1
 	VMOVUPD     (DI), Y1
 	VFMADD231PD (SI), Y0, Y1
 	VMOVUPD     Y1, (DI)
 	ADDQ        $32, SI
 	ADDQ        $32, DI
-	JMP         afma
+	JMP         a4
 
-afma1:
+a1:
 	ADDQ $4, CX
 
-afmatail:
+atail:
 	JZ          adone
 	VMOVSD      (DI), X1
 	VFMADD231SD (SI), X0, X1
@@ -222,7 +171,7 @@ afmatail:
 	ADDQ        $8, SI
 	ADDQ        $8, DI
 	DECQ        CX
-	JMP         afmatail
+	JMP         atail
 
 adone:
 	VZEROUPPER
@@ -240,17 +189,7 @@ adone:
 	VMOVUPD (DI)(R9*2), Y12; \
 	VMOVUPD (DI)(R10*1), Y13
 
-#define DOTROW_MULADD(xv, a0, a1, a2, a3) \
-	VMULPD Y10, xv, Y14; \
-	VMULPD Y11, xv, Y15; \
-	VADDPD Y14, a0, a0;  \
-	VADDPD Y15, a1, a1;  \
-	VMULPD Y12, xv, Y14; \
-	VMULPD Y13, xv, Y15; \
-	VADDPD Y14, a2, a2;  \
-	VADDPD Y15, a3, a3
-
-#define DOTROW_FMA(xv, a0, a1, a2, a3) \
+#define DOTROW(xv, a0, a1, a2, a3) \
 	VFMADD231PD Y10, xv, a0; \
 	VFMADD231PD Y11, xv, a1; \
 	VFMADD231PD Y12, xv, a2; \
@@ -277,73 +216,51 @@ adone:
 	VADDPD     a2, a0, a0;         \
 	VADDPD     a3, a0, a0
 
-// func dotTileAVX2(fma bool, rows, k int, x *float64, ldx int, y *float64, ldy int, out *float64, ldo int)
+// func dotTileAVX2(rows, k int, x *float64, ldx int, y *float64, ldy int, out *float64, ldo int)
 //
-// out[r*ldo+c] = Dot(x[r*ldx:][:k], y[c*ldy:][:k]) for r < rows, c < 4, in
-// the mul+add family or as dotFMA. rows is 1 or 2, k ≥ 4.
-TEXT ·dotTileAVX2(SB), NOSPLIT, $0-72
-	MOVQ   k+16(FP), CX
-	MOVQ   x+24(FP), SI
-	MOVQ   ldx+32(FP), R8
-	MOVQ   y+40(FP), DI
-	MOVQ   ldy+48(FP), R9
+// out[r*ldo+c] = Dot(x[r*ldx:][:k], y[c*ldy:][:k]) for r < rows, c < 4, as
+// dotFMA. rows is 1 or 2, k ≥ 4.
+TEXT ·dotTileAVX2(SB), NOSPLIT, $0-64
+	MOVQ   k+8(FP), CX
+	MOVQ   x+16(FP), SI
+	MOVQ   ldx+24(FP), R8
+	MOVQ   y+32(FP), DI
+	MOVQ   ldy+40(FP), R9
 	SHRQ   $2, CX
 	SHLQ   $3, R8
 	SHLQ   $3, R9
 	LEAQ   (R9)(R9*2), R10
 	ZERO_TILE
-	CMPQ   rows+8(FP), $1
+	CMPQ   rows+0(FP), $1
 	JNE    two
 
 	// One row: the finish below runs on row 0 twice and stores it once.
 	XORQ R8, R8
-	CMPB fma+0(FP), $0
-	JNE  onefma
 
-onemuladd:
+one:
 	DOTLOAD
-	DOTROW_MULADD(Y8, Y0, Y1, Y2, Y3)
+	DOTROW(Y8, Y0, Y1, Y2, Y3)
 	DOTNEXT
-	JNZ onemuladd
-	JMP finish
-
-onefma:
-	DOTLOAD
-	DOTROW_FMA(Y8, Y0, Y1, Y2, Y3)
-	DOTNEXT
-	JNZ onefma
+	JNZ one
 	JMP finish
 
 two:
-	CMPB fma+0(FP), $0
-	JNE  twofma
-
-twomuladd:
 	DOTLOAD
 	VMOVUPD (SI)(R8*1), Y9
-	DOTROW_MULADD(Y8, Y0, Y1, Y2, Y3)
-	DOTROW_MULADD(Y9, Y4, Y5, Y6, Y7)
+	DOTROW(Y8, Y0, Y1, Y2, Y3)
+	DOTROW(Y9, Y4, Y5, Y6, Y7)
 	DOTNEXT
-	JNZ twomuladd
-	JMP finish
-
-twofma:
-	DOTLOAD
-	VMOVUPD (SI)(R8*1), Y9
-	DOTROW_FMA(Y8, Y0, Y1, Y2, Y3)
-	DOTROW_FMA(Y9, Y4, Y5, Y6, Y7)
-	DOTNEXT
-	JNZ twofma
+	JNZ two
 
 finish:
 	DOTHSUM(Y0, Y1, Y2, Y3)
 	DOTHSUM(Y4, Y5, Y6, Y7)
-	MOVQ k+16(FP), CX
+	MOVQ k+8(FP), CX
 	ANDQ $3, CX
 	JZ   store
 
 tail:
-	// s += x[i]*y[i] for the k mod 4 last elements, all columns at once.
+	// s = fma(x[i], y[i], s) for the k mod 4 last elements, all columns at once.
 	VMOVSD       (DI), X10
 	VMOVHPD      (DI)(R9*1), X10, X10
 	VMOVSD       (DI)(R9*2), X11
@@ -351,95 +268,60 @@ tail:
 	VINSERTF128  $1, X11, Y10, Y10
 	VBROADCASTSD (SI), Y8
 	VBROADCASTSD (SI)(R8*1), Y9
-	CMPB         fma+0(FP), $0
-	JNE          tailfma
-	VMULPD       Y10, Y8, Y14
-	VMULPD       Y10, Y9, Y15
-	VADDPD       Y14, Y0, Y0
-	VADDPD       Y15, Y4, Y4
-	JMP          tailnext
-
-tailfma:
-	VFMADD231PD Y10, Y8, Y0
-	VFMADD231PD Y10, Y9, Y4
-
-tailnext:
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ CX
-	JNZ  tail
+	VFMADD231PD  Y10, Y8, Y0
+	VFMADD231PD  Y10, Y9, Y4
+	ADDQ         $8, SI
+	ADDQ         $8, DI
+	DECQ         CX
+	JNZ          tail
 
 store:
-	MOVQ    out+56(FP), DX
+	MOVQ    out+48(FP), DX
 	VMOVUPD Y0, (DX)
-	CMPQ    rows+8(FP), $1
+	CMPQ    rows+0(FP), $1
 	JE      done
-	MOVQ    ldo+64(FP), BX
+	MOVQ    ldo+56(FP), BX
 	VMOVUPD Y4, (DX)(BX*8)
 
 done:
 	VZEROUPPER
 	RET
 
-// func substTileAVX2(fma bool, nk int, coef, src, dst *float64, scale float64)
+// func substTileAVX2(nk int, coef, src, dst *float64, scale float64)
 //
 // One 16-wide panel row of a triangular substitution, four accumulators
 // Y0..Y3 loaded from dst: for k < nk ascending, unless coef[k] is ±0 (a NaN
-// is not skipped), acc −= coef[k]·src[16k:16k+16] — VMULPD then VSUBPD, or
-// VFNMADD231PD — then dst = acc·scale, stored once. x − l·s is axpy's
-// x + (−l)·s bit for bit in either family. nk ≥ 1.
-TEXT ·substTileAVX2(SB), NOSPLIT, $0-48
-	MOVQ    nk+8(FP), CX
-	MOVQ    coef+16(FP), SI
-	MOVQ    src+24(FP), DI
-	MOVQ    dst+32(FP), DX
+// is not skipped), acc = fma(−coef[k], src[16k:16k+16], acc) by
+// VFNMADD231PD, then dst = acc·scale, stored once. It is axpy's x + (−l)·s
+// bit for bit. nk ≥ 1.
+TEXT ·substTileAVX2(SB), NOSPLIT, $0-40
+	MOVQ    nk+0(FP), CX
+	MOVQ    coef+8(FP), SI
+	MOVQ    src+16(FP), DI
+	MOVQ    dst+24(FP), DX
 	VMOVUPD (DX), Y0
 	VMOVUPD 32(DX), Y1
 	VMOVUPD 64(DX), Y2
 	VMOVUPD 96(DX), Y3
-	CMPB    fma+0(FP), $0
-	JNE     sfma
 
-smuladd:
+sloop:
 	// Shifting out the sign leaves zero bits exactly for ±0.
 	MOVQ         (SI), AX
 	SHLQ         $1, AX
-	JZ           smuladdnext
-	VBROADCASTSD (SI), Y4
-	VMULPD       (DI), Y4, Y5
-	VMULPD       32(DI), Y4, Y6
-	VMULPD       64(DI), Y4, Y7
-	VMULPD       96(DI), Y4, Y8
-	VSUBPD       Y5, Y0, Y0
-	VSUBPD       Y6, Y1, Y1
-	VSUBPD       Y7, Y2, Y2
-	VSUBPD       Y8, Y3, Y3
-
-smuladdnext:
-	ADDQ $8, SI
-	ADDQ $128, DI
-	DECQ CX
-	JNZ  smuladd
-	JMP  sstore
-
-sfma:
-	MOVQ         (SI), AX
-	SHLQ         $1, AX
-	JZ           sfmanext
+	JZ           snext
 	VBROADCASTSD (SI), Y4
 	VFNMADD231PD (DI), Y4, Y0
 	VFNMADD231PD 32(DI), Y4, Y1
 	VFNMADD231PD 64(DI), Y4, Y2
 	VFNMADD231PD 96(DI), Y4, Y3
 
-sfmanext:
+snext:
 	ADDQ $8, SI
 	ADDQ $128, DI
 	DECQ CX
-	JNZ  sfma
+	JNZ  sloop
 
-sstore:
-	VBROADCASTSD scale+40(FP), Y4
+	VBROADCASTSD scale+32(FP), Y4
 	VMULPD       Y4, Y0, Y0
 	VMULPD       Y4, Y1, Y1
 	VMULPD       Y4, Y2, Y2

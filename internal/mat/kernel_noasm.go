@@ -6,22 +6,22 @@ package mat
 // implementation, and the stubs below are never reached.
 var useAsm = false
 
-func kernel4x8(fma, assign bool, kc int, a *float64, rs, cs int, b, c *float64, ldc int) {
+func kernel4x8(assign bool, kc int, a *float64, rs, cs int, b, c *float64, ldc int) {
 	panic("mat: no assembly kernel in this build")
 }
 
-func kernel4x8g(fma, assign bool, kc int, a *float64, row, col *int, b, c *float64, ldc int) {
+func kernel4x8g(assign bool, kc int, a *float64, row, col *int, b, c *float64, ldc int) {
 	panic("mat: no assembly kernel in this build")
 }
 
-func axpyAVX2(fma bool, dst, src []float64, s float64) {
+func axpyAVX2(dst, src []float64, s float64) {
 	panic("mat: no assembly kernel in this build")
 }
 
-func dotTileAVX2(fma bool, rows, k int, x *float64, ldx int, y *float64, ldy int, out *float64, ldo int) {
+func dotTileAVX2(rows, k int, x *float64, ldx int, y *float64, ldy int, out *float64, ldo int) {
 	panic("mat: no assembly kernel in this build")
 }
 
-func substTileAVX2(fma bool, nk int, coef, src, dst *float64, scale float64) {
+func substTileAVX2(nk int, coef, src, dst *float64, scale float64) {
 	panic("mat: no assembly kernel in this build")
 }

@@ -4,7 +4,7 @@ package mat
 // condition estimate held to the unblocked elimination, row-wise
 // substitution and column-walking estimate they replaced, by
 // math.Float64bits (sameValue: any NaN equals any NaN), with and without
-// the assembly, in both kernel families.
+// the assembly.
 
 import (
 	"errors"
@@ -152,8 +152,7 @@ func luOracleInput(rng *RNG, kind string, n int) *Dense {
 
 // checkLUOracle factors a copy of a and solves against each right-hand
 // side, with and without the assembly, holding the factor, pivots, sign,
-// error and solutions to the oracles in the selected kernel family. It
-// returns the oracle's error.
+// error and solutions to the oracles. It returns the oracle's error.
 func checkLUOracle(t *testing.T, name string, a *Dense, rhs []*Dense) error {
 	t.Helper()
 	n := a.rows
@@ -199,27 +198,25 @@ func TestLUOracle(t *testing.T) {
 		sizes = append(sizes, n)
 	}
 	sizes = append(sizes, 63, 64, 65, 127, 128, 129, 255, 256, 257)
-	withBothKernelFamilies(t, func(t *testing.T) {
-		for _, n := range sizes {
-			if testing.Short() && n > 40 {
-				continue
+	for _, n := range sizes {
+		if testing.Short() && n > 40 {
+			continue
+		}
+		for ki, kind := range luOracleKinds {
+			rng := NewRNG(uint64(10*n + ki))
+			a := luOracleInput(rng, kind, n)
+			var rhs []*Dense
+			for _, w := range []int{1, 9, 16, 17, 25, 33} {
+				rhs = append(rhs, RandN(rng, n, w, 1))
 			}
-			for ki, kind := range luOracleKinds {
-				rng := NewRNG(uint64(10*n + ki))
-				a := luOracleInput(rng, kind, n)
-				var rhs []*Dense
-				for _, w := range []int{1, 9, 16, 17, 25, 33} {
-					rhs = append(rhs, RandN(rng, n, w, 1))
-				}
-				name := fmt.Sprintf("%s n=%d", kind, n)
-				err := checkLUOracle(t, name, a, rhs)
-				// A ±0-heavy matrix may be singular or not.
-				if kind != "zeros" && (kind == "singular") != errors.Is(err, ErrSingular) {
-					t.Fatalf("%s: oracle error %v", name, err)
-				}
+			name := fmt.Sprintf("%s n=%d", kind, n)
+			err := checkLUOracle(t, name, a, rhs)
+			// A ±0-heavy matrix may be singular or not.
+			if kind != "zeros" && (kind == "singular") != errors.Is(err, ErrSingular) {
+				t.Fatalf("%s: oracle error %v", name, err)
 			}
 		}
-	})
+	}
 }
 
 // TestLUCond1Bits pins the transpose solve, whose Uᵀ step now walks U by

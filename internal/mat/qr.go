@@ -26,10 +26,10 @@ func FactorQRPivot(a *Dense) *QRPivot {
 // swaps two rows, a reflector is a row tail and the trailing update is one
 // sequential dot and one axpy per row. Rows 0..steps-1 of R and positions
 // 0..steps-1 of the permutation are final after `steps` steps, which is all
-// a rank-`steps` row ID of w reads. The selection must not depend on the
-// kernel family: the dots are plain ordered loops, not Dot, and the axpy is
-// mul+add — the Go loop below, or on the assembly path reflectRows4's
-// axpyAVX2(false, …), which rounds each element the same way.
+// a rank-`steps` row ID of w reads. The sweep is outside the fused kernels:
+// its dots are plain ordered loops, not Dot, and its update rounds the
+// product and the difference apart, in the Go loop below and four rows at a
+// time in reflectRows4 alike.
 func factorRowsInPlace(w *Dense, steps int) QRPivot {
 	n := w.rows
 	tau := GetFloats(steps)
@@ -62,7 +62,7 @@ func factorRowsInPlace(w *Dense, steps int) QRPivot {
 		alpha := houseGen(v, &tau[step])
 		t, vt := tau[step], v[1:]
 		j := step + 1
-		if t != 0 && useAsm {
+		if t != 0 {
 			for ; j+4 <= n; j += 4 {
 				reflectRows4(w, j, step, t, vt, norm)
 			}
@@ -91,9 +91,8 @@ func factorRowsInPlace(w *Dense, steps int) QRPivot {
 
 // reflectRows4 is one step's trailing update of rows j..j+3 of w, from
 // column step on, with reflector tail vt and τ = t ≠ 0: four independent
-// dot chains, each row's sum in the single-row loop's order and form, then
-// each row's update through axpyAVX2 in the mul+add family whatever the
-// kernel family (x − s·v is x + (−s)·v), then its norm downdate.
+// dot chains and four interleaved updates, each row's in the single-row
+// loop's order and form, then each row's norm downdate.
 func reflectRows4(w *Dense, j, step int, t float64, vt, norm []float64) {
 	x0, x1, x2, x3 := w.Row(j)[step:], w.Row(j + 1)[step:], w.Row(j + 2)[step:], w.Row(j + 3)[step:]
 	n := len(vt)
@@ -106,11 +105,15 @@ func reflectRows4(w *Dense, j, step int, t float64, vt, norm []float64) {
 		s2 += float64(vi * y2[i])
 		s3 += float64(vi * y3[i])
 	}
-	for r, s := range [4]float64{s0, s1, s2, s3} {
-		x := w.Row(j + r)[step:]
-		s = float64(s * t)
-		x[0] -= s
-		axpyAVX2(false, x[1:1+n], vt, -s)
+	s0, s1, s2, s3 = float64(s0*t), float64(s1*t), float64(s2*t), float64(s3*t)
+	x0[0], x1[0], x2[0], x3[0] = x0[0]-s0, x1[0]-s1, x2[0]-s2, x3[0]-s3
+	for i, vi := range vt {
+		y0[i] -= float64(s0 * vi)
+		y1[i] -= float64(s1 * vi)
+		y2[i] -= float64(s2 * vi)
+		y3[i] -= float64(s3 * vi)
+	}
+	for r, x := range [4][]float64{x0, x1, x2, x3} {
 		downdateNorm(&norm[j+r], x)
 	}
 }

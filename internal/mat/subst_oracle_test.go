@@ -2,7 +2,7 @@ package mat
 
 // The SPD inverse's substitution kernel held to the row-by-row solve, by
 // math.Float64bits (sameValue: any NaN equals any NaN), with and without
-// the assembly, in both kernel families.
+// the assembly.
 
 import (
 	"fmt"
@@ -87,35 +87,33 @@ func TestInvSPDOracle(t *testing.T) {
 	for n := 1; n <= 40; n++ {
 		sizes = append(sizes, n)
 	}
-	withBothKernelFamilies(t, func(t *testing.T) {
-		for _, n := range sizes {
-			if testing.Short() && n > 40 {
-				continue
-			}
-			for ki, kind := range []string{"spd", "zeros", "poisoned", "inf-mid"} {
-				a, l := oracleFactor(t, NewRNG(uint64(10*n+ki)), kind, n)
-				want := SolveCholesky(l, Identity(n))
-				lt := l.T()
-				got := NewDense(n, n)
-				for _, impl := range kernelImpls {
-					name := fmt.Sprintf("%s n=%d %s", kind, n, impl.name)
-					got.Fill(math.NaN())
-					impl.with(func() { invCholInto(got, l, lt) })
-					sameOracle(t, name, want, got)
-					if kind == "zeros" {
-						continue // l is no longer a's factor
-					}
-					var inv *Dense
-					impl.with(func() { inv, _ = InvSPD(a) })
-					sameOracle(t, name+" InvSPD", want, inv)
-					got.Fill(math.NaN())
-					impl.with(func() { _, _, _, _, _ = InvSPDDampedChecked(got, a, 0) })
-					lz, _ := Cholesky(a.Clone().AddDiag(0))
-					sameOracle(t, name+" InvSPDDampedChecked", SolveCholesky(lz, Identity(n)), got)
+	for _, n := range sizes {
+		if testing.Short() && n > 40 {
+			continue
+		}
+		for ki, kind := range []string{"spd", "zeros", "poisoned", "inf-mid"} {
+			a, l := oracleFactor(t, NewRNG(uint64(10*n+ki)), kind, n)
+			want := SolveCholesky(l, Identity(n))
+			lt := l.T()
+			got := NewDense(n, n)
+			for _, impl := range kernelImpls {
+				name := fmt.Sprintf("%s n=%d %s", kind, n, impl.name)
+				got.Fill(math.NaN())
+				impl.with(func() { invCholInto(got, l, lt) })
+				sameOracle(t, name, want, got)
+				if kind == "zeros" {
+					continue // l is no longer a's factor
 				}
+				var inv *Dense
+				impl.with(func() { inv, _ = InvSPD(a) })
+				sameOracle(t, name+" InvSPD", want, inv)
+				got.Fill(math.NaN())
+				impl.with(func() { _, _, _, _, _ = InvSPDDampedChecked(got, a, 0) })
+				lz, _ := Cholesky(a.Clone().AddDiag(0))
+				sameOracle(t, name+" InvSPDDampedChecked", SolveCholesky(lz, Identity(n)), got)
 			}
 		}
-	})
+	}
 }
 
 // oracleInvSPDDamped is the damped inverse formed step by step along
@@ -143,51 +141,49 @@ func oracleInvSPDDamped(a *Dense, alpha float64) (inv *Dense, damp float64, retr
 // of ones, which fails at its second pivot until the damping escalates
 // (from 0, and from a 1e-20 that 1 + 1e-20 rounds away).
 func TestInvSPDDampedOracle(t *testing.T) {
-	withBothKernelFamilies(t, func(t *testing.T) {
-		for _, n := range []int{1, 4, 17, 33, 257} {
-			ones := NewDense(n, n)
-			ones.Fill(1)
-			spd := RandSPD(NewRNG(uint64(n)), n, 1)
-			for _, c := range []struct {
-				name  string
-				a     *Dense
-				alpha float64
-			}{{"spd α=1e-3", spd, 1e-3}, {"spd α=0.1", spd, 0.1}, {"ones α=0", ones, 0}, {"ones α=1e-20", ones, 1e-20}} {
-				want, wantDamp, wantRetries, wantCond := oracleInvSPDDamped(c.a, c.alpha)
-				if n > 1 && c.a == ones && wantRetries == 0 {
-					t.Fatalf("%s n=%d: the oracle needed no retry", c.name, n)
+	for _, n := range []int{1, 4, 17, 33, 257} {
+		ones := NewDense(n, n)
+		ones.Fill(1)
+		spd := RandSPD(NewRNG(uint64(n)), n, 1)
+		for _, c := range []struct {
+			name  string
+			a     *Dense
+			alpha float64
+		}{{"spd α=1e-3", spd, 1e-3}, {"spd α=0.1", spd, 0.1}, {"ones α=0", ones, 0}, {"ones α=1e-20", ones, 1e-20}} {
+			want, wantDamp, wantRetries, wantCond := oracleInvSPDDamped(c.a, c.alpha)
+			if n > 1 && c.a == ones && wantRetries == 0 {
+				t.Fatalf("%s n=%d: the oracle needed no retry", c.name, n)
+			}
+			for _, impl := range kernelImpls {
+				name := fmt.Sprintf("%s n=%d %s", c.name, n, impl.name)
+				got := NewDense(n, n)
+				got.Fill(math.NaN())
+				var damp, cond float64
+				var retries int
+				var err error
+				impl.with(func() { _, damp, retries, cond, err = InvSPDDampedChecked(got, c.a, c.alpha) })
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				for _, impl := range kernelImpls {
-					name := fmt.Sprintf("%s n=%d %s", c.name, n, impl.name)
-					got := NewDense(n, n)
-					got.Fill(math.NaN())
-					var damp, cond float64
-					var retries int
-					var err error
-					impl.with(func() { _, damp, retries, cond, err = InvSPDDampedChecked(got, c.a, c.alpha) })
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if math.Float64bits(damp) != math.Float64bits(wantDamp) || retries != wantRetries || math.Float64bits(cond) != math.Float64bits(wantCond) {
-						t.Fatalf("%s: damp %v, %d retries, cond %v; oracle %v, %d, %v", name, damp, retries, cond, wantDamp, wantRetries, wantCond)
-					}
-					sameOracle(t, name, want, got)
+				if math.Float64bits(damp) != math.Float64bits(wantDamp) || retries != wantRetries || math.Float64bits(cond) != math.Float64bits(wantCond) {
+					t.Fatalf("%s: damp %v, %d retries, cond %v; oracle %v, %d, %v", name, damp, retries, cond, wantDamp, wantRetries, wantCond)
 				}
+				sameOracle(t, name, want, got)
 			}
 		}
-	})
+	}
 }
 
 // oracleSubst is substTileAVX2's contract written out per element: from
 // dst[j], for k ascending and coef[k] not ±0, x + (−coef[k])·src[k][j] in
-// the selected family (axpy's step), then x·scale.
-func oracleSubst(fma bool, coef, src, dst []float64, scale float64) []float64 {
+// one fused rounding (axpy's step), then x·scale.
+func oracleSubst(coef, src, dst []float64, scale float64) []float64 {
 	out := make([]float64, substW)
 	for j := range out {
 		x := dst[j]
 		for k, c := range coef {
 			if c != 0 {
-				x = oracleMulAdd(fma, -c, src[k*substW+j], x)
+				x = math.FMA(-c, src[k*substW+j], x)
 			}
 		}
 		out[j] = x * scale
@@ -196,13 +192,13 @@ func oracleSubst(fma bool, coef, src, dst []float64, scale float64) []float64 {
 }
 
 // checkSubstOracle runs substRow with and without the assembly against
-// oracleSubst in the selected family.
+// oracleSubst.
 func checkSubstOracle(t *testing.T, coef, src, dst []float64, scale float64) {
 	t.Helper()
-	want := oracleSubst(FMAKernels(), coef, src, dst, scale)
+	want := oracleSubst(coef, src, dst, scale)
 	for _, impl := range kernelImpls {
 		got := append([]float64(nil), dst...)
-		impl.with(func() { substRow(FMAKernels(), coef, src, got, scale) })
+		impl.with(func() { substRow(coef, src, got, scale) })
 		for j := range want {
 			if !sameValue(want[j], got[j]) {
 				t.Fatalf("subst %s nk=%d scale=%v: column %d is %v, want %v", impl.name, len(coef), scale, j, got[j], want[j])
@@ -212,33 +208,28 @@ func checkSubstOracle(t *testing.T, coef, src, dst []float64, scale float64) {
 }
 
 func TestSubstTileOracle(t *testing.T) {
-	withBothKernelFamilies(t, func(t *testing.T) {
-		for nk := 0; nk <= 40; nk++ {
-			for ci, kind := range oracleKinds {
-				rng := NewRNG(uint64(10*nk + ci))
-				coef := oracleOperand(rng, kind, 1, nk).data
-				src := oracleOperand(rng, kind, nk, substW).data
-				dst := oracleOperand(rng, kind, 1, substW).data
-				for _, scale := range []float64{1, 0.75, 0, math.Inf(1), math.NaN()} {
-					checkSubstOracle(t, coef, src, dst, scale)
-				}
+	for nk := 0; nk <= 40; nk++ {
+		for ci, kind := range oracleKinds {
+			rng := NewRNG(uint64(10*nk + ci))
+			coef := oracleOperand(rng, kind, 1, nk).data
+			src := oracleOperand(rng, kind, nk, substW).data
+			dst := oracleOperand(rng, kind, 1, substW).data
+			for _, scale := range []float64{1, 0.75, 0, math.Inf(1), math.NaN()} {
+				checkSubstOracle(t, coef, src, dst, scale)
 			}
 		}
-	})
+	}
 }
 
 // FuzzSubstTile drives the substitution row, assembly and reference,
 // against the oracle for arbitrary depths, operand kinds (±0, ±Inf, NaN,
-// denormal and 1e±300 coefficients among them) and scales in both kernel
-// families.
+// denormal and 1e±300 coefficients among them) and scales.
 func FuzzSubstTile(f *testing.F) {
 	f.Add(uint64(1), uint8(1), 1.0, uint8(0))
-	f.Add(uint64(2), uint8(40), math.Inf(1), uint8(7))
-	f.Add(uint64(3), uint8(255), 5e-324, uint8(6))
+	f.Add(uint64(2), uint8(40), math.Inf(1), uint8(3))
+	f.Add(uint64(3), uint8(255), 5e-324, uint8(3))
 	f.Fuzz(func(t *testing.T, seed uint64, nk uint8, scale float64, mode uint8) {
-		defer SetFMAKernels(FMAKernels())
-		SetFMAKernels(mode&1 != 0)
-		kind := oracleKinds[mode>>1&3]
+		kind := oracleKinds[mode&3]
 		rng := NewRNG(seed)
 		coef := oracleOperand(rng, kind, 1, int(nk)).data
 		src := oracleOperand(rng, kind, int(nk), substW).data

