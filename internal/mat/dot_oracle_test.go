@@ -148,26 +148,28 @@ func withProcs(t *testing.T, procs []int, fn func(t *testing.T)) {
 // k < 4, and GramInto — the one nest with workers — on every core count at
 // sizes where they claim row pairs (short rows: the claims are the subject).
 func TestDotTileOracle(t *testing.T) {
-	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 255, 256, 257}
-	ks := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257, 258}
-	for ci, kind := range oracleKinds {
-		for i, n := range ns {
-			for _, k := range ks {
-				// The large n take one small and one large k each,
-				// rotating through the k mod 4 residues.
-				if n > 33 && k != 3+(i+ci)%4 && k != 255+(i+ci)%4 {
-					continue
-				}
-				checkDotOracle(t, uint64(1000*n+10*k+ci), kind, n, 13-n%5, k)
-			}
-		}
-	}
-	withProcs(t, []int{1, 2, 4}, func(t *testing.T) {
+	inFusedFamily(t, func(t *testing.T) {
+		ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 255, 256, 257}
+		ks := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257, 258}
 		for ci, kind := range oracleKinds {
-			for i, n := range ns[10:] {
-				checkGramOracle(t, uint64(7000*n+ci), kind, n, 5+(i+ci)%4)
+			for i, n := range ns {
+				for _, k := range ks {
+					// The large n take one small and one large k each,
+					// rotating through the k mod 4 residues.
+					if n > 33 && k != 3+(i+ci)%4 && k != 255+(i+ci)%4 {
+						continue
+					}
+					checkDotOracle(t, uint64(1000*n+10*k+ci), kind, n, 13-n%5, k)
+				}
 			}
 		}
+		withProcs(t, []int{1, 2, 4}, func(t *testing.T) {
+			for ci, kind := range oracleKinds {
+				for i, n := range ns[10:] {
+					checkGramOracle(t, uint64(7000*n+ci), kind, n, 5+(i+ci)%4)
+				}
+			}
+		})
 	})
 }
 

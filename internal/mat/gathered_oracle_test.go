@@ -92,16 +92,18 @@ func checkGatheredOracle(t *testing.T, seed uint64, kind string, m, k, n int) {
 // threshold through the entry point (70×520×9 is packed there), one column,
 // one row, and an m tall enough for the work-stealing path.
 func TestGatheredOracle(t *testing.T) {
-	shapes := [][3]int{
-		{1, 1, 1}, {3, 5, 7}, {4, 8, 8}, {5, 9, 9}, {8, 3, 16}, {9, 17, 23}, {12, 40, 1}, {1, 33, 11},
-		{4, gemmKC - 1, 8}, {4, gemmKC, 8}, {7, gemmKC + 1, 13}, {8, 2 * gemmKC, 9}, {6, 2*gemmKC + 6, 10},
-		{70, gemmKC + 8, 9}, {13, 40, gemmNC + 12}, {8*gemmClaimPanels*gemmMR + 3, 30, 17},
-	}
-	for si, s := range shapes {
-		for ci, kind := range oracleKinds {
-			checkGatheredOracle(t, uint64(10*si+ci), kind, s[0], s[1], s[2])
+	inFusedFamily(t, func(t *testing.T) {
+		shapes := [][3]int{
+			{1, 1, 1}, {3, 5, 7}, {4, 8, 8}, {5, 9, 9}, {8, 3, 16}, {9, 17, 23}, {12, 40, 1}, {1, 33, 11},
+			{4, gemmKC - 1, 8}, {4, gemmKC, 8}, {7, gemmKC + 1, 13}, {8, 2 * gemmKC, 9}, {6, 2*gemmKC + 6, 10},
+			{70, gemmKC + 8, 9}, {13, 40, gemmNC + 12}, {8*gemmClaimPanels*gemmMR + 3, 30, 17},
 		}
-	}
+		for si, s := range shapes {
+			for ci, kind := range oracleKinds {
+				checkGatheredOracle(t, uint64(10*si+ci), kind, s[0], s[1], s[2])
+			}
+		}
+	})
 }
 
 // TestGatheredRangeCheck: the assembly checks no address, so a table that

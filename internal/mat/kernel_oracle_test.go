@@ -123,18 +123,20 @@ func checkGemmOracle(t *testing.T, seed uint64, kind string, transA, transB bool
 // below, at and beyond one and two kc slices, an n wider than one nc block,
 // and an m tall enough for the work-stealing path.
 func TestGemmKernelOracle(t *testing.T) {
-	shapes := [][3]int{
-		{1, 1, 1}, {3, 5, 7}, {4, 8, 8}, {5, 9, 9}, {8, 3, 16}, {9, 17, 23},
-		{4, gemmKC, 8}, {7, gemmKC + 1, 13}, {6, 2*gemmKC + 6, 10},
-		{13, 40, gemmNC + 12}, {8*gemmClaimPanels*gemmMR + 3, 30, 17},
-	}
-	for si, s := range shapes {
-		for ci, kind := range oracleKinds {
-			for tc := 0; tc < 4; tc++ {
-				checkGemmOracle(t, uint64(100*si+10*ci+tc), kind, tc&1 != 0, tc&2 != 0, s[0], s[1], s[2])
+	inFusedFamily(t, func(t *testing.T) {
+		shapes := [][3]int{
+			{1, 1, 1}, {3, 5, 7}, {4, 8, 8}, {5, 9, 9}, {8, 3, 16}, {9, 17, 23},
+			{4, gemmKC, 8}, {7, gemmKC + 1, 13}, {6, 2*gemmKC + 6, 10},
+			{13, 40, gemmNC + 12}, {8*gemmClaimPanels*gemmMR + 3, 30, 17},
+		}
+		for si, s := range shapes {
+			for ci, kind := range oracleKinds {
+				for tc := 0; tc < 4; tc++ {
+					checkGemmOracle(t, uint64(100*si+10*ci+tc), kind, tc&1 != 0, tc&2 != 0, s[0], s[1], s[2])
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestMulStripOracle feeds aᵀb to MulStripInto as StripRows-row strips of a
@@ -146,27 +148,29 @@ func TestGemmKernelOracle(t *testing.T) {
 // the row-strip cases: strips of a*b and a*bᵀ equal the matching rows of the
 // whole products.
 func TestMulStripOracle(t *testing.T) {
-	const kmax = 3*gemmKC + 7
-	rng := NewRNG(7)
-	operands := func(m, k, n int) [3]*Dense {
-		return [3]*Dense{oracleOperand(rng, "finite", k, m), oracleOperand(rng, "finite", k, n), oracleOperand(rng, "finite", n, m)}
-	}
-	small, stem, wide := operands(5, kmax, 3), operands(73, kmax, 8), operands(37, 2*gemmKC+40, gemmNC+9)
-	for _, impl := range kernelImpls {
-		impl.with(func() {
-			for k := 1; k <= kmax; k++ {
-				// The conv stem's 73×8 goes packed from k = 449: every k around
-				// that switch and around each slice boundary, one in 64 between.
-				r := k % gemmKC
-				some := r < 4 || r > gemmKC-4 || (k > 444 && k < 454) || k%64 == 0
-				checkMulStrip(t, impl.name, small, k, some) // the small kernels throughout
-				if some {
-					checkMulStrip(t, impl.name, stem, k, true)
+	inFusedFamily(t, func(t *testing.T) {
+		const kmax = 3*gemmKC + 7
+		rng := NewRNG(7)
+		operands := func(m, k, n int) [3]*Dense {
+			return [3]*Dense{oracleOperand(rng, "finite", k, m), oracleOperand(rng, "finite", k, n), oracleOperand(rng, "finite", n, m)}
+		}
+		small, stem, wide := operands(5, kmax, 3), operands(73, kmax, 8), operands(37, 2*gemmKC+40, gemmNC+9)
+		for _, impl := range kernelImpls {
+			impl.with(func() {
+				for k := 1; k <= kmax; k++ {
+					// The conv stem's 73×8 goes packed from k = 449: every k around
+					// that switch and around each slice boundary, one in 64 between.
+					r := k % gemmKC
+					some := r < 4 || r > gemmKC-4 || (k > 444 && k < 454) || k%64 == 0
+					checkMulStrip(t, impl.name, small, k, some) // the small kernels throughout
+					if some {
+						checkMulStrip(t, impl.name, stem, k, true)
+					}
 				}
-			}
-			checkMulStrip(t, impl.name, wide, wide[0].rows, true) // two nc blocks
-		})
-	}
+				checkMulStrip(t, impl.name, wide, wide[0].rows, true) // two nc blocks
+			})
+		}
+	})
 }
 
 // checkMulStrip runs aᵀb in k-strips over the first k rows of ops[0] (k×m)
@@ -217,16 +221,18 @@ func checkAxpyOracle(t *testing.T, dst, src []float64, s float64) {
 }
 
 func TestAxpyOracle(t *testing.T) {
-	for n := 0; n <= 70; n++ {
-		for ci, kind := range oracleKinds {
-			rng := NewRNG(uint64(10*n + ci))
-			// src is longer than dst: only len(dst) elements may be touched.
-			dst, src := oracleOperand(rng, kind, 1, n+1).data[:n], oracleOperand(rng, kind, 1, n+1).data
-			for _, s := range append([]float64{1.5, -0.3}, oracleSpecials...) {
-				checkAxpyOracle(t, dst, src, s)
+	inFusedFamily(t, func(t *testing.T) {
+		for n := 0; n <= 70; n++ {
+			for ci, kind := range oracleKinds {
+				rng := NewRNG(uint64(10*n + ci))
+				// src is longer than dst: only len(dst) elements may be touched.
+				dst, src := oracleOperand(rng, kind, 1, n+1).data[:n], oracleOperand(rng, kind, 1, n+1).data
+				for _, s := range append([]float64{1.5, -0.3}, oracleSpecials...) {
+					checkAxpyOracle(t, dst, src, s)
+				}
 			}
 		}
-	}
+	})
 }
 
 // FuzzGemmKernel drives the packed GEMM, assembly and reference, against
@@ -260,17 +266,19 @@ func FuzzAxpy(f *testing.F) {
 // over shapes with edge rows and columns, one past an nc block, two kc
 // slices, and one below the small-product threshold.
 func TestGramTIntoOracle(t *testing.T) {
-	shapes := [][2]int{{64, 65}, {40, 81}, {17, 129}, {256, 257}, {5, gemmNC + 44}, {gemmKC + 1, 23}, {2*gemmKC - 24, 17}, {3, 10}, {9, 1}}
-	for si, s := range shapes {
-		for ci, kind := range oracleKinds {
-			m := oracleOperand(NewRNG(uint64(10*si+ci)), kind, s[0], s[1])
-			want := MulTAInto(NewDense(s[1], s[1]), m, m)
-			got := NewDense(s[1], s[1])
-			for _, impl := range kernelImpls {
-				got.Fill(math.NaN())
-				impl.with(func() { GramTInto(got, m) })
-				sameOracle(t, fmt.Sprintf("GramTInto %s %dx%d %s", kind, s[0], s[1], impl.name), want, got)
+	inFusedFamily(t, func(t *testing.T) {
+		shapes := [][2]int{{64, 65}, {40, 81}, {17, 129}, {256, 257}, {5, gemmNC + 44}, {gemmKC + 1, 23}, {2*gemmKC - 24, 17}, {3, 10}, {9, 1}}
+		for si, s := range shapes {
+			for ci, kind := range oracleKinds {
+				m := oracleOperand(NewRNG(uint64(10*si+ci)), kind, s[0], s[1])
+				want := MulTAInto(NewDense(s[1], s[1]), m, m)
+				got := NewDense(s[1], s[1])
+				for _, impl := range kernelImpls {
+					got.Fill(math.NaN())
+					impl.with(func() { GramTInto(got, m) })
+					sameOracle(t, fmt.Sprintf("GramTInto %s %dx%d %s", kind, s[0], s[1], impl.name), want, got)
+				}
 			}
 		}
-	}
+	})
 }

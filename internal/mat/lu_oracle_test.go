@@ -193,30 +193,32 @@ func checkLUOracle(t *testing.T, name string, a *Dense, rhs []*Dense) error {
 // 63–65, 127–129 and 255–257, against right-hand sides one to three
 // panels wide.
 func TestLUOracle(t *testing.T) {
-	var sizes []int
-	for n := 1; n <= 40; n++ {
-		sizes = append(sizes, n)
-	}
-	sizes = append(sizes, 63, 64, 65, 127, 128, 129, 255, 256, 257)
-	for _, n := range sizes {
-		if testing.Short() && n > 40 {
-			continue
+	inFusedFamily(t, func(t *testing.T) {
+		var sizes []int
+		for n := 1; n <= 40; n++ {
+			sizes = append(sizes, n)
 		}
-		for ki, kind := range luOracleKinds {
-			rng := NewRNG(uint64(10*n + ki))
-			a := luOracleInput(rng, kind, n)
-			var rhs []*Dense
-			for _, w := range []int{1, 9, 16, 17, 25, 33} {
-				rhs = append(rhs, RandN(rng, n, w, 1))
+		sizes = append(sizes, 63, 64, 65, 127, 128, 129, 255, 256, 257)
+		for _, n := range sizes {
+			if testing.Short() && n > 40 {
+				continue
 			}
-			name := fmt.Sprintf("%s n=%d", kind, n)
-			err := checkLUOracle(t, name, a, rhs)
-			// A ±0-heavy matrix may be singular or not.
-			if kind != "zeros" && (kind == "singular") != errors.Is(err, ErrSingular) {
-				t.Fatalf("%s: oracle error %v", name, err)
+			for ki, kind := range luOracleKinds {
+				rng := NewRNG(uint64(10*n + ki))
+				a := luOracleInput(rng, kind, n)
+				var rhs []*Dense
+				for _, w := range []int{1, 9, 16, 17, 25, 33} {
+					rhs = append(rhs, RandN(rng, n, w, 1))
+				}
+				name := fmt.Sprintf("%s n=%d", kind, n)
+				err := checkLUOracle(t, name, a, rhs)
+				// A ±0-heavy matrix may be singular or not.
+				if kind != "zeros" && (kind == "singular") != errors.Is(err, ErrSingular) {
+					t.Fatalf("%s: oracle error %v", name, err)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestLUCond1Bits pins the transpose solve, whose Uᵀ step now walks U by

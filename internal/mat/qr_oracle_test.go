@@ -528,23 +528,25 @@ func TestRowSweepOracle(t *testing.T) {
 			steps = min(steps, q.rows, q.cols)
 			want := oracleFactorRows(q.Clone(), steps)
 			wantP, wantS := want.idInto(nil, nil, steps)
-			for _, impl := range kernelImpls {
-				name := fmt.Sprintf("%s steps=%d %s", name, steps, impl.name)
-				var f QRPivot
-				impl.with(func() { f = factorRowsInPlace(q.Clone(), steps) })
-				sameOracle(t, name+" w", want.qt, f.qt)
-				sameOracle(t, name+" τ", NewDenseData(1, steps, want.tau), NewDenseData(1, steps, f.tau))
-				if !sameInts(f.perm, want.perm) {
-					t.Fatalf("%s: perm %v, oracle %v", name, f.perm, want.perm)
+			inFusedFamily(t, func(t *testing.T) {
+				for _, impl := range kernelImpls {
+					name := fmt.Sprintf("%s steps=%d %s", name, steps, impl.name)
+					var f QRPivot
+					impl.with(func() { f = factorRowsInPlace(q.Clone(), steps) })
+					sameOracle(t, name+" w", want.qt, f.qt)
+					sameOracle(t, name+" τ", NewDenseData(1, steps, want.tau), NewDenseData(1, steps, f.tau))
+					if !sameInts(f.perm, want.perm) {
+						t.Fatalf("%s: perm %v, oracle %v", name, f.perm, want.perm)
+					}
+					var p *Dense
+					var s []int
+					impl.with(func() { p, s = InterpolativeDecompInto(nil, nil, q, steps, 0) })
+					if !sameInts(s, wantS) {
+						t.Fatalf("%s: S %v, oracle %v", name, s, wantS)
+					}
+					sameOracle(t, name+" P", wantP, p)
 				}
-				var p *Dense
-				var s []int
-				impl.with(func() { p, s = InterpolativeDecompInto(nil, nil, q, steps, 0) })
-				if !sameInts(s, wantS) {
-					t.Fatalf("%s: S %v, oracle %v", name, s, wantS)
-				}
-				sameOracle(t, name+" P", wantP, p)
-			}
+			})
 		}
 	}
 }
@@ -574,53 +576,68 @@ func TestRandomizedIDFamilyFree(t *testing.T) {
 	}
 }
 
+// inFusedFamily runs fn as the subtest "HYLO_FMA=1". The kernels compute in
+// fused multiply-add only; the oracle subtests keep the name that family
+// carried while an environment variable chose between it and mul+add, so
+// their results line up across versions.
+func inFusedFamily(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	t.Run("HYLO_FMA=1", fn)
+}
+
 func TestRowIDOracle(t *testing.T) {
-	for _, m := range []int{1, 2, 17, 64, 128, 256} {
-		if testing.Short() && m > 64 {
-			continue
+	inFusedFamily(t, func(t *testing.T) {
+		for _, m := range []int{1, 2, 17, 64, 128, 256} {
+			if testing.Short() && m > 64 {
+				continue
+			}
+			shapes := map[string]int{"square": m, "tall": (m + 1) / 2, "wide": 2 * m}
+			for name, n := range shapes {
+				q := RandN(NewRNG(uint64(1000*m+n)), m, n, 1)
+				t.Run(fmt.Sprintf("%s%dx%d", name, m, n), func(t *testing.T) { checkRowIDOracle(t, q, []int{1, m / 10, m / 4, m}) })
+			}
 		}
-		shapes := map[string]int{"square": m, "tall": (m + 1) / 2, "wide": 2 * m}
-		for name, n := range shapes {
-			q := RandN(NewRNG(uint64(1000*m+n)), m, n, 1)
-			t.Run(fmt.Sprintf("%s%dx%d", name, m, n), func(t *testing.T) { checkRowIDOracle(t, q, []int{1, m / 10, m / 4, m}) })
-		}
-	}
+	})
 }
 
 // TestRowIDOracleDegenerate covers the inputs where the guards decide the
 // answer: duplicated rows (the rank collapses and the ID truncates to the
 // detected rank), an all-zero matrix, and NaN/Inf-poisoned input.
 func TestRowIDOracleDegenerate(t *testing.T) {
-	rng := NewRNG(77)
-	dup := RandN(rng, 40, 40, 1)
-	for i := 5; i < 40; i++ {
-		copy(dup.Row(i), dup.Row(i%5))
-	}
-	if p, _ := InterpolativeDecompTol(dup, 12, 1e-12); p.Cols() != 5 {
-		t.Fatalf("duplicated rows: rank %d, want truncation to 5", p.Cols())
-	}
-	nan := RandN(rng, 24, 30, 1)
-	nan.Set(7, 3, math.NaN())
-	inf := RandN(rng, 30, 24, 1)
-	inf.Set(2, 9, math.Inf(1))
-	inf.Set(11, 0, math.Inf(-1))
-	for name, q := range map[string]*Dense{"dup": dup, "zero": NewDense(16, 16), "nan": nan, "inf": inf} {
-		t.Run(name, func(t *testing.T) { checkRowIDOracle(t, q, []int{1, 4, 12, 64}) })
-	}
+	inFusedFamily(t, func(t *testing.T) {
+		rng := NewRNG(77)
+		dup := RandN(rng, 40, 40, 1)
+		for i := 5; i < 40; i++ {
+			copy(dup.Row(i), dup.Row(i%5))
+		}
+		if p, _ := InterpolativeDecompTol(dup, 12, 1e-12); p.Cols() != 5 {
+			t.Fatalf("duplicated rows: rank %d, want truncation to 5", p.Cols())
+		}
+		nan := RandN(rng, 24, 30, 1)
+		nan.Set(7, 3, math.NaN())
+		inf := RandN(rng, 30, 24, 1)
+		inf.Set(2, 9, math.Inf(1))
+		inf.Set(11, 0, math.Inf(-1))
+		for name, q := range map[string]*Dense{"dup": dup, "zero": NewDense(16, 16), "nan": nan, "inf": inf} {
+			t.Run(name, func(t *testing.T) { checkRowIDOracle(t, q, []int{1, 4, 12, 64}) })
+		}
+	})
 }
 
 // TestRandomizedIDOracle pins the sketched ID, which now runs r steps on
 // the sketch's rows where it ran all r+oversample on a transposed copy.
 func TestRandomizedIDOracle(t *testing.T) {
-	for _, kind := range []SketchKind{SketchGauss, SketchSRHT} {
-		for _, dims := range [][4]int{{1, 1, 1, 4}, {17, 9, 5, 3}, {64, 64, 6, 8}, {128, 128, 12, 8}, {60, 200, 60, 10}} {
-			q := RandN(NewRNG(uint64(dims[0])), dims[0], dims[1], 1)
-			wantP, wantS, wantC := oracleRandomizedIDInto(nil, nil, NewRNG(5), q, dims[2], dims[3], kind)
-			gotP, gotS, gotC := RandomizedIDInto(nil, nil, NewRNG(5), q, dims[2], dims[3], kind)
-			if !sameInts(gotS, wantS) || !sameValue(gotC, wantC) {
-				t.Fatalf("kind %d dims %v: S %v cond %g, oracle %v %g", kind, dims, gotS, gotC, wantS, wantC)
+	inFusedFamily(t, func(t *testing.T) {
+		for _, kind := range []SketchKind{SketchGauss, SketchSRHT} {
+			for _, dims := range [][4]int{{1, 1, 1, 4}, {17, 9, 5, 3}, {64, 64, 6, 8}, {128, 128, 12, 8}, {60, 200, 60, 10}} {
+				q := RandN(NewRNG(uint64(dims[0])), dims[0], dims[1], 1)
+				wantP, wantS, wantC := oracleRandomizedIDInto(nil, nil, NewRNG(5), q, dims[2], dims[3], kind)
+				gotP, gotS, gotC := RandomizedIDInto(nil, nil, NewRNG(5), q, dims[2], dims[3], kind)
+				if !sameInts(gotS, wantS) || !sameValue(gotC, wantC) {
+					t.Fatalf("kind %d dims %v: S %v cond %g, oracle %v %g", kind, dims, gotS, gotC, wantS, wantC)
+				}
+				sameOracle(t, "sketched P", wantP, gotP)
 			}
-			sameOracle(t, "sketched P", wantP, gotP)
 		}
-	}
+	})
 }

@@ -83,37 +83,39 @@ func oracleFactor(t *testing.T, rng *RNG, kind string, n int) (*Dense, *Dense) {
 // n = 1…40 and across the last panel's edge at 255/256/257, and the public
 // InvSPD and InvSPDDampedChecked to the same oracle of their own factor.
 func TestInvSPDOracle(t *testing.T) {
-	sizes := []int{255, 256, 257}
-	for n := 1; n <= 40; n++ {
-		sizes = append(sizes, n)
-	}
-	for _, n := range sizes {
-		if testing.Short() && n > 40 {
-			continue
+	inFusedFamily(t, func(t *testing.T) {
+		sizes := []int{255, 256, 257}
+		for n := 1; n <= 40; n++ {
+			sizes = append(sizes, n)
 		}
-		for ki, kind := range []string{"spd", "zeros", "poisoned", "inf-mid"} {
-			a, l := oracleFactor(t, NewRNG(uint64(10*n+ki)), kind, n)
-			want := SolveCholesky(l, Identity(n))
-			lt := l.T()
-			got := NewDense(n, n)
-			for _, impl := range kernelImpls {
-				name := fmt.Sprintf("%s n=%d %s", kind, n, impl.name)
-				got.Fill(math.NaN())
-				impl.with(func() { invCholInto(got, l, lt) })
-				sameOracle(t, name, want, got)
-				if kind == "zeros" {
-					continue // l is no longer a's factor
+		for _, n := range sizes {
+			if testing.Short() && n > 40 {
+				continue
+			}
+			for ki, kind := range []string{"spd", "zeros", "poisoned", "inf-mid"} {
+				a, l := oracleFactor(t, NewRNG(uint64(10*n+ki)), kind, n)
+				want := SolveCholesky(l, Identity(n))
+				lt := l.T()
+				got := NewDense(n, n)
+				for _, impl := range kernelImpls {
+					name := fmt.Sprintf("%s n=%d %s", kind, n, impl.name)
+					got.Fill(math.NaN())
+					impl.with(func() { invCholInto(got, l, lt) })
+					sameOracle(t, name, want, got)
+					if kind == "zeros" {
+						continue // l is no longer a's factor
+					}
+					var inv *Dense
+					impl.with(func() { inv, _ = InvSPD(a) })
+					sameOracle(t, name+" InvSPD", want, inv)
+					got.Fill(math.NaN())
+					impl.with(func() { _, _, _, _, _ = InvSPDDampedChecked(got, a, 0) })
+					lz, _ := Cholesky(a.Clone().AddDiag(0))
+					sameOracle(t, name+" InvSPDDampedChecked", SolveCholesky(lz, Identity(n)), got)
 				}
-				var inv *Dense
-				impl.with(func() { inv, _ = InvSPD(a) })
-				sameOracle(t, name+" InvSPD", want, inv)
-				got.Fill(math.NaN())
-				impl.with(func() { _, _, _, _, _ = InvSPDDampedChecked(got, a, 0) })
-				lz, _ := Cholesky(a.Clone().AddDiag(0))
-				sameOracle(t, name+" InvSPDDampedChecked", SolveCholesky(lz, Identity(n)), got)
 			}
 		}
-	}
+	})
 }
 
 // oracleInvSPDDamped is the damped inverse formed step by step along
@@ -141,37 +143,39 @@ func oracleInvSPDDamped(a *Dense, alpha float64) (inv *Dense, damp float64, retr
 // of ones, which fails at its second pivot until the damping escalates
 // (from 0, and from a 1e-20 that 1 + 1e-20 rounds away).
 func TestInvSPDDampedOracle(t *testing.T) {
-	for _, n := range []int{1, 4, 17, 33, 257} {
-		ones := NewDense(n, n)
-		ones.Fill(1)
-		spd := RandSPD(NewRNG(uint64(n)), n, 1)
-		for _, c := range []struct {
-			name  string
-			a     *Dense
-			alpha float64
-		}{{"spd α=1e-3", spd, 1e-3}, {"spd α=0.1", spd, 0.1}, {"ones α=0", ones, 0}, {"ones α=1e-20", ones, 1e-20}} {
-			want, wantDamp, wantRetries, wantCond := oracleInvSPDDamped(c.a, c.alpha)
-			if n > 1 && c.a == ones && wantRetries == 0 {
-				t.Fatalf("%s n=%d: the oracle needed no retry", c.name, n)
-			}
-			for _, impl := range kernelImpls {
-				name := fmt.Sprintf("%s n=%d %s", c.name, n, impl.name)
-				got := NewDense(n, n)
-				got.Fill(math.NaN())
-				var damp, cond float64
-				var retries int
-				var err error
-				impl.with(func() { _, damp, retries, cond, err = InvSPDDampedChecked(got, c.a, c.alpha) })
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+	inFusedFamily(t, func(t *testing.T) {
+		for _, n := range []int{1, 4, 17, 33, 257} {
+			ones := NewDense(n, n)
+			ones.Fill(1)
+			spd := RandSPD(NewRNG(uint64(n)), n, 1)
+			for _, c := range []struct {
+				name  string
+				a     *Dense
+				alpha float64
+			}{{"spd α=1e-3", spd, 1e-3}, {"spd α=0.1", spd, 0.1}, {"ones α=0", ones, 0}, {"ones α=1e-20", ones, 1e-20}} {
+				want, wantDamp, wantRetries, wantCond := oracleInvSPDDamped(c.a, c.alpha)
+				if n > 1 && c.a == ones && wantRetries == 0 {
+					t.Fatalf("%s n=%d: the oracle needed no retry", c.name, n)
 				}
-				if math.Float64bits(damp) != math.Float64bits(wantDamp) || retries != wantRetries || math.Float64bits(cond) != math.Float64bits(wantCond) {
-					t.Fatalf("%s: damp %v, %d retries, cond %v; oracle %v, %d, %v", name, damp, retries, cond, wantDamp, wantRetries, wantCond)
+				for _, impl := range kernelImpls {
+					name := fmt.Sprintf("%s n=%d %s", c.name, n, impl.name)
+					got := NewDense(n, n)
+					got.Fill(math.NaN())
+					var damp, cond float64
+					var retries int
+					var err error
+					impl.with(func() { _, damp, retries, cond, err = InvSPDDampedChecked(got, c.a, c.alpha) })
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if math.Float64bits(damp) != math.Float64bits(wantDamp) || retries != wantRetries || math.Float64bits(cond) != math.Float64bits(wantCond) {
+						t.Fatalf("%s: damp %v, %d retries, cond %v; oracle %v, %d, %v", name, damp, retries, cond, wantDamp, wantRetries, wantCond)
+					}
+					sameOracle(t, name, want, got)
 				}
-				sameOracle(t, name, want, got)
 			}
 		}
-	}
+	})
 }
 
 // oracleSubst is substTileAVX2's contract written out per element: from
@@ -208,17 +212,19 @@ func checkSubstOracle(t *testing.T, coef, src, dst []float64, scale float64) {
 }
 
 func TestSubstTileOracle(t *testing.T) {
-	for nk := 0; nk <= 40; nk++ {
-		for ci, kind := range oracleKinds {
-			rng := NewRNG(uint64(10*nk + ci))
-			coef := oracleOperand(rng, kind, 1, nk).data
-			src := oracleOperand(rng, kind, nk, substW).data
-			dst := oracleOperand(rng, kind, 1, substW).data
-			for _, scale := range []float64{1, 0.75, 0, math.Inf(1), math.NaN()} {
-				checkSubstOracle(t, coef, src, dst, scale)
+	inFusedFamily(t, func(t *testing.T) {
+		for nk := 0; nk <= 40; nk++ {
+			for ci, kind := range oracleKinds {
+				rng := NewRNG(uint64(10*nk + ci))
+				coef := oracleOperand(rng, kind, 1, nk).data
+				src := oracleOperand(rng, kind, nk, substW).data
+				dst := oracleOperand(rng, kind, 1, substW).data
+				for _, scale := range []float64{1, 0.75, 0, math.Inf(1), math.NaN()} {
+					checkSubstOracle(t, coef, src, dst, scale)
+				}
 			}
 		}
-	}
+	})
 }
 
 // FuzzSubstTile drives the substitution row, assembly and reference,
