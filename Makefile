@@ -22,7 +22,7 @@ loc:
 
 # The line budget: loc, failing when the total exceeds LOC_MAX. A PR that
 # needs more lines raises the number in its own diff, where review sees it.
-LOC_MAX = 24175
+LOC_MAX = 23824
 locgate:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" && $$1 > max { over = $$1 } \
 		END { if (over) { printf "locgate: %d non-test lines exceed LOC_MAX = %d\n", over, max; exit 1 } }'
@@ -31,11 +31,11 @@ race:
 	$(GO) test -race ./internal/mat/ ./internal/dist/ ./internal/nn/ ./internal/train/ ./internal/core/ ./internal/sngd/ ./internal/kfac/ ./internal/kbfgs/ ./internal/precond/ ./internal/telemetry/ ./internal/sched/
 
 # Scheduler-focused race suite: the execution engine and token pool, the
-# async collectives they drive, and the cross-optimizer parity tests that
-# prove the layer-parallel path is bit-identical to -sched-workers=1.
+# local collectives its dispatcher calls, and the cross-optimizer parity
+# tests that prove every scheduler width gives the same bits.
 racesched:
 	$(GO) test -race ./internal/sched/ -count=1
-	$(GO) test -race ./internal/dist/ -run 'TestAsync|TestLocalCommInPlace' -count=1
+	$(GO) test -race ./internal/dist/ -run 'TestLocalCommInPlace' -count=1
 	$(GO) test -race ./internal/train/ -run 'TestElasticRecoveryWithParallelScheduler' -count=1
 
 # End-to-end smoke of the hylo-serve daemon: boot the binary, submit a
@@ -60,7 +60,7 @@ vet:
 # snapshots falling back, the barrier watchdog, and chaos determinism.
 chaos:
 	$(GO) test -race ./internal/ckpt/ -count=1
-	$(GO) test -race ./internal/dist/ -run 'TestFaultInjector|TestBarrierWatchdog|TestClusterReset|TestFaultPlan|TestAsync' -count=1
+	$(GO) test -race ./internal/dist/ -run 'TestFaultInjector|TestBarrierWatchdog|TestClusterReset|TestFaultPlan' -count=1
 	$(GO) test -race ./internal/train/ -run 'TestElastic|TestDriver|TestNonfinite|TestSharding' -count=1
 	$(GO) test -race ./internal/core/ -run 'TestSingularKernel|TestDegenerate' -count=1
 	$(GO) test -race ./internal/sched/ -run 'TestSchedParityChaos' -count=1
@@ -100,7 +100,7 @@ fuzzsmoke:
 # fallback) across scheduler widths, and one real sketched training run per
 # mode through the hylo-train CLI.
 sketchsmoke:
-	$(GO) test ./internal/mat/ -run 'TestRandomizedID|TestRowIDOracle|TestSRHT|TestFWHT' -count=1
+	$(GO) test ./internal/mat/ -run 'TestRandomizedID|TestRowIDOracle|TestFWHT' -count=1
 	$(GO) test ./internal/core/ -run 'Sketch' -count=1
 	$(GO) test -race ./internal/sched/ -run 'TestSchedParity$$/hylo-kid-sketch|TestSchedParitySketchFallback' -count=1
 	$(GO) run ./cmd/hylo-train -model mlp -epochs 1 -batch 16 -samples 32 -kid-sketch gauss -optimizer hylo

@@ -13,8 +13,8 @@ import (
 )
 
 // benchWorkers pins the scheduler worker count for one benchmark and
-// restores it afterwards, so the sequential baselines stay sequential even
-// when the suite runs on a many-core box.
+// restores it afterwards, so the one-worker baselines stay at one worker
+// even when the suite runs on a many-core box.
 func benchWorkers(b *testing.B, n int) {
 	b.Helper()
 	prev := sched.Workers()
@@ -69,7 +69,7 @@ func benchHyLoCNNStep(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkHyLoStep is the sequential (-sched-workers=1) CNN step. Its
+// BenchmarkHyLoStep is the one-worker (-sched-workers=1) CNN step. Its
 // allocs/op is the acceptance metric for the zero-steady-state-allocation
 // hot path: after the pooled-workspace conversion the steady state should
 // allocate an order of magnitude less than the seed implementation.
@@ -166,13 +166,13 @@ func benchHyLoDeepStep(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkHyLoStepDeep is the sequential baseline for the deep-MLP step.
+// BenchmarkHyLoStepDeep is the one-worker baseline for the deep-MLP step.
 func BenchmarkHyLoStepDeep(b *testing.B) { benchHyLoDeepStep(b, 1) }
 
 // BenchmarkHyLoStepDeepParallel is the layer-parallel deep-MLP step — the
 // headline comm/compute-overlap benchmark. On a box with GOMAXPROCS ≥ 4
 // it should beat BenchmarkHyLoStepDeep by ≥ 1.8×; on a single core the
-// scheduler's inline fallback keeps it at parity.
+// two run the same one-stage-at-a-time schedule.
 func BenchmarkHyLoStepDeepParallel(b *testing.B) { benchHyLoDeepStep(b, runtime.GOMAXPROCS(0)) }
 
 // benchHyLoSketchStep measures one HyLo-KID step on a single wide kernel

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -13,8 +14,10 @@ import (
 
 // The documents name only what exists: every command they tell a reader
 // to run is a main package, every experiment id they cite is registered,
-// every HYLO_ environment variable they name is read by the program, and
-// every artifact EXPERIMENTS.md lists is in the tree.
+// every HYLO_ environment variable they name is read by the program, every
+// artifact EXPERIMENTS.md lists is in the tree, and every alternative of a
+// -run pattern in the Makefile or CI names a test of the packages that
+// command runs.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	const root = "../.."
 	goRun := regexp.MustCompile(`(?:go|\$\(GO\)) run (\./[\w./-]+)`)
@@ -66,6 +69,65 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			t.Errorf("EXPERIMENTS.md artifact %s: %v", m[1], err)
 		}
 	}
+
+	runFlag := regexp.MustCompile(`-run[ =]'([^']*)'`)
+	for _, doc := range []string{"Makefile", ".github/workflows/ci.yml"} {
+		b, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.ReplaceAll(string(b), "$$", "$"), "\n") {
+			m := runFlag.FindStringSubmatch(line)
+			if m == nil {
+				continue
+			}
+			var tests []string
+			for _, f := range strings.Fields(line) {
+				if strings.HasPrefix(f, "./") {
+					tests = append(tests, testFuncs(t, filepath.Join(root, f))...)
+				}
+			}
+			// go test splits a pattern into alternatives at its top-level
+			// '|' and each alternative into levels at '/'; the first level
+			// names the test function.
+			for _, alt := range strings.Split(m[1], "|") {
+				top, _, _ := strings.Cut(alt, "/")
+				if top == "^$" {
+					continue
+				}
+				re, err := regexp.Compile(top)
+				if err != nil {
+					t.Errorf("%s: -run alternative %q: %v", doc, alt, err)
+					continue
+				}
+				found := false
+				for _, name := range tests {
+					found = found || re.MatchString(name)
+				}
+				if !found {
+					t.Errorf("%s: -run alternative %q matches no test in %q", doc, alt, line)
+				}
+			}
+		}
+	}
+}
+
+// testFuncs returns the names of the Test functions in dir's test files.
+func testFuncs(t *testing.T, dir string) []string {
+	files, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	var names []string
+	for _, f := range files {
+		af, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range af.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+				names = append(names, fn.Name.Name)
+			}
+		}
+	}
+	return names
 }
 
 // registered reports whether id is an experiment id, or a prefix such as

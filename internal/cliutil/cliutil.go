@@ -147,7 +147,7 @@ func BindObservability(fs *flag.FlagSet) *Observability {
 	fs.StringVar(&o.events, "events", "", "write the compact JSONL span/event log to this file")
 	fs.BoolVar(&o.summary, "telemetry-summary", false, "print the top phase-time table at exit")
 	fs.BoolVar(&o.numReport, "numerics-report", false, "print the numerical-health summary (condition estimates, damping retries, fallback rungs) at exit")
-	fs.IntVar(&o.schedWorkers, "sched-workers", runtime.GOMAXPROCS(0), "layer-parallel preconditioner workers (1 = legacy sequential path; results are bit-identical either way)")
+	fs.IntVar(&o.schedWorkers, "sched-workers", runtime.GOMAXPROCS(0), "layer-parallel preconditioner workers (1 = one compute stage at a time; results are bit-identical at every width)")
 	return o
 }
 

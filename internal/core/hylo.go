@@ -84,9 +84,8 @@ type hyloState struct {
 
 // hyloPlan is one layer's slot in the scheduled pipeline: inputs prepared
 // on the main goroutine (rho, KIS sample), the local factors handed to the
-// gather, the in-flight collective futures, and the owner's inversion
-// result. Plans persist across updates so the embedded futures and slices
-// are reused allocation-free.
+// gather, the gathered parts, and the owner's inversion result. Plans
+// persist across updates so their slices are reused allocation-free.
 type hyloPlan struct {
 	layer, rho, owner int
 	st                *hyloState
@@ -99,8 +98,6 @@ type hyloPlan struct {
 	// Local reduced factors produced by the factorize stage.
 	as, gs, y *mat.Dense
 
-	aF, gF, yF             dist.GatherFuture
-	mF                     dist.MatFuture
 	aParts, gParts, yParts []*mat.Dense
 	m                      *mat.Dense // owner's result; nil off-owner
 }
@@ -122,9 +119,8 @@ func NewHyLo(net *nn.Network, damping, rankFrac float64, comm dist.Comm, timelin
 	h.Init("hylo", net, comm, timeline, h.stagePrecondition, []sched.Stage{
 		{Name: "factorize", Fn: h.stageFactorize},
 		{Name: "gather", Comm: true, Fn: h.stageGather},
-		{Name: "invert", Wait: h.waitGather, Fn: h.stageInvert},
+		{Name: "invert", Fn: h.stageInvert},
 		{Name: "broadcast", Comm: true, Fn: h.stageBroadcast},
-		{Name: "store", Wait: h.waitBroadcast, Fn: h.stageStore},
 	})
 	h.state = make([]*hyloState, len(h.Layers))
 	h.delta = make([][]float64, len(h.Layers))
@@ -222,7 +218,7 @@ func boolGauge(b bool) float64 {
 // i's gather can be in flight while layer i+1 factorizes. Everything
 // consuming the shared sampling RNG happens here on the calling goroutine
 // in layer order (KIS sampling) or in an Ordered stage (randomized KID),
-// so the result is bit-identical to the sequential schedule.
+// so the result is bit-identical at every scheduler width.
 func (h *HyLo) Update() {
 	p := h.Comm.Size()
 	h.plans = h.plans[:0]
@@ -329,26 +325,17 @@ func (h *HyLo) stageFactorize(i int) {
 	h.Record(dist.PhaseFactorize, pl.layer, t0, h.mode.String())
 }
 
-// stageGather submits the factor all-gathers (lines 7 / 18) without
-// blocking; the dispatcher issues them in canonical layer order.
+// stageGather all-gathers the local factors (lines 7 / 18); the
+// dispatcher issues it in canonical layer order.
 func (h *HyLo) stageGather(i int) {
 	pl := &h.plans[i]
-	h.Async.StartAllGatherMat(&pl.aF, pl.as)
-	h.Async.StartAllGatherMat(&pl.gF, pl.gs)
+	t0 := time.Now()
+	pl.aParts = h.Comm.AllGatherMat(pl.as)
+	pl.gParts = h.Comm.AllGatherMat(pl.gs)
 	if h.mode == ModeKID {
-		h.Async.StartAllGatherMat(&pl.yF, pl.y)
+		pl.yParts = h.Comm.AllGatherMat(pl.y)
 	}
-}
-
-// waitGather drains this layer's gather futures (tokenless — waiting on
-// communication must not hold a compute token).
-func (h *HyLo) waitGather(i int) {
-	pl := &h.plans[i]
-	pl.aParts = pl.aF.Wait()
-	pl.gParts = pl.gF.Wait()
-	if h.mode == ModeKID {
-		pl.yParts = pl.yF.Wait()
-	}
+	h.Record(dist.PhaseGather, pl.layer, t0, h.mode.String())
 }
 
 // stageInvert assembles the gathered factors and, on the owning worker
@@ -356,11 +343,6 @@ func (h *HyLo) waitGather(i int) {
 func (h *HyLo) stageInvert(i int) {
 	pl := &h.plans[i]
 	st := pl.st
-	gdur := pl.aF.Dur() + pl.gF.Dur()
-	if h.mode == ModeKID {
-		gdur += pl.yF.Dur()
-	}
-	h.RecordDur(dist.PhaseGather, pl.layer, gdur, h.mode.String())
 	st.Stack(pl.aParts, pl.gParts)
 	pl.m = nil
 	if h.Comm.ID() != pl.owner {
@@ -428,23 +410,13 @@ func (h *HyLo) stageInvert(i int) {
 	h.Record(dist.PhaseInvert, pl.layer, t0, h.mode.String())
 }
 
-// stageBroadcast submits the result broadcast (lines 11 / 22).
+// stageBroadcast broadcasts the owner's result (lines 11 / 22) and
+// installs it.
 func (h *HyLo) stageBroadcast(i int) {
 	pl := &h.plans[i]
-	h.Async.StartBroadcastMat(&pl.mF, pl.owner, pl.m)
-}
-
-// waitBroadcast drains the broadcast future and installs the result.
-func (h *HyLo) waitBroadcast(i int) {
-	pl := &h.plans[i]
-	pl.st.M = pl.mF.Wait()
-}
-
-// stageStore attributes the broadcast's execution time to the Fig. 7
-// communication bucket.
-func (h *HyLo) stageStore(i int) {
-	pl := &h.plans[i]
-	h.RecordDur(dist.PhaseBroadcast, pl.layer, pl.mF.Dur(), h.mode.String())
+	t0 := time.Now()
+	pl.st.M = h.Comm.BroadcastMat(pl.owner, pl.m)
+	h.Record(dist.PhaseBroadcast, pl.layer, t0, h.mode.String())
 }
 
 // stagePrecondition is one layer of Precondition: Eq. (8) (KID) or Eq. (9)

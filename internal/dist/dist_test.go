@@ -396,3 +396,19 @@ func TestStragglerModel(t *testing.T) {
 		t.Fatalf("comm-bound efficiency %g should exceed compute-bound %g", effComm, effComp)
 	}
 }
+
+// TestLocalCommInPlace pins the satellite fix: the single-worker
+// all-reduce returns its input rather than a clone.
+func TestLocalCommInPlace(t *testing.T) {
+	l := Local()
+	m := mat.NewDense(3, 3)
+	if got := l.AllReduceMat(m); got != m {
+		t.Fatal("localComm.AllReduceMat should be in place")
+	}
+	if got := l.BroadcastMat(0, m); got != m {
+		t.Fatal("localComm.BroadcastMat should be in place")
+	}
+	if parts := l.AllGatherMat(m); len(parts) != 1 || parts[0] != m {
+		t.Fatal("localComm.AllGatherMat should share the input")
+	}
+}

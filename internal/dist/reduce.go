@@ -2,9 +2,8 @@ package dist
 
 // This file defines THE canonical summation order for every sum-style
 // collective in the repository. Float addition is non-associative, so
-// bit-parity between the in-process Cluster, the async scheduler comm,
-// and the multi-process TCP transport (whatever its tree's shape)
-// requires a single fixed bracketing that every implementation realizes
+// bit-parity between the in-process Cluster and the multi-process TCP
+// transport (whatever its tree's shape) requires a single fixed bracketing that every implementation realizes
 // exactly. The canonical order is a pairwise tree over global ranks
 // [0, world): a node covering the contiguous rank range [lo, hi) splits
 // into [lo, mid) and [mid, hi) at mid = lo + reduceHalf(hi-lo), where

@@ -79,12 +79,13 @@ type kfacState struct {
 	aInv, gInv *mat.Dense // what the last broadcast returned
 	// The owner inverts into these and broadcasts them. Every transport
 	// returns the root its own matrix and the other ranks a clone, and no
-	// collective outlives its Wait, so the next Update may overwrite them.
+	// collective outlives its comm stage, so the next Update may overwrite
+	// them.
 	aBuf, gBuf *mat.Dense
 }
 
-// kfacPlan is one layer's slot in the scheduled pipeline; it persists
-// across updates so the embedded futures are reused allocation-free.
+// kfacPlan is one layer's slot in the scheduled pipeline; the plan slice
+// is reused across updates.
 type kfacPlan struct {
 	layer, owner int
 	l            nn.KernelLayer
@@ -93,9 +94,7 @@ type kfacPlan struct {
 
 	a, g       *mat.Dense // this step's captures
 	fa, fg     *mat.Dense // all-reduced factors
-	aF, gF     dist.MatFuture
 	aInv, gInv *mat.Dense // owner's inverses headed for broadcast
-	aBF, gBF   dist.MatFuture
 }
 
 // NewKFAC builds a KFAC preconditioner over the network's kernel layers.
@@ -107,9 +106,8 @@ func NewKFAC(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.Ti
 	k.Init("kfac", net, comm, timeline, k.stagePrecondition, []sched.Stage{
 		{Name: "factorize", Fn: k.stageFactorize},
 		{Name: "reduce", Comm: true, Fn: k.stageReduce},
-		{Name: "invert", Wait: k.waitReduce, Fn: k.stageInvert},
+		{Name: "invert", Fn: k.stageInvert},
 		{Name: "broadcast", Comm: true, Fn: k.stageBroadcast},
-		{Name: "store", Wait: k.waitBroadcast, Fn: k.stageStore},
 	})
 	k.state = make([]*kfacState, len(k.Layers))
 	for i, l := range k.Layers {
@@ -148,17 +146,13 @@ func (k *KFAC) stageFactorize(i int) {
 	k.Record(dist.PhaseFactorize, pl.layer, t0)
 }
 
-// stageReduce submits the factor all-reduces (KAISA step 3).
+// stageReduce all-reduces the factors (KAISA step 3).
 func (k *KFAC) stageReduce(i int) {
 	pl := &k.plans[i]
-	k.Async.StartAllReduceMat(&pl.aF, pl.st.faBuf)
-	k.Async.StartAllReduceMat(&pl.gF, pl.st.fgBuf)
-}
-
-func (k *KFAC) waitReduce(i int) {
-	pl := &k.plans[i]
-	pl.fa = pl.aF.Wait()
-	pl.fg = pl.gF.Wait()
+	t0 := time.Now()
+	pl.fa = k.Comm.AllReduceMat(pl.st.faBuf)
+	pl.fg = k.Comm.AllReduceMat(pl.st.fgBuf)
+	k.Record(dist.PhaseGather, pl.layer, t0)
 }
 
 // stageInvert folds the reduced factors into the running averages on the
@@ -167,7 +161,6 @@ func (k *KFAC) waitReduce(i int) {
 func (k *KFAC) stageInvert(i int) {
 	pl := &k.plans[i]
 	st := pl.st
-	k.RecordDur(dist.PhaseGather, pl.layer, pl.aF.Dur()+pl.gF.Dur())
 	pl.aInv, pl.gInv = nil, nil
 	if k.Comm.ID() == pl.owner {
 		st.fold(pl.fa, pl.fg, k.Decay)
@@ -209,22 +202,13 @@ func piCorrection(trA float64, dimA int, trG float64, dimG int, damping float64)
 	return pi * root, root / pi
 }
 
-// stageBroadcast submits the inverse broadcasts (KAISA step 5).
+// stageBroadcast broadcasts the inverses (KAISA step 5) and installs them.
 func (k *KFAC) stageBroadcast(i int) {
 	pl := &k.plans[i]
-	k.Async.StartBroadcastMat(&pl.aBF, pl.owner, pl.aInv)
-	k.Async.StartBroadcastMat(&pl.gBF, pl.owner, pl.gInv)
-}
-
-func (k *KFAC) waitBroadcast(i int) {
-	pl := &k.plans[i]
-	pl.st.aInv = pl.aBF.Wait()
-	pl.st.gInv = pl.gBF.Wait()
-}
-
-func (k *KFAC) stageStore(i int) {
-	pl := &k.plans[i]
-	k.RecordDur(dist.PhaseBroadcast, pl.layer, pl.aBF.Dur()+pl.gBF.Dur())
+	t0 := time.Now()
+	pl.st.aInv = k.Comm.BroadcastMat(pl.owner, pl.aInv)
+	pl.st.gInv = k.Comm.BroadcastMat(pl.owner, pl.gInv)
+	k.Record(dist.PhaseBroadcast, pl.layer, t0)
 }
 
 // stagePrecondition is one layer of Precondition: grad ← A⁻¹ · grad · G⁻¹.

@@ -18,14 +18,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Base is the layer-pipeline plumbing: the kernel layers, the communicator
-// and its async wrapper, the Update and Precondition engines, and the phase
-// recorder. It holds scheduler engines, so it must not be copied after
-// Init.
+// Base is the layer-pipeline plumbing: the kernel layers, the communicator,
+// the Update and Precondition engines, and the phase recorder. It holds
+// scheduler engines, so it must not be copied after Init.
 type Base struct {
 	Layers []nn.KernelLayer
 	Comm   dist.Comm
-	Async  *dist.AsyncComm
 	// Stages is the per-layer Update pipeline RunUpdate executes. Its
 	// functions index the backend's own per-update plan slice.
 	Stages []sched.Stage
@@ -42,7 +40,7 @@ type Base struct {
 // update the per-layer Update pipeline (both nil for a backend that keeps
 // its own sequential loops).
 func (b *Base) Init(optimizer string, net *nn.Network, comm dist.Comm, timeline *dist.Timeline, apply func(layer int), update []sched.Stage) {
-	b.Layers, b.Comm, b.Async = net.KernelLayers(), comm, dist.Async(comm)
+	b.Layers, b.Comm = net.KernelLayers(), comm
 	b.optimizer, b.timeline = optimizer, timeline
 	b.Stages = update
 	b.apply[0] = sched.Stage{Name: "precondition", Fn: apply}
@@ -56,17 +54,12 @@ func (b *Base) RunUpdate(n int) { sched.Run(&b.updEng, n, b.Stages) }
 // no collectives): one compute stage over all kernel layers.
 func (b *Base) Precondition() { sched.Run(&b.precEng, len(b.Layers), b.apply[:]) }
 
-// Record closes out one schedule phase for one layer, timed from start.
+// Record closes out one schedule phase for one layer, timed from start; a
+// comm stage times its own blocking collectives. The rank-0 Timeline keeps
+// the Fig. 7 four-bucket totals; when telemetry is on every rank also
+// emits a span labelled optimizer, layer and (HyLo) mode.
 func (b *Base) Record(phase string, layer int, start time.Time, mode ...string) {
-	b.RecordDur(phase, layer, time.Since(start), mode...)
-}
-
-// RecordDur is Record for a duration measured elsewhere — collective
-// futures report their own execution time, which is what the communication
-// buckets should hold rather than the near-zero submission time. The
-// rank-0 Timeline keeps the Fig. 7 four-bucket totals; when telemetry is on
-// every rank also emits a span labelled optimizer, layer and (HyLo) mode.
-func (b *Base) RecordDur(phase string, layer int, dur time.Duration, mode ...string) {
+	dur := time.Since(start)
 	if b.timeline != nil && b.Comm.ID() == 0 {
 		b.timeline.Add(phase, dur.Seconds())
 	}

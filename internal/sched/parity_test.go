@@ -2,8 +2,8 @@ package sched_test
 
 // Parity suite for the layer-parallel scheduler: every optimizer's Update +
 // Precondition must produce BIT-IDENTICAL gradients whether the pipeline
-// runs sequentially (-sched-workers=1, the legacy inline path) or
-// layer-parallel — for single-process and simulated-cluster runs, and with
+// runs one compute stage at a time (-sched-workers=1) or four at once —
+// for single-process and simulated-cluster runs, and with
 // chaos fault injection on the collectives. The external test package
 // avoids an import cycle (the optimizers themselves import sched).
 
@@ -142,17 +142,17 @@ func runGradsOn(p int, mknet func(rank, mPer, in, hid, out int) *nn.Network,
 	return res
 }
 
-func compareBits(t *testing.T, seq, par [][][]uint64) {
+func compareBits(t *testing.T, one, four [][][]uint64) {
 	t.Helper()
-	for r := range seq {
-		if len(seq[r]) != len(par[r]) {
-			t.Fatalf("rank %d: layer counts differ (%d vs %d)", r, len(seq[r]), len(par[r]))
+	for r := range one {
+		if len(one[r]) != len(four[r]) {
+			t.Fatalf("rank %d: layer counts differ (%d vs %d)", r, len(one[r]), len(four[r]))
 		}
-		for l := range seq[r] {
-			for j := range seq[r][l] {
-				if seq[r][l][j] != par[r][l][j] {
-					t.Fatalf("rank %d layer %d elem %d: sequential %016x vs parallel %016x",
-						r, l, j, seq[r][l][j], par[r][l][j])
+		for l := range one[r] {
+			for j := range one[r][l] {
+				if one[r][l][j] != four[r][l][j] {
+					t.Fatalf("rank %d layer %d elem %d: 1 worker %016x vs 4 workers %016x",
+						r, l, j, one[r][l][j], four[r][l][j])
 				}
 			}
 		}
@@ -209,8 +209,8 @@ func parityCases() []struct {
 	}
 }
 
-// TestSchedParity: layer-parallel execution must be bit-identical to the
-// sequential path for every distributed optimizer, single-process and on a
+// TestSchedParity: four stage workers must be bit-identical to one for
+// every distributed optimizer, single-process and on a
 // 4-worker simulated cluster.
 func TestSchedParity(t *testing.T) {
 	for _, p := range []int{1, 4} {
@@ -219,10 +219,10 @@ func TestSchedParity(t *testing.T) {
 			p := p
 			t.Run(c.name+"/p="+string(rune('0'+p)), func(t *testing.T) {
 				setWorkers(t, 1)
-				seq := runGrads(p, c.build, nil)
+				one := runGrads(p, c.build, nil)
 				setWorkers(t, 4)
-				par := runGrads(p, c.build, nil)
-				compareBits(t, seq, par)
+				four := runGrads(p, c.build, nil)
+				compareBits(t, one, four)
 			})
 		}
 	}
@@ -250,10 +250,10 @@ func TestSchedParityKBFGS(t *testing.T) {
 		return gradBits(net)
 	}
 	setWorkers(t, 1)
-	seq := run()
+	one := run()
 	setWorkers(t, 4)
-	par := run()
-	compareBits(t, [][][]uint64{seq}, [][][]uint64{par})
+	four := run()
+	compareBits(t, [][][]uint64{one}, [][][]uint64{four})
 }
 
 // TestSchedParityChaos repeats the cluster parity check with fault
@@ -283,10 +283,10 @@ func TestSchedParityChaos(t *testing.T) {
 				})
 			}
 			setWorkers(t, 1)
-			seq := run()
+			one := run()
 			setWorkers(t, 4)
-			par := run()
-			compareBits(t, seq, par)
+			four := run()
+			compareBits(t, one, four)
 		})
 	}
 }
@@ -294,7 +294,7 @@ func TestSchedParityChaos(t *testing.T) {
 // TestSchedParitySketchFallback forces the sketched KID onto a degenerate
 // (exactly rank-1) batch on every rank: the condition guard must trip, the
 // ladder must land on the exact-KID rung, and the fallback must be
-// collective-consistent — the sequential and layer-parallel legs, and all
+// collective-consistent — the one-worker and four-worker legs, and all
 // ranks within each leg, stay bit-identical even while every layer is being
 // redone on the exact path.
 func TestSchedParitySketchFallback(t *testing.T) {
@@ -305,15 +305,15 @@ func TestSchedParitySketchFallback(t *testing.T) {
 			defer numerics.Reset()
 			build := sketchBuilder(sk)
 			setWorkers(t, 1)
-			seq := runGradsOn(4, buildDegenerateNet, build, nil)
+			one := runGradsOn(4, buildDegenerateNet, build, nil)
 			fired := numerics.Default().Snapshot().Fallbacks["hylo.kid.sketch"][numerics.RungExact]
 			if fired == 0 {
 				t.Fatal("degenerate batch did not trip the sketch guard")
 			}
 			setWorkers(t, 4)
-			par := runGradsOn(4, buildDegenerateNet, build, nil)
-			compareBits(t, seq, par)
-			for _, rank := range seq {
+			four := runGradsOn(4, buildDegenerateNet, build, nil)
+			compareBits(t, one, four)
+			for _, rank := range one {
 				for _, layer := range rank {
 					for _, bits := range layer {
 						v := math.Float64frombits(bits)

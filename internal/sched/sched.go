@@ -1,13 +1,14 @@
 // Package sched is the execution scheduler for layer-parallel
 // preconditioning: it pipelines the per-layer stages of a second-order
-// update (local factorization → gather → solve → broadcast → store) across
-// a bounded worker pool and overlaps communication with computation, while
-// keeping results bit-identical to the sequential path.
+// update (local factorization → gather → solve → broadcast) across a
+// bounded worker pool and overlaps communication with computation. There
+// is one execution path for every worker count and layer count: compute
+// goroutines plus one dispatcher goroutine that issues every collective as
+// a blocking call.
 //
 // # Determinism
 //
-// Three rules make the parallel schedule reproduce the sequential one
-// bit for bit:
+// Three rules make every worker count produce the same bits:
 //
 //  1. Compute stages touch only per-layer state; anything consuming a
 //     shared RNG either runs before the pipeline (KIS sampling) or is
@@ -15,10 +16,10 @@
 //     order (randomized KID sketches).
 //  2. All collectives are issued by ONE dispatcher goroutine in a fixed
 //     canonical order — stage-major: for each comm stage in pipeline
-//     order, layers ascending. Every rank submits the identical sequence,
+//     order, layers ascending. Every rank issues the identical sequence,
 //     so barrier sequences match, the sequence validator stays green, and
 //     chaos-injection draws (one per collective, in call order) align
-//     exactly with a sequential run of the same canonical order.
+//     at every worker count.
 //  3. Parallel kernels under the stages (GEMM, row loops) produce results
 //     independent of their worker count, and the shared token pool only
 //     changes worker counts, never arithmetic order.
@@ -27,9 +28,12 @@
 //
 // One process-wide TokenPool (capacity max(workers, GOMAXPROCS)) is shared
 // between stage execution and mat's parallel kernels via mat.Limiter:
-// every running stage holds a token, and a GEMM inside a stage may only
-// add workers by borrowing spare tokens non-blockingly. Nested parallelism
-// therefore never exceeds the pool capacity (TestTokenBudget).
+// above one worker every running compute stage holds a token, and a GEMM
+// inside a stage may only add workers by borrowing spare tokens
+// non-blockingly. Nested parallelism therefore never exceeds the pool
+// capacity (TestTokenBudget). At one worker a stage runs on its caller's
+// budget and takes no token, so a caller holding a token (a hylo-serve
+// job) cannot starve its own pipeline.
 package sched
 
 import (
@@ -49,10 +53,11 @@ var (
 
 func init() { SetWorkers(runtime.GOMAXPROCS(0)) }
 
-// SetWorkers sets the scheduler's per-optimizer stage parallelism: n > 1
-// enables the layer-parallel pipelines, n = 1 selects the legacy
-// sequential path. It also rebuilds the process-wide token pool (capacity
-// max(n, GOMAXPROCS)) and installs it as mat's parallel-kernel limiter.
+// SetWorkers sets the scheduler's per-optimizer stage parallelism: at most
+// n compute stages run at once (n = 1: one at a time, still overlapped
+// with the dispatcher's collectives). It also rebuilds the process-wide
+// token pool (capacity max(n, GOMAXPROCS)) and installs it as mat's
+// parallel-kernel limiter.
 // Call between updates, not concurrently with a running pipeline.
 func SetWorkers(n int) {
 	if n < 1 {
@@ -79,19 +84,14 @@ func Tokens() *TokenPool { return pool.Load() }
 type Stage struct {
 	// Name labels the stage in diagnostics.
 	Name string
-	// Comm marks a communication stage: its Fn must only SUBMIT async
-	// collectives (dist.AsyncComm StartX) and return without blocking on
-	// results. Comm stages are executed by the single dispatcher goroutine
-	// in canonical stage-major order.
+	// Comm marks a communication stage: its Fn issues blocking collectives
+	// and returns once they complete. Comm stages are executed by the
+	// single dispatcher goroutine in canonical stage-major order.
 	Comm bool
 	// Ordered serializes a compute stage in ascending layer order (layer
 	// i's Fn runs only after layer i−1's). Required for stages that
 	// consume a shared RNG.
 	Ordered bool
-	// Wait, when non-nil, runs before Fn WITHOUT holding a compute token:
-	// the place to block on futures from an earlier comm stage, so tokens
-	// are not parked on communication waits.
-	Wait func(layer int)
 	// Fn does the stage's work for one layer.
 	Fn func(layer int)
 }
@@ -110,32 +110,18 @@ type Engine struct {
 	slotsW int
 }
 
-// Run executes the pipeline over n layers. With Workers() == 1 (or a
-// single layer) it degrades to the inline sequential path: every stage run
-// on the calling goroutine in the same canonical stage-major order, with
-// no goroutines, channels, or tokens — the `-sched-workers=1` legacy
-// schedule. A panic in any stage is re-raised on the caller, preserving
-// the worker-death semantics RunWithRecovery and train.Drive rely on.
+// Run executes the pipeline over n layers: one goroutine per layer walks
+// its compute stages, at most Workers() of them running at once, while one
+// dispatcher goroutine runs every comm stage in canonical stage-major
+// order, so layer i+1's gather is on the wire while layer i solves. With
+// one worker a compute stage takes no pool token: the caller is parked in
+// Run, and its budget covers the one stage running. A panic in any stage
+// is re-raised on the caller, preserving the worker-death semantics
+// train.Drive relies on.
 func Run(e *Engine, n int, stages []Stage) {
 	if n <= 0 || len(stages) == 0 {
 		return
 	}
-	if Workers() <= 1 || n == 1 {
-		for s := range stages {
-			st := &stages[s]
-			for i := 0; i < n; i++ {
-				if st.Wait != nil {
-					st.Wait(i)
-				}
-				st.Fn(i)
-			}
-		}
-		return
-	}
-	e.run(n, stages)
-}
-
-func (e *Engine) run(n int, stages []Stage) {
 	w := Workers()
 	if e.cond == nil {
 		e.cond = sync.NewCond(&e.mu)
@@ -149,6 +135,9 @@ func (e *Engine) run(n int, stages []Stage) {
 	}
 	abortCh := make(chan struct{})
 	tokens := Tokens()
+	if w == 1 {
+		tokens = nil
+	}
 
 	var busy atomic.Int64
 	t0 := time.Now()
@@ -173,22 +162,21 @@ func (e *Engine) run(n int, stages []Stage) {
 				if st.Ordered && i > 0 && !e.waitDone(s, i-1) {
 					return
 				}
-				if st.Wait != nil && !e.runHook(st.Wait, i, abortCh) {
-					return
-				}
 				select {
 				case e.slots <- struct{}{}:
 				case <-abortCh:
 					return
 				}
-				if !tokens.Acquire(abortCh) {
+				if tokens != nil && !tokens.Acquire(abortCh) {
 					<-e.slots
 					return
 				}
 				t := time.Now()
 				ok := e.runHook(st.Fn, i, abortCh)
 				busy.Add(int64(time.Since(t)))
-				tokens.Release(1)
+				if tokens != nil {
+					tokens.Release(1)
+				}
 				<-e.slots
 				if !ok {
 					return
@@ -199,9 +187,9 @@ func (e *Engine) run(n int, stages []Stage) {
 	}
 
 	// The comm dispatcher: the only goroutine issuing collectives, in the
-	// canonical stage-major order. Submission is non-blocking (async
-	// executor), so a gather for layer i+1 enters the wire while layer i's
-	// solve still runs — the comm/compute overlap this package exists for.
+	// canonical stage-major order. It blocks in each collective while the
+	// compute goroutines carry on — the comm/compute overlap this package
+	// exists for.
 	go func() {
 		defer wg.Done()
 		for s := range stages {
@@ -211,9 +199,6 @@ func (e *Engine) run(n int, stages []Stage) {
 			}
 			for i := 0; i < n; i++ {
 				if s > 0 && !e.waitDone(s-1, i) {
-					return
-				}
-				if st.Wait != nil && !e.runHook(st.Wait, i, abortCh) {
 					return
 				}
 				t := time.Now()

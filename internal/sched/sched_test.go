@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/mat"
 )
@@ -72,10 +73,10 @@ func checkCanonical(t *testing.T, n int, comm *trace, perLayer []*trace) {
 	}
 }
 
-// TestRunCanonicalCommOrder: both the sequential path and the parallel
-// dispatcher must issue collectives in the same stage-major canonical order
-// (all gathers in layer order, then all broadcasts) with per-layer compute
-// stages in pipeline order.
+// TestRunCanonicalCommOrder: at one worker and at four the dispatcher must
+// issue collectives in the same stage-major canonical order (all gathers in
+// layer order, then all broadcasts) with per-layer compute stages in
+// pipeline order.
 func TestRunCanonicalCommOrder(t *testing.T) {
 	const n = 5
 	for _, workers := range []int{1, 4} {
@@ -134,30 +135,33 @@ func TestRunOrderedStage(t *testing.T) {
 	})
 }
 
-// TestRunWaitHook: the Wait hook must run before Fn for the same layer and
-// stage, after the previous stage completed.
-func TestRunWaitHook(t *testing.T) {
-	const n = 6
-	withWorkers(t, 4, 4, func() {
-		perLayer := make([]*trace, n)
-		for i := range perLayer {
-			perLayer[i] = &trace{}
-		}
+// TestRunCommBlocksComputeProceeds: a comm stage blocks the dispatcher,
+// not the compute stages. At one worker, layer 1's collective can only
+// return once layer 0's solve has run, which holds only if the solve runs
+// while the dispatcher is parked in that collective.
+func TestRunCommBlocksComputeProceeds(t *testing.T) {
+	withWorkers(t, 1, 1, func() {
+		solved := make(chan struct{})
 		stages := []Stage{
-			{Name: "a", Fn: func(i int) { perLayer[i].add("a") }},
-			{
-				Name: "b",
-				Wait: func(i int) { perLayer[i].add("wait") },
-				Fn:   func(i int) { perLayer[i].add("b") },
-			},
+			{Name: "factor", Fn: func(i int) {}},
+			{Name: "gather", Comm: true, Fn: func(i int) {
+				if i != 1 {
+					return
+				}
+				select {
+				case <-solved:
+				case <-time.After(10 * time.Second):
+					t.Error("layer 1's gather was still blocked after 10s: layer 0's solve never ran")
+				}
+			}},
+			{Name: "solve", Fn: func(i int) {
+				if i == 0 {
+					close(solved)
+				}
+			}},
 		}
 		var e Engine
-		Run(&e, n, stages)
-		for i, tr := range perLayer {
-			if len(tr.ev) != 3 || tr.ev[0] != "a" || tr.ev[1] != "wait" || tr.ev[2] != "b" {
-				t.Fatalf("layer %d order %v", i, tr.ev)
-			}
-		}
+		Run(&e, 3, stages)
 	})
 }
 
@@ -202,8 +206,8 @@ func TestRunPanicPropagates(t *testing.T) {
 	}
 }
 
-// TestRunCommPanicAborts: a panic raised at collective submission (the
-// dispatcher) must abort compute workers blocked on later stages instead of
+// TestRunCommPanicAborts: a panic raised in a collective (the dispatcher)
+// must abort compute workers blocked on later stages instead of
 // deadlocking.
 func TestRunCommPanicAborts(t *testing.T) {
 	const n = 4
@@ -225,22 +229,6 @@ func TestRunCommPanicAborts(t *testing.T) {
 		}()
 		Run(&e, n, stages)
 		t.Error("Run should have panicked")
-	})
-}
-
-// TestRunInlineAllocFree: the workers=1 path must not allocate — it is the
-// legacy sequential schedule and sits on the hot path of every update.
-func TestRunInlineAllocFree(t *testing.T) {
-	withWorkers(t, 1, 1, func() {
-		var e Engine
-		stages := []Stage{
-			{Name: "a", Fn: func(i int) {}},
-			{Name: "b", Wait: func(i int) {}, Fn: func(i int) {}},
-		}
-		allocs := testing.AllocsPerRun(100, func() { Run(&e, 8, stages) })
-		if allocs > 0 {
-			t.Fatalf("inline Run allocated %.1f times per run", allocs)
-		}
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -342,5 +343,44 @@ func TestTokenPoolHammer(t *testing.T) {
 	}
 	if inUse := pool.InUse(); inUse != 0 {
 		t.Fatalf("tokens leaked: %d still in use", inUse)
+	}
+}
+
+// TestSchedTokensAtOneWorker runs a real HyLo job on the scheduler's own
+// pool at one stage worker and one core, with every token a job slot: the
+// job holds the pool's only token, so its preconditioner pipeline must run
+// on that budget rather than wait for a second token.
+func TestSchedTokensAtOneWorker(t *testing.T) {
+	oldProcs := runtime.GOMAXPROCS(1)
+	oldWorkers := sched.Workers()
+	sched.SetWorkers(1)
+	defer func() {
+		runtime.GOMAXPROCS(oldProcs)
+		sched.SetWorkers(oldWorkers)
+	}()
+	pool := sched.Tokens()
+	r, err := New(Config{Dir: t.TempDir(), Pool: pool, MaxRunning: pool.Cap()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		r.Shutdown(ctx)
+	}()
+	s := api.JobSpec{
+		Kind: api.KindTrain, Model: "mlp", Optimizer: "hylo",
+		Epochs: 2, Batch: 8, Classes: 2, Samples: 16, Seed: 1,
+	}
+	s.Normalize()
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	j, err := r.Submit(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, j); st != api.StateDone {
+		t.Fatalf("state = %s (err %q), want done", st, j.View().Error)
 	}
 }

@@ -45,18 +45,16 @@ type sngdState struct {
 	an, gn *mat.Dense
 }
 
-// sngdPlan is one layer's slot in the scheduled pipeline; it persists
-// across updates so the embedded futures are reused allocation-free.
+// sngdPlan is one layer's slot in the scheduled pipeline; the plan slice
+// is reused across updates.
 type sngdPlan struct {
 	layer, owner int
 	st           *sngdState
 	a, g         *mat.Dense // this step's captures
 	scale        float64
 
-	aF, gF         dist.GatherFuture
 	aParts, gParts []*mat.Dense
 	m              *mat.Dense // owner's result; nil off-owner
-	mF             dist.MatFuture
 }
 
 // New builds an SNGD preconditioner over the network's kernel layers.
@@ -67,9 +65,8 @@ func New(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.Timeli
 	s.Init("sngd", net, comm, timeline, s.stagePrecondition, []sched.Stage{
 		{Name: "normalize", Fn: s.stageNormalize},
 		{Name: "gather", Comm: true, Fn: s.stageGather},
-		{Name: "invert", Wait: s.waitGather, Fn: s.stageInvert},
+		{Name: "invert", Fn: s.stageInvert},
 		{Name: "broadcast", Comm: true, Fn: s.stageBroadcast},
-		{Name: "store", Wait: s.waitBroadcast, Fn: s.stageStore},
 	})
 	s.state = make([]*sngdState, len(s.Layers))
 	for i := range s.state {
@@ -113,17 +110,13 @@ func (s *SNGD) stageNormalize(i int) {
 	st.gn.Scale(pl.scale)
 }
 
-// stageGather submits the factor all-gathers (Fig. 1 step 2).
+// stageGather all-gathers the normalized factors (Fig. 1 step 2).
 func (s *SNGD) stageGather(i int) {
 	pl := &s.plans[i]
-	s.Async.StartAllGatherMat(&pl.aF, pl.st.an)
-	s.Async.StartAllGatherMat(&pl.gF, pl.st.gn)
-}
-
-func (s *SNGD) waitGather(i int) {
-	pl := &s.plans[i]
-	pl.aParts = pl.aF.Wait()
-	pl.gParts = pl.gF.Wait()
+	t0 := time.Now()
+	pl.aParts = s.Comm.AllGatherMat(pl.st.an)
+	pl.gParts = s.Comm.AllGatherMat(pl.st.gn)
+	s.Record(dist.PhaseGather, pl.layer, t0)
 }
 
 // stageInvert assembles the global factors and, on the owning worker,
@@ -131,7 +124,6 @@ func (s *SNGD) waitGather(i int) {
 func (s *SNGD) stageInvert(i int) {
 	pl := &s.plans[i]
 	st := pl.st
-	s.RecordDur(dist.PhaseGather, pl.layer, pl.aF.Dur()+pl.gF.Dur())
 	st.Stack(pl.aParts, pl.gParts)
 	pl.m = nil
 	if s.Comm.ID() != pl.owner {
@@ -147,20 +139,13 @@ func (s *SNGD) stageInvert(i int) {
 	s.Record(dist.PhaseInvert, pl.layer, t0)
 }
 
-// stageBroadcast submits the inverted-kernel broadcast (Fig. 1 step 4).
+// stageBroadcast broadcasts the inverted kernel (Fig. 1 step 4) and
+// installs it.
 func (s *SNGD) stageBroadcast(i int) {
 	pl := &s.plans[i]
-	s.Async.StartBroadcastMat(&pl.mF, pl.owner, pl.m)
-}
-
-func (s *SNGD) waitBroadcast(i int) {
-	pl := &s.plans[i]
-	pl.st.M = pl.mF.Wait()
-}
-
-func (s *SNGD) stageStore(i int) {
-	pl := &s.plans[i]
-	s.RecordDur(dist.PhaseBroadcast, pl.layer, pl.mF.Dur())
+	t0 := time.Now()
+	pl.st.M = s.Comm.BroadcastMat(pl.owner, pl.m)
+	s.Record(dist.PhaseBroadcast, pl.layer, t0)
 }
 
 // stagePrecondition is one layer of Precondition: Eq. (7) applied through

@@ -176,11 +176,9 @@ const (
 
 	// MetricSchedOverlap accumulates stage-busy nanoseconds in excess of
 	// wall time per scheduled preconditioner update — the compute/comm time
-	// hidden by layer-parallel execution (0 when running sequentially).
+	// hidden by layer-parallel execution. Busy time includes the time the
+	// dispatcher spends blocked in collectives.
 	MetricSchedOverlap = "sched_overlap_ns"
-	// MetricSchedQueueDepth is the current number of async collectives
-	// submitted but not yet executed on this process's comm executors.
-	MetricSchedQueueDepth = "sched_queue_depth"
 	// MetricSchedTokensInUse is the current number of compute tokens
 	// checked out of the process-wide scheduler pool (stage workers plus
 	// extra GEMM workers).

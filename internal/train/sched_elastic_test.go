@@ -10,9 +10,9 @@ import (
 
 // Chaos must compose with the layer-parallel scheduler: an injected worker
 // death mid-training, recovered by RunElastic, must reproduce the history
-// of an uninterrupted SEQUENTIAL (-sched-workers=1) run exactly — the
-// async-collective pipeline is bit-identical to the legacy path even
-// across a checkpoint-restore cycle.
+// of an uninterrupted one-worker (-sched-workers=1) run exactly — four
+// stage workers give the same bits as one even across a
+// checkpoint-restore cycle.
 func TestElasticRecoveryWithParallelScheduler(t *testing.T) {
 	tr, te := vectorTask(11)
 	cfg := baseCfg()
@@ -37,6 +37,6 @@ func TestElasticRecoveryWithParallelScheduler(t *testing.T) {
 	}
 	statsClose(t, ref.Stats, res.Stats, 0)
 	if math.Abs(ref.FinalLoss-res.FinalLoss) != 0 {
-		t.Fatalf("final loss: sequential %.17g vs parallel recovered %.17g", ref.FinalLoss, res.FinalLoss)
+		t.Fatalf("final loss: 1 worker %.17g vs 4 workers recovered %.17g", ref.FinalLoss, res.FinalLoss)
 	}
 }
