@@ -92,7 +92,6 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&n.localRanks, "net-ranks", 1, "global ranks hosted by this process in -listen/-join mode")
 	fs.StringVar(&n.netFault, "net-fault", "", "socket fault spec, comma-separated: drop:PROB | dup:PROB | reorder:PROB | delay:PROB@DUR | partition:AFTER@DUR (e.g. drop:0.1,reorder:0.05)")
 	fs.StringVar(&n.topology, "net-topology", distnet.TopologyHub, "shape of the collectives' reduction tree in -listen/-join mode: hub (every member a child of the coordinator's process) or tree (binary tree by rank; interior members merge and forward); results are bit-identical; every process must pass the same value")
-	fs.IntVar(&n.chunkElems, "net-chunk", 0, "chunk size, in float64 elements, that sum collectives are cut into on the wire in -listen/-join mode (0 = default 8192); every process must pass the same value")
 	fs.DurationVar(&n.barrierTimeout, "barrier-timeout", 0, "convert a collective stuck longer than this into a recoverable worker failure (0 = watchdog off)")
 
 	o.obs = cliutil.BindObservability(fs)
@@ -107,7 +106,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 // differently: where each process listens, dials, stores and reports, and
 // which faults it injects. Every other flag, a flag added later included,
 // shapes either the arithmetic every replica must share or, like
-// -net-topology and -net-chunk, the wire protocol every process must speak
+// -net-topology, the wire protocol every process must speak
 // (a mixed cluster would stall), so configDigest covers it and rendezvous
 // rejects a mismatch.
 var processLocal = map[string]bool{
@@ -152,6 +151,9 @@ func (o *options) build() (train.Job, train.ElasticConfig, error) {
 		plan.Seed = o.spec.Seed
 		if o.ckptDir == "" {
 			return train.Job{}, ec, fmt.Errorf("-fault-inject requires -checkpoint-dir (recovery needs somewhere to restore from)")
+		}
+		if plan.PanicStep >= 0 && plan.PanicRank >= o.spec.Workers {
+			return train.Job{}, ec, fmt.Errorf("-fault-inject: panic rank %d does not exist with -workers %d", plan.PanicRank, o.spec.Workers)
 		}
 	}
 	if o.resume && o.ckptDir == "" {

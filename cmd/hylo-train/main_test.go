@@ -50,6 +50,7 @@ func TestBuildRejects(t *testing.T) {
 		{"-cond-limit", "NaN"}, {"-classes", "0"}, {"-lr", "-1"}, {"-momentum", "1"},
 		{"-eta", "NaN"}, {"-weight-decay", "-0.1"}, {"-decay-at", "x"},
 		{"-fault-inject", "panic:1@4"}, {"-resume"}, {"-listen", ":0"},
+		{"-fault-inject", "panic:5@3", "-workers", "2", "-checkpoint-dir", "d"},
 	} {
 		o, _ := parse(t, args...)
 		_, _, err := o.build()
@@ -68,7 +69,7 @@ func TestConfigDigest(t *testing.T) {
 	for _, args := range [][]string{
 		{"-clip", "1"}, {"-kid-sketch", "srht"}, {"-kid-oversample", "16"}, {"-id-tol", "0"},
 		{"-cond-limit", "1e10"}, {"-augment"}, {"-patience", "3"}, {"-lr", "0.1"},
-		{"-model", "mlp"}, {"-workers", "4"}, {"-net-topology", "tree"}, {"-net-chunk", "64"},
+		{"-model", "mlp"}, {"-workers", "4"}, {"-net-topology", "tree"},
 		{"-checkpoint-every", "2"}, {"-decay-at", "5"},
 	} {
 		if _, fs := parse(t, args...); configDigest(fs) == base {

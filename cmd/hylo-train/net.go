@@ -19,7 +19,6 @@ type netOpts struct {
 	localRanks     int
 	netFault       string
 	topology       string
-	chunkElems     int
 	barrierTimeout time.Duration
 }
 
@@ -56,9 +55,6 @@ func (o netOpts) validate(world int, ckptDir string) error {
 		return fmt.Errorf("-net-topology must be %q or %q (got %q)",
 			distnet.TopologyHub, distnet.TopologyTree, o.topology)
 	}
-	if o.chunkElems < 0 {
-		return fmt.Errorf("-net-chunk must be >= 0 (got %d)", o.chunkElems)
-	}
 	return nil
 }
 
@@ -82,7 +78,6 @@ func runNetCluster(o netOpts, spec cliutil.Spec, digest uint64, job train.Job, e
 		Faults:       sockPlan,
 		CollTimeout:  o.barrierTimeout,
 		Topology:     o.topology,
-		ChunkElems:   o.chunkElems,
 	}
 
 	var proc *distnet.Proc

@@ -2,10 +2,7 @@ package mat
 
 import (
 	"math"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // parallelThreshold is the number of multiply-adds below which GEMM runs
@@ -23,8 +20,8 @@ const parallelThreshold = 64 * 64 * 64
 const (
 	gemmMR = 4
 	gemmNR = 8
-	// gemmClaimPanels is the number of mr-row panels a worker claims per
-	// atomic fetch-add when stealing work.
+	// gemmClaimPanels is the number of mr-row panels a worker claims at a
+	// time (Parallel's grain).
 	gemmClaimPanels = 8
 	// Cache-blocking factors: the packed B block is kc×nc ≤ 1 MiB so it
 	// stays resident in a typical ≥2 MiB L2 across the whole m sweep, and
@@ -222,9 +219,9 @@ func checkNoAlias(op string, dst *Dense, srcs ...*Dense) {
 // Large products take the packed path: operand panels are copied into
 // pooled, contiguous mr-/nr-interleaved buffers (no transpose is ever
 // materialized) and the mr×nr register-blocked micro-kernel runs over row
-// panels of the output, distributed across GOMAXPROCS workers by atomic
-// work-stealing. Small products fall back to unpacked ikj-style loops that
-// also need no transpose copies. a may be a strip of a matrix of `rows` rows
+// panels of the output, which Parallel spreads across workers. Small
+// products fall back to unpacked ikj-style loops that also need no
+// transpose copies. a may be a strip of a matrix of `rows` rows
 // (MulStripInto): the path is the one the whole product takes, and with acc
 // the result is added to out.
 func gemm(out, a, b *Dense, transA, transB bool, rows int, acc bool) {
@@ -309,77 +306,37 @@ func gemmSmall(out, a, b *Dense, transA, transB bool, m, k, n int, acc bool) {
 // gemmPacked is the blocked kernel, organized as the classic three-level
 // GotoBLAS loop nest: for each nc-wide column block and kc-deep slice of k,
 // op(b) is packed once into nr-interleaved panels (an L2-resident block),
-// then workers claim mr-row panels of the output by atomic work-stealing
-// and sweep the micro-kernel across the column panels. The first k-slice
-// overwrites out and the rest accumulate into it in a fixed sequential
-// order, so the result is deterministic regardless of how workers interleave.
-// With acc the first slice accumulates too: out holds the earlier strips.
-// A nil a makes the gathered operand g the left factor. With lower, tiles
-// wholly above the diagonal are left unwritten.
+// then workers claim mr-row panels of the output (Parallel) and sweep the
+// micro-kernel across the column panels. The first k-slice overwrites out
+// and the rest accumulate into it in a fixed sequential order, so the
+// result is deterministic regardless of how workers interleave or how many
+// the shared limiter grants. With acc the first slice accumulates too: out
+// holds the earlier strips. A nil a makes the gathered operand g the left
+// factor. With lower, tiles wholly above the diagonal are left unwritten.
 func gemmPacked(out, a *Dense, g Gathered, b *Dense, transA, transB bool, m, k, n int, acc, lower bool) {
-	bp := getFloatsRaw(gemmKC * ((gemmNC + gemmNR - 1) / gemmNR) * gemmNR)
-	mpanels := (m + gemmMR - 1) / gemmMR
-	nw := runtime.GOMAXPROCS(0)
-	if max := (mpanels + gemmClaimPanels - 1) / gemmClaimPanels; nw > max {
-		nw = max
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	// Extra workers beyond the calling goroutine come from the shared
-	// token pool (when installed), so a GEMM nested under scheduler stages
-	// degrades to fewer workers instead of oversubscribing cores. The
-	// k-slice accumulation order is fixed, so the result does not depend on
-	// how many workers are granted.
-	nw, releaseWorkers := acquireWorkers(nw)
-	defer releaseWorkers()
-
-	if nw == 1 {
-		// Sequential path: no goroutines, no work-stealing state, and one
-		// A-panel buffer hoisted across all cache blocks — zero per-block
-		// allocations.
-		ap := getFloatsRaw(gemmMR * gemmKC)
-		for jc := 0; jc < n; jc += gemmNC {
-			nc := min(gemmNC, n-jc)
-			for pc := 0; pc < k; pc += gemmKC {
-				kc := min(gemmKC, k-pc)
-				packB(bp, b, transB, pc, kc, jc, nc)
-				gemmSweep(out, a, g, transA, ap, bp, 0, mpanels, m, pc, kc, jc, nc, pc == 0 && !acc, lower)
-			}
-		}
-		PutFloats(ap)
-		PutFloats(bp)
-		return
-	}
-
-	for jc := 0; jc < n; jc += gemmNC {
-		nc := min(gemmNC, n-jc)
-		for pc := 0; pc < k; pc += gemmKC {
-			kc := min(gemmKC, k-pc)
-			packB(bp, b, transB, pc, kc, jc, nc)
-
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			wg.Add(nw)
-			for w := 0; w < nw; w++ {
-				go func() {
-					defer wg.Done()
-					ap := getFloatsRaw(gemmMR * kc)
-					for {
-						lo := int(next.Add(gemmClaimPanels)) - gemmClaimPanels
-						if lo >= mpanels {
-							break
-						}
-						hi := min(lo+gemmClaimPanels, mpanels)
-						gemmSweep(out, a, g, transA, ap, bp, lo, hi, m, pc, kc, jc, nc, pc == 0 && !acc, lower)
-					}
-					PutFloats(ap)
-				}()
-			}
-			wg.Wait()
+	blk := gemmBlock{out: out, a: a, g: g, transA: transA, lower: lower, m: m,
+		bp: getFloatsRaw(gemmKC * ((gemmNC + gemmNR - 1) / gemmNR) * gemmNR)}
+	for blk.jc = 0; blk.jc < n; blk.jc += gemmNC {
+		blk.nc = min(gemmNC, n-blk.jc)
+		for blk.pc = 0; blk.pc < k; blk.pc += gemmKC {
+			blk.kc = min(gemmKC, k-blk.pc)
+			blk.first = blk.pc == 0 && !acc
+			packB(blk.bp, b, transB, blk.pc, blk.kc, blk.jc, blk.nc)
+			Parallel((m+gemmMR-1)/gemmMR, gemmClaimPanels, blk, gemmSweep)
 		}
 	}
-	PutFloats(bp)
+	PutFloats(blk.bp)
+}
+
+// gemmBlock is one (pc, jc) cache block of gemmPacked: the operands, the
+// packed k-slice of op(b) in bp, and the block's place in the product.
+type gemmBlock struct {
+	out, a            *Dense
+	g                 Gathered
+	bp                []float64
+	transA, lower     bool
+	first             bool // the block's k-slice overwrites out
+	m, pc, kc, jc, nc int
 }
 
 // panel is one mr-row slice of op(a) over one k-slice as the micro-kernel
@@ -391,20 +348,22 @@ type panel struct {
 	row, col []int
 }
 
-// gemmSweep runs the micro-kernel over output row panels [lo, hi) for one
-// (pc, jc) cache block, sweeping each mr-row slice of op(a) across the
-// nr-wide packed-B panels. A full panel of a non-transposed or a gathered a
+// gemmSweep runs the micro-kernel over output row panels [lo, hi) of one
+// cache block, sweeping each mr-row slice of op(a) across the nr-wide
+// packed-B panels. A full panel of a non-transposed or a gathered a
 // is read where it lies — a conv GEMM's 8..32 output columns would use a
 // packed copy for one to four tiles; transposed a (a gather per k step),
 // zero-padded edge panels and every gathered panel without the assembly are
 // packed into ap. With lower, a row panel stops at its diagonal tile.
-func gemmSweep(out, a *Dense, g Gathered, transA bool, ap, bp []float64, lo, hi, m, pc, kc, jc, nc int, first, lower bool) {
+func gemmSweep(blk gemmBlock, lo, hi int) {
+	out, a, g, bp, m, pc, kc, jc, nc := blk.out, blk.a, blk.g, blk.bp, blk.m, blk.pc, blk.kc, blk.jc, blk.nc
+	ap := getFloatsRaw(gemmMR * kc)
 	npanels := (nc + gemmNR - 1) / gemmNR
 	var pa panel // set field by field: a composite literal per panel is a block copy
 	for ip := lo; ip < hi; ip++ {
 		i0 := ip * gemmMR
 		rows := min(gemmMR, m-i0)
-		if lower {
+		if blk.lower {
 			// The tiles whose first column is at most the panel's last row.
 			last := i0 + rows - 1 - jc
 			if last < 0 {
@@ -418,18 +377,19 @@ func gemmSweep(out, a *Dense, g Gathered, transA bool, ap, bp []float64, lo, hi,
 		case a == nil:
 			packGathered(ap, g, i0, rows, pc, kc)
 			pa.a, pa.rs, pa.cs, pa.col = ap, 1, gemmMR, nil
-		case !transA && rows == gemmMR:
+		case !blk.transA && rows == gemmMR:
 			pa.a, pa.rs, pa.cs = a.data[i0*a.cols+pc:], a.cols, 1
 		default:
-			packA(ap, a, transA, i0, rows, pc, kc)
+			packA(ap, a, blk.transA, i0, rows, pc, kc)
 			pa.a, pa.rs, pa.cs = ap, 1, gemmMR
 		}
 		for jp := 0; jp < npanels; jp++ {
 			j0 := jp * gemmNR
-			microTile(out, first, &pa, bp[jp*kc*gemmNR:(jp+1)*kc*gemmNR],
+			microTile(out, blk.first, &pa, bp[jp*kc*gemmNR:(jp+1)*kc*gemmNR],
 				kc, i0, jc+j0, rows, min(gemmNR, nc-j0))
 		}
 	}
+	PutFloats(ap)
 }
 
 // packB copies the kc×nc block of op(b) at (pc, jc) into nr-interleaved

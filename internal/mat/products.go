@@ -1,13 +1,5 @@
 package mat
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-func gomaxprocs() int { return runtime.GOMAXPROCS(0) }
-
 // Hadamard returns the element-wise product a ∘ b.
 func Hadamard(a, b *Dense) *Dense {
 	out := NewDense(a.rows, a.cols)
@@ -53,19 +45,10 @@ func GramInto(dst, m *Dense) {
 		panic("mat: GramInto destination dimension mismatch")
 	}
 	checkNoAlias("GramInto", dst, m)
-	// A worker is worth starting for 16 row pairs or more; the extra ones
-	// come from the shared limiter, as in gemmPacked.
-	pairs := (n + 1) / 2
-	nw, releaseWorkers := acquireWorkers(min(gomaxprocs(), pairs/16))
-	defer releaseWorkers()
-	if nw <= 1 {
-		// Sequential: no closure, no goroutines, zero allocations.
-		for p := 0; p < pairs; p++ {
-			gramPair(dst, m, p)
-		}
-	} else {
-		gramParallel(dst, m, pairs, nw)
-	}
+	// Row pairs are claimed 16 at a time, heaviest (the last rows) first.
+	// Every element is one Dot whoever computes it, so the result does not
+	// depend on the claims.
+	Parallel((n+1)/2, 16, [2]*Dense{dst, m}, gramPairs)
 	mirrorLower(dst)
 }
 
@@ -101,37 +84,18 @@ func GramTInto(dst, m *Dense) {
 	mirrorLower(dst)
 }
 
-// gramPair fills rows 2p and 2p+1 of the lower triangle of dst = m*mᵀ. The
-// width is rounded up to whole dot tiles where the rows exist: what that
-// adds lies above the diagonal, in these two rows, and the mirror pass
-// overwrites it.
-func gramPair(dst, m *Dense, p int) {
+// gramPairs fills row pairs [lo, hi), counted from the last, of the lower
+// triangle of dst = m*mᵀ; dm is {dst, m}. The width is rounded up to whole
+// dot tiles where the rows exist: what that adds lies above the diagonal,
+// in the pair's rows, and the mirror pass overwrites it.
+func gramPairs(dm [2]*Dense, lo, hi int) {
+	dst, m := dm[0], dm[1]
 	n, k := m.rows, m.cols
-	i := 2 * p
-	rows := min(2, n-i)
-	dotBlock(dst.data[i*n:], n, m.data[i*k:], k, rows, m.data, k, min(n, (i+rows+3)&^3), k)
-}
-
-// gramParallel has nw workers claim the row pairs off a shared counter,
-// heaviest (the last rows) first. Every element is one Dot whoever computes
-// it, so the result does not depend on the claims.
-func gramParallel(dst, m *Dense, pairs, nw int) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for w := 0; w < nw; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				p := pairs - int(next.Add(1))
-				if p < 0 {
-					return
-				}
-				gramPair(dst, m, p)
-			}
-		}()
+	for q := lo; q < hi; q++ {
+		i := 2 * ((n+1)/2 - 1 - q)
+		rows := min(2, n-i)
+		dotBlock(dst.data[i*n:], n, m.data[i*k:], k, rows, m.data, k, min(n, (i+rows+3)&^3), k)
 	}
-	wg.Wait()
 }
 
 // KernelMatrix returns the SNGD kernel K = (A Aᵀ) ∘ (G Gᵀ) of Eq. (7).

@@ -3,8 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/mat"
 	"repro/internal/tensor"
@@ -53,8 +51,10 @@ type Conv2d struct {
 	// offset like any other; borders and ones are written when xpad is
 	// allocated and each strip copies interiors only (pad). strip is the
 	// pooled storage of one strip of the two matrices that are written out;
-	// [r0, r1) are the stacked rows of the strip being worked on and yg,
-	// dcols the headers pointed at it (setStrip).
+	// [r0, r1) are the stacked rows of the strip being worked on, i0 the
+	// first sample with rows in it, and yg, dcols the headers pointed at it
+	// (setStrip). The per-strip sample loops (pad, scatter, load, fold) run
+	// under mat.Parallel and take samples [i0+lo, i0+hi).
 	koff    []int // column k of [X̄, 1]: c·PH·PW + ky·PW + kx; the bias column InC·PH·PW
 	pos     []int // output position p: oy·Stride·PW + ox·Stride
 	padLen  int   // (InC+1)·PH·PW
@@ -62,11 +62,13 @@ type Conv2d struct {
 	rows    []int // stacked row r0+r: its sample's slot in xpad + pos
 	strip   []float64
 	r0, r1  int
+	i0      int
 	yg      mat.Dense  // strip of the forward product or of Ḡ, rows × OutC
 	dcols   mat.Dense  // strip of input-gradient columns, rows × patchLen
 	wTmp    *mat.Dense // dIn × OutC weight-gradient staging
 	y       *mat.Dense // m × out.Numel() forward output
 	gin     *mat.Dense // m × in.Numel() input gradient
+	grad    *mat.Dense // Backward's output gradient, while Backward runs
 	wNoBias *mat.Dense // zero-copy row-prefix view of Wc without the bias row
 }
 
@@ -122,41 +124,29 @@ func (c *Conv2d) Forward(x *mat.Dense, train bool) *mat.Dense {
 	m := x.Rows()
 	c.lastX = x
 	tt := c.out.H * c.out.W
-	c.y = mat.EnsureDense(c.y, m, c.out.Numel())
-	y, ys := c.y, &c.yg // y is fully overwritten below
-	pad := c.pad        // bound once: a method value per strip would allocate per strip
-	scatter := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p0, p1, row := c.segment(i)
-			yrow := y.Row(i)
-			for p := p0; p < p1; p++ {
-				for ch, v := range ys.Row(row + p - p0) {
-					yrow[ch*tt+p] = v
-				}
-			}
-		}
-	}
+	c.y = mat.EnsureDense(c.y, m, c.out.Numel()) // fully overwritten by scatter
 	for r0 := 0; r0 < m*tt; r0 += mat.StripRows {
-		i0, i1 := c.setStrip(r0, m*tt)
-		parallelBlocks(i0, i1, pad)
-		mat.MulGatheredInto(ys, mat.Gathered{Data: c.xpad, Row: c.rows, Col: c.koff}, c.wc.W, m*tt, c.dIn, false)
-		parallelBlocks(i0, i1, scatter)
+		n := c.setStrip(r0, m*tt)
+		mat.Parallel(n, 1, c, (*Conv2d).pad)
+		mat.MulGatheredInto(&c.yg, mat.Gathered{Data: c.xpad, Row: c.rows, Col: c.koff}, c.wc.W, m*tt, c.dIn, false)
+		mat.Parallel(n, 1, c, (*Conv2d).scatter)
 	}
-	return y
+	return c.y
 }
 
 // setStrip makes the strip of the n-row stacked batch that starts at row r0
 // the current one — its bounds, the headers pointed at that many rows of the
-// strip storage, the row table, room in xpad — and returns the samples
-// [i0, i1) with positions in it.
-func (c *Conv2d) setStrip(r0, n int) (i0, i1 int) {
+// strip storage, the row table, room in xpad — and returns how many samples
+// have positions in it, from i0 on.
+func (c *Conv2d) setStrip(r0, n int) int {
 	tt, pl := c.out.H*c.out.W, c.dIn-1
 	c.r0, c.r1 = r0, min(r0+mat.StripRows, n)
 	h := c.r1 - r0
 	c.strip = mat.EnsureFloats(c.strip, min(mat.StripRows, n)*(c.OutC+pl))
 	c.yg.Wrap(h, c.OutC, c.strip[:h*c.OutC])
 	c.dcols.Wrap(h, pl, c.strip[h*c.OutC:][:h*pl])
-	i0, i1 = r0/tt, (c.r1+tt-1)/tt
+	i0, i1 := r0/tt, (c.r1+tt-1)/tt
+	c.i0 = i0
 	// Room for the batch, or for the (StripRows-1)/T + 2 samples a strip that
 	// starts inside one can touch.
 	if need := min(n/tt, (mat.StripRows-1)/tt+2) * c.padLen; len(c.xpad) < need {
@@ -176,7 +166,7 @@ func (c *Conv2d) setStrip(r0, n int) (i0, i1 int) {
 			c.rows = append(c.rows, (i-i0)*c.padLen+off)
 		}
 	}
-	return i0, i1
+	return i1 - i0
 }
 
 // segment returns the positions [p0, p1) of sample i that lie in the current
@@ -187,13 +177,13 @@ func (c *Conv2d) segment(i int) (p0, p1, row int) {
 	return p0, p1, i*tt + p0 - c.r0
 }
 
-// pad copies samples [lo, hi) of the saved input into their slots of xpad,
-// interiors only: the zero borders and the plane of ones are never written.
+// pad copies the strip's samples [i0+lo, i0+hi) of the saved input into
+// their slots of xpad, interiors only: the zero borders and the plane of
+// ones are never written.
 func (c *Conv2d) pad(lo, hi int) {
 	h, w, ph, pw := c.in.H, c.in.W, c.in.H+2*c.Pad, c.in.W+2*c.Pad
-	i0 := c.r0 / (c.out.H * c.out.W)
 	for i := lo; i < hi; i++ {
-		src, dst := c.lastX.Row(i), c.xpad[(i-i0)*c.padLen:]
+		src, dst := c.lastX.Row(c.i0+i), c.xpad[i*c.padLen:]
 		for ch := 0; ch < c.in.C; ch++ {
 			for y := 0; y < h; y++ {
 				d := (ch*ph+y+c.Pad)*pw + c.Pad
@@ -203,25 +193,19 @@ func (c *Conv2d) pad(lo, hi int) {
 	}
 }
 
-// parallelBlocks splits [lo, hi) into at most GOMAXPROCS contiguous blocks
-// — a STATIC partition, so which goroutine owns an index, and any
-// floating-point grouping derived from that, is fixed for a fixed GOMAXPROCS
-// — and runs fn on each; a single block runs on the calling goroutine.
-func parallelBlocks(lo, hi int, fn func(lo, hi int)) {
-	nw := min(runtime.GOMAXPROCS(0), hi-lo)
-	if nw <= 1 {
-		fn(lo, hi)
-		return
+// scatter writes the strip's rows of the forward product for samples
+// [i0+lo, i0+hi) into their NCHW output rows.
+func (c *Conv2d) scatter(lo, hi int) {
+	tt := c.out.H * c.out.W
+	for i := c.i0 + lo; i < c.i0+hi; i++ {
+		p0, p1, row := c.segment(i)
+		yrow := c.y.Row(i)
+		for p := p0; p < p1; p++ {
+			for ch, v := range c.yg.Row(row + p - p0) {
+				yrow[ch*tt+p] = v
+			}
+		}
 	}
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for w := 0; w < nw; w++ {
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo+w*(hi-lo)/nw, lo+(w+1)*(hi-lo)/nw)
-	}
-	wg.Wait()
 }
 
 // Backward implements Layer. Per strip: pad the samples again and gather Ḡ
@@ -241,8 +225,7 @@ func (c *Conv2d) Backward(grad *mat.Dense) *mat.Dense {
 	tt := c.out.H * c.out.W
 	pl := c.shape.PatchLen()
 	c.gin = mat.EnsureDense(c.gin, m, c.in.Numel())
-	gin := c.gin
-	gin.Zero() // Col2imRange below accumulates
+	c.gin.Zero() // fold accumulates
 	c.wTmp = mat.EnsureDense(c.wTmp, c.dIn, c.OutC)
 	if c.wNoBias == nil {
 		// Wc's backing array is stable for the life of the layer, so the
@@ -265,63 +248,73 @@ func (c *Conv2d) Backward(grad *mat.Dense) *mat.Dense {
 			c.capG.Zero()
 		}
 	}
-	gy, dcols, capA, capG, scale := &c.yg, &c.dcols, c.capA, c.capG, float64(m)
-	load := func(lo, hi int) {
-		c.pad(lo, hi)
-		for i := lo; i < hi; i++ {
-			p0, p1, row := c.segment(i)
-			grow := grad.Row(i)
-			for p := p0; p < p1; p++ {
-				gr := gy.Row(row + p - p0)
-				for ch := range gr {
-					gr[ch] = grow[ch*tt+p]
-				}
-			}
-			if !c.capture {
-				continue
-			}
-			grows := gy.Data()[row*c.OutC : (row+p1-p0)*c.OutC]
-			if c.ExpandSpatial {
-				xrows := capA.Data()[(i*tt+p0)*c.dIn : (i*tt+p1)*c.dIn]
-				c.shape.Im2colRange(c.lastX.Row(i), xrows, c.dIn, p0, p1)
-				for k := pl; k < len(xrows); k += c.dIn {
-					xrows[k] = 1
-				}
-				cg := capG.Data()[(i*tt+p0)*c.OutC:]
-				for k, v := range grows {
-					cg[k] = v * scale
-				}
-				continue
-			}
-			ca, cg := capA.Row(i), capG.Row(i)
-			for _, r := range c.rows[row : row+p1-p0] {
-				xrow := c.xpad[r:]
-				for j, k := range c.koff {
-					ca[j] += xrow[k]
-				}
-				for j := range cg {
-					cg[j] += grows[j] * scale
-				}
-				grows = grows[c.OutC:]
-			}
-		}
-	}
-	fold := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p0, p1, row := c.segment(i)
-			c.shape.Col2imRange(dcols.Data()[row*pl:(row+p1-p0)*pl], gin.Row(i), p0, p1)
-		}
-	}
+	c.grad = grad
 	for r0 := 0; r0 < m*tt; r0 += mat.StripRows {
-		i0, i1 := c.setStrip(r0, m*tt)
-		parallelBlocks(i0, i1, load)
-		mat.MulGatheredInto(c.wTmp, mat.Gathered{Data: c.xpad, Row: c.koff, Col: c.rows}, gy, c.dIn, m*tt, r0 > 0)
+		n := c.setStrip(r0, m*tt)
+		mat.Parallel(n, 1, c, (*Conv2d).load)
+		mat.MulGatheredInto(c.wTmp, mat.Gathered{Data: c.xpad, Row: c.koff, Col: c.rows}, &c.yg, c.dIn, m*tt, r0 > 0)
 		// The bias row is dropped via the row-prefix view of Wc.
-		mat.MulStripInto(dcols, gy, c.wNoBias, false, true, m*tt, false)
-		parallelBlocks(i0, i1, fold)
+		mat.MulStripInto(&c.dcols, &c.yg, c.wNoBias, false, true, m*tt, false)
+		mat.Parallel(n, 1, c, (*Conv2d).fold)
 	}
+	c.grad = nil
 	c.wc.Grad.AddMat(c.wTmp)
-	return gin
+	return c.gin
+}
+
+// load pads the strip's samples [i0+lo, i0+hi) again, gathers their rows of
+// Ḡ from the NCHW gradient and adds them to the capture.
+func (c *Conv2d) load(lo, hi int) {
+	c.pad(lo, hi)
+	tt, pl := c.out.H*c.out.W, c.dIn-1
+	gy, scale := &c.yg, float64(c.grad.Rows())
+	for i := c.i0 + lo; i < c.i0+hi; i++ {
+		p0, p1, row := c.segment(i)
+		grow := c.grad.Row(i)
+		for p := p0; p < p1; p++ {
+			gr := gy.Row(row + p - p0)
+			for ch := range gr {
+				gr[ch] = grow[ch*tt+p]
+			}
+		}
+		if !c.capture {
+			continue
+		}
+		grows := gy.Data()[row*c.OutC : (row+p1-p0)*c.OutC]
+		if c.ExpandSpatial {
+			xrows := c.capA.Data()[(i*tt+p0)*c.dIn : (i*tt+p1)*c.dIn]
+			c.shape.Im2colRange(c.lastX.Row(i), xrows, c.dIn, p0, p1)
+			for k := pl; k < len(xrows); k += c.dIn {
+				xrows[k] = 1
+			}
+			cg := c.capG.Data()[(i*tt+p0)*c.OutC:]
+			for k, v := range grows {
+				cg[k] = v * scale
+			}
+			continue
+		}
+		ca, cg := c.capA.Row(i), c.capG.Row(i)
+		for _, r := range c.rows[row : row+p1-p0] {
+			xrow := c.xpad[r:]
+			for j, k := range c.koff {
+				ca[j] += xrow[k]
+			}
+			for j := range cg {
+				cg[j] += grows[j] * scale
+			}
+			grows = grows[c.OutC:]
+		}
+	}
+}
+
+// fold adds the strip's rows of ḠWᵀ for samples [i0+lo, i0+hi) into their
+// input-gradient rows.
+func (c *Conv2d) fold(lo, hi int) {
+	pl := c.dIn - 1
+	for i := c.i0 + lo; i < c.i0+hi; i++ {
+		p0, p1, row := c.segment(i)
+		c.shape.Col2imRange(c.dcols.Data()[row*pl:(row+p1-p0)*pl], c.gin.Row(i), p0, p1)
+	}
 }
 
 // Params implements Layer.

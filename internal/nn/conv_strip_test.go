@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mat"
@@ -162,13 +163,14 @@ func TestConvBackwardRowMismatchPanics(t *testing.T) {
 	c.Backward(mat.RandN(rng, 2, 32, 1))
 }
 
-// convStepAllocs is measured: Forward's pad and scatter, Backward's load
-// and fold.
-const convStepAllocs = 4
+// convStepAllocs is measured: the per-strip sample loops are method
+// expressions handed to mat.Parallel, which runs them on the caller at one
+// worker.
+const convStepAllocs = 0
 
 // TestConvStripAllocs pins the allocations of a warmed Forward+Backward —
-// the four per-call closures and nothing per strip: a 32-strip batch costs
-// what a 1-strip batch does.
+// nothing per call and nothing per strip: a 32-strip batch costs what a
+// 1-strip batch does.
 func TestConvStripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts, so the GEMM's pooled panels reallocate")
@@ -188,6 +190,42 @@ func TestConvStripAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(5, step); got != convStepAllocs {
 			t.Errorf("m=%d: %v allocs per Forward+Backward, want %d", m, got, convStepAllocs)
 		}
+	}
+}
+
+// countLimiter grants every token asked for and counts the requests and
+// what comes back.
+type countLimiter struct{ asked, granted, released atomic.Int64 }
+
+func (l *countLimiter) TryAcquire(n int) int {
+	l.asked.Add(1)
+	l.granted.Add(int64(n))
+	return n
+}
+
+func (l *countLimiter) Release(n int) { l.released.Add(int64(n)) }
+
+// TestConvStripsTakeTokens: a conv's per-strip sample loops draw their
+// extra workers from the installed limiter, like the GEMM does. OutC = 1
+// keeps every product on the small kernel, which never asks, so the
+// requests come from the strips (8 samples each).
+func TestConvStripsTakeTokens(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	l := &countLimiter{}
+	mat.SetParallelLimiter(l)
+	defer mat.SetParallelLimiter(nil)
+	rng := mat.NewRNG(4)
+	c := NewConv2d(1, 3, 1, 1)
+	c.Build(Shape{C: 1, H: 4, W: 4}, rng)
+	c.SetCapture(true)
+	x := mat.RandN(rng, 8, 16, 1)
+	c.Forward(x, true)
+	c.Backward(mat.RandN(rng, 8, 16, 1))
+	if l.asked.Load() == 0 {
+		t.Fatal("Forward+Backward never asked the limiter for workers")
+	}
+	if g, r := l.granted.Load(), l.released.Load(); g != r {
+		t.Fatalf("granted %d tokens, released %d", g, r)
 	}
 }
 

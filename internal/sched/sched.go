@@ -20,15 +20,15 @@
 //     so barrier sequences match, the sequence validator stays green, and
 //     chaos-injection draws (one per collective, in call order) align
 //     at every worker count.
-//  3. Parallel kernels under the stages (GEMM, row loops) produce results
+//  3. Parallel loops under the stages (mat.Parallel) produce results
 //     independent of their worker count, and the shared token pool only
 //     changes worker counts, never arithmetic order.
 //
 // # Token pool
 //
 // One process-wide TokenPool (capacity max(workers, GOMAXPROCS)) is shared
-// between stage execution and mat's parallel kernels via mat.Limiter:
-// above one worker every running compute stage holds a token, and a GEMM
+// between stage execution and mat.Parallel via mat.Limiter: above one
+// worker every running compute stage holds a token, and a parallel loop
 // inside a stage may only add workers by borrowing spare tokens
 // non-blockingly. Nested parallelism therefore never exceeds the pool
 // capacity (TestTokenBudget). At one worker a stage runs on its caller's

@@ -5,8 +5,8 @@
 //
 // The compute bound is the scheduler's TokenPool: every running job holds
 // one token for its lifetime, the layer-parallel preconditioner stages and
-// parallel GEMM below it borrow additional tokens from the same pool, and
-// therefore concurrent jobs plus their nested parallelism can never
+// mat.Parallel loops below it borrow additional tokens from the same pool,
+// and therefore concurrent jobs plus their nested parallelism can never
 // oversubscribe the process-wide core budget — the serve-level extension
 // of the invariant TestTokenBudget proves for a single run. Above one
 // stage worker (sched.Workers() > 1), callers must leave at least one
@@ -64,7 +64,7 @@ type Config struct {
 	Dir string
 	// Pool is the shared compute-token pool (required). Pass
 	// sched.Tokens() to share the budget with the layer-parallel scheduler
-	// and parallel GEMM, or a private pool in tests.
+	// and mat.Parallel, or a private pool in tests.
 	Pool *sched.TokenPool
 	// MaxRunning bounds concurrently dispatched jobs; 0 selects the pool
 	// capacity. Values above the pool capacity are clamped to it.
