@@ -86,7 +86,7 @@ func (t *Tanh) Backward(grad *mat.Dense) *mat.Dense {
 	out := t.gout
 	gd, od, yd := grad.Data(), out.Data(), t.out.Data()
 	for i := range gd {
-		od[i] = gd[i] * (1 - yd[i]*yd[i])
+		od[i] = gd[i] * (1 - float64(yd[i]*yd[i]))
 	}
 	return out
 }

@@ -118,7 +118,7 @@ func (s *SelfAttention) Backward(grad *mat.Dense) *mat.Dense {
 			ar, dr, sr := attn.Row(i), dAttn.Row(i), dScores.Row(i)
 			var dot float64
 			for j := range ar {
-				dot += dr[j] * ar[j]
+				dot += float64(dr[j] * ar[j])
 			}
 			for j := range ar {
 				sr[j] = ar[j] * (dr[j] - dot)

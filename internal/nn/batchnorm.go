@@ -75,12 +75,12 @@ func (b *BatchNorm2d) Forward(x *mat.Dense, train bool) *mat.Dense {
 				xr := x.Row(i)[c*hw : (c+1)*hw]
 				for _, v := range xr {
 					d := v - mean
-					variance += d * d
+					variance += float64(d * d)
 				}
 			}
 			variance /= float64(m * hw)
-			b.runMean[c] = (1-b.Momentum)*b.runMean[c] + b.Momentum*mean
-			b.runVar[c] = (1-b.Momentum)*b.runVar[c] + b.Momentum*variance
+			b.runMean[c] = float64((1-b.Momentum)*b.runMean[c]) + float64(b.Momentum*mean)
+			b.runVar[c] = float64((1-b.Momentum)*b.runVar[c]) + float64(b.Momentum*variance)
 		} else {
 			mean, variance = b.runMean[c], b.runVar[c]
 		}
@@ -97,11 +97,11 @@ func (b *BatchNorm2d) Forward(x *mat.Dense, train bool) *mat.Dense {
 				for k, v := range xr {
 					h := (v - mean) * inv
 					hr[k] = h
-					yr[k] = g*h + bt
+					yr[k] = float64(g*h) + bt
 				}
 			} else {
 				for k, v := range xr {
-					yr[k] = g*(v-mean)*inv + bt
+					yr[k] = float64(g*(v-mean)*inv) + bt
 				}
 			}
 		}
@@ -126,19 +126,19 @@ func (b *BatchNorm2d) Backward(grad *mat.Dense) *mat.Dense {
 			hr := b.xhat.Row(i)[c*hw : (c+1)*hw]
 			for k, gv := range gr {
 				sumG += gv
-				sumGH += gv * hr[k]
+				sumGH += float64(gv * hr[k])
 			}
 		}
 		b.gamma.Grad.Add(0, c, sumGH)
 		b.beta.Grad.Add(0, c, sumG)
-		g := b.gamma.W.At(0, c)
-		inv := b.invStd[c]
+		// hr[k]*sumGH/n is (hr[k]·sumGH)/n; hoisting sumGH/n would move bits.
+		scale, meanG := b.gamma.W.At(0, c)*b.invStd[c], sumG/n
 		for i := 0; i < m; i++ {
 			gr := grad.Row(i)[c*hw : (c+1)*hw]
 			hr := b.xhat.Row(i)[c*hw : (c+1)*hw]
 			or := out.Row(i)[c*hw : (c+1)*hw]
 			for k, gv := range gr {
-				or[k] = g * inv * (gv - sumG/n - hr[k]*sumGH/n)
+				or[k] = scale * (gv - meanG - hr[k]*sumGH/n)
 			}
 		}
 	}

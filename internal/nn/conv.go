@@ -55,11 +55,16 @@ type Conv2d struct {
 	// first sample with rows in it, and yg, dcols the headers pointed at it
 	// (setStrip). The per-strip sample loops (pad, scatter, load, fold) run
 	// under mat.Parallel and take samples [i0+lo, i0+hi).
+	// Backward folds ḠWᵀ back through the same tables into gpad: one padded
+	// input gradient without the plane of ones per slot, as many slots as a
+	// strip has samples, sample i in slot i mod that count (fold).
 	koff    []int // column k of [X̄, 1]: c·PH·PW + ky·PW + kx; the bias column InC·PH·PW
 	pos     []int // output position p: oy·Stride·PW + ox·Stride
 	padLen  int   // (InC+1)·PH·PW
+	slotLen int   // InC·PH·PW
 	xpad    []float64
-	rows    []int // stacked row r0+r: its sample's slot in xpad + pos
+	gpad    []float64 // checked out of the pool while Backward runs
+	rows    []int     // stacked row r0+r: its sample's slot in xpad + pos
 	strip   []float64
 	r0, r1  int
 	i0      int
@@ -112,7 +117,8 @@ func (c *Conv2d) Build(in Shape, rng *mat.RNG) Shape {
 	for p := range c.pos {
 		c.pos[p] = (p/c.out.W*pw + p%c.out.W) * c.Stride
 	}
-	c.padLen = (in.C + 1) * plane
+	c.slotLen = in.C * plane
+	c.padLen = c.slotLen + plane
 	return c.out
 }
 
@@ -147,14 +153,11 @@ func (c *Conv2d) setStrip(r0, n int) int {
 	c.dcols.Wrap(h, pl, c.strip[h*c.OutC:][:h*pl])
 	i0, i1 := r0/tt, (c.r1+tt-1)/tt
 	c.i0 = i0
-	// Room for the batch, or for the (StripRows-1)/T + 2 samples a strip that
-	// starts inside one can touch.
-	if need := min(n/tt, (mat.StripRows-1)/tt+2) * c.padLen; len(c.xpad) < need {
+	if need := c.stripSamples(n) * c.padLen; len(c.xpad) < need {
 		mat.PutFloats(c.xpad)
 		c.xpad = mat.GetFloats(need)
-		plane := c.padLen / (c.in.C + 1)
 		for s := c.padLen; s <= need; s += c.padLen {
-			for k := s - plane; k < s; k++ {
+			for k := s - (c.padLen - c.slotLen); k < s; k++ {
 				c.xpad[k] = 1
 			}
 		}
@@ -167,6 +170,14 @@ func (c *Conv2d) setStrip(r0, n int) int {
 		}
 	}
 	return i1 - i0
+}
+
+// stripSamples returns how many samples a strip of the n-row stacked batch
+// can touch: the batch, or the (StripRows-1)/T + 2 of a strip that starts
+// inside one.
+func (c *Conv2d) stripSamples(n int) int {
+	tt := c.out.H * c.out.W
+	return min(n/tt, (mat.StripRows-1)/tt+2)
 }
 
 // segment returns the positions [p0, p1) of sample i that lie in the current
@@ -224,8 +235,8 @@ func (c *Conv2d) Backward(grad *mat.Dense) *mat.Dense {
 	}
 	tt := c.out.H * c.out.W
 	pl := c.shape.PatchLen()
-	c.gin = mat.EnsureDense(c.gin, m, c.in.Numel())
-	c.gin.Zero() // fold accumulates
+	c.gin = mat.EnsureDense(c.gin, m, c.in.Numel()) // fully overwritten by fold
+	c.gpad = mat.GetFloats(c.stripSamples(m*tt) * c.slotLen)
 	c.wTmp = mat.EnsureDense(c.wTmp, c.dIn, c.OutC)
 	if c.wNoBias == nil {
 		// Wc's backing array is stable for the life of the layer, so the
@@ -258,6 +269,8 @@ func (c *Conv2d) Backward(grad *mat.Dense) *mat.Dense {
 		mat.Parallel(n, 1, c, (*Conv2d).fold)
 	}
 	c.grad = nil
+	mat.PutFloats(c.gpad)
+	c.gpad = nil
 	c.wc.Grad.AddMat(c.wTmp)
 	return c.gin
 }
@@ -300,7 +313,7 @@ func (c *Conv2d) load(lo, hi int) {
 				ca[j] += xrow[k]
 			}
 			for j := range cg {
-				cg[j] += grows[j] * scale
+				cg[j] += float64(grows[j] * scale)
 			}
 			grows = grows[c.OutC:]
 		}
@@ -308,12 +321,41 @@ func (c *Conv2d) load(lo, hi int) {
 }
 
 // fold adds the strip's rows of ḠWᵀ for samples [i0+lo, i0+hi) into their
-// input-gradient rows.
+// slots of gpad, clearing a slot at the sample's first position and copying
+// its interior into the input gradient at the last: position p adds its
+// element k at pos[p]+koff[k]. A sample cut by the strip's end keeps its
+// partial sums in its slot until the next strip; no other sample takes the
+// slot before then. Every element gets its positions' contributions in
+// ascending order, starting from +0, and what lands on the border came from
+// the padding and is dropped.
 func (c *Conv2d) fold(lo, hi int) {
-	pl := c.dIn - 1
+	tt, pl := c.out.H*c.out.W, c.dIn-1
+	h, w, ph, pw := c.in.H, c.in.W, c.in.H+2*c.Pad, c.in.W+2*c.Pad
+	koff, slots := c.koff[:pl], len(c.gpad)/c.slotLen
 	for i := c.i0 + lo; i < c.i0+hi; i++ {
 		p0, p1, row := c.segment(i)
-		c.shape.Col2imRange(c.dcols.Data()[row*pl:(row+p1-p0)*pl], c.gin.Row(i), p0, p1)
+		slot := c.gpad[i%slots*c.slotLen:][:c.slotLen]
+		if p0 == 0 {
+			clear(slot)
+		}
+		cols := c.dcols.Data()[row*pl:]
+		for _, off := range c.pos[p0:p1] {
+			d, src := slot[off:], cols[:len(koff)]
+			for k, o := range koff {
+				d[o] += src[k]
+			}
+			cols = cols[pl:]
+		}
+		if p1 < tt {
+			continue
+		}
+		dst := c.gin.Row(i)
+		for ch := 0; ch < c.in.C; ch++ {
+			for y := 0; y < h; y++ {
+				s := (ch*ph+y+c.Pad)*pw + c.Pad
+				copy(dst[(ch*h+y)*w:][:w], slot[s:s+w])
+			}
+		}
 	}
 }
 

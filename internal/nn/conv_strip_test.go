@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/tensor"
 )
 
 // wholeBatchConv is the convolution as it was computed before the strip
@@ -48,7 +49,7 @@ func wholeBatchConv(c *Conv2d, x, grad *mat.Dense) (y, gin, wgrad, capA, capG *m
 					ca[j] += xr[j]
 				}
 				for j := range cg {
-					cg[j] += gr[j] * float64(m)
+					cg[j] += float64(gr[j] * float64(m))
 				}
 			}
 		}
@@ -57,9 +58,40 @@ func wholeBatchConv(c *Conv2d, x, grad *mat.Dense) (y, gin, wgrad, capA, capG *m
 	dcols := mat.MulTBInto(mat.NewDense(m*tt, pl), gy, wNoBias)
 	gin = mat.NewDense(m, c.in.Numel())
 	for i := 0; i < m; i++ {
-		c.shape.Col2im(dcols.Data()[i*tt*pl:(i+1)*tt*pl], gin.Row(i))
+		oracleCol2im(c.shape, dcols.Data()[i*tt*pl:(i+1)*tt*pl], gin.Row(i))
 	}
 	return y, gin, wgrad, capA, capG
+}
+
+// oracleCol2im is the per-element col2im loop the conv layer's fold
+// replaced: it adds the gradient of an im2col matrix back into input form,
+// position by position, skipping what falls in the padding.
+func oracleCol2im(s tensor.ConvShape, cols []float64, dst []float64) {
+	oh, ow, pl := s.OutH(), s.OutW(), s.PatchLen()
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			row := cols[(oy*ow+ox)*pl : (oy*ow+ox+1)*pl]
+			idx := 0
+			for c := 0; c < s.InC; c++ {
+				chBase := c * s.InH * s.InW
+				for ky := 0; ky < s.KH; ky++ {
+					iy := oy*s.Stride - s.Pad + ky
+					if iy < 0 || iy >= s.InH {
+						idx += s.KW
+						continue
+					}
+					rowBase := chBase + iy*s.InW
+					for kx := 0; kx < s.KW; kx++ {
+						ix := ox*s.Stride - s.Pad + kx
+						if ix >= 0 && ix < s.InW {
+							dst[rowBase+ix] += row[idx]
+						}
+						idx++
+					}
+				}
+			}
+		}
+	}
 }
 
 func sameBits(t *testing.T, what string, want, got *mat.Dense) {
@@ -96,6 +128,9 @@ var stripShapes = []struct {
 	{"non-square 6x20 input, 600 rows", Shape{C: 3, H: 6, W: 20}, 8, 3, 1, 1, 5},
 	{"OutC = 1: the one-column small products, 576 rows", Shape{C: 4, H: 12, W: 12}, 1, 3, 1, 1, 4},
 	{specialValues + ", 800 rows", Shape{C: 3, H: 10, W: 10}, 8, 3, 1, 1, 8},
+	{"T=100, m=20: the gradient slots wrap while samples straddle strips, 2000 rows", Shape{C: 3, H: 10, W: 10}, 5, 3, 1, 1, 20},
+	{"K=1, pad 1: border positions see only padding, 576 rows", Shape{C: 3, H: 6, W: 6}, 4, 1, 1, 1, 9},
+	{"K=2, stride 2, pad 1 on 7x7: an even kernel on an odd input, 640 rows", Shape{C: 3, H: 7, W: 7}, 6, 2, 2, 1, 40},
 }
 
 // specialValues marks the shape whose x and Wc carry ±0, denormals, ±Inf and
@@ -146,6 +181,39 @@ func TestConvStripEqualsWholeBatch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConvAdjoint: with the bias row zeroed, Forward is x ↦ im2col(x)·W
+// and Backward's input gradient must be its adjoint, ⟨Forward(x), g⟩ =
+// ⟨x, Backward(g)⟩, for odd and even kernels, strides and paddings alike.
+func TestConvAdjoint(t *testing.T) {
+	for _, k := range []int{1, 3, 5} {
+		for stride := 1; stride <= 2; stride++ {
+			for pd := 0; pd <= 2; pd++ {
+				rng := mat.NewRNG(uint64(100*k + 10*stride + pd))
+				c := NewConv2d(3, k, stride, pd)
+				c.Build(Shape{C: 2, H: 7, W: 6}, rng)
+				for j := 0; j < c.OutC; j++ {
+					c.wc.W.Set(c.dIn-1, j, 0)
+				}
+				x := mat.RandN(rng, 3, c.in.Numel(), 1)
+				g := mat.RandN(rng, 3, c.out.Numel(), 1)
+				lhs := dot(c.Forward(x, true).Data(), g.Data())
+				rhs := dot(x.Data(), c.Backward(g).Data())
+				if math.Abs(lhs-rhs) > 1e-12*math.Abs(lhs) {
+					t.Errorf("K=%d stride %d pad %d: <Forward(x), g> = %v, <x, Backward(g)> = %v", k, stride, pd, lhs, rhs)
+				}
+			}
+		}
+	}
+}
+
+func dot(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		s += float64(a[i] * b[i])
+	}
+	return s
 }
 
 // TestConvBackwardRowMismatchPanics: Backward pads the input Forward saw,
@@ -255,4 +323,78 @@ func TestReLUEqualsBranchingLoop(t *testing.T) {
 	oldReLU(x.Data(), wantOut, wantMask)
 	sameBits(t, "out", mat.NewDenseData(37, 29, wantOut), out)
 	sameBits(t, "mask", mat.NewDenseData(37, 29, wantMask), r.mask)
+}
+
+// oldBatchNormBackward is BatchNorm2d.Backward's input-gradient loop as it
+// stood before its quotient and scale were hoisted, over the statistics of
+// b's last training Forward.
+func oldBatchNormBackward(b *BatchNorm2d, grad *mat.Dense) *mat.Dense {
+	m, hw := grad.Rows(), b.in.H*b.in.W
+	out, n := mat.NewDense(m, grad.Cols()), float64(b.nElem)
+	for c := 0; c < b.in.C; c++ {
+		var sumG, sumGH float64
+		for i := 0; i < m; i++ {
+			hr := b.xhat.Row(i)[c*hw : (c+1)*hw]
+			for k, gv := range grad.Row(i)[c*hw : (c+1)*hw] {
+				sumG += gv
+				sumGH += float64(gv * hr[k])
+			}
+		}
+		g, inv := b.gamma.W.At(0, c), b.invStd[c]
+		for i := 0; i < m; i++ {
+			hr := b.xhat.Row(i)[c*hw : (c+1)*hw]
+			or := out.Row(i)[c*hw : (c+1)*hw]
+			for k, gv := range grad.Row(i)[c*hw : (c+1)*hw] {
+				or[k] = g * inv * (gv - sumG/n - hr[k]*sumGH/n)
+			}
+		}
+	}
+	return out
+}
+
+// TestBatchNormBackwardEqualsOldLoop: the hoisted loop gives the old
+// expression's bits, with ±0, a denormal, ±Inf and NaN in γ and in the
+// gradient; one channel per special keeps the others finite.
+func TestBatchNormBackwardEqualsOldLoop(t *testing.T) {
+	rng := mat.NewRNG(6)
+	b := NewBatchNorm2d()
+	b.Build(Shape{C: 7, H: 3, W: 3}, rng)
+	copy(b.gamma.W.Data(), []float64{1.7, math.Copysign(0, -1), 5e-324, math.Inf(1), -1.1, math.NaN(), 0.3})
+	x, grad := mat.RandN(rng, 4, 63, 1), mat.RandN(rng, 4, 63, 1)
+	copy(grad.Row(0), []float64{0, math.Copysign(0, -1), 5e-324, -1e-310})
+	grad.Row(1)[4*9] = math.Inf(1)
+	grad.Row(2)[6*9+2] = math.Inf(-1)
+	grad.Row(3)[1*9+5] = math.NaN()
+	b.Forward(x, true)
+	sameBits(t, "input gradient", oldBatchNormBackward(b, grad), b.Backward(grad))
+}
+
+// BenchmarkConvBackward times Backward on the five conv shapes of
+// ResNetCIFAR at batch 64, capture on as in a preconditioned step.
+func BenchmarkConvBackward(b *testing.B) {
+	for _, s := range []struct {
+		name            string
+		in              Shape
+		outC, k, stride int
+	}{
+		{"3to8_16x16", Shape{C: 3, H: 16, W: 16}, 8, 3, 1},
+		{"8to8_16x16", Shape{C: 8, H: 16, W: 16}, 8, 3, 1},
+		{"8to16_s2", Shape{C: 8, H: 16, W: 16}, 16, 3, 2},
+		{"16to16_8x8", Shape{C: 16, H: 8, W: 8}, 16, 3, 1},
+		{"32to32_4x4", Shape{C: 32, H: 4, W: 4}, 32, 3, 1},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			rng := mat.NewRNG(1)
+			c := NewConv2d(s.outC, s.k, s.stride, 1)
+			c.Build(s.in, rng)
+			c.SetCapture(true)
+			x := mat.RandN(rng, 64, s.in.Numel(), 1)
+			grad := mat.RandN(rng, 64, c.out.Numel(), 1)
+			c.Forward(x, true)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Backward(grad)
+			}
+		})
+	}
 }

@@ -61,7 +61,7 @@ func (l *LayerNorm) Forward(x *mat.Dense, train bool) *mat.Dense {
 		var variance float64
 		for _, v := range row {
 			dd := v - mean
-			variance += dd * dd
+			variance += float64(dd * dd)
 		}
 		variance /= float64(l.d)
 		inv := 1 / math.Sqrt(variance+l.Eps)
@@ -70,7 +70,7 @@ func (l *LayerNorm) Forward(x *mat.Dense, train bool) *mat.Dense {
 		for j, v := range row {
 			h := (v - mean) * inv
 			hr[j] = h
-			or[j] = g[j]*h + b[j]
+			or[j] = float64(g[j]*h) + b[j]
 		}
 	}
 	return mat.NewDenseData(m, l.l*l.d, out.Data())
@@ -89,15 +89,15 @@ func (l *LayerNorm) Backward(grad *mat.Dense) *mat.Dense {
 		gr, hr, or := gt.Row(i), l.xhat.Row(i), out.Row(i)
 		var sumG, sumGH float64
 		for j, gv := range gr {
-			gGrad[j] += gv * hr[j]
+			gGrad[j] += float64(gv * hr[j])
 			bGrad[j] += gv
-			gj := gv * g[j]
+			gj := float64(gv * g[j])
 			sumG += gj
-			sumGH += gj * hr[j]
+			sumGH += float64(gj * hr[j])
 		}
 		inv := l.invStd[i]
 		for j, gv := range gr {
-			gj := gv * g[j]
+			gj := float64(gv * g[j])
 			or[j] = inv * (gj - sumG/n - hr[j]*sumGH/n)
 		}
 	}

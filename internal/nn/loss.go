@@ -93,7 +93,7 @@ func (MSE) Forward(out *mat.Dense, target Target) (float64, *mat.Dense) {
 	od, td, gd := out.Data(), t.Data(), grad.Data()
 	for i := range od {
 		d := od[i] - td[i]
-		loss += d * d
+		loss += float64(d * d)
 		gd[i] = 2 * d / n
 	}
 	return loss / n, grad
@@ -136,7 +136,7 @@ func (l BCEDice) Forward(out *mat.Dense, target Target) (float64, *mat.Dense) {
 		} else {
 			softplus = math.Log1p(math.Exp(z))
 		}
-		bce += softplus - y*z
+		bce += softplus - float64(y*z)
 		gd[i] = (p[i] - y) / n
 	}
 	bce /= n
@@ -156,20 +156,20 @@ func (l BCEDice) Forward(out *mat.Dense, target Target) (float64, *mat.Dense) {
 			idx := i*cols + j
 			sp += p[idx]
 			sy += td[idx]
-			spy += p[idx] * td[idx]
+			spy += float64(p[idx] * td[idx])
 		}
 		den := sp + sy + eps
 		dice := 2 * spy / den
 		diceSum += dice
 		for j := 0; j < cols; j++ {
 			idx := i*cols + j
-			dDdp := (2*td[idx]*den - 2*spy) / (den * den)
+			dDdp := (float64(2*td[idx]*den) - float64(2*spy)) / (den * den)
 			// Chain through sigmoid; Dice contributes −DiceWeight·D/m.
 			gd[idx] -= l.DiceWeight * dDdp * p[idx] * (1 - p[idx]) / float64(m)
 		}
 	}
 	diceLoss := 1 - diceSum/float64(m)
-	return bce + l.DiceWeight*diceLoss, grad
+	return bce + float64(l.DiceWeight*diceLoss), grad
 }
 
 // DiceScore returns the mean Dice similarity coefficient of thresholded
@@ -189,7 +189,7 @@ func DiceScore(logits, masks *mat.Dense, threshold float64) float64 {
 			if 1/(1+math.Exp(-lr[j])) >= threshold {
 				pred = 1
 			}
-			inter += pred * mr[j]
+			inter += float64(pred * mr[j])
 			a += pred
 			b += mr[j]
 		}

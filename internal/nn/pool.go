@@ -153,7 +153,7 @@ func (p *AvgPool2d) Backward(grad *mat.Dense) *mat.Dense {
 			chOut := c * oh * ow
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					g := gr[chOut+oy*ow+ox] * inv
+					g := float64(gr[chOut+oy*ow+ox] * inv)
 					for ky := 0; ky < p.K; ky++ {
 						for kx := 0; kx < p.K; kx++ {
 							or[chIn+(oy*p.K+ky)*p.in.W+ox*p.K+kx] += g

@@ -1,10 +1,9 @@
 package tensor
 
-// The per-element im2col and col2im loops exactly as they stood before the
-// position-range functions replaced them (identifiers prefixed, nothing else
-// changed). Kept as the bit-level reference: Im2colRange and Col2imRange,
-// over the full range or any split of it, must reproduce these loops by
-// math.Float64bits.
+// The per-element im2col loop exactly as it stood before the position-range
+// function replaced it (identifiers prefixed, nothing else changed). Kept as
+// the bit-level reference: Im2colRange, over the full range or any split of
+// it, must reproduce this loop by math.Float64bits.
 
 import (
 	"fmt"
@@ -43,40 +42,6 @@ func oracleIm2colStride(s ConvShape, x []float64, dst []float64, ld int) {
 							row[idx] = 0
 						} else {
 							row[idx] = x[rowBase+ix]
-						}
-						idx++
-					}
-				}
-			}
-		}
-	}
-}
-
-func oracleCol2im(s ConvShape, cols []float64, dst []float64) {
-	oh, ow, pl := s.OutH(), s.OutW(), s.PatchLen()
-	if len(dst) != s.InC*s.InH*s.InW {
-		panic("tensor: Col2im dst length mismatch")
-	}
-	if len(cols) != oh*ow*pl {
-		panic("tensor: Col2im cols length mismatch")
-	}
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			row := cols[(oy*ow+ox)*pl : (oy*ow+ox+1)*pl]
-			idx := 0
-			for c := 0; c < s.InC; c++ {
-				chBase := c * s.InH * s.InW
-				for ky := 0; ky < s.KH; ky++ {
-					iy := oy*s.Stride - s.Pad + ky
-					if iy < 0 || iy >= s.InH {
-						idx += s.KW
-						continue
-					}
-					rowBase := chBase + iy*s.InW
-					for kx := 0; kx < s.KW; kx++ {
-						ix := ox*s.Stride - s.Pad + kx
-						if ix >= 0 && ix < s.InW {
-							dst[rowBase+ix] += row[idx]
 						}
 						idx++
 					}
@@ -167,35 +132,7 @@ func TestIm2colRangeOracle(t *testing.T) {
 	}
 }
 
-// TestCol2imRangeOracle folds every split of every shape into a non-zero
-// destination. The operands span 1e0…1e5, so adding an element's
-// contributions in any order but the old loop's changes low bits.
-func TestCol2imRangeOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	wide := func(v []float64) {
-		for i := range v {
-			v[i] = rng.NormFloat64() * math.Pow(10, 5*rng.Float64())
-		}
-	}
-	for _, s := range oracleShapes(rng) {
-		n, pl := s.OutH()*s.OutW(), s.PatchLen()
-		cols, start := make([]float64, n*pl), make([]float64, s.InC*s.InH*s.InW)
-		wide(cols)
-		wide(start)
-		want := append([]float64(nil), start...)
-		oracleCol2im(s, cols, want)
-		for _, cuts := range oracleSplits(rng, n) {
-			got := append([]float64(nil), start...)
-			for k := 0; k+1 < len(cuts); k++ {
-				p0, p1 := cuts[k], cuts[k+1]
-				s.Col2imRange(cols[p0*pl:p1*pl], got, p0, p1)
-			}
-			sameBits(t, fmt.Sprintf("Col2imRange %+v cuts=%v", s, cuts), want, got)
-		}
-	}
-}
-
-// TestRangePanics pins the argument checks of the range functions.
+// TestRangePanics pins the argument checks of Im2colRange.
 func TestRangePanics(t *testing.T) {
 	s := ConvShape{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	x, pl := make([]float64, 16), s.PatchLen()
@@ -206,9 +143,6 @@ func TestRangePanics(t *testing.T) {
 		"im2col ld below PatchLen":   func() { s.Im2colRange(x, make([]float64, 2*pl), pl-1, 0, 2) },
 		"im2col dst one value short": func() { s.Im2colRange(x, make([]float64, 2*pl), pl+1, 0, 2) },
 		"im2col input length":        func() { s.Im2colRange(x[:15], make([]float64, pl), pl, 0, 1) },
-		"col2im cols short":          func() { s.Col2imRange(make([]float64, 2*pl-1), x, 4, 6) },
-		"col2im dst length":          func() { s.Col2imRange(make([]float64, pl), x[:15], 0, 1) },
-		"col2im p1 beyond the map":   func() { s.Col2imRange(make([]float64, 2*pl), x, 15, 17) },
 	} {
 		func() {
 			defer func() {

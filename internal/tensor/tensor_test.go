@@ -2,8 +2,8 @@ package tensor
 
 import (
 	"math"
+	"slices"
 	"testing"
-	"testing/quick"
 )
 
 func TestConvShapeDims(t *testing.T) {
@@ -106,49 +106,6 @@ func TestIm2colStride(t *testing.T) {
 	}
 }
 
-// TestCol2imAdjoint verifies that Col2im is the exact adjoint of Im2col:
-// <Im2col(x), c> = <x, Col2im(c)> for all x, c. This is the property that
-// makes the conv backward pass correct.
-func TestCol2imAdjoint(t *testing.T) {
-	f := func(seed uint16) bool {
-		rng := newTestRNG(uint64(seed) + 1)
-		s := ConvShape{
-			InC: 1 + rng.intn(3), InH: 3 + rng.intn(5), InW: 3 + rng.intn(5),
-			KH: 1 + rng.intn(3), KW: 1 + rng.intn(3),
-			Stride: 1 + rng.intn(2), Pad: rng.intn(2),
-		}
-		if s.OutH() <= 0 || s.OutW() <= 0 {
-			return true
-		}
-		nx := s.InC * s.InH * s.InW
-		nc := s.OutH() * s.OutW() * s.PatchLen()
-		x := make([]float64, nx)
-		c := make([]float64, nc)
-		for i := range x {
-			x[i] = rng.norm()
-		}
-		for i := range c {
-			c[i] = rng.norm()
-		}
-		ix := make([]float64, nc)
-		s.Im2col(x, ix)
-		var lhs float64
-		for i := range c {
-			lhs += ix[i] * c[i]
-		}
-		xc := make([]float64, nx)
-		s.Col2im(c, xc)
-		var rhs float64
-		for i := range x {
-			rhs += x[i] * xc[i]
-		}
-		return math.Abs(lhs-rhs) < 1e-9*(1+math.Abs(lhs))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Tiny local PRNG so the test file doesn't import internal/mat.
 type testRNG struct{ s uint64 }
 
@@ -163,7 +120,6 @@ func (r *testRNG) next() uint64 {
 }
 
 func (r *testRNG) float() float64 { return float64(r.next()>>11) / (1 << 53) }
-func (r *testRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 func (r *testRNG) norm() float64 {
 	u1, u2 := r.float(), r.float()
 	if u1 < 1e-300 {
@@ -182,18 +138,9 @@ func TestIm2colLengthPanics(t *testing.T) {
 	s.Im2col(make([]float64, 3), make([]float64, s.OutH()*s.OutW()*s.PatchLen()))
 }
 
-func TestCol2imLengthPanics(t *testing.T) {
-	s := ConvShape{InC: 1, InH: 4, InW: 4, KH: 2, KW: 2, Stride: 1, Pad: 0}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on bad dst length")
-		}
-	}()
-	s.Col2im(make([]float64, s.OutH()*s.OutW()*s.PatchLen()), make([]float64, 3))
-}
-
+// TestStridedIm2colRoundTripEnergy: stride-2 2×2 patches do not overlap and
+// cover the input, so the unfold holds every input value exactly once.
 func TestStridedIm2colRoundTripEnergy(t *testing.T) {
-	// Stride-2 non-overlapping patches: Col2im(Im2col(x)) = x exactly.
 	s := ConvShape{InC: 2, InH: 4, InW: 4, KH: 2, KW: 2, Stride: 2, Pad: 0}
 	rng := newTestRNG(9)
 	x := make([]float64, 32)
@@ -202,11 +149,10 @@ func TestStridedIm2colRoundTripEnergy(t *testing.T) {
 	}
 	cols := make([]float64, s.OutH()*s.OutW()*s.PatchLen())
 	s.Im2col(x, cols)
-	back := make([]float64, 32)
-	s.Col2im(cols, back)
-	for i := range x {
-		if math.Abs(x[i]-back[i]) > 1e-12 {
-			t.Fatalf("non-overlapping round trip differs at %d", i)
-		}
+	xs := slices.Clone(x)
+	slices.Sort(xs)
+	slices.Sort(cols)
+	if !slices.Equal(xs, cols) {
+		t.Fatalf("unfold %v does not hold the input's values %v", cols, xs)
 	}
 }
