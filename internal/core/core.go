@@ -186,7 +186,7 @@ func kisScores(scores []float64, a, g *mat.Dense) (total float64) {
 	normalizeScores(na)
 	normalizeScores(ng)
 	for j := range scores {
-		scores[j] = na[j] * ng[j]
+		scores[j] = float64(na[j] * ng[j])
 		total += scores[j]
 	}
 	if total == 0 {

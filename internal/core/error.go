@@ -202,8 +202,8 @@ func GradError(a, g *mat.Dense, grad []float64, alpha float64, r int, mode Mode,
 	var num, den float64
 	for j := range exact {
 		d := approx[j] - exact[j]
-		num += d * d
-		den += exact[j] * exact[j]
+		num += float64(d * d)
+		den += float64(exact[j] * exact[j])
 	}
 	if den == 0 {
 		return 0

@@ -45,8 +45,6 @@ type HyLo struct {
 	// truncation.
 	IDTol float64
 
-	// Base owns the layer pipeline: layers, communicator, engines, stage
-	// list and the phase recorder.
 	precond.Base
 	rng *mat.RNG
 	// policyRNG drives the switching policy. It is seeded identically on
@@ -55,10 +53,6 @@ type HyLo struct {
 	// and deadlock, exactly as divergent control flow would under NCCL.
 	policyRNG *mat.RNG
 	state     []*hyloState
-
-	// plans carries the per-layer pipeline state for the current Update;
-	// the stage functions index it.
-	plans []hyloPlan
 
 	mode       Mode
 	delta      [][]float64 // per-layer accumulated gradient Δₑ
@@ -73,33 +67,20 @@ type hyloState struct {
 
 	// Persistent workspaces reused across iterations. an/gn hold the
 	// normalized factor copies; asLoc/gsLoc/yLoc the local reduced factors;
-	// mbuf the owner's inversion result. All of these are handed to the
+	// mbuf the owner's KID result. All of these are handed to the
 	// communicator, so they must stay owned by this state rather than cycle
 	// through the pool. yblk holds the block-diagonal Y assembly.
 	an, gn             *mat.Dense
 	asLoc, gsLoc, yLoc *mat.Dense
 	yblk, mbuf         *mat.Dense
 	id                 kidWS // KID P/S workspace (exact and sketched)
-}
 
-// hyloPlan is one layer's slot in the scheduled pipeline: inputs prepared
-// on the main goroutine (rho, KIS sample), the local factors handed to the
-// gather, the gathered parts, and the owner's inversion result. Plans
-// persist across updates so their slices are reused allocation-free.
-type hyloPlan struct {
-	layer, rho, owner int
-	st                *hyloState
-
-	// KIS sample drawn on the main goroutine in layer order (the only
-	// RNG-consuming step of the KIS pipeline).
-	kisIdx   []int
-	kisCoeff []float64
-
-	// Local reduced factors produced by the factorize stage.
-	as, gs, y *mat.Dense
-
+	// This step's per-worker reduced rows ρ = r/P, its KIS sample (drawn
+	// in Update's pre-loop) and the gathered factor blocks.
+	rho                    int
+	kisIdx                 []int
+	kisCoeff               []float64
 	aParts, gParts, yParts []*mat.Dense
-	m                      *mat.Dense // owner's result; nil off-owner
 }
 
 // NewHyLo builds the preconditioner over the network's kernel layers.
@@ -220,46 +201,31 @@ func boolGauge(b bool) float64 {
 // in layer order (KIS sampling) or in an Ordered stage (randomized KID),
 // so the result is bit-identical at every scheduler width.
 func (h *HyLo) Update() {
+	h.Capture()
 	p := h.Comm.Size()
-	h.plans = h.plans[:0]
-	for i, l := range h.Layers {
-		a, g := l.Capture()
-		if a == nil {
-			continue
-		}
-		mLocal := a.Rows()
+	for _, pl := range h.Plans {
+		st := h.state[pl.Layer]
+		mLocal := pl.A.Rows()
 		mGlob := mLocal * p
-		r := int(h.RankFrac * float64(mGlob))
-		if r < 1 {
-			r = 1
-		}
-		rho := r / p // per-worker reduced rows ρ = r/P
-		if rho < 1 {
-			rho = 1
-		}
-		if rho > mLocal {
-			rho = mLocal
-		}
+		r := max(int(h.RankFrac*float64(mGlob)), 1)
+		st.rho = min(max(r/p, 1), mLocal)
 		// Normalize so the reduced kernel approximates the mean Fisher
 		// kernel: scaling both factors by mGlob^(-1/4) scales K by 1/mGlob.
 		scale := math.Pow(float64(mGlob), -0.25)
-		st := h.state[i]
-		st.an = mat.EnsureDense(st.an, a.Rows(), a.Cols())
-		st.an.CopyFrom(a)
+		st.an = mat.EnsureDense(st.an, mLocal, pl.A.Cols())
+		st.an.CopyFrom(pl.A)
 		st.an.Scale(scale)
-		st.gn = mat.EnsureDense(st.gn, g.Rows(), g.Cols())
-		st.gn.CopyFrom(g)
+		st.gn = mat.EnsureDense(st.gn, pl.G.Rows(), pl.G.Cols())
+		st.gn.CopyFrom(pl.G)
 		st.gn.Scale(scale)
-		h.plans = append(h.plans, hyloPlan{layer: i, rho: rho, owner: i % p, st: st})
 		if h.mode == ModeKIS {
-			pl := &h.plans[len(h.plans)-1]
-			pl.kisIdx, pl.kisCoeff = kisSample(h.rng, st.an, st.gn, rho, true)
+			st.kisIdx, st.kisCoeff = kisSample(h.rng, st.an, st.gn, st.rho, true)
 		}
 	}
 	// The randomized-ID sketch draws from the shared RNG inside the
 	// factorize stage; Ordered serializes those draws in layer order.
 	h.Stages[0].Ordered = h.mode == ModeKID && h.Sketch != SketchOff
-	h.RunUpdate(len(h.plans))
+	h.RunUpdate(len(h.Plans))
 }
 
 // stageFactorize runs the local reduction for one layer (Algorithm 2 for
@@ -268,11 +234,10 @@ func (h *HyLo) Update() {
 // stage, so they must not cycle through the pool, and reusing them keeps
 // the steady state allocation-free.
 func (h *HyLo) stageFactorize(i int) {
-	pl := &h.plans[i]
-	st := pl.st
+	layer := h.Plans[i].Layer
+	st := h.state[layer]
 	t0 := time.Now()
 	if h.mode == ModeKID {
-		rho := pl.rho
 		var facErr error
 		if sk := h.Sketch; sk != SketchOff {
 			over := h.Oversample
@@ -280,7 +245,7 @@ func (h *HyLo) stageFactorize(i int) {
 				over = DefaultOversample
 			}
 			t1 := time.Now()
-			st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsSketchInto(&st.id, st.asLoc, st.gsLoc, st.yLoc, h.rng, st.an, st.gn, rho, h.Damping, over, sk)
+			st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsSketchInto(&st.id, st.asLoc, st.gsLoc, st.yLoc, h.rng, st.an, st.gn, st.rho, h.Damping, over, sk)
 			if telemetry.Enabled() {
 				telemetry.IncCounter(telemetry.MetricKIDSketchNS, time.Since(t1).Nanoseconds(),
 					telemetry.Label{Key: "sketch", Value: sk.String()})
@@ -297,12 +262,11 @@ func (h *HyLo) stageFactorize(i int) {
 					telemetry.IncCounter(telemetry.MetricKIDSketchFallbacks, 1,
 						telemetry.Label{Key: "sketch", Value: sk.String()})
 				}
-				st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsInto(&st.id, st.asLoc, st.gsLoc, st.yLoc, st.an, st.gn, rho, h.Damping, h.idTol())
+				st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsInto(&st.id, st.asLoc, st.gsLoc, st.yLoc, st.an, st.gn, st.rho, h.Damping, h.idTol())
 			}
 		} else {
-			st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsInto(&st.id, st.asLoc, st.gsLoc, st.yLoc, st.an, st.gn, rho, h.Damping, h.idTol())
+			st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsInto(&st.id, st.asLoc, st.gsLoc, st.yLoc, st.an, st.gn, st.rho, h.Damping, h.idTol())
 		}
-		pl.as, pl.gs, pl.y = st.asLoc, st.gsLoc, st.yLoc
 		if facErr != nil {
 			// Local KID factorization failed (singular residual beyond the
 			// damped retries). Degrade this worker's contribution to the
@@ -313,39 +277,38 @@ func (h *HyLo) stageFactorize(i int) {
 			// the fallback consumes no RNG: it may fire from a concurrent
 			// stage without perturbing the shared stream.
 			numerics.RecordFallback("hylo.kid.local", numerics.RungKIS, facErr.Error())
-			st.asLoc, st.gsLoc = kisTopKInto(st.asLoc, st.gsLoc, st.an, st.gn, rho)
+			st.asLoc, st.gsLoc = kisTopKInto(st.asLoc, st.gsLoc, st.an, st.gn, st.rho)
 			st.yLoc = mat.EnsureDense(st.yLoc, st.asLoc.Rows(), st.asLoc.Rows())
 			st.yLoc.Zero()
-			pl.as, pl.gs, pl.y = st.asLoc, st.gsLoc, st.yLoc
 		}
 	} else {
-		st.asLoc, st.gsLoc = kisSelectInto(st.asLoc, st.gsLoc, st.an, st.gn, pl.kisIdx, pl.kisCoeff)
-		pl.as, pl.gs = st.asLoc, st.gsLoc
+		st.asLoc, st.gsLoc = kisSelectInto(st.asLoc, st.gsLoc, st.an, st.gn, st.kisIdx, st.kisCoeff)
 	}
-	h.Record(dist.PhaseFactorize, pl.layer, t0, h.mode.String())
+	h.Record(dist.PhaseFactorize, layer, t0, h.mode.String())
 }
 
 // stageGather all-gathers the local factors (lines 7 / 18); the
 // dispatcher issues it in canonical layer order.
 func (h *HyLo) stageGather(i int) {
-	pl := &h.plans[i]
+	pl := &h.Plans[i]
+	st := h.state[pl.Layer]
 	t0 := time.Now()
-	pl.aParts = h.Comm.AllGatherMat(pl.as)
-	pl.gParts = h.Comm.AllGatherMat(pl.gs)
+	st.aParts = h.Comm.AllGatherMat(st.asLoc)
+	st.gParts = h.Comm.AllGatherMat(st.gsLoc)
 	if h.mode == ModeKID {
-		pl.yParts = h.Comm.AllGatherMat(pl.y)
+		st.yParts = h.Comm.AllGatherMat(st.yLoc)
 	}
-	h.Record(dist.PhaseGather, pl.layer, t0, h.mode.String())
+	h.Record(dist.PhaseGather, pl.Layer, t0, h.mode.String())
 }
 
 // stageInvert assembles the gathered factors and, on the owning worker
-// (round-robin layer % P, lines 9-10 / 20-21), inverts the reduced system.
+// (round-robin layer % P, lines 9-10 / 20-21), inverts the reduced system
+// into M.
 func (h *HyLo) stageInvert(i int) {
-	pl := &h.plans[i]
-	st := pl.st
-	st.Stack(pl.aParts, pl.gParts)
-	pl.m = nil
-	if h.Comm.ID() != pl.owner {
+	pl := &h.Plans[i]
+	st := h.state[pl.Layer]
+	st.Stack(st.aParts, st.gParts)
+	if h.Comm.ID() != pl.Owner {
 		return
 	}
 	t0 := time.Now()
@@ -355,13 +318,13 @@ func (h *HyLo) stageInvert(i int) {
 		// M = (I + Y·K̂)⁻¹ Y, which avoids inverting a possibly
 		// rank-deficient K̂.
 		ybr, ybc := 0, 0
-		for _, b := range pl.yParts {
+		for _, b := range st.yParts {
 			ybr += b.Rows()
 			ybc += b.Cols()
 		}
 		st.yblk = mat.EnsureDense(st.yblk, ybr, ybc)
 		st.yblk.Zero()
-		yBlk := mat.BlockDiagInto(st.yblk, pl.yParts...)
+		yBlk := mat.BlockDiagInto(st.yblk, st.yParts...)
 		rtot := st.As.Rows()
 		khat := mat.GetDense(rtot, rtot)
 		mat.KernelMatrixInto(khat, st.As, st.Gs)
@@ -391,7 +354,7 @@ func (h *HyLo) stageInvert(i int) {
 			// Below it the identity rung: M = 0, the plain g/α step.
 			precond.InvertSPD(st.mbuf, khat, h.Damping, "hylo.kid.inner", numerics.RungIdentity, precond.Zero)
 		}
-		pl.m = st.mbuf
+		st.M = st.mbuf
 		mat.PutDense(inv)
 		mat.PutDense(khat)
 		mat.PutDense(iyk)
@@ -404,19 +367,20 @@ func (h *HyLo) stageInvert(i int) {
 		// The inverse escapes into long-lived state, so it is NOT pooled.
 		// On an unsolvable kernel the rung degrades to M = 0 (plain g/α
 		// step) in the same rtot×rtot shape.
-		pl.m = precond.InvertSPD(nil, k, 0, "hylo.kis.inner", numerics.RungIdentity, precond.Zero)
+		st.M = precond.InvertSPD(nil, k, 0, "hylo.kis.inner", numerics.RungIdentity, precond.Zero)
 		mat.PutDense(k)
 	}
-	h.Record(dist.PhaseInvert, pl.layer, t0, h.mode.String())
+	h.Record(dist.PhaseInvert, pl.Layer, t0, h.mode.String())
 }
 
 // stageBroadcast broadcasts the owner's result (lines 11 / 22) and
 // installs it.
 func (h *HyLo) stageBroadcast(i int) {
-	pl := &h.plans[i]
+	pl := &h.Plans[i]
+	st := h.state[pl.Layer]
 	t0 := time.Now()
-	pl.st.M = h.Comm.BroadcastMat(pl.owner, pl.m)
-	h.Record(dist.PhaseBroadcast, pl.layer, t0, h.mode.String())
+	st.M = h.Broadcast(pl, st.M)
+	h.Record(dist.PhaseBroadcast, pl.Layer, t0, h.mode.String())
 }
 
 // stagePrecondition is one layer of Precondition: Eq. (8) (KID) or Eq. (9)

@@ -221,29 +221,22 @@ type ByteGatherer interface {
 
 // AsBarrier unwraps instrumentation layers down to a transport exposing a
 // barrier, reporting false for single-process Comms.
-func AsBarrier(c Comm) (Barrierer, bool) {
-	for {
-		if b, ok := c.(Barrierer); ok {
-			return b, true
-		}
-		u, ok := c.(interface{ Unwrap() Comm })
-		if !ok {
-			return nil, false
-		}
-		c = u.Unwrap()
-	}
-}
+func AsBarrier(c Comm) (Barrierer, bool) { return unwrapTo[Barrierer](c) }
 
 // AsByteGatherer unwraps instrumentation layers down to a transport that
 // can gather byte payloads, reporting false for single-process Comms.
-func AsByteGatherer(c Comm) (ByteGatherer, bool) {
+func AsByteGatherer(c Comm) (ByteGatherer, bool) { return unwrapTo[ByteGatherer](c) }
+
+// unwrapTo peels Unwrap layers off c until one implements T.
+func unwrapTo[T any](c Comm) (T, bool) {
 	for {
-		if g, ok := c.(ByteGatherer); ok {
-			return g, true
+		if t, ok := c.(T); ok {
+			return t, true
 		}
 		u, ok := c.(interface{ Unwrap() Comm })
 		if !ok {
-			return nil, false
+			var zero T
+			return zero, false
 		}
 		c = u.Unwrap()
 	}

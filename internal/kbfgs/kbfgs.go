@@ -7,6 +7,7 @@ package kbfgs
 
 import (
 	"math"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/mat"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/numerics"
 	"repro/internal/precond"
 	"repro/internal/sched"
-	"repro/internal/telemetry"
 )
 
 // KBFGSL preconditions each layer gradient with an L-BFGS inverse-Hessian
@@ -55,109 +55,101 @@ func (k *KBFGSL) Name() string { return "KBFGS-L" }
 
 // Update implements opt.Preconditioner: harvest a damped curvature pair
 // per layer from the weight and gradient deltas since the last update.
-func (k *KBFGSL) Update() {
-	// KBFGS-L runs single-process; its trace lane is rank 0. Pair harvest
-	// is this method's analogue of the factorization phase.
-	defer telemetry.Span("curvature_pairs", 0,
-		telemetry.Label{Key: "optimizer", Value: "kbfgs"})()
-	k.RunUpdate(len(k.Layers))
-}
+// Every layer takes part, captured or not, so KBFGS-L keeps its own Update.
+func (k *KBFGSL) Update() { k.RunUpdate(len(k.Layers)) }
 
+// stageHarvest is one layer of Update, recorded as the curvature_pairs
+// phase: this method's analogue of the factorization.
 func (k *KBFGSL) stageHarvest(i int) {
-	{
-		l := k.Layers[i]
-		st := k.state[i]
-		w := flat(l.Weight().W)
-		g := flat(l.Weight().Grad)
-		if st.prevW != nil {
-			s := sub(w, st.prevW)
-			y := sub(g, st.prevG)
-			// Levenberg-style damping keeps sᵀy > 0.
-			for j := range y {
-				y[j] += k.Damping * s[j]
-			}
-			sy := dot(s, y)
-			ss := dot(s, s)
-			if sy > 1e-12*ss && ss > 0 {
-				st.s = append(st.s, s)
-				st.y = append(st.y, y)
-				st.rho = append(st.rho, 1/sy)
-				if len(st.s) > k.History {
-					// Recycle the evicted pair's storage.
-					mat.PutFloats(st.s[0])
-					mat.PutFloats(st.y[0])
-					st.s = st.s[1:]
-					st.y = st.y[1:]
-					st.rho = st.rho[1:]
-				}
-			} else {
-				// Rejected pair: return the scratch immediately.
-				mat.PutFloats(s)
-				mat.PutFloats(y)
-			}
+	t0 := time.Now()
+	l := k.Layers[i]
+	st := k.state[i]
+	w := flat(l.Weight().W)
+	g := flat(l.Weight().Grad)
+	if st.prevW != nil {
+		s := sub(w, st.prevW)
+		y := sub(g, st.prevG)
+		// Levenberg-style damping keeps sᵀy > 0.
+		for j := range y {
+			y[j] += float64(k.Damping * s[j])
 		}
-		// Recycle the previous snapshots now that the deltas are computed.
-		mat.PutFloats(st.prevW)
-		mat.PutFloats(st.prevG)
-		st.prevW = w
-		st.prevG = g
+		sy := dot(s, y)
+		ss := dot(s, s)
+		if sy > 1e-12*ss && ss > 0 {
+			st.s = append(st.s, s)
+			st.y = append(st.y, y)
+			st.rho = append(st.rho, 1/sy)
+			if len(st.s) > k.History {
+				// Recycle the evicted pair's storage.
+				mat.PutFloats(st.s[0])
+				mat.PutFloats(st.y[0])
+				st.s = st.s[1:]
+				st.y = st.y[1:]
+				st.rho = st.rho[1:]
+			}
+		} else {
+			// Rejected pair: return the scratch immediately.
+			mat.PutFloats(s)
+			mat.PutFloats(y)
+		}
 	}
+	// Recycle the previous snapshots now that the deltas are computed.
+	mat.PutFloats(st.prevW)
+	mat.PutFloats(st.prevG)
+	st.prevW = w
+	st.prevG = g
+	k.Record("curvature_pairs", i, t0)
 }
 
-// Precondition implements opt.Preconditioner: the standard two-loop
-// recursion applied to each layer's flattened gradient.
-func (k *KBFGSL) Precondition() {
-	// The two-loop recursion is the inverse-application phase.
-	defer telemetry.Span("two_loop_recursion", 0,
-		telemetry.Label{Key: "optimizer", Value: "kbfgs"})()
-	k.Base.Precondition()
-}
-
+// stageTwoLoop is one layer of Precondition: the standard two-loop
+// recursion applied to the flattened gradient, recorded as the
+// two_loop_recursion phase (the inverse application). A layer with no
+// curvature pair yet is left alone.
 func (k *KBFGSL) stageTwoLoop(i int) {
-	{
-		l := k.Layers[i]
-		st := k.state[i]
-		if len(st.s) == 0 {
-			return
-		}
-		grad := l.Weight().Grad
-		q := flat(grad)
-		n := len(st.s)
-		alpha := mat.GetFloats(n)
-		for j := n - 1; j >= 0; j-- {
-			alpha[j] = st.rho[j] * dot(st.s[j], q)
-			axpy(q, st.y[j], -alpha[j])
-		}
-		// Initial scaling H₀ = (sᵀy / yᵀy) I from the newest pair; a
-		// degenerate pair (yᵀy = 0, or non-finite dots) falls back to H₀ = I
-		// rather than letting a NaN/Inf scale poison the whole direction.
-		gammaN := dot(st.s[n-1], st.y[n-1]) / dot(st.y[n-1], st.y[n-1])
-		if math.IsNaN(gammaN) || math.IsInf(gammaN, 0) || gammaN <= 0 {
-			gammaN = 1
-		}
-		for j := range q {
-			q[j] *= gammaN
-		}
-		for j := 0; j < n; j++ {
-			beta := st.rho[j] * dot(st.y[j], q)
-			axpy(q, st.s[j], alpha[j]-beta)
-		}
-		// A poisoned curvature pair can still make the recursion emit
-		// non-finite coordinates: degrade to the raw (scrubbed) gradient —
-		// the identity rung of the degradation ladder — instead of storing
-		// NaNs into the step.
-		if !mat.AllFinite(q) {
-			numerics.RecordFallback("kbfgs.twoloop", numerics.RungIdentity,
-				"two-loop recursion produced non-finite direction")
-			copy(q, grad.Data())
-			if scrubbed := mat.ScrubNonFinite(q); scrubbed > 0 {
-				numerics.AddScrubs(scrubbed)
-			}
-		}
-		copy(grad.Data(), q)
-		mat.PutFloats(alpha)
-		mat.PutFloats(q)
+	t0 := time.Now()
+	l := k.Layers[i]
+	st := k.state[i]
+	if len(st.s) == 0 {
+		return
 	}
+	grad := l.Weight().Grad
+	q := flat(grad)
+	n := len(st.s)
+	alpha := mat.GetFloats(n)
+	for j := n - 1; j >= 0; j-- {
+		alpha[j] = st.rho[j] * dot(st.s[j], q)
+		axpy(q, st.y[j], -alpha[j])
+	}
+	// Initial scaling H₀ = (sᵀy / yᵀy) I from the newest pair; a
+	// degenerate pair (yᵀy = 0, or non-finite dots) falls back to H₀ = I
+	// rather than letting a NaN/Inf scale poison the whole direction.
+	gammaN := dot(st.s[n-1], st.y[n-1]) / dot(st.y[n-1], st.y[n-1])
+	if math.IsNaN(gammaN) || math.IsInf(gammaN, 0) || gammaN <= 0 {
+		gammaN = 1
+	}
+	for j := range q {
+		q[j] *= gammaN
+	}
+	for j := 0; j < n; j++ {
+		beta := float64(st.rho[j] * dot(st.y[j], q))
+		axpy(q, st.s[j], alpha[j]-beta)
+	}
+	// A poisoned curvature pair can still make the recursion emit
+	// non-finite coordinates: degrade to the raw (scrubbed) gradient —
+	// the identity rung of the degradation ladder — instead of storing
+	// NaNs into the step.
+	if !mat.AllFinite(q) {
+		numerics.RecordFallback("kbfgs.twoloop", numerics.RungIdentity,
+			"two-loop recursion produced non-finite direction")
+		copy(q, grad.Data())
+		if scrubbed := mat.ScrubNonFinite(q); scrubbed > 0 {
+			numerics.AddScrubs(scrubbed)
+		}
+	}
+	copy(grad.Data(), q)
+	mat.PutFloats(alpha)
+	mat.PutFloats(q)
+	k.Record("two_loop_recursion", i, t0)
 }
 
 // StateBytes implements opt.Preconditioner: history pairs + previous
@@ -193,13 +185,13 @@ func sub(a, b []float64) []float64 {
 func dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
 
 func axpy(dst, src []float64, c float64) {
 	for i := range dst {
-		dst[i] += c * src[i]
+		dst[i] += float64(c * src[i])
 	}
 }

@@ -1,11 +1,13 @@
 package kbfgs
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/mat"
 	"repro/internal/nn"
+	"repro/internal/telemetry"
 )
 
 func linearNet(seed uint64, in, out int) *nn.Network {
@@ -22,6 +24,57 @@ func TestNoHistoryIsIdentity(t *testing.T) {
 	k.Precondition()
 	if d := mat.MaxAbsDiff(before, l.Weight().Grad); d != 0 {
 		t.Fatal("Precondition with no history must be the identity")
+	}
+}
+
+// Both phases go through the skeleton's recorder, one span per layer: a
+// curvature_pairs span for every layer on each Update and a
+// two_loop_recursion span for every layer holding a pair, each labelled
+// with the optimizer and the layer.
+func TestPhaseSpansPerLayer(t *testing.T) {
+	prev := telemetry.Default()
+	telemetry.SetDefault(telemetry.New())
+	telemetry.SetEnabled(true)
+	defer func() {
+		telemetry.SetEnabled(false)
+		telemetry.SetDefault(prev)
+	}()
+	rng := mat.NewRNG(3)
+	net := nn.NewNetwork(nn.Vec(4), rng, nn.NewLinear(5), nn.NewReLU(), nn.NewLinear(3))
+	layers := net.KernelLayers()
+	k := NewKBFGSL(net, 0.01, 4)
+	for step := 0; step < 2; step++ {
+		// Gradient = weights, so the second harvest's pair has sᵀy > 0.
+		for _, l := range layers {
+			w, g := l.Weight().W.Data(), l.Weight().Grad.Data()
+			for j := range w {
+				w[j] += 0.1 * rng.Norm()
+				g[j] = w[j]
+			}
+		}
+		k.Update()
+	}
+	k.Precondition()
+	spans := map[string]int{}
+	for _, e := range telemetry.Default().Trace.Events() {
+		if e.Name != "curvature_pairs" && e.Name != "two_loop_recursion" {
+			continue
+		}
+		labels := map[string]string{}
+		for _, l := range e.Labels {
+			labels[l.Key] = l.Value
+		}
+		if labels["optimizer"] != "kbfgs" || labels["layer"] == "" {
+			t.Fatalf("span %q has labels %v; want optimizer=kbfgs and a layer", e.Name, e.Labels)
+		}
+		spans[e.Name+"/"+labels["layer"]]++
+	}
+	for i := range layers {
+		for phase, want := range map[string]int{"curvature_pairs": 2, "two_loop_recursion": 1} {
+			if got := spans[fmt.Sprintf("%s/%d", phase, i)]; got != want {
+				t.Errorf("layer %d: %d %s spans; want %d", i, got, phase, want)
+			}
+		}
 	}
 }
 

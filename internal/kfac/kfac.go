@@ -30,9 +30,8 @@ type KFAC struct {
 	// Kronecker factors (Martens & Grosse §6.3).
 	PiCorrection bool
 
-	precond.Base
+	kron
 	state []*kfacState
-	plans []kfacPlan // per-layer pipeline slots of the current Update
 }
 
 // factors is the Kronecker-factor state KFAC and EKFAC share: the running
@@ -61,17 +60,55 @@ func (f *factors) gram(a, g *mat.Dense, m float64) {
 	f.fgBuf.Scale(1 / m)
 }
 
-// fold moves the running averages toward the all-reduced factors; the
-// first observation bootstraps them.
-func (f *factors) fold(fa, fg *mat.Dense, decay float64) {
+// fold moves the running averages toward the all-reduced factors in
+// faBuf and fgBuf; the first observation bootstraps them.
+func (f *factors) fold(decay float64) {
 	if !f.initialized {
-		f.aFactor.CopyFrom(fa)
-		f.gFactor.CopyFrom(fg)
+		f.aFactor.CopyFrom(f.faBuf)
+		f.gFactor.CopyFrom(f.fgBuf)
 		f.initialized = true
 		return
 	}
-	f.aFactor.Scale(decay).AddScaled(fa, 1-decay)
-	f.gFactor.Scale(decay).AddScaled(fg, 1-decay)
+	f.aFactor.Scale(decay).AddScaled(f.faBuf, 1-decay)
+	f.gFactor.Scale(decay).AddScaled(f.fgBuf, 1-decay)
+}
+
+// kron is the half of the Kronecker-factored schedule KFAC and EKFAC share:
+// the skeleton and its first two stages over each layer's factors.
+type kron struct {
+	precond.Base
+	fac []*factors // per kernel layer, inside the backend's own state
+}
+
+// init wires the skeleton with the factorize and reduce stages ahead of
+// the backend's own and sizes fac for the backend to fill. KAISA's
+// schedule: one layer's factor all-reduce is in flight while the next
+// layer still computes its Gram factors.
+func (k *kron) init(optimizer string, net *nn.Network, comm dist.Comm, timeline *dist.Timeline, apply func(layer int), tail ...sched.Stage) {
+	k.Init(optimizer, net, comm, timeline, apply, append([]sched.Stage{
+		{Name: "factorize", Fn: k.stageFactorize},
+		{Name: "reduce", Comm: true, Fn: k.stageReduce},
+	}, tail...))
+	k.fac = make([]*factors, len(k.Layers))
+}
+
+// stageFactorize computes this step's factors, staged in persistent
+// workspaces (KAISA step 2).
+func (k *kron) stageFactorize(i int) {
+	pl := &k.Plans[i]
+	t0 := time.Now()
+	k.fac[pl.Layer].gram(pl.A, pl.G, float64(pl.A.Rows()*k.Comm.Size()))
+	k.Record(dist.PhaseFactorize, pl.Layer, t0)
+}
+
+// stageReduce all-reduces the factors in place (KAISA step 3).
+func (k *kron) stageReduce(i int) {
+	pl := &k.Plans[i]
+	f := k.fac[pl.Layer]
+	t0 := time.Now()
+	k.Comm.AllReduceMat(f.faBuf)
+	k.Comm.AllReduceMat(f.fgBuf)
+	k.Record(dist.PhaseGather, pl.Layer, t0)
 }
 
 type kfacState struct {
@@ -84,34 +121,17 @@ type kfacState struct {
 	aBuf, gBuf *mat.Dense
 }
 
-// kfacPlan is one layer's slot in the scheduled pipeline; the plan slice
-// is reused across updates.
-type kfacPlan struct {
-	layer, owner int
-	l            nn.KernelLayer
-	st           *kfacState
-	m            float64
-
-	a, g       *mat.Dense // this step's captures
-	fa, fg     *mat.Dense // all-reduced factors
-	aInv, gInv *mat.Dense // owner's inverses headed for broadcast
-}
-
 // NewKFAC builds a KFAC preconditioner over the network's kernel layers.
 // comm may be dist.Local() for single-process runs. timeline is optional.
 func NewKFAC(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.Timeline) *KFAC {
 	k := &KFAC{Damping: damping, Decay: 0.95}
-	// KAISA's schedule: one layer's factor all-reduce is in flight while
-	// the next layer still computes its Gram factors.
-	k.Init("kfac", net, comm, timeline, k.stagePrecondition, []sched.Stage{
-		{Name: "factorize", Fn: k.stageFactorize},
-		{Name: "reduce", Comm: true, Fn: k.stageReduce},
-		{Name: "invert", Fn: k.stageInvert},
-		{Name: "broadcast", Comm: true, Fn: k.stageBroadcast},
-	})
+	k.init("kfac", net, comm, timeline, k.stagePrecondition,
+		sched.Stage{Name: "invert", Fn: k.stageInvert},
+		sched.Stage{Name: "broadcast", Comm: true, Fn: k.stageBroadcast})
 	k.state = make([]*kfacState, len(k.Layers))
 	for i, l := range k.Layers {
 		k.state[i] = &kfacState{factors: newFactors(l)}
+		k.fac[i] = &k.state[i].factors
 	}
 	return k
 }
@@ -119,71 +139,30 @@ func NewKFAC(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.Ti
 // Name implements opt.Preconditioner.
 func (k *KFAC) Name() string { return "KFAC" }
 
-// Update implements opt.Preconditioner: recompute factors from the latest
-// captures, all-reduce them, invert owned layers, broadcast inverses.
-func (k *KFAC) Update() {
-	p := k.Comm.Size()
-	k.plans = k.plans[:0]
-	for i, l := range k.Layers {
-		a, g := l.Capture()
-		if a == nil {
-			continue
-		}
-		k.plans = append(k.plans, kfacPlan{
-			layer: i, owner: i % p, l: l, st: k.state[i],
-			m: float64(a.Rows() * p), a: a, g: g,
-		})
-	}
-	k.RunUpdate(len(k.plans))
-}
-
-// stageFactorize computes this step's factors, staged in persistent
-// workspaces (KAISA step 2).
-func (k *KFAC) stageFactorize(i int) {
-	pl := &k.plans[i]
-	t0 := time.Now()
-	pl.st.gram(pl.a, pl.g, pl.m)
-	k.Record(dist.PhaseFactorize, pl.layer, t0)
-}
-
-// stageReduce all-reduces the factors (KAISA step 3).
-func (k *KFAC) stageReduce(i int) {
-	pl := &k.plans[i]
-	t0 := time.Now()
-	pl.fa = k.Comm.AllReduceMat(pl.st.faBuf)
-	pl.fg = k.Comm.AllReduceMat(pl.st.fgBuf)
-	k.Record(dist.PhaseGather, pl.layer, t0)
-}
-
 // stageInvert folds the reduced factors into the running averages on the
-// layer's owner, which alone keeps them and inverts (KAISA step 4, the
-// memory-optimal placement).
+// layer's owner, which alone keeps them and inverts both into aBuf and
+// gBuf, with optional π damping split (KAISA step 4, the memory-optimal
+// placement). A factor no damping stabilizes degrades to its diagonal
+// (Jacobi) pseudo-inverse: the Kronecker product of diagonal inverses is
+// still a usable (Adagrad-like) preconditioner.
 func (k *KFAC) stageInvert(i int) {
-	pl := &k.plans[i]
-	st := pl.st
-	pl.aInv, pl.gInv = nil, nil
-	if k.Comm.ID() == pl.owner {
-		st.fold(pl.fa, pl.fg, k.Decay)
-		t0 := time.Now()
-		pl.aInv, pl.gInv = k.invertPair(pl.l, st)
-		k.Record(dist.PhaseInvert, pl.layer, t0)
+	pl := &k.Plans[i]
+	if k.Comm.ID() != pl.Owner {
+		return
 	}
-}
-
-// invertPair inverts both Kronecker factors with optional π damping split.
-// A factor no damping stabilizes degrades to its diagonal (Jacobi)
-// pseudo-inverse: the Kronecker product of diagonal inverses is still a
-// usable (Adagrad-like) preconditioner.
-func (k *KFAC) invertPair(l nn.KernelLayer, st *kfacState) (aInv, gInv *mat.Dense) {
-	dIn, dOut := l.Dims()
+	st := k.state[pl.Layer]
+	st.fold(k.Decay)
+	t0 := time.Now()
+	dIn, dOut := k.Layers[pl.Layer].Dims()
 	gA, gG := math.Sqrt(k.Damping), math.Sqrt(k.Damping)
 	if k.PiCorrection {
 		gA, gG = piCorrection(st.aFactor.Trace(), dIn, st.gFactor.Trace(), dOut, k.Damping)
 	}
 	st.aBuf = mat.EnsureDense(st.aBuf, dIn, dIn)
 	st.gBuf = mat.EnsureDense(st.gBuf, dOut, dOut)
-	return precond.InvertSPD(st.aBuf, st.aFactor, gA, "kfac.A", numerics.RungDiagonal, mat.DiagInvDamped),
-		precond.InvertSPD(st.gBuf, st.gFactor, gG, "kfac.G", numerics.RungDiagonal, mat.DiagInvDamped)
+	precond.InvertSPD(st.aBuf, st.aFactor, gA, "kfac.A", numerics.RungDiagonal, mat.DiagInvDamped)
+	precond.InvertSPD(st.gBuf, st.gFactor, gG, "kfac.G", numerics.RungDiagonal, mat.DiagInvDamped)
+	k.Record(dist.PhaseInvert, pl.Layer, t0)
 }
 
 // piCorrection returns the Tikhonov damping split of the original KFAC
@@ -202,13 +181,15 @@ func piCorrection(trA float64, dimA int, trG float64, dimG int, damping float64)
 	return pi * root, root / pi
 }
 
-// stageBroadcast broadcasts the inverses (KAISA step 5) and installs them.
+// stageBroadcast broadcasts the owner's inverses (KAISA step 5) and
+// installs them.
 func (k *KFAC) stageBroadcast(i int) {
-	pl := &k.plans[i]
+	pl := &k.Plans[i]
+	st := k.state[pl.Layer]
 	t0 := time.Now()
-	pl.st.aInv = k.Comm.BroadcastMat(pl.owner, pl.aInv)
-	pl.st.gInv = k.Comm.BroadcastMat(pl.owner, pl.gInv)
-	k.Record(dist.PhaseBroadcast, pl.layer, t0)
+	st.aInv = k.Broadcast(pl, st.aBuf)
+	st.gInv = k.Broadcast(pl, st.gBuf)
+	k.Record(dist.PhaseBroadcast, pl.Layer, t0)
 }
 
 // stagePrecondition is one layer of Precondition: grad ← A⁻¹ · grad · G⁻¹.
@@ -248,7 +229,7 @@ type EKFAC struct {
 	Damping float64
 	Decay   float64
 
-	precond.Base
+	kron
 	state []*ekfacState
 }
 
@@ -259,16 +240,21 @@ type ekfacState struct {
 	scaleInit bool
 }
 
-// NewEKFAC builds an EKFAC preconditioner.
+// NewEKFAC builds an EKFAC preconditioner on KFAC's factorize and reduce
+// stages. Its own stages eigendecompose the running factors on the layer's
+// owner, broadcast the two eigenbases, and refresh the diagonal scale from
+// the live gradient projected into them.
 func NewEKFAC(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.Timeline) *EKFAC {
 	e := &EKFAC{Damping: damping, Decay: 0.95}
-	// No stage functions: Update refreshes the diagonal scale from the live
-	// gradient, so EKFAC keeps its own sequential loops.
-	e.Init("ekfac", net, comm, timeline, nil, nil)
+	e.init("ekfac", net, comm, timeline, e.stagePrecondition,
+		sched.Stage{Name: "eig", Fn: e.stageEig},
+		sched.Stage{Name: "broadcast", Comm: true, Fn: e.stageBroadcast},
+		sched.Stage{Name: "rescale", Fn: e.stageRescale})
 	e.state = make([]*ekfacState, len(e.Layers))
 	for i, l := range e.Layers {
 		dIn, dOut := l.Dims()
 		e.state[i] = &ekfacState{factors: newFactors(l), scale: mat.NewDense(dIn, dOut)}
+		e.fac[i] = &e.state[i].factors
 	}
 	return e
 }
@@ -276,84 +262,76 @@ func NewEKFAC(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.T
 // Name implements opt.Preconditioner.
 func (e *EKFAC) Name() string { return "EKFAC" }
 
-// Update implements opt.Preconditioner.
-func (e *EKFAC) Update() {
-	p := e.Comm.Size()
-	for i, l := range e.Layers {
-		a, g := l.Capture()
-		if a == nil {
-			continue
-		}
-		m := float64(a.Rows() * p)
-		st := e.state[i]
-
-		t0 := time.Now()
-		st.gram(a, g, m)
-		e.Record(dist.PhaseFactorize, i, t0)
-
-		t0 = time.Now()
-		fa := e.Comm.AllReduceMat(st.faBuf)
-		fg := e.Comm.AllReduceMat(st.fgBuf)
-		e.Record(dist.PhaseGather, i, t0)
-		st.fold(fa, fg, e.Decay)
-
-		// Eigendecompositions on the owning worker (the expensive step
-		// EKFAC adds over KFAC).
-		owner := i % p
-		var qa, qg *mat.Dense
-		if e.Comm.ID() == owner {
-			t0 = time.Now()
-			_, qa = mat.SymEig(st.aFactor)
-			_, qg = mat.SymEig(st.gFactor)
-			e.Record(dist.PhaseInvert, i, t0)
-		}
-		t0 = time.Now()
-		st.qa = e.Comm.BroadcastMat(owner, qa)
-		st.qg = e.Comm.BroadcastMat(owner, qg)
-		e.Record(dist.PhaseBroadcast, i, t0)
-
-		// Refresh the diagonal scale from the current gradient projected
-		// into the eigenbasis (pooled scratch; sq = proj∘proj in place).
-		w := l.Weight()
-		rows, cols := w.Grad.Dims()
-		tmp := mat.GetDense(rows, cols)
-		mat.MulInto(tmp, w.Grad, st.qg)
-		proj := mat.GetDense(rows, cols)
-		mat.MulTAInto(proj, st.qa, tmp)
-		mat.HadamardInto(proj, proj, proj)
-		if !st.scaleInit {
-			st.scale.CopyFrom(proj)
-			st.scaleInit = true
-		} else {
-			st.scale.Scale(e.Decay).AddScaled(proj, 1-e.Decay)
-		}
-		mat.PutDense(tmp)
-		mat.PutDense(proj)
+// stageEig folds the reduced factors into the running averages, which
+// every rank keeps, and eigendecomposes them on the layer's owner (the
+// expensive step EKFAC adds over KFAC).
+func (e *EKFAC) stageEig(i int) {
+	pl := &e.Plans[i]
+	st := e.state[pl.Layer]
+	st.fold(e.Decay)
+	if e.Comm.ID() != pl.Owner {
+		return
 	}
+	t0 := time.Now()
+	_, st.qa = mat.SymEig(st.aFactor)
+	_, st.qg = mat.SymEig(st.gFactor)
+	e.Record(dist.PhaseInvert, pl.Layer, t0)
 }
 
-// Precondition implements opt.Preconditioner.
-func (e *EKFAC) Precondition() {
-	for i, l := range e.Layers {
-		st := e.state[i]
-		if st.qa == nil {
-			continue
-		}
-		w := l.Weight()
-		rows, cols := w.Grad.Dims()
-		tmp := mat.GetDense(rows, cols)
-		mat.MulInto(tmp, w.Grad, st.qg)
-		proj := mat.GetDense(rows, cols)
-		mat.MulTAInto(proj, st.qa, tmp)
-		pd, sd := proj.Data(), st.scale.Data()
-		for j := range pd {
-			pd[j] /= sd[j] + e.Damping
-		}
-		mat.MulTBInto(tmp, proj, st.qg)
-		mat.MulInto(w.Grad, st.qa, tmp)
-		mat.PutDense(tmp)
-		mat.PutDense(proj)
+// stageBroadcast broadcasts the owner's eigenbases and installs them.
+func (e *EKFAC) stageBroadcast(i int) {
+	pl := &e.Plans[i]
+	st := e.state[pl.Layer]
+	t0 := time.Now()
+	st.qa = e.Broadcast(pl, st.qa)
+	st.qg = e.Broadcast(pl, st.qg)
+	e.Record(dist.PhaseBroadcast, pl.Layer, t0)
+}
+
+// project returns Qaᵀ·grad·Qg in pooled proj, and the pooled tmp it used.
+func (st *ekfacState) project(grad *mat.Dense) (tmp, proj *mat.Dense) {
+	rows, cols := grad.Dims()
+	tmp = mat.GetDense(rows, cols)
+	mat.MulInto(tmp, grad, st.qg)
+	proj = mat.GetDense(rows, cols)
+	mat.MulTAInto(proj, st.qa, tmp)
+	return tmp, proj
+}
+
+// stageRescale refreshes the diagonal scale from the current gradient
+// projected into the eigenbasis (sq = proj∘proj in place).
+func (e *EKFAC) stageRescale(i int) {
+	layer := e.Plans[i].Layer
+	st := e.state[layer]
+	tmp, proj := st.project(e.Layers[layer].Weight().Grad)
+	mat.HadamardInto(proj, proj, proj)
+	if !st.scaleInit {
+		st.scale.CopyFrom(proj)
+		st.scaleInit = true
+	} else {
+		st.scale.Scale(e.Decay).AddScaled(proj, 1-e.Decay)
 	}
+	mat.PutDense(tmp)
+	mat.PutDense(proj)
+}
+
+// stagePrecondition is one layer of Precondition: grad ← Qa·(Qaᵀ grad Qg ⊘
+// (scale + γ))·Qgᵀ.
+func (e *EKFAC) stagePrecondition(i int) {
+	st := e.state[i]
+	if st.qa == nil {
+		return
+	}
+	w := e.Layers[i].Weight()
+	tmp, proj := st.project(w.Grad)
+	pd, sd := proj.Data(), st.scale.Data()
+	for j := range pd {
+		pd[j] /= sd[j] + e.Damping
+	}
+	mat.MulTBInto(tmp, proj, st.qg)
+	mat.MulInto(w.Grad, st.qa, tmp)
+	mat.PutDense(tmp)
+	mat.PutDense(proj)
 }
 
 // StateBytes implements opt.Preconditioner.

@@ -3,7 +3,8 @@
 // Fig. 1's schedule (local factors → gather/reduce → owner inverts →
 // broadcast) and of the update (1/α)(g − UˢᵀMUˢg) of Eqs. 7–9 that do not
 // depend on a method's math. A backend embeds Base, hands Init its
-// per-layer stage functions, and keeps only its own state.
+// per-layer stage functions, inherits Update and Precondition, and keeps
+// only its own state.
 package precond
 
 import (
@@ -24,9 +25,11 @@ import (
 type Base struct {
 	Layers []nn.KernelLayer
 	Comm   dist.Comm
-	// Stages is the per-layer Update pipeline RunUpdate executes. Its
-	// functions index the backend's own per-update plan slice.
+	// Stages is the per-layer Update pipeline. Its functions index Plans.
 	Stages []sched.Stage
+	// Plans holds the current Update's captured layers in layer order,
+	// reused across updates.
+	Plans []Plan
 
 	optimizer string
 	timeline  *dist.Timeline
@@ -35,10 +38,16 @@ type Base struct {
 	precEng   sched.Engine
 }
 
+// Plan is one captured layer of an Update: its index, the rank that owns
+// its inversion (layer % P, round-robin), and this step's captures.
+type Plan struct {
+	Layer, Owner int
+	A, G         *mat.Dense
+}
+
 // Init wires the skeleton over net's kernel layers. optimizer is the span
 // label; timeline may be nil; apply is the per-layer Precondition body and
-// update the per-layer Update pipeline (both nil for a backend that keeps
-// its own sequential loops).
+// update the per-layer Update pipeline.
 func (b *Base) Init(optimizer string, net *nn.Network, comm dist.Comm, timeline *dist.Timeline, apply func(layer int), update []sched.Stage) {
 	b.Layers, b.Comm = net.KernelLayers(), comm
 	b.optimizer, b.timeline = optimizer, timeline
@@ -46,8 +55,37 @@ func (b *Base) Init(optimizer string, net *nn.Network, comm dist.Comm, timeline 
 	b.apply[0] = sched.Stage{Name: "precondition", Fn: apply}
 }
 
+// Capture fills Plans from the kernel layers' latest captures, skipping a
+// layer with none.
+func (b *Base) Capture() {
+	p := b.Comm.Size()
+	b.Plans = b.Plans[:0]
+	for i, l := range b.Layers {
+		if a, g := l.Capture(); a != nil {
+			b.Plans = append(b.Plans, Plan{Layer: i, Owner: i % p, A: a, G: g})
+		}
+	}
+}
+
 // RunUpdate executes Stages over n per-layer plans.
 func (b *Base) RunUpdate(n int) { sched.Run(&b.updEng, n, b.Stages) }
+
+// Update implements opt.Preconditioner: Fig. 1's schedule, Stages, over
+// every captured layer.
+func (b *Base) Update() {
+	b.Capture()
+	b.RunUpdate(len(b.Plans))
+}
+
+// Broadcast sends m from pl's owner to every rank and returns what
+// arrived; the other ranks pass nil, whatever m they hold. Call it from a
+// comm stage.
+func (b *Base) Broadcast(pl *Plan, m *mat.Dense) *mat.Dense {
+	if b.Comm.ID() != pl.Owner {
+		m = nil
+	}
+	return b.Comm.BroadcastMat(pl.Owner, m)
+}
 
 // Precondition implements opt.Preconditioner for every backend whose
 // layers precondition independently (per-layer state, per-layer gradients,

@@ -203,6 +203,9 @@ func parityCases() []struct {
 		{"kfac", func(net *nn.Network, comm dist.Comm) precon {
 			return kfac.NewKFAC(net, 0.3, comm, nil)
 		}},
+		{"ekfac", func(net *nn.Network, comm dist.Comm) precon {
+			return kfac.NewEKFAC(net, 0.3, comm, nil)
+		}},
 		{"sngd", func(net *nn.Network, comm dist.Comm) precon {
 			return sngd.New(net, 0.3, comm, nil)
 		}},

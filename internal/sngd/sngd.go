@@ -32,7 +32,6 @@ type SNGD struct {
 
 	precond.Base
 	state []*sngdState
-	plans []sngdPlan // per-layer pipeline slots of the current Update
 }
 
 type sngdState struct {
@@ -42,19 +41,8 @@ type sngdState struct {
 
 	// Normalized local factor copies, reused across iterations (handed to
 	// the communicator, so owned here rather than pooled).
-	an, gn *mat.Dense
-}
-
-// sngdPlan is one layer's slot in the scheduled pipeline; the plan slice
-// is reused across updates.
-type sngdPlan struct {
-	layer, owner int
-	st           *sngdState
-	a, g         *mat.Dense // this step's captures
-	scale        float64
-
-	aParts, gParts []*mat.Dense
-	m              *mat.Dense // owner's result; nil off-owner
+	an, gn         *mat.Dense
+	aParts, gParts []*mat.Dense // this step's gathered blocks
 }
 
 // New builds an SNGD preconditioner over the network's kernel layers.
@@ -78,55 +66,38 @@ func New(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.Timeli
 // Name implements opt.Preconditioner.
 func (s *SNGD) Name() string { return "SNGD" }
 
-// Update implements opt.Preconditioner: gather per-worker factors, build
-// and invert the global kernel on the owning worker, broadcast.
-func (s *SNGD) Update() {
-	p := s.Comm.Size()
-	s.plans = s.plans[:0]
-	for i, l := range s.Layers {
-		a, g := l.Capture()
-		if a == nil {
-			continue
-		}
-		mGlob := a.Rows() * p
-		// Normalize so the kernel represents the mean Fisher: scaling both
-		// factors by mGlob^(-1/4) scales K by 1/mGlob and U by 1/√mGlob.
-		scale := math.Pow(float64(mGlob), -0.25)
-		s.plans = append(s.plans, sngdPlan{
-			layer: i, owner: i % p, st: s.state[i], a: a, g: g, scale: scale,
-		})
-	}
-	s.RunUpdate(len(s.plans))
-}
-
+// stageNormalize scales this step's captures so the kernel represents the
+// mean Fisher: both factors by mGlob^(-1/4) scales K by 1/mGlob and U by
+// 1/√mGlob.
 func (s *SNGD) stageNormalize(i int) {
-	pl := &s.plans[i]
-	st := pl.st
-	st.an = mat.EnsureDense(st.an, pl.a.Rows(), pl.a.Cols())
-	st.an.CopyFrom(pl.a)
-	st.an.Scale(pl.scale)
-	st.gn = mat.EnsureDense(st.gn, pl.g.Rows(), pl.g.Cols())
-	st.gn.CopyFrom(pl.g)
-	st.gn.Scale(pl.scale)
+	pl := &s.Plans[i]
+	st := s.state[pl.Layer]
+	scale := math.Pow(float64(pl.A.Rows()*s.Comm.Size()), -0.25)
+	st.an = mat.EnsureDense(st.an, pl.A.Rows(), pl.A.Cols())
+	st.an.CopyFrom(pl.A)
+	st.an.Scale(scale)
+	st.gn = mat.EnsureDense(st.gn, pl.G.Rows(), pl.G.Cols())
+	st.gn.CopyFrom(pl.G)
+	st.gn.Scale(scale)
 }
 
 // stageGather all-gathers the normalized factors (Fig. 1 step 2).
 func (s *SNGD) stageGather(i int) {
-	pl := &s.plans[i]
+	pl := &s.Plans[i]
+	st := s.state[pl.Layer]
 	t0 := time.Now()
-	pl.aParts = s.Comm.AllGatherMat(pl.st.an)
-	pl.gParts = s.Comm.AllGatherMat(pl.st.gn)
-	s.Record(dist.PhaseGather, pl.layer, t0)
+	st.aParts = s.Comm.AllGatherMat(st.an)
+	st.gParts = s.Comm.AllGatherMat(st.gn)
+	s.Record(dist.PhaseGather, pl.Layer, t0)
 }
 
 // stageInvert assembles the global factors and, on the owning worker,
-// inverts the global kernel.
+// inverts the global kernel into M.
 func (s *SNGD) stageInvert(i int) {
-	pl := &s.plans[i]
-	st := pl.st
-	st.Stack(pl.aParts, pl.gParts)
-	pl.m = nil
-	if s.Comm.ID() != pl.owner {
+	pl := &s.Plans[i]
+	st := s.state[pl.Layer]
+	st.Stack(st.aParts, st.gParts)
+	if s.Comm.ID() != pl.Owner {
 		return
 	}
 	t0 := time.Now()
@@ -134,18 +105,19 @@ func (s *SNGD) stageInvert(i int) {
 	k := mat.GetDense(mg, mg)
 	mat.KernelMatrixInto(k, st.As, st.Gs)
 	k.AddDiag(s.Damping)
-	pl.m = precond.InvertSPD(nil, k, 0, "sngd.kernel", numerics.RungIdentity, precond.Zero)
+	st.M = precond.InvertSPD(nil, k, 0, "sngd.kernel", numerics.RungIdentity, precond.Zero)
 	mat.PutDense(k)
-	s.Record(dist.PhaseInvert, pl.layer, t0)
+	s.Record(dist.PhaseInvert, pl.Layer, t0)
 }
 
-// stageBroadcast broadcasts the inverted kernel (Fig. 1 step 4) and
-// installs it.
+// stageBroadcast broadcasts the owner's inverted kernel (Fig. 1 step 4)
+// and installs it.
 func (s *SNGD) stageBroadcast(i int) {
-	pl := &s.plans[i]
+	pl := &s.Plans[i]
+	st := s.state[pl.Layer]
 	t0 := time.Now()
-	pl.st.M = s.Comm.BroadcastMat(pl.owner, pl.m)
-	s.Record(dist.PhaseBroadcast, pl.layer, t0)
+	st.M = s.Broadcast(pl, st.M)
+	s.Record(dist.PhaseBroadcast, pl.Layer, t0)
 }
 
 // stagePrecondition is one layer of Precondition: Eq. (7) applied through
