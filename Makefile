@@ -22,7 +22,7 @@ loc:
 
 # The line budget: loc, failing when the total exceeds LOC_MAX. A PR that
 # needs more lines raises the number in its own diff, where review sees it.
-LOC_MAX = 23706
+LOC_MAX = 23667
 locgate:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" && $$1 > max { over = $$1 } \
 		END { if (over) { printf "locgate: %d non-test lines exceed LOC_MAX = %d\n", over, max; exit 1 } }'
@@ -31,12 +31,14 @@ race:
 	$(GO) test -race ./internal/mat/ ./internal/dist/ ./internal/nn/ ./internal/train/ ./internal/core/ ./internal/sngd/ ./internal/kfac/ ./internal/kbfgs/ ./internal/precond/ ./internal/telemetry/ ./internal/sched/
 
 # Scheduler-focused race suite: the execution engine and token pool, the
-# local collectives its dispatcher calls, and the cross-optimizer parity
-# tests that prove every scheduler width gives the same bits.
+# local collectives Run's caller issues, the cross-optimizer parity tests
+# that prove every scheduler width gives the same bits, and hylo-serve jobs
+# holding every token of the scheduler's pool.
 racesched:
 	$(GO) test -race ./internal/sched/ -count=1
 	$(GO) test -race ./internal/dist/ -run 'TestLocalCommInPlace' -count=1
 	$(GO) test -race ./internal/train/ -run 'TestElasticRecoveryWithParallelScheduler' -count=1
+	$(GO) test -race ./internal/serve/runner/ -run 'TestSchedJobsHoldEveryToken' -count=1
 
 # End-to-end smoke of the hylo-serve daemon: boot the binary, submit a
 # 2-epoch job over HTTP, assert completion and a non-empty /metrics, then

@@ -48,9 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	exps, err := selectExperiments(*exp)
 	if err == nil {
-		err = obs.Start()
-	}
-	if err == nil {
 		_, err = cliutil.ParseKidSketch(*kidSketch)
 	}
 	if err == nil {
@@ -60,6 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "hylo-bench: %v\n", err)
 		return 2
 	}
+	obs.Start()
 
 	cfg := bench.RunConfig{Quick: *quick, Seed: *seed,
 		KidSketch: *kidSketch, KidOversample: *kidOversample}

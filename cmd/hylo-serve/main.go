@@ -9,10 +9,7 @@
 // process-wide scheduler pool (sched.Tokens()), the same pool the
 // layer-parallel preconditioner stages and parallel GEMM draw from — so N
 // concurrent jobs plus their nested parallelism can never oversubscribe
-// the machine. Above one stage worker (-sched-workers > 1) one token is
-// reserved as floating headroom so a pipeline stage can always make
-// progress while every job slot is occupied; at one worker a job's stages
-// run on the job's own token.
+// the machine.
 //
 // Shutdown: SIGINT/SIGTERM stops admission (new submissions get 503),
 // cancels running jobs — each checkpoints at its next epoch boundary and
@@ -54,7 +51,6 @@ func main() {
 		maxJobs       = flag.Int("max-jobs", 0, "max concurrently running jobs (0 = derive from token pool)")
 		maxQueued     = flag.Int("max-queued-per-tenant", 16, "admission quota: queued jobs per tenant")
 		maxActive     = flag.Int("max-active-per-tenant", 0, "fairness quota: running jobs per tenant (0 = unlimited)")
-		schedWorkers  = flag.Int("sched-workers", 1, "layer-parallel stage workers per training run (1 = one compute stage at a time, on the job's own token)")
 		shutdownGrace = flag.Duration("shutdown-grace", 2*time.Minute, "max time to wait for running jobs to checkpoint on shutdown")
 		retainDone    = flag.Int("retain-done", 0, "keep at most N finished jobs' artifacts (0 = keep all)")
 		retainBytes   = flag.Int64("retain-max-bytes", 0, "cap total artifact bytes; oldest finished jobs collected first (0 = unlimited)")
@@ -67,38 +63,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hylo-serve:", err)
 		os.Exit(2)
 	}
-	if err := cliutil.ValidateSchedWorkers(*schedWorkers); err != nil {
-		fmt.Fprintln(os.Stderr, "hylo-serve:", err)
-		os.Exit(2)
-	}
 	if err := cliutil.ValidateRetention(*retainDone, *retainBytes, *retainAge, *gcInterval); err != nil {
 		fmt.Fprintln(os.Stderr, "hylo-serve:", err)
 		os.Exit(2)
 	}
-	sched.SetWorkers(*schedWorkers)
 	telemetry.SetEnabled(true)
 
 	pool := sched.Tokens()
-	maxRunning := *maxJobs
-	if maxRunning <= 0 {
-		maxRunning = pool.Cap()
-	}
-	// Reserve one floating token above one stage worker: a running job's
-	// pipeline stages block on Acquire, so if jobs held every token none
-	// of them could ever run a stage — a deadlock. At sched-workers=1 the
-	// stages take no token (they run on the job's own) and need no
-	// reserve.
-	if sched.Workers() > 1 && maxRunning >= pool.Cap() {
-		maxRunning = pool.Cap() - 1
-	}
-	if maxRunning < 1 {
-		maxRunning = 1
-	}
-
 	r, err := runner.New(runner.Config{
 		Dir:        *dataDir,
 		Pool:       pool,
-		MaxRunning: maxRunning,
+		MaxRunning: *maxJobs,
 		Queue: queue.Config{
 			MaxQueuedPerTenant: *maxQueued,
 			MaxActivePerTenant: *maxActive,
@@ -124,7 +99,7 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Printf("hylo-serve: listening on %s (max %d concurrent jobs, %d tokens, %d stage workers)\n",
-		*addr, maxRunning, pool.Cap(), sched.Workers())
+		*addr, r.MaxRunning(), pool.Cap(), sched.Workers())
 
 	select {
 	case sig := <-sigs:

@@ -112,9 +112,9 @@ func bindFlags(fs *flag.FlagSet) *options {
 var processLocal = map[string]bool{
 	"listen": true, "join": true, "net-ranks": true, "net-fault": true,
 	"checkpoint-dir": true, "resume": true, "barrier-timeout": true,
-	"fault-inject": true, "sched-workers": true,
-	"profiling": true, "grad-norm": true, "csv": true, "trace": true, "metrics": true,
-	"events": true, "telemetry-summary": true, "numerics-report": true,
+	"fault-inject": true, "profiling": true, "grad-norm": true, "csv": true,
+	"trace": true, "metrics": true, "events": true, "telemetry-summary": true,
+	"numerics-report": true,
 }
 
 // configDigest fingerprints every flag of fs outside processLocal, by name
@@ -187,12 +187,8 @@ func (o *options) build() (train.Job, train.ElasticConfig, error) {
 func main() {
 	o := bindFlags(flag.CommandLine)
 	flag.Parse()
-	err := o.obs.Start()
-	var job train.Job
-	var ec train.ElasticConfig
-	if err == nil {
-		job, ec, err = o.build()
-	}
+	o.obs.Start()
+	job, ec, err := o.build()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hylo-train: %v\n", err)
 		os.Exit(2)

@@ -78,7 +78,7 @@ func TestConfigDigest(t *testing.T) {
 	}
 	local := []string{"-listen", ":7077", "-join", "a:1,b:2", "-net-ranks", "2",
 		"-net-fault", "drop:0.1", "-checkpoint-dir", "ck", "-resume", "-barrier-timeout", "5s",
-		"-fault-inject", "panic:1@4", "-sched-workers", "3", "-profiling", "-grad-norm",
+		"-fault-inject", "panic:1@4", "-profiling", "-grad-norm",
 		"-csv", "r.csv", "-trace", "t.json", "-metrics", "m.prom", "-events", "e.jsonl",
 		"-telemetry-summary", "-numerics-report"}
 	if _, fs := parse(t, local...); configDigest(fs) != base {

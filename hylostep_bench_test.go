@@ -69,7 +69,7 @@ func benchHyLoCNNStep(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkHyLoStep is the one-worker (-sched-workers=1) CNN step. Its
+// BenchmarkHyLoStep is the one-worker (sched.SetWorkers(1)) CNN step. Its
 // allocs/op is the acceptance metric for the zero-steady-state-allocation
 // hot path: after the pooled-workspace conversion the steady state should
 // allocate an order of magnitude less than the seed implementation.

@@ -18,7 +18,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/numerics"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
 
@@ -121,25 +119,15 @@ func ValidateRetention(retainDone int, maxBytes int64, maxAge, interval time.Dur
 	return nil
 }
 
-// ValidateSchedWorkers checks the layer-parallel scheduler worker count.
-func ValidateSchedWorkers(n int) error {
-	if n < 1 {
-		return fmt.Errorf("-sched-workers must be >= 1 (got %d)", n)
-	}
-	return nil
-}
-
 // Observability is the flag block hylo-train and hylo-bench share: the
-// telemetry exporters, the end-of-run reports and the layer-parallel
-// scheduler width.
+// telemetry exporters and the end-of-run reports.
 type Observability struct {
 	trace, metrics, events string
 	summary, numReport     bool
-	schedWorkers           int
 }
 
 // BindObservability registers -trace, -metrics, -events,
-// -telemetry-summary, -numerics-report and -sched-workers on fs.
+// -telemetry-summary and -numerics-report on fs.
 func BindObservability(fs *flag.FlagSet) *Observability {
 	o := &Observability{}
 	fs.StringVar(&o.trace, "trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)")
@@ -147,7 +135,6 @@ func BindObservability(fs *flag.FlagSet) *Observability {
 	fs.StringVar(&o.events, "events", "", "write the compact JSONL span/event log to this file")
 	fs.BoolVar(&o.summary, "telemetry-summary", false, "print the top phase-time table at exit")
 	fs.BoolVar(&o.numReport, "numerics-report", false, "print the numerical-health summary (condition estimates, damping retries, fallback rungs) at exit")
-	fs.IntVar(&o.schedWorkers, "sched-workers", runtime.GOMAXPROCS(0), "layer-parallel preconditioner workers (1 = one compute stage at a time; results are bit-identical at every width)")
 	return o
 }
 
@@ -155,17 +142,11 @@ func (o *Observability) exporting() bool {
 	return o.trace != "" || o.metrics != "" || o.events != "" || o.summary
 }
 
-// Start validates and applies -sched-workers and turns telemetry on when
-// any exporter or the summary was asked for.
-func (o *Observability) Start() error {
-	if err := ValidateSchedWorkers(o.schedWorkers); err != nil {
-		return err
-	}
-	sched.SetWorkers(o.schedWorkers)
+// Start turns telemetry on when any exporter or the summary was asked for.
+func (o *Observability) Start() {
 	if o.exporting() {
 		telemetry.SetEnabled(true)
 	}
-	return nil
 }
 
 // Finish writes the telemetry files and prints the requested summaries to w.

@@ -168,20 +168,6 @@ func TestValidateKidOversample(t *testing.T) {
 	}
 }
 
-func TestValidateSchedWorkers(t *testing.T) {
-	if err := ValidateSchedWorkers(1); err != nil {
-		t.Fatalf("1 worker rejected: %v", err)
-	}
-	if err := ValidateSchedWorkers(16); err != nil {
-		t.Fatalf("16 workers rejected: %v", err)
-	}
-	for _, n := range []int{0, -1} {
-		if err := ValidateSchedWorkers(n); err == nil {
-			t.Errorf("%d workers: expected error", n)
-		}
-	}
-}
-
 func TestParseDecayEpochs(t *testing.T) {
 	if d, err := ParseDecayEpochs(""); d != nil || err != nil {
 		t.Fatalf("empty spec = (%v, %v); want (nil, nil)", d, err)

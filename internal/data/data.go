@@ -69,14 +69,15 @@ func SynthImages(rng *mat.RNG, spec ClassSpec) *Dataset {
 		row := x.Row(i)
 		// Class-specific blob center on a ring.
 		ang := 2 * math.Pi * float64(k) / float64(spec.Classes)
-		cy := float64(spec.Shape.H)/2 + float64(spec.Shape.H)/4*math.Sin(ang)
-		cx := float64(spec.Shape.W)/2 + float64(spec.Shape.W)/4*math.Cos(ang)
+		h, w := float64(spec.Shape.H), float64(spec.Shape.W)
+		cy := float64(h/2) + float64(h/4*math.Sin(ang))
+		cx := float64(w/2) + float64(w/4*math.Cos(ang))
 		sigma := float64(spec.Shape.H) / 6
 		freq := 1 + float64(k%4)
 		phase := float64(k) * math.Pi / float64(spec.Classes)
 		// Small random jitter per sample.
 		jy, jx := rng.Norm()*1.0, rng.Norm()*1.0
-		amp := 0.8 + 0.4*rng.Float64()
+		amp := 0.8 + float64(0.4*rng.Float64())
 		for c := 0; c < spec.Shape.C; c++ {
 			chSign := 1.0
 			if c%2 == 1 {
@@ -86,9 +87,9 @@ func SynthImages(rng *mat.RNG, spec ClassSpec) *Dataset {
 				for xx := 0; xx < spec.Shape.W; xx++ {
 					dy := float64(yy) - cy - jy
 					dx := float64(xx) - cx - jx
-					blob := amp * math.Exp(-(dy*dy+dx*dx)/(2*sigma*sigma))
-					grate := 0.3 * math.Sin(2*math.Pi*freq*float64(xx)/float64(spec.Shape.W)+phase+float64(c))
-					v := chSign*blob + grate + spec.Noise*rng.Norm()
+					blob := amp * math.Exp(-(float64(dy*dy)+float64(dx*dx))/(2*sigma*sigma))
+					grate := float64(0.3 * math.Sin(2*math.Pi*freq*float64(xx)/float64(spec.Shape.W)+phase+float64(c)))
+					v := float64(chSign*blob) + grate + float64(spec.Noise*rng.Norm())
 					row[c*hw+yy*spec.Shape.W+xx] = v
 				}
 			}
@@ -109,7 +110,7 @@ func SynthVectors(rng *mat.RNG, classes, perClass, dim int, noise float64) *Data
 	for k := 0; k < classes; k++ {
 		r := centers.Row(k)
 		nrm := mat.Norm2(r)
-		scale := (1 + 0.5*float64(k)) / nrm
+		scale := (1 + float64(0.5*float64(k))) / nrm
 		for j := range r {
 			r[j] *= scale
 		}
@@ -120,7 +121,7 @@ func SynthVectors(rng *mat.RNG, classes, perClass, dim int, noise float64) *Data
 		row := x.Row(i)
 		copy(row, centers.Row(k))
 		for j := range row {
-			row[j] += noise * rng.Norm()
+			row[j] += float64(noise * rng.Norm())
 		}
 	}
 	return &Dataset{X: x, Labels: labels, Shape: nn.Vec(dim), Classes: classes}
@@ -146,22 +147,22 @@ func SynthSegmentation(rng *mat.RNG, spec SegSpec) *Dataset {
 		mrow := masks.Row(i)
 		// Background texture.
 		for j := range row {
-			row[j] = 0.2*rng.Norm()*spec.Noise + 0.1
+			row[j] = float64(0.2*rng.Norm()*spec.Noise) + 0.1
 		}
 		nles := rng.Intn(3) // 0, 1, or 2 lesions
 		for l := 0; l < nles; l++ {
-			cy := 4 + rng.Float64()*float64(h-8)
-			cx := 4 + rng.Float64()*float64(w-8)
+			cy := 4 + float64(rng.Float64()*float64(h-8))
+			cx := 4 + float64(rng.Float64()*float64(w-8))
 			ry := 2 + rng.Float64()*float64(h)/6
 			rx := 2 + rng.Float64()*float64(w)/6
 			for yy := 0; yy < h; yy++ {
 				for xx := 0; xx < w; xx++ {
 					dy := (float64(yy) - cy) / ry
 					dx := (float64(xx) - cx) / rx
-					if dy*dy+dx*dx <= 1 {
+					if float64(dy*dy)+float64(dx*dx) <= 1 {
 						mrow[yy*w+xx] = 1
 						for c := 0; c < spec.Shape.C; c++ {
-							row[c*h*w+yy*w+xx] += 0.9 + 0.2*rng.Float64()
+							row[c*h*w+yy*w+xx] += 0.9 + float64(0.2*rng.Float64())
 						}
 					}
 				}

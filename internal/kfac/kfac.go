@@ -264,7 +264,7 @@ func (e *EKFAC) Name() string { return "EKFAC" }
 
 // stageEig folds the reduced factors into the running averages, which
 // every rank keeps, and eigendecomposes them on the layer's owner (the
-// expensive step EKFAC adds over KFAC).
+// expensive step EKFAC adds over KFAC), into the eigenbases it keeps.
 func (e *EKFAC) stageEig(i int) {
 	pl := &e.Plans[i]
 	st := e.state[pl.Layer]
@@ -273,8 +273,8 @@ func (e *EKFAC) stageEig(i int) {
 		return
 	}
 	t0 := time.Now()
-	_, st.qa = mat.SymEig(st.aFactor)
-	_, st.qg = mat.SymEig(st.gFactor)
+	st.qa = mat.SymEigInto(st.qa, nil, st.aFactor)
+	st.qg = mat.SymEigInto(st.qg, nil, st.gFactor)
 	e.Record(dist.PhaseInvert, pl.Layer, t0)
 }
 

@@ -176,6 +176,35 @@ func TestKFACWarmStepAllocatesNoFactor(t *testing.T) {
 	}
 }
 
+// A warmed EKFAC Update+Precondition on one rank allocates no eigenbasis:
+// the owner decomposes into the bases it keeps, on pooled workspace.
+func TestEKFACWarmStepAllocatesNoEigenbasis(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers")
+	}
+	const m, in, out = 16, 24, 20
+	net := capturedLinearNet(6, m, in, out)
+	e := NewEKFAC(net, 0.1, dist.Local(), nil)
+	step := func() { e.Update(); e.Precondition() }
+	step()
+	qa := e.state[0].qa
+	step()
+	if e.state[0].qa != qa {
+		t.Fatal("the owner's eigenbasis is not kept")
+	}
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for r := 0; r < 5; r++ {
+		runtime.ReadMemStats(&before)
+		step()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= out*out*8 {
+		t.Fatalf("a warmed step allocates %d bytes, a %d×%d eigenbasis is %d", least, out, out, out*out*8)
+	}
+}
+
 func TestKFACStateBytes(t *testing.T) {
 	net := capturedLinearNet(5, 8, 4, 3)
 	k := NewKFAC(net, 0.1, dist.Local(), nil)

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -12,33 +13,52 @@ import (
 // The implementation is the classic dense path: Householder reduction to
 // tridiagonal form followed by the implicit-shift QL iteration.
 func SymEig(a *Dense) ([]float64, *Dense) {
+	vals := make([]float64, a.rows)
+	return vals, SymEigInto(nil, vals, a)
+}
+
+// SymEigInto is SymEig writing the eigenvectors into vecs, with
+// EnsureDense semantics (it returns the matrix written), and the
+// eigenvalues into vals unless vals is nil. Its workspace comes from the
+// pool, so a caller that keeps vecs decomposes without allocating.
+func SymEigInto(vecs *Dense, vals []float64, a *Dense) *Dense {
 	if a.rows != a.cols {
 		panic("mat: SymEig needs a square matrix")
 	}
 	n := a.rows
+	vecs = EnsureDense(vecs, n, n)
 	if n == 0 {
-		return nil, NewDense(0, 0)
+		return vecs
 	}
-	v := a.Clone() // destroyed and replaced by eigenvectors
-	d := make([]float64, n)
-	e := make([]float64, n)
+	v := getDenseRaw(n, n) // destroyed and replaced by eigenvectors
+	v.CopyFrom(a)
+	d, e := GetFloats(n), GetFloats(n)
 	tred2(v, d, e)
 	tqli(d, e, v)
 	// Sort ascending, permuting eigenvector columns to match.
-	idx := make([]int, n)
+	idx := getInts(n)
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(i, j int) bool { return d[idx[i]] < d[idx[j]] })
-	vals := make([]float64, n)
-	vecs := NewDense(n, n)
+	slices.SortFunc(idx, func(i, j int) int {
+		if d[i] < d[j] {
+			return -1
+		}
+		return 0
+	})
 	for newCol, oldCol := range idx {
-		vals[newCol] = d[oldCol]
+		if vals != nil {
+			vals[newCol] = d[oldCol]
+		}
 		for r := 0; r < n; r++ {
 			vecs.Set(r, newCol, v.At(r, oldCol))
 		}
 	}
-	return vals, vecs
+	putInts(idx)
+	PutFloats(d)
+	PutFloats(e)
+	PutDense(v)
+	return vecs
 }
 
 // SymEigValues returns only the eigenvalues of a symmetric matrix, in

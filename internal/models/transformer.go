@@ -113,7 +113,7 @@ func (t *meanTokens) Forward(x *mat.Dense, _ bool) *mat.Dense {
 		src, dst := x.Row(i), out.Row(i)
 		for tok := 0; tok < t.l; tok++ {
 			for j := 0; j < t.d; j++ {
-				dst[j] += src[tok*t.d+j] * inv
+				dst[j] += float64(src[tok*t.d+j] * inv)
 			}
 		}
 	}

@@ -68,9 +68,9 @@ func (s *SGD) Step() {
 	for i, p := range s.Params {
 		w, g, v := p.W.Data(), p.Grad.Data(), s.vel[i].v
 		for j := range w {
-			gj := g[j] + s.WeightDecay*w[j]
-			v[j] = s.Momentum*v[j] + gj
-			w[j] -= s.lr * v[j]
+			gj := g[j] + float64(s.WeightDecay*w[j])
+			v[j] = float64(s.Momentum*v[j]) + gj
+			w[j] -= float64(s.lr * v[j])
 		}
 	}
 }
@@ -123,9 +123,9 @@ func (a *Adam) Step() {
 	for i, p := range a.Params {
 		w, g, m, v := p.W.Data(), p.Grad.Data(), a.m[i], a.v[i]
 		for j := range w {
-			gj := g[j] + a.WeightDecay*w[j]
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*gj
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*gj*gj
+			gj := g[j] + float64(a.WeightDecay*w[j])
+			m[j] = float64(a.Beta1*m[j]) + float64((1-a.Beta1)*gj)
+			v[j] = float64(a.Beta2*v[j]) + float64((1-a.Beta2)*gj*gj)
 			mh := m[j] / c1
 			vh := v[j] / c2
 			w[j] -= a.lr * mh / (math.Sqrt(vh) + a.Eps)
@@ -189,7 +189,7 @@ func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
 	var sq float64
 	for _, p := range params {
 		n := p.Grad.FrobNorm()
-		sq += n * n
+		sq += float64(n * n)
 	}
 	total := math.Sqrt(sq)
 	if maxNorm <= 0 || total <= maxNorm || total == 0 {

@@ -2,7 +2,7 @@ package sched_test
 
 // Parity suite for the layer-parallel scheduler: every optimizer's Update +
 // Precondition must produce BIT-IDENTICAL gradients whether the pipeline
-// runs one compute stage at a time (-sched-workers=1) or four at once —
+// runs one compute stage at a time (sched.SetWorkers(1)) or four at once —
 // for single-process and simulated-cluster runs, and with
 // chaos fault injection on the collectives. The external test package
 // avoids an import cycle (the optimizers themselves import sched).

@@ -1,10 +1,10 @@
 // Package sched is the execution scheduler for layer-parallel
 // preconditioning: it pipelines the per-layer stages of a second-order
 // update (local factorization → gather → solve → broadcast) across a
-// bounded worker pool and overlaps communication with computation. There
-// is one execution path for every worker count and layer count: compute
-// goroutines plus one dispatcher goroutine that issues every collective as
-// a blocking call.
+// bounded set of workers and overlaps communication with computation.
+// There is one execution path for every worker count and layer count: the
+// caller of Run issues every collective itself, as a blocking call, while
+// up to Workers() workers take the compute cells as they become ready.
 //
 // # Determinism
 //
@@ -14,7 +14,7 @@
 //     shared RNG either runs before the pipeline (KIS sampling) or is
 //     declared Ordered, which serializes that stage in ascending layer
 //     order (randomized KID sketches).
-//  2. All collectives are issued by ONE dispatcher goroutine in a fixed
+//  2. All collectives are issued by one goroutine, Run's caller, in a fixed
 //     canonical order — stage-major: for each comm stage in pipeline
 //     order, layers ascending. Every rank issues the identical sequence,
 //     so barrier sequences match, the sequence validator stays green, and
@@ -27,13 +27,12 @@
 // # Token pool
 //
 // One process-wide TokenPool (capacity max(workers, GOMAXPROCS)) is shared
-// between stage execution and mat.Parallel via mat.Limiter: above one
-// worker every running compute stage holds a token, and a parallel loop
-// inside a stage may only add workers by borrowing spare tokens
-// non-blockingly. Nested parallelism therefore never exceeds the pool
-// capacity (TestTokenBudget). At one worker a stage runs on its caller's
-// budget and takes no token, so a caller holding a token (a hylo-serve
-// job) cannot starve its own pipeline.
+// by Run and mat.Parallel (via mat.Limiter), under one rule: a parallel
+// region's first worker runs on its caller's budget, and every other
+// worker runs only while it holds a token from a non-blocking TryAcquire.
+// No stage ever blocks on the pool, so a caller holding a token of its own
+// (a hylo-serve job) cannot starve its pipeline, and nested parallelism
+// never holds more tokens than the pool has (TestTokenBudget).
 package sched
 
 import (
@@ -54,10 +53,10 @@ var (
 func init() { SetWorkers(runtime.GOMAXPROCS(0)) }
 
 // SetWorkers sets the scheduler's per-optimizer stage parallelism: at most
-// n compute stages run at once (n = 1: one at a time, still overlapped
-// with the dispatcher's collectives). It also rebuilds the process-wide
-// token pool (capacity max(n, GOMAXPROCS)) and installs it as mat's
-// parallel-kernel limiter.
+// n compute cells of one Run execute at once (n = 1: one at a time, still
+// overlapped with the caller's collectives). It also rebuilds the
+// process-wide token pool (capacity max(n, GOMAXPROCS)) and installs it as
+// mat's parallel-kernel limiter.
 // Call between updates, not concurrently with a running pipeline.
 func SetWorkers(n int) {
 	if n < 1 {
@@ -85,8 +84,8 @@ type Stage struct {
 	// Name labels the stage in diagnostics.
 	Name string
 	// Comm marks a communication stage: its Fn issues blocking collectives
-	// and returns once they complete. Comm stages are executed by the
-	// single dispatcher goroutine in canonical stage-major order.
+	// and returns once they complete. Run's caller executes every comm
+	// stage itself, in canonical stage-major order.
 	Comm bool
 	// Ordered serializes a compute stage in ascending layer order (layer
 	// i's Fn runs only after layer i−1's). Required for stages that
@@ -96,185 +95,184 @@ type Stage struct {
 	Fn func(layer int)
 }
 
-// Engine runs stage pipelines. Each optimizer owns one Engine so its done
-// matrix and worker slots are reused across updates (steady-state
-// allocation stays bounded). An Engine must not be copied after first use.
+// The states of a (stage, layer) cell.
+const (
+	cellPending uint8 = iota
+	cellRunning
+	cellDone
+)
+
+// Engine runs stage pipelines. Each optimizer owns one Engine so its cell
+// matrix is reused across updates (a warmed Run allocates only its worker
+// goroutines). An Engine must not be copied after first use.
 type Engine struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	done   [][]bool
+	cond   sync.Cond
+	stages []Stage // the running graph
+	n      int
+	state  []uint8 // cell (s, i) at s*n + i
+	left   int     // compute cells not yet taken
+	live   int     // worker goroutines not yet returned
+	tokens *TokenPool
+	busy   time.Duration
 	abort  bool
 	failed any
-
-	slots  chan struct{}
-	slotsW int
 }
 
-// Run executes the pipeline over n layers: one goroutine per layer walks
-// its compute stages, at most Workers() of them running at once, while one
-// dispatcher goroutine runs every comm stage in canonical stage-major
-// order, so layer i+1's gather is on the wire while layer i solves. With
-// one worker a compute stage takes no pool token: the caller is parked in
-// Run, and its budget covers the one stage running. A panic in any stage
-// is re-raised on the caller, preserving the worker-death semantics
-// train.Drive relies on.
+// Run executes the pipeline over n layers. The caller issues every comm
+// cell itself in canonical stage-major order, so layer i+1's gather is on
+// the wire while layer i solves; min(Workers(), n) workers take the ready
+// compute cells, earliest stage first. Worker 0 is the caller itself when
+// the graph has no comm stage, one goroutine otherwise. A panic in any
+// stage is recorded once and re-raised on the caller after every worker
+// has returned, preserving the worker-death semantics train.Drive relies
+// on.
 func Run(e *Engine, n int, stages []Stage) {
 	if n <= 0 || len(stages) == 0 {
 		return
 	}
-	w := Workers()
-	if e.cond == nil {
-		e.cond = sync.NewCond(&e.mu)
+	comm := false
+	e.left = 0
+	for s := range stages {
+		if stages[s].Comm {
+			comm = true
+		} else {
+			e.left += n
+		}
 	}
-	e.resize(len(stages), n)
-	e.abort = false
-	e.failed = nil
-	if e.slotsW != w {
-		e.slots = make(chan struct{}, w)
-		e.slotsW = w
-	}
-	abortCh := make(chan struct{})
-	tokens := Tokens()
-	if w == 1 {
-		tokens = nil
-	}
+	e.state = append(e.state[:0], make([]uint8, len(stages)*n)...) // all pending
+	e.cond.L = &e.mu
+	e.stages, e.n, e.tokens = stages, n, Tokens()
+	e.busy, e.abort, e.failed = 0, false, nil
 
-	var busy atomic.Int64
 	t0 := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(n + 1)
-
-	// One goroutine per layer walks that layer's compute stages in order;
-	// cross-layer and comm dependencies are expressed through the done
-	// matrix. Concurrency is bounded by the worker slots (stage fan-out)
-	// and the global token pool (machine-wide compute budget).
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			for s := range stages {
-				st := &stages[s]
-				if st.Comm {
-					continue
-				}
-				if s > 0 && !e.waitDone(s-1, i) {
-					return
-				}
-				if st.Ordered && i > 0 && !e.waitDone(s, i-1) {
-					return
-				}
-				select {
-				case e.slots <- struct{}{}:
-				case <-abortCh:
-					return
-				}
-				if tokens != nil && !tokens.Acquire(abortCh) {
-					<-e.slots
-					return
-				}
-				t := time.Now()
-				ok := e.runHook(st.Fn, i, abortCh)
-				busy.Add(int64(time.Since(t)))
-				if tokens != nil {
-					tokens.Release(1)
-				}
-				<-e.slots
-				if !ok {
-					return
-				}
-				e.markDone(s, i)
-			}
-		}(i)
-	}
-
-	// The comm dispatcher: the only goroutine issuing collectives, in the
-	// canonical stage-major order. It blocks in each collective while the
-	// compute goroutines carry on — the comm/compute overlap this package
-	// exists for.
-	go func() {
-		defer wg.Done()
-		for s := range stages {
-			st := &stages[s]
-			if !st.Comm {
-				continue
-			}
-			for i := 0; i < n; i++ {
-				if s > 0 && !e.waitDone(s-1, i) {
-					return
-				}
-				t := time.Now()
-				if !e.runHook(st.Fn, i, abortCh) {
-					return
-				}
-				busy.Add(int64(time.Since(t)))
-				e.markDone(s, i)
-			}
+	if e.left > 0 {
+		helpers := min(Workers(), n) - 1
+		e.live = helpers
+		for range helpers {
+			go e.worker(true)
 		}
-	}()
-
-	wg.Wait()
-	if telemetry.Enabled() {
-		if over := busy.Load() - int64(time.Since(t0)); over > 0 {
-			telemetry.IncCounter(telemetry.MetricSchedOverlap, over)
+		if comm {
+			e.live++
+			go e.worker(false)
 		}
 	}
-	if e.failed != nil {
-		panic(e.failed)
-	}
-}
-
-func (e *Engine) resize(stages, n int) {
-	if len(e.done) != stages || (stages > 0 && len(e.done[0]) != n) {
-		e.done = make([][]bool, stages)
-		for s := range e.done {
-			e.done[s] = make([]bool, n)
-		}
-		return
-	}
-	for s := range e.done {
-		row := e.done[s]
-		for i := range row {
-			row[i] = false
-		}
-	}
-}
-
-func (e *Engine) markDone(s, i int) {
 	e.mu.Lock()
-	e.done[s][i] = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
-}
-
-func (e *Engine) waitDone(s, i int) bool {
-	e.mu.Lock()
-	for !e.done[s][i] && !e.abort {
+	if comm {
+		e.dispatch()
+	} else {
+		e.work(false)
+	}
+	for e.live > 0 {
 		e.cond.Wait()
 	}
-	ok := !e.abort
+	e.stages, e.tokens = nil, nil
+	busy, failed := e.busy, e.failed
 	e.mu.Unlock()
-	return ok
+
+	if telemetry.Enabled() {
+		if over := busy - time.Since(t0); over > 0 {
+			telemetry.IncCounter(telemetry.MetricSchedOverlap, int64(over))
+		}
+	}
+	if failed != nil {
+		panic(failed)
+	}
 }
 
-// fail records the first failure and wakes every waiter; later failures
-// (cascading aborts) are dropped.
-func (e *Engine) fail(r any, abortCh chan struct{}) {
+// worker is one worker goroutine of a Run.
+func (e *Engine) worker(helper bool) {
 	e.mu.Lock()
-	if !e.abort {
-		e.abort = true
-		e.failed = r
-		close(abortCh)
-	}
+	e.work(helper)
+	e.live--
 	e.cond.Broadcast()
 	e.mu.Unlock()
 }
 
-func (e *Engine) runHook(fn func(int), i int, abortCh chan struct{}) (ok bool) {
+// work takes ready compute cells until none is left or the graph fails. A
+// helper runs each cell on a token it borrows without blocking and, denied
+// one, waits for the next finished cell; worker 0 runs on its caller's
+// budget. Called and returns with e.mu held.
+func (e *Engine) work(helper bool) {
+	for e.left > 0 && !e.abort {
+		c := e.ready()
+		if c < 0 || helper && e.tokens.TryAcquire(1) == 0 {
+			e.cond.Wait()
+			continue
+		}
+		e.state[c] = cellRunning
+		e.left--
+		e.run(c)
+		if helper {
+			e.tokens.Release(1)
+		}
+	}
+}
+
+// dispatch issues every comm cell, stage-major and layers ascending, each
+// once its layer's previous stage is done. Called and returns with e.mu
+// held.
+func (e *Engine) dispatch() {
+	n := e.n
+	for s := range e.stages {
+		if !e.stages[s].Comm {
+			continue
+		}
+		for c := s * n; c < (s+1)*n; c++ {
+			for s > 0 && e.state[c-n] != cellDone && !e.abort {
+				e.cond.Wait()
+			}
+			if e.abort {
+				return
+			}
+			e.run(c)
+		}
+	}
+}
+
+// ready returns the first ready compute cell, earliest stage first, or −1:
+// a pending cell whose layer has finished the previous stage and, in an
+// Ordered stage, whose previous layer has finished this one.
+func (e *Engine) ready() int {
+	n := e.n
+	for s := range e.stages {
+		if e.stages[s].Comm {
+			continue
+		}
+		ordered := e.stages[s].Ordered
+		for c := s * n; c < (s+1)*n; c++ {
+			if e.state[c] == cellPending && (s == 0 || e.state[c-n] == cellDone) &&
+				(!ordered || c == s*n || e.state[c-1] == cellDone) {
+				return c
+			}
+		}
+	}
+	return -1
+}
+
+// run executes cell c with e.mu released and records the outcome under it:
+// the cell done, or the graph's first failure, which stops every worker.
+func (e *Engine) run(c int) {
+	e.mu.Unlock()
+	t := time.Now()
+	failure, ok := e.call(c)
+	d := time.Since(t)
+	e.mu.Lock()
+	e.busy += d
+	if ok {
+		e.state[c] = cellDone
+	} else if !e.abort {
+		e.abort, e.failed = true, failure
+	}
+	e.cond.Broadcast()
+}
+
+func (e *Engine) call(c int) (failure any, ok bool) {
 	defer func() {
-		if r := recover(); r != nil {
-			e.fail(r, abortCh)
-			ok = false
+		if !ok {
+			failure = recover()
 		}
 	}()
-	fn(i)
-	return true
+	e.stages[c/e.n].Fn(c % e.n)
+	return nil, true
 }

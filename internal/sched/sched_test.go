@@ -26,7 +26,7 @@ func withWorkers(t *testing.T, n, procs int, fn func()) {
 }
 
 // trace records stage executions; safe for concurrent append because every
-// recording site is serialized by design (comm dispatcher, Ordered stage) or
+// recording site is serialized by design (Run's caller, Ordered stage) or
 // guarded by its own mutex.
 type trace struct {
 	mu sync.Mutex
@@ -73,7 +73,7 @@ func checkCanonical(t *testing.T, n int, comm *trace, perLayer []*trace) {
 	}
 }
 
-// TestRunCanonicalCommOrder: at one worker and at four the dispatcher must
+// TestRunCanonicalCommOrder: at one worker and at four Run's caller must
 // issue collectives in the same stage-major canonical order (all gathers in
 // layer order, then all broadcasts) with per-layer compute stages in
 // pipeline order.
@@ -206,7 +206,7 @@ func TestRunPanicPropagates(t *testing.T) {
 	}
 }
 
-// TestRunCommPanicAborts: a panic raised in a collective (the dispatcher)
+// TestRunCommPanicAborts: a panic raised in a collective (on Run's caller)
 // must abort compute workers blocked on later stages instead of
 // deadlocking.
 func TestRunCommPanicAborts(t *testing.T) {
@@ -278,4 +278,69 @@ func TestTokenBudget(t *testing.T) {
 			t.Fatalf("tokens leaked: %d in use after pipeline", p.InUse())
 		}
 	})
+}
+
+// TestRunWithEveryTokenHeld: with every pool token held elsewhere, a Run at
+// four workers must still finish — worker 0 runs on the caller's budget,
+// and no stage waits for a token.
+func TestRunWithEveryTokenHeld(t *testing.T) {
+	withWorkers(t, 4, 4, func() {
+		p := Tokens()
+		held := p.TryAcquire(p.Cap())
+		defer p.Release(held)
+		if held != p.Cap() {
+			t.Fatalf("held %d of %d tokens", held, p.Cap())
+		}
+		var comm trace
+		perLayer := make([]*trace, 6)
+		for i := range perLayer {
+			perLayer[i] = &trace{}
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			var e Engine
+			Run(&e, len(perLayer), pipelineStages(&comm, perLayer))
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Run was still blocked after 10s with every token held")
+		}
+		checkCanonical(t, len(perLayer), &comm, perLayer)
+	})
+}
+
+// TestRunAllocs pins what a warmed Run allocates: nothing for a
+// compute-only graph at one worker, and one goroutine per worker it starts
+// otherwise — worker 0 when the caller is in the collectives, plus the
+// helpers.
+func TestRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on goroutine starts")
+	}
+	nop := func(int) {}
+	compute := []Stage{{Name: "a", Fn: nop}, {Name: "b", Ordered: true, Fn: nop}}
+	withComm := []Stage{{Name: "a", Fn: nop}, {Name: "c", Comm: true, Fn: nop}, {Name: "b", Fn: nop}}
+	for _, tc := range []struct {
+		name       string
+		workers, n int
+		stages     []Stage
+		want       float64
+	}{
+		{"compute/w1/n8", 1, 8, compute, 0},
+		{"comm/w1/n1", 1, 1, withComm, 1},
+		{"comm/w1/n8", 1, 8, withComm, 1},
+		{"comm/w2/n8", 2, 8, withComm, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			withWorkers(t, tc.workers, 2, func() {
+				var e Engine
+				got := testing.AllocsPerRun(100, func() { Run(&e, tc.n, tc.stages) })
+				if got > tc.want {
+					t.Fatalf("a warmed Run allocates %v, want ≤ %v", got, tc.want)
+				}
+			})
+		})
+	}
 }

@@ -8,10 +8,10 @@ import (
 
 // TokenPool is the process-wide counting semaphore that bounds compute
 // parallelism across BOTH the scheduler's stage workers and mat's parallel
-// kernels: each running stage holds one token, and a GEMM nested under a
-// stage may only add workers by acquiring extra tokens non-blockingly. The
-// invariant — tokens in use never exceed the pool capacity — is what keeps
-// nested parallelism from oversubscribing cores; see TestTokenBudget.
+// kernels: each runs its first worker on its caller's budget and adds
+// workers only by acquiring tokens non-blockingly. The invariant — tokens
+// in use never exceed the pool capacity — is what keeps nested parallelism
+// from oversubscribing cores; see TestTokenBudget.
 //
 // TokenPool implements mat.Limiter.
 type TokenPool struct {
@@ -50,14 +50,9 @@ func (p *TokenPool) note(delta int) {
 	}
 }
 
-// Acquire blocks until one token is available. cancel, when non-nil, aborts
-// the wait; Acquire reports whether the token was obtained.
+// Acquire blocks until one token is available or cancel is closed, and
+// reports whether the token was obtained.
 func (p *TokenPool) Acquire(cancel <-chan struct{}) bool {
-	if cancel == nil {
-		p.sem <- struct{}{}
-		p.note(1)
-		return true
-	}
 	select {
 	case p.sem <- struct{}{}:
 		p.note(1)

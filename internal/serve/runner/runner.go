@@ -8,12 +8,9 @@
 // mat.Parallel loops below it borrow additional tokens from the same pool,
 // and therefore concurrent jobs plus their nested parallelism can never
 // oversubscribe the process-wide core budget — the serve-level extension
-// of the invariant TestTokenBudget proves for a single run. Above one
-// stage worker (sched.Workers() > 1), callers must leave at least one
-// token of headroom (MaxRunning < pool capacity) so a pipeline stage can
-// always eventually acquire a token while every job slot is occupied;
-// cmd/hylo-serve does this automatically. At one worker the stages run on
-// the job's own token (TestSchedTokensAtOneWorker).
+// of the invariant TestTokenBudget proves for a single run. A job's
+// pipeline runs on the job's own token and only borrows more without
+// blocking, so jobs may hold every token (TestSchedJobsHoldEveryToken).
 //
 // Cancellation is context-driven end to end: cancelling a job closes its
 // context, train.Drive observes it at the next epoch boundary,

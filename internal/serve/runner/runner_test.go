@@ -346,41 +346,49 @@ func TestTokenPoolHammer(t *testing.T) {
 	}
 }
 
-// TestSchedTokensAtOneWorker runs a real HyLo job on the scheduler's own
-// pool at one stage worker and one core, with every token a job slot: the
-// job holds the pool's only token, so its preconditioner pipeline must run
-// on that budget rather than wait for a second token.
-func TestSchedTokensAtOneWorker(t *testing.T) {
-	oldProcs := runtime.GOMAXPROCS(1)
-	oldWorkers := sched.Workers()
-	sched.SetWorkers(1)
-	defer func() {
-		runtime.GOMAXPROCS(oldProcs)
-		sched.SetWorkers(oldWorkers)
-	}()
-	pool := sched.Tokens()
-	r, err := New(Config{Dir: t.TempDir(), Pool: pool, MaxRunning: pool.Cap()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		r.Shutdown(ctx)
-	}()
-	s := api.JobSpec{
-		Kind: api.KindTrain, Model: "mlp", Optimizer: "hylo",
-		Epochs: 2, Batch: 8, Classes: 2, Samples: 16, Seed: 1,
-	}
-	s.Normalize()
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	j, err := r.Submit(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := waitTerminal(t, j); st != api.StateDone {
-		t.Fatalf("state = %s (err %q), want done", st, j.View().Error)
+// TestSchedJobsHoldEveryToken runs pool.Cap() real HyLo jobs at once on
+// the scheduler's own pool, at one stage worker on one core and at two on
+// two: the jobs hold every token, so each job's preconditioner pipeline
+// must run on its job's token rather than wait for another.
+func TestSchedJobsHoldEveryToken(t *testing.T) {
+	for _, w := range []struct{ procs, workers int }{{1, 1}, {2, 2}} {
+		t.Run(fmt.Sprintf("procs=%d/workers=%d", w.procs, w.workers), func(t *testing.T) {
+			oldProcs := runtime.GOMAXPROCS(w.procs)
+			oldWorkers := sched.Workers()
+			sched.SetWorkers(w.workers)
+			defer func() {
+				runtime.GOMAXPROCS(oldProcs)
+				sched.SetWorkers(oldWorkers)
+			}()
+			pool := sched.Tokens()
+			r, err := New(Config{Dir: t.TempDir(), Pool: pool, MaxRunning: pool.Cap()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				r.Shutdown(ctx)
+			}()
+			s := api.JobSpec{
+				Kind: api.KindTrain, Model: "mlp", Optimizer: "hylo",
+				Epochs: 2, Batch: 8, Classes: 2, Samples: 16, Seed: 1,
+			}
+			s.Normalize()
+			if err := s.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			jobs := make([]*Job, pool.Cap())
+			for i := range jobs {
+				if jobs[i], err = r.Submit(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, j := range jobs {
+				if st := waitTerminal(t, j); st != api.StateDone {
+					t.Fatalf("job %d state = %s (err %q), want done", i, st, j.View().Error)
+				}
+			}
+		})
 	}
 }

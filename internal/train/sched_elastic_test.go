@@ -10,7 +10,7 @@ import (
 
 // Chaos must compose with the layer-parallel scheduler: an injected worker
 // death mid-training, recovered by RunElastic, must reproduce the history
-// of an uninterrupted one-worker (-sched-workers=1) run exactly — four
+// of an uninterrupted one-worker (sched.SetWorkers(1)) run exactly — four
 // stage workers give the same bits as one even across a
 // checkpoint-restore cycle.
 func TestElasticRecoveryWithParallelScheduler(t *testing.T) {

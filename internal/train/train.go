@@ -196,7 +196,7 @@ func Evaluate(net *nn.Network, testSet *data.Dataset, task Task) float64 {
 		}
 		x, tgt := testSet.Batch(idx)
 		out := net.Forward(x, false)
-		sum += task.Eval(out, tgt) * float64(hi-lo)
+		sum += float64(task.Eval(out, tgt) * float64(hi-lo))
 		cnt += hi - lo
 	}
 	if cnt == 0 {

@@ -553,7 +553,7 @@ func applyKLClip(params []*nn.Param, raw []*mat.Dense, lr float64) {
 	for i, prm := range params {
 		pg, rg := prm.Grad.Data(), raw[i].Data()
 		for j := range pg {
-			dot += pg[j] * rg[j]
+			dot += float64(pg[j] * rg[j])
 		}
 	}
 	vFOV := lr * lr * dot
