@@ -3,7 +3,7 @@
 //
 //	hylo-ckpt list <dir>     # snapshots, newest last
 //	hylo-ckpt verify <dir>   # validate every snapshot's checksum
-//	hylo-ckpt show <file>    # header + section inventory of one snapshot
+//	hylo-ckpt show <file>    # header + every bundle's sections and sizes
 package main
 
 import (
@@ -91,21 +91,29 @@ func show(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("version: %d\nepoch:   %d\nstep:    %d\nranks:   %d\ntrainer: %d bytes\n",
-		snap.Version, snap.Epoch, snap.Step, snap.P, len(snap.Trainer))
+	fmt.Printf("version: %d\nepoch:   %d\nstep:    %d\nranks:   %d\n", snap.Version, snap.Epoch, snap.Step, snap.P)
+	bundle("trainer:", snap.Trainer)
 	for r, b := range snap.Ranks {
-		fmt.Printf("rank %d:  %d bytes", r, len(b))
-		if sections, err := ckpt.DecodeSections(b); err == nil {
-			keys := make([]string, 0, len(sections))
-			for k := range sections {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			fmt.Printf("  sections: %v", keys)
-		}
-		fmt.Println()
+		bundle(fmt.Sprintf("rank %d:", r), b)
 	}
 	return nil
+}
+
+// bundle prints one section bundle's size and its sections, each with its
+// own size, in key order.
+func bundle(label string, b []byte) {
+	fmt.Printf("%-8s %d bytes", label, len(b))
+	if sections, err := ckpt.DecodeSections(b); err == nil {
+		keys := make([]string, 0, len(sections))
+		for k := range sections {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Printf("  %s=%d", k, len(sections[k]))
+		}
+	}
+	fmt.Println()
 }
 
 func snapshots(dir string) ([]string, error) {

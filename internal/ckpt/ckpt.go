@@ -6,9 +6,9 @@
 // snapshot, so a crash during checkpointing can never strand a run.
 //
 // A Snapshot carries the trainer-loop state (epoch, step, batch iterator,
-// early-stopping history) plus one opaque section bundle per rank, built
-// from StateSaver implementations (optimizers, preconditioners, RNG
-// streams). Rank 0 owns the file: per-rank bundles are gathered through
+// early-stopping history) plus one section bundle per rank, appended by
+// StateSaver implementations (optimizers, preconditioners, RNG streams)
+// in mat's byte codec, the one the TCP wire speaks. Rank 0 owns the file: per-rank bundles are gathered through
 // the cluster's collectives and written in one atomic operation, so a
 // checkpoint is always globally consistent — there is no per-rank file to
 // half-update.
@@ -17,7 +17,6 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -26,16 +25,19 @@ import (
 	"path/filepath"
 	"sort"
 
+	"repro/internal/mat"
 	"repro/internal/telemetry"
 )
 
-// Version is the current checkpoint format version. Readers reject
-// snapshots from a newer format; older versions are migrated when
-// possible (none exist yet).
-const Version = 1
+// Version is the checkpoint format version, the last byte of the magic.
+// A file of any other version is refused by name; none is migrated.
+const Version = 2
 
-// magic identifies a HyLo checkpoint file (8 bytes, format v1).
-var magic = [8]byte{'H', 'Y', 'L', 'O', 'C', 'K', 'P', '1'}
+// magic identifies a HyLo checkpoint file and its format version.
+var magic = [8]byte{'H', 'Y', 'L', 'O', 'C', 'K', 'P', '0' + Version}
+
+// headerLen is the magic, the payload's CRC-32C and its length (u64).
+const headerLen = len(magic) + 12
 
 // ErrNoCheckpoint is returned by LoadLatest when the directory holds no
 // loadable snapshot at all.
@@ -43,16 +45,18 @@ var ErrNoCheckpoint = errors.New("ckpt: no checkpoint found")
 
 // StateSaver is implemented by components whose state rides in a
 // checkpoint section: optimizers, preconditioners, and any other stateful
-// training participant. Implementations serialize to an opaque byte
-// payload (typically gob) keyed by a stable section name.
+// training participant. Each writes its state with mat's byte codec under
+// a stable section name.
 type StateSaver interface {
 	// StateKey names this component's section; it must be unique within a
 	// rank and stable across versions.
 	StateKey() string
-	// SaveState serializes the component's complete mutable state.
-	SaveState() ([]byte, error)
-	// LoadState restores state previously produced by SaveState on an
-	// identically configured component.
+	// AppendState appends the component's complete mutable state to b and
+	// returns the extended buffer.
+	AppendState(b []byte) []byte
+	// LoadState restores state previously written by AppendState on an
+	// identically configured component, checking every length it reads.
+	// b aliases the snapshot: copy out of it, never keep it.
 	LoadState(data []byte) error
 }
 
@@ -70,42 +74,41 @@ type Snapshot struct {
 	// iterator, early-stopping history, wall-clock offset), written by
 	// rank 0.
 	Trainer []byte
-	// Ranks holds one opaque section bundle per rank (see EncodeSections);
+	// Ranks holds one section bundle per rank (see EncodeSections);
 	// Ranks[r] belongs to rank r. On elastic restarts with a smaller world
 	// size, trailing bundles are simply unused.
 	Ranks [][]byte
 }
 
-// EncodeSections serializes a section map into one rank bundle.
-func EncodeSections(sections map[string][]byte) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(sections); err != nil {
-		return nil, fmt.Errorf("ckpt: encode sections: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeSections parses a rank bundle produced by EncodeSections.
-func DecodeSections(b []byte) (map[string][]byte, error) {
-	var sections map[string][]byte
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&sections); err != nil {
-		return nil, fmt.Errorf("ckpt: decode sections: %w", err)
-	}
-	return sections, nil
-}
-
-// SaveAll collects the sections of every saver into a map.
-func SaveAll(savers ...StateSaver) (map[string][]byte, error) {
-	sections := make(map[string][]byte, len(savers))
+// EncodeSections appends one rank bundle to b: per non-nil saver its key
+// (u32 length-prefixed) and its state (u64 length-prefixed). A b with the
+// capacity of the previous bundle makes a save that has not grown
+// allocate nothing here.
+func EncodeSections(b []byte, savers ...StateSaver) []byte {
 	for _, s := range savers {
 		if s == nil {
 			continue
 		}
-		b, err := s.SaveState()
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: save %q: %w", s.StateKey(), err)
-		}
-		sections[s.StateKey()] = b
+		key := s.StateKey()
+		b = append(binary.LittleEndian.AppendUint32(b, uint32(len(key))), key...)
+		at := len(b)
+		b = s.AppendState(append(b, make([]byte, 8)...))
+		binary.LittleEndian.PutUint64(b[at:], uint64(len(b)-at-8))
+	}
+	return b
+}
+
+// DecodeSections parses a rank bundle written by EncodeSections; each
+// section aliases b.
+func DecodeSections(b []byte) (map[string][]byte, error) {
+	sections := map[string][]byte{}
+	r := mat.NewReader(b)
+	for r.Len() > 0 && r.Err() == nil {
+		key := string(r.Take(int(r.U32())))
+		sections[key] = r.Take(int(r.U64()))
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("ckpt: decode sections: %w", err)
 	}
 	return sections, nil
 }
@@ -185,29 +188,26 @@ func (m *Manager) List() ([]string, error) {
 	return out, nil
 }
 
-// Save writes snap atomically (WriteFileAtomic) and applies retention,
-// returning the final path. The payload is gob-encoded and framed with a
-// magic header, its length, and a CRC32 (Castagnoli) checksum.
+// Save writes snap atomically (staged like WriteFileAtomic) and applies
+// retention, returning the final path. The header's CRC-32C is taken over
+// the sections where they lie, then header and sections stream into the
+// staged file: no buffer holds the whole file.
 func (m *Manager) Save(snap *Snapshot) (string, error) {
 	if err := os.MkdirAll(m.Dir, 0o755); err != nil {
 		return "", fmt.Errorf("ckpt: create dir: %w", err)
 	}
 	snap.Version = Version
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
-		return "", fmt.Errorf("ckpt: encode snapshot: %w", err)
-	}
-
-	var frame bytes.Buffer
-	frame.Write(magic[:])
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[:4], crc32.Checksum(payload.Bytes(), crcTable))
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(payload.Len()))
-	frame.Write(hdr[:])
-	frame.Write(payload.Bytes())
-
 	final := filepath.Join(m.Dir, fileName(snap.Step))
-	if err := WriteFileAtomic(final, frame.Bytes()); err != nil {
+	err := writeAtomic(final, func(f *os.File) error {
+		_, err := f.Write(header(snap))
+		payload(snap, func(b []byte) {
+			if err == nil {
+				_, err = f.Write(b)
+			}
+		})
+		return err
+	})
+	if err != nil {
 		return "", err
 	}
 	telemetry.IncCounter(telemetry.MetricCkptWrites, 1)
@@ -215,19 +215,60 @@ func (m *Manager) Save(snap *Snapshot) (string, error) {
 	return final, nil
 }
 
-// WriteFileAtomic publishes data at path — checkpoints here, the job
-// server's job.json and result.json — so that a reader never observes a
-// torn file and the bytes survive a crash once it returns: staged in a
-// temp file in the same directory, synced, renamed into place, and the
-// directory synced so the rename itself is durable. On failure the temp
-// file is removed.
+// Encode returns snap in the file format, the bytes Save writes, in one
+// buffer of exactly their length.
+func Encode(snap *Snapshot) []byte {
+	hdr := header(snap)
+	b := append(make([]byte, 0, headerLen+int(binary.LittleEndian.Uint64(hdr[len(magic)+4:]))), hdr...)
+	payload(snap, func(p []byte) { b = append(b, p...) })
+	return b
+}
+
+// header returns the file header for snap: the magic, then its payload's
+// CRC-32C and length.
+func header(snap *Snapshot) []byte {
+	var crc uint32
+	var n uint64
+	payload(snap, func(b []byte) { crc, n = crc32.Update(crc, crcTable, b), n+uint64(len(b)) })
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(append([]byte(nil), magic[:]...), crc), n)
+}
+
+// payload hands snap's payload to emit piece by piece: epoch, step and P,
+// then the trainer section and the rank bundles, each u64
+// length-prefixed.
+func payload(snap *Snapshot, emit func([]byte)) {
+	le := binary.LittleEndian
+	emit(le.AppendUint32(le.AppendUint64(le.AppendUint64(nil, uint64(snap.Epoch)), uint64(snap.Step)), uint32(snap.P)))
+	emit(le.AppendUint64(nil, uint64(len(snap.Trainer))))
+	emit(snap.Trainer)
+	emit(le.AppendUint32(nil, uint32(len(snap.Ranks))))
+	for _, r := range snap.Ranks {
+		emit(le.AppendUint64(nil, uint64(len(r))))
+		emit(r)
+	}
+}
+
+// WriteFileAtomic publishes data at path — the job server's job.json and
+// result.json — so that a reader never observes a torn file and the bytes
+// survive a crash once it returns: staged in a temp file in the same
+// directory, synced, renamed into place, and the directory synced so the
+// rename itself is durable. On failure the temp file is removed.
 func WriteFileAtomic(path string, data []byte) error {
+	return writeAtomic(path, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+}
+
+// writeAtomic is WriteFileAtomic with the staged file's contents written
+// by fill.
+func writeAtomic(path string, fill func(*os.File) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-*")
 	if err != nil {
 		return fmt.Errorf("ckpt: stage %s: %w", path, err)
 	}
-	_, err = tmp.Write(data)
+	err = fill(tmp)
 	if err == nil {
 		err = tmp.Sync()
 	}
@@ -287,40 +328,62 @@ func (m *Manager) retain() {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Load reads and verifies a single snapshot file. Any framing, checksum,
-// length, or decode failure is reported as corruption.
+// Load reads and verifies a single snapshot file (see Decode). Any
+// framing, version, checksum, length or decode failure is reported as
+// corruption.
 func Load(path string) (*Snapshot, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(b) < len(magic)+12 {
-		return nil, fmt.Errorf("ckpt: %s: truncated header", filepath.Base(path))
+	snap, err := Decode(b)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: %s: %w", filepath.Base(path), err)
 	}
-	if !bytes.Equal(b[:len(magic)], magic[:]) {
-		return nil, fmt.Errorf("ckpt: %s: bad magic", filepath.Base(path))
+	return snap, nil
+}
+
+// Decode parses and verifies bytes in the file format; the snapshot's
+// sections alias b.
+func Decode(b []byte) (*Snapshot, error) {
+	switch {
+	case len(b) < headerLen:
+		return nil, errors.New("truncated header")
+	case !bytes.Equal(b[:len(magic)-1], magic[:len(magic)-1]):
+		return nil, errors.New("bad magic")
+	case b[len(magic)-1] != magic[len(magic)-1]:
+		return nil, fmt.Errorf("format version %d, this build reads version %d only",
+			int(b[len(magic)-1])-'0', Version)
 	}
-	rest := b[len(magic):]
-	wantCRC := binary.LittleEndian.Uint32(rest[:4])
-	wantLen := binary.LittleEndian.Uint64(rest[4:12])
-	payload := rest[12:]
+	wantCRC := binary.LittleEndian.Uint32(b[len(magic):])
+	wantLen := binary.LittleEndian.Uint64(b[len(magic)+4:])
+	payload := b[headerLen:]
 	if uint64(len(payload)) != wantLen {
-		return nil, fmt.Errorf("ckpt: %s: payload %d bytes, header says %d",
-			filepath.Base(path), len(payload), wantLen)
+		return nil, fmt.Errorf("payload %d bytes, header says %d", len(payload), wantLen)
 	}
 	if got := crc32.Checksum(payload, crcTable); got != wantCRC {
-		return nil, fmt.Errorf("ckpt: %s: checksum mismatch (%08x != %08x)",
-			filepath.Base(path), got, wantCRC)
+		return nil, fmt.Errorf("checksum mismatch (%08x != %08x)", got, wantCRC)
 	}
-	var snap Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("ckpt: %s: decode: %w", filepath.Base(path), err)
+	r := mat.NewReader(payload)
+	snap := &Snapshot{Version: Version, Epoch: int(r.U64()), Step: int(r.U64()), P: int(r.U32())}
+	snap.Trainer = r.Take(int(r.U64()))
+	// Every bundle has at least its 8-byte length: bound the count before
+	// allocating for it.
+	if n := int(r.U32()); n <= r.Len()/8 {
+		snap.Ranks = make([][]byte, n)
+	} else {
+		r.Fail(mat.ErrTruncated)
 	}
-	if snap.Version > Version {
-		return nil, fmt.Errorf("ckpt: %s: format version %d newer than supported %d",
-			filepath.Base(path), snap.Version, Version)
+	for i := range snap.Ranks {
+		snap.Ranks[i] = r.Take(int(r.U64()))
 	}
-	return &snap, nil
+	if r.Err() == nil && r.Len() != 0 {
+		r.Fail(fmt.Errorf("%d trailing bytes", r.Len()))
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("decode: %w", err)
+	}
+	return snap, nil
 }
 
 // LoadLatest returns the newest loadable snapshot and its path. Corrupt

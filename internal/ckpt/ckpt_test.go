@@ -2,7 +2,9 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -210,10 +212,7 @@ func TestLoadRejectsForeignFile(t *testing.T) {
 
 func TestSectionsRoundTrip(t *testing.T) {
 	in := map[string][]byte{"opt/sgd": {1, 2, 3}, "precond/hylo": {4, 5}}
-	b, err := EncodeSections(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := EncodeSections(nil, &fakeSaver{key: "opt/sgd", state: in["opt/sgd"]}, &fakeSaver{key: "precond/hylo", state: in["precond/hylo"]})
 	out, err := DecodeSections(b)
 	if err != nil {
 		t.Fatal(err)
@@ -229,23 +228,24 @@ type fakeSaver struct {
 	loaded []byte
 }
 
-func (f *fakeSaver) StateKey() string           { return f.key }
-func (f *fakeSaver) SaveState() ([]byte, error) { return f.state, nil }
-func (f *fakeSaver) LoadState(b []byte) error   { f.loaded = b; return nil }
+func (f *fakeSaver) StateKey() string            { return f.key }
+func (f *fakeSaver) AppendState(b []byte) []byte { return append(b, f.state...) }
+func (f *fakeSaver) LoadState(b []byte) error    { f.loaded = b; return nil }
 
-func TestSaveAllLoadInto(t *testing.T) {
+func TestEncodeSectionsLoadInto(t *testing.T) {
 	a := &fakeSaver{key: "a", state: []byte("alpha")}
 	b := &fakeSaver{key: "b", state: []byte("beta")}
-	sections, err := SaveAll(a, nil, b)
+	sections, err := DecodeSections(EncodeSections(nil, a, nil, b))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sections) != 2 {
 		t.Fatalf("sections = %v", sections)
 	}
-	ok, err := LoadInto(sections, &fakeSaver{key: "a"})
-	if err != nil || !ok {
-		t.Fatalf("LoadInto(a) = %v, %v", ok, err)
+	got := &fakeSaver{key: "a"}
+	ok, err := LoadInto(sections, got)
+	if err != nil || !ok || string(got.loaded) != "alpha" {
+		t.Fatalf("LoadInto(a) = %v, %v, loaded %q", ok, err, got.loaded)
 	}
 	ok, err = LoadInto(sections, &fakeSaver{key: "missing"})
 	if err != nil || ok {
@@ -290,4 +290,59 @@ func TestRetentionFailureCounted(t *testing.T) {
 	if err != nil || snap.Step != 3 {
 		t.Fatalf("LoadLatest = step %v err %v, want 3", snap, err)
 	}
+}
+
+// TestLoadRefusesVersion1: a file of the gob-era format is refused with
+// its version named, not misread.
+func TestLoadRefusesVersion1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), fileName(1))
+	if err := os.WriteFile(path, append([]byte("HYLOCKP1"), make([]byte, 40)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("want a version-1 refusal, got %v", err)
+	}
+}
+
+// TestEncodeMatchesSavedFile: Encode returns the bytes Save writes, and
+// Decode reads them back.
+func TestEncodeMatchesSavedFile(t *testing.T) {
+	m, _ := NewManager(t.TempDir(), 3)
+	snap := testSnap(3, 30)
+	path, err := m.Save(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, _ := os.ReadFile(path)
+	if enc := Encode(snap); !bytes.Equal(enc, file) {
+		t.Fatalf("Encode gives %d bytes, Save wrote %d different ones", len(enc), len(file))
+	}
+	back, err := Decode(file)
+	if err != nil || back.Step != 30 || string(back.Ranks[0]) != "rank0" {
+		t.Fatalf("Decode = %+v, %v", back, err)
+	}
+}
+
+// FuzzSnapshotDecode: whatever payload sits behind a valid header and CRC,
+// Decode returns an error or a snapshot that encodes back to the same
+// bytes, and neither it nor parsing the sections it yields panics.
+func FuzzSnapshotDecode(f *testing.F) {
+	f.Add(Encode(testSnap(1, 2))[headerLen:])
+	f.Add(Encode(&Snapshot{Trainer: EncodeSections(nil, &fakeSaver{key: "k", state: []byte{1}})})[headerLen:])
+	f.Add([]byte{})
+	f.Add(make([]byte, 40))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		le := binary.LittleEndian
+		b := le.AppendUint64(le.AppendUint32(append([]byte(nil), magic[:]...), crc32.Checksum(payload, crcTable)), uint64(len(payload)))
+		snap, err := Decode(append(b, payload...))
+		if err != nil {
+			return
+		}
+		if got := Encode(snap); !bytes.Equal(got[headerLen:], payload) {
+			t.Fatalf("decoded payload re-encodes differently")
+		}
+		for _, s := range append(snap.Ranks, snap.Trainer) {
+			DecodeSections(s)
+		}
+	})
 }

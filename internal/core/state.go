@@ -1,12 +1,10 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/mat"
-	"repro/internal/precond"
 )
 
 // Checkpoint persistence for HyLo. Implements the ckpt.StateSaver contract
@@ -26,75 +24,44 @@ import (
 // only borrows the pointer), and the workspaces (an/gn/…), which are
 // scratch rebuilt on the next Update.
 
-type hyloPersist struct {
-	Damping    float64
-	Mode       int
-	Delta      [][]float64
-	PrevNorms  []float64
-	EpochModes []int
-	PolicyRNG  mat.RNGState
-	Layers     []precond.KernelState
-}
-
 // StateKey identifies HyLo's checkpoint section.
 func (h *HyLo) StateKey() string { return "precond/hylo" }
 
-// SaveState serializes the switching state, damping, and per-layer
+// AppendState appends the switching state, damping, and per-layer
 // gathered factors.
-func (h *HyLo) SaveState() ([]byte, error) {
-	st := hyloPersist{
-		Damping:   h.Damping,
-		Mode:      int(h.mode),
-		Delta:     make([][]float64, len(h.delta)),
-		PrevNorms: append([]float64(nil), h.prevNorms...),
-		PolicyRNG: h.policyRNG.State(),
-		Layers:    make([]precond.KernelState, len(h.state)),
+func (h *HyLo) AppendState(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(mat.AppendF64(b, h.Damping), uint64(h.mode))
+	b = binary.LittleEndian.AppendUint32(mat.AppendVec(b, h.prevNorms), uint32(len(h.epochModes)))
+	for _, m := range h.epochModes {
+		b = append(b, byte(m))
 	}
-	for i, d := range h.delta {
-		st.Delta[i] = append([]float64(nil), d...)
-	}
-	st.EpochModes = make([]int, len(h.epochModes))
-	for i, m := range h.epochModes {
-		st.EpochModes[i] = int(m)
-	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(h.state)))
 	for i, s := range h.state {
-		st.Layers[i] = s.Capture()
+		b = s.AppendState(mat.AppendVec(b, h.delta[i]))
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return h.policyRNG.AppendState(b)
 }
 
 // LoadState restores the switching state and per-layer factors. The layer
 // count must match the current network.
 func (h *HyLo) LoadState(b []byte) error {
-	var st hyloPersist
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
-		return err
+	r := mat.NewReader(b)
+	damping, mode, prevNorms := r.F64(), Mode(r.U64()), r.Vec()
+	modes := r.Take(int(r.U32()))
+	if n := r.U32(); r.Err() == nil && int(n) != len(h.state) {
+		return fmt.Errorf("core: hylo snapshot has %d layers, network has %d", n, len(h.state))
 	}
-	if len(st.Layers) != len(h.state) || len(st.Delta) != len(h.delta) {
-		return fmt.Errorf("core: hylo snapshot has %d layers, network has %d", len(st.Layers), len(h.state))
+	for i, s := range h.state {
+		r.VecInto(h.delta[i])
+		s.ReadState(r)
 	}
-	for i, d := range st.Delta {
-		if len(d) != len(h.delta[i]) {
-			return fmt.Errorf("core: hylo delta %d has %d elements, layer has %d", i, len(d), len(h.delta[i]))
-		}
+	if h.policyRNG.ReadState(r); r.Err() != nil {
+		return r.Err()
 	}
-	h.Damping = st.Damping
-	h.mode = Mode(st.Mode)
-	for i, d := range st.Delta {
-		copy(h.delta[i], d)
-	}
-	h.prevNorms = append(h.prevNorms[:0], st.PrevNorms...)
+	h.Damping, h.mode, h.prevNorms = damping, mode, prevNorms
 	h.epochModes = h.epochModes[:0]
-	for _, m := range st.EpochModes {
+	for _, m := range modes {
 		h.epochModes = append(h.epochModes, Mode(m))
-	}
-	h.policyRNG.SetState(st.PolicyRNG)
-	for i, l := range st.Layers {
-		h.state[i].Restore(l)
 	}
 	return nil
 }

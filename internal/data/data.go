@@ -7,6 +7,8 @@
 package data
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 
 	"repro/internal/mat"
@@ -228,28 +230,35 @@ func (it *BatchIterator) Next() []int {
 // BatchesPerEpoch returns the number of full batches per epoch.
 func (it *BatchIterator) BatchesPerEpoch() int { return it.n / it.bs }
 
-// IteratorState is the serializable snapshot of a BatchIterator: the RNG
-// stream, the live permutation, and the cursor. Restoring it resumes the
-// exact batch sequence a checkpointed run would have produced.
-type IteratorState struct {
-	RNG  mat.RNGState
-	Perm []int
-	Pos  int
-}
+// StateKey identifies the iterator's checkpoint section.
+func (it *BatchIterator) StateKey() string { return "data/iter" }
 
-// State captures the iterator (deep-copying the permutation).
-func (it *BatchIterator) State() IteratorState {
-	return IteratorState{
-		RNG:  it.rng.State(),
-		Perm: append([]int(nil), it.perm...),
-		Pos:  it.pos,
+// AppendState appends the cursor, the live permutation and the RNG
+// stream: restoring them resumes the exact batch sequence a checkpointed
+// run would have produced.
+func (it *BatchIterator) AppendState(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(b, uint64(it.pos)), uint32(len(it.perm)))
+	for _, v := range it.perm {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
 	}
+	return it.rng.AppendState(b)
 }
 
-// Restore rewinds the iterator (and its RNG) to a captured state. The
-// sample count and batch size must match the original iterator.
-func (it *BatchIterator) Restore(s IteratorState) {
-	it.rng.SetState(s.RNG)
-	it.perm = append([]int(nil), s.Perm...)
-	it.pos = s.Pos
+// LoadState rewinds the iterator (and its RNG) to a state written by
+// AppendState over the same sample count.
+func (it *BatchIterator) LoadState(b []byte) error {
+	r := mat.NewReader(b)
+	pos := int(r.U64())
+	if n := r.U32(); r.Err() == nil && int(n) != it.n {
+		return fmt.Errorf("data: iterator snapshot over %d samples, dataset has %d", n, it.n)
+	}
+	raw := r.Take(4 * it.n)
+	if it.rng.ReadState(r); r.Err() != nil {
+		return r.Err()
+	}
+	it.perm, it.pos = make([]int, it.n), pos
+	for i := range it.perm {
+		it.perm[i] = int(binary.LittleEndian.Uint32(raw[4*i:]))
+	}
+	return nil
 }

@@ -215,6 +215,7 @@ type Barrierer interface {
 // ByteGatherer is implemented by transports that can all-gather opaque byte
 // payloads — the control-plane primitive checkpointing uses, kept separate
 // from the matrix collectives so chaos injectors never corrupt snapshots.
+// The result may alias the transport's buffers: read it, never write it.
 type ByteGatherer interface {
 	AllGatherBytes(b []byte) [][]byte
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/mat"
 	"repro/internal/telemetry"
 )
 
@@ -662,9 +663,9 @@ func (c *coordinator) declareDead(m *member, reason string) {
 // handleBlob serves the generation state blob: the self member's payload is
 // authoritative and fanned out to every member that offered or asked.
 func (c *coordinator) handleBlob(m *member, payload []byte) {
-	r := &byteReader{b: payload}
-	gen := r.u32()
-	blob := r.b[r.off:]
+	r := mat.NewReader(payload)
+	gen := r.U32()
+	blob := r.Take(r.Len())
 	c.mu.Lock()
 	if c.phase != phaseRunning || gen != c.gen {
 		c.mu.Unlock()

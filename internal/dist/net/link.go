@@ -214,12 +214,12 @@ func (l *link) dispatch(f Frame) {
 		}
 		l.mu.Unlock()
 	case ftBlob:
-		r := &byteReader{b: f.Payload}
-		gen := r.u32()
-		if r.err != nil {
+		r := mat.NewReader(f.Payload)
+		gen := r.U32()
+		if r.Err() != nil {
 			return
 		}
-		blob := append([]byte(nil), r.b[r.off:]...)
+		blob := append([]byte(nil), r.Take(r.Len())...)
 		l.mu.Lock()
 		if gen == l.blobGen && l.blobReq != nil {
 			l.blobRes, l.hasBlob = blob, true

@@ -2,9 +2,7 @@ package distnet
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/mat"
 )
@@ -67,77 +65,15 @@ const (
 	rejectGen       = uint16(5) // stale generation (member missed a rejoin round)
 )
 
-// ErrTruncatedMsg is returned by payload decoders on short input.
-var ErrTruncatedMsg = errors.New("distnet: truncated message payload")
-
-// byteReader is a bounds-checked cursor over a message payload; every
-// decode on malformed input returns ErrTruncatedMsg instead of panicking.
-type byteReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *byteReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) || r.off+n < r.off {
-		r.err = ErrTruncatedMsg
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *byteReader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *byteReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *byteReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *byteReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// counted reads a u32 count followed by count items of width bytes each.
-func (r *byteReader) counted(width int) []byte {
-	n := r.u32()
-	if r.err != nil {
-		return nil
-	}
+// counted reads a u32 count followed by count items of width bytes each,
+// under the wire's frame bound.
+func counted(r *mat.Reader, width int) []byte {
+	n := r.U32()
 	if n > MaxFramePayload {
-		r.err = ErrTruncatedMsg
-		return nil
+		r.Fail(mat.ErrTruncated)
 	}
-	return r.take(int(n) * width)
+	return r.Take(int(n) * width)
 }
-
-// bytes reads a u32 length prefix followed by that many bytes.
-func (r *byteReader) bytes() []byte { return r.counted(1) }
 
 func appendBytes(dst, b []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
@@ -175,11 +111,11 @@ func (m joinMsg) encode() []byte {
 }
 
 func decodeJoin(p []byte) (joinMsg, error) {
-	r := &byteReader{b: p}
-	m := joinMsg{Gen: r.u32(), MemberID: r.u32(), NLocal: r.u32(),
-		WorldSize: r.u32(), ConfigDigest: r.u64(), Self: r.u8(),
-		DataPort: r.u32()}
-	return m, r.err
+	r := mat.NewReader(p)
+	m := joinMsg{Gen: r.U32(), MemberID: r.U32(), NLocal: r.U32(),
+		WorldSize: r.U32(), ConfigDigest: r.U64(), Self: r.U8(),
+		DataPort: r.U32()}
+	return m, r.Err()
 }
 
 // joinAckMsg acknowledges membership; rank assignment arrives with ftStart
@@ -197,9 +133,9 @@ func (m joinAckMsg) encode() []byte {
 }
 
 func decodeJoinAck(p []byte) (joinAckMsg, error) {
-	r := &byteReader{b: p}
-	m := joinAckMsg{MemberID: r.u32(), Gen: r.u32()}
-	return m, r.err
+	r := mat.NewReader(p)
+	m := joinAckMsg{MemberID: r.U32(), Gen: r.U32()}
+	return m, r.Err()
 }
 
 // rejectMsg refuses a join with a machine-readable code.
@@ -215,9 +151,9 @@ func (m rejectMsg) encode() []byte {
 }
 
 func decodeReject(p []byte) (rejectMsg, error) {
-	r := &byteReader{b: p}
-	m := rejectMsg{Code: r.u16(), Reason: string(r.bytes())}
-	return m, r.err
+	r := mat.NewReader(p)
+	m := rejectMsg{Code: r.U16(), Reason: string(counted(r, 1))}
+	return m, r.Err()
 }
 
 // startMsg begins a generation: the member's assigned base rank, the
@@ -252,22 +188,22 @@ func (m startMsg) encode() []byte {
 }
 
 func decodeStart(p []byte) (startMsg, error) {
-	r := &byteReader{b: p}
-	m := startMsg{Gen: r.u32(), WorldSize: r.u32(), BaseRank: r.u32(),
-		ChunkElems: r.u32(), TreeParent: string(r.bytes())}
-	n := r.u32()
-	if r.err != nil {
-		return m, r.err
+	r := mat.NewReader(p)
+	m := startMsg{Gen: r.U32(), WorldSize: r.U32(), BaseRank: r.U32(),
+		ChunkElems: r.U32(), TreeParent: string(counted(r, 1))}
+	n := r.U32()
+	if r.Err() != nil {
+		return m, r.Err()
 	}
 	if n > maxWorldSize {
-		return m, ErrTruncatedMsg
+		return m, mat.ErrTruncated
 	}
 	m.TreeChildren = make([]uint32, n)
 	for i := range m.TreeChildren {
-		m.TreeChildren[i] = r.u32()
+		m.TreeChildren[i] = r.U32()
 	}
-	m.TreeDepth = r.u32()
-	return m, r.err
+	m.TreeDepth = r.U32()
+	return m, r.Err()
 }
 
 // peerDeadMsg announces a declared member death; surviving members poison
@@ -286,55 +222,24 @@ func (m peerDeadMsg) encode() []byte {
 }
 
 func decodePeerDead(p []byte) (peerDeadMsg, error) {
-	r := &byteReader{b: p}
-	m := peerDeadMsg{Gen: r.u32(), DeadMember: r.u32(), Reason: string(r.bytes())}
-	return m, r.err
+	r := mat.NewReader(p)
+	m := peerDeadMsg{Gen: r.U32(), DeadMember: r.U32(), Reason: string(counted(r, 1))}
+	return m, r.Err()
 }
 
 // maxWorldSize bounds decoded rank counts so corrupted frames cannot drive
 // huge allocations.
 const maxWorldSize = 1 << 16
 
-// Matrix payload encoding: rows, cols, then row-major float64 bits.
-
-func appendMat(dst []byte, m *mat.Dense) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Rows()))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Cols()))
-	return appendFloats(dst, m.Data())
-}
-
-func appendFloats(dst []byte, f []float64) []byte {
-	for _, v := range f {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
-}
-
-// readFloats fills dst from little-endian float64 bits; raw holds at
-// least 8·len(dst) bytes.
-func readFloats(dst []float64, raw []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-}
-
+// decodeMat reads a matrix payload (mat.AppendMat's encoding); a 0×0
+// matrix travels like any other.
 func decodeMat(p []byte) (*mat.Dense, error) {
-	r := &byteReader{b: p}
-	rows := r.u32()
-	cols := r.u32()
-	if r.err != nil {
-		return nil, r.err
+	r := mat.NewReader(p)
+	m := r.Mat()
+	if m == nil && r.Err() == nil {
+		m = new(mat.Dense)
 	}
-	if rows > maxWorldSize*64 || cols > maxWorldSize*64 {
-		return nil, ErrTruncatedMsg
-	}
-	raw := r.take(8 * int(rows) * int(cols))
-	if r.err != nil {
-		return nil, r.err
-	}
-	out := mat.NewDense(int(rows), int(cols))
-	readFloats(out.Data(), raw)
-	return out, nil
+	return m, r.Err()
 }
 
 // Data-plane messages. An up or down payload carries one chunk of one
@@ -358,9 +263,9 @@ func (m treeHelloMsg) encode() []byte {
 }
 
 func decodeTreeHello(p []byte) (treeHelloMsg, error) {
-	r := &byteReader{b: p}
-	m := treeHelloMsg{Gen: r.u32(), MemberID: r.u32()}
-	return m, r.err
+	r := mat.NewReader(p)
+	m := treeHelloMsg{Gen: r.U32(), MemberID: r.U32()}
+	return m, r.Err()
 }
 
 // chunkHdr leads every up and down payload.
@@ -380,41 +285,58 @@ func (h chunkHdr) appendTo(b []byte) []byte {
 	return binary.LittleEndian.AppendUint32(b, h.Elems)
 }
 
-func (r *byteReader) chunkHdr() chunkHdr {
-	return chunkHdr{Gen: r.u32(), Op: r.u8(), Chunk: r.u32(), Elems: r.u32()}
+func readChunkHdr(r *mat.Reader) chunkHdr {
+	return chunkHdr{Gen: r.U32(), Op: r.U8(), Chunk: r.U32(), Elems: r.U32()}
 }
 
-// appendSegData writes a segment's count-prefixed payload: floats for a
-// sum op, bytes otherwise.
-func appendSegData(b []byte, sum bool, s seg) []byte {
+// appendSegData writes the count-prefixed payload of a run of adjacent
+// segments: a partial sum's floats (a run of one), or the byte strings
+// concatenated.
+func appendSegData(b []byte, sum bool, run []seg) []byte {
 	if sum {
-		return appendFloats(binary.LittleEndian.AppendUint32(b, uint32(len(s.f))), s.f)
+		return mat.AppendFloats(binary.LittleEndian.AppendUint32(b, uint32(len(run[0].f))), run[0].f)
 	}
-	return appendBytes(b, s.b)
+	n := 0
+	for _, s := range run {
+		n += len(s.b) + len(s.raw)
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	for _, s := range run {
+		b = append(append(b, s.b...), s.raw...)
+	}
+	return b
 }
 
-func segDataLen(sum bool, s seg) int {
-	if sum {
-		return 4 + 8*len(s.f)
+// runEnd returns where the run of segments starting at i ends: byte
+// strings of adjacent ranges travel as one segment, a partial sum alone.
+func runEnd(sum bool, segs []seg, i int) int {
+	j := i + 1
+	for !sum && j < len(segs) && segs[j].lo == segs[j-1].hi {
+		j++
 	}
-	return 4 + len(s.b)
+	return j
 }
 
 // encodeUp serializes a chunk's segments, flowing child → parent, into a
 // pooled buffer (the engine keeps up frames for retransmission; see
-// wireBuf for who returns it).
+// wireBuf for who returns it). Adjacent byte strings go as one segment,
+// as if they had been merged.
 func encodeUp(h chunkHdr, segs []seg) []byte {
 	sum := isSum(h.Op)
-	need := chunkHdrLen + 4
+	need, runs := chunkHdrLen+4, 0
+	for i := 0; i < len(segs); i = runEnd(sum, segs, i) {
+		need, runs = need+12, runs+1
+	}
 	for _, s := range segs {
-		need += 8 + segDataLen(sum, s)
+		need += 8*len(s.f) + len(s.b) + len(s.raw)
 	}
 	b := h.appendTo(mat.GetBytes(need)[:0])
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(segs)))
-	for _, s := range segs {
-		b = binary.LittleEndian.AppendUint32(b, uint32(s.lo))
-		b = binary.LittleEndian.AppendUint32(b, uint32(s.hi))
-		b = appendSegData(b, sum, s)
+	b = binary.LittleEndian.AppendUint32(b, uint32(runs))
+	for i, j := 0, 0; i < len(segs); i = j {
+		j = runEnd(sum, segs, i)
+		b = binary.LittleEndian.AppendUint32(b, uint32(segs[i].lo))
+		b = binary.LittleEndian.AppendUint32(b, uint32(segs[j-1].hi))
+		b = appendSegData(b, sum, segs[i:j])
 	}
 	return b
 }
@@ -423,53 +345,57 @@ func encodeUp(h chunkHdr, segs []seg) []byte {
 // buffers the caller owns (seg.free); byte segments alias p. On error
 // every already-decoded segment has been released.
 func decodeUp(p []byte) (chunkHdr, []seg, error) {
-	r := &byteReader{b: p}
-	h := r.chunkHdr()
-	n := r.u32()
-	if r.err == nil && n > maxWorldSize {
-		r.err = ErrTruncatedMsg
+	r := mat.NewReader(p)
+	h := readChunkHdr(r)
+	n := r.U32()
+	if n > maxWorldSize {
+		r.Fail(mat.ErrTruncated)
 	}
 	var segs []seg
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		s := seg{lo: int(r.u32()), hi: int(r.u32())}
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		s := seg{lo: int(r.U32()), hi: int(r.U32())}
 		if isSum(h.Op) {
-			if raw := r.counted(8); r.err == nil {
+			if raw := counted(r, 8); r.Err() == nil {
 				s.f, s.own = mat.GetFloats(len(raw)/8), true
-				readFloats(s.f, raw)
+				mat.ReadFloats(s.f, raw)
 			}
 		} else {
-			s.b = r.bytes()
+			s.b = counted(r, 1)
 		}
 		segs = append(segs, s)
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		for _, s := range segs {
 			s.free()
 		}
-		return h, nil, r.err
+		return h, nil, r.Err()
 	}
 	return h, segs, nil
 }
 
 // encodeDown serializes one chunk of a finished collective, flowing
-// root → leaves, into a plain (unpooled) buffer: down payloads are shared
-// with the local ranks reading the result, so their lifetime is not the
-// engine's to end and they must not hold pool capacity.
-func encodeDown(h chunkHdr, s seg) []byte {
-	sum := isSum(h.Op)
-	return appendSegData(h.appendTo(make([]byte, 0, chunkHdrLen+segDataLen(sum, s))), sum, s)
+// root → leaves, from the segments covering every rank into a plain
+// (unpooled) buffer: down payloads are shared with the local ranks reading
+// the result, so their lifetime is not the engine's to end and they must
+// not hold pool capacity.
+func encodeDown(h chunkHdr, segs []seg) []byte {
+	need := chunkHdrLen + 4
+	for _, s := range segs {
+		need += 8*len(s.f) + len(s.b) + len(s.raw)
+	}
+	return appendSegData(h.appendTo(make([]byte, 0, need)), isSum(h.Op), segs)
 }
 
 // decodeDown parses a down payload into its header and data section (the
 // chunk's float64 bits for a sum op, the rank-ordered byte strings
 // otherwise); data aliases p.
 func decodeDown(p []byte) (chunkHdr, []byte, error) {
-	r := &byteReader{b: p}
-	h := r.chunkHdr()
+	r := mat.NewReader(p)
+	h := readChunkHdr(r)
 	width := 1
 	if isSum(h.Op) {
 		width = 8
 	}
-	data := r.counted(width)
-	return h, data, r.err
+	data := counted(r, width)
+	return h, data, r.Err()
 }

@@ -555,7 +555,7 @@ func sumResult(dst []float64, res [][]byte) {
 		if n > len(dst) {
 			panic(dist.ErrClusterPoisoned)
 		}
-		readFloats(dst[:n], data)
+		mat.ReadFloats(dst[:n], data)
 		dst = dst[n:]
 	}
 	if len(dst) != 0 {
@@ -564,28 +564,26 @@ func sumResult(dst []float64, res [][]byte) {
 }
 
 // concatPart builds a rank's length-prefixed contribution to a concat
-// collective in a pooled buffer: an encoded matrix, raw bytes, or nothing.
+// collective: an encoded matrix in a pooled buffer, or raw bytes (maybe
+// none) behind their pooled prefix, uncopied.
 func concatPart(m *mat.Dense, raw []byte) part {
-	n := len(raw)
 	if m != nil {
-		n = 8 + 8*m.Rows()*m.Cols()
+		n := 8 + 8*m.Rows()*m.Cols()
+		return part{b: mat.AppendMat(binary.LittleEndian.AppendUint32(mat.GetBytes(4 + n)[:0], uint32(n)), m)}
 	}
-	b := binary.LittleEndian.AppendUint32(mat.GetBytes(4 + n)[:0], uint32(n))
-	if m != nil {
-		return part{b: appendMat(b, m)}
-	}
-	return part{b: append(b, raw...)}
+	return part{b: binary.LittleEndian.AppendUint32(mat.GetBytes(4)[:0], uint32(len(raw))), raw: raw}
 }
 
 // concatResult splits a concat collective's result into its per-rank byte
-// strings, each a copy the caller owns.
+// strings. They alias the delivered result, which every local rank shares:
+// read them, never write them.
 func concatResult(res [][]byte, world int) [][]byte {
-	r := &byteReader{b: res[0]}
+	r := mat.NewReader(res[0])
 	out := make([][]byte, 0, world)
-	for r.off < len(r.b) && r.err == nil {
-		out = append(out, append([]byte(nil), r.bytes()...))
+	for r.Len() > 0 && r.Err() == nil {
+		out = append(out, counted(r, 1))
 	}
-	if r.err != nil || len(out) != world {
+	if r.Err() != nil || len(out) != world {
 		panic(dist.ErrClusterPoisoned)
 	}
 	return out
@@ -654,6 +652,8 @@ func (w *netWorker) Barrier() {
 }
 
 // AllGatherBytes implements dist.ByteGatherer (checkpoint section gather).
+// b is sent without a staging copy, and the result is read-only views of
+// the one delivered frame (see concatResult).
 func (w *netWorker) AllGatherBytes(b []byte) [][]byte {
 	res := w.p.collective(w.slot, opGatherBytes, concatPart(nil, b), w.next())
 	return concatResult(res, w.world)

@@ -44,9 +44,11 @@ import (
 // the tree's shape and of how ranks are grouped into processes; they equal
 // the in-process cluster's canonical fold exactly. For the concat ops
 // (all-gather, byte-gather, broadcast, barrier) a segment is the ranks'
-// length-prefixed byte strings in rank order, and adjacent segments merge
-// by concatenation. Either way the root ends up holding the single
-// [0, world) segment, which is the result.
+// length-prefixed byte strings in rank order; segments are never merged in
+// memory, and the up and down encoders write each run of adjacent ones as
+// the one segment their concatenation is, so a byte is copied once per
+// frame. Either way the root ends up holding [0, world), which is the
+// result.
 //
 // Pooled buffers have one owner each. A segment that owns its buffer
 // (seg.own) is freed by whoever removes it from a chunk: the merge that
@@ -64,8 +66,8 @@ import (
 type seg struct {
 	lo, hi int
 	f      []float64
-	b      []byte
-	own    bool // f/b came from the mat pools and are this segment's to return
+	b, raw []byte // raw (unpooled, read only) continues b's bytes
+	own    bool   // f/b came from the mat pools and are this segment's to return
 }
 
 func (s seg) free() {
@@ -78,45 +80,33 @@ func (s seg) free() {
 // view returns the non-owning part of s that belongs to the chunk covering
 // float elements [off, off+n); concat segments are never cut.
 func (s seg) view(off, n int) seg {
-	v := seg{lo: s.lo, hi: s.hi, b: s.b}
+	v := seg{lo: s.lo, hi: s.hi, b: s.b, raw: s.raw}
 	if s.f != nil {
 		v.f = s.f[off : off+n : off+n]
 	}
 	return v
 }
 
-// insertSeg adds s to segs (kept sorted by lo) and merges neighbours as far
-// as the op allows: partial sums only under the canonical rule, byte
-// strings whenever adjacent. The left operand's buffer accumulates the
-// result.
+// insertSeg adds s to segs (kept sorted by lo) and merges partial sums as
+// far as the canonical rule allows; byte strings are never merged, the
+// encoders concatenate adjacent ones as they write them. The left
+// operand's buffer accumulates a sum.
 func insertSeg(world int, sum bool, segs []seg, s seg) []seg {
 	pos := sort.Search(len(segs), func(i int) bool { return segs[i].lo > s.lo })
 	segs = append(segs, seg{})
 	copy(segs[pos+1:], segs[pos:])
 	segs[pos] = s
-	for i := 0; i+1 < len(segs); {
+	for i := 0; sum && i+1 < len(segs); {
 		a, b := segs[i], segs[i+1]
-		if a.hi != b.lo || (sum && !dist.CanMergeSegments(world, a.lo, a.hi, b.hi)) {
+		if a.hi != b.lo || !dist.CanMergeSegments(world, a.lo, a.hi, b.hi) {
 			i++
 			continue
 		}
-		m := seg{lo: a.lo, hi: b.hi, f: a.f, b: a.b, own: a.own}
-		if sum {
-			for j := range a.f {
-				a.f[j] += b.f[j]
-			}
-		} else {
-			// Grow in place while the left buffer is ours and has room (pool
-			// buckets are powers of two, so a run of merges copies each byte
-			// O(log) times, not once per merge).
-			if !a.own || cap(a.b)-len(a.b) < len(b.b) {
-				m.b, m.own = append(mat.GetBytes(len(a.b) + len(b.b))[:0], a.b...), true
-				a.free()
-			}
-			m.b = append(m.b, b.b...)
+		for j := range a.f {
+			a.f[j] += b.f[j]
 		}
 		b.free()
-		segs[i] = m
+		segs[i] = seg{lo: a.lo, hi: b.hi, f: a.f, own: a.own}
 		segs = append(segs[:i+1], segs[i+2:]...)
 		if i > 0 {
 			i-- // the merged node may now be its left neighbour's sibling
@@ -554,10 +544,11 @@ func (t *treeEngine) ensureLocked(ws uint64, op byte, elems int) *treeColl {
 
 // part is one local rank's contribution to a collective: its values for a
 // sum op, its length-prefixed bytes otherwise. Both are pooled and belong
-// to the engine once submitted.
+// to the engine once submitted; raw, a byte-gather's payload after its
+// length prefix in b, is the caller's and only read.
 type part struct {
-	f []float64
-	b []byte
+	f      []float64
+	b, raw []byte
 }
 
 // submit deposits this process's local contributions (ranks
@@ -575,7 +566,7 @@ func (t *treeEngine) submit(ws uint64, op byte, parts []part) {
 	t.mu.Lock()
 	local := make([]seg, 0, len(parts))
 	for i, pt := range parts {
-		local = insertSeg(t.world, sum, local, seg{lo: t.base + i, hi: t.base + i + 1, f: pt.f, b: pt.b, own: true})
+		local = insertSeg(t.world, sum, local, seg{lo: t.base + i, hi: t.base + i + 1, f: pt.f, b: pt.b, raw: pt.raw, own: true})
 	}
 	var tc *treeColl
 	if !t.closed {
@@ -701,12 +692,12 @@ func (t *treeEngine) finishChunkLocked(ws uint64, tc *treeColl, i int) []outFram
 			out = []outFrame{t.upFrameLocked(ws, w)}
 		}
 	} else {
-		// Root: the chunk must have merged to the single [0, world) segment;
-		// anything else is corruption, left for the watchdog.
-		if len(ch.segs) != 1 || ch.segs[0].lo != 0 || ch.segs[0].hi != t.world {
+		// Root: the segments must cover [0, world) in order, a sum merged
+		// to one; anything else is corruption, left for the watchdog.
+		if runEnd(isSum(tc.op), ch.segs, 0) != len(ch.segs) || ch.segs[0].lo != 0 || ch.segs[len(ch.segs)-1].hi != t.world {
 			return nil
 		}
-		raw := encodeDown(h, ch.segs[0])
+		raw := encodeDown(h, ch.segs)
 		out = t.recordDownLocked(ws, tc, i, raw, raw[chunkHdrLen+4:])
 	}
 	ch.sent = true

@@ -1,8 +1,7 @@
 package kfac
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/mat"
@@ -20,57 +19,36 @@ import (
 // between update iterations Precondition applies the stored inverses, so
 // a resumed step between refreshes must see identical second-order state.
 
-type kfacLayerState struct {
-	Initialized      bool
-	AFactor, GFactor mat.DenseState
-	AInv, GInv       mat.DenseState
-}
-
-type kfacPersist struct {
-	Damping float64
-	Layers  []kfacLayerState
-}
-
 // StateKey identifies KFAC's checkpoint section.
 func (k *KFAC) StateKey() string { return "precond/kfac" }
 
-// SaveState serializes this rank's running factors and inverses.
-func (k *KFAC) SaveState() ([]byte, error) {
-	st := kfacPersist{Damping: k.Damping, Layers: make([]kfacLayerState, len(k.state))}
-	for i, s := range k.state {
-		st.Layers[i] = kfacLayerState{
-			Initialized: s.initialized,
-			AFactor:     mat.CaptureDense(s.aFactor),
-			GFactor:     mat.CaptureDense(s.gFactor),
-			AInv:        mat.CaptureDense(s.aInv),
-			GInv:        mat.CaptureDense(s.gInv),
+// AppendState appends the damping and, per layer, whether it is
+// initialized and its running factors and inverses (a nil one as 0×0).
+func (k *KFAC) AppendState(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(mat.AppendF64(b, k.Damping), uint32(len(k.state)))
+	for _, s := range k.state {
+		b = mat.AppendBool(b, s.initialized)
+		for _, m := range []*mat.Dense{s.aFactor, s.gFactor, s.aInv, s.gInv} {
+			b = mat.AppendMat(b, m)
 		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return b
 }
 
 // LoadState restores this rank's factors and inverses. The layer count
 // must match the current network.
 func (k *KFAC) LoadState(b []byte) error {
-	var st kfacPersist
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
-		return err
+	r := mat.NewReader(b)
+	damping := r.F64()
+	if n := r.U32(); r.Err() == nil && int(n) != len(k.state) {
+		return fmt.Errorf("kfac: snapshot has %d layers, network has %d", n, len(k.state))
 	}
-	if len(st.Layers) != len(k.state) {
-		return fmt.Errorf("kfac: snapshot has %d layers, network has %d", len(st.Layers), len(k.state))
+	for _, s := range k.state {
+		s.initialized = r.U8() != 0
+		s.aFactor, s.gFactor, s.aInv, s.gInv = r.Mat(), r.Mat(), r.Mat(), r.Mat()
 	}
-	k.Damping = st.Damping
-	for i, l := range st.Layers {
-		s := k.state[i]
-		s.initialized = l.Initialized
-		s.aFactor = l.AFactor.Restore()
-		s.gFactor = l.GFactor.Restore()
-		s.aInv = l.AInv.Restore()
-		s.gInv = l.GInv.Restore()
+	if r.Err() == nil {
+		k.Damping = damping
 	}
-	return nil
+	return r.Err()
 }

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 )
 
@@ -143,4 +144,17 @@ func BenchmarkGramT_256x257(b *testing.B) {
 			GramTInto(out, x)
 		}
 	})
+}
+
+// BenchmarkTInto transposes the square shapes InvSPDDampedChecked does on
+// every KFAC inverse, a power of two and one past it.
+func BenchmarkTInto(b *testing.B) {
+	for _, n := range []int{256, 257} {
+		a, t := RandN(NewRNG(1), n, n, 1), NewDense(n, n)
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				a.TInto(t)
+			}
+		})
+	}
 }

@@ -149,17 +149,20 @@ func (m *Dense) TInto(t *Dense) *Dense {
 	if len(m.data) != 0 && len(t.data) != 0 && &m.data[0] == &t.data[0] {
 		panic("mat: TInto destination aliases the source")
 	}
-	const bs = 32 // cache-friendly block transpose
-	for i0 := 0; i0 < m.rows; i0 += bs {
-		imax := min(i0+bs, m.rows)
-		for j0 := 0; j0 < m.cols; j0 += bs {
-			jmax := min(j0+bs, m.cols)
-			for i := i0; i < imax; i++ {
-				row := m.data[i*m.cols:]
-				for j := j0; j < jmax; j++ {
-					t.data[j*t.cols+i] = row[j]
-				}
-			}
+	// Eight source rows at a time, so each column writes one full 64-byte
+	// line of t rather than one element of a line per row.
+	c, i0 := m.cols, 0
+	for ; i0+8 <= m.rows; i0 += 8 {
+		src := m.data[i0*c : (i0+8)*c]
+		for j := 0; j < c; j++ {
+			d := t.data[j*t.cols+i0 : j*t.cols+i0+8]
+			d[0], d[1], d[2], d[3] = src[j], src[c+j], src[2*c+j], src[3*c+j]
+			d[4], d[5], d[6], d[7] = src[4*c+j], src[5*c+j], src[6*c+j], src[7*c+j]
+		}
+	}
+	for ; i0 < m.rows; i0++ {
+		for j, v := range m.data[i0*c : (i0+1)*c] {
+			t.data[j*t.cols+i0] = v
 		}
 	}
 	return t

@@ -255,3 +255,20 @@ func TestRNGPerm(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// TestTIntoMatchesElementwise: the 8-row blocked transpose against the
+// element-by-element definition, on shapes around the block size.
+func TestTIntoMatchesElementwise(t *testing.T) {
+	rng := NewRNG(11)
+	for _, s := range [][2]int{{0, 0}, {1, 1}, {0, 5}, {7, 9}, {8, 8}, {9, 17}, {16, 3}, {33, 65}, {257, 3}, {3, 257}} {
+		a := RandN(rng, s[0], s[1], 1)
+		got := a.TInto(NewDense(s[1], s[0]))
+		for i := 0; i < s[0]; i++ {
+			for j := 0; j < s[1]; j++ {
+				if got.At(j, i) != a.At(i, j) {
+					t.Fatalf("%dx%d: t(%d,%d) = %v, a(%d,%d) = %v", s[0], s[1], j, i, got.At(j, i), i, j, a.At(i, j))
+				}
+			}
+		}
+	}
+}

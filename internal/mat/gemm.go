@@ -313,9 +313,10 @@ func gemmSmall(out, a, b *Dense, transA, transB bool, m, k, n int, acc bool) {
 // the shared limiter grants. With acc the first slice accumulates too: out
 // holds the earlier strips. A nil a makes the gathered operand g the left
 // factor. With lower, tiles wholly above the diagonal are left unwritten.
+// bp holds one packed block, sized to the product's own k and n.
 func gemmPacked(out, a *Dense, g Gathered, b *Dense, transA, transB bool, m, k, n int, acc, lower bool) {
 	blk := gemmBlock{out: out, a: a, g: g, transA: transA, lower: lower, m: m,
-		bp: getFloatsRaw(gemmKC * ((gemmNC + gemmNR - 1) / gemmNR) * gemmNR)}
+		bp: getFloatsRaw(min(k, gemmKC) * ((min(n, gemmNC) + gemmNR - 1) / gemmNR * gemmNR))}
 	for blk.jc = 0; blk.jc < n; blk.jc += gemmNC {
 		blk.nc = min(gemmNC, n-blk.jc)
 		for blk.pc = 0; blk.pc < k; blk.pc += gemmKC {

@@ -1,54 +1,53 @@
 package nn
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
-	"io"
+
+	"repro/internal/mat"
 )
 
-// checkpoint is the on-disk format: named parameter tensors.
-type checkpoint struct {
-	Names []string
-	Rows  []int
-	Cols  []int
-	Data  [][]float64
-}
+// StateKey names the weights' checkpoint section.
+func (n *Network) StateKey() string { return "nn/weights" }
 
-// SaveCheckpoint writes every parameter of the network to w (gob-encoded).
-func (n *Network) SaveCheckpoint(w io.Writer) error {
-	var ck checkpoint
-	for _, p := range n.Params() {
-		ck.Names = append(ck.Names, p.Name)
-		ck.Rows = append(ck.Rows, p.W.Rows())
-		ck.Cols = append(ck.Cols, p.W.Cols())
-		d := make([]float64, len(p.W.Data()))
-		copy(d, p.W.Data())
-		ck.Data = append(ck.Data, d)
-	}
-	return gob.NewEncoder(w).Encode(ck)
-}
-
-// LoadCheckpoint restores parameters written by SaveCheckpoint into a
-// network with the identical architecture; names and shapes must match
-// exactly.
-func (n *Network) LoadCheckpoint(r io.Reader) error {
-	var ck checkpoint
-	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
-		return fmt.Errorf("nn: decode checkpoint: %w", err)
-	}
+// AppendState appends every parameter of the network: the count, then per
+// parameter its name (u32 length-prefixed) and its weights (mat.AppendMat).
+func (n *Network) AppendState(b []byte) []byte {
 	params := n.Params()
-	if len(params) != len(ck.Names) {
-		return fmt.Errorf("nn: checkpoint has %d params, network has %d", len(ck.Names), len(params))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(params)))
+	for _, p := range params {
+		b = mat.AppendMat(append(binary.LittleEndian.AppendUint32(b, uint32(len(p.Name))), p.Name...), p.W)
+	}
+	return b
+}
+
+// LoadState restores parameters written by AppendState into a network
+// with the identical architecture; names and shapes must match exactly.
+func (n *Network) LoadState(b []byte) error {
+	r := mat.NewReader(b)
+	params := n.Params()
+	if c := r.U32(); r.Err() == nil && int(c) != len(params) {
+		return fmt.Errorf("nn: checkpoint has %d params, network has %d", c, len(params))
 	}
 	for i, p := range params {
-		if p.Name != ck.Names[i] {
-			return fmt.Errorf("nn: param %d name %q != checkpoint %q", i, p.Name, ck.Names[i])
+		name := string(r.Take(int(r.U32())))
+		rows, cols := int(r.U32()), int(r.U32())
+		if r.Err() != nil {
+			break
 		}
-		if p.W.Rows() != ck.Rows[i] || p.W.Cols() != ck.Cols[i] {
+		if p.Name != name {
+			return fmt.Errorf("nn: param %d name %q != checkpoint %q", i, p.Name, name)
+		}
+		if p.W.Rows() != rows || p.W.Cols() != cols {
 			return fmt.Errorf("nn: param %q shape %dx%d != checkpoint %dx%d",
-				p.Name, p.W.Rows(), p.W.Cols(), ck.Rows[i], ck.Cols[i])
+				p.Name, p.W.Rows(), p.W.Cols(), rows, cols)
 		}
-		copy(p.W.Data(), ck.Data[i])
+		if raw := r.Take(8 * rows * cols); raw != nil {
+			mat.ReadFloats(p.W.Data(), raw)
+		}
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("nn: decode checkpoint: %w", err)
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -235,11 +234,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if mat.Equal(dst.Forward(x, false), before, 1e-12) {
 		t.Fatal("differently seeded nets should differ")
 	}
-	var buf bytes.Buffer
-	if err := src.SaveCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.LoadCheckpoint(&buf); err != nil {
+	if err := dst.LoadState(src.AppendState(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if !mat.Equal(dst.Forward(x, false), before, 0) {
@@ -250,11 +245,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointShapeMismatch(t *testing.T) {
 	a := NewNetwork(Vec(4), mat.NewRNG(1), NewLinear(3))
 	b := NewNetwork(Vec(4), mat.NewRNG(1), NewLinear(5))
-	var buf bytes.Buffer
-	if err := a.SaveCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.LoadCheckpoint(&buf); err == nil {
+	if err := b.LoadState(a.AppendState(nil)); err == nil {
 		t.Fatal("expected shape-mismatch error")
 	}
 }

@@ -1,100 +1,75 @@
 package opt
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+
+	"repro/internal/mat"
 )
 
 // Checkpoint persistence for the first-order optimizers. Both implement
-// the ckpt.StateSaver contract structurally (StateKey / SaveState /
+// the ckpt.StateSaver contract structurally (StateKey / AppendState /
 // LoadState), so this package never imports ckpt. Momentum and moment
 // buffers are training state — dropping them across a restore would
 // restart the update dynamics cold and break deterministic resume.
 
-type sgdState struct {
-	LR  float64
-	Vel [][]float64
-}
-
 // StateKey identifies SGD's checkpoint section.
 func (s *SGD) StateKey() string { return "opt/sgd" }
 
-// SaveState serializes the learning rate and momentum buffers.
-func (s *SGD) SaveState() ([]byte, error) {
-	st := sgdState{LR: s.lr, Vel: make([][]float64, len(s.vel))}
-	for i, v := range s.vel {
-		st.Vel[i] = append([]float64(nil), v.v...)
+// AppendState appends the learning rate and the momentum buffers.
+func (s *SGD) AppendState(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(mat.AppendF64(b, s.lr), uint32(len(s.vel)))
+	for _, v := range s.vel {
+		b = mat.AppendVec(b, v.v)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return b
 }
 
 // LoadState restores the learning rate and momentum buffers. The buffer
 // shapes must match the current parameter set (same model architecture).
 func (s *SGD) LoadState(b []byte) error {
-	var st sgdState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
-		return err
+	r := mat.NewReader(b)
+	lr := r.F64()
+	if n := r.U32(); r.Err() == nil && int(n) != len(s.vel) {
+		return fmt.Errorf("opt: sgd snapshot has %d velocity buffers, model has %d", n, len(s.vel))
 	}
-	if len(st.Vel) != len(s.vel) {
-		return fmt.Errorf("opt: sgd snapshot has %d velocity buffers, model has %d", len(st.Vel), len(s.vel))
+	for _, v := range s.vel {
+		r.VecInto(v.v)
 	}
-	for i, v := range st.Vel {
-		if len(v) != len(s.vel[i].v) {
-			return fmt.Errorf("opt: sgd velocity %d has %d elements, param has %d", i, len(v), len(s.vel[i].v))
-		}
-		copy(s.vel[i].v, v)
+	if r.Err() == nil {
+		s.lr = lr
 	}
-	s.lr = st.LR
-	return nil
-}
-
-type adamState struct {
-	LR   float64
-	Step int
-	M    [][]float64
-	V    [][]float64
+	return r.Err()
 }
 
 // StateKey identifies Adam's checkpoint section.
 func (a *Adam) StateKey() string { return "opt/adam" }
 
-// SaveState serializes the step count and both moment buffers (the step
-// count drives bias correction, so it must survive a restore).
-func (a *Adam) SaveState() ([]byte, error) {
-	st := adamState{LR: a.lr, Step: a.step, M: make([][]float64, len(a.m)), V: make([][]float64, len(a.v))}
+// AppendState appends the learning rate, the step count and both moment
+// buffers (the step count drives bias correction, so it must survive a
+// restore).
+func (a *Adam) AppendState(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(mat.AppendF64(b, a.lr), uint64(a.step))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(a.m)))
 	for i := range a.m {
-		st.M[i] = append([]float64(nil), a.m[i]...)
-		st.V[i] = append([]float64(nil), a.v[i]...)
+		b = mat.AppendVec(mat.AppendVec(b, a.m[i]), a.v[i])
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return b
 }
 
-// LoadState restores the step count and moment buffers.
+// LoadState restores the learning rate, step count and moment buffers.
 func (a *Adam) LoadState(b []byte) error {
-	var st adamState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
-		return err
+	r := mat.NewReader(b)
+	lr, step := r.F64(), int(r.U64())
+	if n := r.U32(); r.Err() == nil && int(n) != len(a.m) {
+		return fmt.Errorf("opt: adam snapshot has %d moment buffers, model has %d", n, len(a.m))
 	}
-	if len(st.M) != len(a.m) || len(st.V) != len(a.v) {
-		return fmt.Errorf("opt: adam snapshot has %d/%d moment buffers, model has %d", len(st.M), len(st.V), len(a.m))
+	for i := range a.m {
+		r.VecInto(a.m[i])
+		r.VecInto(a.v[i])
 	}
-	for i := range st.M {
-		if len(st.M[i]) != len(a.m[i]) || len(st.V[i]) != len(a.v[i]) {
-			return fmt.Errorf("opt: adam moment %d shape mismatch", i)
-		}
-		copy(a.m[i], st.M[i])
-		copy(a.v[i], st.V[i])
+	if r.Err() == nil {
+		a.lr, a.step = lr, step
 	}
-	a.lr = st.LR
-	a.step = st.Step
-	return nil
+	return r.Err()
 }

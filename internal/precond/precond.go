@@ -169,19 +169,15 @@ func (k *Kernel) Bytes() int {
 	return n * 8
 }
 
-// KernelState is a Kernel's checkpoint form.
-type KernelState struct {
-	As, Gs, M mat.DenseState
+// AppendState appends As, Gs and M, the state held between updates (the
+// scratch is rebuilt on demand; a nil factor is written as 0×0).
+func (k *Kernel) AppendState(b []byte) []byte {
+	return mat.AppendMat(mat.AppendMat(mat.AppendMat(b, k.As), k.Gs), k.M)
 }
 
-// Capture snapshots As, Gs and M (the scratch is rebuilt on demand).
-func (k *Kernel) Capture() KernelState {
-	return KernelState{As: mat.CaptureDense(k.As), Gs: mat.CaptureDense(k.Gs), M: mat.CaptureDense(k.M)}
-}
-
-// Restore installs a snapshot taken by Capture.
-func (k *Kernel) Restore(s KernelState) {
-	k.As, k.Gs, k.M = s.As.Restore(), s.Gs.Restore(), s.M.Restore()
+// ReadState installs factors written by AppendState.
+func (k *Kernel) ReadState(r *mat.Reader) {
+	k.As, k.Gs, k.M = r.Mat(), r.Mat(), r.Mat()
 }
 
 // InvertSPD returns (k + γI)⁻¹ with the bookkeeping every damped inverse in

@@ -90,9 +90,9 @@ func TestKernelStackCaptureRestore(t *testing.T) {
 		t.Fatalf("Bytes = %d; want %d", k.Bytes(), want)
 	}
 	var back Kernel
-	back.Restore(k.Capture())
+	back.ReadState(mat.NewReader(k.AppendState(nil)))
 	if mat.MaxAbsDiff(back.As, k.As) != 0 || mat.MaxAbsDiff(back.Gs, k.Gs) != 0 || mat.MaxAbsDiff(back.M, k.M) != 0 {
-		t.Fatal("Capture/Restore did not round-trip As, Gs, M")
+		t.Fatal("AppendState/ReadState did not round-trip As, Gs, M")
 	}
 }
 

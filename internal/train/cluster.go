@@ -1,8 +1,6 @@
 package train
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/ckpt"
@@ -80,21 +78,19 @@ func (t overTCP) run(fn func(dist.Comm)) []error { return t.p.Run(fn) }
 // has — which is also what makes a resumed run bit-identical on every
 // process. An empty blob means a cold start everywhere.
 func (t overTCP) syncSnapshot(local *ckpt.Snapshot) (*ckpt.Snapshot, error) {
-	var buf bytes.Buffer
+	var blob []byte
 	if local != nil {
-		if err := gob.NewEncoder(&buf).Encode(local); err != nil {
-			return nil, fmt.Errorf("train: encode snapshot for sync: %w", err)
-		}
+		blob = ckpt.Encode(local)
 	}
-	agreed, err := t.p.SyncSnapshot(buf.Bytes())
+	agreed, err := t.p.SyncSnapshot(blob)
 	if err != nil {
 		return nil, fmt.Errorf("train: snapshot sync: %w", err)
 	}
 	if len(agreed) == 0 {
 		return nil, nil
 	}
-	snap := &ckpt.Snapshot{}
-	if err := gob.NewDecoder(bytes.NewReader(agreed)).Decode(snap); err != nil {
+	snap, err := ckpt.Decode(agreed)
+	if err != nil {
 		return nil, fmt.Errorf("train: decode synced snapshot: %w", err)
 	}
 	return snap, nil

@@ -1,8 +1,7 @@
 package train
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"math"
 	"strconv"
 	"time"
@@ -45,6 +44,9 @@ type worker struct {
 	// preconditioner's among them, if it has one.
 	savers   []ckpt.StateSaver
 	preSaver ckpt.StateSaver
+	// bundleLen and trainerLen are the lengths of this rank's last section
+	// bundle and (rank 0) trainer section, which size the next checkpoint's.
+	bundleLen, trainerLen int
 
 	start      time.Time
 	step       int
@@ -59,24 +61,54 @@ type worker struct {
 	forceUpdate bool
 }
 
-// trainerState is the rank-independent trainer-loop state (the checkpoint
-// Trainer section): everything identical across replicas — model weights,
-// epoch/step cursors, the batch-order iterator, early-stopping and damping
-// bookkeeping, and the rank-0 result history. Rank 0 writes it; every rank
-// restores from it.
-type trainerState struct {
-	Epoch, Step  int
-	Net          []byte // nn.SaveCheckpoint payload (replicated weights)
-	Iter         data.IteratorState
-	BestMetric   float64
-	Stale        int
-	Stats        []EpochStat
-	Best         float64
-	TimeToTarget time.Duration
-	FinalLoss    float64
-	AdapterPrev  float64
-	AdapterSeen  bool
-	Elapsed      time.Duration
+// loopState is the worker seen as a saver of its trainer-loop
+// bookkeeping: early stopping, damping, the wall-clock offset and the
+// rank-0 result history. With the weights and the batch iterator it makes
+// up the checkpoint's Trainer section, the state identical across
+// replicas that rank 0 writes and every rank restores.
+type loopState worker
+
+func (*loopState) StateKey() string { return "train/loop" }
+
+func (l *loopState) AppendState(b []byte) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint64(mat.AppendF64(b, l.bestMetric), uint64(l.stale))
+	b = le.AppendUint64(b, uint64(time.Since(l.start)))
+	prev, seen := 0.0, false
+	if l.adapter != nil {
+		prev, seen = l.adapter.State()
+	}
+	b = mat.AppendF64(mat.AppendBool(b, seen), prev)
+	res := l.res
+	b = le.AppendUint64(mat.AppendF64(mat.AppendF64(b, res.Best), res.FinalLoss), uint64(res.TimeToTarget))
+	b = le.AppendUint32(b, uint32(len(res.Stats)))
+	for _, st := range res.Stats {
+		b = le.AppendUint64(b, uint64(st.Epoch))
+		b = le.AppendUint64(mat.AppendF64(mat.AppendF64(b, st.TrainLoss), st.Metric), uint64(st.Elapsed))
+	}
+	return b
+}
+
+func (l *loopState) LoadState(b []byte) error {
+	r := mat.NewReader(b)
+	best, stale, elapsed := r.F64(), int(r.U64()), time.Duration(r.U64())
+	seen, prev := r.U8() != 0, r.F64()
+	res := Result{Best: r.F64(), FinalLoss: r.F64(), TimeToTarget: time.Duration(r.U64())}
+	stats := mat.NewReader(r.Take(32 * int(r.U32())))
+	for stats.Len() > 0 {
+		res.Stats = append(res.Stats, EpochStat{Epoch: int(stats.U64()), TrainLoss: stats.F64(), Metric: stats.F64(), Elapsed: time.Duration(stats.U64())})
+	}
+	if r.Err() != nil {
+		return r.Err()
+	}
+	l.bestMetric, l.stale, l.start = best, stale, time.Now().Add(-elapsed)
+	if l.adapter != nil && seen {
+		l.adapter.Restore(prev, true)
+	}
+	if l.res != nil {
+		l.res.Stats, l.res.Best, l.res.TimeToTarget, l.res.FinalLoss = res.Stats, res.Best, res.TimeToTarget, res.FinalLoss
+	}
+	return nil
 }
 
 // rngSaver adapts a trainer-owned RNG stream to the ckpt.StateSaver
@@ -88,21 +120,12 @@ type rngSaver struct {
 
 func (s rngSaver) StateKey() string { return s.key }
 
-func (s rngSaver) SaveState() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s.rng.State()); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+func (s rngSaver) AppendState(b []byte) []byte { return s.rng.AppendState(b) }
 
 func (s rngSaver) LoadState(b []byte) error {
-	var st mat.RNGState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
-		return err
-	}
-	s.rng.SetState(st)
-	return nil
+	r := mat.NewReader(b)
+	s.rng.ReadState(r)
+	return r.Err()
 }
 
 // train runs the worker from construction (or resume, when non-nil) to the
@@ -185,6 +208,16 @@ func (w *worker) build(tl *dist.Timeline) {
 	if w.aug != nil {
 		w.savers = append(w.savers, rngSaver{key: "rng/aug", rng: w.aug.RNG()})
 	}
+	// A checkpoint encodes into a buffer the length of the previous one
+	// (encodeSections). Measure the state as built for the first: growing
+	// a bundle of megabytes by appends would allocate it several times
+	// over, at the run's peak.
+	if w.ckpts.every > 0 {
+		w.bundleLen = len(ckpt.EncodeSections(nil, w.savers...))
+		if w.res != nil {
+			w.trainerLen = len(ckpt.EncodeSections(nil, (*loopState)(w), w.net, w.it))
+		}
+	}
 }
 
 // restore loads snap into the freshly built replica — the replicated
@@ -192,29 +225,16 @@ func (w *worker) build(tl *dist.Timeline) {
 // them — and returns the epoch to continue from. Damaged parts are counted
 // and skipped: a partial restore trains on, a failed one would not.
 func (w *worker) restore(snap *ckpt.Snapshot) (startEpoch int) {
-	var ts trainerState
-	if err := gob.NewDecoder(bytes.NewReader(snap.Trainer)).Decode(&ts); err == nil {
-		startEpoch = ts.Epoch + 1
-		w.step = ts.Step
-		if len(ts.Net) > 0 {
-			if err := w.net.LoadCheckpoint(bytes.NewReader(ts.Net)); err != nil {
+	sections, err := ckpt.DecodeSections(snap.Trainer)
+	if ok, lerr := ckpt.LoadInto(sections, (*loopState)(w)); err != nil || !ok || lerr != nil {
+		telemetry.IncCounter(telemetry.MetricCkptErrors, 1)
+	} else {
+		startEpoch, w.step = snap.Epoch+1, snap.Step
+		for _, s := range []ckpt.StateSaver{w.net, w.it} {
+			if _, err := ckpt.LoadInto(sections, s); err != nil {
 				telemetry.IncCounter(telemetry.MetricCkptErrors, 1)
 			}
 		}
-		w.it.Restore(ts.Iter)
-		w.bestMetric, w.stale = ts.BestMetric, ts.Stale
-		w.start = time.Now().Add(-ts.Elapsed)
-		if w.adapter != nil && ts.AdapterSeen {
-			w.adapter.Restore(ts.AdapterPrev, true)
-		}
-		if w.res != nil {
-			w.res.Stats = append([]EpochStat(nil), ts.Stats...)
-			w.res.Best = ts.Best
-			w.res.TimeToTarget = ts.TimeToTarget
-			w.res.FinalLoss = ts.FinalLoss
-		}
-	} else {
-		telemetry.IncCounter(telemetry.MetricCkptErrors, 1)
 	}
 	preRestored := false
 	if w.rank < len(snap.Ranks) && len(snap.Ranks[w.rank]) > 0 {
@@ -431,49 +451,30 @@ func (w *worker) evaluate(epoch int, meanLoss float64) {
 // counted and tolerated; a missed checkpoint costs recovery granularity,
 // not the run.
 func (w *worker) checkpoint(epoch int) {
-	var local []byte // stays nil on failure: still join the gather, it is a collective
-	sections, err := ckpt.SaveAll(w.savers...)
-	if err == nil {
-		local, err = ckpt.EncodeSections(sections)
-	}
-	if err != nil {
-		telemetry.IncCounter(telemetry.MetricCkptErrors, 1)
-	}
+	local := encodeSections(&w.bundleLen, w.savers...)
 	ranks := gatherRankSections(w.comm, local)
 	if w.res == nil {
 		return
 	}
-	ts := trainerState{
-		Epoch:        epoch,
-		Step:         w.step,
-		Iter:         w.it.State(),
-		BestMetric:   w.bestMetric,
-		Stale:        w.stale,
-		Stats:        w.res.Stats,
-		Best:         w.res.Best,
-		TimeToTarget: w.res.TimeToTarget,
-		FinalLoss:    w.res.FinalLoss,
-		Elapsed:      time.Since(w.start),
-	}
-	var netBuf bytes.Buffer
-	if err := w.net.SaveCheckpoint(&netBuf); err == nil {
-		ts.Net = netBuf.Bytes()
-	}
-	if w.adapter != nil {
-		ts.AdapterPrev, ts.AdapterSeen = w.adapter.State()
-	}
-	var tb bytes.Buffer
-	if err := gob.NewEncoder(&tb).Encode(ts); err != nil {
-		telemetry.IncCounter(telemetry.MetricCkptErrors, 1)
-	} else if _, err := w.ckpts.mgr.Save(&ckpt.Snapshot{
+	if _, err := w.ckpts.mgr.Save(&ckpt.Snapshot{
 		Epoch:   epoch,
 		Step:    w.step,
 		P:       w.p,
-		Trainer: tb.Bytes(),
+		Trainer: encodeSections(&w.trainerLen, (*loopState)(w), w.net, w.it),
 		Ranks:   ranks,
 	}); err != nil {
 		telemetry.IncCounter(telemetry.MetricCkptErrors, 1)
 	}
+}
+
+// encodeSections encodes the savers' sections into one buffer sized from
+// *last, the length of the previous such encoding, and records this one's.
+// An eighth of slack absorbs what a run adds between saves (the epoch
+// history, factors first computed after build), so a save allocates once.
+func encodeSections(last *int, savers ...ckpt.StateSaver) []byte {
+	b := ckpt.EncodeSections(make([]byte, 0, *last+*last/8), savers...)
+	*last = len(b)
+	return b
 }
 
 // agreeToStop all-reduces one rank's stop observation so every replica
