@@ -151,8 +151,8 @@ func measureKIDError(cfg RunConfig, sketch core.Sketch) float64 {
 	for j := range exact {
 		approx := (grad[j] - corr[j]) / 0.1
 		d := approx - exact[j]
-		num += d * d
-		den += exact[j] * exact[j]
+		num += float64(d * d)
+		den += float64(exact[j] * exact[j])
 	}
 	if den == 0 {
 		return 0
@@ -205,8 +205,8 @@ func AblationKISRescale(cfg RunConfig) *Table {
 			for j := range exact {
 				approx := (grad[j] - corr[j]) / 0.1
 				d := approx - exact[j]
-				num += d * d
-				den += exact[j] * exact[j]
+				num += float64(d * d)
+				den += float64(exact[j] * exact[j])
 			}
 			sum += sqrt(num / den)
 		}

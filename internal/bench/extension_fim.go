@@ -55,8 +55,8 @@ func ExtensionFIMQuality(cfg RunConfig) *Table {
 		var num, den float64
 		for j, e := range exact {
 			d := approx.Data()[j] - e
-			num += d * d
-			den += e * e
+			num += float64(d * d)
+			den += float64(e * e)
 		}
 		return math.Sqrt(num / den)
 	}

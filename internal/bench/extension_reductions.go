@@ -58,8 +58,8 @@ func ExtensionReductions(cfg RunConfig) *Table {
 		var num, den float64
 		for j := range exact {
 			d := approx[j] - exact[j]
-			num += d * d
-			den += exact[j] * exact[j]
+			num += float64(d * d)
+			den += float64(exact[j] * exact[j])
 		}
 		return math.Sqrt(num / den)
 	}

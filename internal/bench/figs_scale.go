@@ -48,14 +48,7 @@ func Fig3MethodScaling(cfg RunConfig) *Table {
 		sngd := SNGDSchedule(md, cm, m)
 		kid := HyLoKIDSchedule(md, cm, m, 0.1)
 		kis := HyLoKISSchedule(md, cm, m, 0.1)
-		// HyLo's effective cost: the paper's switching uses KID in ~30% of
-		// ResNet-50 epochs.
-		hylo := PhaseCost{
-			Factorize: 0.3*kid.Factorize + 0.7*kis.Factorize,
-			Invert:    0.3*kid.Invert + 0.7*kis.Invert,
-			Gather:    0.3*kid.Gather + 0.7*kis.Gather,
-			Broadcast: 0.3*kid.Broadcast + 0.7*kis.Broadcast,
-		}
+		hylo := hyloMix(kid, kis)
 		for _, e := range []struct {
 			name string
 			c    PhaseCost
@@ -70,7 +63,7 @@ func Fig3MethodScaling(cfg RunConfig) *Table {
 	sngd := SNGDSchedule(md, cm, m)
 	kid := HyLoKIDSchedule(md, cm, m, 0.1)
 	kis := HyLoKISSchedule(md, cm, m, 0.1)
-	hyloTotal := 0.3*kid.Total() + 0.7*kis.Total()
+	hyloTotal := mix(kid.Total(), kis.Total())
 	t.AddNote("at P=64: KFAC/HyLo = %.1fx, SNGD/HyLo = %.1fx (paper: 28x and 20x)",
 		kfac.Total()/hyloTotal, sngd.Total()/hyloTotal)
 	return t
@@ -145,12 +138,7 @@ func projectedSpeedup(c fig8Case, p int, rf float64) float64 {
 	sgdIter := IterationCost(c.md, cm, c.m, PhaseCost{}, 0, false, 1)
 	kid := HyLoKIDSchedule(c.md, cm, c.m, rf)
 	kis := HyLoKISSchedule(c.md, cm, c.m, rf)
-	so := PhaseCost{
-		Factorize: 0.3*kid.Factorize + 0.7*kis.Factorize,
-		Invert:    0.3*kid.Invert + 0.7*kis.Invert,
-		Gather:    0.3*kid.Gather + 0.7*kis.Gather,
-		Broadcast: 0.3*kid.Broadcast + 0.7*kis.Broadcast,
-	}
+	so := hyloMix(kid, kis)
 	r := int(rf * float64(c.m*p))
 	hyloIter := IterationCost(c.md, cm, c.m, so, r, false, freq)
 	// Iterations per epoch shrink with P equally for both methods, so the
@@ -212,12 +200,7 @@ func Fig9Scalability(cfg RunConfig) *Table {
 			}
 			kid := HyLoKIDSchedule(c.md, cm, c.m, 0.1)
 			kis := HyLoKISSchedule(c.md, cm, c.m, 0.1)
-			so := PhaseCost{
-				Factorize: 0.3*kid.Factorize + 0.7*kis.Factorize,
-				Invert:    0.3*kid.Invert + 0.7*kis.Invert,
-				Gather:    0.3*kid.Gather + 0.7*kis.Gather,
-				Broadcast: 0.3*kid.Broadcast + 0.7*kis.Broadcast,
-			}
+			so := hyloMix(kid, kis)
 			r := int(0.1 * float64(c.m*p))
 			return float64(iters) * IterationCost(c.md, cm, c.m, so, r, false, freq)
 		}

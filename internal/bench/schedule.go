@@ -20,6 +20,16 @@ func (p PhaseCost) Communication() float64 { return p.Gather + p.Broadcast }
 // Total returns the full per-update cost.
 func (p PhaseCost) Total() float64 { return p.Computation() + p.Communication() }
 
+// mix weighs a KID and a KIS cost into HyLo's effective one: the paper's
+// switching uses KID in ~30% of ResNet-50 epochs.
+func mix(kid, kis float64) float64 { return float64(0.3*kid) + float64(0.7*kis) }
+
+// hyloMix is mix for every phase.
+func hyloMix(kid, kis PhaseCost) PhaseCost {
+	return PhaseCost{mix(kid.Factorize, kis.Factorize), mix(kid.Invert, kis.Invert),
+		mix(kid.Gather, kis.Gather), mix(kid.Broadcast, kis.Broadcast)}
+}
+
 // invParallel is the parallel speedup of the layer-assigned inversion step:
 // inversion work spreads across min(P, L) workers.
 func invParallel(cm dist.CostModel, layers int) float64 {
@@ -121,7 +131,7 @@ func HyLoKISSchedule(md models.ModelDesc, cm dist.CostModel, m int, rankFrac flo
 func ForwardBackward(md models.ModelDesc, cm dist.CostModel, m int) float64 {
 	var t float64
 	for _, l := range md.Layers {
-		t += 3 * cm.GEMM(m*l.SpatialOut, l.DOut, l.DIn)
+		t += float64(3 * cm.GEMM(m*l.SpatialOut, l.DOut, l.DIn))
 	}
 	return t
 }

@@ -40,7 +40,7 @@ func AblationSeeds(cfg RunConfig) *Table {
 		mean /= float64(len(accs))
 		var varSum float64
 		for _, a := range accs {
-			varSum += (a - mean) * (a - mean)
+			varSum += float64((a - mean) * (a - mean))
 		}
 		std := math.Sqrt(varSum / float64(len(accs)))
 		t.AddRow(name, fmt.Sprint(len(seeds)), fmtF(mean), fmtF(std), fmtF(minV), fmtF(maxV))

@@ -27,8 +27,8 @@ func AblationStraggler(cfg RunConfig) *Table {
 			kaisa := KFACSchedule(md, cm, m)
 			kid := HyLoKIDSchedule(md, cm, m, 0.1)
 			kis := HyLoKISSchedule(md, cm, m, 0.1)
-			hyloComp := 0.3*kid.Computation() + 0.7*kis.Computation()
-			hyloComm := 0.3*kid.Communication() + 0.7*kis.Communication()
+			hyloComp := mix(kid.Computation(), kis.Computation())
+			hyloComm := mix(kid.Communication(), kis.Communication())
 			fb := ForwardBackward(md, cm, m)
 			ar := GradAllReduce(md, cm)
 

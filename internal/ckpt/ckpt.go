@@ -5,11 +5,15 @@
 // load time, and LoadLatest transparently falls back to the previous good
 // snapshot, so a crash during checkpointing can never strand a run.
 //
-// A Snapshot carries the trainer-loop state (epoch, step, batch iterator,
-// early-stopping history) plus one section bundle per rank, appended by
-// StateSaver implementations (optimizers, preconditioners, RNG streams)
-// in mat's byte codec, the one the TCP wire speaks. Rank 0 owns the file: per-rank bundles are gathered through
-// the cluster's collectives and written in one atomic operation, so a
+// A Snapshot carries the trainer-loop state (epoch, step, weights, batch
+// iterator, early-stopping history) plus one section bundle per rank,
+// appended by StateSaver implementations in mat's byte codec, the one the
+// TCP wire speaks. Every optimizer and preconditioner is one (opt.Optimizer
+// and opt.Preconditioner embed StateSaver), and nearly every saver is a
+// mat.Section: a key and the mat.Fields list of its state, which encodes
+// and decodes it in one place.
+// Rank 0 owns the file: per-rank bundles are gathered through the
+// cluster's collectives and written in one atomic operation, so a
 // checkpoint is always globally consistent — there is no per-rank file to
 // half-update.
 package ckpt
@@ -55,8 +59,9 @@ type StateSaver interface {
 	// returns the extended buffer.
 	AppendState(b []byte) []byte
 	// LoadState restores state previously written by AppendState on an
-	// identically configured component, checking every length it reads.
-	// b aliases the snapshot: copy out of it, never keep it.
+	// identically configured component, checking every length it reads;
+	// on an error it leaves the component as it was. b aliases the
+	// snapshot: copy out of it, never keep it.
 	LoadState(data []byte) error
 }
 

@@ -57,7 +57,7 @@ type HyLo struct {
 	mode       Mode
 	delta      [][]float64 // per-layer accumulated gradient Δₑ
 	prevNorms  []float64   // history of ‖Δₑ‖
-	epochModes []Mode      // record of chosen modes (Table III / analysis)
+	epochModes []byte      // each epoch's Mode (Table III / analysis)
 }
 
 type hyloState struct {
@@ -105,11 +105,28 @@ func NewHyLo(net *nn.Network, damping, rankFrac float64, comm dist.Comm, timelin
 	})
 	h.state = make([]*hyloState, len(h.Layers))
 	h.delta = make([][]float64, len(h.Layers))
+	// What must survive a restore for deterministic resume:
+	//   - the switching state (mode, Δₑ accumulators, ‖Δ‖ history, the
+	//     policy RNG): the gradient-norm heuristic (Eq. 10) compares
+	//     consecutive epochs, so losing Δₑ₋₁/Δₑ₋₂ changes every later mode
+	//     decision;
+	//   - each layer's gathered factors As, Gs and middle matrix M: between
+	//     update iterations Precondition reuses them, so a resumed step
+	//     that lands between refreshes must see the same second-order state;
+	//   - the adapted damping α.
+	// Not saved: the sampling RNG, which the trainer owns and checkpoints
+	// in its own section (HyLo only borrows the pointer), and the
+	// workspaces, scratch rebuilt on the next Update.
+	h.State = mat.Fields{&h.Damping, (*int)(&h.mode), &h.prevNorms, &h.epochModes, uint32(len(h.Layers))}
 	for i, l := range h.Layers {
-		h.state[i] = &hyloState{}
+		st := &hyloState{}
+		h.state[i] = st
 		dIn, dOut := l.Dims()
 		h.delta[i] = make([]float64, dIn*dOut)
+		h.State = append(h.State, h.delta[i], &st.As, &st.Gs, &st.M)
 	}
+	h.State = append(h.State, h.policyRNG)
+	h.Fits = func(i, dIn, dOut int) bool { return h.state[i].Fits(dIn, dOut) }
 	return h
 }
 
@@ -136,7 +153,7 @@ func (h *HyLo) Mode() Mode { return h.mode }
 func (h *HyLo) ModeStrings() []string {
 	out := make([]string, len(h.epochModes))
 	for i, m := range h.epochModes {
-		out[i] = m.String()
+		out[i] = Mode(m).String()
 	}
 	return out
 }
@@ -172,7 +189,7 @@ func (h *HyLo) OnEpochStart(epoch int, lrDecayed bool) {
 	}
 	prev := h.mode
 	h.mode = policy.Choose(epoch, lrDecayed, ratio, h.policyRNG)
-	h.epochModes = append(h.epochModes, h.mode)
+	h.epochModes = append(h.epochModes, byte(h.mode))
 	// Observability: count KID↔KIS transitions and mark them on the
 	// trace (rank 0 speaks for the collective decision).
 	if telemetry.Enabled() && h.Comm.ID() == 0 {

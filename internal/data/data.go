@@ -7,7 +7,6 @@
 package data
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -202,22 +201,44 @@ type BatchIterator struct {
 	n, bs int
 	perm  []int
 	pos   int
+	// Section is the checkpoint: the cursor, the live permutation and the
+	// RNG stream, which resume the exact batch sequence.
+	mat.Section
 }
 
 // NewBatchIterator returns an iterator over n samples in batches of bs.
 func NewBatchIterator(rng *mat.RNG, n, bs int) *BatchIterator {
-	it := &BatchIterator{rng: rng, n: n, bs: bs}
+	it := &BatchIterator{rng: rng, n: n, bs: bs, perm: make([]int, n)}
+	it.Key, it.State, it.Check = "data/iter", mat.Fields{&it.pos, it.perm, rng}, it.check
 	it.reshuffle()
 	return it
 }
 
+// check vets a loaded section: Next slices perm from pos and hands its
+// entries out as sample indices.
+func (it *BatchIterator) check() error {
+	seen := make([]bool, it.n)
+	for _, v := range it.perm {
+		if v < 0 || v >= it.n || seen[v] {
+			return fmt.Errorf("data: iterator order is no permutation of %d samples", it.n)
+		}
+		seen[v] = true
+	}
+	if it.pos < 0 {
+		return fmt.Errorf("data: iterator cursor %d", it.pos)
+	}
+	return nil
+}
+
+// reshuffle draws the next epoch's order into perm, in place.
 func (it *BatchIterator) reshuffle() {
-	it.perm = it.rng.Perm(it.n)
+	it.rng.PermInto(it.perm)
 	it.pos = 0
 }
 
 // Next returns the next batch of indices, reshuffling at epoch boundaries.
 // Batches are always full-size; a short tail is folded into the reshuffle.
+// The slice aliases the iterator's permutation: it holds until the next call.
 func (it *BatchIterator) Next() []int {
 	if it.pos+it.bs > it.n {
 		it.reshuffle()
@@ -229,36 +250,3 @@ func (it *BatchIterator) Next() []int {
 
 // BatchesPerEpoch returns the number of full batches per epoch.
 func (it *BatchIterator) BatchesPerEpoch() int { return it.n / it.bs }
-
-// StateKey identifies the iterator's checkpoint section.
-func (it *BatchIterator) StateKey() string { return "data/iter" }
-
-// AppendState appends the cursor, the live permutation and the RNG
-// stream: restoring them resumes the exact batch sequence a checkpointed
-// run would have produced.
-func (it *BatchIterator) AppendState(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(b, uint64(it.pos)), uint32(len(it.perm)))
-	for _, v := range it.perm {
-		b = binary.LittleEndian.AppendUint32(b, uint32(v))
-	}
-	return it.rng.AppendState(b)
-}
-
-// LoadState rewinds the iterator (and its RNG) to a state written by
-// AppendState over the same sample count.
-func (it *BatchIterator) LoadState(b []byte) error {
-	r := mat.NewReader(b)
-	pos := int(r.U64())
-	if n := r.U32(); r.Err() == nil && int(n) != it.n {
-		return fmt.Errorf("data: iterator snapshot over %d samples, dataset has %d", n, it.n)
-	}
-	raw := r.Take(4 * it.n)
-	if it.rng.ReadState(r); r.Err() != nil {
-		return r.Err()
-	}
-	it.perm, it.pos = make([]int, it.n), pos
-	for i := range it.perm {
-		it.perm[i] = int(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return nil
-}

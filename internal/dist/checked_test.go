@@ -37,14 +37,15 @@ func TestCheckedCommDetectsMismatch(t *testing.T) {
 	c.Run(func(w *Worker) {
 		comm := chk.Check(w)
 		m := mat.NewDense(1, 1)
-		// Divergent control flow: rank 0 gathers, rank 1 reduces. In the
-		// channel-based simulator both ops share the same barrier pattern,
-		// so execution completes — but results are garbage; the checker
-		// must flag it.
+		// Divergent control flow: rank 0 broadcasts, rank 1 gathers. In
+		// the channel-based simulator both ops share the same barrier
+		// pattern, so execution completes — but results are garbage; the
+		// checker must flag it. Both ops only read the peer's matrix, so
+		// the mismatch itself races on nothing.
 		if w.Rank == 0 {
-			comm.AllGatherMat(m)
+			comm.BroadcastMat(0, m)
 		} else {
-			comm.AllReduceMat(m)
+			comm.AllGatherMat(m)
 		}
 	})
 	v := msg.Load()
@@ -66,9 +67,9 @@ func TestCheckedCommReportsOnce(t *testing.T) {
 		m := mat.NewDense(1, 1)
 		for i := 0; i < 3; i++ {
 			if w.Rank == 0 {
-				comm.AllGatherMat(m)
+				comm.BroadcastMat(0, m)
 			} else {
-				comm.AllReduceMat(m)
+				comm.AllGatherMat(m)
 			}
 		}
 	})

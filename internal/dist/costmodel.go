@@ -89,7 +89,7 @@ func (c CostModel) PivotedQR(m, n, r int) float64 {
 // m×d matrix: one pass over the data, memory-bound, costed at the small-op
 // rate per element.
 func (c CostModel) RowNormSample(m, d int) float64 {
-	return c.KernelLaunch + 2*float64(m)*float64(d)/c.FlopRate*10
+	return c.KernelLaunch + float64(2*float64(m)*float64(d)/c.FlopRate*10)
 }
 
 // AllReduce returns the time for a ring all-reduce of nBytes across the
@@ -100,7 +100,7 @@ func (c CostModel) AllReduce(nElems int) float64 {
 		return 0
 	}
 	bytes := float64(nElems * bytesPerFloat)
-	return 2*(p-1)*c.Alpha + 2*(p-1)/p*bytes*c.Beta
+	return float64(2*(p-1)*c.Alpha) + float64(2*(p-1)/p*bytes*c.Beta)
 }
 
 // AllGather returns the time for a ring all-gather where every worker
@@ -111,7 +111,7 @@ func (c CostModel) AllGather(nElems int) float64 {
 		return 0
 	}
 	bytes := float64(nElems * bytesPerFloat)
-	return (p - 1) * (c.Alpha + bytes*c.Beta)
+	return (p - 1) * (c.Alpha + float64(bytes*c.Beta))
 }
 
 // Broadcast returns the time for a binomial-tree broadcast of nElems.
@@ -121,5 +121,5 @@ func (c CostModel) Broadcast(nElems int) float64 {
 	}
 	steps := math.Ceil(math.Log2(float64(c.Workers)))
 	bytes := float64(nElems * bytesPerFloat)
-	return steps * (c.Alpha + bytes*c.Beta)
+	return steps * (c.Alpha + float64(bytes*c.Beta))
 }

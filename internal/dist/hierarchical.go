@@ -51,11 +51,11 @@ func (h HierarchicalCostModel) AllGather(nElems int) float64 {
 	nodes := float64(h.Nodes())
 	var t float64
 	if g > 1 {
-		t += (g - 1) * (h.IntraAlpha + bytes*h.IntraBeta)
+		t += float64((g - 1) * (h.IntraAlpha + float64(bytes*h.IntraBeta)))
 	}
 	if nodes > 1 {
 		nodeBlock := bytes * g
-		t += (nodes - 1) * (h.InterAlpha + nodeBlock*h.InterBeta)
+		t += float64((nodes - 1) * (h.InterAlpha + float64(nodeBlock*h.InterBeta)))
 	}
 	return t
 }
@@ -72,10 +72,10 @@ func (h HierarchicalCostModel) Broadcast(nElems int) float64 {
 	nodes := float64(h.Nodes())
 	var t float64
 	if nodes > 1 {
-		t += math.Ceil(math.Log2(nodes)) * (h.InterAlpha + bytes*h.InterBeta)
+		t += float64(math.Ceil(math.Log2(nodes)) * (h.InterAlpha + float64(bytes*h.InterBeta)))
 	}
 	if g > 1 {
-		t += math.Ceil(math.Log2(g)) * (h.IntraAlpha + bytes*h.IntraBeta)
+		t += float64(math.Ceil(math.Log2(g)) * (h.IntraAlpha + float64(bytes*h.IntraBeta)))
 	}
 	return t
 }

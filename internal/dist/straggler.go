@@ -46,7 +46,7 @@ func (s StragglerModel) MaxSlowdown() float64 {
 // time per worker: compute stretches by the slowest worker, communication
 // is unchanged (links, not cores).
 func (s StragglerModel) StepTime(compute, comm float64) float64 {
-	t := compute*s.MaxSlowdown() + comm
+	t := float64(compute*s.MaxSlowdown()) + comm
 	// Straggler loss feeds the observability layer: the overhead
 	// histogram drives the "how much does jitter cost" dashboards.
 	telemetry.Observe("dist_straggler_overhead_seconds", t-(compute+comm))

@@ -44,10 +44,31 @@ func NewKBFGSL(net *nn.Network, damping float64, history int) *KBFGSL {
 	k.Init("kbfgs", net, dist.Local(), nil, k.stageTwoLoop,
 		[]sched.Stage{{Name: "curvature_pairs", Fn: k.stageHarvest}})
 	k.state = make([]*lbfgsState, len(k.Layers))
-	for i := range k.state {
-		k.state[i] = &lbfgsState{}
+	// The curvature pairs are harvested one per update from weight and
+	// gradient deltas; none can be rebuilt after a restore, nor can the
+	// previous weights and gradients the next pair subtracts. The layer's
+	// dims guard the section; Check, the vectors a load replaces.
+	k.State = mat.Fields{uint32(len(k.Layers))}
+	for i, l := range k.Layers {
+		st := &lbfgsState{}
+		k.state[i] = st
+		dIn, dOut := l.Dims()
+		k.State = append(k.State, uint32(dIn), uint32(dOut), &st.prevW, &st.prevG, &st.s, &st.y, &st.rho)
 	}
+	k.Fits = func(i, dIn, dOut int) bool { return k.state[i].fits(dIn*dOut, k.History) }
 	return k
+}
+
+// fits reports whether the previous weights and gradients are both absent
+// or both of n elements, and there are at most history pairs, each of n
+// elements with its ρ: what stageHarvest and stageTwoLoop index.
+func (st *lbfgsState) fits(n, history int) bool {
+	ok := len(st.prevG) == len(st.prevW) && (len(st.prevW) == 0 || len(st.prevW) == n) &&
+		len(st.s) <= history && len(st.y) == len(st.s) && len(st.rho) == len(st.s)
+	for j := 0; ok && j < len(st.s); j++ {
+		ok = len(st.s[j]) == n && len(st.y[j]) == n
+	}
+	return ok
 }
 
 // Name implements opt.Preconditioner.

@@ -101,6 +101,13 @@ func (k *kron) stageFactorize(i int) {
 	k.Record(dist.PhaseFactorize, pl.Layer, t0)
 }
 
+// pairFits reports whether a layer's loaded pair of the matrices
+// Precondition multiplies the gradient by is absent, as before the first
+// refresh, or dIn×dIn and dOut×dOut.
+func pairFits(a, g *mat.Dense, dIn, dOut int) bool {
+	return a == nil && g == nil || mat.Shaped(a, dIn, dIn) && mat.Shaped(g, dOut, dOut)
+}
+
 // stageReduce all-reduces the factors in place (KAISA step 3).
 func (k *kron) stageReduce(i int) {
 	pl := &k.Plans[i]
@@ -129,10 +136,21 @@ func NewKFAC(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.Ti
 		sched.Stage{Name: "invert", Fn: k.stageInvert},
 		sched.Stage{Name: "broadcast", Comm: true, Fn: k.stageBroadcast})
 	k.state = make([]*kfacState, len(k.Layers))
+	// The running Kronecker factors are exponential moving averages: one
+	// post-restore batch cannot rebuild them, so losing them degrades the
+	// curvature estimates for many update intervals. Under the
+	// memory-optimized KAISA placement only a layer's owner keeps them up
+	// to date, which is why KFAC state lives in the per-rank sections. The
+	// inverses are saved too: between update iterations Precondition
+	// applies them, so a resumed step between refreshes must see the same
+	// second-order state.
+	k.State = mat.Fields{&k.Damping, uint32(len(k.Layers))}
 	for i, l := range k.Layers {
-		k.state[i] = &kfacState{factors: newFactors(l)}
-		k.fac[i] = &k.state[i].factors
+		st := &kfacState{factors: newFactors(l)}
+		k.state[i], k.fac[i] = st, &st.factors
+		k.State = append(k.State, &st.initialized, st.aFactor, st.gFactor, &st.aInv, &st.gInv)
 	}
+	k.Fits = func(i, dIn, dOut int) bool { return pairFits(k.state[i].aInv, k.state[i].gInv, dIn, dOut) }
 	return k
 }
 
@@ -251,11 +269,17 @@ func NewEKFAC(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.T
 		sched.Stage{Name: "broadcast", Comm: true, Fn: e.stageBroadcast},
 		sched.Stage{Name: "rescale", Fn: e.stageRescale})
 	e.state = make([]*ekfacState, len(e.Layers))
+	// As KFAC's, the running factors and the diagonal scale are
+	// exponential averages no post-restore batch rebuilds; the eigenbases
+	// are what Precondition applies between refreshes.
+	e.State = mat.Fields{uint32(len(e.Layers))}
 	for i, l := range e.Layers {
 		dIn, dOut := l.Dims()
-		e.state[i] = &ekfacState{factors: newFactors(l), scale: mat.NewDense(dIn, dOut)}
-		e.fac[i] = &e.state[i].factors
+		st := &ekfacState{factors: newFactors(l), scale: mat.NewDense(dIn, dOut)}
+		e.state[i], e.fac[i] = st, &st.factors
+		e.State = append(e.State, &st.initialized, st.aFactor, st.gFactor, &st.qa, &st.qg, st.scale, &st.scaleInit)
 	}
+	e.Fits = func(i, dIn, dOut int) bool { return pairFits(e.state[i].qa, e.state[i].qg, dIn, dOut) }
 	return e
 }
 

@@ -82,6 +82,9 @@ func (m *Dense) Cols() int { return m.cols }
 // Dims returns (rows, cols).
 func (m *Dense) Dims() (int, int) { return m.rows, m.cols }
 
+// Shaped reports whether m is a rows×cols matrix; nil is none.
+func Shaped(m *Dense, rows, cols int) bool { return m != nil && m.rows == rows && m.cols == cols }
+
 // At returns the element at (i, j).
 func (m *Dense) At(i, j int) float64 { return m.data[i*m.cols+j] }
 

@@ -60,8 +60,12 @@ func (r *RNG) Norm() float64 {
 }
 
 // Perm returns a random permutation of [0, n) (Fisher-Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
+func (r *RNG) Perm(n int) []int { return r.PermInto(make([]int, n)) }
+
+// PermInto fills p with a random permutation of [0, len(p)), drawing what
+// Perm(len(p)) draws, and returns it.
+func (r *RNG) PermInto(p []int) []int {
+	n := len(p)
 	for i := range p {
 		p[i] = i
 	}

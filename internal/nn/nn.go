@@ -94,6 +94,10 @@ type Network struct {
 	Layers []Layer
 	out    Shape
 	params []*Param // cached Params() result (layer stack is immutable)
+	// Section is the weights' checkpoint: the parameter count, then each
+	// parameter's name and weights; a load needs the identical
+	// architecture.
+	mat.Section
 }
 
 // NewNetwork builds the network for the given input shape, initializing all
@@ -105,6 +109,10 @@ func NewNetwork(in Shape, rng *mat.RNG, layers ...Layer) *Network {
 		s = l.Build(s, rng)
 	}
 	n.out = s
+	n.Key, n.State = "nn/weights", mat.Fields{uint32(len(n.Params()))}
+	for _, p := range n.params {
+		n.State = append(n.State, p.Name, p.W)
+	}
 	return n
 }
 

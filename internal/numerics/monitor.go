@@ -43,8 +43,6 @@ const (
 	// RungKIS: the KID inner system was abandoned for the KIS-style damped
 	// kernel inverse on the same reduced rows.
 	RungKIS
-	// RungNystrom: fell back to the Nyström-Woodbury reduction.
-	RungNystrom
 	// RungDiagonal: fell back to a diagonal (Jacobi) inverse.
 	RungDiagonal
 	// RungIdentity: no usable curvature — the update degrades to the plain
@@ -63,8 +61,6 @@ func (r Rung) String() string {
 		return "exact-kid"
 	case RungKIS:
 		return "kis"
-	case RungNystrom:
-		return "nystrom"
 	case RungDiagonal:
 		return "diagonal"
 	case RungIdentity:

@@ -33,8 +33,8 @@ func TestMonitorAggregates(t *testing.T) {
 	if s.TotalFallbacks() != 3 {
 		t.Fatalf("TotalFallbacks = %d", s.TotalFallbacks())
 	}
-	if s.RungCount(RungKIS) != 2 || s.RungCount(RungNystrom) != 0 {
-		t.Fatalf("RungCount kis=%d nystrom=%d", s.RungCount(RungKIS), s.RungCount(RungNystrom))
+	if s.RungCount(RungKIS) != 2 {
+		t.Fatalf("RungCount kis=%d", s.RungCount(RungKIS))
 	}
 	if s.Scrubs != 5 {
 		t.Fatalf("scrubs = %d", s.Scrubs)
@@ -67,7 +67,6 @@ func TestRungString(t *testing.T) {
 		RungPrimary:  "primary",
 		RungRetry:    "damped-retry",
 		RungKIS:      "kis",
-		RungNystrom:  "nystrom",
 		RungDiagonal: "diagonal",
 		RungIdentity: "identity",
 	}
@@ -81,8 +80,8 @@ func TestRungString(t *testing.T) {
 	}
 	// The ladder ordering is part of the contract: healthier rungs compare
 	// lower.
-	if !(RungPrimary < RungRetry && RungRetry < RungKIS && RungKIS < RungNystrom &&
-		RungNystrom < RungDiagonal && RungDiagonal < RungIdentity) {
+	if !(RungPrimary < RungRetry && RungRetry < RungKIS && RungKIS < RungDiagonal &&
+		RungDiagonal < RungIdentity) {
 		t.Fatal("ladder ordering broken")
 	}
 }

@@ -9,6 +9,8 @@ package opt
 import (
 	"math"
 
+	"repro/internal/ckpt"
+	"repro/internal/mat"
 	"repro/internal/nn"
 )
 
@@ -24,6 +26,9 @@ type Optimizer interface {
 	StateBytes() int
 	// Name identifies the method in experiment output.
 	Name() string
+	// The state rides in the checkpoint, so a resumed run steps as the
+	// uninterrupted one would have.
+	ckpt.StateSaver
 }
 
 // Preconditioner rewrites parameter gradients in place using second-order
@@ -38,6 +43,9 @@ type Preconditioner interface {
 	StateBytes() int
 	// Name identifies the method.
 	Name() string
+	// The second-order state rides in the checkpoint, so a resumed step
+	// preconditions with what the uninterrupted run's would have.
+	ckpt.StateSaver
 }
 
 // SGD is stochastic gradient descent with momentum and decoupled weight
@@ -48,17 +56,21 @@ type SGD struct {
 	WeightDecay float64
 
 	lr  float64
-	vel []*velocity
+	vel [][]float64 // momentum buffers
+	// Section is the checkpoint: the learning rate and the momentum
+	// buffers, which are training state — dropping them across a restore
+	// would restart the update dynamics cold.
+	mat.Section
 }
-
-type velocity struct{ v []float64 }
 
 // NewSGD returns an SGD optimizer over params.
 func NewSGD(params []*nn.Param, lr, momentum, weightDecay float64) *SGD {
 	s := &SGD{Params: params, Momentum: momentum, WeightDecay: weightDecay, lr: lr}
-	s.vel = make([]*velocity, len(params))
+	s.vel = make([][]float64, len(params))
+	s.Key, s.State = "opt/sgd", mat.Fields{&s.lr, uint32(len(params))}
 	for i, p := range params {
-		s.vel[i] = &velocity{v: make([]float64, p.Numel())}
+		s.vel[i] = make([]float64, p.Numel())
+		s.State = append(s.State, s.vel[i])
 	}
 	return s
 }
@@ -66,7 +78,7 @@ func NewSGD(params []*nn.Param, lr, momentum, weightDecay float64) *SGD {
 // Step implements Optimizer.
 func (s *SGD) Step() {
 	for i, p := range s.Params {
-		w, g, v := p.W.Data(), p.Grad.Data(), s.vel[i].v
+		w, g, v := p.W.Data(), p.Grad.Data(), s.vel[i]
 		for j := range w {
 			gj := g[j] + float64(s.WeightDecay*w[j])
 			v[j] = float64(s.Momentum*v[j]) + gj
@@ -101,6 +113,9 @@ type Adam struct {
 	lr                float64
 	step              int
 	m, v              [][]float64
+	// Section is the checkpoint: the learning rate, the step count (it
+	// drives bias correction) and both moment buffers.
+	mat.Section
 }
 
 // NewAdam returns an ADAM optimizer with standard betas.
@@ -108,9 +123,11 @@ func NewAdam(params []*nn.Param, lr, weightDecay float64) *Adam {
 	a := &Adam{Params: params, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: weightDecay, lr: lr}
 	a.m = make([][]float64, len(params))
 	a.v = make([][]float64, len(params))
+	a.Key, a.State = "opt/adam", mat.Fields{&a.lr, &a.step, uint32(len(params))}
 	for i, p := range params {
 		a.m[i] = make([]float64, p.Numel())
 		a.v[i] = make([]float64, p.Numel())
+		a.State = append(a.State, a.m[i], a.v[i])
 	}
 	return a
 }

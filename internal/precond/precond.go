@@ -3,11 +3,13 @@
 // Fig. 1's schedule (local factors → gather/reduce → owner inverts →
 // broadcast) and of the update (1/α)(g − UˢᵀMUˢg) of Eqs. 7–9 that do not
 // depend on a method's math. A backend embeds Base, hands Init its
-// per-layer stage functions, inherits Update and Precondition, and keeps
-// only its own state.
+// per-layer stage functions, lists its checkpoint state in State, inherits
+// Update, Precondition and the checkpoint saver, and keeps only its own
+// state.
 package precond
 
 import (
+	"fmt"
 	"strconv"
 	"time"
 
@@ -20,8 +22,9 @@ import (
 )
 
 // Base is the layer-pipeline plumbing: the kernel layers, the communicator,
-// the Update and Precondition engines, and the phase recorder. It holds
-// scheduler engines, so it must not be copied after Init.
+// the Update and Precondition engines, the phase recorder and the
+// checkpoint saver. It holds scheduler engines, so it must not be copied
+// after Init.
 type Base struct {
 	Layers []nn.KernelLayer
 	Comm   dist.Comm
@@ -30,12 +33,30 @@ type Base struct {
 	// Plans holds the current Update's captured layers in layer order,
 	// reused across updates.
 	Plans []Plan
+	// Section is the checkpoint, keyed "precond/" and the span label. Its
+	// State is everything a restore must bring back for the resumed run to
+	// precondition as the uninterrupted one would have; the backend lists
+	// it once its per-layer state exists.
+	mat.Section
+	// Fits, set beside State, reports whether layer i's loaded state fits
+	// its dIn×dOut weight; the section's Check asks it of every layer.
+	Fits func(i, dIn, dOut int) bool
 
 	optimizer string
 	timeline  *dist.Timeline
 	apply     [1]sched.Stage
 	updEng    sched.Engine
 	precEng   sched.Engine
+}
+
+// checkLayers is the section's Check: every layer's state must fit.
+func (b *Base) checkLayers() error {
+	for i, l := range b.Layers {
+		if dIn, dOut := l.Dims(); !b.Fits(i, dIn, dOut) {
+			return fmt.Errorf("precond: %s layer %d's state does not fit its %d×%d weight", b.optimizer, i, dIn, dOut)
+		}
+	}
+	return nil
 }
 
 // Plan is one captured layer of an Update: its index, the rank that owns
@@ -50,7 +71,7 @@ type Plan struct {
 // update the per-layer Update pipeline.
 func (b *Base) Init(optimizer string, net *nn.Network, comm dist.Comm, timeline *dist.Timeline, apply func(layer int), update []sched.Stage) {
 	b.Layers, b.Comm = net.KernelLayers(), comm
-	b.optimizer, b.timeline = optimizer, timeline
+	b.optimizer, b.Key, b.Check, b.timeline = optimizer, "precond/"+optimizer, b.checkLayers, timeline
 	b.Stages = update
 	b.apply[0] = sched.Stage{Name: "precondition", Fn: apply}
 }
@@ -158,6 +179,13 @@ func (k *Kernel) Apply(grad []float64, alpha float64) {
 	}
 }
 
+// Fits reports whether Apply can use the Kernel on a dIn×dOut layer: no M
+// yet, or a square M with both factors of its rank and the layer's widths.
+func (k *Kernel) Fits(dIn, dOut int) bool {
+	return k.M == nil || mat.Shaped(k.M, k.M.Rows(), k.M.Rows()) &&
+		mat.Shaped(k.As, k.M.Rows(), dIn) && mat.Shaped(k.Gs, k.M.Rows(), dOut)
+}
+
 // Bytes is the state held between updates: As, Gs and M.
 func (k *Kernel) Bytes() int {
 	n := 0
@@ -167,17 +195,6 @@ func (k *Kernel) Bytes() int {
 		}
 	}
 	return n * 8
-}
-
-// AppendState appends As, Gs and M, the state held between updates (the
-// scratch is rebuilt on demand; a nil factor is written as 0×0).
-func (k *Kernel) AppendState(b []byte) []byte {
-	return mat.AppendMat(mat.AppendMat(mat.AppendMat(b, k.As), k.Gs), k.M)
-}
-
-// ReadState installs factors written by AppendState.
-func (k *Kernel) ReadState(r *mat.Reader) {
-	k.As, k.Gs, k.M = r.Mat(), r.Mat(), r.Mat()
 }
 
 // InvertSPD returns (k + γI)⁻¹ with the bookkeeping every damped inverse in

@@ -57,9 +57,17 @@ func New(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.Timeli
 		{Name: "broadcast", Comm: true, Fn: s.stageBroadcast},
 	})
 	s.state = make([]*sngdState, len(s.Layers))
-	for i := range s.state {
-		s.state[i] = &sngdState{}
+	// Between update iterations Precondition applies each layer's Kernel,
+	// so a resumed step between refreshes must see the same one. The
+	// layer's dims guard the section; Check, the factors a load replaces.
+	s.State = mat.Fields{uint32(len(s.Layers))}
+	for i, l := range s.Layers {
+		st := &sngdState{}
+		s.state[i] = st
+		dIn, dOut := l.Dims()
+		s.State = append(s.State, uint32(dIn), uint32(dOut), &st.As, &st.Gs, &st.M)
 	}
+	s.Fits = func(i, dIn, dOut int) bool { return s.state[i].Fits(dIn, dOut) }
 	return s
 }
 

@@ -158,7 +158,7 @@ func (s *HistogramSnapshot) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(s.Count)
+	rank := float64(q * float64(s.Count))
 	var cum float64
 	for i, cnt := range s.Counts {
 		c := float64(cnt)
@@ -174,7 +174,7 @@ func (s *HistogramSnapshot) Quantile(q float64) float64 {
 			if c == 0 {
 				return hi
 			}
-			return lo + (hi-lo)*(rank-cum)/c
+			return lo + float64((hi-lo)*(rank-cum))/c
 		}
 		cum += c
 	}

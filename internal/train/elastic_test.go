@@ -44,58 +44,67 @@ func statsClose(t *testing.T, want, got []EpochStat, tol float64) {
 }
 
 // The chaos acceptance test: a worker panic injected mid-training must be
-// recovered by RunElastic — reload the last good checkpoint, reset the
-// cluster, resume — and, because the checkpoint captures the complete
-// trainer/optimizer/preconditioner/RNG state, reach the same per-epoch
-// losses and metrics as an uninterrupted run with identical seeds.
+// recovered by Drive — reload the last good checkpoint, reset the cluster,
+// resume — and, because the checkpoint captures the complete
+// trainer/optimizer/preconditioner/RNG state, reach bit for bit the
+// per-epoch losses and metrics of an uninterrupted run with identical
+// seeds, for every optimizer.
 func TestElasticRecoveryMatchesUninterrupted(t *testing.T) {
 	tr, te := vectorTask(11)
-	cfg := baseCfg()
-	cfg.Epochs = 6
-	cfg.BatchSize = 15 // 2 workers × 15 = global batch 30, 3 steps/epoch
-	hylo := precondFactories()["HyLo"]
+	methods := precondFactories()
+	methods["SGD"], methods["ADAM"] = nil, nil
+	for name, pre := range methods {
+		t.Run(name, func(t *testing.T) {
+			cfg := baseCfg()
+			cfg.Epochs = 6
+			cfg.BatchSize = 15 // 2 workers × 15 = global batch 30, 9 steps/epoch
+			cfg.Adam = name == "ADAM"
+			ref := RunDistributed(2, cfg, mlpBuilder(12, 3), tr, te, Classification(), pre, 0)
 
-	ref := RunDistributed(2, cfg, mlpBuilder(12, 3), tr, te, Classification(), hylo, 0)
+			// Counters prove the fault actually fired and recovery actually
+			// ran — without them a broken injector would make this test pass
+			// trivially.
+			prev := telemetry.Default()
+			telemetry.SetDefault(telemetry.New())
+			telemetry.SetEnabled(true)
+			defer func() {
+				telemetry.SetEnabled(false)
+				telemetry.SetDefault(prev)
+			}()
 
-	// Counters prove the fault actually fired and recovery actually ran —
-	// without them a broken injector would make this test pass trivially.
-	prev := telemetry.Default()
-	telemetry.SetDefault(telemetry.New())
-	telemetry.SetEnabled(true)
-	defer func() {
-		telemetry.SetEnabled(false)
-		telemetry.SetDefault(prev)
-	}()
-
-	res, err := Drive(bg, inProc(2),
-		Job{cfg, mlpBuilder(12, 3), tr, te, Classification(), hylo, 0}, ElasticConfig{
-			Dir:   t.TempDir(),
-			Every: 1,
-			// 9 steps/epoch: rank 1 dies entering step 19 (epoch 2);
-			// checkpoints exist for epochs 0 and 1, so recovery resumes the
-			// interrupted epoch 2 from the epoch-1 snapshot.
-			Faults: &dist.FaultPlan{Seed: 1, PanicRank: 1, PanicStep: 19},
+			res, err := Drive(bg, inProc(2),
+				Job{cfg, mlpBuilder(12, 3), tr, te, Classification(), pre, 0}, ElasticConfig{
+					Dir:   t.TempDir(),
+					Every: 1,
+					// Rank 1 dies entering step 19 (epoch 2, off the update
+					// cadence); checkpoints exist for epochs 0 and 1, so
+					// recovery resumes the interrupted epoch 2 from the
+					// epoch-1 snapshot.
+					Faults: &dist.FaultPlan{Seed: 1, PanicRank: 1, PanicStep: 19},
+				})
+			if err != nil {
+				t.Fatalf("Drive failed to recover: %v", err)
+			}
+			reg := telemetry.Default().Metrics
+			if n := reg.Counter(telemetry.MetricFaultsInjected,
+				telemetry.Label{Key: "kind", Value: "panic"}).Value(); n != 1 {
+				t.Fatalf("injected panics = %d; want 1", n)
+			}
+			if n := reg.Counter(telemetry.MetricRecoveries).Value(); n != 1 {
+				t.Fatalf("recoveries = %d; want 1", n)
+			}
+			if reg.Counter(telemetry.MetricCkptRestores).Value() == 0 {
+				t.Fatal("recovery did not load a checkpoint")
+			}
+			if n := reg.Counter(telemetry.MetricCkptErrors).Value(); n != 0 {
+				t.Fatalf("checkpoint errors = %d; want 0", n)
+			}
+			statsClose(t, ref.Stats, res.Stats, 0)
+			if ref.FinalLoss != res.FinalLoss || ref.Best != res.Best {
+				t.Fatalf("final loss, best: uninterrupted %.17g, %g vs recovered %.17g, %g",
+					ref.FinalLoss, ref.Best, res.FinalLoss, res.Best)
+			}
 		})
-	if err != nil {
-		t.Fatalf("RunElastic failed to recover: %v", err)
-	}
-	reg := telemetry.Default().Metrics
-	if n := reg.Counter(telemetry.MetricFaultsInjected,
-		telemetry.Label{Key: "kind", Value: "panic"}).Value(); n != 1 {
-		t.Fatalf("injected panics = %d; want 1", n)
-	}
-	if n := reg.Counter(telemetry.MetricRecoveries).Value(); n != 1 {
-		t.Fatalf("recoveries = %d; want 1", n)
-	}
-	if reg.Counter(telemetry.MetricCkptRestores).Value() == 0 {
-		t.Fatal("recovery did not load a checkpoint")
-	}
-	statsClose(t, ref.Stats, res.Stats, 1e-12)
-	if math.Abs(ref.FinalLoss-res.FinalLoss) > 1e-12 {
-		t.Fatalf("final loss: uninterrupted %.15f vs recovered %.15f", ref.FinalLoss, res.FinalLoss)
-	}
-	if math.Abs(ref.Best-res.Best) > 1e-12 {
-		t.Fatalf("best metric: uninterrupted %g vs recovered %g", ref.Best, res.Best)
 	}
 }
 

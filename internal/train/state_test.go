@@ -9,17 +9,21 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/dist"
-	"repro/internal/kfac"
 	"repro/internal/mat"
+	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/opt"
 )
 
-// stateNet is a two-layer MLP whose parameters hold gradients and whose
-// layers hold captured activations for one batch of seed's data.
-func stateNet(seed uint64) *nn.Network {
+// stateNet is an MLP over 10 inputs with the given hidden widths (one
+// layer of 6 when none) whose parameters hold gradients and whose layers
+// hold captured activations for one batch of seed's data.
+func stateNet(seed uint64, hidden ...int) *nn.Network {
+	if len(hidden) == 0 {
+		hidden = []int{6}
+	}
 	rng := mat.NewRNG(seed)
-	net := mlpBuilder(6, 3)(mat.NewRNG(1))
+	net := models.MLP(nn.Vec(10), hidden, 3, mat.NewRNG(1))
 	net.SetCapture(true)
 	x := mat.RandN(rng, 12, 10, 1)
 	labels := make([]int, 12)
@@ -30,6 +34,78 @@ func stateNet(seed uint64) *nn.Network {
 	_, g := nn.SoftmaxCrossEntropy{}.Forward(net.Forward(x, true), nn.Target{Labels: labels})
 	net.Backward(g)
 	return net
+}
+
+// precondState builds the named precondFactories entry over
+// stateNet(seed, hidden...), as built (every factor nil) or after two
+// updates with a step between them (KBFGS-L harvests its first pair from
+// the second).
+func precondState(name string, update bool, seed uint64, hidden ...int) opt.Preconditioner {
+	net := stateNet(seed, hidden...)
+	pre := precondFactories()[name](net, dist.Local(), nil, mat.NewRNG(seed))
+	ea, epochAware := pre.(EpochAware)
+	if epochAware {
+		ea.OnEpochStart(0, false)
+	}
+	if update {
+		pre.Update()
+		pre.Precondition()
+		for _, p := range net.Params() {
+			p.W.AddScaled(p.Grad, -0.1)
+		}
+		pre.Update()
+		if epochAware {
+			ea.OnEpochStart(1, false)
+		}
+	}
+	return pre
+}
+
+// saverCases builds every checkpoint saver but the trainer loop's over
+// stateNet(seed, hidden...): each optimizer after one step, each
+// preconditioner after two updates, the weights, an RNG stream and the
+// batch iterator (over 50 samples plus the width of the first hidden
+// layer beyond 6, so a different hidden list is a different dataset).
+func saverCases() map[string]func(seed uint64, hidden ...int) ckpt.StateSaver {
+	cases := map[string]func(seed uint64, hidden ...int) ckpt.StateSaver{
+		"sgd": func(seed uint64, hidden ...int) ckpt.StateSaver {
+			s := opt.NewSGD(stateNet(seed, hidden...).Params(), 0.1*float64(seed), 0.9, 1e-4)
+			s.Step()
+			return s
+		},
+		"adam": func(seed uint64, hidden ...int) ckpt.StateSaver {
+			a := opt.NewAdam(stateNet(seed, hidden...).Params(), 0.01*float64(seed), 0)
+			a.Step()
+			return a
+		},
+		"weights": func(seed uint64, hidden ...int) ckpt.StateSaver {
+			net := stateNet(seed, hidden...)
+			opt.NewSGD(net.Params(), 0.1, 0, 0).Step()
+			return net
+		},
+		"rng": func(seed uint64, hidden ...int) ckpt.StateSaver {
+			rng := mat.NewRNG(seed)
+			rng.Norm() // leaves a spare normal behind
+			return rngSection("rng", rng)
+		},
+		"iterator": func(seed uint64, hidden ...int) ckpt.StateSaver {
+			n := 50
+			if len(hidden) > 0 {
+				n += len(hidden) + hidden[0] - 6
+			}
+			it := data.NewBatchIterator(mat.NewRNG(seed), n, 8)
+			for range 9 {
+				it.Next()
+			}
+			return it
+		},
+	}
+	for name := range precondFactories() {
+		cases[name] = func(seed uint64, hidden ...int) ckpt.StateSaver {
+			return precondState(name, true, seed, hidden...)
+		}
+	}
+	return cases
 }
 
 // roundTrip loads src's state into dst and requires dst to append the
@@ -47,47 +123,97 @@ func roundTrip(t *testing.T, name string, src, dst ckpt.StateSaver) {
 
 // TestSaversRoundTripBitForBit: every checkpoint saver restores bit for
 // bit into a freshly built twin, the preconditioners both before their
-// first update (every factor nil) and after one.
+// first update (every factor nil) and after two.
 func TestSaversRoundTripBitForBit(t *testing.T) {
-	hylo := func(seed uint64, update bool) *core.HyLo {
-		net := stateNet(seed)
-		h := core.NewHyLo(net, 0.1, 0.5, dist.Local(), nil, mat.NewRNG(seed))
-		h.OnEpochStart(0, false)
-		if update {
-			h.Update()
-			h.Precondition()
-			h.OnEpochStart(1, false)
+	for name := range precondFactories() {
+		built, updated := precondState(name, false, 3), precondState(name, true, 3)
+		if len(updated.AppendState(nil)) <= len(built.AppendState(nil)) {
+			t.Fatalf("%s: the updates added no checkpoint state", name)
 		}
-		return h
-	}
-	kf := func(seed uint64, update bool) *kfac.KFAC {
-		k := kfac.NewKFAC(stateNet(seed), 0.1, dist.Local(), nil)
-		if update {
-			k.Update()
+		for _, src := range []opt.Preconditioner{built, updated} {
+			roundTrip(t, name, src, precondState(name, false, 4))
 		}
-		return k
 	}
-	for _, update := range []bool{false, true} {
-		roundTrip(t, "hylo", hylo(3, update), hylo(4, false))
-		roundTrip(t, "kfac", kf(3, update), kf(4, false))
+	for name, build := range saverCases() {
+		roundTrip(t, name, build(3), build(4))
+	}
+}
+
+// TestFieldsLoadLeavesStateOnError: a section that is truncated, carries
+// trailing bytes, was written by a component of another count, shape or
+// name, or replaces a field with one that does not fit the component fails
+// to load and leaves the saver bit for bit as it was.
+func TestFieldsLoadLeavesStateOnError(t *testing.T) {
+	for name, build := range saverCases() {
+		good := build(3).AppendState(nil)
+		bad := map[string][]byte{
+			"truncated": good[:len(good)-1],
+			"half":      good[:len(good)/2],
+			"trailing":  append(bytes.Clone(good), 0),
+		}
+		if name != "rng" {
+			bad["shape"] = build(3, 7).AppendState(nil)
+			bad["count"] = build(3, 6, 6).AppendState(nil)
+		}
+		if name == "weights" {
+			// The first parameter's name starts after the parameter count
+			// and the name's length.
+			b := bytes.Clone(good)
+			b[8] ^= 1
+			bad["name"] = b
+		}
+		for what, b := range bad {
+			dst := build(4)
+			before := dst.AppendState(nil)
+			if err := dst.LoadState(b); err == nil {
+				t.Fatalf("%s: a %s section loaded", name, what)
+			}
+			if !bytes.Equal(dst.AppendState(nil), before) {
+				t.Fatalf("%s: a failed load of a %s section changed the state", name, what)
+			}
+		}
 	}
 
-	sgdA, adamA := stateNet(5), stateNet(5)
-	sgd, adam := opt.NewSGD(sgdA.Params(), 0.1, 0.9, 1e-4), opt.NewAdam(adamA.Params(), 0.01, 0)
-	sgd.Step()
-	adam.Step()
-	roundTrip(t, "sgd", sgd, opt.NewSGD(stateNet(6).Params(), 0.2, 0.9, 1e-4))
-	roundTrip(t, "adam", adam, opt.NewAdam(stateNet(6).Params(), 0.2, 0))
-	roundTrip(t, "weights", sgdA, stateNet(7))
-
-	rng := mat.NewRNG(8)
-	rng.Norm() // leaves a spare normal behind
-	roundTrip(t, "rng", rngSaver{key: "rng", rng: rng}, rngSaver{key: "rng", rng: mat.NewRNG(9)})
-	it := data.NewBatchIterator(mat.NewRNG(10), 50, 8)
-	for i := 0; i < 9; i++ {
-		it.Next()
+	// Sections that pass the list's own checks but do not fit the saver
+	// (stateNet's 11×6 and 7×3 layers, the iterator's 50 samples), read
+	// and rewritten through a mirror of the saver's list: its Check
+	// refuses them.
+	var w, g, rho [2][]float64
+	var s, y [2][][]float64
+	var as, gs, m, aInv, gInv [2]*mat.Dense
+	var damping float64
+	var init [2]bool
+	var pos int
+	perm := make([]int, 50)
+	kbfgs, sngd, kfac := mat.Fields{uint32(2)}, mat.Fields{uint32(2)}, mat.Fields{&damping, uint32(2)}
+	for i, d := range [][2]int{{11, 6}, {7, 3}} {
+		kbfgs = append(kbfgs, uint32(d[0]), uint32(d[1]), &w[i], &g[i], &s[i], &y[i], &rho[i])
+		sngd = append(sngd, uint32(d[0]), uint32(d[1]), &as[i], &gs[i], &m[i])
+		kfac = append(kfac, &init[i], mat.NewDense(d[0], d[0]), mat.NewDense(d[1], d[1]), &aInv[i], &gInv[i])
 	}
-	roundTrip(t, "iterator", it, data.NewBatchIterator(mat.NewRNG(11), 50, 8))
+	for name, c := range map[string]struct {
+		list  mat.Fields
+		spoil func()
+	}{
+		"KBFGS-L": {kbfgs, func() { w[0] = w[0][:1] }},
+		"SNGD":    {sngd, func() { m[0] = mat.NewDense(1, 1) }},
+		"KFAC":    {kfac, func() { gInv[1] = nil }},
+		"iterator": {mat.Fields{&pos, perm, mat.NewRNG(0)}, func() { perm[0] = 50 }},
+	} {
+		build := saverCases()[name]
+		if err := c.list.Load(build(3).AppendState(nil)); err != nil {
+			t.Fatalf("%s: the mirror list: %v", name, err)
+		}
+		c.spoil()
+		dst := build(4)
+		before := dst.AppendState(nil)
+		if err := dst.LoadState(c.list.Append(nil)); err == nil {
+			t.Fatalf("%s: a section that does not fit the saver loaded", name)
+		}
+		if !bytes.Equal(dst.AppendState(nil), before) {
+			t.Fatalf("%s: a failed load of a misfit section changed the state", name)
+		}
+	}
 }
 
 // TestLoopStateRoundTrip: the trainer loop's bookkeeping comes back
@@ -121,7 +247,7 @@ func TestBundleEncodeAllocatesOnce(t *testing.T) {
 	net := stateNet(12)
 	h := core.NewHyLo(net, 0.1, 0.5, dist.Local(), nil, mat.NewRNG(12))
 	h.Update()
-	savers := []ckpt.StateSaver{rngSaver{key: "rng/sample", rng: mat.NewRNG(13)},
+	savers := []ckpt.StateSaver{rngSection("rng/sample", mat.NewRNG(13)),
 		opt.NewSGD(net.Params(), 0.1, 0.9, 0), h}
 	var last int
 	encodeSections(&last, savers...)

@@ -40,10 +40,8 @@ type worker struct {
 	// raw holds the unpreconditioned gradients for the KL clip, one buffer
 	// per parameter for the life of the worker (nil for first-order methods).
 	raw []*mat.Dense
-	// savers are the per-rank checkpoint sections; preSaver is the
-	// preconditioner's among them, if it has one.
-	savers   []ckpt.StateSaver
-	preSaver ckpt.StateSaver
+	// savers are the per-rank checkpoint sections.
+	savers []ckpt.StateSaver
 	// bundleLen and trainerLen are the lengths of this rank's last section
 	// bundle and (rank 0) trainer section, which size the next checkpoint's.
 	bundleLen, trainerLen int
@@ -55,9 +53,10 @@ type worker struct {
 	bestMetric float64
 	stale      int
 	// forceUpdate schedules a second-order refresh on the first resumed
-	// step when the preconditioner's state did not survive the restore
-	// (method without a StateSaver, or a shrunk cluster dropping a rank's
-	// section) — stale-factor-free resumption at the cost of determinism.
+	// step when this rank's preconditioner section did not survive the
+	// restore (a snapshot from a cluster of another shape holds none for
+	// this rank, or the section failed to load) — stale-factor-free
+	// resumption at the cost of determinism.
 	forceUpdate bool
 }
 
@@ -111,21 +110,10 @@ func (l *loopState) LoadState(b []byte) error {
 	return nil
 }
 
-// rngSaver adapts a trainer-owned RNG stream to the ckpt.StateSaver
-// contract so it rides in the per-rank checkpoint sections.
-type rngSaver struct {
-	key string
-	rng *mat.RNG
-}
-
-func (s rngSaver) StateKey() string { return s.key }
-
-func (s rngSaver) AppendState(b []byte) []byte { return s.rng.AppendState(b) }
-
-func (s rngSaver) LoadState(b []byte) error {
-	r := mat.NewReader(b)
-	s.rng.ReadState(r)
-	return r.Err()
+// rngSection checkpoints a trainer-owned RNG stream in a per-rank section
+// of its own.
+func rngSection(key string, rng *mat.RNG) *mat.Section {
+	return &mat.Section{Key: key, State: mat.Fields{rng}}
 }
 
 // train runs the worker from construction (or resume, when non-nil) to the
@@ -194,19 +182,15 @@ func (w *worker) build(tl *dist.Timeline) {
 	w.start = time.Now()
 
 	// Per-rank checkpoint sections: optimizer buffers, preconditioner state
-	// (when the method implements StateSaver), and the rank-offset RNG
-	// streams. sampleRNG is restored through its saver — after the
-	// preconditioner was built — because HyLo aliases the same RNG object.
-	w.savers = []ckpt.StateSaver{rngSaver{key: "rng/sample", rng: sampleRNG}}
-	if s, ok := w.optimizer.(ckpt.StateSaver); ok {
-		w.savers = append(w.savers, s)
-	}
-	if s, ok := w.pre.(ckpt.StateSaver); ok {
-		w.preSaver = s
-		w.savers = append(w.savers, s)
+	// and the rank-offset RNG streams. sampleRNG is restored through its
+	// saver — after the preconditioner was built — because HyLo aliases
+	// the same RNG object.
+	w.savers = []ckpt.StateSaver{rngSection("rng/sample", sampleRNG), w.optimizer}
+	if w.pre != nil {
+		w.savers = append(w.savers, w.pre)
 	}
 	if w.aug != nil {
-		w.savers = append(w.savers, rngSaver{key: "rng/aug", rng: w.aug.RNG()})
+		w.savers = append(w.savers, rngSection("rng/aug", w.aug.RNG()))
 	}
 	// A checkpoint encodes into a buffer the length of the previous one
 	// (encodeSections). Measure the state as built for the first: growing
@@ -243,7 +227,7 @@ func (w *worker) restore(snap *ckpt.Snapshot) (startEpoch int) {
 				ok, err := ckpt.LoadInto(sections, s)
 				if err != nil {
 					telemetry.IncCounter(telemetry.MetricCkptErrors, 1)
-				} else if ok && s == w.preSaver {
+				} else if ok && s == w.pre {
 					preRestored = true
 				}
 			}
