@@ -199,7 +199,8 @@ func Table2Models(cfg RunConfig) *Table {
 // Table4Memory reproduces Table IV: optimizer-state memory for HyLo,
 // KAISA, ADAM, and SGD. The analytic section evaluates the storage
 // formulas of Table I on the full-size models at the paper's batch sizes
-// (fp32); the measured section reports StateBytes from real substitute
+// (fp32); the measured section reports StateBytes, the length of the
+// encoded optimizer and preconditioner state (fp64), from real substitute
 // runs.
 func Table4Memory(cfg RunConfig) *Table {
 	t := &Table{ID: "table4", Title: "Memory overhead (analytic, full-size models, fp32)",
@@ -234,7 +235,7 @@ func Table4Memory(cfg RunConfig) *Table {
 	w := resnet32Workload(cfg)
 	for _, m := range cfg.methods([]string{"HyLo", "KFAC", "ADAM", "SGD"}) {
 		res := runMethod(w, m)
-		t.AddNote("measured %s on %s: %.2f MB state", res.Method, w.name,
+		t.AddNote("measured %s on %s: %.2f MB encoded state", res.Method, w.name,
 			float64(res.StateBytes)/(1<<20))
 	}
 	return t

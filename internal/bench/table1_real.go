@@ -64,7 +64,7 @@ func Table1RealMeasured(cfg RunConfig) *Table {
 	// KFAC eigendecomposition vs d: theory O(d³).
 	eig := func(n int) float64 {
 		a := mat.RandSPD(rng, n, 0.5)
-		return timeIt(func() { mat.SymEigValues(a) })
+		return timeIt(func() { mat.SymEigInto(nil, nil, a) })
 	}
 	t.AddRow("eigendecomposition vs d", "3", sizes(), expOf(eig(lo), eig(hi)))
 

@@ -412,13 +412,3 @@ func (h *HyLo) stagePrecondition(i int) {
 	}
 	h.state[i].Apply(gd, h.Damping)
 }
-
-// StateBytes implements opt.Preconditioner: the gathered r×d factors plus
-// the r×r reduced kernel per layer — Table I's O(rd + r² + d²) storage.
-func (h *HyLo) StateBytes() int {
-	var n int
-	for _, st := range h.state {
-		n += st.Bytes()
-	}
-	return n
-}

@@ -162,7 +162,7 @@ func (c *coordinator) serveConn(conn net.Conn) {
 		c.count("rx", len(f.Payload))
 		switch f.Type {
 		case ftJoin:
-			jm, err := decodeJoin(f.Payload)
+			jm, err := decode[joinMsg](f.Payload)
 			if err != nil {
 				c.connLost(m, conn)
 				conn.Close()
@@ -218,7 +218,7 @@ func (c *coordinator) handleJoin(bound *member, conn net.Conn, msgID uint64, jm 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	reject := func(code uint16, reason string) *member {
-		f := Frame{Type: ftReject, Seq: msgID, Payload: rejectMsg{Code: code, Reason: reason}.encode()}
+		f := Frame{Type: ftReject, Seq: msgID, Payload: encode(&rejectMsg{Code: code, Reason: reason})}
 		WriteFrame(conn, f)
 		return bound
 	}
@@ -295,7 +295,7 @@ func (c *coordinator) handleJoin(bound *member, conn net.Conn, msgID uint64, jm 
 	c.nextID++
 	m := &member{
 		id:        c.nextID,
-		self:      jm.Self != 0,
+		self:      jm.Self,
 		nLocal:    int(jm.NLocal),
 		conn:      conn,
 		fw:        wrapWriter(conn, c.cfg.Faults, uint64(c.nextID)*2+1),
@@ -316,7 +316,7 @@ func (c *coordinator) handleJoin(bound *member, conn net.Conn, msgID uint64, jm 
 // when the member's generation is already live so dropped starts recover.
 func (c *coordinator) ackLocked(m *member) {
 	fw := m.fw
-	ack := Frame{Type: ftJoinAck, Payload: joinAckMsg{MemberID: m.id, Gen: c.gen}.encode()}
+	ack := Frame{Type: ftJoinAck, Payload: encode(&joinAckMsg{MemberID: m.id, Gen: c.gen})}
 	var start *Frame
 	if c.phase == phaseRunning && m.joinedGen == c.gen {
 		f := c.startFrameLocked(m)
@@ -377,7 +377,7 @@ func (c *coordinator) startFrameLocked(m *member) Frame {
 	if m.parent != nil {
 		sm.TreeParent = c.dataAddrLocked(m, m.parent)
 	}
-	return Frame{Type: ftStart, Payload: sm.encode()}
+	return Frame{Type: ftStart, Payload: encode(&sm)}
 }
 
 // shapeTreeLocked (mu held) arranges live members (sorted, ranks assigned)
@@ -648,7 +648,7 @@ func (c *coordinator) declareDead(m *member, reason string) {
 	telemetry.IncCounter(telemetry.MetricWorkerFailures, 1)
 	telemetry.Instant("distnet_peer_dead", int(m.id),
 		telemetry.Label{Key: "reason", Value: reason})
-	f := Frame{Type: ftPeerDead, Payload: msg.encode()}
+	f := Frame{Type: ftPeerDead, Payload: encode(&msg)}
 	for _, fw := range targets {
 		fw.writeFrame(f)
 	}

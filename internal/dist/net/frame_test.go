@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"io"
 	"testing"
+
+	"repro/internal/mat"
 )
 
 // TestFrameRoundTrip: encode → decode is the identity for representative
@@ -136,17 +138,56 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		// Message decoders over arbitrary accepted payloads must not panic
 		// either (they can error, that's fine).
-		decodeJoin(fr.Payload)
-		decodeStart(fr.Payload)
+		for _, codec := range controlCodecs {
+			codec(fr.Payload)
+		}
 		if _, segs, err := decodeUp(fr.Payload); err == nil {
 			for _, s := range segs {
 				s.free()
 			}
 		}
 		decodeDown(fr.Payload)
-		decodePeerDead(fr.Payload)
-		decodeReject(fr.Payload)
 		decodeMat(fr.Payload)
+	})
+}
+
+// controlCodecs re-encodes what each control frame type's payload decodes
+// to.
+var controlCodecs = map[byte]func([]byte) ([]byte, error){
+	ftJoin:      reencode[joinMsg],
+	ftJoinAck:   reencode[joinAckMsg],
+	ftReject:    reencode[rejectMsg],
+	ftStart:     reencode[startMsg],
+	ftPeerDead:  reencode[peerDeadMsg],
+	ftTreeHello: reencode[treeHelloMsg],
+}
+
+func reencode[T any, P message[T]](p []byte) ([]byte, error) {
+	m, err := decode[T, P](p)
+	return encode(P(&m)), err
+}
+
+// FuzzControlDecode: for every control frame type, a payload either fails
+// to decode or decodes to a message whose field list re-encodes to exactly
+// that payload.
+func FuzzControlDecode(f *testing.F) {
+	for typ, m := range map[byte]interface{ fields() mat.Fields }{
+		ftJoin: &goldenJoin, ftJoinAck: &goldenJoinAck, ftReject: &goldenReject,
+		ftStart: &goldenStart, ftPeerDead: &goldenPeerDead, ftTreeHello: &goldenHello,
+	} {
+		b := encode(m)
+		f.Add(typ, b)
+		f.Add(typ, b[:len(b)-1])
+	}
+	f.Fuzz(func(t *testing.T, typ byte, p []byte) {
+		codec := controlCodecs[typ]
+		if codec == nil {
+			return
+		}
+		re, err := codec(p)
+		if err == nil && !bytes.Equal(re, p) {
+			t.Fatalf("frame type %d: %x decodes and re-encodes to %x", typ, p, re)
+		}
 	})
 }
 

@@ -177,19 +177,19 @@ func (l *link) isClosed() bool {
 func (l *link) dispatch(f Frame) {
 	switch f.Type {
 	case ftJoinAck:
-		if ack, err := decodeJoinAck(f.Payload); err == nil {
+		if ack, err := decode[joinAckMsg](f.Payload); err == nil {
 			l.mu.Lock()
 			l.memberID = ack.MemberID
 			l.mu.Unlock()
 		}
 	case ftReject:
-		rj, _ := decodeReject(f.Payload)
+		rj, _ := decode[rejectMsg](f.Payload)
 		l.mu.Lock()
 		l.rdvErr = fmt.Errorf("%w (code %d): %s", ErrRejected, rj.Code, rj.Reason)
 		l.cond.Broadcast()
 		l.mu.Unlock()
 	case ftStart:
-		if sm, err := decodeStart(f.Payload); err == nil {
+		if sm, err := decode[startMsg](f.Payload); err == nil {
 			l.mu.Lock()
 			if !l.hasStart || sm.Gen >= l.start.Gen {
 				l.start = sm
@@ -228,7 +228,7 @@ func (l *link) dispatch(f Frame) {
 		}
 		l.mu.Unlock()
 	case ftPeerDead:
-		pd, _ := decodePeerDead(f.Payload)
+		pd, _ := decode[peerDeadMsg](f.Payload)
 		l.fail(&PeerDeathError{Gen: pd.Gen, Member: pd.DeadMember, Reason: pd.Reason})
 	}
 }
@@ -289,19 +289,15 @@ func (l *link) reconnect() bool {
 // agreed world is whatever the survivors sum to, which the coordinator
 // decides.
 func (l *link) joinFrame(gen uint32, id uint32) Frame {
-	self := byte(0)
-	if l.self {
-		self = 1
-	}
 	claim := uint32(0)
 	if id == 0 && l.cfg.WorldSize > 0 {
 		claim = uint32(l.cfg.WorldSize)
 	}
-	return Frame{Type: ftJoin, Payload: joinMsg{
+	return Frame{Type: ftJoin, Payload: encode(&joinMsg{
 		Gen: gen, MemberID: id, NLocal: uint32(l.cfg.LocalRanks),
-		WorldSize: claim, ConfigDigest: l.cfg.ConfigDigest, Self: self,
+		WorldSize: claim, ConfigDigest: l.cfg.ConfigDigest, Self: l.self,
 		DataPort: uint32(l.cfg.dataPort),
-	}.encode()}
+	})}
 }
 
 // id returns the coordinator-assigned member id (0 before the first ack).

@@ -75,9 +75,23 @@ func counted(r *mat.Reader, width int) []byte {
 	return r.Take(int(n) * width)
 }
 
-func appendBytes(dst, b []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
-	return append(dst, b...)
+// The control messages. Each lists its fields once, in wire order; that
+// list is both its encoder and its decoder (mat.Fields' kinds: fixed-width
+// integers as is, a bool as one byte, a string or []uint32 as a u32 count
+// and its elements).
+type message[T any] interface {
+	*T
+	fields() mat.Fields
+}
+
+// encode writes m's fields.
+func encode(m interface{ fields() mat.Fields }) []byte { return m.fields().Append(nil) }
+
+// decode reads a T from p, which must hold exactly its fields.
+func decode[T any, P message[T]](p []byte) (T, error) {
+	var m T
+	err := P(&m).fields().Load(p)
+	return m, err
 }
 
 // joinMsg is the rendezvous request: a member announces how many local
@@ -92,30 +106,15 @@ type joinMsg struct {
 	ConfigDigest uint64
 	// Self marks the coordinator's own loopback link; it always sorts
 	// first in rank assignment so global rank 0 lives with the coordinator.
-	Self byte
+	Self bool
 	// DataPort is the member's tree-data listener port (0 = none). The
 	// coordinator joins it with the host it observes on the control
 	// connection to form the member's advertised tree-data address.
 	DataPort uint32
 }
 
-func (m joinMsg) encode() []byte {
-	b := make([]byte, 0, 29)
-	b = binary.LittleEndian.AppendUint32(b, m.Gen)
-	b = binary.LittleEndian.AppendUint32(b, m.MemberID)
-	b = binary.LittleEndian.AppendUint32(b, m.NLocal)
-	b = binary.LittleEndian.AppendUint32(b, m.WorldSize)
-	b = binary.LittleEndian.AppendUint64(b, m.ConfigDigest)
-	b = append(b, m.Self)
-	return binary.LittleEndian.AppendUint32(b, m.DataPort)
-}
-
-func decodeJoin(p []byte) (joinMsg, error) {
-	r := mat.NewReader(p)
-	m := joinMsg{Gen: r.U32(), MemberID: r.U32(), NLocal: r.U32(),
-		WorldSize: r.U32(), ConfigDigest: r.U64(), Self: r.U8(),
-		DataPort: r.U32()}
-	return m, r.Err()
+func (m *joinMsg) fields() mat.Fields {
+	return mat.Fields{&m.Gen, &m.MemberID, &m.NLocal, &m.WorldSize, &m.ConfigDigest, &m.Self, &m.DataPort}
 }
 
 // joinAckMsg acknowledges membership; rank assignment arrives with ftStart
@@ -125,18 +124,7 @@ type joinAckMsg struct {
 	Gen      uint32
 }
 
-func (m joinAckMsg) encode() []byte {
-	b := make([]byte, 0, 8)
-	b = binary.LittleEndian.AppendUint32(b, m.MemberID)
-	b = binary.LittleEndian.AppendUint32(b, m.Gen)
-	return b
-}
-
-func decodeJoinAck(p []byte) (joinAckMsg, error) {
-	r := mat.NewReader(p)
-	m := joinAckMsg{MemberID: r.U32(), Gen: r.U32()}
-	return m, r.Err()
-}
+func (m *joinAckMsg) fields() mat.Fields { return mat.Fields{&m.MemberID, &m.Gen} }
 
 // rejectMsg refuses a join with a machine-readable code.
 type rejectMsg struct {
@@ -144,17 +132,7 @@ type rejectMsg struct {
 	Reason string
 }
 
-func (m rejectMsg) encode() []byte {
-	b := make([]byte, 0, 2+4+len(m.Reason))
-	b = binary.LittleEndian.AppendUint16(b, m.Code)
-	return appendBytes(b, []byte(m.Reason))
-}
-
-func decodeReject(p []byte) (rejectMsg, error) {
-	r := mat.NewReader(p)
-	m := rejectMsg{Code: r.U16(), Reason: string(counted(r, 1))}
-	return m, r.Err()
-}
+func (m *rejectMsg) fields() mat.Fields { return mat.Fields{&m.Code, &m.Reason} }
 
 // startMsg begins a generation: the member's assigned base rank, the
 // agreed world size, and the member's place in the coordinator-computed
@@ -173,37 +151,8 @@ type startMsg struct {
 	TreeDepth    uint32
 }
 
-func (m startMsg) encode() []byte {
-	b := make([]byte, 0, 28+len(m.TreeParent)+4*len(m.TreeChildren))
-	b = binary.LittleEndian.AppendUint32(b, m.Gen)
-	b = binary.LittleEndian.AppendUint32(b, m.WorldSize)
-	b = binary.LittleEndian.AppendUint32(b, m.BaseRank)
-	b = binary.LittleEndian.AppendUint32(b, m.ChunkElems)
-	b = appendBytes(b, []byte(m.TreeParent))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.TreeChildren)))
-	for _, c := range m.TreeChildren {
-		b = binary.LittleEndian.AppendUint32(b, c)
-	}
-	return binary.LittleEndian.AppendUint32(b, m.TreeDepth)
-}
-
-func decodeStart(p []byte) (startMsg, error) {
-	r := mat.NewReader(p)
-	m := startMsg{Gen: r.U32(), WorldSize: r.U32(), BaseRank: r.U32(),
-		ChunkElems: r.U32(), TreeParent: string(counted(r, 1))}
-	n := r.U32()
-	if r.Err() != nil {
-		return m, r.Err()
-	}
-	if n > maxWorldSize {
-		return m, mat.ErrTruncated
-	}
-	m.TreeChildren = make([]uint32, n)
-	for i := range m.TreeChildren {
-		m.TreeChildren[i] = r.U32()
-	}
-	m.TreeDepth = r.U32()
-	return m, r.Err()
+func (m *startMsg) fields() mat.Fields {
+	return mat.Fields{&m.Gen, &m.WorldSize, &m.BaseRank, &m.ChunkElems, &m.TreeParent, &m.TreeChildren, &m.TreeDepth}
 }
 
 // peerDeadMsg announces a declared member death; surviving members poison
@@ -214,18 +163,7 @@ type peerDeadMsg struct {
 	Reason     string
 }
 
-func (m peerDeadMsg) encode() []byte {
-	b := make([]byte, 0, 8+4+len(m.Reason))
-	b = binary.LittleEndian.AppendUint32(b, m.Gen)
-	b = binary.LittleEndian.AppendUint32(b, m.DeadMember)
-	return appendBytes(b, []byte(m.Reason))
-}
-
-func decodePeerDead(p []byte) (peerDeadMsg, error) {
-	r := mat.NewReader(p)
-	m := peerDeadMsg{Gen: r.U32(), DeadMember: r.U32(), Reason: string(counted(r, 1))}
-	return m, r.Err()
-}
+func (m *peerDeadMsg) fields() mat.Fields { return mat.Fields{&m.Gen, &m.DeadMember, &m.Reason} }
 
 // maxWorldSize bounds decoded rank counts so corrupted frames cannot drive
 // huge allocations.
@@ -256,17 +194,7 @@ type treeHelloMsg struct {
 	MemberID uint32
 }
 
-func (m treeHelloMsg) encode() []byte {
-	b := make([]byte, 0, 8)
-	b = binary.LittleEndian.AppendUint32(b, m.Gen)
-	return binary.LittleEndian.AppendUint32(b, m.MemberID)
-}
-
-func decodeTreeHello(p []byte) (treeHelloMsg, error) {
-	r := mat.NewReader(p)
-	m := treeHelloMsg{Gen: r.U32(), MemberID: r.U32()}
-	return m, r.Err()
-}
+func (m *treeHelloMsg) fields() mat.Fields { return mat.Fields{&m.Gen, &m.MemberID} }
 
 // chunkHdr leads every up and down payload.
 type chunkHdr struct {

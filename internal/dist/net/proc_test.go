@@ -587,7 +587,7 @@ func TestProcRejectsConfigMismatch(t *testing.T) {
 	}
 	defer conn.Close()
 	noPort := joinMsg{Gen: 1, NLocal: 1, WorldSize: 2, ConfigDigest: coordCfg.ConfigDigest}
-	if err := WriteFrame(conn, Frame{Type: ftJoin, Payload: noPort.encode()}); err != nil {
+	if err := WriteFrame(conn, Frame{Type: ftJoin, Payload: encode(&noPort)}); err != nil {
 		t.Fatal(err)
 	}
 	if f, err := ReadFrame(conn); err != nil || f.Type != ftReject {

@@ -360,7 +360,7 @@ func (t *treeEngine) serveChild(conn net.Conn) {
 		t.p.countBytes("rx", len(f.Payload))
 		switch f.Type {
 		case ftTreeHello:
-			hm, err := decodeTreeHello(f.Payload)
+			hm, err := decode[treeHelloMsg](f.Payload)
 			if err != nil {
 				continue
 			}
@@ -440,7 +440,7 @@ func (t *treeEngine) upFrameLocked(ws uint64, w *wireBuf) outFrame {
 // binds before folding.
 func (t *treeEngine) pendingUpLocked() []outFrame {
 	frames := []outFrame{{fw: t.parentFW, f: Frame{Type: ftTreeHello,
-		Payload: treeHelloMsg{Gen: t.gen, MemberID: t.p.link.id()}.encode()}}}
+		Payload: encode(&treeHelloMsg{Gen: t.gen, MemberID: t.p.link.id()})}}}
 	for ws, tc := range t.colls {
 		for _, w := range tc.up {
 			frames = append(frames, t.upFrameLocked(ws, w))

@@ -173,19 +173,6 @@ func (k *KBFGSL) stageTwoLoop(i int) {
 	k.Record("two_loop_recursion", i, t0)
 }
 
-// StateBytes implements opt.Preconditioner: history pairs + previous
-// iterate/gradient per layer.
-func (k *KBFGSL) StateBytes() int {
-	var n int
-	for i, l := range k.Layers {
-		dIn, dOut := l.Dims()
-		sz := dIn * dOut
-		st := k.state[i]
-		n += sz * (2 + 2*len(st.s))
-	}
-	return n * 8
-}
-
 // flat returns a pooled copy of the matrix contents; callers own the slice
 // and are responsible for returning it with mat.PutFloats.
 func flat(m *mat.Dense) []float64 {

@@ -37,7 +37,9 @@ type KFAC struct {
 // factors is the Kronecker-factor state KFAC and EKFAC share: the running
 // covariance estimates and the staging for each step's fresh factors.
 type factors struct {
-	aFactor, gFactor *mat.Dense // running covariance estimates
+	// The running covariance estimates, nil until the first fold: a rank
+	// that never folds a layer holds and checkpoints none.
+	aFactor, gFactor *mat.Dense
 	initialized      bool
 
 	// Persistent staging for the freshly computed factors: the all-reduce
@@ -45,9 +47,10 @@ type factors struct {
 	faBuf, fgBuf *mat.Dense
 }
 
-func newFactors(l nn.KernelLayer) factors {
-	dIn, dOut := l.Dims()
-	return factors{aFactor: mat.NewDense(dIn, dIn), gFactor: mat.NewDense(dOut, dOut)}
+// fits reports whether loaded factors fit a dIn×dOut layer: absent before
+// the first fold, dIn×dIn and dOut×dOut after it.
+func (f *factors) fits(dIn, dOut int) bool {
+	return pairFits(f.aFactor, f.gFactor, dIn, dOut) && (f.aFactor != nil || !f.initialized)
 }
 
 // gram stages this step's factors AᵀA/m and GᵀG/m (KAISA step 2).
@@ -61,11 +64,10 @@ func (f *factors) gram(a, g *mat.Dense, m float64) {
 }
 
 // fold moves the running averages toward the all-reduced factors in
-// faBuf and fgBuf; the first observation bootstraps them.
+// faBuf and fgBuf; the first observation allocates and bootstraps them.
 func (f *factors) fold(decay float64) {
 	if !f.initialized {
-		f.aFactor.CopyFrom(f.faBuf)
-		f.gFactor.CopyFrom(f.fgBuf)
+		f.aFactor, f.gFactor = f.faBuf.Clone(), f.fgBuf.Clone()
 		f.initialized = true
 		return
 	}
@@ -139,18 +141,22 @@ func NewKFAC(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.Ti
 	// The running Kronecker factors are exponential moving averages: one
 	// post-restore batch cannot rebuild them, so losing them degrades the
 	// curvature estimates for many update intervals. Under the
-	// memory-optimized KAISA placement only a layer's owner keeps them up
-	// to date, which is why KFAC state lives in the per-rank sections. The
+	// memory-optimized KAISA placement only a layer's owner folds them, so
+	// only the owner allocates and saves them (a non-owner's section holds
+	// none), which is why KFAC state lives in the per-rank sections. The
 	// inverses are saved too: between update iterations Precondition
 	// applies them, so a resumed step between refreshes must see the same
 	// second-order state.
 	k.State = mat.Fields{&k.Damping, uint32(len(k.Layers))}
-	for i, l := range k.Layers {
-		st := &kfacState{factors: newFactors(l)}
+	for i := range k.Layers {
+		st := new(kfacState)
 		k.state[i], k.fac[i] = st, &st.factors
-		k.State = append(k.State, &st.initialized, st.aFactor, st.gFactor, &st.aInv, &st.gInv)
+		k.State = append(k.State, &st.initialized, &st.aFactor, &st.gFactor, &st.aInv, &st.gInv)
 	}
-	k.Fits = func(i, dIn, dOut int) bool { return pairFits(k.state[i].aInv, k.state[i].gInv, dIn, dOut) }
+	k.Fits = func(i, dIn, dOut int) bool {
+		st := k.state[i]
+		return st.fits(dIn, dOut) && pairFits(st.aInv, st.gInv, dIn, dOut)
+	}
 	return k
 }
 
@@ -158,7 +164,7 @@ func NewKFAC(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.Ti
 func (k *KFAC) Name() string { return "KFAC" }
 
 // stageInvert folds the reduced factors into the running averages on the
-// layer's owner, which alone keeps them and inverts both into aBuf and
+// layer's owner, which alone holds them, and inverts both into aBuf and
 // gBuf, with optional π damping split (KAISA step 4, the memory-optimal
 // placement). A factor no damping stabilizes degrades to its diagonal
 // (Jacobi) pseudo-inverse: the Kronecker product of diagonal inverses is
@@ -224,21 +230,6 @@ func (k *KFAC) stagePrecondition(i int) {
 	mat.PutDense(tmp)
 }
 
-// StateBytes implements opt.Preconditioner: the per-worker state actually
-// held — inverses for every layer, plus running factors for the layers
-// this worker owns (Table IV's O(d²) storage).
-func (k *KFAC) StateBytes() int {
-	var n int
-	for i, l := range k.Layers {
-		dIn, dOut := l.Dims()
-		n += dIn*dIn + dOut*dOut // inverses
-		if k.state[i].initialized {
-			n += dIn*dIn + dOut*dOut // running factors
-		}
-	}
-	return n * 8
-}
-
 // EKFAC refines KFAC by diagonally rescaling in the Kronecker eigenbasis:
 // the factors are eigendecomposed and the per-coordinate curvature scale
 // is tracked as a running average of the squared gradient projected into
@@ -274,12 +265,14 @@ func NewEKFAC(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.T
 	// are what Precondition applies between refreshes.
 	e.State = mat.Fields{uint32(len(e.Layers))}
 	for i, l := range e.Layers {
-		dIn, dOut := l.Dims()
-		st := &ekfacState{factors: newFactors(l), scale: mat.NewDense(dIn, dOut)}
+		st := &ekfacState{scale: mat.NewDense(l.Dims())}
 		e.state[i], e.fac[i] = st, &st.factors
-		e.State = append(e.State, &st.initialized, st.aFactor, st.gFactor, &st.qa, &st.qg, st.scale, &st.scaleInit)
+		e.State = append(e.State, &st.initialized, &st.aFactor, &st.gFactor, &st.qa, &st.qg, st.scale, &st.scaleInit)
 	}
-	e.Fits = func(i, dIn, dOut int) bool { return pairFits(e.state[i].qa, e.state[i].qg, dIn, dOut) }
+	e.Fits = func(i, dIn, dOut int) bool {
+		st := e.state[i]
+		return st.fits(dIn, dOut) && pairFits(st.qa, st.qg, dIn, dOut)
+	}
 	return e
 }
 
@@ -356,14 +349,4 @@ func (e *EKFAC) stagePrecondition(i int) {
 	mat.MulInto(w.Grad, st.qa, tmp)
 	mat.PutDense(tmp)
 	mat.PutDense(proj)
-}
-
-// StateBytes implements opt.Preconditioner.
-func (e *EKFAC) StateBytes() int {
-	var n int
-	for _, l := range e.Layers {
-		dIn, dOut := l.Dims()
-		n += 2*(dIn*dIn+dOut*dOut) + dIn*dOut
-	}
-	return n * 8
 }

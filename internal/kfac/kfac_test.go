@@ -1,6 +1,7 @@
 package kfac
 
 import (
+	"bytes"
 	"math"
 	"runtime"
 	"testing"
@@ -205,19 +206,88 @@ func TestEKFACWarmStepAllocatesNoEigenbasis(t *testing.T) {
 	}
 }
 
+// TestKFACStateBytes: the state size is the length of the encoded
+// section, and it grows when an update gives the owner its factors and
+// inverses.
 func TestKFACStateBytes(t *testing.T) {
 	net := capturedLinearNet(5, 8, 4, 3)
 	k := NewKFAC(net, 0.1, dist.Local(), nil)
-	// Before any update only the inverse buffers count: (25+9)*8 = 272.
-	if got := k.StateBytes(); got != 272 {
-		t.Fatalf("pre-update StateBytes = %d; want 272", got)
+	before := k.StateBytes()
+	if want := len(k.AppendState(nil)); before != want {
+		t.Fatalf("pre-update StateBytes = %d; the section encodes %d bytes", before, want)
 	}
 	k.Update()
-	// After an update the local worker owns the layer and stores factors
-	// too: 2*(25+9)*8 = 544.
-	if got := k.StateBytes(); got != 544 {
-		t.Fatalf("post-update StateBytes = %d; want 544", got)
+	after := k.StateBytes()
+	if want := len(k.AppendState(nil)); after != want {
+		t.Fatalf("post-update StateBytes = %d; the section encodes %d bytes", after, want)
 	}
+	// Two 5×5 and two 3×3 matrices: the running factors and the inverses.
+	if grown := after - before; grown != 2*(25+9)*8 {
+		t.Fatalf("an update grew the state by %d bytes; want %d", grown, 2*(25+9)*8)
+	}
+}
+
+// TestNonOwnerHoldsNoFactors: at P = 2 the rank that does not own a layer
+// never folds its running factors, so it holds none after an update and
+// its section round-trips without them.
+func TestNonOwnerHoldsNoFactors(t *testing.T) {
+	cluster := dist.NewCluster(2)
+	cluster.Run(func(w *dist.Worker) {
+		k := NewKFAC(capturedLinearNet(10, 8, 6, 4), 0.1, w, nil) // owner = rank 0
+		k.Update()
+		st := k.state[0]
+		if owner := w.Rank == 0; (st.aFactor != nil) != owner || (st.gFactor != nil) != owner {
+			t.Errorf("rank %d holds factors %v, %v", w.Rank, st.aFactor != nil, st.gFactor != nil)
+		}
+		if st.aInv == nil {
+			t.Errorf("rank %d holds no broadcast inverse", w.Rank)
+		}
+		back := NewKFAC(capturedLinearNet(10, 8, 6, 4), 0.1, w, nil)
+		if err := back.LoadState(k.AppendState(nil)); err != nil {
+			t.Errorf("rank %d: %v", w.Rank, err)
+		}
+	})
+}
+
+// TestFactorsMustFit: a section whose running factors are missing though
+// the layer is initialized, or of the wrong shape, does not load, and the
+// state is left as it was.
+func TestFactorsMustFit(t *testing.T) {
+	for name, build := range map[string]func() (precondState, *factors){
+		"kfac": func() (precondState, *factors) {
+			k := NewKFAC(capturedLinearNet(5, 8, 4, 3), 0.1, dist.Local(), nil)
+			return k, &k.state[0].factors
+		},
+		"ekfac": func() (precondState, *factors) {
+			e := NewEKFAC(capturedLinearNet(5, 8, 4, 3), 0.1, dist.Local(), nil)
+			return e, &e.state[0].factors
+		},
+	} {
+		for bad, spoil := range map[string]func(f *factors){
+			"missing":     func(f *factors) { f.aFactor, f.gFactor = nil, nil },
+			"wrong shape": func(f *factors) { f.aFactor = mat.NewDense(2, 2) },
+			"one missing": func(f *factors) { f.gFactor = nil },
+		} {
+			src, f := build()
+			src.Update()
+			spoil(f)
+			dst, _ := build()
+			dst.Update()
+			before := dst.AppendState(nil)
+			if err := dst.LoadState(src.AppendState(nil)); err == nil {
+				t.Errorf("%s, %s factors: the section loaded", name, bad)
+			}
+			if !bytes.Equal(dst.AppendState(nil), before) {
+				t.Errorf("%s, %s factors: a refused load changed the state", name, bad)
+			}
+		}
+	}
+}
+
+type precondState interface {
+	Update()
+	AppendState([]byte) []byte
+	LoadState([]byte) error
 }
 
 // Only a layer's owner keeps its running factors, so a non-owner must hold

@@ -3,7 +3,6 @@ package mat
 import (
 	"math"
 	"slices"
-	"sort"
 )
 
 // SymEig computes the full eigendecomposition of a symmetric matrix.
@@ -59,26 +58,6 @@ func SymEigInto(vecs *Dense, vals []float64, a *Dense) *Dense {
 	PutFloats(e)
 	PutDense(v)
 	return vecs
-}
-
-// SymEigValues returns only the eigenvalues of a symmetric matrix, in
-// ascending order. It skips eigenvector accumulation, which roughly halves
-// the work — useful for rank analyses over many kernel matrices (Fig. 10).
-func SymEigValues(a *Dense) []float64 {
-	if a.rows != a.cols {
-		panic("mat: SymEigValues needs a square matrix")
-	}
-	n := a.rows
-	if n == 0 {
-		return nil
-	}
-	v := a.Clone()
-	d := make([]float64, n)
-	e := make([]float64, n)
-	tred2NoVecs(v, d, e)
-	tqliNoVecs(d, e)
-	sort.Float64s(d)
-	return d
 }
 
 // tred2 reduces the symmetric matrix stored in v to tridiagonal form,
@@ -160,64 +139,6 @@ func tred2(v *Dense, d, e []float64) {
 	}
 }
 
-// tred2NoVecs is tred2 without eigenvector accumulation.
-func tred2NoVecs(v *Dense, d, e []float64) {
-	n := v.rows
-	for i := n - 1; i > 0; i-- {
-		l := i - 1
-		var h, scale float64
-		if l > 0 {
-			for k := 0; k <= l; k++ {
-				scale += math.Abs(v.At(i, k))
-			}
-			if scale == 0 {
-				e[i] = v.At(i, l)
-			} else {
-				for k := 0; k <= l; k++ {
-					v.Set(i, k, v.At(i, k)/scale)
-					h += float64(v.At(i, k) * v.At(i, k))
-				}
-				f := v.At(i, l)
-				g := math.Sqrt(h)
-				if f > 0 {
-					g = -g
-				}
-				e[i] = scale * g
-				h -= float64(f * g)
-				v.Set(i, l, f-g)
-				f = 0
-				for j := 0; j <= l; j++ {
-					g = 0
-					for k := 0; k <= j; k++ {
-						g += float64(v.At(j, k) * v.At(i, k))
-					}
-					for k := j + 1; k <= l; k++ {
-						g += float64(v.At(k, j) * v.At(i, k))
-					}
-					e[j] = g / h
-					f += float64(e[j] * v.At(i, j))
-				}
-				hh := f / (h + h)
-				for j := 0; j <= l; j++ {
-					f = v.At(i, j)
-					g = e[j] - float64(hh*f)
-					e[j] = g
-					for k := 0; k <= j; k++ {
-						v.Set(j, k, v.At(j, k)-(float64(f*e[k])+float64(g*v.At(i, k))))
-					}
-				}
-			}
-		} else {
-			e[i] = v.At(i, l)
-		}
-		d[i] = h
-	}
-	e[0] = 0
-	for i := 0; i < n; i++ {
-		d[i] = v.At(i, i)
-	}
-}
-
 // tqli runs implicit-shift QL iterations on the tridiagonal matrix (d, e),
 // accumulating rotations into the columns of z.
 func tqli(d, e []float64, z *Dense) {
@@ -270,61 +191,6 @@ func tqli(d, e []float64, z *Dense) {
 					z.Set(k, i+1, float64(s*z.At(k, i))+float64(c*f))
 					z.Set(k, i, float64(c*z.At(k, i))-float64(s*f))
 				}
-			}
-			if r == 0 && m-1 >= l {
-				continue
-			}
-			d[l] -= p
-			e[l] = g
-			e[m] = 0
-		}
-	}
-}
-
-// tqliNoVecs is tqli without rotation accumulation.
-func tqliNoVecs(d, e []float64) {
-	n := len(d)
-	for i := 1; i < n; i++ {
-		e[i-1] = e[i]
-	}
-	e[n-1] = 0
-	for l := 0; l < n; l++ {
-		for iter := 0; ; iter++ {
-			m := l
-			for ; m < n-1; m++ {
-				dd := math.Abs(d[m]) + math.Abs(d[m+1])
-				if math.Abs(e[m]) <= 1e-300 || math.Abs(e[m])+dd == dd {
-					break
-				}
-			}
-			if m == l {
-				break
-			}
-			if iter == 50 {
-				break
-			}
-			g := (d[l+1] - d[l]) / (2 * e[l])
-			r := math.Hypot(g, 1)
-			g = d[m] - d[l] + e[l]/(g+withSign(r, g))
-			s, c := 1.0, 1.0
-			p := 0.0
-			for i := m - 1; i >= l; i-- {
-				f := s * e[i]
-				b := float64(c * e[i])
-				r = math.Hypot(f, g)
-				e[i+1] = r
-				if r == 0 {
-					d[i+1] -= p
-					e[m] = 0
-					break
-				}
-				s = f / r
-				c = g / r
-				g = d[i+1] - p
-				r = float64((d[i]-g)*s) + float64(2*c*b)
-				p = float64(s * r)
-				d[i+1] = g + p
-				g = float64(c*r) - b
 			}
 			if r == 0 && m-1 >= l {
 				continue

@@ -65,26 +65,12 @@ func TestSymEigReconstruction(t *testing.T) {
 	}
 }
 
-func TestSymEigValuesMatchesSymEig(t *testing.T) {
-	rng := NewRNG(22)
-	for _, n := range []int{2, 7, 25} {
-		a := symmetrize(RandN(rng, n, n, 1))
-		v1, _ := SymEig(a)
-		v2 := SymEigValues(a)
-		for i := range v1 {
-			if math.Abs(v1[i]-v2[i]) > 1e-8 {
-				t.Fatalf("n=%d: value %d differs: %g vs %g", n, i, v1[i], v2[i])
-			}
-		}
-	}
-}
-
 func TestSymEigTraceInvariant(t *testing.T) {
 	f := func(seed uint16) bool {
 		rng := NewRNG(uint64(seed)*91 + 1)
 		n := 1 + rng.Intn(15)
 		a := symmetrize(RandN(rng, n, n, 1))
-		vals := SymEigValues(a)
+		vals, _ := SymEig(a)
 		var sum float64
 		for _, v := range vals {
 			sum += v
@@ -100,7 +86,7 @@ func TestSymEigPSDNonNegative(t *testing.T) {
 	rng := NewRNG(23)
 	b := RandN(rng, 20, 6, 1)
 	k := Gram(b) // PSD with rank ≤ 6
-	vals := SymEigValues(k)
+	vals, _ := SymEig(k)
 	for _, v := range vals {
 		if v < -1e-8 {
 			t.Fatalf("PSD matrix has negative eigenvalue %g", v)
@@ -161,7 +147,7 @@ func TestSymEigClusteredEigenvalues(t *testing.T) {
 		}
 	}
 	a := MulTB(vd, v)
-	got := SymEigValues(a)
+	got, _ := SymEig(a)
 	sort.Float64s(vals)
 	for i := range got {
 		if math.Abs(got[i]-vals[i]) > 1e-8 {
@@ -175,6 +161,6 @@ func BenchmarkSymEig128(b *testing.B) {
 	a := RandSPD(rng, 128, 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SymEigValues(a)
+		SymEig(a)
 	}
 }

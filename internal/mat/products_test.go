@@ -28,7 +28,7 @@ func TestGramSymmetricPSD(t *testing.T) {
 	if d := MaxAbsDiff(g, g.T()); d > 1e-12 {
 		t.Fatalf("Gram not symmetric: %g", d)
 	}
-	vals := SymEigValues(g)
+	vals, _ := SymEig(g)
 	for _, v := range vals {
 		if v < -1e-9 {
 			t.Fatalf("Gram has negative eigenvalue %g", v)
@@ -144,7 +144,7 @@ func TestSchurProductPSDProperty(t *testing.T) {
 		n := 2 + rng.Intn(8)
 		p := Gram(RandN(rng, n, n+1, 1))
 		q := Gram(RandN(rng, n, n+1, 1))
-		vals := SymEigValues(Hadamard(p, q))
+		vals, _ := SymEig(Hadamard(p, q))
 		for _, v := range vals {
 			if v < -1e-7 {
 				return false

@@ -149,14 +149,17 @@ func newMat(rows, cols int, raw []byte) *Dense {
 	return m
 }
 
-// Fields is a saver's checkpoint state as one list, built once by the
-// saver: pointers to the fields a restore must bring back, in encoding
-// order, plus the counts and names a load must find. A field the saver
-// reallocates is listed by pointer; a slice header held by value would go
-// stale. The kinds and their encodings:
+// Fields is one encoding written as a list: a saver's checkpoint state,
+// built once by the saver, or a wire message's fields. It holds pointers
+// to the fields a restore must bring back, in encoding order, plus the
+// counts and names a load must find. A field the saver reallocates is
+// listed by pointer; a slice header held by value would go stale. The
+// kinds and their encodings:
 //
 //	*float64      its IEEE bits
 //	*int          a u64
+//	*uint16, *uint32, *uint64
+//	              as is
 //	*bool         one byte, 0 or 1
 //	[]float64     AppendVec, decoded in place; the length must match
 //	*[]float64    AppendVec, replaced (no elements read back as nil)
@@ -164,6 +167,8 @@ func newMat(rows, cols int, raw []byte) *Dense {
 //	[]int         a u32 count, then each element as a u32; decoded in
 //	              place, the count must match
 //	*[]byte       a u32 count and the bytes; replaced
+//	*string       a u32 length and the bytes; replaced
+//	*[]uint32     a u32 count, then each element; replaced
 //	*Dense        AppendMat, decoded in place; the shape must match
 //	**Dense       AppendMat, replaced (nil ⇄ 0×0)
 //	*RNG          the state word, the spare flag and the spare's bits
@@ -187,6 +192,10 @@ type Section struct {
 
 // StateKey names the section.
 func (s *Section) StateKey() string { return s.Key }
+
+// StateBytes is the length of the section's encoded state: what its
+// checkpoint holds (Table IV's measured column).
+func (s *Section) StateBytes() int { return s.State.Len() }
 
 // AppendState appends the section's state.
 func (s *Section) AppendState(b []byte) []byte { return s.State.Append(b) }
@@ -216,6 +225,12 @@ func (fs Fields) Append(b []byte) []byte {
 			b = AppendF64(b, *v)
 		case *int:
 			b = le.AppendUint64(b, uint64(*v))
+		case *uint16:
+			b = le.AppendUint16(b, *v)
+		case *uint32:
+			b = le.AppendUint32(b, *v)
+		case *uint64:
+			b = le.AppendUint64(b, *v)
 		case *bool:
 			b = AppendBool(b, *v)
 		case []float64:
@@ -234,6 +249,13 @@ func (fs Fields) Append(b []byte) []byte {
 			}
 		case *[]byte:
 			b = append(le.AppendUint32(b, uint32(len(*v))), *v...)
+		case *string:
+			b = append(le.AppendUint32(b, uint32(len(*v))), *v...)
+		case *[]uint32:
+			b = le.AppendUint32(b, uint32(len(*v)))
+			for _, x := range *v {
+				b = le.AppendUint32(b, x)
+			}
 		case *Dense:
 			b = AppendMat(b, v)
 		case **Dense:
@@ -249,6 +271,54 @@ func (fs Fields) Append(b []byte) []byte {
 		}
 	}
 	return b
+}
+
+// Len is the length of Append's encoding, walked without allocating.
+func (fs Fields) Len() int {
+	n := 0
+	for _, f := range fs {
+		switch v := f.(type) {
+		case *float64, *int, *uint64:
+			n += 8
+		case *uint16:
+			n += 2
+		case *uint32, uint32:
+			n += 4
+		case *bool:
+			n++
+		case []float64:
+			n += 4 + 8*len(v)
+		case *[]float64:
+			n += 4 + 8*len(*v)
+		case *[][]float64:
+			n += 4
+			for _, x := range *v {
+				n += 4 + 8*len(x)
+			}
+		case []int:
+			n += 4 + 4*len(v)
+		case *[]byte:
+			n += 4 + len(*v)
+		case *string:
+			n += 4 + len(*v)
+		case *[]uint32:
+			n += 4 + 4*len(*v)
+		case *Dense:
+			n += 8 + 8*len(v.data)
+		case **Dense:
+			n += 8
+			if *v != nil {
+				n += 8 * len((*v).data)
+			}
+		case *RNG:
+			n += 17
+		case string:
+			n += 4 + len(v)
+		default:
+			panic(fmt.Sprintf("mat: Fields cannot measure %T", f))
+		}
+	}
+	return n
 }
 
 // Load restores the fields from b, which must hold exactly what Append
@@ -274,6 +344,18 @@ func (fs Fields) load(b []byte, set bool) error {
 			}
 		case *int:
 			if x := int(r.U64()); set {
+				*v = x
+			}
+		case *uint16:
+			if x := r.U16(); set {
+				*v = x
+			}
+		case *uint32:
+			if x := r.U32(); set {
+				*v = x
+			}
+		case *uint64:
+			if x := r.U64(); set {
 				*v = x
 			}
 		case *bool:
@@ -307,6 +389,24 @@ func (fs Fields) load(b []byte, set bool) error {
 		case *[]byte:
 			if x := r.Take(int(r.count(-1))); set {
 				*v = append([]byte(nil), x...)
+			}
+		case *string:
+			if x := r.Take(int(r.count(-1))); set {
+				*v = string(x)
+			}
+		case *[]uint32:
+			n := r.count(-1)
+			if uint64(n) > uint64(r.Len()/4) {
+				r.Fail(ErrTruncated)
+			}
+			if raw := r.Take(4 * int(n)); set {
+				*v = nil
+				if n > 0 {
+					*v = make([]uint32, n)
+				}
+				for j := range *v {
+					(*v)[j] = binary.LittleEndian.Uint32(raw[4*j:])
+				}
 			}
 		case *Dense:
 			rows, cols, raw := r.mat()

@@ -15,8 +15,11 @@ func everyKind(seed uint64) Fields {
 	pairs := [][]float64{{rng.Norm()}, {rng.Norm(), rng.Norm()}}
 	ints, bs := rng.Perm(4), []byte{byte(seed), 1, 2}
 	d, pd := RandN(rng, 2, 3, 1), RandN(rng, 1, 2, 1)
+	u16, u32, u64 := uint16(seed*3), uint32(seed*5), seed<<40|seed
+	str, us := "s"+string(rune('a'+seed%26)), []uint32{uint32(seed), 9}
 	rng.Norm() // leaves a spare normal behind
-	return Fields{&f, &i, &b, vec, &pv, &pairs, ints, &bs, d, &pd, rng, uint32(7), "name"}
+	return Fields{&f, &i, &b, vec, &pv, &pairs, ints, &bs, d, &pd, rng,
+		&u16, &u32, &u64, &str, &us, uint32(7), "name"}
 }
 
 // TestFieldsRoundTrip: a load of what Append wrote reproduces it, nil and
@@ -30,13 +33,41 @@ func TestFieldsRoundTrip(t *testing.T) {
 	if got := dst.Append(nil); !bytes.Equal(got, b) {
 		t.Fatal("round trip changed the encoding")
 	}
-	pv, pairs, pd := []float64{1}, [][]float64{{1}}, NewDense(1, 1)
-	empty := Fields{new([]float64), new([][]float64), new(*Dense)}
-	if err := (Fields{&pv, &pairs, &pd}).Load(empty.Append(nil)); err != nil {
+	pv, pairs, pd, us, str := []float64{1}, [][]float64{{1}}, NewDense(1, 1), []uint32{1}, "x"
+	empty := Fields{new([]float64), new([][]float64), new(*Dense), new([]uint32), new(string)}
+	if err := (Fields{&pv, &pairs, &pd, &us, &str}).Load(empty.Append(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if pv != nil || pairs != nil || pd != nil {
-		t.Fatalf("empty replaced fields read back as %v, %v, %v; want nil", pv, pairs, pd)
+	if pv != nil || pairs != nil || pd != nil || us != nil || str != "" {
+		t.Fatalf("empty replaced fields read back as %v, %v, %v, %v, %q; want nil and empty", pv, pairs, pd, us, str)
+	}
+}
+
+// TestFieldsLen: Len is the length of Append's encoding, kind by kind and
+// for the whole list, with replaced fields nil and set.
+func TestFieldsLen(t *testing.T) {
+	all := everyKind(8)
+	lists := []Fields{all, {new(*Dense)}, {new([]float64)}, {new([][]float64)}, {new([]uint32)}, {new(string)}}
+	for _, f := range all {
+		lists = append(lists, Fields{f})
+	}
+	for _, fs := range lists {
+		if n, want := fs.Len(), len(fs.Append(nil)); n != want {
+			t.Errorf("%T: Len = %d, Append wrote %d bytes", fs[0], n, want)
+		}
+	}
+}
+
+// TestSectionStateBytesAllocs: measuring a section walks its list and
+// allocates nothing.
+func TestSectionStateBytesAllocs(t *testing.T) {
+	s := Section{Key: "k", State: everyKind(9)}
+	n := 0
+	if allocs := testing.AllocsPerRun(20, func() { n = s.StateBytes() }); allocs != 0 {
+		t.Fatalf("StateBytes allocates %v times", allocs)
+	}
+	if want := len(s.AppendState(nil)); n != want {
+		t.Fatalf("StateBytes = %d, the section encodes %d bytes", n, want)
 	}
 }
 

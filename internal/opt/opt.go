@@ -22,7 +22,8 @@ type Optimizer interface {
 	SetLR(lr float64)
 	// LR returns the current learning rate.
 	LR() float64
-	// StateBytes returns the optimizer-state footprint (Table IV).
+	// StateBytes returns the length of the encoded optimizer state, what
+	// its checkpoint section holds (Table IV).
 	StateBytes() int
 	// Name identifies the method in experiment output.
 	Name() string
@@ -39,7 +40,8 @@ type Preconditioner interface {
 	Update()
 	// Precondition transforms the current gradients in place.
 	Precondition()
-	// StateBytes returns the preconditioner-state footprint (Table IV).
+	// StateBytes returns the length of the encoded preconditioner state,
+	// what its checkpoint section holds (Table IV).
 	StateBytes() int
 	// Name identifies the method.
 	Name() string
@@ -92,15 +94,6 @@ func (s *SGD) SetLR(lr float64) { s.lr = lr }
 
 // LR implements Optimizer.
 func (s *SGD) LR() float64 { return s.lr }
-
-// StateBytes implements Optimizer: one momentum buffer per parameter.
-func (s *SGD) StateBytes() int {
-	var n int
-	for _, p := range s.Params {
-		n += p.Numel()
-	}
-	return n * 8
-}
 
 // Name implements Optimizer.
 func (s *SGD) Name() string { return "SGD" }
@@ -155,15 +148,6 @@ func (a *Adam) SetLR(lr float64) { a.lr = lr }
 
 // LR implements Optimizer.
 func (a *Adam) LR() float64 { return a.lr }
-
-// StateBytes implements Optimizer: two moment buffers per parameter.
-func (a *Adam) StateBytes() int {
-	var n int
-	for _, p := range a.Params {
-		n += p.Numel()
-	}
-	return 2 * n * 8
-}
 
 // Name implements Optimizer.
 func (a *Adam) Name() string { return "ADAM" }

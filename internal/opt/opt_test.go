@@ -90,13 +90,23 @@ func TestSGDConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
+// TestStateBytes: an optimizer's state size is the length of its encoded
+// section, which holds every moment buffer (one for SGD, two for Adam, of
+// 100 float64s each).
 func TestStateBytes(t *testing.T) {
 	ps := oneParam(make([]float64, 100))
-	if got := NewSGD(ps, 0.1, 0.9, 0).StateBytes(); got != 800 {
-		t.Fatalf("SGD StateBytes = %d; want 800", got)
-	}
-	if got := NewAdam(ps, 0.1, 0).StateBytes(); got != 1600 {
-		t.Fatalf("Adam StateBytes = %d; want 1600", got)
+	for _, c := range []struct {
+		o       Optimizer
+		buffers int
+	}{{NewSGD(ps, 0.1, 0.9, 0), 800}, {NewAdam(ps, 0.1, 0), 1600}} {
+		c.o.Step()
+		got := c.o.StateBytes()
+		if want := len(c.o.AppendState(nil)); got != want {
+			t.Errorf("%s StateBytes = %d; the section encodes %d bytes", c.o.Name(), got, want)
+		}
+		if got < c.buffers {
+			t.Errorf("%s StateBytes = %d; its buffers alone are %d", c.o.Name(), got, c.buffers)
+		}
 	}
 }
 

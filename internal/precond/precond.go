@@ -186,17 +186,6 @@ func (k *Kernel) Fits(dIn, dOut int) bool {
 		mat.Shaped(k.As, k.M.Rows(), dIn) && mat.Shaped(k.Gs, k.M.Rows(), dOut)
 }
 
-// Bytes is the state held between updates: As, Gs and M.
-func (k *Kernel) Bytes() int {
-	n := 0
-	for _, m := range []*mat.Dense{k.As, k.Gs, k.M} {
-		if m != nil {
-			n += m.Rows() * m.Cols()
-		}
-	}
-	return n * 8
-}
-
 // InvertSPD returns (k + γI)⁻¹ with the bookkeeping every damped inverse in
 // the optimizers needs: bounded Levenberg-Marquardt escalation, retries
 // counted under site, and — when no damping stabilizes the solve or the

@@ -133,14 +133,3 @@ func (s *SNGD) stageBroadcast(i int) {
 func (s *SNGD) stagePrecondition(i int) {
 	s.state[i].Apply(s.Layers[i].Weight().Grad.Data(), s.Damping)
 }
-
-// StateBytes implements opt.Preconditioner: the gathered global factors
-// plus the Pm×Pm kernel inverse per layer — Table I's
-// O(Pmd + P²m² + d²) storage row.
-func (s *SNGD) StateBytes() int {
-	var n int
-	for _, st := range s.state {
-		n += st.Bytes()
-	}
-	return n
-}

@@ -158,7 +158,7 @@ const (
 	// retries at solve sites, labeled site=<package.site>.
 	MetricNumericsRetries = "numerics_damping_retries_total"
 	// MetricNumericsFallbacks counts degradation-ladder firings, labeled
-	// site=<package.site> and rung=damped-retry|kis|nystrom|diagonal|identity.
+	// site=<package.site> and rung=damped-retry|exact-kid|kis|diagonal|identity.
 	MetricNumericsFallbacks = "numerics_fallbacks_total"
 	// MetricNumericsScrubs counts non-finite values zeroed out of tensors
 	// by the numerical-health plumbing.

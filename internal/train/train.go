@@ -121,7 +121,8 @@ type Result struct {
 	// TimeToTarget is the cumulative time at which the target metric was
 	// first reached (zero if never).
 	TimeToTarget time.Duration
-	// StateBytes reports optimizer+preconditioner state (Table IV).
+	// StateBytes is the length of rank 0's encoded optimizer and
+	// preconditioner state, what its checkpoint holds (Table IV).
 	StateBytes int
 	// EpochModes records HyLo's per-epoch KID/KIS choice when applicable.
 	EpochModes []string
