@@ -3,12 +3,14 @@ package bench
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/mat"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/precond"
 	"repro/internal/train"
 )
 
@@ -103,61 +105,19 @@ func AblationRandomizedID(cfg RunConfig) *Table {
 	return t
 }
 
-// measureKIDError probes the normalized gradient error of one KID variant
-// on a fresh capture.
+// measureKIDError is abl-randid's error column: the normalized gradient
+// error of production HyLo-KID with the given sketch on a fresh capture's
+// last layer, at r = 25% of the batch.
 func measureKIDError(cfg RunConfig, sketch core.Sketch) float64 {
 	classes := 4
 	shape := nn.Shape{C: 3, H: 12, W: 12}
 	ds := data.SynthImages(mat.NewRNG(cfg.Seed+50), data.ClassSpec{
 		Classes: classes, PerClass: 16, Shape: shape, Noise: 0.3})
 	net := models.ThreeC1F(shape, 4, classes, mat.NewRNG(cfg.Seed+51))
-	idx := make([]int, 48)
-	for i := range idx {
-		idx[i] = i
-	}
-	kls := captureBatch(net, ds, idx)
-	l := kls[len(kls)-1]
-	a, g := l.Capture()
-	grad := l.Weight().Grad.Data()
-	r := 12
-	rng := mat.NewRNG(cfg.Seed + 52)
-	if sketch == core.SketchOff {
-		return core.GradError(a, g, grad, 0.1, r, core.ModeKID, rng)
-	}
-	// Sketched variants: rebuild the reduced update by hand.
-	exact, exErr := core.PreconditionExact(a, g, grad, 0.1)
-	if exErr != nil {
-		return -1
-	}
-	scale := 1 / sqrtSqrt(float64(a.Rows()))
-	an := a.Clone().Scale(scale)
-	gn := g.Clone().Scale(scale)
-	as, gs, y, idErr := core.KIDFactorsSketch(rng, an, gn, r, 0.1, 8, sketch)
-	if idErr != nil {
-		return -1
-	}
-	khat := mat.KernelMatrix(as, gs)
-	iyk := mat.Mul(y, khat)
-	iyk.AddDiag(1)
-	inv, err := mat.Inv(iyk)
-	if err != nil {
-		return -1
-	}
-	m := mat.Mul(inv, y)
-	yv := mat.KhatriRaoApply(as, gs, grad)
-	z := mat.MulVec(m, yv)
-	corr := mat.KhatriRaoApplyT(as, gs, z)
-	var num, den float64
-	for j := range exact {
-		approx := (grad[j] - corr[j]) / 0.1
-		d := approx - exact[j]
-		num += float64(d * d)
-		den += float64(exact[j] * exact[j])
-	}
-	if den == 0 {
-		return 0
-	}
-	return sqrt(num / den)
+	l, last := captureHead(net, ds, 48)
+	o := cfg.opts()
+	o.Damping, o.RankFrac, o.KidSketch = 0.1, 0.25, sketch
+	return relErr(probe(net, "hylo-kid", o, mat.NewRNG(cfg.Seed+52))[last], exactGrad(l, 0.1))
 }
 
 // AblationKISRescale compares importance sampling with and without the
@@ -171,19 +131,17 @@ func AblationKISRescale(cfg RunConfig) *Table {
 	ds := data.SynthImages(mat.NewRNG(cfg.Seed+60), data.ClassSpec{
 		Classes: classes, PerClass: 20, Shape: shape, Noise: 0.3})
 	net := models.ThreeC1F(shape, 4, classes, mat.NewRNG(cfg.Seed+61))
-	idx := make([]int, 64)
-	for i := range idx {
-		idx[i] = i
-	}
-	kls := captureBatch(net, ds, idx)
-	l := kls[len(kls)-1]
+	l, _ := captureHead(net, ds, 64)
 	a, g := l.Capture()
 	grad := l.Weight().Grad.Data()
-	exact, exErr := core.PreconditionExact(a, g, grad, 0.1)
-	if exErr != nil {
-		t.AddNote("exact SNGD solve failed: " + exErr.Error())
+	exact := exactGrad(l, 0.1)
+	if exact == nil {
+		t.AddNote("exact SNGD solve failed")
 		return t
 	}
+	scale := 1 / math.Pow(float64(a.Rows()), 0.25)
+	an := a.Clone().Scale(scale)
+	gn := g.Clone().Scale(scale)
 	const trials = 10
 	for _, v := range []struct {
 		name    string
@@ -191,35 +149,13 @@ func AblationKISRescale(cfg RunConfig) *Table {
 	}{{"rescaled (DKM)", true}, {"plain selection", false}} {
 		var sum float64
 		for trial := 0; trial < trials; trial++ {
-			rng := mat.NewRNG(cfg.Seed + 62 + uint64(trial))
-			scale := 1 / sqrtSqrt(float64(a.Rows()))
-			an := a.Clone().Scale(scale)
-			gn := g.Clone().Scale(scale)
-			as, gs := core.KISFactors(rng, an, gn, 16, v.rescale)
+			as, gs := core.KISFactors(mat.NewRNG(cfg.Seed+62+uint64(trial)), an, gn, 16, v.rescale)
 			k := mat.KernelMatrix(as, gs).AddDiag(0.1)
-			kinv := mat.InvSPDDamped(k, 0)
-			yv := mat.KhatriRaoApply(as, gs, grad)
-			z := mat.MulVec(kinv, yv)
-			corr := mat.KhatriRaoApplyT(as, gs, z)
-			var num, den float64
-			for j := range exact {
-				approx := (grad[j] - corr[j]) / 0.1
-				d := approx - exact[j]
-				num += float64(d * d)
-				den += float64(exact[j] * exact[j])
-			}
-			sum += sqrt(num / den)
+			approx := slices.Clone(grad)
+			(&precond.Kernel{As: as, Gs: gs, M: mat.InvSPDDamped(k, 0)}).Apply(approx, 0.1)
+			sum += relErr(approx, exact)
 		}
 		t.AddRow(v.name, fmtF(sum/trials), fmt.Sprint(trials))
 	}
 	return t
 }
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Sqrt(x)
-}
-
-func sqrtSqrt(x float64) float64 { return math.Pow(x, 0.25) }

@@ -665,6 +665,40 @@ func TestFig2GoldenFile(t *testing.T) {
 	}
 }
 
+// Golden-file regression for the error analyses: every cell that is a
+// deterministic function of the seed — Fig. 12's KID column,
+// ext-reductions' KID and Nyström columns, ext-fim's exact, KID, Nyström
+// and KFAC rows and both abl-rescale rows — must render identically. KIS
+// cells and sketched rows are fresh draws of their estimators and are not
+// pinned.
+func TestAnalysisGoldenFile(t *testing.T) {
+	want, err := os.ReadFile("testdata/analysis.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	pin := func(tb *Table, skip string, cols ...int) {
+		for _, row := range tb.Rows {
+			if skip != "" && strings.HasPrefix(row[0], skip) {
+				continue
+			}
+			b.WriteString(tb.ID)
+			for _, c := range cols {
+				b.WriteString("  " + row[c])
+			}
+			b.WriteByte('\n')
+		}
+	}
+	cfg := quickCfg()
+	pin(Fig12GradError(cfg), "", 0, 1, 2)
+	pin(ExtensionReductions(cfg), "", 0, 1, 3)
+	pin(ExtensionFIMQuality(cfg), "HyLo-KIS", 0, 1)
+	pin(AblationKISRescale(cfg), "", 0, 1, 2)
+	if got := b.String(); strings.TrimSpace(got) != strings.TrimSpace(string(want)) {
+		t.Fatalf("analysis cells drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
 func TestAblationDampingRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training experiment")

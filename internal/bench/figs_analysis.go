@@ -2,26 +2,111 @@ package bench
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
+	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/dist"
 	"repro/internal/mat"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/opt"
+	"repro/internal/train"
 )
 
-// captureBatch runs one captured forward/backward pass of a classification
-// batch through the network and returns the kernel layers.
-func captureBatch(net *nn.Network, ds *data.Dataset, idx []int) []nn.KernelLayer {
-	net.SetCapture(true)
+// captureBatch runs one forward/backward pass of a classification batch
+// through the network, capturing (A, G) on the kernel layers named by index
+// (every one when none is named), and returns the kernel layers. An error
+// analysis captures only the layers it measures, so the backend a probe
+// builds factorizes, and draws its samples for, those alone.
+func captureBatch(net *nn.Network, ds *data.Dataset, idx []int, layers ...int) []nn.KernelLayer {
+	kls := net.KernelLayers()
+	if len(layers) == 0 {
+		net.SetCapture(true)
+	}
+	for _, i := range layers {
+		kls[i].SetCapture(true)
+	}
 	x, tgt := ds.Batch(idx)
 	out := net.Forward(x, true)
 	_, g := nn.SoftmaxCrossEntropy{}.Forward(out, tgt)
 	net.ZeroGrad()
 	net.Backward(g)
-	return net.KernelLayers()
+	return kls
+}
+
+// captureHead captures the first batch samples of ds on net's last kernel
+// layer alone, the layer the one-layer analyses measure, and returns it
+// with its index.
+func captureHead(net *nn.Network, ds *data.Dataset, batch int) (nn.KernelLayer, int) {
+	last := len(net.KernelLayers()) - 1
+	idx := make([]int, batch)
+	for i := range idx {
+		idx[i] = i
+	}
+	return captureBatch(net, ds, idx, last)[last], last
+}
+
+// probe is how every error analysis measures a method: the optimizer's
+// production backend, built through precondFactory on dist.Local() (with
+// HyLo's mode picked for epoch 0), runs one Update and Precondition over
+// net's captured layers. It returns each kernel layer's preconditioned
+// gradient and puts the raw gradients back, so the caller may still step
+// on them.
+func probe(net *nn.Network, optimizer string, o cliutil.PrecondOpts, rng *mat.RNG) [][]float64 {
+	p := precondFactory(optimizer, o)(net, dist.Local(), nil, rng)
+	if e, ok := p.(train.EpochAware); ok {
+		e.OnEpochStart(0, false)
+	}
+	kls := net.KernelLayers()
+	out := make([][]float64, len(kls))
+	for i, l := range kls {
+		out[i] = slices.Clone(l.Weight().Grad.Data())
+	}
+	p.Update()
+	p.Precondition()
+	for i, l := range kls {
+		grad := l.Weight().Grad.Data()
+		for j := range grad {
+			grad[j], out[i][j] = out[i][j], grad[j]
+		}
+	}
+	return out
+}
+
+// exactGrad is the ground truth of the error analyses: the exact SNGD
+// update (F+αI)⁻¹g of layer l's captures, nil when the solve fails.
+func exactGrad(l nn.KernelLayer, alpha float64) []float64 {
+	a, g := l.Capture()
+	return orNaN(core.PreconditionExact(a, g, l.Weight().Grad.Data(), alpha))
+}
+
+// orNaN keeps a solve's result, or nil, which relErr reads as NaN, when
+// the solve reported an error: an analysis sweep renders a degenerate
+// input as a NaN cell instead of aborting.
+func orNaN(out []float64, err error) []float64 {
+	if err != nil {
+		return nil
+	}
+	return out
+}
+
+// relErr is the normalized gradient error ε = ‖ĝ − g‖/‖g‖ of Fig. 12 and
+// of every other error analysis, approx against exact.
+func relErr(approx, exact []float64) float64 {
+	if approx == nil || exact == nil {
+		return math.NaN()
+	}
+	var num, den float64
+	for j, e := range exact {
+		d := approx[j] - e
+		num += float64(d * d)
+		den += float64(e * e)
+	}
+	return math.Sqrt(num / den)
 }
 
 // Fig10KernelRank reproduces Fig. 10: the numerical rank (eigenvalues
@@ -129,8 +214,8 @@ func Fig11GradNorms(cfg RunConfig) *Table {
 }
 
 // Fig12GradError reproduces Fig. 12: the normalized gradient error
-// ε = ‖ĝ−g‖/‖g‖ of KID vs KIS at r = 10%% of the batch, measured on real
-// captures across training.
+// ε = ‖ĝ−g‖/‖g‖ of production HyLo-KID vs HyLo-KIS at r = 25%% of the
+// batch, measured on real captures across training.
 func Fig12GradError(cfg RunConfig) *Table {
 	t := &Table{ID: "fig12", Title: "Normalized gradient error of KID and KIS",
 		Headers: []string{"epoch", "layer", "KID error", "KIS error", "KID/KIS"}}
@@ -148,31 +233,35 @@ func Fig12GradError(cfg RunConfig) *Table {
 	// covers the kernel's numerical rank; at toy batch sizes that fraction
 	// underresolves it, so the probe uses r = 25% to stay in the same
 	// regime (r ≈ numerical rank). Documented in EXPERIMENTS.md.
-	r := batch / 4
-	if r < 2 {
-		r = 2
-	}
+	o := cfg.opts()
+	o.Damping, o.RankFrac = 0.1, 0.25
 	errRNG := mat.NewRNG(cfg.Seed + 43)
+	n := len(net.KernelLayers())
+	probed := []int{n - 2, n - 1} // the two deepest layers
 	for epoch := 0; epoch < epochs; epoch++ {
 		for b := 0; b < it.BatchesPerEpoch(); b++ {
-			kls := captureBatch(net, ds, it.Next())
-			if b == 0 { // probe once per epoch, on the two deepest layers
-				for _, li := range []int{len(kls) - 2, len(kls) - 1} {
-					a, g := kls[li].Capture()
-					grad := kls[li].Weight().Grad.Data()
-					kid := core.GradError(a, g, grad, 0.1, r, core.ModeKID, errRNG)
-					// KIS is stochastic; average over draws.
-					var kis float64
-					const draws = 3
-					for d := 0; d < draws; d++ {
-						kis += core.GradError(a, g, grad, 0.1, r, core.ModeKIS, errRNG)
+			kls := captureBatch(net, ds, it.Next(), probed...)
+			if b == 0 { // probe once per epoch
+				kid := probe(net, "hylo-kid", o, errRNG)
+				// KIS is stochastic; average over draws.
+				const draws = 3
+				kis := make([][][]float64, draws)
+				for d := range kis {
+					kis[d] = probe(net, "hylo-kis", o, errRNG)
+				}
+				for _, li := range probed {
+					exact := exactGrad(kls[li], o.Damping)
+					kidErr := relErr(kid[li], exact)
+					var kisErr float64
+					for d := range kis {
+						kisErr += relErr(kis[d][li], exact)
 					}
-					kis /= draws
+					kisErr /= draws
 					ratio := "-"
-					if kis > 0 {
-						ratio = fmtF(kid / kis)
+					if kisErr > 0 {
+						ratio = fmtF(kidErr / kisErr)
 					}
-					t.AddRow(fmt.Sprint(epoch), kls[li].Name(), fmtF(kid), fmtF(kis), ratio)
+					t.AddRow(fmt.Sprint(epoch), kls[li].Name(), fmtF(kidErr), fmtF(kisErr), ratio)
 				}
 			}
 			sgd.Step()

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/mat"
+	"repro/internal/numerics"
 )
 
 func TestKIDFactorsShapes(t *testing.T) {
@@ -43,24 +44,12 @@ func TestKIDRankClamp(t *testing.T) {
 
 // Full-rank KID must reproduce the exact SNGD preconditioner: at r = m the
 // ID is a permutation, the residue vanishes, and Eq. (8) collapses to
-// Eq. (7). This validates both the KID algebra and the M = (I+YK̂)⁻¹Y form.
+// Eq. (7). This validates both the KID algebra and the M = (I+YK̂)⁻¹Y form
+// of the production update.
 func TestKIDFullRankMatchesExact(t *testing.T) {
-	rng := mat.NewRNG(3)
-	m, dIn, dOut := 10, 4, 3
-	a := mat.RandN(rng, m, dIn, 1)
-	g := mat.RandN(rng, m, dOut, 1)
-	grad := make([]float64, dIn*dOut)
-	for i := range grad {
-		grad[i] = rng.Norm()
-	}
-	exact, err := PreconditionExact(a, g, grad, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kid, err := PreconditionReduced(a, g, grad, 0.3, m, ModeKID, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := capturedNet(3, 10, 4, 3)
+	exact := exactGrad(t, net, 0.3)
+	kid := hyloGrad(net, 0.3, 1, ModeKID, mat.NewRNG(3))
 	for j := range exact {
 		if math.Abs(exact[j]-kid[j]) > 1e-6*(1+math.Abs(exact[j])) {
 			t.Fatalf("full-rank KID[%d] = %g; exact = %g", j, kid[j], exact[j])
@@ -167,17 +156,15 @@ func TestKISKernelApproxUnbiased(t *testing.T) {
 }
 
 func TestGradErrorDecreasesWithRank(t *testing.T) {
-	rng := mat.NewRNG(7)
-	// Low-rank structure: factors driven by few latent directions.
-	lat := mat.RandN(rng, 32, 3, 1)
-	a := mat.Mul(lat, mat.RandN(rng, 3, 6, 1))
-	g := mat.Mul(lat, mat.RandN(rng, 3, 5, 1))
-	grad := make([]float64, 30)
-	for i := range grad {
-		grad[i] = rng.Norm()
+	// Low-rank structure: 32 samples of a 2-input, 3-class layer give
+	// A = [x 1] rank 3 and G (rows summing to zero) rank 2, so the kernel
+	// has rank at most 6.
+	errAt := func(rankFrac float64) float64 {
+		net := capturedNet(7, 32, 2, 3)
+		exact := exactGrad(t, net, 0.1)
+		return gradErr(hyloGrad(net, 0.1, rankFrac, ModeKID, mat.NewRNG(7)), exact)
 	}
-	e4 := GradError(a, g, grad, 0.1, 4, ModeKID, rng)
-	e16 := GradError(a, g, grad, 0.1, 16, ModeKID, rng)
+	e4, e16 := errAt(4.0/32), errAt(16.0/32)
 	if e16 > e4+1e-9 {
 		t.Fatalf("KID error grew with rank: r=4 %g, r=16 %g", e4, e16)
 	}
@@ -190,22 +177,17 @@ func TestGradErrorDecreasesWithRank(t *testing.T) {
 // Fig. 12's qualitative claim: KID error is (much) smaller than KIS error
 // at the same rank on low-rank kernels.
 func TestKIDMoreAccurateThanKIS(t *testing.T) {
-	rng := mat.NewRNG(8)
-	// Latent rank 2 ⇒ kernel rank ≤ 4 (Schur product squares the rank),
-	// comfortably below the reduction rank 8.
-	lat := mat.RandN(rng, 40, 2, 1)
-	a := mat.Mul(lat, mat.RandN(rng, 2, 8, 1))
-	g := mat.Mul(lat, mat.RandN(rng, 2, 6, 1))
-	grad := make([]float64, 48)
-	for i := range grad {
-		grad[i] = rng.Norm()
-	}
+	// A = [x 1] rank 2 and G rank 2 ⇒ kernel rank ≤ 4 (the Schur product
+	// multiplies the ranks), comfortably below the reduction rank 8.
+	const m, rankFrac = 40, 8.0 / 40
 	var kidSum, kisSum float64
 	const trials = 10
 	for trial := 0; trial < trials; trial++ {
 		tr := mat.NewRNG(uint64(trial) + 100)
-		kidSum += GradError(a, g, grad, 0.1, 8, ModeKID, tr)
-		kisSum += GradError(a, g, grad, 0.1, 8, ModeKIS, tr)
+		net := capturedNet(8, m, 1, 3)
+		exact := exactGrad(t, net, 0.1)
+		kidSum += gradErr(hyloGrad(net, 0.1, rankFrac, ModeKID, tr), exact)
+		kisSum += gradErr(hyloGrad(capturedNet(8, m, 1, 3), 0.1, rankFrac, ModeKIS, tr), exact)
 	}
 	if kidSum >= kisSum {
 		t.Fatalf("KID mean error %g not below KIS %g", kidSum/trials, kisSum/trials)
@@ -255,8 +237,8 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-// Property: KID preconditioning never produces non-finite values and the
-// selected indices are valid, across random shapes and ranks.
+// Property: the production KID update factorizes without falling back and
+// never produces non-finite values, across random shapes and ranks.
 func TestKIDProperty(t *testing.T) {
 	f := func(seed uint16) bool {
 		rng := mat.NewRNG(uint64(seed)*97 + 31)
@@ -264,22 +246,14 @@ func TestKIDProperty(t *testing.T) {
 		dIn := 2 + rng.Intn(5)
 		dOut := 2 + rng.Intn(5)
 		r := 1 + rng.Intn(m)
-		a := mat.RandN(rng, m, dIn, 1)
-		g := mat.RandN(rng, m, dOut, 1)
-		grad := make([]float64, dIn*dOut)
-		for i := range grad {
-			grad[i] = rng.Norm()
-		}
-		out, err := PreconditionReduced(a, g, grad, 0.2, r, ModeKID, rng)
-		if err != nil {
+		net := capturedNet(uint64(seed)*97+31, m, dIn, dOut)
+		before := numerics.Default().Snapshot().TotalFallbacks()
+		// r/m rounds back to r for every m below 22.
+		out := hyloGrad(net, 0.2, float64(r)/float64(m), ModeKID, rng)
+		if numerics.Default().Snapshot().TotalFallbacks() != before {
 			return false
 		}
-		for _, v := range out {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return false
-			}
-		}
-		return true
+		return mat.AllFinite(out)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -379,13 +353,7 @@ func TestNystromErrorDecreasesWithRank(t *testing.T) {
 			if aerr != nil {
 				t.Fatal(aerr)
 			}
-			var num, den float64
-			for j := range exact {
-				d := approx[j] - exact[j]
-				num += d * d
-				den += exact[j] * exact[j]
-			}
-			sum += math.Sqrt(num / den)
+			sum += gradErr(approx, exact)
 		}
 		return sum / 5
 	}

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/mat"
 	"repro/internal/numerics"
+	"repro/internal/precond"
 )
 
 // Typed failure modes of the preconditioning path. Callers route these
@@ -22,9 +24,9 @@ var (
 	// or ±Inf entries in the preconditioned gradient.
 	ErrNonFiniteResult = errors.New("core: preconditioned gradient is not finite")
 
-	// ErrSingularKernel reports a reduced kernel system that stayed
-	// unsolvable (or above the condition limit) through the bounded
-	// damped-retry escalation.
+	// ErrSingularKernel reports a kernel system that stayed unsolvable (or
+	// above the condition limit) through the bounded damped-retry
+	// escalation.
 	ErrSingularKernel = errors.New("core: kernel system singular beyond damped retries")
 )
 
@@ -56,8 +58,9 @@ func finiteOrErr(out []float64, site string) ([]float64, error) {
 
 // PreconditionExact applies the exact SNGD update (Eq. 7) to a flattened
 // gradient given un-normalized per-sample factors a, g for the full batch:
-// it returns (F + αI)⁻¹ g with F the mean Fisher. Used as the reference by
-// the Fig. 12 gradient-error analysis and by the tests.
+// it returns (F + αI)⁻¹ g with F the mean Fisher, through the optimizers'
+// one Sherman-Morrison-Woodbury apply. It is the ground truth of the
+// gradient-error analyses (Fig. 12) and of the tests.
 func PreconditionExact(a, g *mat.Dense, grad []float64, alpha float64) ([]float64, error) {
 	if err := checkDamping(alpha); err != nil {
 		return nil, err
@@ -73,82 +76,14 @@ func PreconditionExact(a, g *mat.Dense, grad []float64, alpha float64) ([]float6
 	if err != nil {
 		return nil, fmt.Errorf("%w: exact kernel: %v", ErrSingularKernel, err)
 	}
-	y := mat.KhatriRaoApply(an, gn, grad)
-	z := mat.MulVec(kinv, y)
-	corr := mat.KhatriRaoApplyT(an, gn, z)
-	out := make([]float64, len(grad))
-	inv := 1 / alpha
-	for j := range grad {
-		out[j] = inv * (grad[j] - corr[j])
-	}
+	out := slices.Clone(grad)
+	(&precond.Kernel{As: an, Gs: gn, M: kinv}).Apply(out, alpha)
 	return finiteOrErr(out, "core.exact")
 }
 
-// PreconditionReduced applies the HyLo update for one layer given the full
-// batch factors: it reduces (a, g) to rank r with the requested mode, then
-// applies Eq. (8) (KID) or Eq. (9) (KIS). Singular inner systems escalate
-// damping a bounded number of times and then return ErrSingularKernel —
-// never panic.
-func PreconditionReduced(a, g *mat.Dense, grad []float64, alpha float64, r int, mode Mode, rng *mat.RNG) ([]float64, error) {
-	if err := checkDamping(alpha); err != nil {
-		return nil, err
-	}
-	scale := math.Pow(float64(a.Rows()), -0.25)
-	an := a.Clone().Scale(scale)
-	gn := g.Clone().Scale(scale)
-	var as, gs, m *mat.Dense
-	switch mode {
-	case ModeKID:
-		var y *mat.Dense
-		var err error
-		as, gs, y, err = KIDFactors(an, gn, r, alpha)
-		if err != nil {
-			return nil, err
-		}
-		khat := mat.KernelMatrix(as, gs)
-		iyk := mat.Mul(y, khat)
-		iyk.AddDiag(1)
-		inv, err := invGeneralDamped(iyk, "core.reduced.kid")
-		if err != nil {
-			return nil, fmt.Errorf("%w: KID inner system: %v", ErrSingularKernel, err)
-		}
-		m = mat.Mul(inv, y)
-	case ModeKIS:
-		as, gs = KISFactors(rng, an, gn, r, true)
-		k := mat.KernelMatrix(as, gs).AddDiag(alpha)
-		kinv, _, retries, _, err := mat.InvSPDDampedChecked(nil, k, 0)
-		if retries > 0 {
-			numerics.AddRetries("core.reduced.kis", retries)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: KIS kernel: %v", ErrSingularKernel, err)
-		}
-		m = kinv
-	}
-	y := mat.KhatriRaoApply(as, gs, grad)
-	z := mat.MulVec(m, y)
-	corr := mat.KhatriRaoApplyT(as, gs, z)
-	out := make([]float64, len(grad))
-	inv := 1 / alpha
-	for j := range grad {
-		out[j] = inv * (grad[j] - corr[j])
-	}
-	return finiteOrErr(out, "core.reduced")
-}
-
-// invGeneralDamped inverts a general (non-symmetric) matrix with the same
-// bounded Levenberg-Marquardt escalation used on the SPD path. The input is
-// mutated by the retry boosts.
-func invGeneralDamped(a *mat.Dense, site string) (*mat.Dense, error) {
-	inv := mat.NewDense(a.Rows(), a.Cols())
-	if err := invGeneralDampedInto(inv, a, site); err != nil {
-		return nil, err
-	}
-	return inv, nil
-}
-
-// invGeneralDampedInto is invGeneralDamped writing into a caller-provided
-// buffer. The input is mutated by the retry boosts; dst is unspecified on
+// invGeneralDampedInto inverts a general (non-symmetric) matrix into dst
+// with the same bounded Levenberg-Marquardt escalation used on the SPD
+// path. The input is mutated by the retry boosts; dst is unspecified on
 // error.
 func invGeneralDampedInto(dst, a *mat.Dense, site string) error {
 	return dampedSolve(a, 1e-8, site, func() (float64, error) { return mat.InvCondInto(dst, a) })
@@ -184,29 +119,4 @@ func dampedSolve(a *mat.Dense, firstBoost float64, site string, solve func() (co
 		a.AddDiag(boost)
 		retries++
 	}
-}
-
-// GradError returns the normalized gradient error of Fig. 12,
-// ε = ‖ĝ − g‖/‖g‖, where g is the exact SNGD-preconditioned gradient and
-// ĝ uses the rank-r KID or KIS reduction. A solve failure on either path
-// reports NaN rather than aborting an analysis sweep.
-func GradError(a, g *mat.Dense, grad []float64, alpha float64, r int, mode Mode, rng *mat.RNG) float64 {
-	exact, err := PreconditionExact(a, g, grad, alpha)
-	if err != nil {
-		return math.NaN()
-	}
-	approx, err := PreconditionReduced(a, g, grad, alpha, r, mode, rng)
-	if err != nil {
-		return math.NaN()
-	}
-	var num, den float64
-	for j := range exact {
-		d := approx[j] - exact[j]
-		num += float64(d * d)
-		den += float64(exact[j] * exact[j])
-	}
-	if den == 0 {
-		return 0
-	}
-	return math.Sqrt(num / den)
 }

@@ -13,17 +13,73 @@ import (
 func capturedNet(seed uint64, m, in, out int) *nn.Network {
 	rng := mat.NewRNG(seed)
 	net := nn.NewNetwork(nn.Vec(in), rng, nn.NewLinear(out))
-	net.SetCapture(true)
 	x := mat.RandN(rng, m, in, 1)
 	labels := make([]int, m)
 	for i := range labels {
 		labels[i] = i % out
 	}
+	return captureOn(net, x, labels)
+}
+
+// dupRowNet is capturedNet over m copies of one sample of one class: both
+// captures have identical rows, so the kernel K = AAᵀ ∘ GGᵀ collapses to
+// rank 1, the canonical singular-system input.
+func dupRowNet(seed uint64, m, in, out int) *nn.Network {
+	rng := mat.NewRNG(seed)
+	net := nn.NewNetwork(nn.Vec(in), rng, nn.NewLinear(out))
+	x0 := mat.RandN(rng, 1, in, 1)
+	x := mat.NewDense(m, in)
+	for i := 0; i < m; i++ {
+		copy(x.Row(i), x0.Row(0))
+	}
+	return captureOn(net, x, make([]int, m))
+}
+
+// captureOn runs one captured forward/backward pass of the batch (x,
+// labels) through net.
+func captureOn(net *nn.Network, x *mat.Dense, labels []int) *nn.Network {
+	net.SetCapture(true)
 	logits := net.Forward(x, true)
 	_, g := nn.SoftmaxCrossEntropy{}.Forward(logits, nn.Target{Labels: labels})
 	net.ZeroGrad()
 	net.Backward(g)
 	return net
+}
+
+// exactGrad is the exact SNGD update (F+αI)⁻¹g (Eq. 7) of net's first
+// layer, taken before a preconditioner overwrites its gradient.
+func exactGrad(t *testing.T, net *nn.Network, alpha float64) []float64 {
+	t.Helper()
+	l := net.KernelLayers()[0]
+	a, g := l.Capture()
+	out, err := PreconditionExact(a, g, l.Weight().Grad.Data(), alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// hyloGrad runs one production HyLo update in mode at rankFrac (rank
+// int(rankFrac·m)) over net and returns its first layer's preconditioned
+// gradient.
+func hyloGrad(net *nn.Network, alpha, rankFrac float64, mode Mode, rng *mat.RNG) []float64 {
+	h := NewHyLo(net, alpha, rankFrac, dist.Local(), nil, rng)
+	h.Policy = FixedSwitch{Mode: mode}
+	h.OnEpochStart(0, false)
+	h.Update()
+	h.Precondition()
+	return net.KernelLayers()[0].Weight().Grad.Data()
+}
+
+// gradErr is Fig. 12's normalized gradient error ‖ĝ − g‖/‖g‖.
+func gradErr(approx, exact []float64) float64 {
+	var num, den float64
+	for j := range exact {
+		d := approx[j] - exact[j]
+		num += d * d
+		den += exact[j] * exact[j]
+	}
+	return math.Sqrt(num / den)
 }
 
 // HyLo at full rank in KID mode must agree with the exact SNGD update:

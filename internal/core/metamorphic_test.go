@@ -112,24 +112,22 @@ func TestPreconditionPermutationInvarianceProperty(t *testing.T) {
 	}
 }
 
-// Zero-gradient fixed point: P(0) = 0 for every reduction mode.
+// Zero-gradient fixed point: P(0) = 0 for both production reduction modes
+// and for Nyström.
 func TestPreconditionZeroFixedPoint(t *testing.T) {
 	rng := mat.NewRNG(300)
-	a := mat.RandN(rng, 10, 4, 1)
-	g := mat.RandN(rng, 10, 3, 1)
-	zero := make([]float64, 12)
 	for _, mode := range []Mode{ModeKID, ModeKIS} {
-		out, err := PreconditionReduced(a, g, zero, 0.2, 4, mode, rng)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		for _, v := range out {
+		net := capturedNet(300, 10, 3, 3)
+		net.KernelLayers()[0].Weight().Grad.Zero()
+		for _, v := range hyloGrad(net, 0.2, 0.4, mode, rng) {
 			if v != 0 {
 				t.Fatalf("%v: P(0) != 0", mode)
 			}
 		}
 	}
-	out, err := PreconditionNystrom(a, g, zero, 0.2, 4, rng)
+	a := mat.RandN(rng, 10, 4, 1)
+	g := mat.RandN(rng, 10, 3, 1)
+	out, err := PreconditionNystrom(a, g, make([]float64, 12), 0.2, 4, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,8 @@ func randGrad(seed uint64, n int) []float64 {
 }
 
 // Bad damping must be rejected with the typed error on every solve path —
-// α → 0 previously produced Inf/NaN updates or hung the retry loop.
+// α → 0 previously produced Inf/NaN updates or hung the retry loop. (HyLo
+// takes its α from a validated spec or SetDamping, not per solve.)
 func TestPreconditionBadDamping(t *testing.T) {
 	rng := mat.NewRNG(3)
 	a := mat.RandN(rng, 8, 3, 1)
@@ -44,11 +45,6 @@ func TestPreconditionBadDamping(t *testing.T) {
 	for _, alpha := range []float64{0, -0.1, math.NaN(), math.Inf(1), 1e-320} {
 		if _, err := PreconditionExact(a, g, grad, alpha); !errors.Is(err, ErrBadDamping) {
 			t.Fatalf("exact α=%g: err = %v; want ErrBadDamping", alpha, err)
-		}
-		for _, mode := range []Mode{ModeKID, ModeKIS} {
-			if _, err := PreconditionReduced(a, g, grad, alpha, 4, mode, rng); !errors.Is(err, ErrBadDamping) {
-				t.Fatalf("reduced %v α=%g: err = %v; want ErrBadDamping", mode, alpha, err)
-			}
 		}
 		if _, err := PreconditionNystrom(a, g, grad, alpha, 4, rng); !errors.Is(err, ErrBadDamping) {
 			t.Fatalf("nystrom α=%g: err = %v; want ErrBadDamping", alpha, err)
@@ -70,17 +66,11 @@ func TestDegenerateDuplicatedRowsNeverPanic(t *testing.T) {
 		} else if !errors.Is(err, ErrSingularKernel) && !errors.Is(err, ErrNonFiniteResult) {
 			t.Fatalf("exact α=%g: untyped error %v", alpha, err)
 		}
+		// Production HyLo has no error path: its degradation ladder must
+		// hand back a finite update.
 		for _, mode := range []Mode{ModeKID, ModeKIS} {
-			out, err := PreconditionReduced(a, g, grad, alpha, 4, mode, rng)
-			if err == nil {
-				if !mat.AllFinite(out) {
-					t.Fatalf("reduced %v α=%g: non-finite success", mode, alpha)
-				}
-				continue
-			}
-			if !errors.Is(err, ErrSingularKernel) && !errors.Is(err, ErrNonFiniteResult) &&
-				!errors.Is(err, mat.ErrIllConditioned) {
-				t.Fatalf("reduced %v α=%g: untyped error %v", mode, alpha, err)
+			if out := hyloGrad(dupRowNet(7, 12, 3, 4), alpha, 4.0/12, mode, rng); !mat.AllFinite(out) {
+				t.Fatalf("HyLo %v α=%g: non-finite update", mode, alpha)
 			}
 		}
 		if out, err := PreconditionNystrom(a, g, grad, alpha, 4, rng); err == nil {
@@ -94,7 +84,8 @@ func TestDegenerateDuplicatedRowsNeverPanic(t *testing.T) {
 }
 
 // An all-zero gradient is a fixed point of every path: P(0) = 0, finite,
-// no error (the kernel itself is healthy).
+// no error (the kernel itself is healthy). TestPreconditionZeroFixedPoint
+// holds the production KID and KIS paths to it.
 func TestDegenerateZeroGradient(t *testing.T) {
 	rng := mat.NewRNG(13)
 	a := mat.RandN(rng, 10, 3, 1)
@@ -113,10 +104,6 @@ func TestDegenerateZeroGradient(t *testing.T) {
 	}
 	out, err := PreconditionExact(a, g, zero, 0.2)
 	check("exact", out, err)
-	out, err = PreconditionReduced(a, g, zero, 0.2, 4, ModeKID, rng)
-	check("kid", out, err)
-	out, err = PreconditionReduced(a, g, zero, 0.2, 4, ModeKIS, rng)
-	check("kis", out, err)
 	out, err = PreconditionNystrom(a, g, zero, 0.2, 4, rng)
 	check("nystrom", out, err)
 }

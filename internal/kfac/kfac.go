@@ -171,10 +171,13 @@ func (k *KFAC) Name() string { return "KFAC" }
 // still a usable (Adagrad-like) preconditioner.
 func (k *KFAC) stageInvert(i int) {
 	pl := &k.Plans[i]
+	st := k.state[pl.Layer]
 	if k.Comm.ID() != pl.Owner {
+		// A non-owner holds no running factors, not even ones a checkpoint
+		// from another placement brought in.
+		st.aFactor, st.gFactor, st.initialized = nil, nil, false
 		return
 	}
-	st := k.state[pl.Layer]
 	st.fold(k.Decay)
 	t0 := time.Now()
 	dIn, dOut := k.Layers[pl.Layer].Dims()

@@ -249,6 +249,32 @@ func TestNonOwnerHoldsNoFactors(t *testing.T) {
 	})
 }
 
+// TestNonOwnerDropsLoadedFactors: a section holding running factors for
+// a layer this rank does not own (written under another placement) loads,
+// and the next Update drops them, so the rank neither holds nor re-saves
+// them.
+func TestNonOwnerDropsLoadedFactors(t *testing.T) {
+	src := NewKFAC(capturedLinearNet(10, 8, 6, 4), 0.1, dist.Local(), nil)
+	src.Update()
+	section := src.AppendState(nil)
+	cluster := dist.NewCluster(2)
+	cluster.Run(func(w *dist.Worker) {
+		k := NewKFAC(capturedLinearNet(10, 8, 6, 4), 0.1, w, nil) // owner = rank 0
+		if err := k.LoadState(section); err != nil {
+			t.Errorf("rank %d: %v", w.Rank, err)
+			return
+		}
+		k.Update()
+		st := k.state[0]
+		if owner := w.Rank == 0; (st.aFactor != nil) != owner || (st.gFactor != nil) != owner || st.initialized != owner {
+			t.Errorf("rank %d holds factors %v, %v (initialized %v)", w.Rank, st.aFactor != nil, st.gFactor != nil, st.initialized)
+		}
+		if w.Rank == 1 && len(k.AppendState(nil)) >= len(section) {
+			t.Errorf("non-owner re-saves %d bytes; the loaded section had %d", len(k.AppendState(nil)), len(section))
+		}
+	})
+}
+
 // TestFactorsMustFit: a section whose running factors are missing though
 // the layer is initialized, or of the wrong shape, does not load, and the
 // state is left as it was.

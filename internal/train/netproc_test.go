@@ -28,9 +28,9 @@ import (
 
 const netHelperEnv = "HYLO_NET_TRAIN_HELPER"
 
-// netOptimizers are the four methods the paper benchmarks; each must hold
-// bit-parity across the process boundary.
-var netOptimizers = []string{"HyLo", "KFAC", "SNGD", "KBFGS-L"}
+// netOptimizers are the four methods the paper benchmarks plus EKFAC; each
+// must hold bit-parity across the process boundary.
+var netOptimizers = []string{"HyLo", "KFAC", "EKFAC", "SNGD", "KBFGS-L"}
 
 // netTrainCfg is the workload shared verbatim by the coordinator test
 // process, the helper process, and the in-process reference run. With
@@ -55,10 +55,12 @@ func netDigest(optName string, epochs int, topo string) uint64 {
 func netTimeouts(cfg *distnet.Config) {
 	// Generous liveness windows: a spurious peer-death under -race or a
 	// loaded CI machine would break parity, and organic deaths are
-	// detected by leave notifications, not deadlines.
+	// detected by leave notifications, not deadlines. A short retransmit
+	// tick, because every frame the socket-fault legs drop waits a whole
+	// tick before it is sent again.
 	cfg.HeartbeatEvery = 50 * time.Millisecond
 	cfg.PeerDeadline = 10 * time.Second
-	cfg.RetransmitEvery = 100 * time.Millisecond
+	cfg.RetransmitEvery = 10 * time.Millisecond
 	cfg.RendezvousTimeout = 90 * time.Second
 }
 
@@ -308,14 +310,16 @@ func TestNetProcTrainingParity(t *testing.T) {
 	}
 }
 
-// TestNetProcTreeTopologyParity: the tree data plane must be invisible
-// to training arithmetic. For every optimizer the paper benchmarks, at
-// P=2 and P=4 split across two OS processes, a tree-topology run — with
-// a deliberately tiny chunk size so every gradient allreduce is
-// pipelined across multiple chunks — must reproduce the in-process
-// elastic reference bit-for-bit, on a clean network and under 10%
-// socket drop/dup/reorder faults on every link including the tree
-// data plane.
+// TestNetProcTreeTopologyParity: a tree-topology run must be invisible to
+// training arithmetic. For every optimizer in netOptimizers, at P=2 and
+// P=4 split across two OS processes, with a deliberately tiny chunk size
+// so every gradient allreduce is pipelined across multiple chunks, it
+// must reproduce the in-process elastic reference bit-for-bit, on a clean
+// network and under 10% socket drop/dup/reorder faults. With two
+// processes the coordinator wires a one-edge tree, the same link hub
+// uses, so over TestNetProcTrainingParity these legs add the 64-element
+// chunking and P=2. Deeper trees are covered in dist/net
+// (TestTreeKeepsOneCompletedCollective, three members).
 func TestNetProcTreeTopologyParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
