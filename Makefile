@@ -22,7 +22,7 @@ loc:
 
 # The line budget: loc, failing when the total exceeds LOC_MAX. A PR that
 # needs more lines raises the number in its own diff, where review sees it.
-LOC_MAX = 23433
+LOC_MAX = 23473
 locgate:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" && $$1 > max { over = $$1 } \
 		END { if (over) { printf "locgate: %d non-test lines exceed LOC_MAX = %d\n", over, max; exit 1 } }'
@@ -62,7 +62,7 @@ vet:
 # snapshots falling back, the barrier watchdog, and chaos determinism.
 chaos:
 	$(GO) test -race ./internal/ckpt/ -count=1
-	$(GO) test -race ./internal/dist/ -run 'TestFaultInjector|TestBarrierWatchdog|TestClusterReset|TestFaultPlan' -count=1
+	$(GO) test -race ./internal/dist/ -run 'TestFaultInjector|TestBarrierWatchdog|TestClusterReset|TestFaultPlan|TestGatherBytes' -count=1
 	$(GO) test -race ./internal/train/ -run 'TestElastic|TestDriver|TestNonfinite|TestSharding' -count=1
 	$(GO) test -race ./internal/core/ -run 'TestSingularKernel|TestDegenerate' -count=1
 	$(GO) test -race ./internal/sched/ -run 'TestSchedParityChaos' -count=1

@@ -58,6 +58,8 @@ type StateSaver interface {
 	// AppendState appends the component's complete mutable state to b and
 	// returns the extended buffer.
 	AppendState(b []byte) []byte
+	// StateBytes is the length AppendState appends (Table IV's state).
+	StateBytes() int
 	// LoadState restores state previously written by AppendState on an
 	// identically configured component, checking every length it reads;
 	// on an error it leaves the component as it was. b aliases the
@@ -85,11 +87,17 @@ type Snapshot struct {
 	Ranks [][]byte
 }
 
-// EncodeSections appends one rank bundle to b: per non-nil saver its key
-// (u32 length-prefixed) and its state (u64 length-prefixed). A b with the
-// capacity of the previous bundle makes a save that has not grown
-// allocate nothing here.
-func EncodeSections(b []byte, savers ...StateSaver) []byte {
+// EncodeSections encodes one rank bundle, in one buffer of its exact
+// length: per non-nil saver its key (u32 length-prefixed) and its state
+// (u64 length-prefixed).
+func EncodeSections(savers ...StateSaver) []byte {
+	n := 0
+	for _, s := range savers {
+		if s != nil {
+			n += 4 + len(s.StateKey()) + 8 + s.StateBytes()
+		}
+	}
+	b := make([]byte, 0, n)
 	for _, s := range savers {
 		if s == nil {
 			continue

@@ -212,7 +212,7 @@ func TestLoadRejectsForeignFile(t *testing.T) {
 
 func TestSectionsRoundTrip(t *testing.T) {
 	in := map[string][]byte{"opt/sgd": {1, 2, 3}, "precond/hylo": {4, 5}}
-	b := EncodeSections(nil, &fakeSaver{key: "opt/sgd", state: in["opt/sgd"]}, &fakeSaver{key: "precond/hylo", state: in["precond/hylo"]})
+	b := EncodeSections(&fakeSaver{key: "opt/sgd", state: in["opt/sgd"]}, &fakeSaver{key: "precond/hylo", state: in["precond/hylo"]})
 	out, err := DecodeSections(b)
 	if err != nil {
 		t.Fatal(err)
@@ -229,13 +229,14 @@ type fakeSaver struct {
 }
 
 func (f *fakeSaver) StateKey() string            { return f.key }
+func (f *fakeSaver) StateBytes() int             { return len(f.state) }
 func (f *fakeSaver) AppendState(b []byte) []byte { return append(b, f.state...) }
 func (f *fakeSaver) LoadState(b []byte) error    { f.loaded = b; return nil }
 
 func TestEncodeSectionsLoadInto(t *testing.T) {
 	a := &fakeSaver{key: "a", state: []byte("alpha")}
 	b := &fakeSaver{key: "b", state: []byte("beta")}
-	sections, err := DecodeSections(EncodeSections(nil, a, nil, b))
+	sections, err := DecodeSections(EncodeSections(a, nil, b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestEncodeMatchesSavedFile(t *testing.T) {
 // bytes, and neither it nor parsing the sections it yields panics.
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(Encode(testSnap(1, 2))[headerLen:])
-	f.Add(Encode(&Snapshot{Trainer: EncodeSections(nil, &fakeSaver{key: "k", state: []byte{1}})})[headerLen:])
+	f.Add(Encode(&Snapshot{Trainer: EncodeSections(&fakeSaver{key: "k", state: []byte{1}})})[headerLen:])
 	f.Add([]byte{})
 	f.Add(make([]byte, 40))
 	f.Fuzz(func(t *testing.T, payload []byte) {

@@ -89,7 +89,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("-momentum must be in [0, 1) (got %g)", s.Momentum)
 	case !(s.WeightDecay >= 0 && finite(s.WeightDecay)):
 		return fmt.Errorf("-weight-decay must be >= 0 and finite (got %g)", s.WeightDecay)
-	case !(s.Damping > 0 && finite(s.Damping)):
+	case !core.ValidDamping(s.Damping):
 		return fmt.Errorf("-damping must be positive and finite (got %g)", s.Damping)
 	case !(s.RankFrac > 0 && s.RankFrac <= 1):
 		return fmt.Errorf("-rank-frac must be in (0, 1] (got %g)", s.RankFrac)

@@ -72,12 +72,15 @@ func (d *DampingAdapter) Restore(prevLoss float64, seen bool) {
 }
 
 // SetDamping updates HyLo's damping α (used by the LM adapter between
-// epochs; takes effect at the next Update).
+// epochs; takes effect at the next Update), unless ValidDamping refuses it.
 func (h *HyLo) SetDamping(alpha float64) {
-	if alpha > 0 {
+	if ValidDamping(alpha) {
 		h.Damping = alpha
 	}
 }
+
+// ValidDamping is the rule for a damping α: positive and finite.
+func ValidDamping(alpha float64) bool { return alpha > 0 && !math.IsInf(alpha, 1) }
 
 // CurrentDamping returns HyLo's damping α.
 func (h *HyLo) CurrentDamping() float64 { return h.Damping }

@@ -261,3 +261,18 @@ func TestHyLoRandomizedKIDRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestSetDampingRejectsNonFinite: SetDamping keeps Spec.Validate's rule
+// (positive and finite); +Inf, NaN, 0 and −1 each leave α as it was.
+func TestSetDampingRejectsNonFinite(t *testing.T) {
+	h := NewHyLo(capturedNet(120, 8, 3, 2), 0.1, 0.25, dist.Local(), nil, mat.NewRNG(121))
+	for _, bad := range []float64{math.Inf(1), math.NaN(), 0, -1} {
+		h.SetDamping(bad)
+		if got := h.CurrentDamping(); got != 0.1 {
+			t.Errorf("SetDamping(%g): α = %g, want 0.1 unchanged", bad, got)
+		}
+	}
+	if h.SetDamping(0.2); h.CurrentDamping() != 0.2 {
+		t.Errorf("SetDamping(0.2): α = %g", h.CurrentDamping())
+	}
+}

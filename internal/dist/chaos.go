@@ -212,12 +212,15 @@ type Barrierer interface {
 	Barrier()
 }
 
-// ByteGatherer is implemented by transports that can all-gather opaque byte
-// payloads — the control-plane primitive checkpointing uses, kept separate
-// from the matrix collectives so chaos injectors never corrupt snapshots.
-// The result may alias the transport's buffers: read it, never write it.
+// ByteGatherer is implemented by transports that can gather opaque byte
+// payloads on rank 0 — the control-plane primitive checkpointing uses,
+// kept separate from the matrix collectives so chaos injectors never
+// corrupt snapshots. Rank 0 gets every rank's payload in rank order, as
+// views of the transport's buffers or the peers' own slices: it reads
+// them, never writes them, and only until its next collective. Every
+// other rank gets nil, and no rank writes its payload until then either.
 type ByteGatherer interface {
-	AllGatherBytes(b []byte) [][]byte
+	GatherBytes(b []byte) [][]byte
 }
 
 // AsBarrier unwraps instrumentation layers down to a transport exposing a

@@ -138,22 +138,20 @@ func (w *Worker) AllGatherMat(m *mat.Dense) []*mat.Dense {
 	return out
 }
 
-// AllGatherBytes gathers opaque byte payloads from all workers (rank
-// order), copying peers' data before the exit barrier. It implements
-// ByteGatherer — the checkpoint gather primitive.
-func (w *Worker) AllGatherBytes(b []byte) [][]byte {
+// GatherBytes gathers opaque byte payloads on rank 0 (rank order), which
+// aliases its peers' slices, and returns nil on every other rank. It
+// implements ByteGatherer — the checkpoint gather primitive.
+func (w *Worker) GatherBytes(b []byte) [][]byte {
 	w.c.slots[w.Rank] = b
 	w.Barrier()
-	out := make([][]byte, w.c.P)
-	for i, p := range w.c.slots {
-		pb, _ := p.([]byte)
-		if i == w.Rank {
-			out[i] = pb
-		} else {
-			out[i] = append([]byte(nil), pb...)
+	var out [][]byte
+	if w.Rank == 0 {
+		out = make([][]byte, w.c.P)
+		for i, p := range w.c.slots {
+			out[i], _ = p.([]byte)
 		}
 	}
-	w.Barrier()
+	w.Barrier() // rank 0 has read the slots before they are reused
 	return out
 }
 

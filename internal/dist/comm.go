@@ -2,9 +2,9 @@ package dist
 
 import "repro/internal/mat"
 
-// Comm abstracts the collective-communication surface the second-order
-// preconditioners use, so the identical algorithm code runs single-process
-// (Local) and on a simulated cluster (*Worker).
+// Comm is the collective surface the second-order preconditioners use, so
+// one algorithm runs single-process (Local), in process (*Worker) and over
+// TCP. Its results are the caller's; checkpoints gather via ByteGatherer.
 type Comm interface {
 	// Size returns the number of workers P.
 	Size() int

@@ -412,3 +412,29 @@ func TestLocalCommInPlace(t *testing.T) {
 		t.Fatal("localComm.AllGatherMat should share the input")
 	}
 }
+
+// TestGatherBytesRootOnly: the in-process gather hands rank 0 every
+// rank's bytes in rank order — its peers' own slices, uncopied — and
+// every other rank nil.
+func TestGatherBytesRootOnly(t *testing.T) {
+	const p = 3
+	sent := make([][]byte, p)
+	got := make([][][]byte, p)
+	NewCluster(p).Run(func(w *Worker) {
+		sent[w.Rank] = []byte{byte(w.Rank), 7, byte(w.Rank)}
+		got[w.Rank] = w.GatherBytes(sent[w.Rank])
+	})
+	for r := 1; r < p; r++ {
+		if got[r] != nil {
+			t.Errorf("rank %d got %d bundles, want nil", r, len(got[r]))
+		}
+	}
+	if len(got[0]) != p {
+		t.Fatalf("rank 0 got %d bundles, want %d", len(got[0]), p)
+	}
+	for r, b := range got[0] {
+		if &b[0] != &sent[r][0] || len(b) != len(sent[r]) {
+			t.Errorf("rank 0's bundle %d is not rank %d's slice", r, r)
+		}
+	}
+}

@@ -175,11 +175,10 @@ func (c *coordinator) serveConn(conn net.Conn) {
 				c.sendTo(m, Frame{Type: ftHeartbeatAck, Seq: f.Seq})
 			}
 		case ftBlob:
-			if m == nil {
-				continue
+			if m != nil {
+				c.touch(m)
+				c.handleBlob(m, f.Payload)
 			}
-			c.touch(m)
-			c.handleBlob(m, f.Payload)
 		case ftLeave:
 			if m != nil {
 				c.handleLeave(m)
@@ -188,6 +187,7 @@ func (c *coordinator) serveConn(conn net.Conn) {
 		default:
 			// Unknown control frame: ignore (forward compatibility).
 		}
+		f.release()
 	}
 }
 

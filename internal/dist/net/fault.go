@@ -163,10 +163,10 @@ func (fw *faultWriter) writeFrame(f Frame) error {
 		time.Sleep(fw.plan.Delay)
 	}
 	if fw.plan.ReorderProb > 0 && fw.held == nil && fw.rng.Float64() < fw.plan.ReorderProb {
-		// Hold this frame; it goes out after the next one.
+		// Hold this frame, and a reference to its buffer; it goes out
+		// after the next one.
 		countSocketFault("reorder")
-		held := f
-		held.Payload = append([]byte(nil), f.Payload...)
+		held := f.retain()
 		fw.held = &held
 		return nil
 	}
@@ -182,6 +182,7 @@ func (fw *faultWriter) writeFrame(f Frame) error {
 	if fw.held != nil {
 		held := *fw.held
 		fw.held = nil
+		defer held.release()
 		return WriteFrame(fw.w, held)
 	}
 	return nil

@@ -44,20 +44,26 @@ func TestParseSocketFaultSpec(t *testing.T) {
 	}
 }
 
-// collect is a frame sink recording what actually reached the "wire".
-type collect struct{ frames []Frame }
+// collect is a frame sink recording what actually reached the "wire". A
+// frame's header, payload and trailer arrive as separate writes.
+type collect struct {
+	pending []byte
+	frames  []Frame
+}
 
 func (c *collect) Write(p []byte) (int, error) {
-	b := append([]byte(nil), p...)
-	for len(b) > 0 {
-		f, n, err := DecodeFrame(b)
+	c.pending = append(c.pending, p...)
+	for {
+		f, n, err := DecodeFrame(c.pending)
+		if err == ErrShortFrame {
+			return len(p), nil
+		}
 		if err != nil {
 			return 0, err
 		}
 		c.frames = append(c.frames, f)
-		b = b[n:]
+		c.pending = c.pending[n:]
 	}
-	return len(p), nil
 }
 
 // TestFaultWriterDeterministic: the same plan and endpoint produce the

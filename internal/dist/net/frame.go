@@ -37,6 +37,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/mat"
 )
@@ -48,6 +51,31 @@ type Frame struct {
 	Type    byte
 	Seq     uint64
 	Payload []byte
+	// buf is the pooled buffer Payload lies in, nil when the GC owns it.
+	// ReadFrame's caller holds it; every further holder retains it.
+	buf *wireBuf
+}
+
+// retain takes a reference for a new holder of f; release drops one, and
+// the last returns f's buffer to the pool.
+func (f Frame) retain() Frame {
+	if f.buf != nil {
+		f.buf.extra.Add(1)
+	}
+	return f
+}
+
+func (f Frame) release() {
+	if f.buf != nil && f.buf.extra.Add(-1) < 0 {
+		mat.PutBytes(f.buf.b)
+	}
+}
+
+// wireBuf is a pooled frame buffer and the count of its holders beyond
+// the first.
+type wireBuf struct {
+	b     []byte
+	extra atomic.Int32
 }
 
 // Wire layout (little-endian):
@@ -64,9 +92,10 @@ const (
 	frameMagic = uint32(0x4F4C5948) // "HYLO" in little-endian byte order
 
 	// ProtocolVersion is carried by every frame; a mismatched build's
-	// frames fail to decode instead of desynchronizing later. Version 3
-	// dropped the start message's kernel-family byte.
-	ProtocolVersion = 3
+	// frames fail to decode instead of desynchronizing later. Version 4
+	// sends a byte gather's bundles to the root alone: its down frames
+	// carry an empty data section.
+	ProtocolVersion = 4
 
 	headerLen  = 4 + 1 + 1 + 2 + 8 + 4
 	trailerLen = 4
@@ -86,18 +115,6 @@ var (
 	ErrBadCRC        = errors.New("distnet: frame CRC mismatch")
 	ErrShortFrame    = errors.New("distnet: truncated frame")
 )
-
-// AppendFrame encodes f onto dst and returns the extended slice.
-func AppendFrame(dst []byte, f Frame) []byte {
-	start := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
-	dst = append(dst, ProtocolVersion, f.Type, 0, 0)
-	dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Payload)))
-	dst = append(dst, f.Payload...)
-	crc := crc32.ChecksumIEEE(dst[start+4:])
-	return binary.LittleEndian.AppendUint32(dst, crc)
-}
 
 // DecodeFrame decodes one frame from the head of b, returning the frame and
 // the number of bytes consumed. It validates magic, version, reserved bits,
@@ -134,39 +151,61 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	}, total, nil
 }
 
-// WriteFrame encodes f and writes it to w in one call (one syscall on a
-// net.Conn, which is what keeps the fault injector's frame granularity
-// honest: a dropped "frame" is the whole frame). The encoding is pooled
-// scratch, returned once the write is done; w must not retain it.
+// frameParts is WriteFrame's pooled scratch: a frame's header and CRC
+// trailer, and the vector that writes them around its payload.
+type frameParts struct {
+	hdr [headerLen + trailerLen]byte
+	vec [3][]byte
+	out net.Buffers
+}
+
+var framePartsPool = sync.Pool{New: func() any { return new(frameParts) }}
+
+// WriteFrame writes f to w as header, payload and CRC trailer in one
+// vectored write (one writev on a net.Conn, which is what keeps the fault
+// injector's frame granularity honest: a dropped "frame" is the whole
+// frame). The payload is not copied.
 func WriteFrame(w io.Writer, f Frame) error {
-	buf := AppendFrame(mat.GetBytes(headerLen + len(f.Payload) + trailerLen)[:0], f)
-	_, err := w.Write(buf)
-	mat.PutBytes(buf)
+	p := framePartsPool.Get().(*frameParts)
+	hdr := binary.LittleEndian.AppendUint32(p.hdr[:0], frameMagic)
+	hdr = binary.LittleEndian.AppendUint64(append(hdr, ProtocolVersion, f.Type, 0, 0), f.Seq)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(f.Payload)))
+	crc := crc32.Update(crc32.ChecksumIEEE(hdr[4:]), crc32.IEEETable, f.Payload)
+	p.vec = [3][]byte{hdr, f.Payload, binary.LittleEndian.AppendUint32(p.hdr[headerLen:headerLen], crc)}
+	p.out = p.vec[:]
+	_, err := p.out.WriteTo(w)
+	p.vec[1] = nil
+	framePartsPool.Put(p)
 	return err
 }
 
 // ReadFrame decodes one frame from r. Truncation surfaces as ErrShortFrame
 // (clean EOF at a frame boundary stays io.EOF so connection teardown is
 // distinguishable from mid-frame loss). The header lands in pooled scratch,
-// then the whole frame in one allocation, which the payload aliases.
+// then the whole frame in one pooled buffer, which the payload aliases and
+// the frame holds (release it when done).
 func ReadFrame(r io.Reader) (Frame, error) {
 	hdr := mat.GetBytes(headerLen)
 	defer mat.PutBytes(hdr)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			return Frame{}, ErrShortFrame
+			err = ErrShortFrame
 		}
 		return Frame{}, err
 	}
-	length := binary.LittleEndian.Uint32(hdr[16:])
-	if length > MaxFramePayload {
-		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, length)
+	// A valid header alone is a short frame; any other error is the header's.
+	if _, _, err := DecodeFrame(hdr); err != ErrShortFrame {
+		return Frame{}, err
 	}
-	buf := make([]byte, headerLen+int(length)+trailerLen)
-	copy(buf, hdr)
-	if _, err := io.ReadFull(r, buf[headerLen:]); err != nil {
-		return Frame{}, ErrShortFrame
+	buf := &wireBuf{b: mat.GetBytes(headerLen + int(binary.LittleEndian.Uint32(hdr[16:])) + trailerLen)}
+	f, err := Frame{}, error(ErrShortFrame)
+	if _, rerr := io.ReadFull(r, buf.b[copy(buf.b, hdr):]); rerr == nil {
+		f, _, err = DecodeFrame(buf.b)
 	}
-	f, _, err := DecodeFrame(buf)
-	return f, err
+	if err != nil {
+		mat.PutBytes(buf.b)
+		return Frame{}, err
+	}
+	f.buf = buf
+	return f, nil
 }

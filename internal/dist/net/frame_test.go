@@ -4,12 +4,20 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"testing"
 
 	"repro/internal/mat"
 )
+
+// AppendFrame appends f as WriteFrame writes it to dst.
+func AppendFrame(dst []byte, f Frame) []byte {
+	var b bytes.Buffer
+	WriteFrame(&b, f)
+	return append(dst, b.Bytes()...)
+}
 
 // TestFrameRoundTrip: encode → decode is the identity for representative
 // frames, including empty and large payloads.
@@ -117,7 +125,8 @@ func TestReadFrameTruncation(t *testing.T) {
 
 // FuzzFrameDecode: the decoder must never panic, never allocate beyond the
 // frame bound, and anything it accepts must re-encode to the bytes it
-// consumed (decode∘encode fixed point).
+// consumed (decode∘encode fixed point). The pooled stream reader must give
+// the same frame or error.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendFrame(nil, Frame{Type: ftJoin, Seq: 1, Payload: []byte("seed")}))
@@ -126,6 +135,14 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(trunc[:len(trunc)-9])
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, n, err := DecodeFrame(b)
+		rf, rerr := ReadFrame(bytes.NewReader(b))
+		if len(b) == 0 && rerr == io.EOF {
+			rerr = ErrShortFrame // a clean end of stream, where a buffer is short
+		}
+		if fmt.Sprint(rerr) != fmt.Sprint(err) || rf.Type != fr.Type || rf.Seq != fr.Seq || !bytes.Equal(rf.Payload, fr.Payload) {
+			t.Fatalf("ReadFrame = %+v, %v; DecodeFrame = %+v, %v", rf, rerr, fr, err)
+		}
+		rf.release()
 		if err != nil {
 			return
 		}
@@ -192,8 +209,9 @@ func FuzzControlDecode(f *testing.F) {
 }
 
 // TestFrameIOAllocs pins the frame path's allocations: ReadFrame reads
-// header, payload and trailer into one buffer (the payload it returns),
-// and a warmed WriteFrame frames into pooled scratch.
+// header, payload and trailer into one pooled buffer (the payload it
+// returns; a released frame's comes back) and allocates only the count of
+// its holders, and a warmed WriteFrame writes the payload where it lies.
 func TestFrameIOAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts by design; allocation counts are not meaningful")
@@ -203,9 +221,11 @@ func TestFrameIOAllocs(t *testing.T) {
 	r := bytes.NewReader(wire)
 	read := testing.AllocsPerRun(50, func() {
 		r.Reset(wire)
-		if _, err := ReadFrame(r); err != nil {
+		f, err := ReadFrame(r)
+		if err != nil {
 			t.Fatal(err)
 		}
+		f.release()
 	})
 	if read != 1 {
 		t.Errorf("ReadFrame of a 64 KiB payload: %v allocations, want 1", read)

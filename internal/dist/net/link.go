@@ -165,6 +165,7 @@ func (l *link) readLoop() {
 		l.lastRecv = time.Now()
 		l.mu.Unlock()
 		l.dispatch(f)
+		f.release()
 	}
 }
 

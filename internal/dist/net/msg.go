@@ -245,11 +245,11 @@ func runEnd(sum bool, segs []seg, i int) int {
 	return j
 }
 
-// encodeUp serializes a chunk's segments, flowing child → parent, into a
-// pooled buffer (the engine keeps up frames for retransmission; see
-// wireBuf for who returns it). Adjacent byte strings go as one segment,
-// as if they had been merged.
-func encodeUp(h chunkHdr, segs []seg) []byte {
+// encodeUp serializes a chunk's segments, flowing child → parent, into the
+// pooled payload of frame ws (the engine keeps up frames for
+// retransmission; see tree.go for who returns it). Adjacent byte strings
+// go as one segment, as if they had been merged.
+func encodeUp(ws uint64, h chunkHdr, segs []seg) Frame {
 	sum := isSum(h.Op)
 	need, runs := chunkHdrLen+4, 0
 	for i := 0; i < len(segs); i = runEnd(sum, segs, i) {
@@ -266,7 +266,7 @@ func encodeUp(h chunkHdr, segs []seg) []byte {
 		b = binary.LittleEndian.AppendUint32(b, uint32(segs[j-1].hi))
 		b = appendSegData(b, sum, segs[i:j])
 	}
-	return b
+	return Frame{Type: ftTreeUp, Seq: ws, Payload: b, buf: &wireBuf{b: b}}
 }
 
 // decodeUp parses an up payload. Partial sums land in pooled float
@@ -302,16 +302,32 @@ func decodeUp(p []byte) (chunkHdr, []seg, error) {
 }
 
 // encodeDown serializes one chunk of a finished collective, flowing
-// root → leaves, from the segments covering every rank into a plain
-// (unpooled) buffer: down payloads are shared with the local ranks reading
-// the result, so their lifetime is not the engine's to end and they must
-// not hold pool capacity.
-func encodeDown(h chunkHdr, segs []seg) []byte {
+// root → leaves, from the segments covering every rank into the pooled
+// payload of frame ws (see tree.go for who returns it).
+func encodeDown(ws uint64, h chunkHdr, segs []seg) Frame {
 	need := chunkHdrLen + 4
 	for _, s := range segs {
 		need += 8*len(s.f) + len(s.b) + len(s.raw)
 	}
-	return appendSegData(h.appendTo(make([]byte, 0, need)), isSum(h.Op), segs)
+	b := appendSegData(h.appendTo(mat.GetBytes(need)[:0]), isSum(h.Op), segs)
+	return Frame{Type: ftTreeDown, Seq: ws, Payload: b, buf: &wireBuf{b: b}}
+}
+
+// rankStrings returns the ranks' byte strings held by the segments of a
+// byte gather, in rank order, as views: a local rank's is its raw bytes
+// (its prefix alone is in b), a received run's lie in b.
+func rankStrings(segs []seg) [][]byte {
+	var out [][]byte
+	for _, s := range segs {
+		if s.frame.buf == nil {
+			out = append(out, s.raw)
+			continue
+		}
+		for r := mat.NewReader(s.b); r.Len() > 0 && r.Err() == nil; {
+			out = append(out, counted(r, 1))
+		}
+	}
+	return out
 }
 
 // decodeDown parses a down payload into its header and data section (the

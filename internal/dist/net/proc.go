@@ -651,12 +651,19 @@ func (w *netWorker) Barrier() {
 	w.p.collective(w.slot, opBarrier, concatPart(nil, nil), w.next())
 }
 
-// AllGatherBytes implements dist.ByteGatherer (checkpoint section gather).
-// b is sent without a staging copy, and the result is read-only views of
-// the one delivered frame (see concatResult).
-func (w *netWorker) AllGatherBytes(b []byte) [][]byte {
+// GatherBytes implements dist.ByteGatherer (the checkpoint gather). b is
+// sent without a staging copy; rank 0's result is views of the frames and
+// payloads its process holds until its next collective, every other
+// rank's nil.
+func (w *netWorker) GatherBytes(b []byte) [][]byte {
 	res := w.p.collective(w.slot, opGatherBytes, concatPart(nil, b), w.next())
-	return concatResult(res, w.world)
+	if w.ID() != 0 {
+		return nil
+	}
+	if len(res) != w.world {
+		panic(dist.ErrClusterPoisoned)
+	}
+	return res
 }
 
 // ConfigDigestOf fingerprints the fields that must agree across processes

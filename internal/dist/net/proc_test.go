@@ -1,6 +1,7 @@
 package distnet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -100,7 +101,7 @@ func workload(c dist.Comm, steps int) []uint64 {
 			bar.Barrier()
 		}
 		if g, ok := dist.AsByteGatherer(c); ok {
-			bs := g.AllGatherBytes([]byte{byte(c.ID()), byte(step)})
+			bs := g.GatherBytes([]byte{byte(c.ID()), byte(step)})
 			for _, b := range bs {
 				rec(float64(int(b[0])<<8 | int(b[1])))
 			}
@@ -661,4 +662,81 @@ func TestProcCollectiveOverlap(t *testing.T) {
 		t.Fatalf("proc failure = %v; want ErrCollectiveOverlap", err)
 	}
 	waitPoisoned(first, "the rank waiting on seq 1")
+}
+
+// gatherPayload is rank r's distinct byte string in gather it.
+func gatherPayload(r, it int) []byte {
+	return bytes.Repeat([]byte{byte(r), byte(it)}, 1+r+it%5)
+}
+
+// TestGatherBytesRootOnly: rank 0 gets every rank's bytes in rank order,
+// every other rank nil — one rank a process at P = 2 and 3 in both shapes,
+// and two ranks in the root's process. Each gather is followed by a
+// broadcast whose receivers check every byte. The drop leg loses 30 % of
+// the frames on every link, down frames among them (the chance that none
+// of its 120 is lost is below 1e-18), so the root re-serves down frames
+// of the collective it kept while its own ranks have moved on to the
+// next one; a buffer recycled too early would arrive changed.
+func TestGatherBytesRootOnly(t *testing.T) {
+	const iters = 60
+	for _, leg := range []struct {
+		name   string
+		topo   string
+		locals []int
+		faults *SocketFaultPlan
+	}{
+		{"hub_p2", TopologyHub, []int{1, 1}, nil},
+		{"hub_p3", TopologyHub, []int{1, 1, 1}, nil},
+		{"tree_p3", TopologyTree, []int{1, 1, 1}, nil},
+		{"hub_2+1", TopologyHub, []int{2, 1}, nil},
+		{"drop_p2", TopologyHub, []int{1, 1}, &SocketFaultPlan{Seed: 5, DropProb: 0.3}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			world := 0
+			for _, n := range leg.locals {
+				world += n
+			}
+			cfg := testConfig(world)
+			cfg.Topology, cfg.Faults = leg.topo, leg.faults
+			cfg.RetransmitEvery = 5 * time.Millisecond
+			cfg.CollTimeout = 10 * time.Second // a down frame never re-served fails the leg
+			procs := startCluster(t, cfg, leg.locals...)
+			var wg sync.WaitGroup
+			for _, p := range procs {
+				wg.Add(1)
+				go func(p *Proc) {
+					defer wg.Done()
+					for _, err := range p.Run(func(c dist.Comm) {
+						g, _ := dist.AsByteGatherer(c)
+						m := mat.NewDense(16, 16)
+						for it := 0; it < iters; it++ {
+							got := g.GatherBytes(gatherPayload(c.ID(), it))
+							if c.ID() != 0 && got != nil {
+								t.Errorf("rank %d gather %d: got %d bundles, want nil", c.ID(), it, len(got))
+							}
+							for r := 0; c.ID() == 0 && r < world; r++ {
+								if len(got) != world || !bytes.Equal(got[r], gatherPayload(r, it)) {
+									t.Errorf("rank 0 gather %d: rank %d's bytes wrong (%d bundles)", it, r, len(got))
+									break
+								}
+							}
+							for j := range m.Data() {
+								m.Data()[j] = float64(it*1000 + j)
+							}
+							b := c.BroadcastMat(0, m)
+							for j, v := range b.Data() {
+								if v != float64(it*1000+j) {
+									t.Errorf("rank %d broadcast %d: element %d = %g", c.ID(), it, j, v)
+									break
+								}
+							}
+						}
+					}) {
+						t.Errorf("worker error: %v", err)
+					}
+				}(p)
+			}
+			wg.Wait()
+		})
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dist"
@@ -50,24 +49,26 @@ import (
 // frame. Either way the root ends up holding [0, world), which is the
 // result.
 //
-// Pooled buffers have one owner each. A segment that owns its buffer
-// (seg.own) is freed by whoever removes it from a chunk: the merge that
-// consumes it, the encode that ships it, or the collective's release.
+// Every buffer the data plane fills is pooled. A segment that owns its
+// buffer (seg.own) is freed by whoever removes it from a chunk: the merge
+// that consumes it, the encode that ships it, or the collective's release.
 // The local deposit's full-length buffers belong to treeColl.local, and
-// the per-chunk segments cut from them are views that own nothing. An
-// encoded up payload belongs to its wireBuf, which counts the retransmit
-// set and every write in flight as holders; the last one to let go
-// returns it to the pool, so a finished collective can never recycle
-// bytes a socket write is still reading. Down payloads are unpooled: the
-// local ranks keep reading the delivered result after the engine moves on.
+// the per-chunk segments cut from them are views that own nothing. A frame
+// — received, or an encoded up or down payload — is a counted wireBuf
+// whose holders are each write in flight, a frame the fault injector holds
+// back, a byte segment cut from it, the retransmit set of up frames and
+// the last result's down frames. The ownership rule: a delivered result is
+// valid until the rank's next collective, and a buffer returns to the pool
+// when the next collective completes and no write holds it.
 
 // seg is one contiguous rank range's contribution to one chunk: f for the
 // sum ops, b for the concat ops.
 type seg struct {
 	lo, hi int
 	f      []float64
-	b, raw []byte // raw (unpooled, read only) continues b's bytes
+	b, raw []byte // raw (the caller's, read only) continues b's bytes
 	own    bool   // f/b came from the mat pools and are this segment's to return
+	frame  Frame  // the received frame b lies in; the segment holds it
 }
 
 func (s seg) free() {
@@ -75,6 +76,7 @@ func (s seg) free() {
 		mat.PutFloats(s.f)
 		mat.PutBytes(s.b)
 	}
+	s.frame.release()
 }
 
 // view returns the non-owning part of s that belongs to the chunk covering
@@ -115,23 +117,6 @@ func insertSeg(world int, sum bool, segs []seg, s seg) []seg {
 	return segs
 }
 
-// wireBuf is a pooled frame payload with more than one reader: the
-// retransmit set holds one reference for as long as the frame may be
-// re-sent, and every write takes its own before the engine lock is
-// dropped. The last release returns the buffer to the pool.
-type wireBuf struct {
-	b    []byte
-	refs atomic.Int32
-}
-
-func (w *wireBuf) retain() *wireBuf { w.refs.Add(1); return w }
-
-func (w *wireBuf) release() {
-	if w.refs.Add(-1) == 0 {
-		mat.PutBytes(w.b)
-	}
-}
-
 // treeChunk accumulates one chunk of one collective.
 type treeChunk struct {
 	segs []seg           // sorted by lo, merged as far as the op allows
@@ -148,19 +133,20 @@ type treeColl struct {
 	local     []seg // the local deposit's full-length segments; chunks hold views
 	chunks    []treeChunk
 
-	// down holds the per-chunk ftTreeDown payloads (forwarded to children
-	// and kept for retransmit service), data their data sections — the
-	// result handed to the local ranks.
-	down  [][]byte
+	// down holds the per-chunk ftTreeDown frames (forwarded to children and
+	// kept for retransmit service), data their data sections, the result
+	// for the local ranks; a byte gather's root keeps the segments instead.
+	down  []Frame
 	data  [][]byte
+	keep  []seg
 	downN int
 
 	// up is this member's pending frames to its parent, re-sent every tick
 	// until the collective is delivered.
-	up []*wireBuf
+	up []Frame
 }
 
-// release returns every pooled buffer the collective still owns.
+// release returns every pooled buffer the collective still holds.
 func (tc *treeColl) release() {
 	for i := range tc.chunks {
 		for _, s := range tc.chunks[i].segs {
@@ -172,10 +158,16 @@ func (tc *treeColl) release() {
 		s.free()
 	}
 	tc.local = nil
-	for _, w := range tc.up {
-		w.release()
+	for _, f := range tc.up {
+		f.release()
 	}
-	tc.up = nil
+	for _, f := range tc.down {
+		f.release()
+	}
+	for _, s := range tc.keep {
+		s.free()
+	}
+	tc.up, tc.down, tc.keep = nil, nil, nil
 }
 
 // treeEndpoint derives deterministic fault-injection endpoint ids for
@@ -189,12 +181,11 @@ func treeEndpoint(member uint32, towardChild bool) uint64 {
 }
 
 // outFrame is a write staged under the engine lock and performed outside
-// it (TCP writes may block on backpressure). buf, when set, is the
-// reference this write holds on a pooled payload.
+// it (TCP writes may block on backpressure); f holds the write's reference
+// to a pooled payload.
 type outFrame struct {
-	fw  frameWriter
-	f   Frame
-	buf *wireBuf
+	fw frameWriter
+	f  Frame
 }
 
 // maxTreeChunks bounds a collective's chunk count so a corrupted element
@@ -226,11 +217,11 @@ type treeEngine struct {
 	childFWs   map[uint32]frameWriter
 
 	colls map[uint64]*treeColl
-	// done is the generation's last completed wire sequence, doneDown its
-	// per-chunk down payloads (kept while there are children to serve).
-	done     uint64
-	doneDown [][]byte
-	stop     chan struct{}
+	// done is the generation's last completed wire sequence and last that
+	// collective, held for its local ranks and for children that missed it.
+	done uint64
+	last *treeColl
+	stop chan struct{}
 }
 
 func newTreeEngine(p *Proc, ln net.Listener) *treeEngine {
@@ -272,7 +263,8 @@ func (t *treeEngine) dropConnsLocked() []net.Conn {
 func (t *treeEngine) install(sm startMsg) {
 	t.mu.Lock()
 	old := t.dropConnsLocked()
-	t.done, t.doneDown = 0, nil
+	// The last result goes to the GC: a failure may leave a rank reading it.
+	t.done, t.last = 0, nil
 	t.gen = sm.Gen
 	t.world = int(sm.WorldSize)
 	t.base = int(sm.BaseRank)
@@ -322,9 +314,7 @@ func (t *treeEngine) writeAll(frames []outFrame) {
 		if of.fw != nil && of.fw.writeFrame(of.f) == nil {
 			t.p.countBytes("tx", len(of.f.Payload))
 		}
-		if of.buf != nil {
-			of.buf.release()
-		}
+		of.f.release()
 	}
 }
 
@@ -361,13 +351,10 @@ func (t *treeEngine) serveChild(conn net.Conn) {
 		switch f.Type {
 		case ftTreeHello:
 			hm, err := decode[treeHelloMsg](f.Payload)
-			if err != nil {
-				continue
-			}
 			t.mu.Lock()
 			// Only a new connection rebinds: a fresh writer per hello (one a
 			// tick) would restart the fault plan's draws.
-			if !t.closed && hm.Gen == t.gen && t.children[hm.MemberID] && t.childConns[hm.MemberID] != conn {
+			if err == nil && !t.closed && hm.Gen == t.gen && t.children[hm.MemberID] && t.childConns[hm.MemberID] != conn {
 				if old := t.childConns[hm.MemberID]; old != nil {
 					old.Close()
 				}
@@ -377,13 +364,14 @@ func (t *treeEngine) serveChild(conn net.Conn) {
 			}
 			t.mu.Unlock()
 		case ftTreeUp:
-			if bound == 0 {
-				continue
-			}
 			if h, segs, err := decodeUp(f.Payload); err == nil {
+				for i := 0; !isSum(h.Op) && i < len(segs); i++ {
+					segs[i].frame = f.retain() // byte strings alias the frame
+				}
 				t.handleUp(bound, f.Seq, h, segs)
 			}
 		}
+		f.release()
 	}
 }
 
@@ -429,21 +417,15 @@ func (t *treeEngine) dialParent(gen uint32, addr string) {
 	}
 }
 
-// upFrameLocked (mu held) stages one write of a pending up payload, taking
-// the reference the write will hold.
-func (t *treeEngine) upFrameLocked(ws uint64, w *wireBuf) outFrame {
-	return outFrame{fw: t.parentFW, f: Frame{Type: ftTreeUp, Seq: ws, Payload: w.b}, buf: w.retain()}
-}
-
 // pendingUpLocked stages the hello plus every pending up frame (mu held) —
 // the per-tick retransmit batch. The hello leads so an unbound parent
 // binds before folding.
 func (t *treeEngine) pendingUpLocked() []outFrame {
 	frames := []outFrame{{fw: t.parentFW, f: Frame{Type: ftTreeHello,
 		Payload: encode(&treeHelloMsg{Gen: t.gen, MemberID: t.p.link.id()})}}}
-	for ws, tc := range t.colls {
-		for _, w := range tc.up {
-			frames = append(frames, t.upFrameLocked(ws, w))
+	for _, tc := range t.colls {
+		for _, f := range tc.up {
+			frames = append(frames, outFrame{t.parentFW, f.retain()})
 		}
 	}
 	return frames
@@ -470,7 +452,9 @@ func (t *treeEngine) readParent(gen uint32, addr string, conn net.Conn) {
 		}
 		t.p.countBytes("rx", len(f.Payload))
 		if f.Type == ftTreeDown {
-			t.handleDown(f.Seq, f.Payload)
+			t.handleDown(f)
+		} else {
+			f.release()
 		}
 	}
 }
@@ -535,7 +519,7 @@ func (t *treeEngine) ensureLocked(ws uint64, op byte, elems int) *treeColl {
 	tc := &treeColl{
 		op: op, elems: elems, started: time.Now(),
 		chunks: make([]treeChunk, nChunks),
-		down:   make([][]byte, nChunks),
+		down:   make([]Frame, nChunks),
 		data:   make([][]byte, nChunks),
 	}
 	t.colls[ws] = tc
@@ -614,7 +598,7 @@ func (t *treeEngine) handleUp(child uint32, ws uint64, h chunkHdr, segs []seg) {
 		}
 	}
 	t.mu.Lock()
-	if t.closed || h.Gen != t.gen {
+	if t.closed || child == 0 || h.Gen != t.gen { // child 0: not yet bound
 		drop()
 		return
 	}
@@ -623,8 +607,8 @@ func (t *treeEngine) handleUp(child uint32, ws uint64, h chunkHdr, segs []seg) {
 	// is a late duplicate no child can still need.
 	if ws <= t.done {
 		var out []outFrame
-		if ws == t.done && int(h.Chunk) < len(t.doneDown) {
-			out = []outFrame{{fw: t.childFWs[child], f: Frame{Type: ftTreeDown, Seq: ws, Payload: t.doneDown[h.Chunk]}}}
+		if ws == t.done && t.last != nil && int(h.Chunk) < len(t.last.down) {
+			out = []outFrame{{t.childFWs[child], t.last.down[h.Chunk].retain()}}
 		}
 		drop()
 		t.writeAll(out)
@@ -685,11 +669,10 @@ func (t *treeEngine) finishChunkLocked(ws uint64, tc *treeColl, i int) []outFram
 	if t.parentAddr != "" {
 		// Forward the merged segments upward and keep the frame for
 		// retransmit; once encoded the segments are no longer needed.
-		w := &wireBuf{b: encodeUp(h, ch.segs)}
-		w.refs.Store(1)
-		tc.up = append(tc.up, w)
+		f := encodeUp(ws, h, ch.segs)
+		tc.up = append(tc.up, f)
 		if t.parentFW != nil {
-			out = []outFrame{t.upFrameLocked(ws, w)}
+			out = []outFrame{{t.parentFW, f.retain()}}
 		}
 	} else {
 		// Root: the segments must cover [0, world) in order, a sum merged
@@ -697,8 +680,12 @@ func (t *treeEngine) finishChunkLocked(ws uint64, tc *treeColl, i int) []outFram
 		if runEnd(isSum(tc.op), ch.segs, 0) != len(ch.segs) || ch.segs[0].lo != 0 || ch.segs[len(ch.segs)-1].hi != t.world {
 			return nil
 		}
-		raw := encodeDown(h, ch.segs)
-		out = t.recordDownLocked(ws, tc, i, raw, raw[chunkHdrLen+4:])
+		if tc.op == opGatherBytes {
+			// Rank 0 alone gets the bundles, as views of the segments it
+			// keeps; the children get a down frame with no data.
+			tc.keep, ch.segs = ch.segs, nil
+		}
+		out = t.recordDownLocked(tc, i, encodeDown(ws, h, ch.segs))
 	}
 	ch.sent = true
 	for _, s := range ch.segs {
@@ -708,36 +695,36 @@ func (t *treeEngine) finishChunkLocked(ws uint64, tc *treeColl, i int) []outFram
 	return out
 }
 
-// recordDownLocked (mu held) installs chunk i's down payload and stages
-// its forwarding to every bound child.
-func (t *treeEngine) recordDownLocked(ws uint64, tc *treeColl, i int, raw, data []byte) []outFrame {
-	tc.down[i], tc.data[i] = raw, data
+// recordDownLocked (mu held) installs chunk i's down frame, taking over
+// the caller's reference, and stages its forwarding to every bound child.
+func (t *treeEngine) recordDownLocked(tc *treeColl, i int, f Frame) []outFrame {
+	_, tc.data[i], _ = decodeDown(f.Payload)
+	tc.down[i] = f
 	tc.downN++
 	out := make([]outFrame, 0, len(t.childFWs))
 	for _, fw := range t.childFWs {
-		out = append(out, outFrame{fw: fw, f: Frame{Type: ftTreeDown, Seq: ws, Payload: raw}})
+		out = append(out, outFrame{fw, f.retain()})
 	}
 	return out
 }
 
 // handleDown installs one chunk of the finished collective arriving from
 // the parent: record it, forward it to the children, and deliver once
-// every chunk is in. raw is the frame's payload, reused verbatim for
-// forwarding and retransmit service.
-func (t *treeEngine) handleDown(ws uint64, raw []byte) {
-	h, data, err := decodeDown(raw)
-	if err != nil {
-		return
-	}
+// every chunk is in. The frame is reused verbatim for forwarding and
+// retransmit service; the caller's reference passes to the engine.
+func (t *treeEngine) handleDown(f Frame) {
+	h, data, err := decodeDown(f.Payload)
 	t.mu.Lock()
-	tc := t.colls[ws]
-	if t.closed || h.Gen != t.gen || tc == nil || h.Op != tc.op ||
-		int(h.Chunk) >= len(tc.chunks) || tc.down[h.Chunk] != nil ||
+	tc := t.colls[f.Seq]
+	if err != nil || t.closed || h.Gen != t.gen || tc == nil || h.Op != tc.op ||
+		int(h.Chunk) >= len(tc.chunks) || tc.down[h.Chunk].Payload != nil ||
 		(isSum(h.Op) && len(data) != 8*chunkLen(tc.elems, t.chunkElems, int(h.Chunk))) {
 		t.mu.Unlock()
+		f.release()
 		return
 	}
-	out := t.recordDownLocked(ws, tc, int(h.Chunk), raw, data)
+	ws := f.Seq
+	out := t.recordDownLocked(tc, int(h.Chunk), f)
 	res := t.deliverLocked(ws, tc)
 	t.mu.Unlock()
 
@@ -748,19 +735,22 @@ func (t *treeEngine) handleDown(ws uint64, raw []byte) {
 }
 
 // deliverLocked retires a completed collective (mu held) and returns its
-// result — the chunks' data sections, for delivery outside the lock — or
-// nil while chunks are outstanding. Its down payloads replace the previous
-// completed collective's, so a lagging child can still be served.
+// result, for delivery outside the lock, or nil while chunks are
+// outstanding. It is kept, so a lagging child can still be served, until
+// the next completes and releases it: by then every local rank has left
+// its result behind.
 func (t *treeEngine) deliverLocked(ws uint64, tc *treeColl) [][]byte {
 	if !tc.haveLocal || tc.downN != len(tc.chunks) {
 		return nil
 	}
-	t.done, t.doneDown = ws, nil
-	if len(t.children) > 0 {
-		t.doneDown = tc.down
+	if t.last != nil {
+		t.last.release()
 	}
-	tc.release()
+	t.done, t.last = ws, tc
 	delete(t.colls, ws)
+	if tc.keep != nil {
+		return rankStrings(tc.keep)
+	}
 	return tc.data
 }
 

@@ -151,6 +151,63 @@ func TestCollectiveScratchPooled(t *testing.T) {
 	}
 }
 
+// TestCollectiveWarmAllocBytes: a warmed collective allocates little
+// beyond what it hands back. Every frame it sends, receives and forwards
+// comes from the pools and returns to them one collective later, where
+// unpooled frames cost more than twice the payload. Two single-rank
+// processes run 256×256 AllReduceMat and BroadcastMat with the GC off (it
+// would empty the pools); the test process's TotalAlloc per call, less
+// the matrix a broadcast's receiver keeps, must stay within 16 KB.
+func TestCollectiveWarmAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts by design; allocation counts are not meaningful")
+	}
+	const n, warm, iters, budget = 256, 100, 200, 16 << 10
+	procs := startCluster(t, testConfig(2), 1, 1)
+	for _, c := range []struct {
+		name string
+		kept uint64 // bytes per call the caller keeps: the receiver's matrix
+		op   func(c dist.Comm, m *mat.Dense)
+	}{
+		{"AllReduceMat", 0, func(c dist.Comm, m *mat.Dense) { c.AllReduceMat(m) }},
+		{"BroadcastMat", 8 * n * n, func(c dist.Comm, m *mat.Dense) { c.BroadcastMat(0, m) }},
+	} {
+		var before, after runtime.MemStats
+		var wg sync.WaitGroup
+		gc := debug.SetGCPercent(-1)
+		for _, p := range procs {
+			wg.Add(1)
+			go func(p *Proc) {
+				defer wg.Done()
+				p.Run(func(comm dist.Comm) {
+					m := mat.NewDense(n, n)
+					bar, _ := dist.AsBarrier(comm)
+					for it := 0; it < warm; it++ {
+						c.op(comm, m)
+					}
+					bar.Barrier()
+					if comm.ID() == 0 {
+						runtime.ReadMemStats(&before)
+					}
+					bar.Barrier()
+					for it := 0; it < iters; it++ {
+						c.op(comm, m)
+					}
+					bar.Barrier()
+					if comm.ID() == 0 {
+						runtime.ReadMemStats(&after)
+					}
+				})
+			}(p)
+		}
+		wg.Wait()
+		debug.SetGCPercent(gc)
+		if per := (after.TotalAlloc - before.TotalAlloc - iters*c.kept) / iters; per > budget {
+			t.Errorf("warmed %d×%d %s allocates %d bytes a call beyond its result; want ≤ %d", n, n, c.name, per, budget)
+		}
+	}
+}
+
 // TestReduceSplitProperties pins the canonical bracketing primitives: the
 // split point is the largest power of two strictly inside the range, every
 // canonical node splits into two canonical children, and CanMergeSegments
@@ -303,7 +360,8 @@ func TestTreeRetransmitOwnsItsFrames(t *testing.T) {
 // completes: a lagging child must still be served from the one completed
 // collective its parent keeps. Results are bit-compared with the
 // in-process cluster; afterwards no engine holds an open collective, and
-// only engines with children hold the last collective's down payloads.
+// every engine holds the last collective's down frames, the result its
+// local ranks read until their next collective.
 func TestTreeKeepsOneCompletedCollective(t *testing.T) {
 	const members, local, ops = 3, 2, 300
 	const world = members * local
@@ -364,7 +422,7 @@ func TestTreeKeepsOneCompletedCollective(t *testing.T) {
 			for i, p := range procs {
 				e := p.tree
 				e.mu.Lock()
-				open, done, held, children := len(e.colls), e.done, e.doneDown != nil, len(e.children)
+				open, done, held := len(e.colls), e.done, e.last != nil && len(e.last.down) > 0
 				e.mu.Unlock()
 				if open != 0 {
 					t.Errorf("proc %d: %d collectives still open", i, open)
@@ -372,8 +430,8 @@ func TestTreeKeepsOneCompletedCollective(t *testing.T) {
 				if last := wireSeq(uint32(p.Gen()), ops); done != last {
 					t.Errorf("proc %d: last completed seq %#x, want %#x", i, done, last)
 				}
-				if held != (children > 0) {
-					t.Errorf("proc %d: holds down payloads = %v with %d children", i, held, children)
+				if !held {
+					t.Errorf("proc %d: holds no down frames of the last collective", i)
 				}
 			}
 		})

@@ -22,9 +22,6 @@ type Optimizer interface {
 	SetLR(lr float64)
 	// LR returns the current learning rate.
 	LR() float64
-	// StateBytes returns the length of the encoded optimizer state, what
-	// its checkpoint section holds (Table IV).
-	StateBytes() int
 	// Name identifies the method in experiment output.
 	Name() string
 	// The state rides in the checkpoint, so a resumed run steps as the
@@ -40,9 +37,6 @@ type Preconditioner interface {
 	Update()
 	// Precondition transforms the current gradients in place.
 	Precondition()
-	// StateBytes returns the length of the encoded preconditioner state,
-	// what its checkpoint section holds (Table IV).
-	StateBytes() int
 	// Name identifies the method.
 	Name() string
 	// The second-order state rides in the checkpoint, so a resumed step

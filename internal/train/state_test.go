@@ -109,10 +109,13 @@ func saverCases() map[string]func(seed uint64, hidden ...int) ckpt.StateSaver {
 }
 
 // roundTrip loads src's state into dst and requires dst to append the
-// very bytes src did.
+// very bytes src did, as many as src's StateBytes said.
 func roundTrip(t *testing.T, name string, src, dst ckpt.StateSaver) {
 	t.Helper()
 	b := src.AppendState(nil)
+	if n := src.StateBytes(); n != len(b) {
+		t.Fatalf("%s: StateBytes %d, AppendState wrote %d", name, n, len(b))
+	}
 	if err := dst.LoadState(b); err != nil {
 		t.Fatalf("%s: LoadState: %v", name, err)
 	}
@@ -195,9 +198,9 @@ func TestFieldsLoadLeavesStateOnError(t *testing.T) {
 		list  mat.Fields
 		spoil func()
 	}{
-		"KBFGS-L": {kbfgs, func() { w[0] = w[0][:1] }},
-		"SNGD":    {sngd, func() { m[0] = mat.NewDense(1, 1) }},
-		"KFAC":    {kfac, func() { gInv[1] = nil }},
+		"KBFGS-L":  {kbfgs, func() { w[0] = w[0][:1] }},
+		"SNGD":     {sngd, func() { m[0] = mat.NewDense(1, 1) }},
+		"KFAC":     {kfac, func() { gInv[1] = nil }},
 		"iterator": {mat.Fields{&pos, perm, mat.NewRNG(0)}, func() { perm[0] = 50 }},
 	} {
 		build := saverCases()[name]
@@ -225,7 +228,11 @@ func TestLoopStateRoundTrip(t *testing.T) {
 		adapter: &core.DampingAdapter{}, bestMetric: 0.75, stale: 1, start: time.Now().Add(-time.Hour)}
 	src.adapter.Observe(0.1, 2)
 	dst := &worker{res: &Result{}, adapter: &core.DampingAdapter{}}
-	if err := (*loopState)(dst).LoadState((*loopState)(src).AppendState(nil)); err != nil {
+	b := (*loopState)(src).AppendState(nil)
+	if n := (*loopState)(src).StateBytes(); n != len(b) {
+		t.Fatalf("StateBytes %d, AppendState wrote %d", n, len(b))
+	}
+	if err := (*loopState)(dst).LoadState(b); err != nil {
 		t.Fatal(err)
 	}
 	if dst.bestMetric != src.bestMetric || dst.stale != src.stale || dst.res.Best != src.res.Best ||
@@ -241,17 +248,18 @@ func TestLoopStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBundleEncodeAllocatesOnce: once a save has measured the bundle, the
-// next encode of the same state allocates exactly its one buffer.
+// TestBundleEncodeAllocatesOnce: a bundle encode allocates exactly its
+// one buffer, sized from the savers to the bundle's length.
 func TestBundleEncodeAllocatesOnce(t *testing.T) {
 	net := stateNet(12)
 	h := core.NewHyLo(net, 0.1, 0.5, dist.Local(), nil, mat.NewRNG(12))
 	h.Update()
 	savers := []ckpt.StateSaver{rngSection("rng/sample", mat.NewRNG(13)),
 		opt.NewSGD(net.Params(), 0.1, 0.9, 0), h}
-	var last int
-	encodeSections(&last, savers...)
-	if n := testing.AllocsPerRun(20, func() { encodeSections(&last, savers...) }); n != 1 {
-		t.Fatalf("warmed bundle encode: %v allocations; want 1", n)
+	if b := ckpt.EncodeSections(savers...); len(b) != cap(b) {
+		t.Fatalf("bundle of %d bytes encoded into a buffer of %d", len(b), cap(b))
+	}
+	if n := testing.AllocsPerRun(20, func() { ckpt.EncodeSections(savers...) }); n != 1 {
+		t.Fatalf("bundle encode: %v allocations; want 1", n)
 	}
 }

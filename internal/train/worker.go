@@ -42,9 +42,6 @@ type worker struct {
 	raw []*mat.Dense
 	// savers are the per-rank checkpoint sections.
 	savers []ckpt.StateSaver
-	// bundleLen and trainerLen are the lengths of this rank's last section
-	// bundle and (rank 0) trainer section, which size the next checkpoint's.
-	bundleLen, trainerLen int
 
 	start      time.Time
 	step       int
@@ -68,6 +65,10 @@ type worker struct {
 type loopState worker
 
 func (*loopState) StateKey() string { return "train/loop" }
+
+// StateBytes is AppendState's length: seven 8-byte words, the adapter's
+// flag byte, the history's count and 32 bytes per epoch.
+func (l *loopState) StateBytes() int { return 7*8 + 1 + 4 + 32*len(l.res.Stats) }
 
 func (l *loopState) AppendState(b []byte) []byte {
 	le := binary.LittleEndian
@@ -191,16 +192,6 @@ func (w *worker) build(tl *dist.Timeline) {
 	}
 	if w.aug != nil {
 		w.savers = append(w.savers, rngSection("rng/aug", w.aug.RNG()))
-	}
-	// A checkpoint encodes into a buffer the length of the previous one
-	// (encodeSections). Measure the state as built for the first: growing
-	// a bundle of megabytes by appends would allocate it several times
-	// over, at the run's peak.
-	if w.ckpts.every > 0 {
-		w.bundleLen = len(ckpt.EncodeSections(nil, w.savers...))
-		if w.res != nil {
-			w.trainerLen = len(ckpt.EncodeSections(nil, (*loopState)(w), w.net, w.it))
-		}
 	}
 }
 
@@ -431,12 +422,11 @@ func (w *worker) evaluate(epoch int, meanLoss float64) {
 }
 
 // checkpoint is a collective: every rank contributes its section bundle,
-// rank 0 assembles and atomically publishes the snapshot. Failures are
+// rank 0 gathers them and atomically publishes the snapshot. Failures are
 // counted and tolerated; a missed checkpoint costs recovery granularity,
 // not the run.
 func (w *worker) checkpoint(epoch int) {
-	local := encodeSections(&w.bundleLen, w.savers...)
-	ranks := gatherRankSections(w.comm, local)
+	ranks := gatherRankSections(w.comm, ckpt.EncodeSections(w.savers...))
 	if w.res == nil {
 		return
 	}
@@ -444,21 +434,11 @@ func (w *worker) checkpoint(epoch int) {
 		Epoch:   epoch,
 		Step:    w.step,
 		P:       w.p,
-		Trainer: encodeSections(&w.trainerLen, (*loopState)(w), w.net, w.it),
+		Trainer: ckpt.EncodeSections((*loopState)(w), w.net, w.it),
 		Ranks:   ranks,
 	}); err != nil {
 		telemetry.IncCounter(telemetry.MetricCkptErrors, 1)
 	}
-}
-
-// encodeSections encodes the savers' sections into one buffer sized from
-// *last, the length of the previous such encoding, and records this one's.
-// An eighth of slack absorbs what a run adds between saves (the epoch
-// history, factors first computed after build), so a save allocates once.
-func encodeSections(last *int, savers ...ckpt.StateSaver) []byte {
-	b := ckpt.EncodeSections(make([]byte, 0, *last+*last/8), savers...)
-	*last = len(b)
-	return b
 }
 
 // agreeToStop all-reduces one rank's stop observation so every replica
@@ -499,14 +479,14 @@ func (w *worker) outOfPatience() bool {
 	return w.stale >= w.job.Config.Patience
 }
 
-// gatherRankSections collects every rank's encoded section bundle on all
-// workers (rank 0 writes the file). The gather deliberately bypasses any
-// chaos wrapper — checkpoint trafficking is control plane; a bit-flip
-// injector corrupting the payload before the CRC is computed would bake
-// the corruption into a "valid" snapshot.
+// gatherRankSections collects every rank's encoded section bundle on rank
+// 0, which writes the file; the others get nil. The gather deliberately
+// bypasses any chaos wrapper — checkpoint trafficking is control plane;
+// a bit-flip injector corrupting the payload before the CRC is computed
+// would bake the corruption into a "valid" snapshot.
 func gatherRankSections(comm dist.Comm, local []byte) [][]byte {
 	if g, ok := dist.AsByteGatherer(comm); ok {
-		return g.AllGatherBytes(local)
+		return g.GatherBytes(local)
 	}
 	return [][]byte{local}
 }
