@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc locgate race racesched serve-smoke servecrash vet cover chaos netchaos fuzzsmoke sketchsmoke bench benchfast bench-tables experiments report examples clean
+.PHONY: all build test loc locgate race racesched serve-smoke servecrash vet cover chaos netchaos fuzzsmoke sketchsmoke bench experiments report examples clean
 
 all: build test
 
@@ -116,17 +116,12 @@ sketchsmoke:
 cover:
 	$(GO) test -cover ./internal/...
 
-# Root benchmarks: one testing.B benchmark per paper table/figure.
+# The training-step benchmarks (hylostep_bench_test.go): CNN, KIS, deep-MLP
+# and sketched-KID fixtures, each failing if its run retried, fell back or
+# went non-finite. TestStepAllocs pins their allocations in `make test`;
+# cmd/hylo-bench runs the paper's tables and figures.
 bench:
-	$(GO) test -bench=. -benchmem
-
-# One-iteration allocation smoke: runs every benchmark once with -benchmem
-# so CI catches allocation regressions on the hot path without paying for a
-# full timing run. Compare allocs/op against BENCH_baseline.json.
-benchfast:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem .
-	$(GO) test -run='^$$' -bench='BenchmarkGEMM_512|BenchmarkWorkspacePool|BenchmarkInterpolativeDecomp_256r25|BenchmarkSolveCond_256x25' -benchtime=1x -benchmem ./internal/mat/
-	$(GO) test -run='^$$' -bench='BenchmarkKIDFactors_256' -benchtime=1x -benchmem ./internal/core/
+	$(GO) test -run='^$$' -bench=. -benchmem
 
 # Full experiment suite as text tables (minutes).
 experiments:

@@ -1,8 +1,5 @@
 // Package repro is a from-scratch Go reproduction of "HyLo: A Hybrid
-// Low-Rank Natural Gradient Descent Method" (SC 2022). The root package
-// holds the benchmark entry points that regenerate every table and figure
-// of the paper (bench_test.go); the implementation lives under internal/
-// and the runnable tools under cmd/ and examples/. See README.md for the
-// architecture map, DESIGN.md for the substitution plan, and
-// EXPERIMENTS.md for measured-vs-paper results.
+// Low-Rank Natural Gradient Descent Method" (SC 2022). The implementation
+// lives under internal/, the tools under cmd/ (hylo-bench regenerates the
+// paper's tables and figures) and examples/; see README.md and DESIGN.md.
 package repro

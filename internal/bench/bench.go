@@ -1,7 +1,7 @@
 // Package bench contains one runner per figure and table of the paper's
 // evaluation (Figs. 2-12, Tables I-IV). Each runner produces a Table that
-// cmd/hylo-bench prints; bench_test.go at the repository root wraps the
-// same runners in testing.B benchmarks.
+// cmd/hylo-bench prints and this package's tests run, each experiment
+// at least once.
 //
 // Scale experiments (Figs. 3, 7, 8, 9, Table I) use the analytic cost
 // model over full-size layer inventories; convergence experiments

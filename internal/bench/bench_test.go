@@ -268,13 +268,19 @@ func TestFig4Runs(t *testing.T) {
 	}
 }
 
+// Fig. 6 is Fig. 5's runs per epoch: three quick epochs a run.
 func TestFig5Runs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training experiment")
 	}
-	tb := Fig5TimeToAccuracy(quickCfg())
-	if len(tb.Rows) != 12 {
-		t.Fatalf("fig5 rows = %d; want 12 (3 workloads x 4 methods)", len(tb.Rows))
+	for _, c := range []struct {
+		run  func(RunConfig) *Table
+		rows int
+	}{{Fig5TimeToAccuracy, 12}, {Fig6AccuracyPerEpoch, 36}} {
+		tb := c.run(quickCfg())
+		if len(tb.Rows) != c.rows {
+			t.Fatalf("%s rows = %d; want %d (3 workloads x 4 methods)", tb.ID, len(tb.Rows), c.rows)
+		}
 	}
 }
 
@@ -348,17 +354,25 @@ func TestAblationEtaRuns(t *testing.T) {
 	}
 }
 
+// TestAblationRandomizedIDRuns runs the HyLo variants trained on the
+// ResNet-32 substitute: the three KID factorizations, four rank fractions
+// and three update periods, each row's best accuracy in column 1.
 func TestAblationRandomizedIDRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training experiment")
 	}
-	tb := AblationRandomizedID(quickCfg())
-	if len(tb.Rows) != 3 {
-		t.Fatalf("abl-randid rows = %d; want 3 (pivoted-QR, gauss, srht)", len(tb.Rows))
-	}
-	for _, row := range tb.Rows {
-		if acc, _ := strconv.ParseFloat(row[1], 64); acc <= 0 {
-			t.Fatalf("%s: accuracy %s not positive", row[0], row[1])
+	for _, c := range []struct {
+		run  func(RunConfig) *Table
+		rows int
+	}{{AblationRandomizedID, 3}, {AblationRank, 4}, {AblationFreq, 3}} {
+		tb := c.run(quickCfg())
+		if len(tb.Rows) != c.rows {
+			t.Fatalf("%s rows = %d; want %d", tb.ID, len(tb.Rows), c.rows)
+		}
+		for _, row := range tb.Rows {
+			if acc, _ := strconv.ParseFloat(row[1], 64); acc <= 0 {
+				t.Fatalf("%s %s: accuracy %s not positive", tb.ID, row[0], row[1])
+			}
 		}
 	}
 }

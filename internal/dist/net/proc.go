@@ -237,8 +237,9 @@ func Start(cfg Config) (*Proc, error) {
 	p.cfg.dataPort = p.tree.port
 
 	addr := cfg.Join
+	var ln net.Listener
 	if isCoord {
-		ln := cfg.Listener
+		ln = cfg.Listener
 		if ln == nil {
 			ln, err = net.Listen("tcp", cfg.Listen)
 			if err != nil {
@@ -246,15 +247,17 @@ func Start(cfg Config) (*Proc, error) {
 				return nil, fmt.Errorf("distnet: listen %s: %w", cfg.Listen, err)
 			}
 		}
-		p.coord = newCoordinator(&p.cfg, ln, p.countBytes, p.tree)
 		addr = ln.Addr().String()
 	}
 
 	// Every process — the coordinator included, over loopback — reaches the
-	// rendezvous service through the same client link, so there is exactly
-	// one control path to get right.
+	// rendezvous service through one client link. It exists before the
+	// coordinator starts, whose scan reads the link's id.
 	p.link = newLink(&p.cfg, addr, isCoord, p.onFailure)
 	p.link.count = p.countBytes
+	if isCoord {
+		p.coord = newCoordinator(&p.cfg, ln, p.countBytes, p.tree)
+	}
 	if err := p.link.connect(); err != nil {
 		p.Close()
 		return nil, err

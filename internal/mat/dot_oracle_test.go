@@ -186,15 +186,19 @@ func FuzzDotTile(f *testing.F) {
 
 // TestGramSteadyStateAllocs pins the sequential Gram and kernel matrix at
 // zero allocations once the pool is warm: the tile writes straight into dst.
+// It pins the packed GEMM too, at BenchmarkGEMM_512's shape: its panel
+// buffer comes from the pool and goes back on every call.
 func TestGramSteadyStateAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := NewRNG(9)
 	a, g := RandN(rng, 66, 37, 1), RandN(rng, 66, 18, 1)
 	out := NewDense(66, 66)
 	KernelMatrixInto(out, a, g) // warm the pool
+	x, y, xy := RandN(rng, 512, 512, 1), RandN(rng, 512, 512, 1), NewDense(512, 512)
 	for name, fn := range map[string]func(){
 		"GramInto":         func() { GramInto(out, a) },
 		"KernelMatrixInto": func() { KernelMatrixInto(out, a, g) },
+		"MulInto":          func() { MulInto(xy, x, y) },
 	} {
 		if allocs := testing.AllocsPerRun(10, fn); allocs > 0 && !raceEnabled {
 			t.Fatalf("%s: %v allocs/op in steady state; want 0", name, allocs)

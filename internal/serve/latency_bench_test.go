@@ -16,8 +16,7 @@ import (
 // BenchmarkServeSubmitToFirstEpoch measures the user-visible job-start
 // latency: POST /v1/jobs until the status endpoint reports the first epoch
 // complete. Poll granularity (1 ms) is included deliberately — it is part
-// of what a polling client observes. Reports p50/p95 across iterations;
-// these feed the "serve" section of BENCH_baseline.json.
+// of what a polling client observes. Reports p50/p95 across iterations.
 func BenchmarkServeSubmitToFirstEpoch(b *testing.B) {
 	ts, _ := newTestServer(b, queue.Config{MaxQueuedPerTenant: 1024}, nil)
 	samples := make([]float64, 0, b.N)
