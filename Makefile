@@ -22,7 +22,7 @@ loc:
 
 # The line budget: loc, failing when the total exceeds LOC_MAX. A PR that
 # needs more lines raises the number in its own diff, where review sees it.
-LOC_MAX = 23473
+LOC_MAX = 23464
 locgate:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" && $$1 > max { over = $$1 } \
 		END { if (over) { printf "locgate: %d non-test lines exceed LOC_MAX = %d\n", over, max; exit 1 } }'

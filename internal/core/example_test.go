@@ -30,7 +30,7 @@ func ExampleNewHyLo() {
 	h.Precondition()
 
 	fmt.Println("mode:", h.Mode())
-	fmt.Println("grad finite:", net.KernelLayers()[0].Weight().Grad.MaxAbs() < 1e6)
+	fmt.Println("grad finite:", net.KernelLayers()[0].Weight().Grad.FrobNorm() < 1e6)
 	// Output:
 	// mode: KID
 	// grad finite: true

@@ -153,7 +153,7 @@ func TestBatchExtraction(t *testing.T) {
 
 func TestAugmenterFlipOnly(t *testing.T) {
 	shape := nn.Shape{C: 1, H: 2, W: 3}
-	x := mat.FromRows([][]float64{{1, 2, 3, 4, 5, 6}})
+	x := mat.NewDenseData(1, 6, []float64{1, 2, 3, 4, 5, 6})
 	// Deterministic: find a seed whose first draw flips.
 	var flipped *mat.Dense
 	for seed := uint64(1); seed < 50; seed++ {
@@ -167,7 +167,7 @@ func TestAugmenterFlipOnly(t *testing.T) {
 	if flipped == nil {
 		t.Fatal("no seed produced a flip in 50 tries")
 	}
-	want := mat.FromRows([][]float64{{3, 2, 1, 6, 5, 4}})
+	want := mat.NewDenseData(1, 6, []float64{3, 2, 1, 6, 5, 4})
 	if !mat.Equal(flipped, want, 0) {
 		t.Fatalf("flip = %v; want %v", flipped, want)
 	}

@@ -148,7 +148,7 @@ func TestBroadcast(t *testing.T) {
 	c.Run(func(w *Worker) {
 		var m *mat.Dense
 		if w.Rank == 2 {
-			m = mat.FromRows([][]float64{{7, 8}})
+			m = mat.NewDenseData(1, 2, []float64{7, 8})
 		}
 		got := w.Broadcast(2, m)
 		if got.At(0, 0) != 7 || got.At(0, 1) != 8 {
@@ -182,7 +182,7 @@ func TestBroadcastDifferentRoots(t *testing.T) {
 func TestSingleWorkerCluster(t *testing.T) {
 	c := NewCluster(1)
 	c.Run(func(w *Worker) {
-		m := mat.FromRows([][]float64{{3}})
+		m := mat.NewDenseData(1, 1, []float64{3})
 		if got := w.AllReduceMat(m); got.At(0, 0) != 3 {
 			t.Errorf("P=1 allreduce = %g", got.At(0, 0))
 		}

@@ -230,6 +230,28 @@ func withTelemetry(t *testing.T) *telemetry.Registry {
 	return telemetry.Default().Metrics
 }
 
+// peerDeaths lists the member and reason of every death the coordinator
+// declared, from the distnet_peer_dead instants of withTelemetry's trace.
+func peerDeaths() string {
+	var out []string
+	for _, e := range telemetry.Default().Trace.Events() {
+		if e.Name != "distnet_peer_dead" {
+			continue
+		}
+		reason := ""
+		for _, l := range e.Labels {
+			if l.Key == "reason" {
+				reason = l.Value
+			}
+		}
+		out = append(out, fmt.Sprintf("member %d: %s", e.TID, reason))
+	}
+	if len(out) == 0 {
+		return "none"
+	}
+	return strings.Join(out, "; ")
+}
+
 // TestProcCollTimeout: a rank that never reaches a collective while its
 // process keeps heartbeating is invisible to the liveness detectors; the
 // watchdog must turn the stuck collective into a death the survivors see.
@@ -305,13 +327,13 @@ func TestProcCleanDeparture(t *testing.T) {
 			// rejoin round) show up.
 			time.Sleep(4 * cfg.HeartbeatEvery)
 			if n := reg.Counter(telemetry.MetricWorkerFailures).Value(); n != 0 {
-				t.Fatalf("worker failures after clean departures = %d; want 0", n)
+				t.Fatalf("worker failures after clean departures = %d; want 0 (deaths: %s)", n, peerDeaths())
 			}
 			if err := procs[0].Err(); err != nil {
-				t.Fatalf("coordinator poisoned by clean departures: %v", err)
+				t.Fatalf("coordinator poisoned by clean departures: %v (deaths: %s)", err, peerDeaths())
 			}
 			if g, w := procs[0].Gen(), procs[0].WorldSize(); g != 1 || w != 4 {
-				t.Fatalf("after clean departures gen=%d world=%d; want 1/4", g, w)
+				t.Fatalf("after clean departures gen=%d world=%d; want 1/4 (deaths: %s)", g, w, peerDeaths())
 			}
 		})
 	}

@@ -63,9 +63,10 @@ func choleskyInto(l, a *Dense, damp float64) error {
 	return nil
 }
 
-// substW is the panel width of the SPD inverse: sixteen columns of A⁻¹, a
-// panel row four YMM vectors, a 257-row panel 33 KB of L1.
-const substW = 16
+// substW is the panel width of the triangular solves and the LU's column
+// block: 32 columns, a panel row four ZMM or eight YMM accumulators — the
+// most a k-ascending row chain can keep in flight on two FMA ports.
+const substW = 32
 
 // invCholInto sets dst = (L·Lᵀ)⁻¹ from a Cholesky factor l (finite below the
 // diagonal, positive on it, as Cholesky leaves it) and lt = lᵀ, bit for bit
@@ -106,14 +107,18 @@ func substRow(coef, src, dst []float64, scale float64) {
 	if useAsm && len(coef) > 0 {
 		// The assembly checks no bounds.
 		_, _ = src[len(coef)*substW-1], dst[substW-1]
-		substTileAVX2(len(coef), &coef[0], &src[0], &dst[0], scale)
+		if useAVX512 {
+			substTileAVX512(len(coef), &coef[0], &src[0], &dst[0], scale)
+		} else {
+			substTileAVX2(len(coef), &coef[0], &src[0], &dst[0], scale)
+		}
 		return
 	}
 	substRef(coef, src, (*[substW]float64)(dst), scale)
 }
 
-// substRef is substTileAVX2 in Go: the implementation without the assembly
-// and the oracle it is tested against. It walks the row as two groups of
+// substRef is the substitution tile in Go: the implementation without the
+// assembly and the oracle it is tested against. It walks the row in groups of
 // eight so the accumulators stay in registers. math.FMA(−l, s, x) is axpy's
 // x + (−l)·s bit for bit.
 func substRef(coef, src []float64, dst *[substW]float64, scale float64) {
@@ -371,15 +376,6 @@ func (f *LU) solveInPlace(x *Dense) {
 			copy(x.data[i*m+c0:i*m+c0+w], p[i*substW:])
 		}
 	}
-}
-
-// Inv inverts a general square matrix via LU.
-func Inv(a *Dense) (*Dense, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(Identity(a.rows)), nil
 }
 
 // SolveCondInto solves a·X = b into dst (both a.Rows()×b.Cols()) via LU

@@ -48,22 +48,6 @@ func (m *Dense) Wrap(rows, cols int, data []float64) *Dense {
 	return m
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) *Dense {
-	if len(rows) == 0 {
-		return NewDense(0, 0)
-	}
-	c := len(rows[0])
-	m := NewDense(len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			panic("mat: ragged rows")
-		}
-		copy(m.data[i*c:(i+1)*c], r)
-	}
-	return m
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Dense {
 	m := NewDense(n, n)
@@ -271,16 +255,6 @@ func VStack(ms ...*Dense) *Dense {
 		off += len(m.data)
 	}
 	return out
-}
-
-// BlockDiag builds a block-diagonal matrix from square or rectangular blocks.
-func BlockDiag(blocks ...*Dense) *Dense {
-	var rows, cols int
-	for _, b := range blocks {
-		rows += b.rows
-		cols += b.cols
-	}
-	return BlockDiagInto(NewDense(rows, cols), blocks...)
 }
 
 // BlockDiagInto assembles the block-diagonal matrix into dst, which must

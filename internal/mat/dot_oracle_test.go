@@ -76,7 +76,7 @@ func oracleCholesky(a *Dense) *Dense {
 }
 
 // checkGramOracle holds GramInto to its oracle on n rows of length k of one
-// operand kind, under both implementations.
+// operand kind, under every kernel family.
 func checkGramOracle(t *testing.T, seed uint64, kind string, n, k int) {
 	t.Helper()
 	a := oracleOperand(NewRNG(seed), kind, n, k)

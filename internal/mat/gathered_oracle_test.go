@@ -47,7 +47,7 @@ func oracleGathered(rng *RNG, kind string, m, k int) (Gathered, *Dense) {
 	return g, a
 }
 
-// checkGatheredOracle runs one (shape, kind) under both implementations. out starts as NaN wherever a product must overwrite.
+// checkGatheredOracle runs one (shape, kind) under every kernel family. out starts as NaN wherever a product must overwrite.
 func checkGatheredOracle(t *testing.T, seed uint64, kind string, m, k, n int) {
 	t.Helper()
 	rng := NewRNG(seed)
@@ -87,7 +87,8 @@ func checkGatheredOracle(t *testing.T, seed uint64, kind string, m, k, n int) {
 	}
 }
 
-// TestGatheredOracle covers full and edge tiles in m and n, k below, at and
+// TestGatheredOracle covers full and edge tiles in m and n (n mod 16 at 1,
+// 7, 8, 9 and 15 among them, and the conv widths 8, 16 and 32), k below, at and
 // beyond one and two kc slices, products on both sides of the small-product
 // threshold through the entry point (70×520×9 is packed there), one column,
 // one row, and an m tall enough for the work-stealing path.
@@ -95,6 +96,7 @@ func TestGatheredOracle(t *testing.T) {
 	inFusedFamily(t, func(t *testing.T) {
 		shapes := [][3]int{
 			{1, 1, 1}, {3, 5, 7}, {4, 8, 8}, {5, 9, 9}, {8, 3, 16}, {9, 17, 23}, {12, 40, 1}, {1, 33, 11},
+			{4, 30, 15}, {8, 20, 17}, {5, 33, 24}, {12, 19, 25}, {4, 40, 31}, {9, 50, 32},
 			{4, gemmKC - 1, 8}, {4, gemmKC, 8}, {7, gemmKC + 1, 13}, {8, 2 * gemmKC, 9}, {6, 2*gemmKC + 6, 10},
 			{70, gemmKC + 8, 9}, {13, 40, gemmNC + 12}, {8*gemmClaimPanels*gemmMR + 3, 30, 17},
 		}

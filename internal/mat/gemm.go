@@ -13,13 +13,15 @@ const parallelThreshold = 64 * 64 * 64
 // Register-blocking parameters of the packed kernel: the micro-kernel
 // computes an mr×nr block of the output with mr·nr independent
 // accumulators, reading B panels packed nr-interleaved and A either packed
-// mr-interleaved or in place through (row stride, column stride). 4×8 is the
-// AVX2 tile — eight YMM accumulators, one B row as two vector loads, four A
-// broadcasts; the pure-Go reference walks the same tile as 2×4 sub-tiles,
-// whose 8 accumulators plus 6 operands fit the 16 scalar registers.
+// mr-interleaved or in place through (row stride, column stride). 4×16 is the
+// AVX-512 tile — eight ZMM accumulators, one B row as two vector loads, four A
+// broadcasts; the AVX2 kernel is its 4×8 left or right half, so one packing
+// serves both, and the pure-Go reference walks the tile as 2×4 sub-tiles,
+// whose 8 accumulators plus 6 operands fit the 16 scalar registers. Every
+// lane holds its own output element, so nr is not numerics; the kc split is.
 const (
 	gemmMR = 4
-	gemmNR = 8
+	gemmNR = 16
 	// gemmClaimPanels is the number of mr-row panels a worker claims at a
 	// time (Parallel's grain).
 	gemmClaimPanels = 8
@@ -353,7 +355,7 @@ type panel struct {
 // cache block, sweeping each mr-row slice of op(a) across the nr-wide
 // packed-B panels. A full panel of a non-transposed or a gathered a
 // is read where it lies — a conv GEMM's 8..32 output columns would use a
-// packed copy for one to four tiles; transposed a (a gather per k step),
+// packed copy for one or two tiles; transposed a (a gather per k step),
 // zero-padded edge panels and every gathered panel without the assembly are
 // packed into ap. With lower, a row panel stops at its diagonal tile.
 func gemmSweep(blk gemmBlock, lo, hi int) {
@@ -477,18 +479,22 @@ func packGathered(ap []float64, g Gathered, i0, rows, pc, kc int) {
 // out + acc, with out read as +0 on the first slice (not a plain
 // assignment: a fused sum of underflowing products can be -0). bp is
 // zero-padded to nr columns and a packed edge panel of a to mr rows, so only
-// the store is masked. The assembly writes full tiles straight into out and
-// edge tiles through a stack tile.
+// the store is masked. The assembly writes tiles nr or nr/2 wide (an
+// 8-channel conv layer) straight into out and other edge tiles through a
+// stack tile, computing only its left half when that covers them.
 func microTile(out *Dense, first bool, a *panel, bp []float64, kc, i0, j0, rows, cols int) {
-	if useAsm && rows == gemmMR && cols == gemmNR {
-		asmTile(first, kc, a, bp, &out.data[i0*out.cols+j0], out.cols)
+	if useAsm && rows == gemmMR && (cols == gemmNR || cols == gemmNR/2) {
+		asmTile(first, kc, a, bp, cols, out.data[i0*out.cols+j0:], out.cols)
 		return
 	}
-	var acc [gemmMR][gemmNR]float64
-	if useAsm {
-		asmTile(true, kc, a, bp, &acc[0][0], gemmNR)
-	} else {
+	var acc [gemmMR * gemmNR]float64
+	switch {
+	case !useAsm:
 		kernelRef(&acc, kc, a.a, a.rs, a.cs, bp)
+	case cols <= gemmNR/2:
+		asmTile(true, kc, a, bp, gemmNR/2, acc[:], gemmNR)
+	default:
+		asmTile(true, kc, a, bp, gemmNR, acc[:], gemmNR)
 	}
 	for ii := 0; ii < rows; ii++ {
 		orow := out.data[(i0+ii)*out.cols+j0:][:cols]
@@ -496,24 +502,37 @@ func microTile(out *Dense, first bool, a *panel, bp []float64, kc, i0, j0, rows,
 			clear(orow)
 		}
 		for jj := range orow {
-			orow[jj] += acc[ii][jj]
+			orow[jj] += acc[ii*gemmNR+jj]
 		}
 	}
 }
 
-// asmTile runs the AVX2 kernel that reads a's addressing form.
-func asmTile(assign bool, kc int, a *panel, bp []float64, c *float64, ldc int) {
-	if a.col != nil {
-		kernel4x8g(assign, kc, &a.a[0], &a.row[0], &a.col[0], &bp[0], c, ldc)
-		return
+// asmTile runs the assembly kernel that reads a's addressing form over the
+// tile's first w columns, w = nr or nr/2: the AVX-512 4×16 kernel for a
+// whole tile, else one AVX2 4×8 call per eight columns, each reading its
+// half of the packed B rows.
+func asmTile(assign bool, kc int, a *panel, bp []float64, w int, c []float64, ldc int) {
+	switch {
+	case useAVX512 && w == gemmNR && a.col != nil:
+		kernel4x16g(assign, kc, &a.a[0], &a.row[0], &a.col[0], &bp[0], &c[0], ldc)
+	case useAVX512 && w == gemmNR:
+		kernel4x16(assign, kc, &a.a[0], a.rs, a.cs, &bp[0], &c[0], ldc)
+	default:
+		for j := 0; j < w; j += gemmNR / 2 {
+			if a.col != nil {
+				kernel4x8g(assign, kc, &a.a[0], &a.row[0], &a.col[0], &bp[j], gemmNR, &c[j], ldc)
+			} else {
+				kernel4x8(assign, kc, &a.a[0], a.rs, a.cs, &bp[j], gemmNR, &c[j], ldc)
+			}
+		}
 	}
-	kernel4x8(assign, kc, &a.a[0], a.rs, a.cs, &bp[0], c, ldc)
 }
 
 // kernelRef is the pure-Go micro-kernel: the fallback where there is no
 // assembly and the oracle the assembly is tested against. It walks the
-// mr×nr tile as 2×4 sub-tiles so the accumulators stay in registers.
-func kernelRef(acc *[gemmMR][gemmNR]float64, kc int, a []float64, rs, cs int, bp []float64) {
+// mr×nr tile (acc row-major) as 2×4 sub-tiles so the accumulators stay in
+// registers.
+func kernelRef(acc *[gemmMR * gemmNR]float64, kc int, a []float64, rs, cs int, bp []float64) {
 	for i := 0; i < gemmMR; i += 2 {
 		for j := 0; j < gemmNR; j += 4 {
 			var c00, c01, c02, c03 float64
@@ -532,8 +551,9 @@ func kernelRef(acc *[gemmMR][gemmNR]float64, kc int, a []float64, rs, cs int, bp
 				c13 = math.FMA(a1, b3, c13)
 				ia, ib = ia+cs, ib+gemmNR
 			}
-			acc[i][j], acc[i][j+1], acc[i][j+2], acc[i][j+3] = c00, c01, c02, c03
-			acc[i+1][j], acc[i+1][j+1], acc[i+1][j+2], acc[i+1][j+3] = c10, c11, c12, c13
+			r0, r1 := acc[i*gemmNR+j:][:4], acc[(i+1)*gemmNR+j:][:4]
+			r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
+			r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
 		}
 	}
 }

@@ -2,15 +2,16 @@
 
 #include "textflag.h"
 
-// AVX2 implementations of the fused multiply-add kernels (see
+// AVX2 and AVX-512 implementations of the fused multiply-add kernels (see
 // kernel_amd64.go). Every element follows the scalar reference's rounding
 // sequence exactly: VFMADD231PD rounds once like math.FMA. In the GEMM tile,
 // axpy and the substitution tile, lanes run across independent elements,
 // never across the k sum; the dot tile's four lanes are Dot's own s0..s3.
 
 // One k step of the 4×8 tile: B row p in Y8:Y9, the four A values broadcast
-// one at a time into Y10, accumulators Y0..Y7 (row i in Y(2i):Y(2i+1)).
-// KSTEP ends on DECQ CX so the JNZ after it closes the k loop.
+// one at a time into Y10, accumulators Y0..Y7 (row i in Y(2i):Y(2i+1)). The
+// B row stride in bytes is in R12. KSTEP ends on DECQ CX so the JNZ after it
+// closes the k loop.
 #define ROW(abcast, lo, hi) \
 	VBROADCASTSD abcast, Y10; \
 	VFMADD231PD  Y8, Y10, lo; \
@@ -24,7 +25,7 @@
 	ROW((SI)(R8*2), Y4, Y5);  \
 	ROW((SI)(R10*1), Y6, Y7); \
 	ADDQ    R9, SI;           \
-	ADDQ    $64, DI;          \
+	ADDQ    R12, DI;          \
 	DECQ    CX
 
 // The gathered twin of KSTEP: the four row pointers SI, R8, R10, R11 stay
@@ -38,10 +39,41 @@
 	ROW((R10)(DX*8), Y4, Y5); \
 	ROW((R11)(DX*8), Y6, Y7); \
 	ADDQ    $8, R9;           \
-	ADDQ    $64, DI;          \
+	ADDQ    R12, DI;          \
 	DECQ    CX
 
-// Y0..Y7, the eight accumulators of every tile in this file, to +0.
+// The 4×16 tile's k step: KSTEP with every register twice as wide, the B row
+// in Z8:Z9 and accumulators Z0..Z7; the packed B row stride is 128 bytes.
+#define ZROW(abcast, lo, hi) \
+	VBROADCASTSD abcast, Z10; \
+	VFMADD231PD  Z8, Z10, lo; \
+	VFMADD231PD  Z9, Z10, hi
+
+#define ZKSTEP \
+	VMOVUPD (DI), Z8;          \
+	VMOVUPD 64(DI), Z9;        \
+	ZROW((SI), Z0, Z1);        \
+	ZROW((SI)(R8*1), Z2, Z3);  \
+	ZROW((SI)(R8*2), Z4, Z5);  \
+	ZROW((SI)(R10*1), Z6, Z7); \
+	ADDQ    R9, SI;            \
+	ADDQ    $128, DI;          \
+	DECQ    CX
+
+#define ZGSTEP \
+	MOVQ    (R9), DX;          \
+	VMOVUPD (DI), Z8;          \
+	VMOVUPD 64(DI), Z9;        \
+	ZROW((SI)(DX*8), Z0, Z1);  \
+	ZROW((R8)(DX*8), Z2, Z3);  \
+	ZROW((R10)(DX*8), Z4, Z5); \
+	ZROW((R11)(DX*8), Z6, Z7); \
+	ADDQ    $8, R9;            \
+	ADDQ    $128, DI;          \
+	DECQ    CX
+
+// Y0..Y7, the eight accumulators of every AVX2 tile in this file, to +0.
+// (A VEX write clears the upper lanes, so this zeroes Z0..Z7 as well.)
 #define ZERO_TILE \
 	VXORPD Y0, Y0, Y0; \
 	VXORPD Y1, Y1, Y1; \
@@ -52,16 +84,20 @@
 	VXORPD Y6, Y6, Y6; \
 	VXORPD Y7, Y7, Y7
 
-// The end of both tile kernels (their frames agree on assign, c and ldc):
-// c[i*ldc+j] = 0 + acc (assign) or c[i*ldc+j] + acc. On assign it is 0 + acc,
-// not acc: a fused sum of underflowing products can be -0.
-#define STORE_TILE \
-	MOVQ    c+48(FP), DX;      \
-	MOVQ    ldc+56(FP), BX;    \
+// The row pointers of a 4-row output tile: c in DX, rows 1..3 in R11..R13.
+#define TILE_ROWS(cArg, ldcArg) \
+	MOVQ    cArg, DX;          \
+	MOVQ    ldcArg, BX;        \
 	SHLQ    $3, BX;            \
 	LEAQ    (DX)(BX*1), R11;   \
 	LEAQ    (DX)(BX*2), R12;   \
-	LEAQ    (R11)(BX*2), R13;  \
+	LEAQ    (R11)(BX*2), R13
+
+// The end of the 4×8 kernels (their frames agree on assign, c and ldc):
+// c[i*ldc+j] = 0 + acc (assign) or c[i*ldc+j] + acc. On assign it is 0 + acc,
+// not acc: a fused sum of underflowing products can be -0.
+#define STORE_TILE \
+	TILE_ROWS(c+56(FP), ldc+64(FP)); \
 	CMPB    assign+0(FP), $0;  \
 	JNE     assign;            \
 	VADDPD  (DX), Y0, Y0;      \
@@ -95,19 +131,79 @@ write:                         \
 	VZEROUPPER;                \
 	RET
 
-// func kernel4x8(assign bool, kc int, a *float64, rs, cs int, b, c *float64, ldc int)
-//
-// acc[i][j] = Σ_p a[i*rs+p*cs] * b[p*8+j] for p ascending from +0, then
-// c[i*ldc+j] = 0 + acc (assign) or c[i*ldc+j] + acc. kc ≥ 1.
-TEXT ·kernel4x8(SB), NOSPLIT, $0-64
-	MOVQ kc+8(FP), CX
-	MOVQ a+16(FP), SI
-	MOVQ rs+24(FP), R8
-	MOVQ cs+32(FP), R9
-	MOVQ b+40(FP), DI
-	SHLQ $3, R8
-	SHLQ $3, R9
+// STORE_TILE for the 4×16 kernels, in ZMM registers.
+#define ZSTORE_TILE \
+	TILE_ROWS(c+48(FP), ldc+56(FP)); \
+	CMPB    assign+0(FP), $0;  \
+	JNE     assign;            \
+	VADDPD  (DX), Z0, Z0;      \
+	VADDPD  64(DX), Z1, Z1;    \
+	VADDPD  (R11), Z2, Z2;     \
+	VADDPD  64(R11), Z3, Z3;   \
+	VADDPD  (R12), Z4, Z4;     \
+	VADDPD  64(R12), Z5, Z5;   \
+	VADDPD  (R13), Z6, Z6;     \
+	VADDPD  64(R13), Z7, Z7;   \
+	JMP     write;             \
+assign:                        \
+	VPXORQ  Z8, Z8, Z8;        \
+	VADDPD  Z8, Z0, Z0;        \
+	VADDPD  Z8, Z1, Z1;        \
+	VADDPD  Z8, Z2, Z2;        \
+	VADDPD  Z8, Z3, Z3;        \
+	VADDPD  Z8, Z4, Z4;        \
+	VADDPD  Z8, Z5, Z5;        \
+	VADDPD  Z8, Z6, Z6;        \
+	VADDPD  Z8, Z7, Z7;        \
+write:                         \
+	VMOVUPD Z0, (DX);          \
+	VMOVUPD Z1, 64(DX);        \
+	VMOVUPD Z2, (R11);         \
+	VMOVUPD Z3, 64(R11);       \
+	VMOVUPD Z4, (R12);         \
+	VMOVUPD Z5, 64(R12);       \
+	VMOVUPD Z6, (R13);         \
+	VMOVUPD Z7, 64(R13);       \
+	VZEROUPPER;                \
+	RET
+
+// The operands of the strided kernels: kc in CX, a in SI, the row stride in
+// R8 (bytes, R10 = 3·R8), the column stride in R9 and b in DI.
+#define STRIDED_ARGS \
+	MOVQ kc+8(FP), CX;  \
+	MOVQ a+16(FP), SI;  \
+	MOVQ rs+24(FP), R8; \
+	MOVQ cs+32(FP), R9; \
+	MOVQ b+40(FP), DI;  \
+	SHLQ $3, R8;        \
+	SHLQ $3, R9;        \
 	LEAQ (R8)(R8*2), R10
+
+// The operands of the gathered kernels: kc in CX, the four row pointers
+// a+row[i] in SI, R8, R10, R11, the column table in R9 and b in DI.
+#define GATHERED_ARGS \
+	MOVQ kc+8(FP), CX;      \
+	MOVQ a+16(FP), AX;      \
+	MOVQ row+24(FP), BX;    \
+	MOVQ col+32(FP), R9;    \
+	MOVQ b+40(FP), DI;      \
+	MOVQ (BX), SI;          \
+	MOVQ 8(BX), R8;         \
+	MOVQ 16(BX), R10;       \
+	MOVQ 24(BX), R11;       \
+	LEAQ (AX)(SI*8), SI;    \
+	LEAQ (AX)(R8*8), R8;    \
+	LEAQ (AX)(R10*8), R10;  \
+	LEAQ (AX)(R11*8), R11
+
+// func kernel4x8(assign bool, kc int, a *float64, rs, cs int, b *float64, ldb int, c *float64, ldc int)
+//
+// acc[i][j] = Σ_p a[i*rs+p*cs] * b[p*ldb+j] for p ascending from +0, then
+// c[i*ldc+j] = 0 + acc (assign) or c[i*ldc+j] + acc. kc ≥ 1.
+TEXT ·kernel4x8(SB), NOSPLIT, $0-72
+	STRIDED_ARGS
+	MOVQ ldb+48(FP), R12
+	SHLQ $3, R12
 	ZERO_TILE
 
 kloop:
@@ -115,30 +211,45 @@ kloop:
 	JNZ kloop
 	STORE_TILE
 
-// func kernel4x8g(assign bool, kc int, a *float64, row, col *int, b, c *float64, ldc int)
+// func kernel4x8g(assign bool, kc int, a *float64, row, col *int, b *float64, ldb int, c *float64, ldc int)
 //
-// kernel4x8 over a gathered panel: acc[i][j] = Σ_p a[row[i]+col[p]] * b[p*8+j],
+// kernel4x8 over a gathered panel: acc[i][j] = Σ_p a[row[i]+col[p]] * b[p*ldb+j],
 // row four entries and col kc, neither checked here. kc ≥ 1.
-TEXT ·kernel4x8g(SB), NOSPLIT, $0-64
-	MOVQ kc+8(FP), CX
-	MOVQ a+16(FP), AX
-	MOVQ row+24(FP), BX
-	MOVQ col+32(FP), R9
-	MOVQ b+40(FP), DI
-	MOVQ (BX), SI
-	MOVQ 8(BX), R8
-	MOVQ 16(BX), R10
-	MOVQ 24(BX), R11
-	LEAQ (AX)(SI*8), SI
-	LEAQ (AX)(R8*8), R8
-	LEAQ (AX)(R10*8), R10
-	LEAQ (AX)(R11*8), R11
+TEXT ·kernel4x8g(SB), NOSPLIT, $0-72
+	GATHERED_ARGS
+	MOVQ ldb+48(FP), R12
+	SHLQ $3, R12
 	ZERO_TILE
 
 gloop:
 	GSTEP
 	JNZ gloop
 	STORE_TILE
+
+// func kernel4x16(assign bool, kc int, a *float64, rs, cs int, b, c *float64, ldc int)
+//
+// The AVX-512 tile: acc[i][j] = Σ_p a[i*rs+p*cs] * b[p*16+j], stored as
+// kernel4x8 stores. kc ≥ 1.
+TEXT ·kernel4x16(SB), NOSPLIT, $0-64
+	STRIDED_ARGS
+	ZERO_TILE
+
+zloop:
+	ZKSTEP
+	JNZ zloop
+	ZSTORE_TILE
+
+// func kernel4x16g(assign bool, kc int, a *float64, row, col *int, b, c *float64, ldc int)
+//
+// kernel4x16 over a gathered panel, as kernel4x8g. kc ≥ 1.
+TEXT ·kernel4x16g(SB), NOSPLIT, $0-64
+	GATHERED_ARGS
+	ZERO_TILE
+
+zgloop:
+	ZGSTEP
+	JNZ zgloop
+	ZSTORE_TILE
 
 // func axpyAVX2(dst, src []float64, s float64)
 //
@@ -287,13 +398,44 @@ done:
 	VZEROUPPER
 	RET
 
+// One coefficient of the substitution tile: unless coef[k] at SI is ±0 (a
+// NaN is not skipped), broadcast it into reg and run FNMA, then step to the
+// next coefficient and the next 32-wide src row. Shifting out the sign
+// leaves zero bits exactly for ±0. SSTEP ends on DECQ CX so the JNZ after it
+// closes the k loop.
+#define SSTEP(reg, FNMA) \
+	MOVQ         (SI), AX; \
+	SHLQ         $1, AX;   \
+	JZ           snext;    \
+	VBROADCASTSD (SI), reg; \
+	FNMA;                  \
+snext:                     \
+	ADDQ         $8, SI;   \
+	ADDQ         $256, DI; \
+	DECQ         CX
+
+#define YFNMA \
+	VFNMADD231PD (DI), Y8, Y0;    \
+	VFNMADD231PD 32(DI), Y8, Y1;  \
+	VFNMADD231PD 64(DI), Y8, Y2;  \
+	VFNMADD231PD 96(DI), Y8, Y3;  \
+	VFNMADD231PD 128(DI), Y8, Y4; \
+	VFNMADD231PD 160(DI), Y8, Y5; \
+	VFNMADD231PD 192(DI), Y8, Y6; \
+	VFNMADD231PD 224(DI), Y8, Y7
+
+#define ZFNMA \
+	VFNMADD231PD (DI), Z4, Z0;    \
+	VFNMADD231PD 64(DI), Z4, Z1;  \
+	VFNMADD231PD 128(DI), Z4, Z2; \
+	VFNMADD231PD 192(DI), Z4, Z3
+
 // func substTileAVX2(nk int, coef, src, dst *float64, scale float64)
 //
-// One 16-wide panel row of a triangular substitution, four accumulators
-// Y0..Y3 loaded from dst: for k < nk ascending, unless coef[k] is ±0 (a NaN
-// is not skipped), acc = fma(−coef[k], src[16k:16k+16], acc) by
-// VFNMADD231PD, then dst = acc·scale, stored once. It is axpy's x + (−l)·s
-// bit for bit. nk ≥ 1.
+// One 32-wide panel row of a triangular substitution, eight accumulators
+// Y0..Y7 loaded from dst: for k < nk ascending, unless coef[k] is ±0,
+// acc = fma(−coef[k], src[32k:32k+32], acc) by VFNMADD231PD, then
+// dst = acc·scale, stored once. It is axpy's x + (−l)·s bit for bit. nk ≥ 1.
 TEXT ·substTileAVX2(SB), NOSPLIT, $0-40
 	MOVQ    nk+0(FP), CX
 	MOVQ    coef+8(FP), SI
@@ -303,33 +445,61 @@ TEXT ·substTileAVX2(SB), NOSPLIT, $0-40
 	VMOVUPD 32(DX), Y1
 	VMOVUPD 64(DX), Y2
 	VMOVUPD 96(DX), Y3
+	VMOVUPD 128(DX), Y4
+	VMOVUPD 160(DX), Y5
+	VMOVUPD 192(DX), Y6
+	VMOVUPD 224(DX), Y7
 
 sloop:
-	// Shifting out the sign leaves zero bits exactly for ±0.
-	MOVQ         (SI), AX
-	SHLQ         $1, AX
-	JZ           snext
-	VBROADCASTSD (SI), Y4
-	VFNMADD231PD (DI), Y4, Y0
-	VFNMADD231PD 32(DI), Y4, Y1
-	VFNMADD231PD 64(DI), Y4, Y2
-	VFNMADD231PD 96(DI), Y4, Y3
+	SSTEP(Y8, YFNMA)
+	JNZ sloop
 
-snext:
-	ADDQ $8, SI
-	ADDQ $128, DI
-	DECQ CX
-	JNZ  sloop
-
-	VBROADCASTSD scale+32(FP), Y4
-	VMULPD       Y4, Y0, Y0
-	VMULPD       Y4, Y1, Y1
-	VMULPD       Y4, Y2, Y2
-	VMULPD       Y4, Y3, Y3
+	VBROADCASTSD scale+32(FP), Y8
+	VMULPD       Y8, Y0, Y0
+	VMULPD       Y8, Y1, Y1
+	VMULPD       Y8, Y2, Y2
+	VMULPD       Y8, Y3, Y3
+	VMULPD       Y8, Y4, Y4
+	VMULPD       Y8, Y5, Y5
+	VMULPD       Y8, Y6, Y6
+	VMULPD       Y8, Y7, Y7
 	VMOVUPD      Y0, (DX)
 	VMOVUPD      Y1, 32(DX)
 	VMOVUPD      Y2, 64(DX)
 	VMOVUPD      Y3, 96(DX)
+	VMOVUPD      Y4, 128(DX)
+	VMOVUPD      Y5, 160(DX)
+	VMOVUPD      Y6, 192(DX)
+	VMOVUPD      Y7, 224(DX)
+	VZEROUPPER
+	RET
+
+// func substTileAVX512(nk int, coef, src, dst *float64, scale float64)
+//
+// substTileAVX2 in four ZMM accumulators Z0..Z3.
+TEXT ·substTileAVX512(SB), NOSPLIT, $0-40
+	MOVQ    nk+0(FP), CX
+	MOVQ    coef+8(FP), SI
+	MOVQ    src+16(FP), DI
+	MOVQ    dst+24(FP), DX
+	VMOVUPD (DX), Z0
+	VMOVUPD 64(DX), Z1
+	VMOVUPD 128(DX), Z2
+	VMOVUPD 192(DX), Z3
+
+sloop:
+	SSTEP(Z4, ZFNMA)
+	JNZ sloop
+
+	VBROADCASTSD scale+32(FP), Z4
+	VMULPD       Z4, Z0, Z0
+	VMULPD       Z4, Z1, Z1
+	VMULPD       Z4, Z2, Z2
+	VMULPD       Z4, Z3, Z3
+	VMOVUPD      Z0, (DX)
+	VMOVUPD      Z1, 64(DX)
+	VMOVUPD      Z2, 128(DX)
+	VMOVUPD      Z3, 192(DX)
 	VZEROUPPER
 	RET
 

@@ -1,14 +1,15 @@
 package mat
 
 // The GEMM and axpy contracts written out element by element, as the bit
-// level reference for both implementations under them: the AVX2 assembly
-// and the pure-Go kernels must each reproduce these loops of math.FMA by
-// math.Float64bits (sameValue: any NaN equals any NaN). The packed path is entered directly so shapes below gemm's
+// level reference for every kernel family under them: the AVX-512 and AVX2
+// assembly and the pure-Go kernels must each reproduce these loops of
+// math.FMA by math.Float64bits (sameValue: any NaN equals any NaN). The packed path is entered directly so shapes below gemm's
 // small-product threshold reach the micro-kernel's edge handling too.
 
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -44,19 +45,33 @@ func oracleGemm(a, b *Dense, transA, transB bool) *Dense {
 	return out
 }
 
-// withReferenceKernels runs fn with the assembly kernels switched off.
-func withReferenceKernels(fn func()) {
-	defer func(old bool) { useAsm = old }(useAsm)
-	useAsm = false
+// withKernels runs fn with the assembly (asm) and its AVX-512 tiles (avx512)
+// switched as given.
+func withKernels(asm, avx512 bool, fn func()) {
+	defer func(a, z bool) { useAsm, useAVX512 = a, z }(useAsm, useAVX512)
+	useAsm, useAVX512 = asm, avx512
 	fn()
 }
 
-// kernelImpls runs a function under each implementation: whatever this
-// build and CPU select, then the pure-Go reference.
-var kernelImpls = []struct {
+type kernelImpl struct {
 	name string
 	with func(fn func())
-}{{"default", func(fn func()) { fn() }}, {"reference", withReferenceKernels}}
+}
+
+// kernelImpls runs a function under each kernel family this build and CPU
+// offer, each forced in turn: AVX-512, AVX2 and the pure-Go reference.
+var kernelImpls = offeredKernels()
+
+func offeredKernels() []kernelImpl {
+	var impls []kernelImpl
+	if useAVX512 {
+		impls = append(impls, kernelImpl{"avx512", func(fn func()) { withKernels(true, true, fn) }})
+	}
+	if useAsm {
+		impls = append(impls, kernelImpl{"avx2", func(fn func()) { withKernels(true, false, fn) }})
+	}
+	return append(impls, kernelImpl{"reference", func(fn func()) { withKernels(false, false, fn) }})
+}
 
 var (
 	oracleKinds    = []string{"normal", "zeros", "finite", "special"}
@@ -89,7 +104,7 @@ func oracleOperand(rng *RNG, kind string, rows, cols int) *Dense {
 	return m
 }
 
-// checkGemmOracle holds gemmPacked, with and without the assembly, against
+// checkGemmOracle holds gemmPacked, under every kernel family, against
 // the oracle on one (shape, transpose case, operand kind). out starts as garbage: the first k-slice must overwrite it.
 func checkGemmOracle(t *testing.T, seed uint64, kind string, transA, transB bool, m, k, n int) {
 	t.Helper()
@@ -119,13 +134,15 @@ func checkGemmOracle(t *testing.T, seed uint64, kind string, transA, transB bool
 	}
 }
 
-// TestGemmKernelOracle covers full and edge tiles in both directions, k
+// TestGemmKernelOracle covers full and edge tiles in both directions (n mod
+// 16 at 1, 7, 8, 9 and 15 among them, and the conv widths 8, 16 and 32), k
 // below, at and beyond one and two kc slices, an n wider than one nc block,
 // and an m tall enough for the work-stealing path.
 func TestGemmKernelOracle(t *testing.T) {
 	inFusedFamily(t, func(t *testing.T) {
 		shapes := [][3]int{
 			{1, 1, 1}, {3, 5, 7}, {4, 8, 8}, {5, 9, 9}, {8, 3, 16}, {9, 17, 23},
+			{4, 30, 15}, {8, 20, 17}, {5, 33, 24}, {12, 19, 25}, {4, 40, 31}, {9, 50, 32},
 			{4, gemmKC, 8}, {7, gemmKC + 1, 13}, {6, 2*gemmKC + 6, 10},
 			{13, 40, gemmNC + 12}, {8*gemmClaimPanels*gemmMR + 3, 30, 17},
 		}
@@ -135,6 +152,34 @@ func TestGemmKernelOracle(t *testing.T) {
 					checkGemmOracle(t, uint64(100*si+10*ci+tc), kind, tc&1 != 0, tc&2 != 0, s[0], s[1], s[2])
 				}
 			}
+		}
+	})
+}
+
+// TestKernelFamilies holds whole products at the benchmark workloads' shapes
+// to the oracle under every kernel family this build and CPU offer, so all
+// of them give the same bits: 256×256×256 as a*b, aᵀ*b and a*bᵀ, and the
+// gathered conv products 512×144×{8, 16, 32}. It logs the families it
+// checked and skips, naming them, when one could not run here.
+func TestKernelFamilies(t *testing.T) {
+	inFusedFamily(t, func(t *testing.T) {
+		const n = 256
+		for tc := 0; tc < 3; tc++ {
+			checkGemmOracle(t, uint64(tc), "normal", tc == 1, tc == 2, n, n, n)
+		}
+		for _, cols := range []int{8, 16, 32} {
+			checkGatheredOracle(t, uint64(cols), "normal", 512, 144, cols)
+		}
+		var names []string
+		for _, impl := range kernelImpls {
+			names = append(names, impl.name)
+		}
+		t.Logf("kernel families offered and checked: %s", strings.Join(names, ", "))
+		switch {
+		case !useAsm:
+			t.Skip("not run: avx512 and avx2 (this build or CPU has no assembly kernels)")
+		case !useAVX512:
+			t.Skip("not run: avx512 (the CPU lacks AVX512F or the OS does not save ZMM state)")
 		}
 	})
 }
@@ -201,7 +246,7 @@ func checkMulStrip(t *testing.T, impl string, ops [3]*Dense, k int, rowStrips bo
 	}
 }
 
-// checkAxpyOracle holds axpy, with and without the assembly, against
+// checkAxpyOracle holds axpy, under every kernel family, against
 // math.FMA(s, src[i], dst[i]) written out.
 func checkAxpyOracle(t *testing.T, dst, src []float64, s float64) {
 	t.Helper()

@@ -3,8 +3,8 @@ package mat
 // The blocked LU factorization, its panel solve and the row-walking
 // condition estimate held to the unblocked elimination, row-wise
 // substitution and column-walking estimate they replaced, by
-// math.Float64bits (sameValue: any NaN equals any NaN), with and without
-// the assembly.
+// math.Float64bits (sameValue: any NaN equals any NaN), under every kernel
+// family.
 
 import (
 	"errors"
@@ -151,7 +151,7 @@ func luOracleInput(rng *RNG, kind string, n int) *Dense {
 }
 
 // checkLUOracle factors a copy of a and solves against each right-hand
-// side, with and without the assembly, holding the factor, pivots, sign,
+// side, under every kernel family, holding the factor, pivots, sign,
 // error and solutions to the oracles. It returns the oracle's error.
 func checkLUOracle(t *testing.T, name string, a *Dense, rhs []*Dense) error {
 	t.Helper()
@@ -190,8 +190,8 @@ func checkLUOracle(t *testing.T, name string, a *Dense, rhs []*Dense) error {
 }
 
 // TestLUOracle runs every kind at n = 1…40 and across the panel edges at
-// 63–65, 127–129 and 255–257, against right-hand sides one to three
-// panels wide.
+// 63–65, 127–129 and 255–257, against right-hand sides from one column to
+// three panels wide, most of them with width mod 32 ≠ 0.
 func TestLUOracle(t *testing.T) {
 	inFusedFamily(t, func(t *testing.T) {
 		var sizes []int
@@ -207,7 +207,7 @@ func TestLUOracle(t *testing.T) {
 				rng := NewRNG(uint64(10*n + ki))
 				a := luOracleInput(rng, kind, n)
 				var rhs []*Dense
-				for _, w := range []int{1, 9, 16, 17, 25, 33} {
+				for _, w := range []int{1, 9, 16, 17, 25, 31, 33, 63, 65} {
 					rhs = append(rhs, RandN(rng, n, w, 1))
 				}
 				name := fmt.Sprintf("%s n=%d", kind, n)
@@ -216,6 +216,47 @@ func TestLUOracle(t *testing.T) {
 				if kind != "zeros" && (kind == "singular") != errors.Is(err, ErrSingular) {
 					t.Fatalf("%s: oracle error %v", name, err)
 				}
+			}
+		}
+	})
+}
+
+// TestSubstPanelOracle runs the panel solve on a made-up factor of order 257
+// (not a multiple of substW) against right-hand sides 25 and 57 wide, under
+// every kernel family: one coefficient in three is ±0, U's last column is
+// ±0 above the diagonal, and l[n-1][5] and u[0][100] are NaN, so rows 0 and
+// n-1 of the solution are NaN and the rest finite.
+func TestSubstPanelOracle(t *testing.T) {
+	inFusedFamily(t, func(t *testing.T) {
+		const n = 257
+		rng := NewRNG(257)
+		lu := RandN(rng, n, n, 0.05)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				switch {
+				case i == j:
+					lu.Set(i, i, 1+math.Abs(lu.At(i, i)))
+				case j == n-1 || rng.Intn(3) == 0:
+					lu.Set(i, j, oracleFinite[rng.Intn(2)])
+				}
+			}
+		}
+		lu.Set(n-1, 5, math.NaN())
+		lu.Set(0, 100, math.NaN())
+		f := LU{lu: lu, piv: make([]int, n), sign: 1}
+		for _, w := range []int{25, 57} {
+			b := RandN(rng, n, w, 1)
+			want := b.Clone()
+			oracleLUSolve(&f, want)
+			for i := 0; i < n; i++ {
+				if nan := math.IsNaN(want.At(i, 0)); nan != (i == 0 || i == n-1) {
+					t.Fatalf("width %d: oracle row %d is %v", w, i, want.At(i, 0))
+				}
+			}
+			for _, impl := range kernelImpls {
+				got := b.Clone()
+				impl.with(func() { f.solveInPlace(got) })
+				sameOracle(t, fmt.Sprintf("width %d %s", w, impl.name), want, got)
 			}
 		}
 	})

@@ -31,17 +31,6 @@ func Norm2(x []float64) float64 {
 // FrobNorm returns the Frobenius norm of m.
 func (m *Dense) FrobNorm() float64 { return Norm2(m.data) }
 
-// MaxAbs returns max_ij |m_ij|.
-func (m *Dense) MaxAbs() float64 {
-	var d float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > d {
-			d = a
-		}
-	}
-	return d
-}
-
 // NumericalRank returns the paper's notion of numerical rank for a
 // symmetric PSD matrix: the smallest k such that the k largest eigenvalues
 // account for at least frac (e.g. 0.9) of the eigenvalue sum. Eigenvalues

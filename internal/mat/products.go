@@ -227,13 +227,6 @@ func KhatriRaoApplyTInto(dst []float64, a, g *Dense, y []float64) {
 	}
 }
 
-// RowNorms returns the Euclidean norm of each row of m.
-func RowNorms(m *Dense) []float64 {
-	out := make([]float64, m.rows)
-	RowNormsInto(out, m)
-	return out
-}
-
 // RowNormsInto fills dst with the Euclidean norm of each row of m without
 // allocating. dst must have length m.rows.
 func RowNormsInto(dst []float64, m *Dense) {

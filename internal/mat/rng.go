@@ -85,18 +85,6 @@ func RandN(rng *RNG, rows, cols int, sigma float64) *Dense {
 	return m
 }
 
-// RandLowRank returns an m×n matrix of approximate rank r with noise:
-// B*Cᵀ + eps*N where B is m×r, C is n×r. Used by tests and rank analyses.
-func RandLowRank(rng *RNG, m, n, r int, eps float64) *Dense {
-	b := RandN(rng, m, r, 1)
-	c := RandN(rng, n, r, 1)
-	out := MulTB(b, c)
-	if eps > 0 {
-		out.AddScaled(RandN(rng, m, n, 1), eps)
-	}
-	return out
-}
-
 // RandSPD returns an n×n symmetric positive-definite matrix M = BBᵀ + d*I.
 func RandSPD(rng *RNG, n int, d float64) *Dense {
 	b := RandN(rng, n, n, 1)

@@ -60,9 +60,6 @@ type Tanh struct {
 	gout *mat.Dense
 }
 
-// NewTanh returns a Tanh layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
 // Name implements Layer.
 func (t *Tanh) Name() string { return "tanh" }
 

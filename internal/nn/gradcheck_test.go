@@ -7,6 +7,9 @@ import (
 	"repro/internal/mat"
 )
 
+// NewTanh returns a Tanh layer.
+func NewTanh() *Tanh { return &Tanh{} }
+
 // numGradParam estimates d(loss)/d(param[i,j]) by central differences.
 func numGradParam(net *Network, loss Loss, x *mat.Dense, tgt Target, p *Param, i, j int) float64 {
 	const h = 1e-5

@@ -133,7 +133,7 @@ func TestZeroGradAndAccumulation(t *testing.T) {
 }
 
 func TestSoftmaxCrossEntropyKnown(t *testing.T) {
-	logits := mat.FromRows([][]float64{{0, 0}})
+	logits := mat.NewDenseData(1, 2, []float64{0, 0})
 	loss, grad := SoftmaxCrossEntropy{}.Forward(logits, Target{Labels: []int{0}})
 	if math.Abs(loss-math.Log(2)) > 1e-12 {
 		t.Fatalf("loss = %g; want ln2", loss)
@@ -144,7 +144,7 @@ func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 }
 
 func TestSoftmaxStability(t *testing.T) {
-	logits := mat.FromRows([][]float64{{1000, 0}, {-1000, 0}})
+	logits := mat.NewDenseData(2, 2, []float64{1000, 0, -1000, 0})
 	loss, grad := SoftmaxCrossEntropy{}.Forward(logits, Target{Labels: []int{0, 1}})
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("unstable loss %g", loss)
@@ -155,19 +155,19 @@ func TestSoftmaxStability(t *testing.T) {
 }
 
 func TestAccuracy(t *testing.T) {
-	logits := mat.FromRows([][]float64{{2, 1}, {0, 5}, {3, 4}})
+	logits := mat.NewDenseData(3, 2, []float64{2, 1, 0, 5, 3, 4})
 	if got := Accuracy(logits, []int{0, 1, 0}); math.Abs(got-2.0/3) > 1e-12 {
 		t.Fatalf("Accuracy = %g; want 2/3", got)
 	}
 }
 
 func TestDiceScorePerfect(t *testing.T) {
-	masks := mat.FromRows([][]float64{{1, 0, 1, 0}})
-	logits := mat.FromRows([][]float64{{10, -10, 10, -10}})
+	masks := mat.NewDenseData(1, 4, []float64{1, 0, 1, 0})
+	logits := mat.NewDenseData(1, 4, []float64{10, -10, 10, -10})
 	if got := DiceScore(logits, masks, 0.5); got < 0.999 {
 		t.Fatalf("perfect DiceScore = %g; want ≈1", got)
 	}
-	bad := mat.FromRows([][]float64{{-10, 10, -10, 10}})
+	bad := mat.NewDenseData(1, 4, []float64{-10, 10, -10, 10})
 	if got := DiceScore(bad, masks, 0.5); got > 0.01 {
 		t.Fatalf("disjoint DiceScore = %g; want ≈0", got)
 	}
